@@ -51,8 +51,7 @@ from .data import (
 from .qcore import CapacityError, z_observable
 from .stability import (
     BoundInputs,
-    coupled_divergence,
-    empirical_beta,
+    coupled_ensemble,
     generalization_bound,
     noisy_generalization_bound,
     noisy_theoretical_beta,
@@ -279,6 +278,8 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError("optimizer.seeds must be non-empty")
     if any(s < 0 for s in seeds):
         raise ConfigError("optimizer.seeds must be >= 0")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("optimizer.seeds must not repeat a seed")
 
     for key, low in (
         ("dataset.pool_size", 1),
@@ -511,8 +512,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, seed_offset: int = 0
 def run_stability(cfg: ExperimentConfig, threads: int = 1, seed_offset: int = 0) -> ResultTable:
     """Per sweep value: coupled-divergence traces, beta_hat, and closed forms."""
     pool = load_pool(cfg)
-    base_seed = cfg.seeds[0] + seed_offset
-    n_seeds = len(cfg.seeds)
+    seeds = [s + seed_offset for s in cfg.seeds]
 
     def compute(item):
         vi, value = item
@@ -524,26 +524,22 @@ def run_stability(cfg: ExperimentConfig, threads: int = 1, seed_offset: int = 0)
             train_set, probe_set = rescale_with_train_stats(train_set, probe_set)
         circuit = build_circuit(cfg.qubits, layers, pool.feature_dim, cfg.sublayers)
         obs = z_observable(cfg.qubits)
-        config = TrainConfig(eta, cfg.iterations, base_seed, cfg.loss_kind, noise_p)
+        swaps = [(int(index), replacement_for(int(index), probe_set))
+                 for index in sampled_indices(m_train, cfg.stability_indices)]
+        traces, beta = coupled_ensemble(
+            train_set, probe_set, swaps, seeds, circuit, obs,
+            TrainConfig(eta, cfg.iterations, seeds[0], cfg.loss_kind, noise_p),
+        )
         rows: list[dict] = []
-        indices = sampled_indices(m_train, cfg.stability_indices)
-        for index in indices:
-            replacement = replacement_for(int(index), probe_set)
-            for s in range(n_seeds):
-                seed_cfg = TrainConfig(eta, cfg.iterations, base_seed + s,
-                                       cfg.loss_kind, noise_p)
-                trace = coupled_divergence(train_set, int(index), replacement,
-                                           circuit, obs, seed_cfg, probes=probe_set)
-                for t in range(cfg.iterations + 1):
-                    row = _blank_row("trace", value, seed_cfg.seed)
-                    row["replaced_index"] = int(index)
-                    row["iteration"] = t
-                    row["sum_abs_dtheta"] = float(trace.sum_abs_dtheta[t])
-                    row["probe_f_gap"] = float(trace.probe_f_gap[t])
-                    row["probe_loss_gap"] = float(trace.probe_loss_gap[t])
-                    rows.append(row)
-        beta = empirical_beta(train_set, probe_set, cfg.stability_indices, n_seeds,
-                              circuit, obs, config)
+        for trace in traces:
+            for t in range(cfg.iterations + 1):
+                row = _blank_row("trace", value, trace.seed)
+                row["replaced_index"] = trace.replaced_index
+                row["iteration"] = t
+                row["sum_abs_dtheta"] = float(trace.sum_abs_dtheta[t])
+                row["probe_f_gap"] = float(trace.probe_f_gap[t])
+                row["probe_loss_gap"] = float(trace.probe_loss_gap[t])
+                rows.append(row)
         b = _bound_inputs(cfg, layers, eta, m_train, noise_p,
                           max(cfg.iterations, 1), circuit.n_params,
                           pool.feature_dim, obs.norm)

@@ -9,6 +9,10 @@ coefficient is
     beta_hat = 1/2 * max over sampled i, probes z of
                | mean_seeds l(A_S, z) - mean_seeds l(A_Si, z) |.
 
+Both come from one set of runs (:func:`coupled_ensemble`): the run on S
+is trained once per seed, each twin once per (i, seed), the traces are
+read off their parameter paths and beta_hat off their final parameters.
+
 Analytic side.  For K single-Pauli parameters, L re-uploading layers, D
 features, m training samples and T iterations of step size eta, the
 per-step parameter divergence obeys a linear recursion whose closed form
@@ -27,17 +31,18 @@ noiseless expressions exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ansatz import ReuploadCircuit, forward_many
 from .data import Dataset, Sample
 from .qcore import Observable
-from .train import TrainConfig, draw_index, init_params, loss, sgd_step, train
+from .train import TrainConfig, _philox, _sgd_path, loss
 
 __all__ = [
     "StabilityTrace",
+    "coupled_ensemble",
     "coupled_divergence",
     "empirical_beta",
     "BoundInputs",
@@ -69,51 +74,58 @@ class StabilityTrace:
     probe_loss_gap: np.ndarray
 
 
+def coupled_ensemble(dataset: Dataset, probes: Dataset, swaps, seeds,
+                     circuit: ReuploadCircuit, obs: Observable,
+                     config: TrainConfig) -> tuple[list[StabilityTrace], float]:
+    """Coupled runs on S and on each S^i under every seed: (traces, beta_hat).
+
+    ``swaps`` lists the (index, replacement) pairs and ``seeds`` stands in
+    for ``config.seed``.  Each run's probe scores come from one
+    ``forward_many`` call over its whole path; traces are in (index, seed)
+    order and beta_hat is read off the same runs' final parameters.
+    """
+    if len(seeds) < 1:
+        raise ValueError("need at least one seed")
+    if len(probes) < 1:
+        raise ValueError("probe set is empty")
+    twin_sets = [dataset.replace(index, replacement) for index, replacement in swaps]
+
+    def arm(train_set: Dataset, seed: int):
+        cfg = replace(config, seed=seed)
+        path = np.array([theta for _, theta in _sgd_path(train_set, circuit, obs, cfg)])
+        steps, n_probes = path.shape[0], len(probes)
+        f = forward_many(circuit, np.repeat(path, n_probes, axis=0),
+                         np.tile(probes.features, (steps, 1)), obs).reshape(steps, n_probes)
+        return path, f, loss(f, probes.labels, config.loss_kind)
+
+    def mean_final_loss(arms) -> np.ndarray:
+        return sum(probe_loss[-1] for _, _, probe_loss in arms) / len(arms)
+
+    bases = [arm(dataset, seed) for seed in seeds]
+    base_mean = mean_final_loss(bases)
+    traces: list[StabilityTrace] = []
+    worst = 0.0
+    for (index, _), twin_set in zip(swaps, twin_sets):
+        twins = [arm(twin_set, seed) for seed in seeds]
+        for seed, (path_a, f_a, l_a), (path_b, f_b, l_b) in zip(seeds, bases, twins):
+            traces.append(StabilityTrace(
+                replaced_index=index,
+                seed=seed,
+                sum_abs_dtheta=np.sum(np.abs(path_a - path_b), axis=1),
+                probe_f_gap=np.max(np.abs(f_a - f_b), axis=1),
+                probe_loss_gap=np.max(np.abs(l_a - l_b), axis=1),
+            ))
+        worst = max(worst, float(np.max(np.abs(base_mean - mean_final_loss(twins)))))
+    return traces, 0.5 * worst
+
+
 def coupled_divergence(dataset: Dataset, index: int, replacement: Sample,
                        circuit: ReuploadCircuit, obs: Observable, config: TrainConfig,
                        probes: Dataset | None = None) -> StabilityTrace:
-    """Train on S and on S with sample ``index`` replaced, in lockstep."""
-    m = len(dataset)
-    if not (0 <= index < m):
-        raise ValueError(f"index {index} out of range for {m} samples")
-    if probes is None:
-        probes = dataset
-    twin = dataset.replace(index, replacement)
-
-    t_total = config.iterations
-    theta_a = init_params(circuit, config.seed)
-    theta_b = theta_a.copy()
-    sum_abs = np.zeros(t_total + 1)
-    f_gap = np.zeros(t_total + 1)
-    l_gap = np.zeros(t_total + 1)
-
-    def probe_gaps(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-        fa = forward_many(circuit, a, probes.features, obs)
-        fb = forward_many(circuit, b, probes.features, obs)
-        la = loss(fa, probes.labels, config.loss_kind)
-        lb = loss(fb, probes.labels, config.loss_kind)
-        return float(np.max(np.abs(fa - fb))), float(np.max(np.abs(la - lb)))
-
-    for t in range(t_total):
-        idx = draw_index(config.seed, t, m)
-        theta_a = sgd_step(theta_a, dataset.sample(idx), config.learning_rate,
-                           circuit, obs, config.loss_kind, config.noise_p)
-        theta_b = sgd_step(theta_b, twin.sample(idx), config.learning_rate,
-                           circuit, obs, config.loss_kind, config.noise_p)
-        sum_abs[t + 1] = float(np.sum(np.abs(theta_a - theta_b)))
-        f_gap[t + 1], l_gap[t + 1] = probe_gaps(theta_a, theta_b)
-
-    return StabilityTrace(
-        replaced_index=index,
-        seed=config.seed,
-        sum_abs_dtheta=sum_abs,
-        probe_f_gap=f_gap,
-        probe_loss_gap=l_gap,
-    )
-
-
-def _philox(*key) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    """Train on S and on S with sample ``index`` replaced under ``config.seed``."""
+    traces, _ = coupled_ensemble(dataset, dataset if probes is None else probes,
+                                 [(index, replacement)], [config.seed], circuit, obs, config)
+    return traces[0]
 
 
 def sampled_indices(m: int, n_indices: int) -> np.ndarray:
@@ -137,30 +149,10 @@ def replacement_for(index: int, probe_set: Dataset) -> Sample:
 def empirical_beta(dataset: Dataset, probe_set: Dataset, n_indices: int, n_seeds: int,
                    circuit: ReuploadCircuit, obs: Observable, config: TrainConfig) -> float:
     """Monte-Carlo estimate of the uniform-stability coefficient."""
-    if n_seeds < 1:
-        raise ValueError("need at least one seed")
-    if len(probe_set) < 1:
-        raise ValueError("probe set is empty")
-    seeds = [config.seed + s for s in range(n_seeds)]
-    indices = sampled_indices(len(dataset), n_indices)
-
-    def mean_probe_losses(train_set: Dataset) -> np.ndarray:
-        acc = np.zeros(len(probe_set))
-        for seed in seeds:
-            cfg = TrainConfig(config.learning_rate, config.iterations, seed,
-                              config.loss_kind, config.noise_p)
-            run = train(train_set, circuit, obs, cfg)
-            outputs = forward_many(circuit, run.final_theta, probe_set.features, obs)
-            acc += loss(outputs, probe_set.labels, config.loss_kind)
-        return acc / n_seeds
-
-    base = mean_probe_losses(dataset)
-    worst = 0.0
-    for index in indices:
-        twin = dataset.replace(int(index), replacement_for(int(index), probe_set))
-        gap = np.max(np.abs(base - mean_probe_losses(twin)))
-        worst = max(worst, float(gap))
-    return 0.5 * worst
+    swaps = [(int(i), replacement_for(int(i), probe_set))
+             for i in sampled_indices(len(dataset), n_indices)]
+    seeds = range(config.seed, config.seed + n_seeds)
+    return coupled_ensemble(dataset, probe_set, swaps, seeds, circuit, obs, config)[1]
 
 
 @dataclass(frozen=True)

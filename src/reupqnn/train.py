@@ -166,19 +166,37 @@ def _outputs(circuit, theta, dataset, obs, noise_p: float) -> np.ndarray:
     return forward_many(circuit, theta, dataset.features, obs)
 
 
+def _mean_loss(outputs: np.ndarray, labels, loss_kind: str) -> float:
+    return float(np.mean(loss(outputs, labels, loss_kind)))
+
+
+def _sign_accuracy(outputs: np.ndarray, labels) -> float:
+    predictions = np.where(outputs >= 0.0, 1, -1)
+    return float(np.mean(predictions == labels))
+
+
 def risk(circuit: ReuploadCircuit, theta, dataset, obs: Observable,
          loss_kind: str = "scaled_squared", noise_p: float = 0.0) -> float:
     """Mean loss over the dataset."""
-    outputs = _outputs(circuit, theta, dataset, obs, noise_p)
-    return float(np.mean(loss(outputs, dataset.labels, loss_kind)))
+    return _mean_loss(_outputs(circuit, theta, dataset, obs, noise_p), dataset.labels, loss_kind)
 
 
 def accuracy(circuit: ReuploadCircuit, theta, dataset, obs: Observable,
              noise_p: float = 0.0) -> float:
     """Fraction of samples with sign(f) matching the label; sign(0) is +1."""
-    outputs = _outputs(circuit, theta, dataset, obs, noise_p)
-    predictions = np.where(outputs >= 0.0, 1, -1)
-    return float(np.mean(predictions == dataset.labels))
+    return _sign_accuracy(_outputs(circuit, theta, dataset, obs, noise_p), dataset.labels)
+
+
+def _sgd_path(dataset, circuit: ReuploadCircuit, obs: Observable, config: TrainConfig):
+    """Yield (index, theta) for theta_0..theta_T of one run; theta_0 has index None."""
+    m = len(dataset)
+    theta = init_params(circuit, config.seed)
+    yield None, theta
+    for t in range(config.iterations):
+        idx = draw_index(config.seed, t, m)
+        theta = sgd_step(theta, dataset.sample(idx), config.learning_rate, circuit, obs,
+                         config.loss_kind, config.noise_p)
+        yield idx, theta
 
 
 def train(dataset, circuit: ReuploadCircuit, obs: Observable, config: TrainConfig,
@@ -190,10 +208,7 @@ def train(dataset, circuit: ReuploadCircuit, obs: Observable, config: TrainConfi
     ``eval_interval`` iterations (default max(1, T // 100)) and at the
     final iteration.
     """
-    from .grad import loss_grad
-
-    m = len(dataset)
-    if m < 1:
+    if len(dataset) < 1:
         raise ValueError("training needs at least one sample")
     t_total = config.iterations
     if eval_interval is None:
@@ -201,12 +216,8 @@ def train(dataset, circuit: ReuploadCircuit, obs: Observable, config: TrainConfi
     if eval_interval < 1:
         raise ValueError("eval_interval must be >= 1")
 
-    theta = init_params(circuit, config.seed)
-    k = circuit.n_params
     indices = np.empty(t_total, dtype=np.int64)
-    trajectory = np.empty((t_total + 1, k)) if record_trajectory else None
-    if trajectory is not None:
-        trajectory[0] = theta
+    trajectory = np.empty((t_total + 1, circuit.n_params)) if record_trajectory else None
 
     eval_points: list[int] = []
     train_risks: list[float] = []
@@ -214,26 +225,23 @@ def train(dataset, circuit: ReuploadCircuit, obs: Observable, config: TrainConfi
     train_accs: list[float] = []
     test_accs: list[float] = []
 
-    def evaluate(t: int) -> None:
+    def evaluate(t: int, theta: np.ndarray) -> None:
         eval_points.append(t)
-        train_risks.append(risk(circuit, theta, dataset, obs, config.loss_kind, config.noise_p))
-        train_accs.append(accuracy(circuit, theta, dataset, obs, config.noise_p))
+        outputs = _outputs(circuit, theta, dataset, obs, config.noise_p)
+        train_risks.append(_mean_loss(outputs, dataset.labels, config.loss_kind))
+        train_accs.append(_sign_accuracy(outputs, dataset.labels))
         if test_dataset is not None:
-            test_risks.append(risk(circuit, theta, test_dataset, obs, config.loss_kind, config.noise_p))
-            test_accs.append(accuracy(circuit, theta, test_dataset, obs, config.noise_p))
+            outputs = _outputs(circuit, theta, test_dataset, obs, config.noise_p)
+            test_risks.append(_mean_loss(outputs, test_dataset.labels, config.loss_kind))
+            test_accs.append(_sign_accuracy(outputs, test_dataset.labels))
 
-    evaluate(0)
-    for t in range(t_total):
-        idx = draw_index(config.seed, t, m)
-        indices[t] = idx
-        theta = theta - config.learning_rate * loss_grad(
-            circuit, theta, dataset.sample(idx), obs, config.loss_kind, config.noise_p
-        )
+    for t, (idx, theta) in enumerate(_sgd_path(dataset, circuit, obs, config)):
+        if t > 0:
+            indices[t - 1] = idx
         if trajectory is not None:
-            trajectory[t + 1] = theta
-        done = t + 1
-        if done % eval_interval == 0 or done == t_total:
-            evaluate(done)
+            trajectory[t] = theta
+        if t % eval_interval == 0 or t == t_total:
+            evaluate(t, theta)
 
     has_test = test_dataset is not None
     return TrainRun(

@@ -202,6 +202,21 @@ def test_forward_many_broadcasts_single_rows():
     assert np.max(np.abs(got2 - want2)) < 1e-12
 
 
+def test_forward_many_rows_do_not_depend_on_batch():
+    """A stacked (T+1)*P path scores each row to the same bits as one call per theta."""
+    rng = np.random.default_rng(26)
+    for n, layers, d, r in [(1, 1, 1, 1), (4, 2, 4, 2)]:
+        c = build_circuit(n, layers, d, r)
+        obs = z_observable(n)
+        path = rng.uniform(0, 2 * np.pi, (21, c.n_params))
+        probes = rng.uniform(0, 2 * np.pi, (16, d))
+        stacked = forward_many(
+            c, np.repeat(path, len(probes), axis=0), np.tile(probes, (len(path), 1)), obs
+        ).reshape(len(path), len(probes))
+        one_by_one = np.array([forward_many(c, theta, probes, obs) for theta in path])
+        np.testing.assert_array_equal(stacked, one_by_one)
+
+
 def test_forward_many_shape_errors():
     c = build_circuit(2, 1, 2, 1)
     obs = z_observable(2)

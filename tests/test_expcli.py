@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from reupqnn.ansatz import build_circuit
+from reupqnn.ansatz import build_circuit, forward_many
 from reupqnn.comb import choi_of_unitary
+from reupqnn.data import subsample_split
 from reupqnn.qcore import z_observable
 from reupqnn.experiments import (
     COLUMNS,
@@ -18,8 +19,8 @@ from reupqnn.experiments import (
     run_experiment,
     run_stability,
 )
-from reupqnn.stability import BoundInputs, theoretical_beta
-from reupqnn.train import loss_constants
+from reupqnn.stability import BoundInputs, replacement_for, sampled_indices, theoretical_beta
+from reupqnn.train import TrainConfig, loss, loss_constants, train
 
 BASE_CONFIG = """\
 # toy sweep, small on purpose
@@ -79,6 +80,7 @@ def test_parse_config_sweep_defaults_to_base_value(tmp_path):
         ("output.format = yaml", "output.format"),
         ("optimizer.noise_p = 1.5", "noise_p"),
         ("dataset.m_train = six", "dataset.m_train"),
+        ("optimizer.seeds = 3, 1, 3", "repeat"),
     ],
 )
 def test_parse_config_rejects_bad_lines(tmp_path, line, fragment):
@@ -288,6 +290,45 @@ def test_run_stability_deterministic(stab_table):
     assert again.rows == table.rows
 
 
+def test_run_stability_beta_hat_equals_brute_force_retraining(stab_table):
+    """beta_hat shares the trace runs; retraining every (variant, seed) gives the same bits."""
+    cfg, table = stab_table
+    pool = load_pool(cfg)
+    obs = z_observable(cfg.qubits)
+    betas = [r["beta_hat"] for r in table.rows if r["kind"] == "beta"]
+    for vi, m in enumerate(cfg.sweep_values):
+        train_set, probe_set = subsample_split(
+            pool, m, cfg.stability_probes, (cfg.data_seed, 777, vi)
+        )
+        c = build_circuit(cfg.qubits, cfg.layers, pool.feature_dim, cfg.sublayers)
+
+        def mean_probe_losses(dataset):
+            total = np.zeros(len(probe_set))
+            for seed in cfg.seeds:
+                run = train(dataset, c, obs, TrainConfig(cfg.learning_rate, cfg.iterations, seed))
+                outputs = forward_many(c, run.final_theta, probe_set.features, obs)
+                total += loss(outputs, probe_set.labels)
+            return total / len(cfg.seeds)
+
+        base = mean_probe_losses(train_set)
+        worst = 0.0
+        for i in sampled_indices(m, cfg.stability_indices):
+            twin = train_set.replace(int(i), replacement_for(int(i), probe_set))
+            worst = max(worst, float(np.max(np.abs(base - mean_probe_losses(twin)))))
+        assert betas[vi] == 0.5 * worst
+    assert all(b > 0.0 for b in betas)
+
+
+def test_run_stability_honours_non_contiguous_seeds(tmp_path):
+    text = STAB_CONFIG.replace("optimizer.seeds = 0, 1", "optimizer.seeds = 9, 0, 5")
+    cfg = parse_config(write_config(tmp_path, text, "stab.cfg"))
+    for offset in (0, 3):
+        table = run_stability(cfg, seed_offset=offset)
+        seeds = [r["seed"] for r in table.rows if r["kind"] == "trace" and r["iteration"] == 0]
+        # 2 values x 2 indices, each with one trace per configured seed, in config order
+        assert seeds == [9 + offset, offset, 5 + offset] * 4
+
+
 # --- output files -----------------------------------------------------------
 
 
@@ -369,6 +410,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o.csv")]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.cfg"),
                  "--out", str(tmp_path / "o.csv")]) == 2
+    repeated = write_config(tmp_path, STAB_CONFIG.replace("0, 1", "1, 1"), "rep.cfg")
+    assert main(["stability", "--config", repeated, "--out", str(tmp_path / "o.csv")]) == 2
     capsys.readouterr()
 
 

@@ -12,6 +12,7 @@ from reupqnn.stability import (
     BoundInputs,
     MarginReport,
     coupled_divergence,
+    coupled_ensemble,
     empirical_beta,
     generalization_bound,
     noisy_generalization_bound,
@@ -201,6 +202,29 @@ def test_empirical_beta_matches_brute_force_retraining():
         worst = max(worst, float(np.max(np.abs(base - mean_losses(twin)))))
     assert got == pytest.approx(0.5 * worst, abs=1e-12)
     assert got > 0.0
+
+
+def test_coupled_ensemble_matches_single_index_calls():
+    """One ensemble call reproduces every coupled_divergence trace and empirical_beta."""
+    dataset = synthetic_toy(7, seed=14)
+    probe = synthetic_toy(5, seed=15)
+    c = build_circuit(1, 2, 1, 1)
+    obs = z_observable(1)
+    config = TrainConfig(0.2, 6, seed=4)
+    indices = sampled_indices(len(dataset), 3)
+    swaps = [(int(i), replacement_for(int(i), probe)) for i in indices]
+    traces, beta = coupled_ensemble(dataset, probe, swaps, [4, 5], c, obs, config)
+    pairs = [(swap, seed) for swap in swaps for seed in (4, 5)]
+    assert [(t.replaced_index, t.seed) for t in traces] == [(i, s) for (i, _), s in pairs]
+    for trace, ((index, replacement), seed) in zip(traces, pairs):
+        single = coupled_divergence(dataset, index, replacement, c, obs,
+                                    TrainConfig(0.2, 6, seed=seed), probes=probe)
+        np.testing.assert_array_equal(trace.sum_abs_dtheta, single.sum_abs_dtheta)
+        np.testing.assert_array_equal(trace.probe_f_gap, single.probe_f_gap)
+        np.testing.assert_array_equal(trace.probe_loss_gap, single.probe_loss_gap)
+    assert beta == empirical_beta(dataset, probe, 3, 2, c, obs, config)
+    with pytest.raises(ValueError):
+        coupled_ensemble(dataset, probe, swaps, [], c, obs, config)
 
 
 def test_empirical_beta_deterministic():
