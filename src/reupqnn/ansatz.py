@@ -13,6 +13,13 @@ Ry(0) fillers so every encoding block has the same shape.
 
 The trainable parameter vector has K = (L + 1) * R * N entries ordered by
 (layer, sublayer, qubit).
+
+One batched engine, `forward_many`, simulates every circuit output in the
+package: statevector rows when noiseless, density-matrix rows under
+per-gate depolarizing noise (``noise_p`` > 0).  `forward` and
+`noise.noisy_forward` are its one-row wrappers.  `iter_gates` and the
+dense unitaries build the same circuit gate by gate; they feed the comb
+route and the tests as independent oracles.
 """
 
 from __future__ import annotations
@@ -25,8 +32,7 @@ from .qcore import (
     CapacityError,
     NumericalIntegrityError,
     Observable,
-    QuantumState,
-    apply_gate,
+    _check_density_rows,
     embed_gate,
     rotation_gate,
 )
@@ -173,18 +179,9 @@ def iter_gates(circuit: ReuploadCircuit, theta, x):
 
 
 def forward(circuit: ReuploadCircuit, theta, x, obs: Observable) -> float:
-    """<0...0| U(theta, x)^dagger M U(theta, x) |0...0> by statevector simulation."""
-    if obs.matrix.shape[0] != (1 << circuit.n_qubits):
-        raise ValueError("observable dimension does not match the circuit")
-    state = QuantumState.zero(circuit.n_qubits)
-    for gate, targets in iter_gates(circuit, theta, x):
-        state = apply_gate(state, gate, targets)
-    value = np.vdot(state.data, obs.matrix @ state.data)
-    if abs(value.imag) > 1e-8:
-        raise NumericalIntegrityError(
-            f"expectation has imaginary residue {value.imag!r} above 1e-8"
-        )
-    return float(value.real)
+    """<0...0| U(theta, x)^dagger M U(theta, x) |0...0>: one row of `forward_many`."""
+    theta = _check_theta(circuit, theta)
+    return float(forward_many(circuit, theta, _check_x(circuit, x), obs)[0])
 
 
 # --- batched engine -------------------------------------------------------
@@ -192,11 +189,16 @@ def forward(circuit: ReuploadCircuit, theta, x, obs: Observable) -> float:
 # The training loop evaluates many (theta, x) rows against the same circuit
 # (all parameter-shift offsets of one step, or a whole dataset); doing so
 # row-parallel inside numpy is the difference between seconds and hours.
-# The math is identical to `forward`; a consistency test pins the two paths
-# against each other.
+# The same two gate kernels serve both modes: a noisy row holds its density
+# matrix as a 2n-qubit vector (row bits, then column bits), and since Ry
+# and CX are real, U rho U^dagger = U rho U^T is the gate applied once on
+# qubit q and once on qubit n + q.
+
+# Rows are simulated in chunks of at most this many bytes of states.
+_CHUNK_BYTES = 64 << 20
 
 
-def _apply_ry_rows(states: np.ndarray, n: int, qubit: int, angles: np.ndarray) -> None:
+def _apply_ry_rows(states: np.ndarray, qubit: int, angles: np.ndarray) -> None:
     half = 0.5 * angles
     c = np.cos(half)[:, None, None]
     s = np.sin(half)[:, None, None]
@@ -209,7 +211,7 @@ def _apply_ry_rows(states: np.ndarray, n: int, qubit: int, angles: np.ndarray) -
     view[:, :, 1, :] = new_b
 
 
-def _apply_cx_rows(states: np.ndarray, n: int, control: int, target: int) -> None:
+def _apply_cx_rows(states: np.ndarray, control: int, target: int) -> None:
     # control < target by construction of the chain; pure index permutation.
     mid = 1 << (target - control - 1)
     view = states.reshape(
@@ -220,27 +222,56 @@ def _apply_cx_rows(states: np.ndarray, n: int, control: int, target: int) -> Non
     view[:, :, 1, :, 1, :] = tmp
 
 
-def _simulate_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _depolarize_rows(rhos: np.ndarray, n: int, qubit: int, p: float) -> None:
+    """Depolarizing channel of strength ``p`` (see `noise`) on one qubit of
+    n-qubit density rows stored as 2n-qubit vectors, in place."""
+    # Axes: row bits before the qubit, its row bit, the n - 1 bits between
+    # it and its column bit, its column bit, the column bits after it.
+    view = rhos.reshape(rhos.shape[0], 1 << qubit, 2, 1 << (n - 1), 2, -1)
+    mixed = 0.5 * p * (view[:, :, 0, :, 0, :] + view[:, :, 1, :, 1, :])
+    view *= 1.0 - p
+    view[:, :, 0, :, 0, :] += mixed
+    view[:, :, 1, :, 1, :] += mixed
+
+
+def _simulate_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
+                   noise_p: float) -> np.ndarray:
+    """Statevector rows, or density rows as 2n-qubit vectors when ``noise_p`` > 0.
+
+    With noise every gate, Ry(0) fillers included, is followed by the
+    channel on each qubit it touched.
+    """
     n = circuit.n_qubits
-    rows = thetas.shape[0]
-    states = np.zeros((rows, 1 << n), dtype=complex)
+    mirrors = (0, n) if noise_p else (0,)
+    states = np.zeros((thetas.shape[0], 1 << (n * len(mirrors))), dtype=complex)
     states[:, 0] = 1.0
+
+    def noise(*qubits: int) -> None:
+        if noise_p:
+            for q in qubits:
+                _depolarize_rows(states, n, q, noise_p)
 
     def trainable_block(layer: int) -> None:
         for r in range(circuit.sublayers):
             base = ((layer - 1) * circuit.sublayers + r) * n
             for q in range(n):
-                _apply_ry_rows(states, n, q, thetas[:, base + q])
+                for m in mirrors:
+                    _apply_ry_rows(states, m + q, thetas[:, base + q])
+                noise(q)
             for q in range(n - 1):
-                _apply_cx_rows(states, n, q, q + 1)
+                for m in mirrors:
+                    _apply_cx_rows(states, m + q, m + q + 1)
+                noise(q, q + 1)
 
     def encode_block() -> None:
         for c in range(circuit.encode_columns):
             for q in range(n):
                 d = c * n + q
                 if d < circuit.data_dim:
-                    _apply_ry_rows(states, n, q, xs[:, d])
-                # Ry(0) filler slots are exact no-ops here.
+                    for m in mirrors:
+                        _apply_ry_rows(states, m + q, xs[:, d])
+                # Ry(0) filler slots are exact no-ops, but still noisy.
+                noise(q)
 
     for layer in range(1, circuit.layers + 1):
         trainable_block(layer)
@@ -249,11 +280,33 @@ def _simulate_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray)
     return states
 
 
-def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable) -> np.ndarray:
+def _expectations(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
+                  obs: Observable, noise_p: float) -> np.ndarray:
+    states = _simulate_rows(circuit, thetas, xs, noise_p)
+    if noise_p:
+        dim = 1 << circuit.n_qubits
+        rhos = states.reshape(-1, dim, dim)
+        _check_density_rows(rhos)
+        values = np.einsum("ij,bji->b", obs.matrix, rhos)
+    else:
+        values = np.einsum("bi,ij,bj->b", states.conj(), obs.matrix, states)
+    residue = np.max(np.abs(values.imag)) if values.size else 0.0
+    if residue > 1e-8:
+        raise NumericalIntegrityError(
+            f"expectation has imaginary residue {residue!r} above 1e-8"
+        )
+    return values.real
+
+
+def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
+                 noise_p: float = 0.0) -> np.ndarray:
     """Vectorized `forward` over rows of (theta, x) pairs.
 
     ``thetas`` is (rows, K) or (K,) broadcast to all rows; ``xs`` is
-    (rows, D) or (D,).  Returns the (rows,) vector of expectations.
+    (rows, D) or (D,).  Returns the (rows,) vector of expectations.  With
+    ``noise_p`` > 0 every row is a density-matrix simulation under
+    per-gate depolarizing noise of that strength (see `noise`), checked
+    once at the end for unit trace, Hermiticity and positivity.
     """
     thetas = np.asarray(thetas, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -277,14 +330,17 @@ def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable) -> np.nd
         raise ValueError("thetas or xs contain non-finite entries")
     if obs.matrix.shape[0] != (1 << circuit.n_qubits):
         raise ValueError("observable dimension does not match the circuit")
-    states = _simulate_rows(circuit, np.ascontiguousarray(thetas), np.ascontiguousarray(xs))
-    values = np.einsum("bi,ij,bj->b", states.conj(), obs.matrix, states)
-    residue = np.max(np.abs(values.imag)) if values.size else 0.0
-    if residue > 1e-8:
-        raise NumericalIntegrityError(
-            f"expectation has imaginary residue {residue!r} above 1e-8"
+    if not (0.0 <= noise_p <= 1.0):
+        raise ValueError(f"noise strength p={noise_p!r} outside [0, 1]")
+    row_bytes = 16 << (circuit.n_qubits * (2 if noise_p else 1))
+    step = max(1, _CHUNK_BYTES // row_bytes)
+    values = np.empty(thetas.shape[0])
+    for i in range(0, thetas.shape[0], step):
+        values[i:i + step] = _expectations(
+            circuit, np.ascontiguousarray(thetas[i:i + step]),
+            np.ascontiguousarray(xs[i:i + step]), obs, noise_p,
         )
-    return values.real.copy()
+    return values
 
 
 # --- dense unitaries ------------------------------------------------------

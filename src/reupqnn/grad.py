@@ -22,48 +22,8 @@ __all__ = ["SHIFT", "parameter_shift_grad_f", "loss_grad", "finite_diff_grad"]
 SHIFT = 0.5 * np.pi
 
 
-def parameter_shift_grad_f(circuit: ReuploadCircuit, theta, x, obs: Observable,
-                           noise_p: float = 0.0) -> np.ndarray:
-    """Gradient of the circuit output with respect to every parameter."""
-    theta = np.asarray(theta, dtype=float)
-    k = circuit.n_params
-    if theta.shape != (k,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({k},)")
-    if noise_p:
-        from .noise import noisy_forward
-
-        grad = np.empty(k)
-        for j in range(k):
-            plus = theta.copy()
-            minus = theta.copy()
-            plus[j] += SHIFT
-            minus[j] -= SHIFT
-            grad[j] = 0.5 * (
-                noisy_forward(circuit, plus, x, obs, noise_p)
-                - noisy_forward(circuit, minus, x, obs, noise_p)
-            )
-        return grad
-    # All 2K shifted evaluations ride one vectorized pass; each row is the
-    # same per-coordinate shift the sequential loop would use.
-    shifted = np.tile(theta, (2 * k, 1))
-    rows = np.arange(k)
-    shifted[2 * rows, rows] += SHIFT
-    shifted[2 * rows + 1, rows] -= SHIFT
-    values = forward_many(circuit, shifted, np.asarray(x, dtype=float), obs)
-    return 0.5 * (values[0::2] - values[1::2])
-
-
-def loss_grad(circuit: ReuploadCircuit, theta, sample, obs: Observable,
-              loss_kind: str = "scaled_squared", noise_p: float = 0.0) -> np.ndarray:
-    """Gradient of the per-sample loss: l'(f, y) * df/dtheta."""
-    from .train import loss_derivative
-    from .noise import noisy_forward
-
-    if noise_p:
-        f = noisy_forward(circuit, theta, sample.x, obs, noise_p)
-        scale = loss_derivative(f, sample.y, loss_kind)
-        return scale * parameter_shift_grad_f(circuit, theta, sample.x, obs, noise_p)
-    # One batch carries the unshifted point plus all 2K shifted ones.
+def _shifted_rows(circuit: ReuploadCircuit, theta) -> np.ndarray:
+    """theta, then theta +- pi/2 on each coordinate in turn: (2K + 1, K)."""
     theta = np.asarray(theta, dtype=float)
     k = circuit.n_params
     if theta.shape != (k,):
@@ -72,7 +32,26 @@ def loss_grad(circuit: ReuploadCircuit, theta, sample, obs: Observable,
     idx = np.arange(k)
     rows[1 + 2 * idx, idx] += SHIFT
     rows[2 + 2 * idx, idx] -= SHIFT
-    values = forward_many(circuit, rows, np.asarray(sample.x, dtype=float), obs)
+    return rows
+
+
+def parameter_shift_grad_f(circuit: ReuploadCircuit, theta, x, obs: Observable,
+                           noise_p: float = 0.0) -> np.ndarray:
+    """Gradient of the circuit output with respect to every parameter."""
+    # All 2K shifted evaluations ride one vectorized pass.
+    rows = _shifted_rows(circuit, theta)[1:]
+    values = forward_many(circuit, rows, np.asarray(x, dtype=float), obs, noise_p)
+    return 0.5 * (values[0::2] - values[1::2])
+
+
+def loss_grad(circuit: ReuploadCircuit, theta, sample, obs: Observable,
+              loss_kind: str = "scaled_squared", noise_p: float = 0.0) -> np.ndarray:
+    """Gradient of the per-sample loss: l'(f, y) * df/dtheta."""
+    from .train import loss_derivative
+
+    # One batch carries the unshifted point plus all 2K shifted ones.
+    rows = _shifted_rows(circuit, theta)
+    values = forward_many(circuit, rows, np.asarray(sample.x, dtype=float), obs, noise_p)
     scale = loss_derivative(float(values[0]), sample.y, loss_kind)
     return scale * (0.5 * (values[1::2] - values[2::2]))
 

@@ -1,4 +1,4 @@
-"""Single-qubit depolarizing noise and the noisy circuit simulator.
+"""Single-qubit depolarizing noise and the noisy circuit output.
 
 The channel convention is
 
@@ -6,23 +6,19 @@ The channel convention is
 
 i.e. with probability p the marked qubit is replaced by the maximally
 mixed state.  (In the Pauli-twirl parametrization this is strength
-3p/4 on each of X, Y, Z.)  ``noisy_forward`` applies the channel to every
+3p/4 on each of X, Y, Z.)  The noisy model applies the channel to every
 qubit a gate touches, immediately after that gate; identity filler
 rotations in the encoding blocks count as gates and are noised like any
-other.
+other.  The simulation itself is the density-matrix mode of
+`ansatz.forward_many` (``noise_p`` > 0), which training, gradients and
+stability probes call directly; the functions here are one-state and
+one-row wrappers over its kernels.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .ansatz import ReuploadCircuit, iter_gates
-from .qcore import (
-    NumericalIntegrityError,
-    Observable,
-    QuantumState,
-    apply_gate,
-)
+from .ansatz import ReuploadCircuit, _check_theta, _check_x, _depolarize_rows, forward_many
+from .qcore import Observable, QuantumState
 
 __all__ = ["depolarize", "noisy_forward"]
 
@@ -38,51 +34,18 @@ def depolarize(rho: QuantumState, p: float, qubit: int) -> QuantumState:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
     if p == 0.0:
         return rho
-    mixed = _replace_with_mixed(rho.data, n, qubit)
-    return QuantumState((1.0 - p) * rho.data + p * mixed, "density")
-
-
-def _replace_with_mixed(mat: np.ndarray, n: int, qubit: int) -> np.ndarray:
-    """tr_qubit[rho] (x) I/2, reinserted at the original position."""
-    tensor_form = mat.reshape((2,) * (2 * n))
-    row_labels = list(range(n))
-    col_labels = list(range(n, 2 * n))
-    col_labels[qubit] = qubit  # trace the marked qubit
-    keep = [i for i in range(n) if i != qubit]
-    reduced_labels = [row_labels[i] for i in keep] + [n + i for i in keep]
-    reduced = np.einsum(tensor_form, row_labels + col_labels, reduced_labels)
-    eye_labels = [qubit, n + qubit]
-    out_labels = row_labels + [n + i for i in range(n)]
-    out = np.einsum(reduced, reduced_labels, 0.5 * np.eye(2), eye_labels, out_labels)
-    dim = 1 << n
-    return out.reshape(dim, dim)
+    row = rho.data.reshape(1, -1).copy()
+    _depolarize_rows(row, n, qubit, p)
+    return QuantumState(row.reshape(rho.data.shape), "density")
 
 
 def noisy_forward(circuit: ReuploadCircuit, theta, x, obs: Observable, p: float) -> float:
     """Circuit output under per-gate depolarizing noise of strength ``p``.
 
     Density-matrix simulation from |0...0><0...0|; after each gate the
-    channel hits every qubit that gate acted on.  The trace is checked to
-    1e-12 after every channel application.
+    channel hits every qubit that gate acted on.  The final state is
+    checked for unit trace (to 1e-12), Hermiticity and positivity.  At
+    p = 0 this is `ansatz.forward`.
     """
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"noise strength p={p!r} outside [0, 1]")
-    if obs.matrix.shape[0] != (1 << circuit.n_qubits):
-        raise ValueError("observable dimension does not match the circuit")
-    state = QuantumState.zero_density(circuit.n_qubits)
-    for gate, targets in iter_gates(circuit, theta, x):
-        state = apply_gate(state, gate, targets)
-        if p:
-            for q in targets:
-                state = depolarize(state, p, q)
-                trace = np.trace(state.data)
-                if abs(trace - 1.0) > 1e-12:
-                    raise NumericalIntegrityError(
-                        f"trace drifted to {trace!r} after depolarizing qubit {q}"
-                    )
-    value = np.trace(obs.matrix @ state.data)
-    if abs(value.imag) > 1e-8:
-        raise NumericalIntegrityError(
-            f"noisy expectation has imaginary residue {value.imag!r} above 1e-8"
-        )
-    return float(value.real)
+    theta = _check_theta(circuit, theta)
+    return float(forward_many(circuit, theta, _check_x(circuit, x), obs, p)[0])

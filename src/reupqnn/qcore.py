@@ -8,8 +8,8 @@ channels) is built on the small set of utilities in this module:
   the most significant bit of the basis index, so ``kron(A, B)`` acts with
   A on qubit 0.
 * Pure-state and density-matrix containers with validity checks.
-* Gate application on arbitrary target qubits, expectation values, and a
-  power-iteration spectral norm.
+* Gate application on arbitrary target qubits, expectation values, and
+  the spectral norm.
 
 All arrays are numpy ``complex128``; sizes stay at desk scale (a handful
 of qubits), so the implementations favor clarity over asymptotics.
@@ -46,7 +46,7 @@ class CapacityError(Exception):
 
 
 class NumericalIntegrityError(Exception):
-    """A numerical invariant (residue, convergence, trace) was violated."""
+    """A numerical invariant (residue, trace, positivity) was violated."""
 
 
 I2 = np.eye(2, dtype=complex)
@@ -177,17 +177,7 @@ class QuantumState:
             if data.ndim != 2 or data.shape[0] != data.shape[1]:
                 raise ValueError("density matrix must be square")
             n = _qubit_count(data.shape[0])
-            if np.max(np.abs(data - data.conj().T)) > _UNITARY_ATOL:
-                raise NumericalIntegrityError("density matrix is not Hermitian")
-            trace = np.trace(data)
-            if abs(trace - 1.0) > _STATE_NORM_ATOL:
-                raise NumericalIntegrityError(
-                    f"density trace {trace!r} deviates from 1 beyond 1e-12"
-                )
-            if np.min(np.linalg.eigvalsh(data)) < _DENSITY_EIG_FLOOR:
-                raise NumericalIntegrityError(
-                    "density matrix has an eigenvalue below -1e-10"
-                )
+            _check_density_rows(data[None])
         else:
             raise ValueError(f"unknown state kind {self.kind!r}")
         object.__setattr__(self, "n_qubits", n)
@@ -223,6 +213,25 @@ def _qubit_count(dim: int) -> int:
     if dim < 2 or (1 << n) != dim:
         raise ValueError(f"dimension {dim} is not a power of two >= 2")
     return n
+
+
+def _check_density_rows(rhos: np.ndarray) -> None:
+    """Density invariants on a (rows, dim, dim) stack, one batched ``eigvalsh``.
+
+    Every row must be Hermitian within 1e-10, have unit trace within 1e-12
+    and no eigenvalue below -1e-10; the worst row is reported.
+    """
+    if np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)), initial=0.0) > _UNITARY_ATOL:
+        raise NumericalIntegrityError("density matrix is not Hermitian")
+    drift = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
+    if np.max(drift, initial=0.0) > _STATE_NORM_ATOL:
+        raise NumericalIntegrityError(
+            f"density trace deviates from 1 by {np.max(drift)!r}, beyond 1e-12"
+        )
+    if np.min(np.linalg.eigvalsh(rhos), initial=0.0) < _DENSITY_EIG_FLOOR:
+        raise NumericalIntegrityError(
+            "density matrix has an eigenvalue below -1e-10"
+        )
 
 
 def apply_gate(state: QuantumState, gate: np.ndarray, targets) -> QuantumState:
@@ -302,46 +311,9 @@ def expectation(state: QuantumState, observable) -> float:
     return float(value.real)
 
 
-def spectral_norm(m: np.ndarray, rel_tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest singular value of ``m`` by power iteration on M^dagger M.
-
-    Iterates until the dominant-eigenvalue estimate is stable to
-    ``rel_tol`` on two consecutive steps; raises
-    :class:`NumericalIntegrityError` if ``max_iter`` iterations do not
-    reach that, reporting the iteration count.
-    """
+def spectral_norm(m: np.ndarray) -> float:
+    """Largest singular value of ``m`` (exact, by SVD)."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or min(m.shape) == 0:
         raise ValueError("spectral_norm expects a non-empty 2-d matrix")
-    scale = np.max(np.abs(m))
-    if scale == 0.0:
-        return 0.0
-    # Work on a rescaled copy so the iteration is insensitive to magnitude.
-    a = m / scale
-    rng = np.random.Generator(np.random.Philox(key=np.array([0x5EED, m.shape[1]], dtype=np.uint64)))
-    vec = rng.normal(size=m.shape[1]) + 1j * rng.normal(size=m.shape[1])
-    vec /= np.linalg.norm(vec)
-    prev = -1.0
-    stable = 0
-    for it in range(1, max_iter + 1):
-        w = a.conj().T @ (a @ vec)
-        w_norm = np.linalg.norm(w)
-        if w_norm == 0.0:
-            # vec sits in the kernel; restart from a shifted direction.
-            vec = rng.normal(size=m.shape[1]) + 1j * rng.normal(size=m.shape[1])
-            vec /= np.linalg.norm(vec)
-            prev = -1.0
-            stable = 0
-            continue
-        lam = float(np.real(np.vdot(vec, w)))
-        vec = w / w_norm
-        if prev >= 0.0 and abs(lam - prev) <= rel_tol * max(lam, 1e-300):
-            stable += 1
-            if stable >= 2:
-                return float(scale * np.sqrt(max(lam, 0.0)))
-        else:
-            stable = 0
-        prev = lam
-    raise NumericalIntegrityError(
-        f"power iteration did not converge within {max_iter} iterations"
-    )
+    return float(np.linalg.norm(m, 2))

@@ -12,6 +12,8 @@ coefficient is
 Both come from one set of runs (:func:`coupled_ensemble`): the run on S
 is trained once per seed, each twin once per (i, seed), the traces are
 read off their parameter paths and beta_hat off their final parameters.
+Under noise (``noise_p`` > 0) the probes are scored by the noisy model,
+the one that was trained and that the noisy bound describes.
 
 Analytic side.  For K single-Pauli parameters, L re-uploading layers, D
 features, m training samples and T iterations of step size eta, the
@@ -81,8 +83,9 @@ def coupled_ensemble(dataset: Dataset, probes: Dataset, swaps, seeds,
 
     ``swaps`` lists the (index, replacement) pairs and ``seeds`` stands in
     for ``config.seed``.  Each run's probe scores come from one
-    ``forward_many`` call over its whole path; traces are in (index, seed)
-    order and beta_hat is read off the same runs' final parameters.
+    ``forward_many`` call over its whole path, at ``config.noise_p``;
+    traces are in (index, seed) order and beta_hat is read off the same
+    runs' final parameters.
     """
     if len(seeds) < 1:
         raise ValueError("need at least one seed")
@@ -95,7 +98,8 @@ def coupled_ensemble(dataset: Dataset, probes: Dataset, swaps, seeds,
         path = np.array([theta for _, theta in _sgd_path(train_set, circuit, obs, cfg)])
         steps, n_probes = path.shape[0], len(probes)
         f = forward_many(circuit, np.repeat(path, n_probes, axis=0),
-                         np.tile(probes.features, (steps, 1)), obs).reshape(steps, n_probes)
+                         np.tile(probes.features, (steps, 1)), obs,
+                         config.noise_p).reshape(steps, n_probes)
         return path, f, loss(f, probes.labels, config.loss_kind)
 
     def mean_final_loss(arms) -> np.ndarray:

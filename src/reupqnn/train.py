@@ -155,17 +155,6 @@ class TrainRun:
     trajectory: np.ndarray | None = field(default=None, repr=False)
 
 
-def _outputs(circuit, theta, dataset, obs, noise_p: float) -> np.ndarray:
-    if noise_p:
-        from .noise import noisy_forward
-
-        return np.array([
-            noisy_forward(circuit, theta, dataset.features[i], obs, noise_p)
-            for i in range(len(dataset))
-        ])
-    return forward_many(circuit, theta, dataset.features, obs)
-
-
 def _mean_loss(outputs: np.ndarray, labels, loss_kind: str) -> float:
     return float(np.mean(loss(outputs, labels, loss_kind)))
 
@@ -178,13 +167,15 @@ def _sign_accuracy(outputs: np.ndarray, labels) -> float:
 def risk(circuit: ReuploadCircuit, theta, dataset, obs: Observable,
          loss_kind: str = "scaled_squared", noise_p: float = 0.0) -> float:
     """Mean loss over the dataset."""
-    return _mean_loss(_outputs(circuit, theta, dataset, obs, noise_p), dataset.labels, loss_kind)
+    outputs = forward_many(circuit, theta, dataset.features, obs, noise_p)
+    return _mean_loss(outputs, dataset.labels, loss_kind)
 
 
 def accuracy(circuit: ReuploadCircuit, theta, dataset, obs: Observable,
              noise_p: float = 0.0) -> float:
     """Fraction of samples with sign(f) matching the label; sign(0) is +1."""
-    return _sign_accuracy(_outputs(circuit, theta, dataset, obs, noise_p), dataset.labels)
+    outputs = forward_many(circuit, theta, dataset.features, obs, noise_p)
+    return _sign_accuracy(outputs, dataset.labels)
 
 
 def _sgd_path(dataset, circuit: ReuploadCircuit, obs: Observable, config: TrainConfig):
@@ -227,11 +218,11 @@ def train(dataset, circuit: ReuploadCircuit, obs: Observable, config: TrainConfi
 
     def evaluate(t: int, theta: np.ndarray) -> None:
         eval_points.append(t)
-        outputs = _outputs(circuit, theta, dataset, obs, config.noise_p)
+        outputs = forward_many(circuit, theta, dataset.features, obs, config.noise_p)
         train_risks.append(_mean_loss(outputs, dataset.labels, config.loss_kind))
         train_accs.append(_sign_accuracy(outputs, dataset.labels))
         if test_dataset is not None:
-            outputs = _outputs(circuit, theta, test_dataset, obs, config.noise_p)
+            outputs = forward_many(circuit, theta, test_dataset.features, obs, config.noise_p)
             test_risks.append(_mean_loss(outputs, test_dataset.labels, config.loss_kind))
             test_accs.append(_sign_accuracy(outputs, test_dataset.labels))
 

@@ -1,4 +1,4 @@
-"""Circuit layout arithmetic and the three forward routes.
+"""Circuit layout arithmetic and the forward routes.
 
 The single-qubit closed form is the main independent oracle: with one
 qubit every gate is a y rotation, rotations about a shared axis add
@@ -8,6 +8,7 @@ their angles, and <Z> after rotating |0> by a total angle A is cos(A).
 import numpy as np
 import pytest
 
+from reupqnn import ansatz
 from reupqnn.ansatz import (
     ReuploadCircuit,
     build_circuit,
@@ -172,7 +173,14 @@ def test_forward_input_validation():
 # --- batched route -----------------------------------------------------------
 
 
+def unitary_expectation(circuit, theta, x, obs):
+    """<M> on the first column of the dense circuit unitary."""
+    psi = circuit_unitary(circuit, theta, x)[:, 0]
+    return float((psi.conj() @ obs.matrix @ psi).real)
+
+
 def test_forward_many_matches_forward():
+    """forward is a one-row forward_many; both match the dense-unitary column."""
     rng = np.random.default_rng(24)
     for n, layers, d, r in [(1, 1, 1, 1), (2, 2, 3, 2), (3, 1, 5, 1), (4, 2, 4, 2)]:
         c = build_circuit(n, layers, d, r)
@@ -181,8 +189,9 @@ def test_forward_many_matches_forward():
         thetas = rng.uniform(0, 2 * np.pi, (batch, c.n_params))
         xs = rng.uniform(0, 2 * np.pi, (batch, d))
         got = forward_many(c, thetas, xs, obs)
-        want = np.array([forward(c, thetas[i], xs[i], obs) for i in range(batch)])
+        want = np.array([unitary_expectation(c, thetas[i], xs[i], obs) for i in range(batch)])
         assert np.max(np.abs(got - want)) < 1e-12
+        assert [forward(c, thetas[i], xs[i], obs) for i in range(batch)] == got.tolist()
 
 
 def test_forward_many_broadcasts_single_rows():
@@ -192,29 +201,44 @@ def test_forward_many_broadcasts_single_rows():
     theta = rng.uniform(0, 2 * np.pi, c.n_params)
     xs = rng.uniform(0, 2 * np.pi, (5, 2))
     got = forward_many(c, theta, xs, obs)
-    want = np.array([forward(c, theta, xs[i], obs) for i in range(5)])
+    want = np.array([unitary_expectation(c, theta, xs[i], obs) for i in range(5)])
     assert np.max(np.abs(got - want)) < 1e-12
     # and the transposed broadcast
     thetas = rng.uniform(0, 2 * np.pi, (4, c.n_params))
     x = rng.uniform(0, 2 * np.pi, 2)
     got2 = forward_many(c, thetas, x, obs)
-    want2 = np.array([forward(c, thetas[i], x, obs) for i in range(4)])
+    want2 = np.array([unitary_expectation(c, thetas[i], x, obs) for i in range(4)])
     assert np.max(np.abs(got2 - want2)) < 1e-12
 
 
 def test_forward_many_rows_do_not_depend_on_batch():
     """A stacked (T+1)*P path scores each row to the same bits as one call per theta."""
     rng = np.random.default_rng(26)
-    for n, layers, d, r in [(1, 1, 1, 1), (4, 2, 4, 2)]:
+    for (n, layers, d, r), p in [((1, 1, 1, 1), 0.0), ((4, 2, 4, 2), 0.0), ((3, 1, 2, 2), 0.05)]:
         c = build_circuit(n, layers, d, r)
         obs = z_observable(n)
         path = rng.uniform(0, 2 * np.pi, (21, c.n_params))
         probes = rng.uniform(0, 2 * np.pi, (16, d))
         stacked = forward_many(
-            c, np.repeat(path, len(probes), axis=0), np.tile(probes, (len(path), 1)), obs
+            c, np.repeat(path, len(probes), axis=0), np.tile(probes, (len(path), 1)), obs, p
         ).reshape(len(path), len(probes))
-        one_by_one = np.array([forward_many(c, theta, probes, obs) for theta in path])
+        one_by_one = np.array([forward_many(c, theta, probes, obs, p) for theta in path])
         np.testing.assert_array_equal(stacked, one_by_one)
+
+
+def test_forward_many_chunks_rows_bitwise(monkeypatch):
+    """Rows simulated in chunks under the byte budget give the unchunked bits."""
+    rng = np.random.default_rng(27)
+    c = build_circuit(2, 2, 3, 1)
+    obs = z_observable(2)
+    thetas = rng.uniform(0, 2 * np.pi, (11, c.n_params))
+    xs = rng.uniform(0, 2 * np.pi, (11, 3))
+    for p, row_bytes in ((0.0, 16 * 4), (0.1, 16 * 16)):
+        whole = forward_many(c, thetas, xs, obs, p)
+        monkeypatch.setattr(ansatz, "_CHUNK_BYTES", 3 * row_bytes)
+        chunked = forward_many(c, thetas, xs, obs, p)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(chunked, whole)
 
 
 def test_forward_many_shape_errors():

@@ -264,7 +264,7 @@ def test_run_stability_bound_column_matches_closed_form(stab_table):
     cfg, table = stab_table
     c1, c2, bound = loss_constants(cfg.loss_kind)
     n_params = build_circuit(1, cfg.layers, 1, cfg.sublayers).n_params
-    # the runner feeds the power-iteration norm through, not the exact 1.0
+    # the runner feeds the observable's spectral norm through
     obs_norm = z_observable(1).norm
     for r in (r for r in table.rows if r["kind"] == "beta"):
         b = BoundInputs(

@@ -8,7 +8,7 @@ probability p.
 import numpy as np
 import pytest
 
-from reupqnn.ansatz import build_circuit, forward
+from reupqnn.ansatz import build_circuit, forward, forward_many, iter_gates
 from reupqnn.noise import depolarize, noisy_forward
 from reupqnn.qcore import (
     I2,
@@ -107,6 +107,34 @@ def test_noisy_forward_p_zero_matches_clean():
         assert noisy_forward(c, theta, x, obs, 0.0) == pytest.approx(
             forward(c, theta, x, obs), abs=1e-12
         )
+
+
+def noisy_output_oracle(circuit, theta, x, obs, p):
+    """Dense density-matrix replay: embed_gate per gate, Kraus channel per target."""
+    n = circuit.n_qubits
+    rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    rho[0, 0] = 1.0
+    for gate, targets in iter_gates(circuit, theta, x):
+        u = embed_gate(gate, targets, n)
+        rho = u @ rho @ u.conj().T
+        for q in targets:
+            rho = kraus_oracle(rho, p, q, n)
+    return np.trace(obs.matrix @ rho).real
+
+
+def test_noisy_forward_many_matches_dense_kraus_replay():
+    """Multi-qubit circuits with CX chains and Ry(0) fillers (D not a multiple of N)."""
+    rng = np.random.default_rng(68)
+    for n, layers, d, r in [(2, 1, 1, 1), (2, 2, 3, 2), (3, 1, 4, 1), (3, 2, 2, 2)]:
+        c = build_circuit(n, layers, d, r)
+        obs = z_observable(n)
+        thetas = rng.uniform(0, 2 * np.pi, (4, c.n_params))
+        xs = rng.uniform(0, 2 * np.pi, (4, d))
+        for p in (0.02, 0.3, 1.0):
+            got = forward_many(c, thetas, xs, obs, p)
+            want = [noisy_output_oracle(c, thetas[i], xs[i], obs, p) for i in range(4)]
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert [noisy_forward(c, thetas[i], xs[i], obs, p) for i in range(4)] == got.tolist()
 
 
 def test_noisy_forward_exact_damping_single_qubit():

@@ -291,6 +291,7 @@ def test_z_observable_layout():
         np.diag(z_observable(2).matrix).real, [1, 1, -1, -1]
     )
     assert z_observable(3).norm == pytest.approx(1.0, abs=1e-12)
+    assert z_observable(1).norm == 1.0
 
 
 def test_observable_requires_hermitian():

@@ -7,6 +7,7 @@ import pytest
 
 from reupqnn.ansatz import build_circuit, forward
 from reupqnn.data import Dataset, Sample, synthetic_toy
+from reupqnn.noise import noisy_forward
 from reupqnn.qcore import z_observable
 from reupqnn.stability import (
     BoundInputs,
@@ -225,6 +226,37 @@ def test_coupled_ensemble_matches_single_index_calls():
     assert beta == empirical_beta(dataset, probe, 3, 2, c, obs, config)
     with pytest.raises(ValueError):
         coupled_ensemble(dataset, probe, swaps, [], c, obs, config)
+
+
+def test_coupled_ensemble_scores_probes_on_the_noisy_model():
+    """With noise_p > 0 the probe gaps and beta_hat are those of noisy_forward."""
+    dataset = synthetic_toy(6, seed=16)
+    probe = synthetic_toy(4, seed=17)
+    c = build_circuit(2, 1, 1, 1)  # qubit 1 carries a noisy Ry(0) filler
+    obs = z_observable(2)
+    p, seeds = 0.1, [2, 3]
+    config = TrainConfig(0.3, 4, seed=2, noise_p=p)
+    swaps = [(int(i), replacement_for(int(i), probe)) for i in sampled_indices(6, 2)]
+    traces, beta = coupled_ensemble(dataset, probe, swaps, seeds, c, obs, config)
+
+    def probe_outputs(train_set, seed):
+        run = train(train_set, c, obs, TrainConfig(0.3, 4, seed=seed, noise_p=p),
+                    record_trajectory=True)
+        return np.array([[noisy_forward(c, theta, x, obs, p) for x in probe.features]
+                         for theta in run.trajectory])
+
+    def mean_final_loss(outputs):
+        return sum(loss(f[-1], probe.labels) for f in outputs) / len(outputs)
+
+    bases = [probe_outputs(dataset, s) for s in seeds]
+    worst = 0.0
+    for k, (index, replacement) in enumerate(swaps):
+        twins = [probe_outputs(dataset.replace(index, replacement), s) for s in seeds]
+        for trace, f_a, f_b in zip(traces[k * len(seeds):], bases, twins):
+            np.testing.assert_array_equal(trace.probe_f_gap, np.max(np.abs(f_a - f_b), axis=1))
+        worst = max(worst, float(np.max(np.abs(mean_final_loss(bases) - mean_final_loss(twins)))))
+    assert beta == 0.5 * worst
+    assert beta > 0.0
 
 
 def test_empirical_beta_deterministic():
