@@ -15,11 +15,18 @@ The trainable parameter vector has K = (L + 1) * R * N entries ordered by
 (layer, sublayer, qubit).
 
 One batched engine, `forward_many`, simulates every circuit output in the
-package: statevector rows when noiseless, density-matrix rows under
-per-gate depolarizing noise (``noise_p`` > 0).  `forward` and
+package: real statevector rows when noiseless, real density-matrix rows
+under per-gate depolarizing noise (``noise_p`` > 0).  `forward` and
 `noise.noisy_forward` are its one-row wrappers.  `iter_gates` and the
 dense unitaries build the same circuit gate by gate; they feed the comb
 route and the tests as independent oracles.
+
+Noiseless rows are folded: Ry(a) Ry(b) = Ry(a + b), so an encoding block
+acts as one Ry of the per-qubit feature sum, which merges into the next
+trainable block's first Ry column.  This is a modelling fact, not only a
+speed-up: with D > N the model depends on x only through the N sums of
+the features sharing a qubit (the Fourier view of Schuld, Sweke & Meyer,
+arXiv:2008.08605).  The paper's bound still counts L * D encoding gates.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ import numpy as np
 
 from .qcore import (
     CapacityError,
-    NumericalIntegrityError,
     Observable,
     _check_density_rows,
     embed_gate,
@@ -236,15 +242,23 @@ def _depolarize_rows(rhos: np.ndarray, n: int, qubit: int, p: float) -> None:
 
 def _simulate_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
                    noise_p: float) -> np.ndarray:
-    """Statevector rows, or density rows as 2n-qubit vectors when ``noise_p`` > 0.
+    """Real statevector rows, or density rows as 2n-qubit vectors when ``noise_p`` > 0.
 
-    With noise every gate, Ry(0) fillers included, is followed by the
-    channel on each qubit it touched.
+    Noiseless rows are folded (see the module docstring).  With noise every
+    gate, Ry(0) fillers included, is followed by the channel on each qubit
+    it touched.
     """
     n = circuit.n_qubits
+    rows = thetas.shape[0]
     mirrors = (0, n) if noise_p else (0,)
-    states = np.zeros((thetas.shape[0], 1 << (n * len(mirrors))), dtype=complex)
+    states = np.zeros((rows, 1 << (n * len(mirrors))))
     states[:, 0] = 1.0
+    angles = thetas.reshape(rows, circuit.layers + 1, circuit.sublayers, n)
+    if not noise_p:
+        slots = np.zeros((rows, circuit.encode_columns * n))
+        slots[:, :circuit.data_dim] = xs
+        angles = angles.copy()
+        angles[:, 1:, 0, :] += slots.reshape(rows, -1, n).sum(axis=1)[:, None, :]
 
     def noise(*qubits: int) -> None:
         if noise_p:
@@ -253,10 +267,9 @@ def _simulate_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
 
     def trainable_block(layer: int) -> None:
         for r in range(circuit.sublayers):
-            base = ((layer - 1) * circuit.sublayers + r) * n
             for q in range(n):
                 for m in mirrors:
-                    _apply_ry_rows(states, m + q, thetas[:, base + q])
+                    _apply_ry_rows(states, m + q, angles[:, layer - 1, r, q])
                 noise(q)
             for q in range(n - 1):
                 for m in mirrors:
@@ -275,27 +288,24 @@ def _simulate_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
 
     for layer in range(1, circuit.layers + 1):
         trainable_block(layer)
-        encode_block()
+        if noise_p:
+            encode_block()
     trainable_block(circuit.layers + 1)
     return states
 
 
 def _expectations(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
                   obs: Observable, noise_p: float) -> np.ndarray:
+    # Rows are real and Im(M) of a Hermitian M is antisymmetric, so it adds
+    # nothing to psi^T M psi or tr(M rho) with rho symmetric.
     states = _simulate_rows(circuit, thetas, xs, noise_p)
+    matrix = obs.matrix.real
     if noise_p:
         dim = 1 << circuit.n_qubits
         rhos = states.reshape(-1, dim, dim)
         _check_density_rows(rhos)
-        values = np.einsum("ij,bji->b", obs.matrix, rhos)
-    else:
-        values = np.einsum("bi,ij,bj->b", states.conj(), obs.matrix, states)
-    residue = np.max(np.abs(values.imag)) if values.size else 0.0
-    if residue > 1e-8:
-        raise NumericalIntegrityError(
-            f"expectation has imaginary residue {residue!r} above 1e-8"
-        )
-    return values.real
+        return np.einsum("ij,bji->b", matrix, rhos)
+    return np.einsum("bi,ij,bj->b", states, matrix, states)
 
 
 def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
@@ -332,7 +342,7 @@ def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
         raise ValueError("observable dimension does not match the circuit")
     if not (0.0 <= noise_p <= 1.0):
         raise ValueError(f"noise strength p={noise_p!r} outside [0, 1]")
-    row_bytes = 16 << (circuit.n_qubits * (2 if noise_p else 1))
+    row_bytes = 8 << (circuit.n_qubits * (2 if noise_p else 1))
     step = max(1, _CHUNK_BYTES // row_bytes)
     values = np.empty(thetas.shape[0])
     for i in range(0, thetas.shape[0], step):

@@ -182,7 +182,11 @@ def unitary_expectation(circuit, theta, x, obs):
 def test_forward_many_matches_forward():
     """forward is a one-row forward_many; both match the dense-unitary column."""
     rng = np.random.default_rng(24)
-    for n, layers, d, r in [(1, 1, 1, 1), (2, 2, 3, 2), (3, 1, 5, 1), (4, 2, 4, 2)]:
+    # D > N shapes exercise the noiseless fold of encoding blocks into the
+    # next trainable block; (4, 16, 16, 2) is the image sweep's circuit.
+    shapes = [(1, 1, 1, 1), (2, 2, 3, 2), (3, 1, 5, 1), (4, 2, 4, 2),
+              (2, 3, 5, 2), (3, 2, 7, 1), (4, 16, 16, 2)]
+    for n, layers, d, r in shapes:
         c = build_circuit(n, layers, d, r)
         obs = z_observable(n)
         batch = 7
@@ -233,11 +237,21 @@ def test_forward_many_chunks_rows_bitwise(monkeypatch):
     obs = z_observable(2)
     thetas = rng.uniform(0, 2 * np.pi, (11, c.n_params))
     xs = rng.uniform(0, 2 * np.pi, (11, 3))
-    for p, row_bytes in ((0.0, 16 * 4), (0.1, 16 * 16)):
+    for p in (0.0, 0.1):
         whole = forward_many(c, thetas, xs, obs, p)
+        row_bytes = ansatz._simulate_rows(c, thetas[:1], xs[:1], p)[0].nbytes
+        chunks = []
+        expectations = ansatz._expectations
+
+        def counted(circuit, thetas, *rest):
+            chunks.append(len(thetas))
+            return expectations(circuit, thetas, *rest)
+
+        monkeypatch.setattr(ansatz, "_expectations", counted)
         monkeypatch.setattr(ansatz, "_CHUNK_BYTES", 3 * row_bytes)
         chunked = forward_many(c, thetas, xs, obs, p)
         monkeypatch.undo()
+        assert chunks == [3, 3, 3, 2]
         np.testing.assert_array_equal(chunked, whole)
 
 

@@ -25,9 +25,13 @@ def test_single_qubit_gradient_is_minus_sine():
 
 def test_gradient_matches_finite_difference():
     rng = np.random.default_rng(52)
-    for _ in range(30):
-        n = int(rng.integers(1, 4))
-        c = build_circuit(n, int(rng.integers(1, 4)), int(rng.integers(1, 4)), 1)
+    shapes = [
+        (n, int(rng.integers(1, 4)), int(rng.integers(1, 4)), 1)
+        for n in rng.integers(1, 4, size=30).tolist()
+    ]
+    # D > N and not a multiple of N: encoding blocks fold into shifted angles.
+    for n, layers, d, r in shapes + [(3, 2, 7, 1)]:
+        c = build_circuit(n, layers, d, r)
         obs = z_observable(n)
         theta = rng.uniform(0, 2 * np.pi, c.n_params)
         x = rng.uniform(0, 2 * np.pi, c.data_dim)

@@ -8,13 +8,14 @@ probability p.
 import numpy as np
 import pytest
 
-from reupqnn.ansatz import build_circuit, forward, forward_many, iter_gates
+from reupqnn.ansatz import build_circuit, circuit_unitary, forward, forward_many, iter_gates
 from reupqnn.noise import depolarize, noisy_forward
 from reupqnn.qcore import (
     I2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    Observable,
     QuantumState,
     embed_gate,
     z_observable,
@@ -109,16 +110,21 @@ def test_noisy_forward_p_zero_matches_clean():
         )
 
 
-def noisy_output_oracle(circuit, theta, x, obs, p):
-    """Dense density-matrix replay: embed_gate per gate, Kraus channel per target."""
+def noisy_output_oracle(circuit, theta, x, obs, p, noise_fillers=True):
+    """Dense density-matrix replay: embed_gate per gate, Kraus channel per target.
+
+    With ``noise_fillers`` False the Ry(0) filler slots, the only identity
+    gates when the angles are drawn at random, get no channel.
+    """
     n = circuit.n_qubits
     rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
     rho[0, 0] = 1.0
     for gate, targets in iter_gates(circuit, theta, x):
         u = embed_gate(gate, targets, n)
         rho = u @ rho @ u.conj().T
-        for q in targets:
-            rho = kraus_oracle(rho, p, q, n)
+        if noise_fillers or not np.array_equal(gate, I2):
+            for q in targets:
+                rho = kraus_oracle(rho, p, q, n)
     return np.trace(obs.matrix @ rho).real
 
 
@@ -135,6 +141,24 @@ def test_noisy_forward_many_matches_dense_kraus_replay():
             want = [noisy_output_oracle(c, thetas[i], xs[i], obs, p) for i in range(4)]
             assert np.max(np.abs(got - want)) <= 1e-12
             assert [noisy_forward(c, thetas[i], xs[i], obs, p) for i in range(4)] == got.tolist()
+
+
+def test_forward_many_takes_complex_hermitian_observables():
+    """Rows are real, so only Re(M) is used; Im(M) is antisymmetric and adds 0."""
+    rng = np.random.default_rng(69)
+    for n, layers, d, r in [(2, 2, 3, 2), (3, 1, 4, 1)]:
+        c = build_circuit(n, layers, d, r)
+        a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+        obs = Observable(0.5 * (a + a.conj().T))
+        thetas = rng.uniform(0, 2 * np.pi, (4, c.n_params))
+        xs = rng.uniform(0, 2 * np.pi, (4, d))
+        got = forward_many(c, thetas, xs, obs)
+        psis = [circuit_unitary(c, thetas[i], xs[i])[:, 0] for i in range(4)]
+        want = [(psi.conj() @ obs.matrix @ psi).real for psi in psis]
+        assert np.max(np.abs(got - want)) <= 1e-12
+        got = forward_many(c, thetas, xs, obs, 0.1)
+        want = [noisy_output_oracle(c, thetas[i], xs[i], obs, 0.1) for i in range(4)]
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_noisy_forward_exact_damping_single_qubit():
@@ -166,6 +190,17 @@ def test_noisy_forward_filler_rotations_count_as_gates():
     assert noisy_forward(c, theta, x, obs, p) == pytest.approx(
         (1 - p) ** g * forward(c, theta, x, obs), abs=1e-12
     )
+    # A 1-qubit block has no filler slot; D not a multiple of N has some.
+    for n, layers, d, r in [(2, 2, 3, 1), (3, 2, 7, 1)]:
+        c = build_circuit(n, layers, d, r)
+        obs = z_observable(n)
+        for _ in range(3):
+            theta = rng.uniform(0, 2 * np.pi, c.n_params)
+            x = rng.uniform(0, 2 * np.pi, d)
+            got = noisy_forward(c, theta, x, obs, p)
+            assert got == pytest.approx(noisy_output_oracle(c, theta, x, obs, p), abs=1e-12)
+            unnoised = noisy_output_oracle(c, theta, x, obs, p, noise_fillers=False)
+            assert abs(got - unnoised) > 1e-6
 
 
 def test_noisy_forward_contracts_toward_zero():
