@@ -28,7 +28,7 @@ cfg = workdir / "sweep.cfg"
 out = workdir / "sweep.csv"
 cfg.write_text(CONFIG, encoding="utf-8")
 
-code = main(["run", "--config", str(cfg), "--out", str(out), "--threads", "2"])
+code = main(["run", "--config", str(cfg), "--out", str(out)])
 print(f"exit code {code}\n")
 
 lines = out.read_text(encoding="utf-8").splitlines()

@@ -43,7 +43,6 @@ __all__ = [
     "partial_transpose",
     "partial_trace",
     "link_product",
-    "comb_output",
     "build_reuploading_comb",
     "reuploading_comb_output",
     "CombReport",
@@ -261,53 +260,6 @@ def link_product(a: ChoiOperator, b: ChoiOperator, shared=None) -> ChoiOperator:
     # Tracing the shared block of `union` leaves exactly a_only + b_only,
     # already in result order.
     return partial_trace(product, shared_names)
-
-
-def comb_output(comb: ChoiOperator, x_choi, obs: Observable, rho_in: QuantumState) -> float:
-    """Network output tr[C (rho^T (x) (J_x^T)^(xL) (x) M)].
-
-    ``comb.systems`` must be in causal order: global input, then L
-    (tooth input, tooth output) pairs, then global output.  ``x_choi`` is
-    the Choi operator plugged into every tooth (ignored when L = 0).
-    """
-    count = len(comb.systems)
-    if count < 2 or count % 2 != 0:
-        raise ValueError(
-            f"comb has {count} systems; expected global input, L tooth pairs, "
-            "global output"
-        )
-    n_slots = (count - 2) // 2
-    dims = comb.dims
-    rho = rho_in.to_density().data
-    if rho.shape[0] != dims[0]:
-        raise ValueError(
-            f"input state dimension {rho.shape[0]} does not match comb input {dims[0]}"
-        )
-    if obs.matrix.shape[0] != dims[-1]:
-        raise ValueError(
-            f"observable dimension {obs.matrix.shape[0]} does not match comb "
-            f"output {dims[-1]}"
-        )
-    factors = [rho.T]
-    for slot in range(n_slots):
-        if x_choi is None:
-            raise ValueError("comb has teeth but no x_choi was given")
-        want = (dims[1 + 2 * slot], dims[2 + 2 * slot])
-        if x_choi.dims != want:
-            raise ValueError(
-                f"tooth {slot + 1} dims {want} do not match x_choi dims {x_choi.dims}"
-            )
-        factors.append(x_choi.matrix.T)
-    factors.append(obs.matrix)
-    plug = factors[0]
-    for f in factors[1:]:
-        plug = np.kron(plug, f)
-    value = np.trace(comb.matrix @ plug)
-    if abs(value.imag) > 1e-8:
-        raise NumericalIntegrityError(
-            f"comb output has imaginary residue {value.imag!r} above 1e-8"
-        )
-    return float(value.real)
 
 
 def _wire(index: int, dim: int) -> SystemLabel:

@@ -15,8 +15,9 @@ Config files are flat ``key = value`` text with dotted section keys::
 Unknown keys are rejected.  One sweep axis (layers, learning_rate,
 m_train or noise_p) crosses a list of values with the seed list; every
 (value, seed) cell is an independent pure computation, so re-running a
-config reproduces the result rows byte for byte and cells may be
-evaluated in parallel.
+config reproduces the result rows byte for byte.  The seeds of one sweep
+value train in lockstep, and a cell's rows do not depend on which other
+seeds share its batch.
 
 Result tables always carry the same column set; cells that do not apply
 to a row kind stay empty.  Row kinds: ``sample`` (per-seed learning
@@ -30,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -60,7 +60,7 @@ from .stability import (
     stable_training_margin,
     theoretical_beta,
 )
-from .train import TrainConfig, loss_constants, train
+from .train import TrainConfig, _train_runs, loss_constants
 
 __all__ = [
     "ConfigError",
@@ -403,8 +403,7 @@ def _blank_row(kind: str, value, seed="") -> dict:
     return row
 
 
-def _meta(cfg: ExperimentConfig, pool: Dataset, command: str, threads: int,
-          seed_offset: int) -> dict:
+def _meta(cfg: ExperimentConfig, pool: Dataset, command: str, seed_offset: int) -> dict:
     return {
         "command": command,
         "version": __version__,
@@ -412,110 +411,83 @@ def _meta(cfg: ExperimentConfig, pool: Dataset, command: str, threads: int,
         "defaults_applied": list(cfg.defaults_applied),
         "dataset": pool.name,
         "provenance": dict(pool.provenance),
-        "threads": threads,
         "seed_offset": seed_offset,
     }
 
 
-def _experiment_cell(cfg: ExperimentConfig, pool: Dataset, value, seed: int):
+def _experiment_cells(cfg: ExperimentConfig, pool: Dataset, value, seeds) -> list[dict]:
+    """Sample rows of one sweep value; its seeds train in lockstep."""
     layers, eta, m_train, noise_p = _cell_settings(cfg, value)
-    train_set, test_set = subsample_split(
-        pool, m_train, cfg.m_test, (cfg.data_seed, seed)
-    )
+    splits = [subsample_split(pool, m_train, cfg.m_test, (cfg.data_seed, seed))
+              for seed in seeds]
     if cfg.kind == "wdbc":
-        train_set, test_set = rescale_with_train_stats(train_set, test_set)
+        splits = [rescale_with_train_stats(*split) for split in splits]
     circuit = build_circuit(cfg.qubits, layers, pool.feature_dim, cfg.sublayers)
     obs = z_observable(cfg.qubits)
-    run = train(
-        train_set,
-        circuit,
-        obs,
-        TrainConfig(eta, cfg.iterations, seed, cfg.loss_kind, noise_p),
-        test_dataset=test_set,
-        eval_interval=cfg.eval_interval,
-    )
+    train_sets, test_sets = zip(*splits)
+    runs = _train_runs(train_sets, test_sets, seeds, circuit, obs,
+                       TrainConfig(eta, cfg.iterations, seeds[0], cfg.loss_kind, noise_p),
+                       eval_interval=cfg.eval_interval)
     margin = stable_training_margin(
         _bound_inputs(cfg, layers, eta, m_train, noise_p, max(cfg.iterations, 1),
                       circuit.n_params, pool.feature_dim, obs.norm)
     )
     rows = []
-    for i, t in enumerate(run.eval_points):
-        row = _blank_row("sample", value, seed)
-        row["iteration"] = int(t)
-        row["train_risk"] = float(run.train_risks[i])
-        row["test_risk"] = float(run.test_risks[i])
-        row["gap"] = float(run.test_risks[i] - run.train_risks[i])
-        row["train_acc"] = float(run.train_accs[i])
-        row["test_acc"] = float(run.test_accs[i])
-        if t > 0:
-            b = _bound_inputs(cfg, layers, eta, m_train, noise_p, int(t),
+    for seed, run in zip(seeds, runs):
+        for i, t in enumerate(run.eval_points):
+            row = _blank_row("sample", value, seed)
+            row["iteration"] = int(t)
+            row["train_risk"] = float(run.train_risks[i])
+            row["test_risk"] = float(run.test_risks[i])
+            row["gap"] = float(run.test_risks[i] - run.train_risks[i])
+            row["train_acc"] = float(run.train_accs[i])
+            row["test_acc"] = float(run.test_accs[i])
+            b = _bound_inputs(cfg, layers, eta, m_train, noise_p, max(int(t), 1),
                               circuit.n_params, pool.feature_dim, obs.norm)
-            row["bound_value"] = float(noisy_generalization_bound(b))
-        else:
-            b0 = _bound_inputs(cfg, layers, eta, m_train, noise_p, 1,
-                               circuit.n_params, pool.feature_dim, obs.norm)
-            row["bound_value"] = float(generalization_bound(0.0, b0))
-        row["stable_margin"] = float(margin.value)
-        row["margin_flagged"] = int(margin.flagged)
-        rows.append(row)
+            row["bound_value"] = float(
+                noisy_generalization_bound(b) if t > 0 else generalization_bound(0.0, b))
+            row["stable_margin"] = float(margin.value)
+            row["margin_flagged"] = int(margin.flagged)
+            rows.append(row)
     return rows
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1, seed_offset: int = 0) -> ResultTable:
-    """Sweep (values x seeds), train each cell, and tabulate learning curves."""
+def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
+    """Sweep (values x seeds), train each value's seeds in lockstep, and
+    tabulate learning curves."""
     if cfg.m_test < 1:
         raise ConfigError("run requires dataset.m_test >= 1")
     pool = load_pool(cfg)
     seeds = [s + seed_offset for s in cfg.seeds]
-    cells = [(vi, value, seed) for vi, value in enumerate(cfg.sweep_values) for seed in seeds]
-
-    def compute(cell):
-        _, value, seed = cell
-        return _experiment_cell(cfg, pool, value, seed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-            results = list(pool_exec.map(compute, cells))
-    else:
-        results = [compute(cell) for cell in cells]
-
-    rows: list[dict] = []
-    for cell_rows in results:
-        rows.extend(cell_rows)
+    rows = [row for value in cfg.sweep_values
+            for row in _experiment_cells(cfg, pool, value, seeds)]
 
     # Aggregates per (sweep value, iteration) across seeds.
     agg_cols = ("train_risk", "test_risk", "gap", "train_acc", "test_acc",
                 "bound_value", "stable_margin")
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault((row["sweep_value"], row["iteration"]), []).append(row)
     for value in cfg.sweep_values:
-        sample_rows = [r for r in rows if r["kind"] == "sample" and r["sweep_value"] == value]
-        iterations = sorted({r["iteration"] for r in sample_rows})
-        for t in iterations:
-            group = [r for r in sample_rows if r["iteration"] == t]
-            mean_row = _blank_row("mean", value)
-            mean_row["iteration"] = t
-            for col in agg_cols:
-                data = np.array([r[col] for r in group], dtype=float)
-                mean_row[col] = float(np.mean(data))
-            rows.append(mean_row)
-        for t in iterations:
-            group = [r for r in sample_rows if r["iteration"] == t]
-            std_row = _blank_row("std", value)
-            std_row["iteration"] = t
-            for col in agg_cols:
-                data = np.array([r[col] for r in group], dtype=float)
-                std_row[col] = float(np.std(data))
-            rows.append(std_row)
+        iterations = sorted(t for v, t in groups if v == value)
+        for kind, stat in (("mean", np.mean), ("std", np.std)):
+            for t in iterations:
+                agg_row = _blank_row(kind, value)
+                agg_row["iteration"] = t
+                for col in agg_cols:
+                    data = np.array([r[col] for r in groups[value, t]], dtype=float)
+                    agg_row[col] = float(stat(data))
+                rows.append(agg_row)
 
-    return ResultTable(COLUMNS, rows, _meta(cfg, pool, "run", threads, seed_offset))
+    return ResultTable(COLUMNS, rows, _meta(cfg, pool, "run", seed_offset))
 
 
-def run_stability(cfg: ExperimentConfig, threads: int = 1, seed_offset: int = 0) -> ResultTable:
+def run_stability(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     """Per sweep value: coupled-divergence traces, beta_hat, and closed forms."""
     pool = load_pool(cfg)
     seeds = [s + seed_offset for s in cfg.seeds]
-
-    def compute(item):
-        vi, value = item
+    rows: list[dict] = []
+    for vi, value in enumerate(cfg.sweep_values):
         layers, eta, m_train, noise_p = _cell_settings(cfg, value)
         train_set, probe_set = subsample_split(
             pool, m_train, cfg.stability_probes, (cfg.data_seed, 777, vi)
@@ -530,7 +502,6 @@ def run_stability(cfg: ExperimentConfig, threads: int = 1, seed_offset: int = 0)
             train_set, probe_set, swaps, seeds, circuit, obs,
             TrainConfig(eta, cfg.iterations, seeds[0], cfg.loss_kind, noise_p),
         )
-        rows: list[dict] = []
         for trace in traces:
             for t in range(cfg.iterations + 1):
                 row = _blank_row("trace", value, trace.seed)
@@ -553,16 +524,7 @@ def run_stability(cfg: ExperimentConfig, threads: int = 1, seed_offset: int = 0)
         beta_row["stable_margin"] = float(margin.value)
         beta_row["margin_flagged"] = int(margin.flagged)
         rows.append(beta_row)
-        return rows
-
-    items = list(enumerate(cfg.sweep_values))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-            results = list(pool_exec.map(compute, items))
-    else:
-        results = [compute(item) for item in items]
-    rows = [row for chunk in results for row in chunk]
-    return ResultTable(COLUMNS, rows, _meta(cfg, pool, "stability", threads, seed_offset))
+    return ResultTable(COLUMNS, rows, _meta(cfg, pool, "stability", seed_offset))
 
 
 def _format_cell(value) -> str:
@@ -612,7 +574,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--out", help="output path (overrides output.path)")
     parser.add_argument("--format", choices=("csv", "json"), help="output format")
-    parser.add_argument("--threads", type=int, default=1, help="parallel sweep cells")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="ignored: a sweep value's seeds train in lockstep in one "
+                             "process; still parsed so scripts that pass it keep working")
     parser.add_argument("--seed-offset", type=int, default=0,
                         help="added to every configured seed")
 
@@ -658,7 +622,7 @@ def _cmd_run(args, runner) -> int:
     if not out_path:
         raise ConfigError("no output path: set output.path or pass --out")
     fmt = args.format or cfg.out_format
-    table = runner(cfg, threads=max(1, args.threads), seed_offset=args.seed_offset)
+    table = runner(cfg, seed_offset=args.seed_offset)
     emit_results(table, out_path, fmt)
     print(f"wrote {len(table.rows)} rows to {out_path} ({fmt})")
     return 0

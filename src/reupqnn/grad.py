@@ -22,38 +22,50 @@ __all__ = ["SHIFT", "parameter_shift_grad_f", "loss_grad", "finite_diff_grad"]
 SHIFT = 0.5 * np.pi
 
 
-def _shifted_rows(circuit: ReuploadCircuit, theta) -> np.ndarray:
-    """theta, then theta +- pi/2 on each coordinate in turn: (2K + 1, K)."""
-    theta = np.asarray(theta, dtype=float)
+def _shifted_rows(circuit: ReuploadCircuit, thetas) -> np.ndarray:
+    """Each theta, then theta +- pi/2 on each coordinate in turn: (R (2K + 1), K)."""
+    thetas = np.asarray(thetas, dtype=float)
     k = circuit.n_params
-    if theta.shape != (k,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({k},)")
-    rows = np.tile(theta, (2 * k + 1, 1))
+    if thetas.ndim != 2 or thetas.shape[1] != k:
+        raise ValueError(f"thetas have shape {thetas.shape}, expected (R, {k})")
+    rows = np.repeat(thetas, 2 * k + 1, axis=0).reshape(len(thetas), 2 * k + 1, k)
     idx = np.arange(k)
-    rows[1 + 2 * idx, idx] += SHIFT
-    rows[2 + 2 * idx, idx] -= SHIFT
-    return rows
+    rows[:, 1 + 2 * idx, idx] += SHIFT
+    rows[:, 2 + 2 * idx, idx] -= SHIFT
+    return rows.reshape(-1, k)
 
 
 def parameter_shift_grad_f(circuit: ReuploadCircuit, theta, x, obs: Observable,
                            noise_p: float = 0.0) -> np.ndarray:
     """Gradient of the circuit output with respect to every parameter."""
     # All 2K shifted evaluations ride one vectorized pass.
-    rows = _shifted_rows(circuit, theta)[1:]
+    rows = _shifted_rows(circuit, np.asarray(theta, dtype=float)[None])[1:]
     values = forward_many(circuit, rows, np.asarray(x, dtype=float), obs, noise_p)
     return 0.5 * (values[0::2] - values[1::2])
+
+
+def _loss_grads(circuit: ReuploadCircuit, thetas, xs, ys, obs: Observable,
+                loss_kind: str, noise_p: float) -> np.ndarray:
+    """Loss gradients of R runs, run r at ``thetas[r]`` on (``xs[r]``, ``ys[r]``): (R, K).
+
+    One batch carries every run's unshifted point plus its 2K shifted ones.
+    """
+    from .train import loss_derivative
+
+    width = 2 * circuit.n_params + 1
+    values = forward_many(circuit, _shifted_rows(circuit, thetas),
+                          np.repeat(np.asarray(xs, dtype=float), width, axis=0),
+                          obs, noise_p).reshape(-1, width)
+    scale = loss_derivative(values[:, 0], ys, loss_kind)
+    return scale[:, None] * (0.5 * (values[:, 1::2] - values[:, 2::2]))
 
 
 def loss_grad(circuit: ReuploadCircuit, theta, sample, obs: Observable,
               loss_kind: str = "scaled_squared", noise_p: float = 0.0) -> np.ndarray:
     """Gradient of the per-sample loss: l'(f, y) * df/dtheta."""
-    from .train import loss_derivative
-
-    # One batch carries the unshifted point plus all 2K shifted ones.
-    rows = _shifted_rows(circuit, theta)
-    values = forward_many(circuit, rows, np.asarray(sample.x, dtype=float), obs, noise_p)
-    scale = loss_derivative(float(values[0]), sample.y, loss_kind)
-    return scale * (0.5 * (values[1::2] - values[2::2]))
+    return _loss_grads(circuit, np.asarray(theta, dtype=float)[None],
+                       np.asarray(sample.x, dtype=float)[None], [sample.y],
+                       obs, loss_kind, noise_p)[0]
 
 
 def finite_diff_grad(f, theta, h: float = 1e-5) -> np.ndarray:

@@ -11,8 +11,10 @@ channels) is built on the small set of utilities in this module:
 * Gate application on arbitrary target qubits, expectation values, and
   the spectral norm.
 
-All arrays are numpy ``complex128``; sizes stay at desk scale (a handful
-of qubits), so the implementations favor clarity over asymptotics.
+Arrays here are numpy ``complex128`` (the batched engine in
+:mod:`reupqnn.ansatz` keeps its rows in ``float64``); sizes stay at desk
+scale (a handful of qubits), so the implementations favor clarity over
+asymptotics.
 """
 
 from __future__ import annotations

@@ -9,9 +9,10 @@ coefficient is
     beta_hat = 1/2 * max over sampled i, probes z of
                | mean_seeds l(A_S, z) - mean_seeds l(A_Si, z) |.
 
-Both come from one set of runs (:func:`coupled_ensemble`): the run on S
-is trained once per seed, each twin once per (i, seed), the traces are
-read off their parameter paths and beta_hat off their final parameters.
+Both come from one set of runs (:func:`coupled_ensemble`): the runs on S
+and on each S^i, under every seed, advance together in one lockstep SGD
+loop; the traces are read off their parameter paths and beta_hat off
+their final parameters.
 Under noise (``noise_p`` > 0) the probes are scored by the noisy model,
 the one that was trained and that the noisy bound describes.
 
@@ -33,14 +34,14 @@ noiseless expressions exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ansatz import ReuploadCircuit, forward_many
 from .data import Dataset, Sample
 from .qcore import Observable
-from .train import TrainConfig, _philox, _sgd_path, loss
+from .train import TrainConfig, _philox, _sgd_paths, loss
 
 __all__ = [
     "StabilityTrace",
@@ -82,35 +83,39 @@ def coupled_ensemble(dataset: Dataset, probes: Dataset, swaps, seeds,
     """Coupled runs on S and on each S^i under every seed: (traces, beta_hat).
 
     ``swaps`` lists the (index, replacement) pairs and ``seeds`` stands in
-    for ``config.seed``.  Each run's probe scores come from one
-    ``forward_many`` call over its whole path, at ``config.noise_p``;
-    traces are in (index, seed) order and beta_hat is read off the same
-    runs' final parameters.
+    for ``config.seed``.  All runs train in lockstep; each run's probe
+    scores come from one ``forward_many`` call over its whole path, at
+    ``config.noise_p``; traces are in (index, seed) order and beta_hat is
+    read off the same runs' final parameters.
     """
     if len(seeds) < 1:
         raise ValueError("need at least one seed")
     if len(probes) < 1:
         raise ValueError("probe set is empty")
-    twin_sets = [dataset.replace(index, replacement) for index, replacement in swaps]
+    seeds = list(seeds)
+    train_sets = [dataset] + [dataset.replace(index, replacement) for index, replacement in swaps]
+    steps = _sgd_paths([train_set for train_set in train_sets for _ in seeds],
+                       seeds * len(train_sets), circuit, obs, config)
+    # (train set, seed, T + 1, K): the runs on S first, then the twins in swap order.
+    paths = np.stack([thetas for _, thetas in steps], axis=1).reshape(
+        len(train_sets), len(seeds), -1, circuit.n_params)
 
-    def arm(train_set: Dataset, seed: int):
-        cfg = replace(config, seed=seed)
-        path = np.array([theta for _, theta in _sgd_path(train_set, circuit, obs, cfg)])
-        steps, n_probes = path.shape[0], len(probes)
+    def arm(path: np.ndarray):
+        n_steps, n_probes = path.shape[0], len(probes)
         f = forward_many(circuit, np.repeat(path, n_probes, axis=0),
-                         np.tile(probes.features, (steps, 1)), obs,
-                         config.noise_p).reshape(steps, n_probes)
+                         np.tile(probes.features, (n_steps, 1)), obs,
+                         config.noise_p).reshape(n_steps, n_probes)
         return path, f, loss(f, probes.labels, config.loss_kind)
 
     def mean_final_loss(arms) -> np.ndarray:
         return sum(probe_loss[-1] for _, _, probe_loss in arms) / len(arms)
 
-    bases = [arm(dataset, seed) for seed in seeds]
+    bases = [arm(path) for path in paths[0]]
     base_mean = mean_final_loss(bases)
     traces: list[StabilityTrace] = []
     worst = 0.0
-    for (index, _), twin_set in zip(swaps, twin_sets):
-        twins = [arm(twin_set, seed) for seed in seeds]
+    for (index, _), twin_paths in zip(swaps, paths[1:]):
+        twins = [arm(path) for path in twin_paths]
         for seed, (path_a, f_a, l_a), (path_b, f_b, l_b) in zip(seeds, bases, twins):
             traces.append(StabilityTrace(
                 replaced_index=index,

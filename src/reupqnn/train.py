@@ -6,6 +6,10 @@ drawing one sample per iteration.  All randomness is counter-based
 the initial parameters only on (seed,); two datasets of equal size
 therefore replay the exact same index sequence under the same seed, which
 is what the stability machinery relies on.
+
+Every run goes through one lockstep loop, which advances a batch of runs
+(seeds, twin datasets) with one batched gradient pass per step.  Rows of
+the pass never interact, so a run's bits do not depend on its batch.
 """
 
 from __future__ import annotations
@@ -178,16 +182,73 @@ def accuracy(circuit: ReuploadCircuit, theta, dataset, obs: Observable,
     return _sign_accuracy(outputs, dataset.labels)
 
 
-def _sgd_path(dataset, circuit: ReuploadCircuit, obs: Observable, config: TrainConfig):
-    """Yield (index, theta) for theta_0..theta_T of one run; theta_0 has index None."""
-    m = len(dataset)
-    theta = init_params(circuit, config.seed)
-    yield None, theta
+def _sgd_paths(datasets, seeds, circuit: ReuploadCircuit, obs: Observable,
+               config: TrainConfig):
+    """Yield (indices, thetas) for theta_0..theta_T of R runs in lockstep.
+
+    Run r trains on ``datasets[r]`` under ``seeds[r]`` (for ``config.seed``);
+    ``thetas`` is (R, K), ``indices`` the (R,) draws of the step (None at
+    theta_0).  A step draws once per distinct (seed, m) and makes one
+    batched gradient call."""
+    from .grad import _loss_grads
+
+    keys = [(seed, len(dataset)) for dataset, seed in zip(datasets, seeds)]
+    thetas = np.array([init_params(circuit, seed) for seed in seeds])
+    yield None, thetas
     for t in range(config.iterations):
-        idx = draw_index(config.seed, t, m)
-        theta = sgd_step(theta, dataset.sample(idx), config.learning_rate, circuit, obs,
-                         config.loss_kind, config.noise_p)
-        yield idx, theta
+        draws = {key: draw_index(key[0], t, key[1]) for key in set(keys)}
+        indices = np.array([draws[key] for key in keys], dtype=np.int64)
+        xs = np.array([dataset.features[i] for dataset, i in zip(datasets, indices)])
+        ys = np.array([dataset.labels[i] for dataset, i in zip(datasets, indices)])
+        thetas = thetas - config.learning_rate * _loss_grads(
+            circuit, thetas, xs, ys, obs, config.loss_kind, config.noise_p)
+        yield indices, thetas
+
+
+def _train_runs(datasets, test_sets, seeds, circuit: ReuploadCircuit, obs: Observable,
+                config: TrainConfig, eval_interval: int | None = None,
+                record_trajectory: bool = False) -> list[TrainRun]:
+    """`train` for R runs in lockstep: run r trains on ``datasets[r]`` under
+    ``seeds[r]`` and is scored on ``datasets[r]`` and ``test_sets[r]``
+    (None for no test set).  Returns one TrainRun per run, in order."""
+    if any(len(dataset) < 1 for dataset in datasets):
+        raise ValueError("training needs at least one sample")
+    t_total = config.iterations
+    if eval_interval is None:
+        eval_interval = max(1, t_total // 100)
+    if eval_interval < 1:
+        raise ValueError("eval_interval must be >= 1")
+
+    indices = np.empty((len(datasets), t_total), dtype=np.int64)
+    trajectory = (np.empty((len(datasets), t_total + 1, circuit.n_params))
+                  if record_trajectory else None)
+    eval_points: list[int] = []
+    # One row per evaluation: train risk, train accuracy[, test risk, test accuracy].
+    curves: list[list] = [[] for _ in datasets]
+
+    def score(data, theta) -> tuple[float, float]:
+        outputs = forward_many(circuit, theta, data.features, obs, config.noise_p)
+        return (_mean_loss(outputs, data.labels, config.loss_kind),
+                _sign_accuracy(outputs, data.labels))
+
+    for t, (idx, thetas) in enumerate(_sgd_paths(datasets, seeds, circuit, obs, config)):
+        if t > 0:
+            indices[:, t - 1] = idx
+        if trajectory is not None:
+            trajectory[:, t] = thetas
+        if t % eval_interval == 0 or t == t_total:
+            eval_points.append(t)
+            for curve, theta, sets in zip(curves, thetas, zip(datasets, test_sets)):
+                curve.append([v for data in sets if data is not None for v in score(data, theta)])
+
+    return [TrainRun(
+        final_theta=thetas[r], indices=indices[r],
+        eval_points=np.array(eval_points, dtype=np.int64),
+        train_risks=curve[:, 0], train_accs=curve[:, 1],
+        test_risks=None if test_set is None else curve[:, 2],
+        test_accs=None if test_set is None else curve[:, 3],
+        trajectory=None if trajectory is None else trajectory[r],
+    ) for r, (curve, test_set) in enumerate(zip(map(np.array, curves), test_sets))]
 
 
 def train(dataset, circuit: ReuploadCircuit, obs: Observable, config: TrainConfig,
@@ -199,49 +260,5 @@ def train(dataset, circuit: ReuploadCircuit, obs: Observable, config: TrainConfi
     ``eval_interval`` iterations (default max(1, T // 100)) and at the
     final iteration.
     """
-    if len(dataset) < 1:
-        raise ValueError("training needs at least one sample")
-    t_total = config.iterations
-    if eval_interval is None:
-        eval_interval = max(1, t_total // 100)
-    if eval_interval < 1:
-        raise ValueError("eval_interval must be >= 1")
-
-    indices = np.empty(t_total, dtype=np.int64)
-    trajectory = np.empty((t_total + 1, circuit.n_params)) if record_trajectory else None
-
-    eval_points: list[int] = []
-    train_risks: list[float] = []
-    test_risks: list[float] = []
-    train_accs: list[float] = []
-    test_accs: list[float] = []
-
-    def evaluate(t: int, theta: np.ndarray) -> None:
-        eval_points.append(t)
-        outputs = forward_many(circuit, theta, dataset.features, obs, config.noise_p)
-        train_risks.append(_mean_loss(outputs, dataset.labels, config.loss_kind))
-        train_accs.append(_sign_accuracy(outputs, dataset.labels))
-        if test_dataset is not None:
-            outputs = forward_many(circuit, theta, test_dataset.features, obs, config.noise_p)
-            test_risks.append(_mean_loss(outputs, test_dataset.labels, config.loss_kind))
-            test_accs.append(_sign_accuracy(outputs, test_dataset.labels))
-
-    for t, (idx, theta) in enumerate(_sgd_path(dataset, circuit, obs, config)):
-        if t > 0:
-            indices[t - 1] = idx
-        if trajectory is not None:
-            trajectory[t] = theta
-        if t % eval_interval == 0 or t == t_total:
-            evaluate(t, theta)
-
-    has_test = test_dataset is not None
-    return TrainRun(
-        final_theta=theta,
-        indices=indices,
-        eval_points=np.array(eval_points, dtype=np.int64),
-        train_risks=np.array(train_risks),
-        test_risks=np.array(test_risks) if has_test else None,
-        train_accs=np.array(train_accs),
-        test_accs=np.array(test_accs) if has_test else None,
-        trajectory=trajectory,
-    )
+    return _train_runs([dataset], [test_dataset], [config.seed], circuit, obs, config,
+                       eval_interval, record_trajectory)[0]

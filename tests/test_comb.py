@@ -14,7 +14,6 @@ from reupqnn.comb import (
     SystemLabel,
     build_reuploading_comb,
     choi_of_unitary,
-    comb_output,
     link_product,
     partial_trace,
     partial_transpose,
@@ -23,7 +22,7 @@ from reupqnn.comb import (
     tensor,
     validate_comb,
 )
-from reupqnn.qcore import QuantumState, z_observable
+from reupqnn.qcore import z_observable
 
 
 def random_unitary(rng, dim):
@@ -217,26 +216,6 @@ def test_link_product_dim_mismatch_rejected():
 
 
 # --- comb construction and evaluation ----------------------------------------
-
-
-def test_comb_output_single_channel_oracle():
-    """One-tooth comb built by hand: rho -> U rho U^dag -> tooth -> V -> M."""
-    rng = np.random.default_rng(45)
-    u = random_unitary(rng, 2)
-    v = random_unitary(rng, 2)
-    w = [SystemLabel(f"w{i}", 2) for i in range(1, 5)]
-    ju = choi_of_unitary(u, "w1", "w2").relabel({})
-    jv = choi_of_unitary(v, "w3", "w4")
-    comb = tensor(
-        ChoiOperator((w[0], w[1]), ju.matrix), ChoiOperator((w[2], w[3]), jv.matrix)
-    )
-    g = random_unitary(rng, 2)
-    x_choi = choi_of_unitary(g, "ti", "to")
-    f = comb_output(comb, x_choi, z_observable(1), QuantumState.zero(1))
-    chain = v @ g @ u
-    psi = chain[:, 0]
-    want = (psi.conj() @ z_observable(1).matrix @ psi).real
-    assert f == pytest.approx(want, abs=1e-10)
 
 
 def test_reuploading_comb_matches_forward():

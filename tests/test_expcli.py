@@ -1,6 +1,7 @@
 """Config parsing, sweep tables, output formats, and the command line."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,11 +192,17 @@ def test_run_experiment_margin_columns(toy_table):
         assert r["margin_flagged"] == int(0.1 * n_params >= 1.0)
 
 
-def test_run_experiment_thread_count_does_not_change_rows(toy_table):
-    cfg, table = toy_table
-    threaded = run_experiment(cfg, threads=3)
-    assert threaded.rows == table.rows
-    assert threaded.meta["threads"] == 3
+def test_run_experiment_rows_do_not_depend_on_batch(tmp_path):
+    """A seed's sample rows are the same bits alone and in a lockstep batch of seeds."""
+    text = BASE_CONFIG.replace("optimizer.seeds = 0, 1", "optimizer.seeds = 0, 1, 2")
+    cfg = parse_config(write_config(tmp_path, text + "circuit.qubits = 2\n"))
+
+    def seed_rows(table):
+        return [r for r in table.rows if r["kind"] == "sample" and r["seed"] == 1]
+
+    batched = seed_rows(run_experiment(cfg))
+    assert len(batched) == 2 * 3  # two sweep values, iterations 0, 2, 4
+    assert seed_rows(run_experiment(replace(cfg, seeds=(1,)))) == batched
 
 
 def test_run_experiment_seed_offset_shifts_seeds(toy_table):

@@ -228,6 +228,25 @@ def test_coupled_ensemble_matches_single_index_calls():
         coupled_ensemble(dataset, probe, swaps, [], c, obs, config)
 
 
+def test_coupled_ensemble_traces_do_not_depend_on_batch():
+    """Seed 5's traces are the same bits alone and next to seed 4's runs."""
+    dataset = synthetic_toy(7, seed=18)
+    probe = synthetic_toy(5, seed=19)
+    c = build_circuit(2, 2, 1, 1)
+    obs = z_observable(2)
+    config = TrainConfig(0.2, 6, seed=5)
+    swaps = [(int(i), replacement_for(int(i), probe)) for i in sampled_indices(7, 3)]
+    alone, _ = coupled_ensemble(dataset, probe, swaps, [5], c, obs, config)
+    batched, _ = coupled_ensemble(dataset, probe, swaps, [4, 5], c, obs, config)
+    batched = [t for t in batched if t.seed == 5]
+    assert len(alone) == len(batched) == 3
+    for a, b in zip(alone, batched):
+        assert a.replaced_index == b.replaced_index
+        assert np.all(a.sum_abs_dtheta == b.sum_abs_dtheta)
+        assert np.all(a.probe_f_gap == b.probe_f_gap)
+        assert np.all(a.probe_loss_gap == b.probe_loss_gap)
+
+
 def test_coupled_ensemble_scores_probes_on_the_noisy_model():
     """With noise_p > 0 the probe gaps and beta_hat are those of noisy_forward."""
     dataset = synthetic_toy(6, seed=16)

@@ -9,6 +9,7 @@ from reupqnn.grad import parameter_shift_grad_f
 from reupqnn.qcore import z_observable
 from reupqnn.train import (
     TrainConfig,
+    _sgd_paths,
     accuracy,
     draw_index,
     init_params,
@@ -167,6 +168,24 @@ def test_train_eval_schedule_and_trajectory():
     assert run.test_risks.shape == (4,)
     assert run.trajectory.shape == (8, c.n_params)
     np.testing.assert_array_equal(run.trajectory[-1], run.final_theta)
+
+
+def test_sgd_paths_same_seed_different_sizes():
+    """Two runs share a seed but not m: each draws on its own m and equals its solo run."""
+    rng = np.random.default_rng(77)
+    small, large = tiny_dataset(rng, 3, 2), tiny_dataset(rng, 11, 2)
+    c = build_circuit(2, 1, 2, 1)
+    obs = z_observable(2)
+    config = TrainConfig(0.1, 12, seed=6)
+    paired = list(_sgd_paths([small, large], [6, 6], c, obs, config))
+    assert paired[0][0] is None
+    for r, data in enumerate((small, large)):
+        want = [draw_index(6, t, len(data)) for t in range(12)]
+        assert [int(idx[r]) for idx, _ in paired[1:]] == want
+        solo = list(_sgd_paths([data], [6], c, obs, config))
+        assert len(solo) == len(paired) == 13
+        for (_, thetas), (_, solo_thetas) in zip(paired, solo):
+            assert np.all(thetas[r] == solo_thetas[0])
 
 
 def test_risk_matches_naive_loop():
