@@ -17,7 +17,9 @@ The trainable parameter vector has K = (L + 1) * R * N entries ordered by
 One batched engine, `forward_many`, simulates every circuit output in the
 package: real statevector rows when noiseless, real density-matrix rows
 under per-gate depolarizing noise (``noise_p`` > 0).  `forward` and
-`noise.noisy_forward` are its one-row wrappers.  `iter_gates` and the
+`noise.noisy_forward` are its one-row wrappers.  Both modes walk one gate
+schedule; `_output_grads` walks it forward and then backward to give
+every row's parameter gradient (adjoint differentiation).  `iter_gates` and the
 dense unitaries build the same circuit gate by gate; they feed the comb
 route and the tests as independent oracles.
 
@@ -31,6 +33,7 @@ arXiv:2008.08605).  The paper's bound still counts L * D encoding gates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,28 +196,31 @@ def forward(circuit: ReuploadCircuit, theta, x, obs: Observable) -> float:
 # --- batched engine -------------------------------------------------------
 #
 # The training loop evaluates many (theta, x) rows against the same circuit
-# (all parameter-shift offsets of one step, or a whole dataset); doing so
-# row-parallel inside numpy is the difference between seconds and hours.
-# The same two gate kernels serve both modes: a noisy row holds its density
-# matrix as a 2n-qubit vector (row bits, then column bits), and since Ry
-# and CX are real, U rho U^dagger = U rho U^T is the gate applied once on
-# qubit q and once on qubit n + q.
+# (every run of a lockstep step, or a whole dataset); doing so row-parallel
+# inside numpy is the difference between seconds and hours.  The same two
+# gate kernels serve both modes: a noisy row holds its density matrix as a
+# 2n-qubit vector (row bits, then column bits), and since Ry and CX are
+# real, U rho U^dagger = U rho U^T is the gate applied once on qubit q and
+# once on qubit n + q.  Every kernel is elementwise per row, so a row's bits
+# do not depend on the other rows of its batch.
 
 # Rows are simulated in chunks of at most this many bytes of states.
 _CHUNK_BYTES = 64 << 20
 
+# Schedule entry kinds; see `_schedule`.
+_RY, _CX, _NOISE = range(3)
 
-def _apply_ry_rows(states: np.ndarray, qubit: int, angles: np.ndarray) -> None:
-    half = 0.5 * angles
-    c = np.cos(half)[:, None, None]
-    s = np.sin(half)[:, None, None]
+
+def _apply_ry_rows(states: np.ndarray, qubit: int, c: np.ndarray, s: np.ndarray) -> None:
+    """Ry on one qubit of every row, in place; ``c`` and ``s`` are the
+    (rows, 1, 1) cosines and sines of half the angles."""
     view = states.reshape(states.shape[0], 1 << qubit, 2, -1)
     a = view[:, :, 0, :]
     b = view[:, :, 1, :]
     new_a = c * a - s * b
-    new_b = s * a + c * b
-    view[:, :, 0, :] = new_a
-    view[:, :, 1, :] = new_b
+    b *= c
+    b += s * a
+    a[...] = new_a
 
 
 def _apply_cx_rows(states: np.ndarray, control: int, target: int) -> None:
@@ -240,65 +246,105 @@ def _depolarize_rows(rhos: np.ndarray, n: int, qubit: int, p: float) -> None:
     view[:, :, 1, :, 1, :] += mixed
 
 
-def _simulate_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
-                   noise_p: float) -> np.ndarray:
-    """Real statevector rows, or density rows as 2n-qubit vectors when ``noise_p`` > 0.
+@functools.lru_cache(maxsize=32)
+def _schedule(circuit: ReuploadCircuit, noisy: bool) -> tuple:
+    """The gate sequence of one row, walked forward by `_sweep` and backward
+    by `_adjoint_rows`.
 
-    Noiseless rows are folded (see the module docstring).  With noise every
-    gate, Ry(0) fillers included, is followed by the channel on each qubit
-    it touched.
+    Entries are (_RY, q, j): Ry on qubit q by column j of `_half_angles`
+    (parameter j for j < K, feature j - K otherwise); (_CX, q, -1): CX from q
+    to q + 1; (_NOISE, q, -1): the channel on q.  With noise every gate, Ry(0)
+    fillers included, is followed by the channel on each qubit it touched.
+    Noiseless rows are folded: Ry(a) Ry(b) = Ry(a + b), so an encoding block
+    has no entries of its own; `_half_angles` adds its per-qubit feature
+    sums to the next block's first Ry column (see the module docstring).
     """
-    n = circuit.n_qubits
-    rows = thetas.shape[0]
-    mirrors = (0, n) if noise_p else (0,)
-    states = np.zeros((rows, 1 << (n * len(mirrors))))
-    states[:, 0] = 1.0
-    angles = thetas.reshape(rows, circuit.layers + 1, circuit.sublayers, n)
-    if not noise_p:
-        slots = np.zeros((rows, circuit.encode_columns * n))
-        slots[:, :circuit.data_dim] = xs
-        angles = angles.copy()
-        angles[:, 1:, 0, :] += slots.reshape(rows, -1, n).sum(axis=1)[:, None, :]
+    n, k = circuit.n_qubits, circuit.n_params
+    ops = []
 
     def noise(*qubits: int) -> None:
-        if noise_p:
-            for q in qubits:
-                _depolarize_rows(states, n, q, noise_p)
+        if noisy:
+            ops.extend((_NOISE, q, -1) for q in qubits)
 
-    def trainable_block(layer: int) -> None:
+    for layer in range(1, circuit.layers + 2):
+        if noisy and layer > 1:
+            for c in range(circuit.encode_columns):
+                for q in range(n):
+                    d = c * n + q
+                    # Ry(0) filler slots are exact no-ops, but still noisy.
+                    if d < circuit.data_dim:
+                        ops.append((_RY, q, k + d))
+                    noise(q)
         for r in range(circuit.sublayers):
             for q in range(n):
-                for m in mirrors:
-                    _apply_ry_rows(states, m + q, angles[:, layer - 1, r, q])
+                ops.append((_RY, q, circuit.param_index(layer, r, q)))
                 noise(q)
             for q in range(n - 1):
-                for m in mirrors:
-                    _apply_cx_rows(states, m + q, m + q + 1)
+                ops.append((_CX, q, -1))
                 noise(q, q + 1)
+    return tuple(ops)
 
-    def encode_block() -> None:
-        for c in range(circuit.encode_columns):
-            for q in range(n):
-                d = c * n + q
-                if d < circuit.data_dim:
-                    for m in mirrors:
-                        _apply_ry_rows(states, m + q, xs[:, d])
-                # Ry(0) filler slots are exact no-ops, but still noisy.
-                noise(q)
 
-    for layer in range(1, circuit.layers + 1):
-        trainable_block(layer)
-        if noise_p:
-            encode_block()
-    trainable_block(circuit.layers + 1)
+def _half_angles(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
+                 noise_p: float) -> np.ndarray:
+    """Half of every schedule angle column: (columns, rows, 1, 1)."""
+    rows = thetas.shape[0]
+    if noise_p:
+        angles = np.concatenate([thetas, xs], axis=1)
+    else:
+        slots = np.zeros((rows, circuit.encode_columns * circuit.n_qubits))
+        slots[:, :circuit.data_dim] = xs
+        angles = thetas.reshape(rows, circuit.layers + 1, circuit.sublayers, -1).copy()
+        angles[:, 1:, 0, :] += slots.reshape(rows, -1, circuit.n_qubits).sum(axis=1)[:, None, :]
+    return np.ascontiguousarray(0.5 * angles.reshape(rows, -1).T)[:, :, None, None]
+
+
+def _step(states: np.ndarray, op: tuple, c: np.ndarray, s: np.ndarray, n: int,
+          noise_p: float) -> None:
+    """Apply one schedule entry to every row in place; ``c`` and ``s`` are
+    the cosines and sines of `_half_angles` (negated sines undo an Ry)."""
+    kind, q, j = op
+    if kind == _NOISE:
+        _depolarize_rows(states, n, q, noise_p)
+        return
+    for m in ((0, n) if noise_p else (0,)):
+        if kind == _RY:
+            _apply_ry_rows(states, m + q, c[j], s[j])
+        else:
+            _apply_cx_rows(states, m + q, m + q + 1)
+
+
+def _fresh_rows(circuit: ReuploadCircuit, rows: int, noise_p: float) -> np.ndarray:
+    """|0...0> as statevector rows, or as density rows when ``noise_p`` > 0."""
+    states = np.zeros((rows, 1 << (circuit.n_qubits * (2 if noise_p else 1))))
+    states[:, 0] = 1.0
     return states
 
 
-def _expectations(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
-                  obs: Observable, noise_p: float) -> np.ndarray:
+def _sweep(states: np.ndarray, circuit: ReuploadCircuit, c: np.ndarray, s: np.ndarray,
+           noise_p: float, kept: list | None = None) -> None:
+    """Walk the schedule forward over ``states`` in place.  With ``kept`` a
+    list, append a copy of the rows after every trainable Ry."""
+    n, k = circuit.n_qubits, circuit.n_params
+    for op in _schedule(circuit, bool(noise_p)):
+        _step(states, op, c, s, n, noise_p)
+        if kept is not None and op[0] == _RY and op[2] < k:
+            kept.append(states.copy())
+
+
+def _simulate_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
+                   noise_p: float) -> np.ndarray:
+    """Real statevector rows, or density rows as 2n-qubit vectors when ``noise_p`` > 0."""
+    half = _half_angles(circuit, thetas, xs, noise_p)
+    states = _fresh_rows(circuit, thetas.shape[0], noise_p)
+    _sweep(states, circuit, np.cos(half), np.sin(half), noise_p)
+    return states
+
+
+def _measure(circuit: ReuploadCircuit, states: np.ndarray, obs: Observable,
+             noise_p: float) -> np.ndarray:
     # Rows are real and Im(M) of a Hermitian M is antisymmetric, so it adds
     # nothing to psi^T M psi or tr(M rho) with rho symmetric.
-    states = _simulate_rows(circuit, thetas, xs, noise_p)
     matrix = obs.matrix.real
     if noise_p:
         dim = 1 << circuit.n_qubits
@@ -308,16 +354,75 @@ def _expectations(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
     return np.einsum("bi,ij,bj->b", states, matrix, states)
 
 
-def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
-                 noise_p: float = 0.0) -> np.ndarray:
-    """Vectorized `forward` over rows of (theta, x) pairs.
+def _expectations(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
+                  obs: Observable, noise_p: float) -> np.ndarray:
+    return _measure(circuit, _simulate_rows(circuit, thetas, xs, noise_p), obs, noise_p)
 
-    ``thetas`` is (rows, K) or (K,) broadcast to all rows; ``xs`` is
-    (rows, D) or (D,).  Returns the (rows,) vector of expectations.  With
-    ``noise_p`` > 0 every row is a density-matrix simulation under
-    per-gate depolarizing noise of that strength (see `noise`), checked
-    once at the end for unit trace, Hermiticity and positivity.
+
+def _ry_grad(lam: np.ndarray, psi: np.ndarray, qubit: int) -> np.ndarray:
+    """2 lam^T J_q psi per row, J = dRy/dtheta Ry^T = [[0, -1/2], [1/2, 0]]:
+    the sum over the qubit's halves of lam_1 psi_0 - lam_0 psi_1."""
+    rows = psi.shape[0]
+    lam = lam.reshape(rows, 1 << qubit, 2, -1)
+    psi = psi.reshape(rows, 1 << qubit, 2, -1)
+    terms = lam[:, :, 1, :] * psi[:, :, 0, :] - lam[:, :, 0, :] * psi[:, :, 1, :]
+    return np.add.reduce(terms.reshape(rows, -1), axis=1)
+
+
+def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
+                  obs: Observable, noise_p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs and their parameter gradients for one chunk of rows: ((rows,), (rows, K)).
+
+    Adjoint differentiation (Jones & Gacon, arXiv:2009.02823): one forward
+    sweep, then one backward sweep that un-applies the schedule.  Every gate
+    is real, so its inverse is its transpose: Ry(-a), and CX itself.
+
+    Noiseless, psi and lam = (Re M) psi ride as 2 * rows rows; at a trainable
+    Ry, dE/dtheta = 2 lam^T J_q psi.  Noisy (Heisenberg picture), Lam =
+    vec(Re M) runs backward alone: the channel is self-adjoint under the
+    Hilbert-Schmidt product, and the forward density rows, which cannot be
+    recovered backward, are kept at every trainable Ry.  The gradient there
+    is <Lam, (J_q + J_{n+q}) rho>, which equals 2 <Lam, J_q rho> because Lam
+    and rho are symmetric matrices: the noiseless formula on 2n-qubit rows.
     """
+    rows, k = thetas.shape[0], circuit.n_params
+    half = _half_angles(circuit, thetas, xs, noise_p)
+    matrix = obs.matrix.real
+    kept = [] if noise_p else None
+    if noise_p:
+        c, s = np.cos(half), np.sin(half)
+        states = _fresh_rows(circuit, rows, noise_p)
+        _sweep(states, circuit, c, s, noise_p, kept)
+        values = _measure(circuit, states, obs, noise_p)
+        # tr(M rho) = <vec(M^T), vec(rho)>.
+        back = np.repeat(matrix.T.reshape(1, -1), rows, axis=0)
+    else:
+        # The backward sweep moves psi and lam together, so both halves
+        # of the rows carry the same angles.
+        half = np.concatenate([half, half], axis=1)
+        c, s = np.cos(half), np.sin(half)
+        back = _fresh_rows(circuit, 2 * rows, noise_p)
+        _sweep(back[:rows], circuit, c[:, :rows], s[:, :rows], noise_p)
+        # einsum, not BLAS: a matmul's bits can depend on the row count.
+        np.einsum("ij,bj->bi", matrix, back[:rows], out=back[rows:])
+        values = np.einsum("bi,bi->b", back[:rows], back[rows:])
+    s = -s
+    psi, lam = back[:rows], back[-rows:]
+    grads = np.empty((rows, k))
+    n = circuit.n_qubits
+    ops = _schedule(circuit, bool(noise_p))
+    for i in range(len(ops) - 1, -1, -1):
+        kind, q, j = ops[i]
+        if kind == _RY and j < k:
+            grads[:, j] = _ry_grad(lam, psi if kept is None else kept.pop(), q)
+        if i:
+            _step(back, ops[i], c, s, n, noise_p)
+    return values, grads
+
+
+def _check_rows(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
+                noise_p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (rows, K) thetas and (rows, D) xs, single rows broadcast."""
     thetas = np.asarray(thetas, dtype=float)
     xs = np.asarray(xs, dtype=float)
     if thetas.ndim == 1:
@@ -336,21 +441,61 @@ def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
         )
     if xs.shape[1] != circuit.data_dim:
         raise ValueError(f"xs have {xs.shape[1]} columns, expected {circuit.data_dim}")
-    if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(xs))):
+    if not (np.isfinite(thetas).all() and np.isfinite(xs).all()):
         raise ValueError("thetas or xs contain non-finite entries")
     if obs.matrix.shape[0] != (1 << circuit.n_qubits):
         raise ValueError("observable dimension does not match the circuit")
     if not (0.0 <= noise_p <= 1.0):
         raise ValueError(f"noise strength p={noise_p!r} outside [0, 1]")
-    row_bytes = 8 << (circuit.n_qubits * (2 if noise_p else 1))
+    return thetas, xs
+
+
+def _chunks(rows: int, row_bytes: int):
+    """Row slices of at most ``_CHUNK_BYTES`` each (at least one row)."""
     step = max(1, _CHUNK_BYTES // row_bytes)
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
+def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
+                 noise_p: float = 0.0) -> np.ndarray:
+    """Vectorized `forward` over rows of (theta, x) pairs.
+
+    ``thetas`` is (rows, K) or (K,) broadcast to all rows; ``xs`` is
+    (rows, D) or (D,).  Returns the (rows,) vector of expectations.  With
+    ``noise_p`` > 0 every row is a density-matrix simulation under
+    per-gate depolarizing noise of that strength (see `noise`), checked
+    once at the end for unit trace, Hermiticity and positivity.
+    """
+    thetas, xs = _check_rows(circuit, thetas, xs, obs, noise_p)
+    row_bytes = 8 << (circuit.n_qubits * (2 if noise_p else 1))
     values = np.empty(thetas.shape[0])
-    for i in range(0, thetas.shape[0], step):
-        values[i:i + step] = _expectations(
-            circuit, np.ascontiguousarray(thetas[i:i + step]),
-            np.ascontiguousarray(xs[i:i + step]), obs, noise_p,
+    for rows in _chunks(thetas.shape[0], row_bytes):
+        values[rows] = _expectations(
+            circuit, np.ascontiguousarray(thetas[rows]),
+            np.ascontiguousarray(xs[rows]), obs, noise_p,
         )
     return values
+
+
+def _output_grads(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
+                  noise_p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's output and its gradient: ((rows,), (rows, K)).
+
+    The outputs are `forward_many`'s (to rounding, when noiseless).  Adjoint
+    differentiation (see `_adjoint_rows`); `grad.parameter_shift_grad_f` is
+    its independent oracle.  A noisy row keeps K density rows for the
+    backward sweep, and chunks hold at most ``_CHUNK_BYTES`` of them.
+    """
+    thetas, xs = _check_rows(circuit, thetas, xs, obs, noise_p)
+    row_bytes = 8 << (circuit.n_qubits * (2 if noise_p else 1))
+    kept_rows = circuit.n_params + 2 if noise_p else 2
+    parts = [_adjoint_rows(circuit, np.ascontiguousarray(thetas[rows]),
+                           np.ascontiguousarray(xs[rows]), obs, noise_p)
+             for rows in _chunks(thetas.shape[0], kept_rows * row_bytes)]
+    if len(parts) == 1:
+        return parts[0]
+    values, grads = zip(*parts)
+    return np.concatenate(values), np.concatenate(grads)
 
 
 # --- dense unitaries ------------------------------------------------------

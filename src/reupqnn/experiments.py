@@ -16,8 +16,8 @@ Unknown keys are rejected.  One sweep axis (layers, learning_rate,
 m_train or noise_p) crosses a list of values with the seed list; every
 (value, seed) cell is an independent pure computation, so re-running a
 config reproduces the result rows byte for byte.  The seeds of one sweep
-value train in lockstep, and a cell's rows do not depend on which other
-seeds share its batch.
+value train in lockstep, as do all values of an ``m_train`` axis, and a
+cell's rows do not depend on which other runs share its batch.
 
 Result tables always carry the same column set; cells that do not apply
 to a row kind stay empty.  Row kinds: ``sample`` (per-seed learning
@@ -415,25 +415,31 @@ def _meta(cfg: ExperimentConfig, pool: Dataset, command: str, seed_offset: int) 
     }
 
 
-def _experiment_cells(cfg: ExperimentConfig, pool: Dataset, value, seeds) -> list[dict]:
-    """Sample rows of one sweep value; its seeds train in lockstep."""
-    layers, eta, m_train, noise_p = _cell_settings(cfg, value)
+def _experiment_cells(cfg: ExperimentConfig, pool: Dataset, values, seeds) -> list[dict]:
+    """Sample rows of sweep values that differ only in ``m_train``.
+
+    Every (value, seed) run of ``values`` trains in one lockstep batch; the
+    rows come out value by value, seeds in order.  A run's rows do not
+    depend on the batch it rides in.
+    """
+    layers, eta, _, noise_p = _cell_settings(cfg, values[0])
+    cells = [(value, _cell_settings(cfg, value)[2], seed) for value in values for seed in seeds]
     splits = [subsample_split(pool, m_train, cfg.m_test, (cfg.data_seed, seed))
-              for seed in seeds]
+              for _, m_train, seed in cells]
     if cfg.kind == "wdbc":
         splits = [rescale_with_train_stats(*split) for split in splits]
     circuit = build_circuit(cfg.qubits, layers, pool.feature_dim, cfg.sublayers)
     obs = z_observable(cfg.qubits)
     train_sets, test_sets = zip(*splits)
-    runs = _train_runs(train_sets, test_sets, seeds, circuit, obs,
+    runs = _train_runs(train_sets, test_sets, [seed for *_, seed in cells], circuit, obs,
                        TrainConfig(eta, cfg.iterations, seeds[0], cfg.loss_kind, noise_p),
                        eval_interval=cfg.eval_interval)
-    margin = stable_training_margin(
-        _bound_inputs(cfg, layers, eta, m_train, noise_p, max(cfg.iterations, 1),
-                      circuit.n_params, pool.feature_dim, obs.norm)
-    )
     rows = []
-    for seed, run in zip(seeds, runs):
+    for (value, m_train, seed), run in zip(cells, runs):
+        margin = stable_training_margin(
+            _bound_inputs(cfg, layers, eta, m_train, noise_p, max(cfg.iterations, 1),
+                          circuit.n_params, pool.feature_dim, obs.norm)
+        )
         for i, t in enumerate(run.eval_points):
             row = _blank_row("sample", value, seed)
             row["iteration"] = int(t)
@@ -453,14 +459,18 @@ def _experiment_cells(cfg: ExperimentConfig, pool: Dataset, value, seeds) -> lis
 
 
 def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
-    """Sweep (values x seeds), train each value's seeds in lockstep, and
-    tabulate learning curves."""
+    """Sweep (values x seeds) and tabulate learning curves.
+
+    An ``m_train`` axis trains all its runs in one lockstep batch; the
+    other axes train one batch per value, its seeds in lockstep."""
     if cfg.m_test < 1:
         raise ConfigError("run requires dataset.m_test >= 1")
     pool = load_pool(cfg)
     seeds = [s + seed_offset for s in cfg.seeds]
-    rows = [row for value in cfg.sweep_values
-            for row in _experiment_cells(cfg, pool, value, seeds)]
+    batches = ([cfg.sweep_values] if cfg.sweep_axis == "m_train"
+               else [[value] for value in cfg.sweep_values])
+    rows = [row for values in batches
+            for row in _experiment_cells(cfg, pool, values, seeds)]
 
     # Aggregates per (sweep value, iteration) across seeds.
     agg_cols = ("train_risk", "test_risk", "gap", "train_acc", "test_acc",

@@ -1,4 +1,9 @@
-"""Exact parameter-shift gradients and a finite-difference reference.
+"""Adjoint loss gradients for training, parameter shift as their oracle.
+
+Training differentiates with `ansatz._output_grads`: one forward and one
+backward sweep over the gate schedule per row (Jones & Gacon,
+arXiv:2009.02823), noiseless and noisy alike, whose cost is nearly flat in
+the number of parameters.
 
 Every trainable angle enters through a single-Pauli rotation, so the
 circuit output is a sinusoid in each coordinate and the shift rule
@@ -6,15 +11,16 @@ circuit output is a sinusoid in each coordinate and the shift rule
     df/dtheta_j = (f(theta_j + pi/2) - f(theta_j - pi/2)) / 2
 
 is exact, also under depolarizing noise (the channel does not depend on
-the parameters).  The finite-difference estimator exists purely as an
-independent check.
+the parameters).  `parameter_shift_grad_f` evaluates it on 2K shifted
+rows of `forward_many` and is kept as the independent check of the
+adjoint sweep; the finite-difference estimator checks it in turn.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ansatz import ReuploadCircuit, forward_many
+from .ansatz import ReuploadCircuit, _output_grads, forward_many
 from .qcore import Observable
 
 __all__ = ["SHIFT", "parameter_shift_grad_f", "loss_grad", "finite_diff_grad"]
@@ -22,24 +28,18 @@ __all__ = ["SHIFT", "parameter_shift_grad_f", "loss_grad", "finite_diff_grad"]
 SHIFT = 0.5 * np.pi
 
 
-def _shifted_rows(circuit: ReuploadCircuit, thetas) -> np.ndarray:
-    """Each theta, then theta +- pi/2 on each coordinate in turn: (R (2K + 1), K)."""
-    thetas = np.asarray(thetas, dtype=float)
-    k = circuit.n_params
-    if thetas.ndim != 2 or thetas.shape[1] != k:
-        raise ValueError(f"thetas have shape {thetas.shape}, expected (R, {k})")
-    rows = np.repeat(thetas, 2 * k + 1, axis=0).reshape(len(thetas), 2 * k + 1, k)
-    idx = np.arange(k)
-    rows[:, 1 + 2 * idx, idx] += SHIFT
-    rows[:, 2 + 2 * idx, idx] -= SHIFT
-    return rows.reshape(-1, k)
-
-
 def parameter_shift_grad_f(circuit: ReuploadCircuit, theta, x, obs: Observable,
                            noise_p: float = 0.0) -> np.ndarray:
     """Gradient of the circuit output with respect to every parameter."""
-    # All 2K shifted evaluations ride one vectorized pass.
-    rows = _shifted_rows(circuit, np.asarray(theta, dtype=float)[None])[1:]
+    theta = np.asarray(theta, dtype=float)
+    k = circuit.n_params
+    if theta.shape != (k,):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({k},)")
+    # theta +- pi/2 on each coordinate in turn: all 2K rows ride one vectorized pass.
+    rows = np.repeat(theta[None], 2 * k, axis=0)
+    idx = np.arange(k)
+    rows[2 * idx, idx] += SHIFT
+    rows[2 * idx + 1, idx] -= SHIFT
     values = forward_many(circuit, rows, np.asarray(x, dtype=float), obs, noise_p)
     return 0.5 * (values[0::2] - values[1::2])
 
@@ -48,16 +48,13 @@ def _loss_grads(circuit: ReuploadCircuit, thetas, xs, ys, obs: Observable,
                 loss_kind: str, noise_p: float) -> np.ndarray:
     """Loss gradients of R runs, run r at ``thetas[r]`` on (``xs[r]``, ``ys[r]``): (R, K).
 
-    One batch carries every run's unshifted point plus its 2K shifted ones.
+    One adjoint pass gives every run's output f and df/dtheta; the chain
+    rule scales the latter by l'(f, y).
     """
     from .train import loss_derivative
 
-    width = 2 * circuit.n_params + 1
-    values = forward_many(circuit, _shifted_rows(circuit, thetas),
-                          np.repeat(np.asarray(xs, dtype=float), width, axis=0),
-                          obs, noise_p).reshape(-1, width)
-    scale = loss_derivative(values[:, 0], ys, loss_kind)
-    return scale[:, None] * (0.5 * (values[:, 1::2] - values[:, 2::2]))
+    values, grads = _output_grads(circuit, thetas, xs, obs, noise_p)
+    return loss_derivative(values, ys, loss_kind)[:, None] * grads
 
 
 def loss_grad(circuit: ReuploadCircuit, theta, sample, obs: Observable,

@@ -9,10 +9,10 @@ mixed state.  (In the Pauli-twirl parametrization this is strength
 3p/4 on each of X, Y, Z.)  The noisy model applies the channel to every
 qubit a gate touches, immediately after that gate; identity filler
 rotations in the encoding blocks count as gates and are noised like any
-other.  The simulation itself is the density-matrix mode of
-`ansatz.forward_many` (``noise_p`` > 0), which training, gradients and
-stability probes call directly; the functions here are one-state and
-one-row wrappers over its kernels.
+other.  The simulation itself is the density-matrix mode of the batched
+engine in `ansatz` (``noise_p`` > 0), which `forward_many`, the adjoint
+training gradients and stability probes run directly; the functions here
+are one-state and one-row wrappers over its kernels.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ therefore replay the exact same index sequence under the same seed, which
 is what the stability machinery relies on.
 
 Every run goes through one lockstep loop, which advances a batch of runs
-(seeds, twin datasets) with one batched gradient pass per step.  Rows of
-the pass never interact, so a run's bits do not depend on its batch.
+(seeds, twin datasets, the values of an ``m_train`` sweep) with one
+batched adjoint gradient pass per step.  Rows of the pass never interact,
+so a run's bits do not depend on its batch.
 """
 
 from __future__ import annotations

@@ -255,6 +255,34 @@ def test_forward_many_chunks_rows_bitwise(monkeypatch):
         np.testing.assert_array_equal(chunked, whole)
 
 
+def test_output_grads_chunks_rows_bitwise(monkeypatch):
+    """Adjoint rows, a noisy row with its K kept density rows, stay under the
+    byte budget and give the unchunked bits."""
+    rng = np.random.default_rng(28)
+    c = build_circuit(2, 2, 3, 1)
+    obs = z_observable(2)
+    thetas = rng.uniform(0, 2 * np.pi, (11, c.n_params))
+    xs = rng.uniform(0, 2 * np.pi, (11, 3))
+    for p in (0.0, 0.1):
+        values, grads = ansatz._output_grads(c, thetas, xs, obs, p)
+        row_bytes = ansatz._simulate_rows(c, thetas[:1], xs[:1], p)[0].nbytes
+        kept_rows = c.n_params + 2 if p else 2
+        chunks = []
+        adjoint_rows = ansatz._adjoint_rows
+
+        def counted(circuit, thetas, *rest):
+            chunks.append(len(thetas))
+            return adjoint_rows(circuit, thetas, *rest)
+
+        monkeypatch.setattr(ansatz, "_adjoint_rows", counted)
+        monkeypatch.setattr(ansatz, "_CHUNK_BYTES", 3 * kept_rows * row_bytes)
+        chunked = ansatz._output_grads(c, thetas, xs, obs, p)
+        monkeypatch.undo()
+        assert chunks == [3, 3, 3, 2]
+        np.testing.assert_array_equal(chunked[0], values)
+        np.testing.assert_array_equal(chunked[1], grads)
+
+
 def test_forward_many_shape_errors():
     c = build_circuit(2, 1, 2, 1)
     obs = z_observable(2)

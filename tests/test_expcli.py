@@ -205,6 +205,23 @@ def test_run_experiment_rows_do_not_depend_on_batch(tmp_path):
     assert seed_rows(run_experiment(replace(cfg, seeds=(1,)))) == batched
 
 
+def test_run_experiment_m_train_values_do_not_depend_on_batch(tmp_path):
+    """An m_train sweep trains as one batch; each value's sample rows are
+    the same bits as when it runs alone, repeats included."""
+    text = BASE_CONFIG.replace("sweep.axis = layers", "sweep.axis = m_train")
+    text = text.replace("sweep.values = 1, 2", "sweep.values = 4, 6, 6")
+    cfg = parse_config(write_config(tmp_path, text + "circuit.qubits = 2\n"))
+    swept = run_experiment(cfg)
+
+    def value_rows(table, value):
+        return [r for r in table.rows if r["kind"] == "sample" and r["sweep_value"] == value]
+
+    for value in set(cfg.sweep_values):
+        alone = value_rows(run_experiment(replace(cfg, sweep_values=(value,))), value)
+        assert len(alone) == 2 * 3  # two seeds, iterations 0, 2, 4
+        assert value_rows(swept, value) == alone * cfg.sweep_values.count(value)
+
+
 def test_run_experiment_seed_offset_shifts_seeds(toy_table):
     cfg, table = toy_table
     shifted = run_experiment(cfg, seed_offset=10)
