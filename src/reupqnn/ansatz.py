@@ -197,12 +197,17 @@ def forward(circuit: ReuploadCircuit, theta, x, obs: Observable) -> float:
 #
 # The training loop evaluates many (theta, x) rows against the same circuit
 # (every run of a lockstep step, or a whole dataset); doing so row-parallel
-# inside numpy is the difference between seconds and hours.  The same two
-# gate kernels serve both modes: a noisy row holds its density matrix as a
-# 2n-qubit vector (row bits, then column bits), and since Ry and CX are
-# real, U rho U^dagger = U rho U^T is the gate applied once on qubit q and
-# once on qubit n + q.  Every kernel is elementwise per row, so a row's bits
-# do not depend on the other rows of its batch.
+# inside numpy is the difference between seconds and hours.  Rows are stored
+# batch-last: a batch is (amplitudes, rows), so every kernel's inner loop
+# runs contiguously over the rows, whatever the qubit.  The kernels split
+# only the leading axis, so a column slice such as the adjoint's psi half
+# stays a view and is updated in place.  The same two gate kernels serve
+# both modes: a noisy row holds its density matrix as a 2n-qubit vector
+# (row bits, then column bits), and since Ry and CX are real,
+# U rho U^dagger = U rho U^T is the gate applied once on qubit q and once on
+# qubit n + q.  Every kernel is elementwise per row, and every sum over
+# amplitudes runs in one fixed order (see `_column_sum`), so a row's bits do
+# not depend on the other rows of its batch.
 
 # Rows are simulated in chunks of at most this many bytes of states.
 _CHUNK_BYTES = 64 << 20
@@ -213,10 +218,10 @@ _RY, _CX, _NOISE = range(3)
 
 def _apply_ry_rows(states: np.ndarray, qubit: int, c: np.ndarray, s: np.ndarray) -> None:
     """Ry on one qubit of every row, in place; ``c`` and ``s`` are the
-    (rows, 1, 1) cosines and sines of half the angles."""
-    view = states.reshape(states.shape[0], 1 << qubit, 2, -1)
-    a = view[:, :, 0, :]
-    b = view[:, :, 1, :]
+    (rows,) cosines and sines of half the angles."""
+    view = states.reshape(1 << qubit, 2, -1, states.shape[-1])
+    a = view[:, 0]
+    b = view[:, 1]
     new_a = c * a - s * b
     b *= c
     b += s * a
@@ -226,12 +231,10 @@ def _apply_ry_rows(states: np.ndarray, qubit: int, c: np.ndarray, s: np.ndarray)
 def _apply_cx_rows(states: np.ndarray, control: int, target: int) -> None:
     # control < target by construction of the chain; pure index permutation.
     mid = 1 << (target - control - 1)
-    view = states.reshape(
-        states.shape[0], 1 << control, 2, mid, 2, -1
-    )
-    tmp = view[:, :, 1, :, 0, :].copy()
-    view[:, :, 1, :, 0, :] = view[:, :, 1, :, 1, :]
-    view[:, :, 1, :, 1, :] = tmp
+    view = states.reshape(1 << control, 2, mid, 2, -1, states.shape[-1])
+    tmp = view[:, 1, :, 0].copy()
+    view[:, 1, :, 0] = view[:, 1, :, 1]
+    view[:, 1, :, 1] = tmp
 
 
 def _depolarize_rows(rhos: np.ndarray, n: int, qubit: int, p: float) -> None:
@@ -239,11 +242,11 @@ def _depolarize_rows(rhos: np.ndarray, n: int, qubit: int, p: float) -> None:
     n-qubit density rows stored as 2n-qubit vectors, in place."""
     # Axes: row bits before the qubit, its row bit, the n - 1 bits between
     # it and its column bit, its column bit, the column bits after it.
-    view = rhos.reshape(rhos.shape[0], 1 << qubit, 2, 1 << (n - 1), 2, -1)
-    mixed = 0.5 * p * (view[:, :, 0, :, 0, :] + view[:, :, 1, :, 1, :])
+    view = rhos.reshape(1 << qubit, 2, 1 << (n - 1), 2, -1, rhos.shape[-1])
+    mixed = 0.5 * p * (view[:, 0, :, 0] + view[:, 1, :, 1])
     view *= 1.0 - p
-    view[:, :, 0, :, 0, :] += mixed
-    view[:, :, 1, :, 1, :] += mixed
+    view[:, 0, :, 0] += mixed
+    view[:, 1, :, 1] += mixed
 
 
 @functools.lru_cache(maxsize=32)
@@ -287,7 +290,7 @@ def _schedule(circuit: ReuploadCircuit, noisy: bool) -> tuple:
 
 def _half_angles(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
                  noise_p: float) -> np.ndarray:
-    """Half of every schedule angle column: (columns, rows, 1, 1)."""
+    """Half of every schedule angle column: (columns, rows)."""
     rows = thetas.shape[0]
     if noise_p:
         angles = np.concatenate([thetas, xs], axis=1)
@@ -296,7 +299,7 @@ def _half_angles(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
         slots[:, :circuit.data_dim] = xs
         angles = thetas.reshape(rows, circuit.layers + 1, circuit.sublayers, -1).copy()
         angles[:, 1:, 0, :] += slots.reshape(rows, -1, circuit.n_qubits).sum(axis=1)[:, None, :]
-    return np.ascontiguousarray(0.5 * angles.reshape(rows, -1).T)[:, :, None, None]
+    return np.ascontiguousarray(0.5 * angles.reshape(rows, -1).T)
 
 
 def _step(states: np.ndarray, op: tuple, c: np.ndarray, s: np.ndarray, n: int,
@@ -315,9 +318,9 @@ def _step(states: np.ndarray, op: tuple, c: np.ndarray, s: np.ndarray, n: int,
 
 
 def _fresh_rows(circuit: ReuploadCircuit, rows: int, noise_p: float) -> np.ndarray:
-    """|0...0> as statevector rows, or as density rows when ``noise_p`` > 0."""
-    states = np.zeros((rows, 1 << (circuit.n_qubits * (2 if noise_p else 1))))
-    states[:, 0] = 1.0
+    """|0...0> as (2^n, rows) statevector rows, or (4^n, rows) density rows."""
+    states = np.zeros((1 << (circuit.n_qubits * (2 if noise_p else 1)), rows))
+    states[0] = 1.0
     return states
 
 
@@ -341,6 +344,23 @@ def _simulate_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
     return states
 
 
+def _column_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of (amplitudes, rows) terms over the amplitudes, one per row.
+
+    Sequential, so a row's bits do not depend on its batch: np.add.reduce
+    or einsum over a lone contiguous column switches to a pairwise or
+    unrolled sum, which rounds differently from the same column in a batch.
+    """
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
+def _observe(matrix: np.ndarray, states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """M psi for a real M.  einsum, not BLAS, whose bits can depend on the
+    row count; M column-major, so that the inner loop never sums over j,
+    not even for a lone column (see `_column_sum`)."""
+    return np.einsum("ij,jb->ib", np.asfortranarray(matrix), states, out=out)
+
+
 def _measure(circuit: ReuploadCircuit, states: np.ndarray, obs: Observable,
              noise_p: float) -> np.ndarray:
     # Rows are real and Im(M) of a Hermitian M is antisymmetric, so it adds
@@ -348,10 +368,11 @@ def _measure(circuit: ReuploadCircuit, states: np.ndarray, obs: Observable,
     matrix = obs.matrix.real
     if noise_p:
         dim = 1 << circuit.n_qubits
-        rhos = states.reshape(-1, dim, dim)
-        _check_density_rows(rhos)
-        return np.einsum("ij,bji->b", matrix, rhos)
-    return np.einsum("bi,ij,bj->b", states, matrix, states)
+        rhos = states.reshape(dim, dim, -1)
+        _check_density_rows(np.moveaxis(rhos, -1, 0))
+        # tr(M rho) = <vec(M^T), vec(rho)>.
+        return _column_sum(matrix.T.reshape(-1, 1) * states)
+    return _column_sum(states * _observe(matrix, states))
 
 
 def _expectations(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
@@ -361,12 +382,13 @@ def _expectations(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
 
 def _ry_grad(lam: np.ndarray, psi: np.ndarray, qubit: int) -> np.ndarray:
     """2 lam^T J_q psi per row, J = dRy/dtheta Ry^T = [[0, -1/2], [1/2, 0]]:
-    the sum over the qubit's halves of lam_1 psi_0 - lam_0 psi_1."""
-    rows = psi.shape[0]
-    lam = lam.reshape(rows, 1 << qubit, 2, -1)
-    psi = psi.reshape(rows, 1 << qubit, 2, -1)
-    terms = lam[:, :, 1, :] * psi[:, :, 0, :] - lam[:, :, 0, :] * psi[:, :, 1, :]
-    return np.add.reduce(terms.reshape(rows, -1), axis=1)
+    the sum over the qubit's halves of lam_1 psi_0 - lam_0 psi_1, for
+    (amplitudes, rows) ``lam`` and ``psi``."""
+    rows = psi.shape[-1]
+    lam = lam.reshape(1 << qubit, 2, -1, rows)
+    psi = psi.reshape(1 << qubit, 2, -1, rows)
+    terms = lam[:, 1] * psi[:, 0] - lam[:, 0] * psi[:, 1]
+    return _column_sum(terms.reshape(-1, rows))
 
 
 def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
@@ -377,7 +399,8 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
     sweep, then one backward sweep that un-applies the schedule.  Every gate
     is real, so its inverse is its transpose: Ry(-a), and CX itself.
 
-    Noiseless, psi and lam = (Re M) psi ride as 2 * rows rows; at a trainable
+    Noiseless, psi and lam = (Re M) psi ride as the two column halves
+    ``back[:, :rows]`` and ``back[:, rows:]`` of one array; at a trainable
     Ry, dE/dtheta = 2 lam^T J_q psi.  Noisy (Heisenberg picture), Lam =
     vec(Re M) runs backward alone: the channel is self-adjoint under the
     Hilbert-Schmidt product, and the forward density rows, which cannot be
@@ -395,19 +418,18 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
         _sweep(states, circuit, c, s, noise_p, kept)
         values = _measure(circuit, states, obs, noise_p)
         # tr(M rho) = <vec(M^T), vec(rho)>.
-        back = np.repeat(matrix.T.reshape(1, -1), rows, axis=0)
+        back = np.repeat(matrix.T.reshape(-1, 1), rows, axis=1)
     else:
         # The backward sweep moves psi and lam together, so both halves
         # of the rows carry the same angles.
         half = np.concatenate([half, half], axis=1)
         c, s = np.cos(half), np.sin(half)
         back = _fresh_rows(circuit, 2 * rows, noise_p)
-        _sweep(back[:rows], circuit, c[:, :rows], s[:, :rows], noise_p)
-        # einsum, not BLAS: a matmul's bits can depend on the row count.
-        np.einsum("ij,bj->bi", matrix, back[:rows], out=back[rows:])
-        values = np.einsum("bi,bi->b", back[:rows], back[rows:])
+        _sweep(back[:, :rows], circuit, c[:, :rows], s[:, :rows], noise_p)
+        _observe(matrix, back[:, :rows], out=back[:, rows:])
+        values = _column_sum(back[:, :rows] * back[:, rows:])
     s = -s
-    psi, lam = back[:rows], back[-rows:]
+    psi, lam = back[:, :rows], back[:, -rows:]
     grads = np.empty((rows, k))
     n = circuit.n_qubits
     ops = _schedule(circuit, bool(noise_p))
@@ -481,7 +503,7 @@ def _output_grads(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
                   noise_p: float) -> tuple[np.ndarray, np.ndarray]:
     """Every row's output and its gradient: ((rows,), (rows, K)).
 
-    The outputs are `forward_many`'s (to rounding, when noiseless).  Adjoint
+    The outputs are `forward_many`'s, bit for bit.  Adjoint
     differentiation (see `_adjoint_rows`); `grad.parameter_shift_grad_f` is
     its independent oracle.  A noisy row keeps K density rows for the
     backward sweep, and chunks hold at most ``_CHUNK_BYTES`` of them.

@@ -272,6 +272,8 @@ def parse_config(path: str) -> ExperimentConfig:
             raise ConfigError("sweep.values for noise_p must lie in [0, 1]")
     if not sweep_values:
         raise ConfigError("sweep.values must be non-empty")
+    if len(set(sweep_values)) != len(sweep_values):
+        raise ConfigError("sweep.values must not repeat a value")
 
     seeds = values["optimizer.seeds"]
     if not seeds:

@@ -34,7 +34,7 @@ def depolarize(rho: QuantumState, p: float, qubit: int) -> QuantumState:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
     if p == 0.0:
         return rho
-    row = rho.data.reshape(1, -1).copy()
+    row = rho.data.reshape(-1, 1).copy()
     _depolarize_rows(row, n, qubit, p)
     return QuantumState(row.reshape(rho.data.shape), "density")
 

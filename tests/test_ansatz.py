@@ -21,12 +21,15 @@ from reupqnn.ansatz import (
 )
 from reupqnn.qcore import (
     CapacityError,
+    Observable,
     QuantumState,
     apply_gate,
+    embed_gate,
     expectation,
     rotation_gate,
     z_observable,
 )
+from test_noise import kraus_oracle
 
 
 def single_qubit_closed_form(circuit, theta, x):
@@ -230,6 +233,64 @@ def test_forward_many_rows_do_not_depend_on_batch():
         np.testing.assert_array_equal(stacked, one_by_one)
 
 
+def test_rows_do_not_depend_on_batch_size_at_many_halves():
+    """At 4 and 5 qubits a row's sums run over 8 to 1024 terms; its output
+    and gradients are the same bits alone and inside batches of 2 and 9, in
+    both modes, for z and for a dense observable, and `_output_grads`
+    gives `forward_many`'s outputs."""
+    rng = np.random.default_rng(29)
+    for (n, layers, d, r), p in [((4, 2, 16, 2), 0.0), ((5, 2, 10, 1), 0.0),
+                                 ((4, 2, 16, 2), 0.05), ((5, 1, 10, 1), 0.05)]:
+        c = build_circuit(n, layers, d, r)
+        a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+        for obs in (z_observable(n), Observable(0.5 * (a + a.conj().T))):
+            thetas = rng.uniform(0, 2 * np.pi, (9, c.n_params))
+            xs = rng.uniform(0, 2 * np.pi, (9, d))
+            values = forward_many(c, thetas, xs, obs, p)
+            outputs, grads = ansatz._output_grads(c, thetas, xs, obs, p)
+            np.testing.assert_array_equal(outputs, values)
+            for row in range(9):
+                for lo, hi in ((row, row + 1), (min(row, 7), min(row, 7) + 2)):
+                    part = forward_many(c, thetas[lo:hi], xs[lo:hi], obs, p)
+                    assert part[row - lo] == values[row]
+                    got = ansatz._output_grads(c, thetas[lo:hi], xs[lo:hi], obs, p)
+                    assert got[0][row - lo] == outputs[row]
+                    assert np.array_equal(got[1][row - lo], grads[row])
+
+
+def test_kernels_update_column_views_in_place():
+    """The kernels act in place on a column slice, non-contiguous like the
+    adjoint's psi half: each column gets the dense gate or Kraus channel,
+    and the columns outside the slice keep their bits."""
+    rng = np.random.default_rng(30)
+    n, r = 3, 4
+    base = rng.normal(size=(2 ** n, 2 * r + 1))
+    half = rng.uniform(0, np.pi, r)
+    ops = [(ansatz._apply_ry_rows, (q, np.cos(half), np.sin(half)),
+            [embed_gate(rotation_gate("y", 2 * h), (q,), n) for h in half]) for q in range(n)]
+    ops += [(ansatz._apply_cx_rows, (q, q + 1), [embed_gate(ansatz.CX, (q, q + 1), n)] * r)
+            for q in range(n - 1)]
+    for kernel, args, gates in ops:
+        big = base.copy()
+        kernel(big[:, :r], *args)
+        for j, u in enumerate(gates):
+            assert np.max(np.abs(big[:, j] - (u @ base[:, j]).real)) <= 1e-12
+        assert np.array_equal(big[:, r:], base[:, r:])
+
+    n, dim, p = 2, 4, 0.3
+    base = rng.normal(size=(dim * dim, 2 * r + 1))
+    for j in range(r):
+        m = rng.normal(size=(dim, dim))
+        base[:, j] = (m @ m.T / np.trace(m @ m.T)).ravel()
+    for q in range(n):
+        big = base.copy()
+        ansatz._depolarize_rows(big[:, :r], n, q, p)
+        for j in range(r):
+            want = kraus_oracle(base[:, j].reshape(dim, dim).astype(complex), p, q, n)
+            assert np.max(np.abs(big[:, j] - want.real.ravel())) <= 1e-12
+        assert np.array_equal(big[:, r:], base[:, r:])
+
+
 def test_forward_many_chunks_rows_bitwise(monkeypatch):
     """Rows simulated in chunks under the byte budget give the unchunked bits."""
     rng = np.random.default_rng(27)
@@ -239,7 +300,7 @@ def test_forward_many_chunks_rows_bitwise(monkeypatch):
     xs = rng.uniform(0, 2 * np.pi, (11, 3))
     for p in (0.0, 0.1):
         whole = forward_many(c, thetas, xs, obs, p)
-        row_bytes = ansatz._simulate_rows(c, thetas[:1], xs[:1], p)[0].nbytes
+        row_bytes = ansatz._simulate_rows(c, thetas[:1], xs[:1], p).nbytes
         chunks = []
         expectations = ansatz._expectations
 
@@ -265,7 +326,7 @@ def test_output_grads_chunks_rows_bitwise(monkeypatch):
     xs = rng.uniform(0, 2 * np.pi, (11, 3))
     for p in (0.0, 0.1):
         values, grads = ansatz._output_grads(c, thetas, xs, obs, p)
-        row_bytes = ansatz._simulate_rows(c, thetas[:1], xs[:1], p)[0].nbytes
+        row_bytes = ansatz._simulate_rows(c, thetas[:1], xs[:1], p).nbytes
         kept_rows = c.n_params + 2 if p else 2
         chunks = []
         adjoint_rows = ansatz._adjoint_rows

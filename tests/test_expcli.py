@@ -207,19 +207,19 @@ def test_run_experiment_rows_do_not_depend_on_batch(tmp_path):
 
 def test_run_experiment_m_train_values_do_not_depend_on_batch(tmp_path):
     """An m_train sweep trains as one batch; each value's sample rows are
-    the same bits as when it runs alone, repeats included."""
+    the same bits as when it runs alone."""
     text = BASE_CONFIG.replace("sweep.axis = layers", "sweep.axis = m_train")
-    text = text.replace("sweep.values = 1, 2", "sweep.values = 4, 6, 6")
+    text = text.replace("sweep.values = 1, 2", "sweep.values = 4, 6, 5")
     cfg = parse_config(write_config(tmp_path, text + "circuit.qubits = 2\n"))
     swept = run_experiment(cfg)
 
     def value_rows(table, value):
         return [r for r in table.rows if r["kind"] == "sample" and r["sweep_value"] == value]
 
-    for value in set(cfg.sweep_values):
+    for value in cfg.sweep_values:
         alone = value_rows(run_experiment(replace(cfg, sweep_values=(value,))), value)
         assert len(alone) == 2 * 3  # two seeds, iterations 0, 2, 4
-        assert value_rows(swept, value) == alone * cfg.sweep_values.count(value)
+        assert value_rows(swept, value) == alone
 
 
 def test_run_experiment_seed_offset_shifts_seeds(toy_table):
@@ -437,6 +437,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     repeated = write_config(tmp_path, STAB_CONFIG.replace("0, 1", "1, 1"), "rep.cfg")
     assert main(["stability", "--config", repeated, "--out", str(tmp_path / "o.csv")]) == 2
     capsys.readouterr()
+
+
+def test_cli_rejects_repeated_sweep_values(tmp_path, capsys):
+    """A repeated sweep value would train and report its cell twice."""
+    run_cfg = BASE_CONFIG.replace("sweep.values = 1, 2", "sweep.values = 1, 2, 1")
+    stab_cfg = STAB_CONFIG.replace("sweep.values = 4, 5", "sweep.values = 4, 5, 4")
+    for command, text in (("run", run_cfg), ("stability", stab_cfg)):
+        cfg_path = write_config(tmp_path, text, f"{command}.cfg")
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "sweep.values must not repeat" in capsys.readouterr().err
 
 
 def test_cli_data_error_exit_code(tmp_path, capsys):
