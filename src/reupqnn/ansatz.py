@@ -23,12 +23,15 @@ every row's parameter gradient (adjoint differentiation).  `iter_gates` and the
 dense unitaries build the same circuit gate by gate; they feed the comb
 route and the tests as independent oracles.
 
-Noiseless rows are folded: Ry(a) Ry(b) = Ry(a + b), so an encoding block
-acts as one Ry of the per-qubit feature sum, which merges into the next
-trainable block's first Ry column.  This is a modelling fact, not only a
-speed-up: with D > N the model depends on x only through the N sums of
+Rows are folded in both modes: Ry(a) Ry(b) = Ry(a + b), so an encoding
+block acts as one Ry of the per-qubit feature sum, which merges into the
+next trainable block's first Ry column.  This is a modelling fact, not only
+a speed-up: with D > N the model depends on x only through the N sums of
 the features sharing a qubit (the Fourier view of Schuld, Sweke & Meyer,
 arXiv:2008.08605).  The paper's bound still counts L * D encoding gates.
+Noisy rows also merge each qubit's channels up to the next CX that touches
+it: D_p on q commutes with every unitary on q and with every gate that
+leaves q alone, and D_p^k = D_{1-(1-p)^k} (see `noise` for the model).
 """
 
 from __future__ import annotations
@@ -239,7 +242,8 @@ def _apply_cx_rows(states: np.ndarray, control: int, target: int) -> None:
 
 def _depolarize_rows(rhos: np.ndarray, n: int, qubit: int, p: float) -> None:
     """Depolarizing channel of strength ``p`` (see `noise`) on one qubit of
-    n-qubit density rows stored as 2n-qubit vectors, in place."""
+    n-qubit density rows stored as 2n-qubit vectors, in place.  k merged
+    channels of strength p are one of strength 1 - (1 - p)^k."""
     # Axes: row bits before the qubit, its row bit, the n - 1 bits between
     # it and its column bit, its column bit, the column bits after it.
     view = rhos.reshape(1 << qubit, 2, 1 << (n - 1), 2, -1, rhos.shape[-1])
@@ -254,63 +258,63 @@ def _schedule(circuit: ReuploadCircuit, noisy: bool) -> tuple:
     """The gate sequence of one row, walked forward by `_sweep` and backward
     by `_adjoint_rows`.
 
-    Entries are (_RY, q, j): Ry on qubit q by column j of `_half_angles`
-    (parameter j for j < K, feature j - K otherwise); (_CX, q, -1): CX from q
-    to q + 1; (_NOISE, q, -1): the channel on q.  With noise every gate, Ry(0)
-    fillers included, is followed by the channel on each qubit it touched.
-    Noiseless rows are folded: Ry(a) Ry(b) = Ry(a + b), so an encoding block
-    has no entries of its own; `_half_angles` adds its per-qubit feature
-    sums to the next block's first Ry column (see the module docstring).
+    Entries are (_RY, q, j): Ry on qubit q by column j of `_half_angles`;
+    (_CX, q, -1): CX from q to q + 1; (_NOISE, q, k): k merged channels on q.
+    Rows are folded (see the module docstring): an encoding block has no
+    entries of its own, and `_half_angles` adds its per-qubit feature sums to
+    the next block's first Ry column.  With noise, every gate, Ry(0) fillers
+    included, owes one channel to each qubit it touches; a qubit's owed
+    channels are paid as one entry just before the next CX that touches it,
+    or at the end of the circuit.
     """
-    n, k = circuit.n_qubits, circuit.n_params
-    ops = []
+    n = circuit.n_qubits
+    ops, owed = [], [0] * n
 
-    def noise(*qubits: int) -> None:
-        if noisy:
-            ops.extend((_NOISE, q, -1) for q in qubits)
+    def pay(*qubits: int) -> None:
+        for q in qubits:
+            if noisy and owed[q]:
+                ops.append((_NOISE, q, owed[q]))
+                owed[q] = 0
 
     for layer in range(1, circuit.layers + 2):
-        if noisy and layer > 1:
-            for c in range(circuit.encode_columns):
-                for q in range(n):
-                    d = c * n + q
-                    # Ry(0) filler slots are exact no-ops, but still noisy.
-                    if d < circuit.data_dim:
-                        ops.append((_RY, q, k + d))
-                    noise(q)
         for r in range(circuit.sublayers):
             for q in range(n):
                 ops.append((_RY, q, circuit.param_index(layer, r, q)))
-                noise(q)
+                owed[q] += 1 + (circuit.encode_columns if layer > 1 and r == 0 else 0)
             for q in range(n - 1):
+                pay(q, q + 1)
                 ops.append((_CX, q, -1))
-                noise(q, q + 1)
+                owed[q] = owed[q + 1] = 1  # both were just paid
+    pay(*range(n))
     return tuple(ops)
 
 
-def _half_angles(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
-                 noise_p: float) -> np.ndarray:
-    """Half of every schedule angle column: (columns, rows)."""
+def _half_angles(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Half of every trainable Ry angle, encoding sums folded in: (K, rows)."""
     rows = thetas.shape[0]
-    if noise_p:
-        angles = np.concatenate([thetas, xs], axis=1)
-    else:
-        slots = np.zeros((rows, circuit.encode_columns * circuit.n_qubits))
-        slots[:, :circuit.data_dim] = xs
-        angles = thetas.reshape(rows, circuit.layers + 1, circuit.sublayers, -1).copy()
-        angles[:, 1:, 0, :] += slots.reshape(rows, -1, circuit.n_qubits).sum(axis=1)[:, None, :]
+    slots = np.zeros((rows, circuit.encode_columns * circuit.n_qubits))
+    slots[:, :circuit.data_dim] = xs
+    angles = thetas.reshape(rows, circuit.layers + 1, circuit.sublayers, -1).copy()
+    angles[:, 1:, 0, :] += slots.reshape(rows, -1, circuit.n_qubits).sum(axis=1)[:, None, :]
     return np.ascontiguousarray(0.5 * angles.reshape(rows, -1).T)
 
 
+def _strengths(circuit: ReuploadCircuit, noise_p: float) -> dict:
+    """1 - (1 - p)^k for every merged channel count k in the schedule; empty when noiseless."""
+    ops = _schedule(circuit, True) if noise_p else ()
+    return {k: 1.0 - (1.0 - noise_p) ** k for kind, _, k in ops if kind == _NOISE}
+
+
 def _step(states: np.ndarray, op: tuple, c: np.ndarray, s: np.ndarray, n: int,
-          noise_p: float) -> None:
+          strengths: dict) -> None:
     """Apply one schedule entry to every row in place; ``c`` and ``s`` are
-    the cosines and sines of `_half_angles` (negated sines undo an Ry)."""
+    the cosines and sines of `_half_angles` (negated sines undo an Ry), and
+    ``strengths`` those of `_strengths`."""
     kind, q, j = op
     if kind == _NOISE:
-        _depolarize_rows(states, n, q, noise_p)
+        _depolarize_rows(states, n, q, strengths[j])
         return
-    for m in ((0, n) if noise_p else (0,)):
+    for m in ((0, n) if strengths else (0,)):
         if kind == _RY:
             _apply_ry_rows(states, m + q, c[j], s[j])
         else:
@@ -325,22 +329,21 @@ def _fresh_rows(circuit: ReuploadCircuit, rows: int, noise_p: float) -> np.ndarr
 
 
 def _sweep(states: np.ndarray, circuit: ReuploadCircuit, c: np.ndarray, s: np.ndarray,
-           noise_p: float, kept: list | None = None) -> None:
+           strengths: dict, kept: list | None = None) -> None:
     """Walk the schedule forward over ``states`` in place.  With ``kept`` a
-    list, append a copy of the rows after every trainable Ry."""
-    n, k = circuit.n_qubits, circuit.n_params
-    for op in _schedule(circuit, bool(noise_p)):
-        _step(states, op, c, s, n, noise_p)
-        if kept is not None and op[0] == _RY and op[2] < k:
+    list, append a copy of the rows after every Ry."""
+    for op in _schedule(circuit, bool(strengths)):
+        _step(states, op, c, s, circuit.n_qubits, strengths)
+        if kept is not None and op[0] == _RY:
             kept.append(states.copy())
 
 
 def _simulate_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
                    noise_p: float) -> np.ndarray:
     """Real statevector rows, or density rows as 2n-qubit vectors when ``noise_p`` > 0."""
-    half = _half_angles(circuit, thetas, xs, noise_p)
+    half = _half_angles(circuit, thetas, xs)
     states = _fresh_rows(circuit, thetas.shape[0], noise_p)
-    _sweep(states, circuit, np.cos(half), np.sin(half), noise_p)
+    _sweep(states, circuit, np.cos(half), np.sin(half), _strengths(circuit, noise_p))
     return states
 
 
@@ -368,8 +371,7 @@ def _measure(circuit: ReuploadCircuit, states: np.ndarray, obs: Observable,
     matrix = obs.matrix.real
     if noise_p:
         dim = 1 << circuit.n_qubits
-        rhos = states.reshape(dim, dim, -1)
-        _check_density_rows(np.moveaxis(rhos, -1, 0))
+        _check_density_rows(np.moveaxis(states.reshape(dim, dim, -1), -1, 0))
         # tr(M rho) = <vec(M^T), vec(rho)>.
         return _column_sum(matrix.T.reshape(-1, 1) * states)
     return _column_sum(states * _observe(matrix, states))
@@ -408,14 +410,15 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
     is <Lam, (J_q + J_{n+q}) rho>, which equals 2 <Lam, J_q rho> because Lam
     and rho are symmetric matrices: the noiseless formula on 2n-qubit rows.
     """
-    rows, k = thetas.shape[0], circuit.n_params
-    half = _half_angles(circuit, thetas, xs, noise_p)
+    rows = thetas.shape[0]
+    half = _half_angles(circuit, thetas, xs)
+    strengths = _strengths(circuit, noise_p)
     matrix = obs.matrix.real
     kept = [] if noise_p else None
     if noise_p:
         c, s = np.cos(half), np.sin(half)
         states = _fresh_rows(circuit, rows, noise_p)
-        _sweep(states, circuit, c, s, noise_p, kept)
+        _sweep(states, circuit, c, s, strengths, kept)
         values = _measure(circuit, states, obs, noise_p)
         # tr(M rho) = <vec(M^T), vec(rho)>.
         back = np.repeat(matrix.T.reshape(-1, 1), rows, axis=1)
@@ -425,32 +428,25 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
         half = np.concatenate([half, half], axis=1)
         c, s = np.cos(half), np.sin(half)
         back = _fresh_rows(circuit, 2 * rows, noise_p)
-        _sweep(back[:, :rows], circuit, c[:, :rows], s[:, :rows], noise_p)
+        _sweep(back[:, :rows], circuit, c[:, :rows], s[:, :rows], strengths)
         _observe(matrix, back[:, :rows], out=back[:, rows:])
         values = _column_sum(back[:, :rows] * back[:, rows:])
     s = -s
     psi, lam = back[:, :rows], back[:, -rows:]
-    grads = np.empty((rows, k))
-    n = circuit.n_qubits
+    grads = np.empty((rows, circuit.n_params))
     ops = _schedule(circuit, bool(noise_p))
-    for i in range(len(ops) - 1, -1, -1):
-        kind, q, j = ops[i]
-        if kind == _RY and j < k:
+    for i, (kind, q, j) in reversed(list(enumerate(ops))):
+        if kind == _RY:
             grads[:, j] = _ry_grad(lam, psi if kept is None else kept.pop(), q)
         if i:
-            _step(back, ops[i], c, s, n, noise_p)
+            _step(back, ops[i], c, s, circuit.n_qubits, strengths)
     return values, grads
 
 
 def _check_rows(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
                 noise_p: float) -> tuple[np.ndarray, np.ndarray]:
     """Validated (rows, K) thetas and (rows, D) xs, single rows broadcast."""
-    thetas = np.asarray(thetas, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    if thetas.ndim == 1:
-        thetas = thetas[None, :]
-    if xs.ndim == 1:
-        xs = xs[None, :]
+    thetas, xs = np.atleast_2d(np.asarray(thetas, dtype=float), np.asarray(xs, dtype=float))
     if thetas.shape[0] == 1 and xs.shape[0] > 1:
         thetas = np.broadcast_to(thetas, (xs.shape[0], thetas.shape[1]))
     if xs.shape[0] == 1 and thetas.shape[0] > 1:
@@ -516,7 +512,7 @@ def _output_grads(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
              for rows in _chunks(thetas.shape[0], kept_rows * row_bytes)]
     if len(parts) == 1:
         return parts[0]
-    values, grads = zip(*parts)
+    values, grads = zip(*parts, (np.empty(0), np.empty((0, circuit.n_params))))
     return np.concatenate(values), np.concatenate(grads)
 
 

@@ -12,7 +12,11 @@ rotations in the encoding blocks count as gates and are noised like any
 other.  The simulation itself is the density-matrix mode of the batched
 engine in `ansatz` (``noise_p`` > 0), which `forward_many`, the adjoint
 training gradients and stability probes run directly; the functions here
-are one-state and one-row wrappers over its kernels.
+are one-state and one-row wrappers over its kernels.  The engine folds
+noisy rows like noiseless ones and merges each qubit's channels up to the
+next CX that touches it, which leaves this model as it is: D_p on q
+commutes with every unitary on q and with every gate that leaves q alone,
+and D_p^k = D_{1-(1-p)^k}.
 """
 
 from __future__ import annotations

@@ -344,6 +344,49 @@ def test_output_grads_chunks_rows_bitwise(monkeypatch):
         np.testing.assert_array_equal(chunked[1], grads)
 
 
+def test_output_grads_on_zero_rows():
+    """No rows give empty outputs and an empty (0, K) gradient, like `forward_many`."""
+    c = build_circuit(2, 1, 2, 1)
+    obs = z_observable(2)
+    for p in (0.0, 0.1):
+        thetas, xs = np.zeros((0, c.n_params)), np.zeros((0, 2))
+        values, grads = ansatz._output_grads(c, thetas, xs, obs, p)
+        assert values.shape == forward_many(c, thetas, xs, obs, p).shape == (0,)
+        assert grads.shape == (0, c.n_params)
+
+
+def test_noisy_schedule_merges_each_qubits_channels_up_to_its_next_cx():
+    """`_schedule(c, True)` owes a qubit one channel for every `iter_gates`
+    gate that touches it, fillers included, and pays them as one entry
+    before each CX on that qubit and at the end of the circuit."""
+    rng = np.random.default_rng(31)
+    for _ in range(16):
+        n, layers, r = (int(rng.integers(1, 5)), int(rng.integers(1, 4)),
+                        int(rng.integers(1, 3)))
+        cols = int(rng.integers(1, 4))
+        # D a multiple of N, and (for N > 1) one short of it: a filler slot.
+        for d in sorted({n * cols, max(1, n * cols - 1)}):
+            c = build_circuit(n, layers, d, r)
+            ops = ansatz._schedule(c, True)
+            gates = [targets for _, targets in iter_gates(c, np.zeros(c.n_params), np.zeros(d))]
+            assert [op for op in ops if op[0] != ansatz._NOISE] == list(ansatz._schedule(c, False))
+            assert sorted(j for kind, _, j in ops if kind == ansatz._RY) == list(range(c.n_params))
+            for q in range(n):
+                touching = [i for i, t in enumerate(gates) if q in t]
+                # Gates on q before each CX on q in the unfolded circuit.
+                owed = [touching.index(i) for i in touching if len(gates[i]) == 2]
+                paid, at_cx, cx_since_paid = 0, [], True
+                for kind, a, j in ops:
+                    if kind == ansatz._NOISE and a == q:
+                        assert j >= 1 and cx_since_paid
+                        paid, cx_since_paid = paid + j, False
+                    elif kind == ansatz._CX and q in (a, a + 1):
+                        at_cx.append(paid)
+                        cx_since_paid = True
+                assert at_cx == owed
+                assert paid == len(touching)
+
+
 def test_forward_many_shape_errors():
     c = build_circuit(2, 1, 2, 1)
     obs = z_observable(2)

@@ -8,7 +8,15 @@ probability p.
 import numpy as np
 import pytest
 
-from reupqnn.ansatz import build_circuit, circuit_unitary, forward, forward_many, iter_gates
+from reupqnn.ansatz import (
+    _output_grads,
+    build_circuit,
+    circuit_unitary,
+    forward,
+    forward_many,
+    iter_gates,
+)
+from reupqnn.grad import parameter_shift_grad_f
 from reupqnn.noise import depolarize, noisy_forward
 from reupqnn.qcore import (
     I2,
@@ -141,6 +149,27 @@ def test_noisy_forward_many_matches_dense_kraus_replay():
             want = [noisy_output_oracle(c, thetas[i], xs[i], obs, p) for i in range(4)]
             assert np.max(np.abs(got - want)) <= 1e-12
             assert [noisy_forward(c, thetas[i], xs[i], obs, p) for i in range(4)] == got.tolist()
+
+
+def test_merged_channels_match_dense_kraus_replay_and_shift_gradients():
+    """Folded noisy rows with each qubit's channels merged up to its next CX,
+    on the benchmark's 4q L2 D16 R2 shape, a shape with Ry(0) fillers and a
+    one-qubit circuit (one merged channel at the end), from weak to full
+    noise: outputs match the unfolded Kraus replay and adjoint gradients
+    match parameter shift."""
+    rng = np.random.default_rng(70)
+    for n, layers, d, r in [(4, 2, 16, 2), (4, 2, 6, 2), (1, 3, 1, 2)]:
+        c = build_circuit(n, layers, d, r)
+        obs = z_observable(n)
+        thetas = rng.uniform(0, 2 * np.pi, (3, c.n_params))
+        xs = rng.uniform(0, 2 * np.pi, (3, d))
+        for p in (1e-6, 0.3, 1.0):
+            got = forward_many(c, thetas, xs, obs, p)
+            want = [noisy_output_oracle(c, thetas[i], xs[i], obs, p) for i in range(3)]
+            assert np.max(np.abs(got - want)) <= 1e-12
+            grads = _output_grads(c, thetas, xs, obs, p)[1]
+            shift = [parameter_shift_grad_f(c, thetas[i], xs[i], obs, p) for i in range(3)]
+            assert np.max(np.abs(grads - shift)) <= 1e-12
 
 
 def test_forward_many_takes_complex_hermitian_observables():
