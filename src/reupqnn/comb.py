@@ -215,21 +215,16 @@ def _identity_operator(systems: tuple[SystemLabel, ...]) -> ChoiOperator:
     return ChoiOperator(systems, np.eye(dim, dtype=complex))
 
 
-def link_product(a: ChoiOperator, b: ChoiOperator, shared=None) -> ChoiOperator:
+def link_product(a: ChoiOperator, b: ChoiOperator) -> ChoiOperator:
     """Link product A * B contracting the shared systems.
 
-    ``shared`` defaults to the systems present in both operands (matched
-    by name; dimensions must agree).  The result lives on the remaining
-    systems of ``a`` followed by the remaining systems of ``b``.  With no
-    shared systems this reduces to the tensor product; with all systems
-    shared it is a full contraction to a scalar operator.
+    The shared systems are the names present in both operands, in the
+    order of ``a``; their dimensions must agree.  The result lives on the
+    remaining systems of ``a`` followed by the remaining systems of ``b``.
+    With no shared systems this reduces to the tensor product; with all
+    systems shared it is a full contraction to a scalar operator.
     """
-    if shared is None:
-        shared_names = [n for n in a.names if n in b.names]
-    else:
-        shared_names = [s.name if isinstance(s, SystemLabel) else s for s in shared]
-        _require_systems(a, shared_names)
-        _require_systems(b, shared_names)
+    shared_names = [n for n in a.names if n in b.names]
     for name in shared_names:
         if a.system(name).dim != b.system(name).dim:
             raise ValueError(
@@ -292,14 +287,14 @@ def build_reuploading_comb(circuit: ReuploadCircuit, theta):
     return comb, teeth
 
 
-def reuploading_comb_output(circuit: ReuploadCircuit, theta, x, obs: Observable,
-                            rho_in: QuantumState | None = None) -> float:
+def reuploading_comb_output(circuit: ReuploadCircuit, theta, x, obs: Observable) -> float:
     """Circuit output evaluated through the comb route.
 
-    Chains the per-block Choi operators against the input state and the
-    encoding-block Choi by pairwise link products, then closes with the
-    observable.  The full tensor product of all blocks is never formed;
-    intermediates stay at one or two wires.
+    Chains the per-block Choi operators against the input state
+    |0...0><0...0| (the engine's start) and the encoding-block Choi by
+    pairwise link products, then closes with the observable.  The full
+    tensor product of all blocks is never formed; intermediates stay at
+    one or two wires.
     """
     wires = circuit.n_qubits * (2 * circuit.layers + 2)
     if wires > _MAX_COMB_WIRE_QUBITS:
@@ -311,9 +306,7 @@ def reuploading_comb_output(circuit: ReuploadCircuit, theta, x, obs: Observable,
         raise ValueError("observable dimension does not match the circuit")
     chois, d = _layer_chois(circuit, theta)
     j_enc = choi_of_unitary(encoding_unitary(circuit, x), "enc_in", "enc_out")
-    if rho_in is None:
-        rho_in = QuantumState.zero_density(circuit.n_qubits)
-    rho = rho_in.to_density().data
+    rho = QuantumState.zero_density(circuit.n_qubits).data
     acc = ChoiOperator((_wire(1, d),), rho)
     for layer in range(1, circuit.layers + 1):
         acc = link_product(acc, chois[layer - 1])

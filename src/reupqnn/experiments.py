@@ -60,7 +60,7 @@ from .stability import (
     stable_training_margin,
     theoretical_beta,
 )
-from .train import TrainConfig, _train_runs, loss_constants
+from .train import LIPSCHITZ, LOSS_BOUND, SMOOTHNESS, TrainConfig, _train_runs
 
 __all__ = [
     "ConfigError",
@@ -79,6 +79,7 @@ class ConfigError(Exception):
 
 
 _SWEEP_AXES = ("layers", "learning_rate", "m_train", "noise_p")
+_LOSS = "scaled_squared"  # the one loss, (f - y)^2 / 4; see reupqnn.train
 _DATASET_KINDS = ("toy", "wdbc", "idx")
 _DEFAULT_QUBITS = {"toy": 1, "wdbc": 5, "idx": 4}
 
@@ -141,7 +142,7 @@ _SCHEMA = {
     "circuit.sublayers": (_parse_int, 2),
     "optimizer.learning_rate": (_parse_float, 0.01),
     "optimizer.iterations": (_parse_int, 1000),
-    "optimizer.loss": (_parse_str, "scaled_squared"),
+    "optimizer.loss": (_parse_str, _LOSS),
     "optimizer.noise_p": (_parse_float, 0.0),
     "optimizer.seeds": (_parse_int_list, (0, 1, 2, 3, 4)),
     "sweep.axis": (_parse_str, "layers"),
@@ -173,7 +174,6 @@ class ExperimentConfig:
     sublayers: int
     learning_rate: float
     iterations: int
-    loss_kind: str
     noise_p: float
     seeds: tuple[int, ...]
     sweep_axis: str
@@ -237,8 +237,10 @@ def parse_config(path: str) -> ExperimentConfig:
     if kind == "idx" and not (values["dataset.images"] and values["dataset.labels"]):
         raise ConfigError("dataset.kind = idx requires dataset.images and dataset.labels")
     classes = values["dataset.classes"]
-    if kind == "idx" and len(classes) != 2:
-        raise ConfigError("dataset.classes must list exactly two classes")
+    if kind == "idx" and (len(classes) != 2 or classes[0] == classes[1]):
+        raise ConfigError("dataset.classes must list exactly two distinct classes")
+    if values["optimizer.loss"] != _LOSS:
+        raise ConfigError(f"optimizer.loss must be {_LOSS}, got {values['optimizer.loss']!r}")
 
     qubits = values["circuit.qubits"]
     if qubits is None:
@@ -287,6 +289,7 @@ def parse_config(path: str) -> ExperimentConfig:
         ("dataset.pool_size", 1),
         ("dataset.m_train", 1),
         ("dataset.m_test", 0),
+        ("circuit.qubits", 1),
         ("circuit.layers", 1),
         ("circuit.sublayers", 1),
         ("optimizer.iterations", 0),
@@ -322,7 +325,6 @@ def parse_config(path: str) -> ExperimentConfig:
         sublayers=values["circuit.sublayers"],
         learning_rate=values["optimizer.learning_rate"],
         iterations=values["optimizer.iterations"],
-        loss_kind=values["optimizer.loss"],
         noise_p=values["optimizer.noise_p"],
         seeds=tuple(seeds),
         sweep_axis=axis,
@@ -380,7 +382,6 @@ def _cell_settings(cfg: ExperimentConfig, value):
 def _bound_inputs(cfg: ExperimentConfig, layers: int, eta: float, m_train: int,
                   noise_p: float, iterations: int, n_params: int, data_dim: int,
                   obs_norm: float) -> BoundInputs:
-    c1, c2, bound = loss_constants(cfg.loss_kind)
     return BoundInputs(
         layers=layers,
         data_dim=data_dim,
@@ -389,12 +390,30 @@ def _bound_inputs(cfg: ExperimentConfig, layers: int, eta: float, m_train: int,
         iterations=iterations,
         eta=eta,
         obs_norm=obs_norm,
-        lipschitz=c1,
-        smoothness=c2,
-        loss_bound=bound,
         delta=cfg.delta,
         noise_p=noise_p,
     )
+
+
+def _or_inf(closed_form) -> float:
+    """``closed_form()``, or inf once the closed form overflows float64.
+
+    A run reaches the closed forms only after its training is done, so an
+    overflow is reported in the table rather than discarding the run."""
+    try:
+        return float(closed_form())
+    except OverflowError:
+        return float("inf")
+
+
+def _require_pool(cfg: ExperimentConfig, pool: Dataset, held_out: int, key: str) -> None:
+    """Reject a pool too small for the largest m_train plus ``held_out`` samples."""
+    m_train = max(_cell_settings(cfg, value)[2] for value in cfg.sweep_values)
+    if len(pool) < m_train + held_out:
+        raise ConfigError(
+            f"the pool has {len(pool)} samples, fewer than dataset.m_train + {key} "
+            f"= {m_train} + {held_out}"
+        )
 
 
 def _blank_row(kind: str, value, seed="") -> dict:
@@ -434,7 +453,7 @@ def _experiment_cells(cfg: ExperimentConfig, pool: Dataset, values, seeds) -> li
     obs = z_observable(cfg.qubits)
     train_sets, test_sets = zip(*splits)
     runs = _train_runs(train_sets, test_sets, [seed for *_, seed in cells], circuit, obs,
-                       TrainConfig(eta, cfg.iterations, seeds[0], cfg.loss_kind, noise_p),
+                       TrainConfig(eta, cfg.iterations, seeds[0], noise_p),
                        eval_interval=cfg.eval_interval)
     rows = []
     for (value, m_train, seed), run in zip(cells, runs):
@@ -452,8 +471,8 @@ def _experiment_cells(cfg: ExperimentConfig, pool: Dataset, values, seeds) -> li
             row["test_acc"] = float(run.test_accs[i])
             b = _bound_inputs(cfg, layers, eta, m_train, noise_p, max(int(t), 1),
                               circuit.n_params, pool.feature_dim, obs.norm)
-            row["bound_value"] = float(
-                noisy_generalization_bound(b) if t > 0 else generalization_bound(0.0, b))
+            row["bound_value"] = _or_inf(
+                lambda: noisy_generalization_bound(b) if t > 0 else generalization_bound(0.0, b))
             row["stable_margin"] = float(margin.value)
             row["margin_flagged"] = int(margin.flagged)
             rows.append(row)
@@ -468,6 +487,7 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     if cfg.m_test < 1:
         raise ConfigError("run requires dataset.m_test >= 1")
     pool = load_pool(cfg)
+    _require_pool(cfg, pool, cfg.m_test, "dataset.m_test")
     seeds = [s + seed_offset for s in cfg.seeds]
     batches = ([cfg.sweep_values] if cfg.sweep_axis == "m_train"
                else [[value] for value in cfg.sweep_values])
@@ -488,7 +508,8 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
                 agg_row["iteration"] = t
                 for col in agg_cols:
                     data = np.array([r[col] for r in groups[value, t]], dtype=float)
-                    agg_row[col] = float(stat(data))
+                    with np.errstate(invalid="ignore"):  # the std of inf bounds is nan
+                        agg_row[col] = float(stat(data))
                 rows.append(agg_row)
 
     return ResultTable(COLUMNS, rows, _meta(cfg, pool, "run", seed_offset))
@@ -497,6 +518,7 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
 def run_stability(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     """Per sweep value: coupled-divergence traces, beta_hat, and closed forms."""
     pool = load_pool(cfg)
+    _require_pool(cfg, pool, cfg.stability_probes, "stability.probes")
     seeds = [s + seed_offset for s in cfg.seeds]
     rows: list[dict] = []
     for vi, value in enumerate(cfg.sweep_values):
@@ -512,7 +534,7 @@ def run_stability(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
                  for index in sampled_indices(m_train, cfg.stability_indices)]
         traces, beta = coupled_ensemble(
             train_set, probe_set, swaps, seeds, circuit, obs,
-            TrainConfig(eta, cfg.iterations, seeds[0], cfg.loss_kind, noise_p),
+            TrainConfig(eta, cfg.iterations, seeds[0], noise_p),
         )
         for trace in traces:
             for t in range(cfg.iterations + 1):
@@ -530,9 +552,7 @@ def run_stability(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
         beta_row = _blank_row("beta", value)
         beta_row["iteration"] = cfg.iterations
         beta_row["beta_hat"] = float(beta)
-        beta_row["bound_value"] = float(
-            noisy_theoretical_beta(b) if noise_p else theoretical_beta(b)
-        )
+        beta_row["bound_value"] = _or_inf(lambda: noisy_theoretical_beta(b))
         beta_row["stable_margin"] = float(margin.value)
         beta_row["margin_flagged"] = int(margin.flagged)
         rows.append(beta_row)
@@ -614,9 +634,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bound_p.add_argument("--iterations", type=int, required=True)
     bound_p.add_argument("--eta", type=float, required=True)
     bound_p.add_argument("--obs-norm", type=float, default=1.0)
-    bound_p.add_argument("--lipschitz", type=float, default=1.0)
-    bound_p.add_argument("--smoothness", type=float, default=0.5)
-    bound_p.add_argument("--loss-bound", type=float, default=1.0)
+    bound_p.add_argument("--lipschitz", type=float, default=LIPSCHITZ)
+    bound_p.add_argument("--smoothness", type=float, default=SMOOTHNESS)
+    bound_p.add_argument("--loss-bound", type=float, default=LOSS_BOUND)
     bound_p.add_argument("--delta", type=float, default=0.05)
     bound_p.add_argument("--noise-p", type=float, default=0.0)
 
@@ -656,11 +676,15 @@ def _cmd_bound(args) -> int:
         noise_p=args.noise_p,
     )
     margin = stable_training_margin(b)
-    print(f"theoretical_beta = {theoretical_beta(b)!r}")
-    print(f"generalization_bound = {generalization_bound(theoretical_beta(b), b)!r}")
+    lines = {
+        "theoretical_beta": lambda: theoretical_beta(b),
+        "generalization_bound": lambda: generalization_bound(theoretical_beta(b), b),
+    }
     if args.noise_p > 0.0:
-        print(f"noisy_theoretical_beta = {noisy_theoretical_beta(b)!r}")
-        print(f"noisy_generalization_bound = {noisy_generalization_bound(b)!r}")
+        lines["noisy_theoretical_beta"] = lambda: noisy_theoretical_beta(b)
+        lines["noisy_generalization_bound"] = lambda: noisy_generalization_bound(b)
+    for name, closed_form in lines.items():
+        print(f"{name} = {_or_inf(closed_form)!r}")
     print(f"stable_training_margin = {margin.value!r}")
     print(f"margin_flagged = {str(margin.flagged).lower()}")
     return 0

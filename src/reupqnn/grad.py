@@ -45,7 +45,7 @@ def parameter_shift_grad_f(circuit: ReuploadCircuit, theta, x, obs: Observable,
 
 
 def _loss_grads(circuit: ReuploadCircuit, thetas, xs, ys, obs: Observable,
-                loss_kind: str, noise_p: float) -> np.ndarray:
+                noise_p: float) -> np.ndarray:
     """Loss gradients of R runs, run r at ``thetas[r]`` on (``xs[r]``, ``ys[r]``): (R, K).
 
     One adjoint pass gives every run's output f and df/dtheta; the chain
@@ -54,15 +54,15 @@ def _loss_grads(circuit: ReuploadCircuit, thetas, xs, ys, obs: Observable,
     from .train import loss_derivative
 
     values, grads = _output_grads(circuit, thetas, xs, obs, noise_p)
-    return loss_derivative(values, ys, loss_kind)[:, None] * grads
+    return loss_derivative(values, ys)[:, None] * grads
 
 
 def loss_grad(circuit: ReuploadCircuit, theta, sample, obs: Observable,
-              loss_kind: str = "scaled_squared", noise_p: float = 0.0) -> np.ndarray:
+              noise_p: float = 0.0) -> np.ndarray:
     """Gradient of the per-sample loss: l'(f, y) * df/dtheta."""
     return _loss_grads(circuit, np.asarray(theta, dtype=float)[None],
                        np.asarray(sample.x, dtype=float)[None], [sample.y],
-                       obs, loss_kind, noise_p)[0]
+                       obs, noise_p)[0]
 
 
 def finite_diff_grad(f, theta, h: float = 1e-5) -> np.ndarray:

@@ -41,7 +41,7 @@ import numpy as np
 from .ansatz import ReuploadCircuit, forward_many
 from .data import Dataset, Sample
 from .qcore import Observable
-from .train import TrainConfig, _philox, _sgd_paths, loss
+from .train import LIPSCHITZ, LOSS_BOUND, SMOOTHNESS, TrainConfig, _philox, _sgd_paths, loss
 
 __all__ = [
     "StabilityTrace",
@@ -105,7 +105,7 @@ def coupled_ensemble(dataset: Dataset, probes: Dataset, swaps, seeds,
         f = forward_many(circuit, np.repeat(path, n_probes, axis=0),
                          np.tile(probes.features, (n_steps, 1)), obs,
                          config.noise_p).reshape(n_steps, n_probes)
-        return path, f, loss(f, probes.labels, config.loss_kind)
+        return path, f, loss(f, probes.labels)
 
     def mean_final_loss(arms) -> np.ndarray:
         return sum(probe_loss[-1] for _, _, probe_loss in arms) / len(arms)
@@ -175,9 +175,9 @@ class BoundInputs:
     iterations: int
     eta: float
     obs_norm: float
-    lipschitz: float = 1.0
-    smoothness: float = 0.5
-    loss_bound: float = 1.0
+    lipschitz: float = LIPSCHITZ
+    smoothness: float = SMOOTHNESS
+    loss_bound: float = LOSS_BOUND
     delta: float = 0.05
     noise_p: float = 0.0
 

@@ -1,11 +1,15 @@
 """Single-sample SGD on circuit parameters, with replayable randomness.
 
 The update rule is theta <- theta - eta * l'(f(theta, x_t), y_t) * grad f,
-drawing one sample per iteration.  All randomness is counter-based
-(Philox): the index drawn at iteration t depends only on (seed, t) and
-the initial parameters only on (seed,); two datasets of equal size
-therefore replay the exact same index sequence under the same seed, which
-is what the stability machinery relies on.
+drawing one sample per iteration.  The loss l is the package's one loss,
+the scaled square (f - y)^2 / 4; its Lipschitz, smoothness and range
+constants (``LIPSCHITZ``, ``SMOOTHNESS``, ``LOSS_BOUND``) are the defaults
+of the closed-form bounds in :mod:`reupqnn.stability`.
+
+All randomness is counter-based (Philox): the index drawn at iteration t
+depends only on (seed, t) and the initial parameters only on (seed,); two
+datasets of equal size therefore replay the exact same index sequence
+under the same seed, which is what the stability machinery relies on.
 
 Every run goes through one lockstep loop, which advances a batch of runs
 (seeds, twin datasets, the values of an ``m_train`` sweep) with one
@@ -23,11 +27,11 @@ from .ansatz import ReuploadCircuit, forward_many
 from .qcore import Observable
 
 __all__ = [
-    "LossSpec",
-    "LOSSES",
+    "LIPSCHITZ",
+    "SMOOTHNESS",
+    "LOSS_BOUND",
     "loss",
     "loss_derivative",
-    "loss_constants",
     "TrainConfig",
     "TrainRun",
     "init_params",
@@ -41,58 +45,20 @@ __all__ = [
 _INIT_TAG = np.uint64(1) << np.uint64(63)  # never collides with an iteration index
 
 
-@dataclass(frozen=True)
-class LossSpec:
-    """A registered loss with the constants its bounds rely on.
-
-    ``lipschitz`` bounds |l(f,y) - l(g,y)| / |f - g|, ``smoothness``
-    bounds |l'(f,y) - l'(g,y)| / |f - g|, and ``bound`` is the largest
-    loss value reachable for |f| <= 1 and y in {-1, +1}.
-    """
-
-    fn: callable
-    deriv: callable
-    lipschitz: float
-    smoothness: float
-    bound: float
+# The loss is (f - y)^2 / 4.  On labels in {-1, +1} with |f| <= 1 it is
+# Lipschitz with constant 1, smooth with constant 1/2 and ranges over
+# [0, 1]: the C1, C2 and M of the stability bound.
+LIPSCHITZ, SMOOTHNESS, LOSS_BOUND = 1.0, 0.5, 1.0
 
 
-LOSSES: dict[str, LossSpec] = {
-    # (f - y)^2 / 4: on labels in {-1, +1} with |f| <= 1 this has
-    # lipschitz 1, smoothness 1/2 and range [0, 1].
-    "scaled_squared": LossSpec(
-        fn=lambda f, y: 0.25 * (f - y) ** 2,
-        deriv=lambda f, y: 0.5 * (f - y),
-        lipschitz=1.0,
-        smoothness=0.5,
-        bound=1.0,
-    ),
-}
+def loss(f, y):
+    """Per-sample loss l(f, y) = (f - y)^2 / 4; broadcasts over arrays."""
+    return 0.25 * (np.asarray(f, dtype=float) - np.asarray(y, dtype=float)) ** 2
 
 
-def _loss_spec(kind: str) -> LossSpec:
-    try:
-        return LOSSES[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown loss kind {kind!r}; registered: {sorted(LOSSES)}"
-        ) from None
-
-
-def loss(f, y, kind: str = "scaled_squared"):
-    """Per-sample loss l(f, y); broadcasts over arrays."""
-    return _loss_spec(kind).fn(np.asarray(f, dtype=float), np.asarray(y, dtype=float))
-
-
-def loss_derivative(f, y, kind: str = "scaled_squared"):
-    """dl/df at (f, y); broadcasts over arrays."""
-    return _loss_spec(kind).deriv(np.asarray(f, dtype=float), np.asarray(y, dtype=float))
-
-
-def loss_constants(kind: str = "scaled_squared") -> tuple[float, float, float]:
-    """(lipschitz, smoothness, bound) of a registered loss."""
-    spec = _loss_spec(kind)
-    return spec.lipschitz, spec.smoothness, spec.bound
+def loss_derivative(f, y):
+    """dl/df = (f - y) / 2 at (f, y); broadcasts over arrays."""
+    return 0.5 * (np.asarray(f, dtype=float) - np.asarray(y, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -100,7 +66,6 @@ class TrainConfig:
     learning_rate: float
     iterations: int
     seed: int
-    loss_kind: str = "scaled_squared"
     noise_p: float = 0.0
 
     def __post_init__(self):
@@ -112,7 +77,6 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
         if not (0.0 <= self.noise_p <= 1.0):
             raise ValueError(f"noise_p={self.noise_p!r} outside [0, 1]")
-        _loss_spec(self.loss_kind)
 
 
 def _philox(*key) -> np.random.Generator:
@@ -133,12 +97,12 @@ def draw_index(seed: int, t: int, m: int) -> int:
 
 
 def sgd_step(theta, sample, eta: float, circuit: ReuploadCircuit, obs: Observable,
-             loss_kind: str = "scaled_squared", noise_p: float = 0.0) -> np.ndarray:
+             noise_p: float = 0.0) -> np.ndarray:
     """One SGD update on a single sample; returns the new parameter vector."""
     from .grad import loss_grad
 
     theta = np.asarray(theta, dtype=float)
-    return theta - eta * loss_grad(circuit, theta, sample, obs, loss_kind, noise_p)
+    return theta - eta * loss_grad(circuit, theta, sample, obs, noise_p)
 
 
 @dataclass(frozen=True)
@@ -160,8 +124,8 @@ class TrainRun:
     trajectory: np.ndarray | None = field(default=None, repr=False)
 
 
-def _mean_loss(outputs: np.ndarray, labels, loss_kind: str) -> float:
-    return float(np.mean(loss(outputs, labels, loss_kind)))
+def _mean_loss(outputs: np.ndarray, labels) -> float:
+    return float(np.mean(loss(outputs, labels)))
 
 
 def _sign_accuracy(outputs: np.ndarray, labels) -> float:
@@ -170,10 +134,10 @@ def _sign_accuracy(outputs: np.ndarray, labels) -> float:
 
 
 def risk(circuit: ReuploadCircuit, theta, dataset, obs: Observable,
-         loss_kind: str = "scaled_squared", noise_p: float = 0.0) -> float:
+         noise_p: float = 0.0) -> float:
     """Mean loss over the dataset."""
     outputs = forward_many(circuit, theta, dataset.features, obs, noise_p)
-    return _mean_loss(outputs, dataset.labels, loss_kind)
+    return _mean_loss(outputs, dataset.labels)
 
 
 def accuracy(circuit: ReuploadCircuit, theta, dataset, obs: Observable,
@@ -202,7 +166,7 @@ def _sgd_paths(datasets, seeds, circuit: ReuploadCircuit, obs: Observable,
         xs = np.array([dataset.features[i] for dataset, i in zip(datasets, indices)])
         ys = np.array([dataset.labels[i] for dataset, i in zip(datasets, indices)])
         thetas = thetas - config.learning_rate * _loss_grads(
-            circuit, thetas, xs, ys, obs, config.loss_kind, config.noise_p)
+            circuit, thetas, xs, ys, obs, config.noise_p)
         yield indices, thetas
 
 
@@ -229,7 +193,7 @@ def _train_runs(datasets, test_sets, seeds, circuit: ReuploadCircuit, obs: Obser
 
     def score(data, theta) -> tuple[float, float]:
         outputs = forward_many(circuit, theta, data.features, obs, config.noise_p)
-        return (_mean_loss(outputs, data.labels, config.loss_kind),
+        return (_mean_loss(outputs, data.labels),
                 _sign_accuracy(outputs, data.labels))
 
     for t, (idx, thetas) in enumerate(_sgd_paths(datasets, seeds, circuit, obs, config)):

@@ -3,19 +3,16 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion.  The image sweeps (criteria 7 and 8) train on a
 generated two-glyph corpus unless REUPQNN_DATA_DIR points at real IDX
-files; they use a process pool and dominate the runtime (a few minutes
-on four cores).
+files; each runs as one ``run_experiment`` sweep and they dominate the
+runtime.
 """
 
 import math
-import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from _accept_runs import l_sweep_cell, m_sweep_cell
 from _imagegen import surrogate_idx_pair
 from reupqnn.ansatz import build_circuit, circuit_unitary, forward
 from reupqnn.comb import (
@@ -29,7 +26,7 @@ from reupqnn.comb import (
     validate_comb,
 )
 from reupqnn.data import synthetic_toy
-from reupqnn.experiments import main
+from reupqnn.experiments import main, parse_config, run_experiment
 from reupqnn.grad import finite_diff_grad, parameter_shift_grad_f
 from reupqnn.noise import depolarize, noisy_forward
 from reupqnn.qcore import QuantumState, apply_gate, spectral_norm, z_observable
@@ -316,21 +313,37 @@ def test_criterion_06_noise_damping_law():
 
 
 @pytest.fixture(scope="module")
-def corpus():
-    directory = tempfile.mkdtemp(prefix="reupqnn-corpus-")
-    return surrogate_idx_pair(directory)
+def corpus(tmp_path_factory):
+    return surrogate_idx_pair(str(tmp_path_factory.mktemp("corpus")))
 
 
-def test_criterion_07_layer_sweep_gap_ordering(corpus):
+def _final_gaps(corpus, tmp_path, sweep: dict) -> dict:
+    """Run one image sweep through ``run_experiment``: {sweep value: the five
+    seeds' test - train risk gaps at iteration 1000}."""
     images, labels = corpus
-    cells = [(images, labels, layers, seed) for layers in (2, 8, 16) for seed in range(5)]
+    keys = {
+        "dataset.kind": "idx", "dataset.images": images, "dataset.labels": labels,
+        "dataset.seed": 1234, "dataset.m_test": 1000, "circuit.qubits": 4,
+        "circuit.sublayers": 2, "optimizer.iterations": 1000,
+        "optimizer.seeds": "0, 1, 2, 3, 4", "eval.interval": 1000, **sweep,
+    }
+    path = tmp_path / "sweep.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()), encoding="utf-8")
+    cfg = parse_config(str(path))
+    table = run_experiment(cfg)
+    gaps = {value: [] for value in cfg.sweep_values}
+    for row in table.rows:
+        if row["kind"] == "sample" and row["iteration"] == 1000:
+            gaps[row["sweep_value"]].append(row["gap"])
+    return gaps
+
+
+def test_criterion_07_layer_sweep_gap_ordering(corpus, tmp_path):
     t0 = time.time()
-    with ProcessPoolExecutor(max_workers=4) as ex:
-        results = list(ex.map(l_sweep_cell, cells))
+    gaps = _final_gaps(corpus, tmp_path, {
+        "dataset.m_train": 500, "optimizer.learning_rate": 0.01,
+        "sweep.axis": "layers", "sweep.values": "2, 8, 16"})
     wall = time.time() - t0
-    gaps = {layers: [] for layers in (2, 8, 16)}
-    for layers, _, gap in results:
-        gaps[layers].append(gap)
     means = {layers: float(np.mean(v)) for layers, v in gaps.items()}
     stds = {layers: float(np.std(v, ddof=1)) for layers, v in gaps.items()}
     pooled = math.sqrt(0.5 * (stds[2] ** 2 + stds[16] ** 2))
@@ -345,14 +358,10 @@ def test_criterion_07_layer_sweep_gap_ordering(corpus):
     )
 
 
-def test_criterion_08_train_size_sweep(corpus):
-    images, labels = corpus
-    cells = [(images, labels, m, seed) for m in (100, 500, 1000) for seed in range(5)]
-    with ProcessPoolExecutor(max_workers=4) as ex:
-        results = list(ex.map(m_sweep_cell, cells))
-    gaps = {m: [] for m in (100, 500, 1000)}
-    for m, _, gap in results:
-        gaps[m].append(gap)
+def test_criterion_08_train_size_sweep(corpus, tmp_path):
+    gaps = _final_gaps(corpus, tmp_path, {
+        "dataset.m_train": 100, "circuit.layers": 16, "optimizer.learning_rate": 0.1,
+        "sweep.axis": "m_train", "sweep.values": "100, 500, 1000"})
     means = [float(np.mean(gaps[m])) for m in (100, 500, 1000)]
     ok = means[0] >= means[1] >= means[2]
     _report(

@@ -21,7 +21,7 @@ from reupqnn.experiments import (
     run_stability,
 )
 from reupqnn.stability import BoundInputs, replacement_for, sampled_indices, theoretical_beta
-from reupqnn.train import TrainConfig, loss, loss_constants, train
+from reupqnn.train import LIPSCHITZ, LOSS_BOUND, SMOOTHNESS, TrainConfig, loss, train
 
 BASE_CONFIG = """\
 # toy sweep, small on purpose
@@ -55,10 +55,17 @@ def test_parse_config_defaults_and_overrides(tmp_path):
     assert cfg.sweep_values == (1, 2)
     assert cfg.seeds == (0, 1)
     assert cfg.qubits == 1  # per-kind default
-    assert cfg.sublayers == 2 and cfg.loss_kind == "scaled_squared"
+    assert cfg.sublayers == 2
     assert any(d.startswith("circuit.qubits=") for d in cfg.defaults_applied)
     assert any(d.startswith("optimizer.loss=") for d in cfg.defaults_applied)
     assert cfg.raw["dataset.m_train"] == "6"
+
+
+def test_parse_config_accepts_the_one_loss(tmp_path):
+    text = "dataset.kind = toy\ndataset.m_train = 6\noptimizer.loss = scaled_squared\n"
+    cfg = parse_config(write_config(tmp_path, text))
+    assert cfg.raw["optimizer.loss"] == "scaled_squared"
+    assert not any(d.startswith("optimizer.loss=") for d in cfg.defaults_applied)
 
 
 def test_parse_config_sweep_defaults_to_base_value(tmp_path):
@@ -82,6 +89,7 @@ def test_parse_config_sweep_defaults_to_base_value(tmp_path):
         ("optimizer.noise_p = 1.5", "noise_p"),
         ("dataset.m_train = six", "dataset.m_train"),
         ("optimizer.seeds = 3, 1, 3", "repeat"),
+        ("optimizer.loss = absolute", "optimizer.loss"),
     ],
 )
 def test_parse_config_rejects_bad_lines(tmp_path, line, fragment):
@@ -286,7 +294,6 @@ def test_run_stability_row_structure(stab_table):
 
 def test_run_stability_bound_column_matches_closed_form(stab_table):
     cfg, table = stab_table
-    c1, c2, bound = loss_constants(cfg.loss_kind)
     n_params = build_circuit(1, cfg.layers, 1, cfg.sublayers).n_params
     # the runner feeds the observable's spectral norm through
     obs_norm = z_observable(1).norm
@@ -299,9 +306,9 @@ def test_run_stability_bound_column_matches_closed_form(stab_table):
             iterations=cfg.iterations,
             eta=cfg.learning_rate,
             obs_norm=obs_norm,
-            lipschitz=c1,
-            smoothness=c2,
-            loss_bound=bound,
+            lipschitz=LIPSCHITZ,
+            smoothness=SMOOTHNESS,
+            loss_bound=LOSS_BOUND,
             delta=cfg.delta,
             noise_p=0.0,
         )
@@ -447,6 +454,87 @@ def test_cli_rejects_repeated_sweep_values(tmp_path, capsys):
         cfg_path = write_config(tmp_path, text, f"{command}.cfg")
         assert main([command, "--config", cfg_path, "--out", str(tmp_path / "o.csv")]) == 2
         assert "sweep.values must not repeat" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,text,fragment",
+    [
+        ("run", BASE_CONFIG + "circuit.qubits = 0\n", "circuit.qubits"),
+        ("run", "dataset.kind = idx\ndataset.images = a\ndataset.labels = b\n"
+                "dataset.classes = 0, 0\ndataset.m_train = 6\n", "dataset.classes"),
+        ("run", "dataset.kind = toy\ndataset.pool_size = 10\n"
+                "dataset.m_train = 8\ndataset.m_test = 5\n", "dataset.m_test"),
+        ("stability", "dataset.kind = toy\ndataset.pool_size = 10\n"
+                      "dataset.m_train = 8\nstability.probes = 5\n", "stability.probes"),
+        ("run", BASE_CONFIG.replace("sweep.axis = layers", "sweep.axis = m_train")
+                .replace("sweep.values = 1, 2", "sweep.values = 6, 37"), "dataset.m_test"),
+    ],
+)
+def test_cli_bad_config_values_exit_2(tmp_path, capsys, command, text, fragment):
+    """Each is rejected before any training, not with a traceback."""
+    cfg_path = write_config(tmp_path, text)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and fragment in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+OVERFLOW_CONFIG = """\
+dataset.kind = toy
+dataset.pool_size = 40
+dataset.m_train = 6
+dataset.m_test = 4
+optimizer.iterations = 700
+optimizer.learning_rate = 1.0
+optimizer.seeds = 0, 1
+eval.interval = 350
+stability.indices = 2
+stability.probes = 6
+"""
+
+
+def _csv_rows(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
+def test_cli_run_reports_an_overflowed_bound_as_inf(tmp_path, capsys):
+    """5.0 ** 700 overflows: the finished runs are still written, bound inf."""
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", write_config(tmp_path, OVERFLOW_CONFIG),
+                 "--out", str(out)]) == 0
+    rows = _csv_rows(out)
+    assert len(rows) == 2 * 3 + 2 * 3  # two seeds at iterations 0, 350, 700; mean and std
+    last = {r["kind"]: r for r in rows if r["iteration"] == "700"}
+    assert [r["bound_value"] for r in rows if r["kind"] == "sample" and r["iteration"] == "700"] \
+        == ["inf", "inf"]
+    assert last["mean"]["bound_value"] == "inf" and last["std"]["bound_value"] == "nan"
+    assert all(float(r["bound_value"]) < np.inf for r in rows if r["iteration"] == "350")
+    assert all(np.isfinite(float(r["gap"])) for r in rows)
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_stability_reports_an_overflowed_bound_as_inf(tmp_path):
+    out = tmp_path / "o.csv"
+    assert main(["stability", "--config", write_config(tmp_path, OVERFLOW_CONFIG),
+                 "--out", str(out)]) == 0
+    rows = _csv_rows(out)
+    assert sum(r["kind"] == "trace" for r in rows) == 2 * 2 * 701
+    (beta,) = [r for r in rows if r["kind"] == "beta"]
+    assert beta["bound_value"] == "inf" and np.isfinite(float(beta["beta_hat"]))
+
+
+def test_cli_bound_reports_overflow_as_inf(capsys):
+    head = ["bound", "--layers", "1", "--data-dim", "1", "--params", "2",
+            "--train-size", "6", "--iterations", "700", "--eta", "1.0"]
+    assert main(head + ["--noise-p", "0.01"]) == 0
+    values = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert values["theoretical_beta"] == values["generalization_bound"] == "inf"
+    assert values["noisy_theoretical_beta"] == values["noisy_generalization_bound"] == "inf"
+    assert values["margin_flagged"] == "true"
+    # delta = 1 zeroes the tail factor: the bound is still inf, not inf * 0.
+    assert main(head + ["--delta", "1"]) == 0
+    assert "generalization_bound = inf" in capsys.readouterr().out
 
 
 def test_cli_data_error_exit_code(tmp_path, capsys):

@@ -143,7 +143,7 @@ def test_adjoint_loss_grads_match_shift_oracle():
         c = build_circuit(n, layers, d, r)
         obs = z_observable(n)
         thetas, xs, ys = random_runs(rng, c, 3)
-        got = _loss_grads(c, thetas, xs, ys, obs, "scaled_squared", 0.0)
+        got = _loss_grads(c, thetas, xs, ys, obs, 0.0)
         want = shift_loss_grads(c, thetas, xs, ys, obs, 0.0)
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -156,7 +156,7 @@ def test_noisy_adjoint_loss_grads_match_shift_oracle():
         obs = z_observable(n)
         for p in (0.01, 0.05, 0.3):
             thetas, xs, ys = random_runs(rng, c, 2)
-            got = _loss_grads(c, thetas, xs, ys, obs, "scaled_squared", p)
+            got = _loss_grads(c, thetas, xs, ys, obs, p)
             want = shift_loss_grads(c, thetas, xs, ys, obs, p)
             assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -168,7 +168,7 @@ def test_adjoint_loss_grads_take_complex_hermitian_observables():
     obs = random_hermitian(rng, 3)
     for p in (0.0, 0.05):
         thetas, xs, ys = random_runs(rng, c, 2)
-        got = _loss_grads(c, thetas, xs, ys, obs, "scaled_squared", p)
+        got = _loss_grads(c, thetas, xs, ys, obs, p)
         want = shift_loss_grads(c, thetas, xs, ys, obs, p)
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -182,12 +182,12 @@ def test_loss_grads_rows_do_not_depend_on_batch():
         c = build_circuit(n, layers, d, r)
         obs = random_hermitian(rng, n) if kind == "dense" else z_observable(n)
         thetas, xs, ys = random_runs(rng, c, 7)
-        whole = _loss_grads(c, thetas, xs, ys, obs, "scaled_squared", p)
+        whole = _loss_grads(c, thetas, xs, ys, obs, p)
         for row in range(7):
             alone = _loss_grads(c, thetas[row:row + 1], xs[row:row + 1], ys[row:row + 1],
-                                obs, "scaled_squared", p)
+                                obs, p)
             lo = min(row, 4)
             three = _loss_grads(c, thetas[lo:lo + 3], xs[lo:lo + 3], ys[lo:lo + 3],
-                                obs, "scaled_squared", p)
+                                obs, p)
             assert np.array_equal(alone[0], whole[row])
             assert np.array_equal(three[row - lo], whole[row])

@@ -1,4 +1,4 @@
-"""Loss registry, seeded parameter init, and the SGD loop."""
+"""The loss and its constants, seeded parameter init, and the SGD loop."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,15 @@ from reupqnn.data import Dataset, Sample, synthetic_toy
 from reupqnn.grad import parameter_shift_grad_f
 from reupqnn.qcore import z_observable
 from reupqnn.train import (
+    LIPSCHITZ,
+    LOSS_BOUND,
+    SMOOTHNESS,
     TrainConfig,
     _sgd_paths,
     accuracy,
     draw_index,
     init_params,
     loss,
-    loss_constants,
     loss_derivative,
     risk,
     sgd_step,
@@ -55,9 +57,7 @@ def test_loss_range_on_valid_outputs():
 
 
 def test_loss_constants():
-    assert loss_constants("scaled_squared") == (1.0, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        loss_constants("hinge")
+    assert (LIPSCHITZ, SMOOTHNESS, LOSS_BOUND) == (1.0, 0.5, 1.0)
 
 
 # --- seeding ------------------------------------------------------------------
@@ -221,8 +221,6 @@ def test_train_config_validation():
         TrainConfig(0.1, -1, 0)
     with pytest.raises(ValueError):
         TrainConfig(0.1, 10, 0, noise_p=1.5)
-    with pytest.raises(ValueError):
-        TrainConfig(0.1, 10, 0, loss_kind="absolute")
 
 
 def test_train_on_toy_task_improves_risk():
