@@ -23,6 +23,9 @@ without ever materializing the tensor product of all blocks.
 Verification.  ``validate_comb`` checks the defining conditions of a
 quantum comb: positivity plus the recursive partial-trace cascade that
 forces each tooth's output to be independent of later inputs.
+Positivity is decided by one Cholesky factorization of H + 1e-8*I, with
+H the Hermitian part of the operator: it succeeds exactly when every
+eigenvalue of H lies above -1e-8, without computing the spectrum.
 """
 
 from __future__ import annotations
@@ -337,12 +340,18 @@ def validate_comb(c: ChoiOperator, teeth) -> CombReport:
     the global input (first by appearance) and the global output.  The
     conditions checked, each to within 1e-8:
 
-    * Hermiticity and positive semidefiniteness of the full operator.
+    * Hermiticity of the full operator, and positive semidefiniteness of
+      its Hermitian part H: a Cholesky factorization of H + 1e-8*I must
+      succeed, which it does exactly when no eigenvalue of H is at or
+      below -1e-8.
     * For each level i from the last tooth down to the global input:
       tracing the level's output from the running operator must equal the
       next running operator tensored with identity on the level's input,
       where the next running operator is the normalized trace over both.
     * The fully reduced scalar equals 1.
+
+    Raises ``ValueError`` if the matrix has a NaN or infinite entry, which
+    no comparison against a tolerance would catch.
     """
     teeth = [(str(i), str(o)) for i, o in teeth]
     tooth_names = [n for pair in teeth for n in pair]
@@ -363,10 +372,15 @@ def validate_comb(c: ChoiOperator, teeth) -> CombReport:
 
     violations: list[str] = []
     mat = cur.matrix
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("comb matrix has non-finite entries")
     if np.max(np.abs(mat - mat.conj().T)) > _COMB_ATOL:
         violations.append("hermiticity")
     herm = 0.5 * (mat + mat.conj().T)
-    if np.min(np.linalg.eigvalsh(herm)) < -_COMB_ATOL:
+    herm[np.diag_indices_from(herm)] += _COMB_ATOL
+    try:
+        np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
         violations.append("positivity")
 
     # Causality cascade: outputs in reverse causal order are F, then each

@@ -569,12 +569,22 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _json_cell(value):
+    if value == "":
+        return None
+    if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+        return repr(float(value))  # "inf", "-inf" or "nan", as in the CSV
+    return value
+
+
 def emit_results(table: ResultTable, path: str, fmt: str) -> None:
     """Write the table as CSV (header + rows) or JSON (meta + rows).
 
     Both formats are UTF-8 with LF line endings; floats are written as
-    their shortest round-trip decimal.  CSV output is byte-reproducible;
-    JSON differs between runs only in ``meta.created_utc``.
+    their shortest round-trip decimal, and a non-finite float as the
+    string ``inf``, ``-inf`` or ``nan`` (a JSON string, so the file
+    stays strict JSON).  CSV output is byte-reproducible; JSON differs
+    between runs only in ``meta.created_utc``.
     """
     if fmt == "csv":
         lines = [",".join(table.columns)]
@@ -588,11 +598,11 @@ def emit_results(table: ResultTable, path: str, fmt: str) -> None:
             "meta": meta,
             "columns": list(table.columns),
             "rows": [
-                {c: (None if row.get(c, "") == "" else row.get(c)) for c in table.columns}
+                {c: _json_cell(row.get(c, "")) for c in table.columns}
                 for row in table.rows
             ],
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -708,6 +718,10 @@ def _cmd_validate_comb(args) -> int:
         raise DataFormatError(
             f"matrix shape {matrix.shape} does not match dims product {total}"
         )
+    if matrix.dtype.kind not in "biufc":
+        raise DataFormatError(f"matrix dtype {matrix.dtype} is not numeric")
+    if not np.all(np.isfinite(matrix)):
+        raise DataFormatError("matrix has non-finite entries")
     systems = tuple(SystemLabel(f"w{i + 1}", d) for i, d in enumerate(dims))
     op = ChoiOperator(systems, matrix.astype(complex))
     n_teeth = (len(dims) - 2) // 2

@@ -221,7 +221,9 @@ def _check_density_rows(rhos: np.ndarray) -> None:
     """Density invariants on a (rows, dim, dim) stack, one batched ``eigvalsh``.
 
     Every row must be Hermitian within 1e-10, have unit trace within 1e-12
-    and no eigenvalue below -1e-10; the worst row is reported.
+    and no eigenvalue below -1e-10.  The error names the first condition
+    that fails in the stack (the trace message gives the largest drift),
+    not the row.
     """
     if np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)), initial=0.0) > _UNITARY_ATOL:
         raise NumericalIntegrityError("density matrix is not Hermitian")

@@ -242,8 +242,8 @@ def test_build_reuploading_comb_wire_layout():
 
 def test_validate_comb_accepts_constructed():
     rng = np.random.default_rng(47)
-    # keep wire counts small: validation eigendecomposes the full comb
-    for n, layers in [(1, 1), (1, 2), (2, 1), (1, 1), (1, 2), (2, 1)]:
+    # up to 1q L4, a 1024 x 1024 comb: ten wire qubits
+    for n, layers in [(1, 1), (1, 2), (2, 1), (1, 1), (1, 2), (2, 1), (1, 4)]:
         c = build_circuit(n, layers, n, 1)
         theta = rng.uniform(0, 2 * np.pi, c.n_params)
         comb, teeth = build_reuploading_comb(c, theta)
@@ -286,11 +286,53 @@ def test_validate_comb_flags_causality():
 
 
 def test_validate_comb_flags_normalization():
+    rng = np.random.default_rng(50)
+    for n, layers in [(1, 1), (1, 4)]:
+        c = build_circuit(n, layers, 1, 1)
+        comb, teeth = build_reuploading_comb(c, rng.uniform(0, 2 * np.pi, c.n_params))
+        for scale in (1.5, 2.0):
+            report = validate_comb(ChoiOperator(comb.systems, scale * comb.matrix), teeth)
+            assert not report.is_comb
+            # a scaled comb stays positive; only its normalization breaks
+            assert report.violations == ("normalization",)
+
+
+def _hermitian_with_spectrum(rng, eigenvalues, complex_entries):
+    d = len(eigenvalues)
+    a = rng.normal(size=(d, d))
+    if complex_entries:
+        a = a + 1j * rng.normal(size=(d, d))
+    q, _ = np.linalg.qr(a)
+    h = (q * eigenvalues) @ q.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("full_rank", [False, True])
+@pytest.mark.parametrize("lam_min", [-2e-8, -1.5e-8, -5e-9, 0.0, 1e-9])
+def test_validate_comb_positivity_agrees_with_eigvalsh(complex_entries, full_rank, lam_min):
+    """The positivity verdict is eigvalsh's: flagged iff lambda_min < -1e-8."""
+    rng = np.random.default_rng(51)
+    for d in (4, 16, 64, 256):
+        # rank one or full positive part, plus lam_min on an orthogonal direction
+        spectrum = rng.uniform(0.5, 1.0, d) if full_rank else np.eye(1, d)[0]
+        spectrum[-1] = lam_min
+        h = _hermitian_with_spectrum(rng, rng.permutation(spectrum), complex_entries)
+        oracle = np.linalg.eigvalsh(h).min() < -1e-8
+        assert oracle == (lam_min < -1e-8)
+        systems = (SystemLabel("p", 2), SystemLabel("f", d // 2))
+        report = validate_comb(ChoiOperator(systems, h), [])
+        assert ("positivity" in report.violations) == oracle, (d, lam_min)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_validate_comb_rejects_non_finite_entries(bad):
     c = build_circuit(1, 1, 1, 1)
-    comb, teeth = build_reuploading_comb(c, np.zeros(2))
-    report = validate_comb(ChoiOperator(comb.systems, 1.5 * comb.matrix), teeth)
-    assert not report.is_comb
-    assert "normalization" in report.violations
+    comb, teeth = build_reuploading_comb(c, np.array([0.3, 0.8]))
+    m = comb.matrix.copy()
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_comb(ChoiOperator(comb.systems, m), teeth)
 
 
 def test_validate_comb_recomputed_conditions():

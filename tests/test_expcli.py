@@ -514,6 +514,39 @@ def test_cli_run_reports_an_overflowed_bound_as_inf(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_run_json_writes_an_overflowed_bound_as_a_string(tmp_path):
+    """Strict JSON: non-finite cells are the CSV's text, never bare Infinity or NaN."""
+    out = tmp_path / "o.json"
+    assert main(["run", "--config", write_config(tmp_path, OVERFLOW_CONFIG),
+                 "--out", str(out), "--format", "json"]) == 0
+    rows = _strict_json(out.read_text(encoding="utf-8"))["rows"]
+    last = {r["kind"]: r for r in rows if r["iteration"] == 700}
+    assert [r["bound_value"] for r in rows if r["kind"] == "sample" and r["iteration"] == 700] \
+        == ["inf", "inf"]
+    assert last["mean"]["bound_value"] == "inf" and last["std"]["bound_value"] == "nan"
+    assert all(isinstance(r["bound_value"], float) for r in rows if r["iteration"] == 350)
+
+
+def test_emit_json_writes_non_finite_floats_as_strings(toy_table, tmp_path):
+    _, table = toy_table
+    values = [float("inf"), float("-inf"), float("nan"), np.float64("inf")]
+    rows = [dict(row, train_risk=v) for row, v in zip(table.rows, values)]
+    path = tmp_path / "out.json"
+    emit_results(replace(table, rows=rows), str(path), "json")
+    payload = _strict_json(path.read_text(encoding="utf-8"))
+    assert [r["train_risk"] for r in payload["rows"]] == ["inf", "-inf", "nan", "inf"]
+    csv_path = tmp_path / "out.csv"
+    emit_results(replace(table, rows=rows), str(csv_path), "csv")
+    assert [r["train_risk"] for r in _csv_rows(csv_path)] == ["inf", "-inf", "nan", "inf"]
+
+
 def test_cli_stability_reports_an_overflowed_bound_as_inf(tmp_path):
     out = tmp_path / "o.csv"
     assert main(["stability", "--config", write_config(tmp_path, OVERFLOW_CONFIG),
@@ -614,3 +647,25 @@ def test_cli_validate_comb_argument_errors(tmp_path, capsys):
                  "--dims", "2,2"]) == 3
     assert main(["validate-comb", "--matrix", str(path), "--dims", "2,4"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+def test_cli_validate_comb_rejects_non_finite_matrix(tmp_path, capsys, bad):
+    matrix = np.eye(16, dtype=complex)
+    matrix[3, 5] = bad
+    path = tmp_path / "nan.npy"
+    np.save(path, matrix)
+    assert main(["validate-comb", "--matrix", str(path), "--dims", "2,2,2,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error:") and "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("matrix", [np.full((4, 4), "1"), np.full((4, 4), b"x")])
+def test_cli_validate_comb_rejects_non_numeric_matrix(tmp_path, capsys, matrix):
+    path = tmp_path / "text.npy"
+    np.save(path, matrix)
+    assert main(["validate-comb", "--matrix", str(path), "--dims", "2,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error:") and "not numeric" in captured.err
