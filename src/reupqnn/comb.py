@@ -374,9 +374,12 @@ def validate_comb(c: ChoiOperator, teeth) -> CombReport:
     mat = cur.matrix
     if not np.all(np.isfinite(mat)):
         raise ValueError("comb matrix has non-finite entries")
-    if np.max(np.abs(mat - mat.conj().T)) > _COMB_ATOL:
+    adjoint = mat.conj().T
+    if np.max(np.abs(mat - adjoint)) > _COMB_ATOL:
         violations.append("hermiticity")
-    herm = 0.5 * (mat + mat.conj().T)
+    herm = mat + adjoint
+    del adjoint  # no second matrix-sized copy may stay alive during the factorization
+    herm *= 0.5
     herm[np.diag_indices_from(herm)] += _COMB_ATOL
     try:
         np.linalg.cholesky(herm)

@@ -13,7 +13,9 @@ Config files are flat ``key = value`` text with dotted section keys::
     output.path = results.csv
 
 Unknown keys are rejected.  One sweep axis (layers, learning_rate,
-m_train or noise_p) crosses a list of values with the seed list; every
+m_train or noise_p) crosses a list of values with the seed list; each
+value obeys the rule of the scalar key it replaces (circuit.layers,
+optimizer.learning_rate, dataset.m_train, optimizer.noise_p), and every
 (value, seed) cell is an independent pure computation, so re-running a
 config reproduces the result rows byte for byte.  The seeds of one sweep
 value train in lockstep, as do all values of an ``m_train`` axis, and a
@@ -30,8 +32,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -78,10 +81,15 @@ class ConfigError(Exception):
     """The configuration file or flags are invalid."""
 
 
-_SWEEP_AXES = ("layers", "learning_rate", "m_train", "noise_p")
 _LOSS = "scaled_squared"  # the one loss, (f - y)^2 / 4; see reupqnn.train
-_DATASET_KINDS = ("toy", "wdbc", "idx")
 _DEFAULT_QUBITS = {"toy": 1, "wdbc": 5, "idx": 4}
+# A sweep axis is the ExperimentConfig field of the scalar key it varies.
+_AXIS_KEYS = {
+    "layers": "circuit.layers",
+    "learning_rate": "optimizer.learning_rate",
+    "m_train": "dataset.m_train",
+    "noise_p": "optimizer.noise_p",
+}
 
 COLUMNS = (
     "kind",
@@ -103,56 +111,73 @@ COLUMNS = (
     "margin_flagged",
 )
 
-# key -> (parser, default); required keys carry the _REQUIRED sentinel.
+
+@dataclass(frozen=True)
+class _Range:
+    """Finite numbers from ``low`` (excluded when ``open``) up to ``high``."""
+
+    low: float
+    high: float = math.inf
+    open: bool = False
+
+    def __contains__(self, value) -> bool:
+        above = self.low < value if self.open else self.low <= value
+        return math.isfinite(value) and above and value <= self.high
+
+    def __str__(self) -> str:
+        if self.high == math.inf:
+            return f"be {'>' if self.open else '>='} {self.low}"
+        return f"lie in {'(' if self.open else '['}{self.low}, {self.high}]"
+
+
+def _integer(text: str) -> int:
+    """An integer, also when written as an integral decimal such as ``2.0``."""
+    try:
+        return int(text)
+    except ValueError:
+        try:
+            if float(text).is_integer():
+                return int(float(text))
+        except ValueError:
+            pass
+        raise ValueError(f"{text!r} is not an integer") from None
+
+
+def _list_of(item):
+    """Parser of a comma-separated list of ``item`` values."""
+    return lambda text: tuple(item(v.strip()) for v in text.split(",") if v.strip())
+
+
+# key -> (ExperimentConfig field, parser, default, allowed values or None).
+# Required keys carry the _REQUIRED sentinel; a list key's range bounds
+# each entry, and sweep.values takes the parser and range of its axis key.
 _REQUIRED = object()
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v.strip()) for v in text.split(",") if v.strip())
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v.strip()) for v in text.split(",") if v.strip())
-
-
 _SCHEMA = {
-    "dataset.kind": (_parse_str, _REQUIRED),
-    "dataset.path": (_parse_str, None),
-    "dataset.images": (_parse_str, None),
-    "dataset.labels": (_parse_str, None),
-    "dataset.classes": (_parse_int_list, (0, 1)),
-    "dataset.pool_size": (_parse_int, 400),
-    "dataset.seed": (_parse_int, 1234),
-    "dataset.m_train": (_parse_int, _REQUIRED),
-    "dataset.m_test": (_parse_int, 0),
-    "circuit.qubits": (_parse_int, None),
-    "circuit.layers": (_parse_int, 1),
-    "circuit.sublayers": (_parse_int, 2),
-    "optimizer.learning_rate": (_parse_float, 0.01),
-    "optimizer.iterations": (_parse_int, 1000),
-    "optimizer.loss": (_parse_str, _LOSS),
-    "optimizer.noise_p": (_parse_float, 0.0),
-    "optimizer.seeds": (_parse_int_list, (0, 1, 2, 3, 4)),
-    "sweep.axis": (_parse_str, "layers"),
-    "sweep.values": (_parse_float_list, None),
-    "stability.indices": (_parse_int, 4),
-    "stability.probes": (_parse_int, 32),
-    "bound.delta": (_parse_float, 0.05),
-    "output.path": (_parse_str, None),
-    "output.format": (_parse_str, "csv"),
-    "eval.interval": (_parse_int, None),
+    "dataset.kind": ("kind", str, _REQUIRED, ("toy", "wdbc", "idx")),
+    "dataset.path": ("path", str, None, None),
+    "dataset.images": ("images", str, None, None),
+    "dataset.labels": ("labels", str, None, None),
+    "dataset.classes": ("classes", _list_of(_integer), (0, 1), None),
+    "dataset.pool_size": ("pool_size", _integer, 400, _Range(1)),
+    "dataset.seed": ("data_seed", _integer, 1234, _Range(0)),
+    "dataset.m_train": ("m_train", _integer, _REQUIRED, _Range(1)),
+    "dataset.m_test": ("m_test", _integer, 0, _Range(0)),
+    "circuit.qubits": ("qubits", _integer, None, _Range(1)),
+    "circuit.layers": ("layers", _integer, 1, _Range(1)),
+    "circuit.sublayers": ("sublayers", _integer, 2, _Range(1)),
+    "optimizer.learning_rate": ("learning_rate", float, 0.01, _Range(0, open=True)),
+    "optimizer.iterations": ("iterations", _integer, 1000, _Range(0)),
+    "optimizer.loss": (None, str, _LOSS, (_LOSS,)),
+    "optimizer.noise_p": ("noise_p", float, 0.0, _Range(0, 1)),
+    "optimizer.seeds": ("seeds", _list_of(_integer), (0, 1, 2, 3, 4), _Range(0)),
+    "sweep.axis": ("sweep_axis", str, "layers", tuple(_AXIS_KEYS)),
+    "sweep.values": ("sweep_values", None, None, None),
+    "stability.indices": ("stability_indices", _integer, 4, _Range(1)),
+    "stability.probes": ("stability_probes", _integer, 32, _Range(1)),
+    "bound.delta": ("delta", float, 0.05, _Range(0, 1, open=True)),
+    "output.path": ("out_path", str, None, None),
+    "output.format": ("out_format", str, "csv", ("csv", "json")),
+    "eval.interval": ("eval_interval", _integer, None, _Range(1)),
 }
 
 
@@ -215,129 +240,53 @@ def _read_pairs(path: str) -> dict:
 def parse_config(path: str) -> ExperimentConfig:
     """Parse and validate a config file; unknown keys are errors."""
     pairs = _read_pairs(path)
-    values: dict[str, object] = {}
+    values: dict = {}
     defaults: list[str] = []
-    for key, (parser, default) in _SCHEMA.items():
+    for key, (name, parser, default, allowed) in _SCHEMA.items():
+        label = key
+        if name == "sweep_values":  # each value obeys the rule of the key it sweeps
+            swept = _AXIS_KEYS[values["sweep_axis"]]
+            label = f"{key} for {swept}"
+            _, item, _, allowed = _SCHEMA[swept]
+            parser = _list_of(item)
         if key in pairs:
             try:
-                values[key] = parser(pairs[key])
+                value = parser(pairs[key])
             except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from None
+                raise ConfigError(f"{label}: {exc}") from None
+            for entry in value if isinstance(value, tuple) else (value,):
+                if allowed is not None and entry not in allowed:
+                    rule = allowed if isinstance(allowed, _Range) else f"be one of {allowed}"
+                    raise ConfigError(f"{label} must {rule}, got {entry!r}")
         elif default is _REQUIRED:
             raise ConfigError(f"missing required config key {key!r}")
         else:
-            values[key] = default
+            value = default
             defaults.append(f"{key}={default!r}")
+        values[name] = value
+    del values[None]  # optimizer.loss is checked, not kept
 
-    kind = values["dataset.kind"]
-    if kind not in _DATASET_KINDS:
-        raise ConfigError(f"dataset.kind must be one of {_DATASET_KINDS}, got {kind!r}")
-    if kind == "wdbc" and not values["dataset.path"]:
+    kind = values["kind"]
+    if kind == "wdbc" and not values["path"]:
         raise ConfigError("dataset.kind = wdbc requires dataset.path")
-    if kind == "idx" and not (values["dataset.images"] and values["dataset.labels"]):
+    if kind == "idx" and not (values["images"] and values["labels"]):
         raise ConfigError("dataset.kind = idx requires dataset.images and dataset.labels")
-    classes = values["dataset.classes"]
+    classes = values["classes"]
     if kind == "idx" and (len(classes) != 2 or classes[0] == classes[1]):
         raise ConfigError("dataset.classes must list exactly two distinct classes")
-    if values["optimizer.loss"] != _LOSS:
-        raise ConfigError(f"optimizer.loss must be {_LOSS}, got {values['optimizer.loss']!r}")
-
-    qubits = values["circuit.qubits"]
-    if qubits is None:
-        qubits = _DEFAULT_QUBITS[kind]
-        defaults.append(f"circuit.qubits={qubits}")
-
-    axis = values["sweep.axis"]
-    if axis not in _SWEEP_AXES:
-        raise ConfigError(f"sweep.axis must be one of {_SWEEP_AXES}, got {axis!r}")
-    raw_sweep = values["sweep.values"]
-    if raw_sweep is None:
-        base = {
-            "layers": values["circuit.layers"],
-            "learning_rate": values["optimizer.learning_rate"],
-            "m_train": values["dataset.m_train"],
-            "noise_p": values["optimizer.noise_p"],
-        }[axis]
-        raw_sweep = (float(base),)
-        defaults.append(f"sweep.values=({base},)")
-    if axis in ("layers", "m_train"):
-        sweep_values = tuple(int(v) for v in raw_sweep)
-        if any(v != int(v) for v in raw_sweep) or any(v < 1 for v in sweep_values):
-            raise ConfigError(f"sweep.values for {axis} must be integers >= 1")
-    elif axis == "learning_rate":
-        sweep_values = tuple(float(v) for v in raw_sweep)
-        if any(v <= 0 for v in sweep_values):
-            raise ConfigError("sweep.values for learning_rate must be > 0")
-    else:
-        sweep_values = tuple(float(v) for v in raw_sweep)
-        if any(not (0.0 <= v <= 1.0) for v in sweep_values):
-            raise ConfigError("sweep.values for noise_p must lie in [0, 1]")
-    if not sweep_values:
-        raise ConfigError("sweep.values must be non-empty")
-    if len(set(sweep_values)) != len(sweep_values):
-        raise ConfigError("sweep.values must not repeat a value")
-
-    seeds = values["optimizer.seeds"]
-    if not seeds:
-        raise ConfigError("optimizer.seeds must be non-empty")
-    if any(s < 0 for s in seeds):
-        raise ConfigError("optimizer.seeds must be >= 0")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("optimizer.seeds must not repeat a seed")
-
-    for key, low in (
-        ("dataset.pool_size", 1),
-        ("dataset.m_train", 1),
-        ("dataset.m_test", 0),
-        ("circuit.qubits", 1),
-        ("circuit.layers", 1),
-        ("circuit.sublayers", 1),
-        ("optimizer.iterations", 0),
-        ("stability.indices", 1),
-        ("stability.probes", 1),
-        ("dataset.seed", 0),
-    ):
-        if values[key] is not None and values[key] < low:
-            raise ConfigError(f"{key} must be >= {low}")
-    if not (0.0 < values["bound.delta"] <= 1.0):
-        raise ConfigError("bound.delta must lie in (0, 1]")
-    if not (0.0 <= values["optimizer.noise_p"] <= 1.0):
-        raise ConfigError("optimizer.noise_p must lie in [0, 1]")
-    if values["optimizer.learning_rate"] <= 0.0:
-        raise ConfigError("optimizer.learning_rate must be > 0")
-    if values["output.format"] not in ("csv", "json"):
-        raise ConfigError("output.format must be csv or json")
-    if values["eval.interval"] is not None and values["eval.interval"] < 1:
-        raise ConfigError("eval.interval must be >= 1")
-
-    return ExperimentConfig(
-        kind=kind,
-        path=values["dataset.path"],
-        images=values["dataset.images"],
-        labels=values["dataset.labels"],
-        classes=tuple(classes)[:2] if kind == "idx" else tuple(classes),
-        pool_size=values["dataset.pool_size"],
-        data_seed=values["dataset.seed"],
-        m_train=values["dataset.m_train"],
-        m_test=values["dataset.m_test"],
-        qubits=qubits,
-        layers=values["circuit.layers"],
-        sublayers=values["circuit.sublayers"],
-        learning_rate=values["optimizer.learning_rate"],
-        iterations=values["optimizer.iterations"],
-        noise_p=values["optimizer.noise_p"],
-        seeds=tuple(seeds),
-        sweep_axis=axis,
-        sweep_values=sweep_values,
-        stability_indices=values["stability.indices"],
-        stability_probes=values["stability.probes"],
-        delta=values["bound.delta"],
-        out_path=values["output.path"],
-        out_format=values["output.format"],
-        eval_interval=values["eval.interval"],
-        raw=dict(pairs),
-        defaults_applied=tuple(defaults),
-    )
+    if values["qubits"] is None:
+        values["qubits"] = _DEFAULT_QUBITS[kind]
+        defaults.append(f"circuit.qubits={values['qubits']}")
+    if values["sweep_values"] is None:
+        values["sweep_values"] = (values[values["sweep_axis"]],)
+        defaults.append(f"sweep.values={values['sweep_values']!r}")
+    for key in ("optimizer.seeds", "sweep.values"):
+        entries = values[_SCHEMA[key][0]]
+        if not entries:
+            raise ConfigError(f"{key} must be non-empty")
+        if len(set(entries)) != len(entries):
+            raise ConfigError(f"{key} must not repeat a value")
+    return ExperimentConfig(**values, raw=dict(pairs), defaults_applied=tuple(defaults))
 
 
 def load_pool(cfg: ExperimentConfig) -> Dataset:
@@ -366,32 +315,23 @@ class ResultTable:
         ]
 
 
-def _cell_settings(cfg: ExperimentConfig, value):
-    layers, eta, m_train, noise_p = cfg.layers, cfg.learning_rate, cfg.m_train, cfg.noise_p
-    if cfg.sweep_axis == "layers":
-        layers = int(value)
-    elif cfg.sweep_axis == "learning_rate":
-        eta = float(value)
-    elif cfg.sweep_axis == "m_train":
-        m_train = int(value)
-    else:
-        noise_p = float(value)
-    return layers, eta, m_train, noise_p
+def _cells(cfg: ExperimentConfig) -> list:
+    """(value, cell) per sweep value; a cell is the config with its axis set to the value."""
+    return [(value, replace(cfg, **{cfg.sweep_axis: value})) for value in cfg.sweep_values]
 
 
-def _bound_inputs(cfg: ExperimentConfig, layers: int, eta: float, m_train: int,
-                  noise_p: float, iterations: int, n_params: int, data_dim: int,
+def _bound_inputs(cell: ExperimentConfig, iterations: int, n_params: int, data_dim: int,
                   obs_norm: float) -> BoundInputs:
     return BoundInputs(
-        layers=layers,
+        layers=cell.layers,
         data_dim=data_dim,
         n_params=n_params,
-        m=m_train,
+        m=cell.m_train,
         iterations=iterations,
-        eta=eta,
+        eta=cell.learning_rate,
         obs_norm=obs_norm,
-        delta=cfg.delta,
-        noise_p=noise_p,
+        delta=cell.delta,
+        noise_p=cell.noise_p,
     )
 
 
@@ -408,7 +348,7 @@ def _or_inf(closed_form) -> float:
 
 def _require_pool(cfg: ExperimentConfig, pool: Dataset, held_out: int, key: str) -> None:
     """Reject a pool too small for the largest m_train plus ``held_out`` samples."""
-    m_train = max(_cell_settings(cfg, value)[2] for value in cfg.sweep_values)
+    m_train = max(cell.m_train for _, cell in _cells(cfg))
     if len(pool) < m_train + held_out:
         raise ConfigError(
             f"the pool has {len(pool)} samples, fewer than dataset.m_train + {key} "
@@ -436,30 +376,30 @@ def _meta(cfg: ExperimentConfig, pool: Dataset, command: str, seed_offset: int) 
     }
 
 
-def _experiment_cells(cfg: ExperimentConfig, pool: Dataset, values, seeds) -> list[dict]:
-    """Sample rows of sweep values that differ only in ``m_train``.
+def _experiment_cells(cells, pool: Dataset, seeds) -> list[dict]:
+    """Sample rows of (value, cell) pairs whose cells differ only in ``m_train``.
 
-    Every (value, seed) run of ``values`` trains in one lockstep batch; the
-    rows come out value by value, seeds in order.  A run's rows do not
-    depend on the batch it rides in.
+    Every (value, seed) run trains in one lockstep batch; the rows come out
+    value by value, seeds in order.  A run's rows do not depend on the
+    batch it rides in.
     """
-    layers, eta, _, noise_p = _cell_settings(cfg, values[0])
-    cells = [(value, _cell_settings(cfg, value)[2], seed) for value in values for seed in seeds]
-    splits = [subsample_split(pool, m_train, cfg.m_test, (cfg.data_seed, seed))
-              for _, m_train, seed in cells]
-    if cfg.kind == "wdbc":
+    shared = cells[0][1]  # every setting but m_train
+    runs_of = [(value, cell, seed) for value, cell in cells for seed in seeds]
+    splits = [subsample_split(pool, cell.m_train, cell.m_test, (cell.data_seed, seed))
+              for _, cell, seed in runs_of]
+    if shared.kind == "wdbc":
         splits = [rescale_with_train_stats(*split) for split in splits]
-    circuit = build_circuit(cfg.qubits, layers, pool.feature_dim, cfg.sublayers)
-    obs = z_observable(cfg.qubits)
+    circuit = build_circuit(shared.qubits, shared.layers, pool.feature_dim, shared.sublayers)
+    obs = z_observable(shared.qubits)
     train_sets, test_sets = zip(*splits)
-    runs = _train_runs(train_sets, test_sets, [seed for *_, seed in cells], circuit, obs,
-                       TrainConfig(eta, cfg.iterations, seeds[0], noise_p),
-                       eval_interval=cfg.eval_interval)
+    runs = _train_runs(train_sets, test_sets, [seed for *_, seed in runs_of], circuit, obs,
+                       TrainConfig(shared.learning_rate, shared.iterations, seeds[0],
+                                   shared.noise_p), eval_interval=shared.eval_interval)
     rows = []
-    for (value, m_train, seed), run in zip(cells, runs):
+    for (value, cell, seed), run in zip(runs_of, runs):
         margin = stable_training_margin(
-            _bound_inputs(cfg, layers, eta, m_train, noise_p, max(cfg.iterations, 1),
-                          circuit.n_params, pool.feature_dim, obs.norm)
+            _bound_inputs(cell, max(cell.iterations, 1), circuit.n_params, pool.feature_dim,
+                          obs.norm)
         )
         for i, t in enumerate(run.eval_points):
             row = _blank_row("sample", value, seed)
@@ -469,8 +409,8 @@ def _experiment_cells(cfg: ExperimentConfig, pool: Dataset, values, seeds) -> li
             row["gap"] = float(run.test_risks[i] - run.train_risks[i])
             row["train_acc"] = float(run.train_accs[i])
             row["test_acc"] = float(run.test_accs[i])
-            b = _bound_inputs(cfg, layers, eta, m_train, noise_p, max(int(t), 1),
-                              circuit.n_params, pool.feature_dim, obs.norm)
+            b = _bound_inputs(cell, max(int(t), 1), circuit.n_params, pool.feature_dim,
+                              obs.norm)
             row["bound_value"] = _or_inf(
                 lambda: noisy_generalization_bound(b) if t > 0 else generalization_bound(0.0, b))
             row["stable_margin"] = float(margin.value)
@@ -489,10 +429,9 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     pool = load_pool(cfg)
     _require_pool(cfg, pool, cfg.m_test, "dataset.m_test")
     seeds = [s + seed_offset for s in cfg.seeds]
-    batches = ([cfg.sweep_values] if cfg.sweep_axis == "m_train"
-               else [[value] for value in cfg.sweep_values])
-    rows = [row for values in batches
-            for row in _experiment_cells(cfg, pool, values, seeds)]
+    cells = _cells(cfg)
+    batches = [cells] if cfg.sweep_axis == "m_train" else [[cell] for cell in cells]
+    rows = [row for batch in batches for row in _experiment_cells(batch, pool, seeds)]
 
     # Aggregates per (sweep value, iteration) across seeds.
     agg_cols = ("train_risk", "test_risk", "gap", "train_acc", "test_acc",
@@ -521,23 +460,22 @@ def run_stability(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     _require_pool(cfg, pool, cfg.stability_probes, "stability.probes")
     seeds = [s + seed_offset for s in cfg.seeds]
     rows: list[dict] = []
-    for vi, value in enumerate(cfg.sweep_values):
-        layers, eta, m_train, noise_p = _cell_settings(cfg, value)
+    for vi, (value, cell) in enumerate(_cells(cfg)):
         train_set, probe_set = subsample_split(
-            pool, m_train, cfg.stability_probes, (cfg.data_seed, 777, vi)
+            pool, cell.m_train, cell.stability_probes, (cell.data_seed, 777, vi)
         )
-        if cfg.kind == "wdbc":
+        if cell.kind == "wdbc":
             train_set, probe_set = rescale_with_train_stats(train_set, probe_set)
-        circuit = build_circuit(cfg.qubits, layers, pool.feature_dim, cfg.sublayers)
-        obs = z_observable(cfg.qubits)
+        circuit = build_circuit(cell.qubits, cell.layers, pool.feature_dim, cell.sublayers)
+        obs = z_observable(cell.qubits)
         swaps = [(int(index), replacement_for(int(index), probe_set))
-                 for index in sampled_indices(m_train, cfg.stability_indices)]
+                 for index in sampled_indices(cell.m_train, cell.stability_indices)]
         traces, beta = coupled_ensemble(
             train_set, probe_set, swaps, seeds, circuit, obs,
-            TrainConfig(eta, cfg.iterations, seeds[0], noise_p),
+            TrainConfig(cell.learning_rate, cell.iterations, seeds[0], cell.noise_p),
         )
         for trace in traces:
-            for t in range(cfg.iterations + 1):
+            for t in range(cell.iterations + 1):
                 row = _blank_row("trace", value, trace.seed)
                 row["replaced_index"] = trace.replaced_index
                 row["iteration"] = t
@@ -545,12 +483,11 @@ def run_stability(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
                 row["probe_f_gap"] = float(trace.probe_f_gap[t])
                 row["probe_loss_gap"] = float(trace.probe_loss_gap[t])
                 rows.append(row)
-        b = _bound_inputs(cfg, layers, eta, m_train, noise_p,
-                          max(cfg.iterations, 1), circuit.n_params,
+        b = _bound_inputs(cell, max(cell.iterations, 1), circuit.n_params,
                           pool.feature_dim, obs.norm)
         margin = stable_training_margin(b)
         beta_row = _blank_row("beta", value)
-        beta_row["iteration"] = cfg.iterations
+        beta_row["iteration"] = cell.iterations
         beta_row["beta_hat"] = float(beta)
         beta_row["bound_value"] = _or_inf(lambda: noisy_theoretical_beta(b))
         beta_row["stable_margin"] = float(margin.value)

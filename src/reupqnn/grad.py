@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ansatz import ReuploadCircuit, _output_grads, forward_many
+from .ansatz import ReuploadCircuit, forward_many
 from .qcore import Observable
+from .train import _loss_grads
 
 __all__ = ["SHIFT", "parameter_shift_grad_f", "loss_grad", "finite_diff_grad"]
 
@@ -42,19 +43,6 @@ def parameter_shift_grad_f(circuit: ReuploadCircuit, theta, x, obs: Observable,
     rows[2 * idx + 1, idx] -= SHIFT
     values = forward_many(circuit, rows, np.asarray(x, dtype=float), obs, noise_p)
     return 0.5 * (values[0::2] - values[1::2])
-
-
-def _loss_grads(circuit: ReuploadCircuit, thetas, xs, ys, obs: Observable,
-                noise_p: float) -> np.ndarray:
-    """Loss gradients of R runs, run r at ``thetas[r]`` on (``xs[r]``, ``ys[r]``): (R, K).
-
-    One adjoint pass gives every run's output f and df/dtheta; the chain
-    rule scales the latter by l'(f, y).
-    """
-    from .train import loss_derivative
-
-    values, grads = _output_grads(circuit, thetas, xs, obs, noise_p)
-    return loss_derivative(values, ys)[:, None] * grads
 
 
 def loss_grad(circuit: ReuploadCircuit, theta, sample, obs: Observable,

@@ -19,11 +19,11 @@ so a run's bits do not depend on its batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import ReuploadCircuit, forward_many
+from .ansatz import ReuploadCircuit, _output_grads, forward_many
 from .qcore import Observable
 
 __all__ = [
@@ -96,13 +96,23 @@ def draw_index(seed: int, t: int, m: int) -> int:
     return int(_philox(seed, t).integers(0, m))
 
 
+def _loss_grads(circuit: ReuploadCircuit, thetas, xs, ys, obs: Observable,
+                noise_p: float) -> np.ndarray:
+    """Loss gradients of R runs, run r at ``thetas[r]`` on (``xs[r]``, ``ys[r]``): (R, K).
+
+    One adjoint pass gives every run's output f and df/dtheta; the chain
+    rule scales the latter by l'(f, y).
+    """
+    values, grads = _output_grads(circuit, thetas, xs, obs, noise_p)
+    return loss_derivative(values, ys)[:, None] * grads
+
+
 def sgd_step(theta, sample, eta: float, circuit: ReuploadCircuit, obs: Observable,
              noise_p: float = 0.0) -> np.ndarray:
     """One SGD update on a single sample; returns the new parameter vector."""
-    from .grad import loss_grad
-
     theta = np.asarray(theta, dtype=float)
-    return theta - eta * loss_grad(circuit, theta, sample, obs, noise_p)
+    return theta - eta * _loss_grads(circuit, theta[None], np.asarray(sample.x, dtype=float)[None],
+                                     [sample.y], obs, noise_p)[0]
 
 
 @dataclass(frozen=True)
@@ -111,7 +121,7 @@ class TrainRun:
 
     ``eval_points`` are the iteration numbers at which the risk (and
     accuracy) curves were sampled; curves over the test set are None when
-    no test set was supplied.  ``trajectory`` is (T+1, K) when recorded.
+    no test set was supplied.
     """
 
     final_theta: np.ndarray
@@ -121,7 +131,6 @@ class TrainRun:
     test_risks: np.ndarray | None
     train_accs: np.ndarray
     test_accs: np.ndarray | None
-    trajectory: np.ndarray | None = field(default=None, repr=False)
 
 
 def _mean_loss(outputs: np.ndarray, labels) -> float:
@@ -155,8 +164,6 @@ def _sgd_paths(datasets, seeds, circuit: ReuploadCircuit, obs: Observable,
     ``thetas`` is (R, K), ``indices`` the (R,) draws of the step (None at
     theta_0).  A step draws once per distinct (seed, m) and makes one
     batched gradient call."""
-    from .grad import _loss_grads
-
     keys = [(seed, len(dataset)) for dataset, seed in zip(datasets, seeds)]
     thetas = np.array([init_params(circuit, seed) for seed in seeds])
     yield None, thetas
@@ -171,8 +178,7 @@ def _sgd_paths(datasets, seeds, circuit: ReuploadCircuit, obs: Observable,
 
 
 def _train_runs(datasets, test_sets, seeds, circuit: ReuploadCircuit, obs: Observable,
-                config: TrainConfig, eval_interval: int | None = None,
-                record_trajectory: bool = False) -> list[TrainRun]:
+                config: TrainConfig, eval_interval: int | None = None) -> list[TrainRun]:
     """`train` for R runs in lockstep: run r trains on ``datasets[r]`` under
     ``seeds[r]`` and is scored on ``datasets[r]`` and ``test_sets[r]``
     (None for no test set).  Returns one TrainRun per run, in order."""
@@ -185,8 +191,6 @@ def _train_runs(datasets, test_sets, seeds, circuit: ReuploadCircuit, obs: Obser
         raise ValueError("eval_interval must be >= 1")
 
     indices = np.empty((len(datasets), t_total), dtype=np.int64)
-    trajectory = (np.empty((len(datasets), t_total + 1, circuit.n_params))
-                  if record_trajectory else None)
     eval_points: list[int] = []
     # One row per evaluation: train risk, train accuracy[, test risk, test accuracy].
     curves: list[list] = [[] for _ in datasets]
@@ -199,8 +203,6 @@ def _train_runs(datasets, test_sets, seeds, circuit: ReuploadCircuit, obs: Obser
     for t, (idx, thetas) in enumerate(_sgd_paths(datasets, seeds, circuit, obs, config)):
         if t > 0:
             indices[:, t - 1] = idx
-        if trajectory is not None:
-            trajectory[:, t] = thetas
         if t % eval_interval == 0 or t == t_total:
             eval_points.append(t)
             for curve, theta, sets in zip(curves, thetas, zip(datasets, test_sets)):
@@ -212,13 +214,11 @@ def _train_runs(datasets, test_sets, seeds, circuit: ReuploadCircuit, obs: Obser
         train_risks=curve[:, 0], train_accs=curve[:, 1],
         test_risks=None if test_set is None else curve[:, 2],
         test_accs=None if test_set is None else curve[:, 3],
-        trajectory=None if trajectory is None else trajectory[r],
     ) for r, (curve, test_set) in enumerate(zip(map(np.array, curves), test_sets))]
 
 
 def train(dataset, circuit: ReuploadCircuit, obs: Observable, config: TrainConfig,
-          test_dataset=None, eval_interval: int | None = None,
-          record_trajectory: bool = False) -> TrainRun:
+          test_dataset=None, eval_interval: int | None = None) -> TrainRun:
     """Run single-sample SGD for ``config.iterations`` steps.
 
     The risk/accuracy curves are sampled at iteration 0, every
@@ -226,4 +226,4 @@ def train(dataset, circuit: ReuploadCircuit, obs: Observable, config: TrainConfi
     final iteration.
     """
     return _train_runs([dataset], [test_dataset], [config.seed], circuit, obs, config,
-                       eval_interval, record_trajectory)[0]
+                       eval_interval)[0]

@@ -7,7 +7,7 @@ as oracles; none of them share code with the implementation under test.
 import numpy as np
 import pytest
 
-from reupqnn.ansatz import build_circuit, forward
+from reupqnn.ansatz import build_circuit, forward, forward_many
 from reupqnn.comb import (
     ChoiOperator,
     CombReport,
@@ -231,6 +231,26 @@ def test_reuploading_comb_matches_forward():
             direct = forward(c, theta, x, obs)
             via_comb = reuploading_comb_output(c, theta, x, obs)
             assert via_comb == pytest.approx(direct, abs=1e-9)
+
+
+def test_reuploading_comb_matches_forward_many_on_random_shapes():
+    """Random noiseless (n, L, D, R) up to the 16 comb wire qubits n(2L + 2)."""
+    rng = np.random.default_rng(48)
+    shapes = []
+    for _ in range(24):
+        n = int(rng.integers(1, 5))
+        layers = int(rng.integers(1, (16 // n - 2) // 2 + 1))
+        shapes.append((n, layers, int(rng.integers(1, 2 * n + 2)), int(rng.integers(1, 3))))
+    assert all(n * (2 * layers + 2) <= 16 for n, layers, _, _ in shapes)
+    assert any(d % n for n, _, d, _ in shapes) and any(r == 2 for *_, r in shapes)
+    for n, layers, d, r in shapes:
+        c = build_circuit(n, layers, d, r)
+        theta = rng.uniform(0, 2 * np.pi, c.n_params)
+        xs = rng.uniform(0, 2 * np.pi, (3, d))
+        obs = z_observable(n)
+        engine = forward_many(c, theta, xs, obs)
+        for x, want in zip(xs, engine):
+            assert abs(reuploading_comb_output(c, theta, x, obs) - want) <= 1e-9
 
 
 def test_build_reuploading_comb_wire_layout():

@@ -120,6 +120,72 @@ def test_parse_config_axis_specific_sweep_values(tmp_path):
                 head + "sweep.axis = learning_rate\nsweep.values = 0.1, 0\n",
             )
         )
+    # Integer keys take integral decimals, in a sweep as in a scalar line.
+    sweep = "sweep.axis = m_train\nsweep.values = 4, 6.0\n"
+    cfg = parse_config(write_config(tmp_path, head + sweep))
+    assert cfg.sweep_values == (4, 6) and all(type(v) is int for v in cfg.sweep_values)
+    assert parse_config(write_config(tmp_path, head + "circuit.layers = 2.0\n")).layers == 2
+
+
+def test_parse_config_defaults_applied_echo(tmp_path):
+    """The echo lists every defaulted key in schema order, then the derived ones."""
+    cfg = parse_config(write_config(tmp_path, "dataset.kind = toy\ndataset.m_train = 6\n"))
+    assert cfg.defaults_applied == (
+        "dataset.path=None", "dataset.images=None", "dataset.labels=None",
+        "dataset.classes=(0, 1)", "dataset.pool_size=400", "dataset.seed=1234",
+        "dataset.m_test=0", "circuit.qubits=None", "circuit.layers=1", "circuit.sublayers=2",
+        "optimizer.learning_rate=0.01", "optimizer.iterations=1000",
+        "optimizer.loss='scaled_squared'", "optimizer.noise_p=0.0",
+        "optimizer.seeds=(0, 1, 2, 3, 4)", "sweep.axis='layers'", "sweep.values=None",
+        "stability.indices=4", "stability.probes=32", "bound.delta=0.05", "output.path=None",
+        "output.format='csv'", "eval.interval=None", "circuit.qubits=1", "sweep.values=(1,)",
+    )
+
+
+# Each bounded key with a value just outside its range.
+OUT_OF_RANGE = [
+    ("dataset.pool_size", "0"),
+    ("dataset.seed", "-1"),
+    ("dataset.m_train", "0"),
+    ("dataset.m_test", "-1"),
+    ("circuit.qubits", "0"),
+    ("circuit.layers", "0"),
+    ("circuit.sublayers", "0"),
+    ("optimizer.learning_rate", "0"),
+    ("optimizer.iterations", "-1"),
+    ("optimizer.noise_p", "-1e-12"),
+    ("optimizer.noise_p", "1.000000001"),
+    ("optimizer.seeds", "-1"),
+    ("stability.indices", "0"),
+    ("stability.probes", "0"),
+    ("bound.delta", "0"),
+    ("bound.delta", "1.000000001"),
+    ("eval.interval", "0"),
+]
+AXES = {"circuit.layers": "layers", "optimizer.learning_rate": "learning_rate",
+        "dataset.m_train": "m_train", "optimizer.noise_p": "noise_p"}
+
+
+def _exit_code_and_error(tmp_path, capsys, lines):
+    cfg_path = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in lines.items()))
+    code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "o.csv")])
+    assert not (tmp_path / "o.csv").exists()
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", OUT_OF_RANGE)
+def test_cli_out_of_range_value_exits_2(tmp_path, capsys, key, value):
+    lines = {"dataset.kind": "toy", "dataset.m_train": "6", "dataset.m_test": "4", key: value}
+    code, err = _exit_code_and_error(tmp_path, capsys, lines)
+    assert code == 2 and err.startswith("config error:") and key in err
+
+
+@pytest.mark.parametrize("key,value", [(k, v) for k, v in OUT_OF_RANGE if k in AXES])
+def test_cli_out_of_range_sweep_value_exits_2(tmp_path, capsys, key, value):
+    lines = {"dataset.kind": "toy", "dataset.m_train": "6", "dataset.m_test": "4",
+             "sweep.axis": AXES[key], "sweep.values": value}
+    code, err = _exit_code_and_error(tmp_path, capsys, lines)
+    assert code == 2 and err.startswith("config error: sweep.values") and key in err
 
 
 def test_parse_config_dataset_requirements(tmp_path):

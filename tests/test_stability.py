@@ -23,7 +23,7 @@ from reupqnn.stability import (
     stable_training_margin,
     theoretical_beta,
 )
-from reupqnn.train import TrainConfig, draw_index, init_params, loss, sgd_step, train
+from reupqnn.train import TrainConfig, _sgd_paths, draw_index, init_params, loss, sgd_step, train
 
 
 def constant_dataset(m, x_value, y_value):
@@ -259,10 +259,9 @@ def test_coupled_ensemble_scores_probes_on_the_noisy_model():
     traces, beta = coupled_ensemble(dataset, probe, swaps, seeds, c, obs, config)
 
     def probe_outputs(train_set, seed):
-        run = train(train_set, c, obs, TrainConfig(0.3, 4, seed=seed, noise_p=p),
-                    record_trajectory=True)
-        return np.array([[noisy_forward(c, theta, x, obs, p) for x in probe.features]
-                         for theta in run.trajectory])
+        path = _sgd_paths([train_set], [seed], c, obs, TrainConfig(0.3, 4, seed=seed, noise_p=p))
+        return np.array([[noisy_forward(c, thetas[0], x, obs, p) for x in probe.features]
+                         for _, thetas in path])
 
     def mean_final_loss(outputs):
         return sum(loss(f[-1], probe.labels) for f in outputs) / len(outputs)

@@ -154,20 +154,22 @@ def test_train_eval_schedule_and_trajectory():
     rng = np.random.default_rng(75)
     dataset = tiny_dataset(rng, 4, 1)
     c = build_circuit(1, 1, 1, 1)
+    config = TrainConfig(0.05, 7, seed=3)
     run = train(
         dataset,
         c,
         z_observable(1),
-        TrainConfig(0.05, 7, seed=3),
+        config,
         test_dataset=tiny_dataset(rng, 3, 1),
         eval_interval=3,
-        record_trajectory=True,
     )
     assert run.eval_points.tolist() == [0, 3, 6, 7]
     assert run.train_risks.shape == (4,)
     assert run.test_risks.shape == (4,)
-    assert run.trajectory.shape == (8, c.n_params)
-    np.testing.assert_array_equal(run.trajectory[-1], run.final_theta)
+    trajectory = np.array([thetas[0] for _, thetas in
+                           _sgd_paths([dataset], [config.seed], c, z_observable(1), config)])
+    assert trajectory.shape == (8, c.n_params)
+    np.testing.assert_array_equal(trajectory[-1], run.final_theta)
 
 
 def test_sgd_paths_same_seed_different_sizes():
