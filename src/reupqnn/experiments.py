@@ -18,8 +18,9 @@ value obeys the rule of the scalar key it replaces (circuit.layers,
 optimizer.learning_rate, dataset.m_train, optimizer.noise_p), and every
 (value, seed) cell is an independent pure computation, so re-running a
 config reproduces the result rows byte for byte.  The seeds of one sweep
-value train in lockstep, as do all values of an ``m_train`` axis, and a
-cell's rows do not depend on which other runs share its batch.
+value train in lockstep, as do all values of an ``m_train`` axis, for
+``run`` and ``stability`` alike, and a cell's rows do not depend on which
+other runs share its batch.
 
 Result tables always carry the same column set; cells that do not apply
 to a row kind stay empty.  Row kinds: ``sample`` (per-seed learning
@@ -320,6 +321,12 @@ def _cells(cfg: ExperimentConfig) -> list:
     return [(value, replace(cfg, **{cfg.sweep_axis: value})) for value in cfg.sweep_values]
 
 
+def _batches(cfg: ExperimentConfig) -> list[list]:
+    """Cells that train together: all of an ``m_train`` axis, else one per batch."""
+    cells = _cells(cfg)
+    return [cells] if cfg.sweep_axis == "m_train" else [[cell] for cell in cells]
+
+
 def _bound_inputs(cell: ExperimentConfig, iterations: int, n_params: int, data_dim: int,
                   obs_norm: float) -> BoundInputs:
     return BoundInputs(
@@ -429,9 +436,7 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     pool = load_pool(cfg)
     _require_pool(cfg, pool, cfg.m_test, "dataset.m_test")
     seeds = [s + seed_offset for s in cfg.seeds]
-    cells = _cells(cfg)
-    batches = [cells] if cfg.sweep_axis == "m_train" else [[cell] for cell in cells]
-    rows = [row for batch in batches for row in _experiment_cells(batch, pool, seeds)]
+    rows = [row for batch in _batches(cfg) for row in _experiment_cells(batch, pool, seeds)]
 
     # Aggregates per (sweep value, iteration) across seeds.
     agg_cols = ("train_risk", "test_risk", "gap", "train_acc", "test_acc",
@@ -454,26 +459,33 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     return ResultTable(COLUMNS, rows, _meta(cfg, pool, "run", seed_offset))
 
 
-def run_stability(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
-    """Per sweep value: coupled-divergence traces, beta_hat, and closed forms."""
-    pool = load_pool(cfg)
-    _require_pool(cfg, pool, cfg.stability_probes, "stability.probes")
-    seeds = [s + seed_offset for s in cfg.seeds]
-    rows: list[dict] = []
-    for vi, (value, cell) in enumerate(_cells(cfg)):
+def _stability_cells(cells, pool: Dataset, seeds) -> list[dict]:
+    """Trace and beta rows of (value, cell) pairs whose cells differ only in ``m_train``.
+
+    All coupled runs train in one lockstep ensemble; the rows come out
+    value by value.  The value at position vi of the sweep draws its split
+    keyed by (data seed, 777, vi), whatever batch it rides in.
+    """
+    shared = cells[0][1]  # every setting but m_train
+    circuit = build_circuit(shared.qubits, shared.layers, pool.feature_dim, shared.sublayers)
+    obs = z_observable(shared.qubits)
+    groups = []
+    for value, cell in cells:
+        vi = cell.sweep_values.index(value)
         train_set, probe_set = subsample_split(
             pool, cell.m_train, cell.stability_probes, (cell.data_seed, 777, vi)
         )
         if cell.kind == "wdbc":
             train_set, probe_set = rescale_with_train_stats(train_set, probe_set)
-        circuit = build_circuit(cell.qubits, cell.layers, pool.feature_dim, cell.sublayers)
-        obs = z_observable(cell.qubits)
         swaps = [(int(index), replacement_for(int(index), probe_set))
                  for index in sampled_indices(cell.m_train, cell.stability_indices)]
-        traces, beta = coupled_ensemble(
-            train_set, probe_set, swaps, seeds, circuit, obs,
-            TrainConfig(cell.learning_rate, cell.iterations, seeds[0], cell.noise_p),
-        )
+        groups.append((train_set, probe_set, swaps))
+    results = coupled_ensemble(
+        groups, seeds, circuit, obs,
+        TrainConfig(shared.learning_rate, shared.iterations, seeds[0], shared.noise_p),
+    )
+    rows: list[dict] = []
+    for (value, cell), (traces, beta) in zip(cells, results):
         for trace in traces:
             for t in range(cell.iterations + 1):
                 row = _blank_row("trace", value, trace.seed)
@@ -493,11 +505,29 @@ def run_stability(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
         beta_row["stable_margin"] = float(margin.value)
         beta_row["margin_flagged"] = int(margin.flagged)
         rows.append(beta_row)
+    return rows
+
+
+def run_stability(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
+    """Per sweep value: coupled-divergence traces, beta_hat, and closed forms.
+
+    An ``m_train`` axis trains every value's coupled runs in one lockstep
+    ensemble; the other axes train one ensemble per value."""
+    pool = load_pool(cfg)
+    _require_pool(cfg, pool, cfg.stability_probes, "stability.probes")
+    seeds = [s + seed_offset for s in cfg.seeds]
+    rows = [row for batch in _batches(cfg) for row in _stability_cells(batch, pool, seeds)]
     return ResultTable(COLUMNS, rows, _meta(cfg, pool, "stability", seed_offset))
 
 
+_FORMAT_BY_TYPE = {str: str, int: str, float: repr}  # the common cells, by exact type
+
+
 def _format_cell(value) -> str:
-    if value == "" or value is None:
+    fast = _FORMAT_BY_TYPE.get(type(value))
+    if fast is not None:
+        return fast(value)
+    if value is None:
         return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -523,12 +553,7 @@ def emit_results(table: ResultTable, path: str, fmt: str) -> None:
     stays strict JSON).  CSV output is byte-reproducible; JSON differs
     between runs only in ``meta.created_utc``.
     """
-    if fmt == "csv":
-        lines = [",".join(table.columns)]
-        for row in table.rows:
-            lines.append(",".join(_format_cell(row.get(c, "")) for c in table.columns))
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json":
+    if fmt == "json":
         meta = dict(table.meta)
         meta["created_utc"] = datetime.now(timezone.utc).isoformat()
         payload = {
@@ -540,10 +565,15 @@ def emit_results(table: ResultTable, path: str, fmt: str) -> None:
             ],
         }
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    else:
+    elif fmt != "csv":
         raise ConfigError(f"unknown output format {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        if fmt == "json":
+            fh.write(text)
+        else:  # row by row, so the table's text is never held whole in memory
+            fh.write(",".join(table.columns) + "\n")
+            for row in table.rows:
+                fh.write(",".join([_format_cell(row.get(c, "")) for c in table.columns]) + "\n")
 
 
 # --- command line ----------------------------------------------------------
@@ -608,20 +638,23 @@ def _cmd_run(args, runner) -> int:
 
 
 def _cmd_bound(args) -> int:
-    b = BoundInputs(
-        layers=args.layers,
-        data_dim=args.data_dim,
-        n_params=args.params,
-        m=args.train_size,
-        iterations=args.iterations,
-        eta=args.eta,
-        obs_norm=args.obs_norm,
-        lipschitz=args.lipschitz,
-        smoothness=args.smoothness,
-        loss_bound=args.loss_bound,
-        delta=args.delta,
-        noise_p=args.noise_p,
-    )
+    try:
+        b = BoundInputs(
+            layers=args.layers,
+            data_dim=args.data_dim,
+            n_params=args.params,
+            m=args.train_size,
+            iterations=args.iterations,
+            eta=args.eta,
+            obs_norm=args.obs_norm,
+            lipschitz=args.lipschitz,
+            smoothness=args.smoothness,
+            loss_bound=args.loss_bound,
+            delta=args.delta,
+            noise_p=args.noise_p,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bound: {exc}") from None
     margin = stable_training_margin(b)
     lines = {
         "theoretical_beta": lambda: theoretical_beta(b),

@@ -11,7 +11,8 @@ coefficient is
 
 Both come from one set of runs (:func:`coupled_ensemble`): the runs on S
 and on each S^i, under every seed, advance together in one lockstep SGD
-loop; the traces are read off their parameter paths and beta_hat off
+loop, as do those of several datasets S (the values of an ``m_train``
+sweep); the traces are read off their parameter paths and beta_hat off
 their final parameters.
 Under noise (``noise_p`` > 0) the probes are scored by the noisy model,
 the one that was trained and that the noisy bound describes.
@@ -77,34 +78,15 @@ class StabilityTrace:
     probe_loss_gap: np.ndarray
 
 
-def coupled_ensemble(dataset: Dataset, probes: Dataset, swaps, seeds,
-                     circuit: ReuploadCircuit, obs: Observable,
-                     config: TrainConfig) -> tuple[list[StabilityTrace], float]:
-    """Coupled runs on S and on each S^i under every seed: (traces, beta_hat).
-
-    ``swaps`` lists the (index, replacement) pairs and ``seeds`` stands in
-    for ``config.seed``.  All runs train in lockstep; each run's probe
-    scores come from one ``forward_many`` call over its whole path, at
-    ``config.noise_p``; traces are in (index, seed) order and beta_hat is
-    read off the same runs' final parameters.
-    """
-    if len(seeds) < 1:
-        raise ValueError("need at least one seed")
-    if len(probes) < 1:
-        raise ValueError("probe set is empty")
-    seeds = list(seeds)
-    train_sets = [dataset] + [dataset.replace(index, replacement) for index, replacement in swaps]
-    steps = _sgd_paths([train_set for train_set in train_sets for _ in seeds],
-                       seeds * len(train_sets), circuit, obs, config)
-    # (train set, seed, T + 1, K): the runs on S first, then the twins in swap order.
-    paths = np.stack([thetas for _, thetas in steps], axis=1).reshape(
-        len(train_sets), len(seeds), -1, circuit.n_params)
+def _group_result(paths: np.ndarray, probes: Dataset, swaps, seeds, circuit: ReuploadCircuit,
+                  obs: Observable, noise_p: float) -> tuple[list[StabilityTrace], float]:
+    """(traces, beta_hat) of one group from its (train set, seed, T + 1, K) paths."""
 
     def arm(path: np.ndarray):
         n_steps, n_probes = path.shape[0], len(probes)
         f = forward_many(circuit, np.repeat(path, n_probes, axis=0),
                          np.tile(probes.features, (n_steps, 1)), obs,
-                         config.noise_p).reshape(n_steps, n_probes)
+                         noise_p).reshape(n_steps, n_probes)
         return path, f, loss(f, probes.labels)
 
     def mean_final_loss(arms) -> np.ndarray:
@@ -128,12 +110,46 @@ def coupled_ensemble(dataset: Dataset, probes: Dataset, swaps, seeds,
     return traces, 0.5 * worst
 
 
+def coupled_ensemble(groups, seeds, circuit: ReuploadCircuit, obs: Observable,
+                     config: TrainConfig) -> list[tuple[list[StabilityTrace], float]]:
+    """Coupled runs on S and on each S^i under every seed: (traces, beta_hat) per group.
+
+    A group is a (dataset S, probes, swaps) triple whose ``swaps`` list
+    the (index, replacement) pairs; groups may differ in m and probes.
+    ``seeds`` stands in for ``config.seed``.  Every run of every group
+    trains in one lockstep loop; each run's probe scores come from one
+    ``forward_many`` call over its whole path, at ``config.noise_p``;
+    traces are in (index, seed) order and beta_hat is read off the same
+    runs' final parameters.
+    """
+    seeds = list(seeds)
+    if len(seeds) < 1:
+        raise ValueError("need at least one seed")
+    train_sets = []  # per group: S first, then the twins in swap order
+    for dataset, probes, swaps in groups:
+        if len(probes) < 1:
+            raise ValueError("probe set is empty")
+        train_sets.append([dataset] + [dataset.replace(index, replacement)
+                                       for index, replacement in swaps])
+    runs = [train_set for sets in train_sets for train_set in sets for _ in seeds]
+    steps = _sgd_paths(runs, seeds * sum(map(len, train_sets)), circuit, obs, config)
+    paths = np.stack([thetas for _, thetas in steps], axis=1)  # (run, T + 1, K)
+    results, start = [], 0
+    for (_, probes, swaps), sets in zip(groups, train_sets):
+        stop = start + len(sets) * len(seeds)
+        group_paths = paths[start:stop].reshape(len(sets), len(seeds), -1, circuit.n_params)
+        results.append(_group_result(group_paths, probes, swaps, seeds, circuit, obs,
+                                     config.noise_p))
+        start = stop
+    return results
+
+
 def coupled_divergence(dataset: Dataset, index: int, replacement: Sample,
                        circuit: ReuploadCircuit, obs: Observable, config: TrainConfig,
                        probes: Dataset | None = None) -> StabilityTrace:
     """Train on S and on S with sample ``index`` replaced under ``config.seed``."""
-    traces, _ = coupled_ensemble(dataset, dataset if probes is None else probes,
-                                 [(index, replacement)], [config.seed], circuit, obs, config)
+    group = (dataset, dataset if probes is None else probes, [(index, replacement)])
+    [(traces, _)] = coupled_ensemble([group], [config.seed], circuit, obs, config)
     return traces[0]
 
 
@@ -161,7 +177,8 @@ def empirical_beta(dataset: Dataset, probe_set: Dataset, n_indices: int, n_seeds
     swaps = [(int(i), replacement_for(int(i), probe_set))
              for i in sampled_indices(len(dataset), n_indices)]
     seeds = range(config.seed, config.seed + n_seeds)
-    return coupled_ensemble(dataset, probe_set, swaps, seeds, circuit, obs, config)[1]
+    [(_, beta)] = coupled_ensemble([(dataset, probe_set, swaps)], seeds, circuit, obs, config)
+    return beta
 
 
 @dataclass(frozen=True)

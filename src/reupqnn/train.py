@@ -19,6 +19,7 @@ so a run's bits do not depend on its batch.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,14 +80,35 @@ class TrainConfig:
             raise ValueError(f"noise_p={self.noise_p!r} outside [0, 1]")
 
 
+_ZEROS = np.zeros(4, dtype=np.uint64)
+
+
+@functools.cache
+def _shared_generator() -> np.random.Generator:
+    # Built on first use: numpy loads its random module lazily, and an
+    # import of the package that never draws should not pay for it.
+    return np.random.Generator(np.random.Philox(key=0))
+
+
 def _philox(*key) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    """The generator of ``Philox(key=key)``: key set, counter 0, buffer empty.
+
+    One generator is re-keyed for every call, because ``Philox(key=...)``
+    first builds, then discards, a SeedSequence from OS entropy; setting
+    the state costs a fraction of that and gives the same stream.  Draw
+    from it at once: a generator held across another ``_philox`` call has
+    been re-keyed by that call.
+    """
+    generator = _shared_generator()
+    generator.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return generator
 
 
 def init_params(circuit: ReuploadCircuit, seed: int) -> np.ndarray:
     """Initial parameters, uniform on [0, 2pi), keyed by the seed alone."""
-    rng = _philox(seed, _INIT_TAG)
-    return rng.uniform(0.0, 2.0 * np.pi, size=circuit.n_params)
+    return _philox(seed, _INIT_TAG).uniform(0.0, 2.0 * np.pi, size=circuit.n_params)
 
 
 def draw_index(seed: int, t: int, m: int) -> int:

@@ -13,6 +13,8 @@ from reupqnn.qcore import z_observable
 from reupqnn.experiments import (
     COLUMNS,
     ConfigError,
+    _cells,
+    _stability_cells,
     emit_results,
     load_pool,
     main,
@@ -416,6 +418,19 @@ def test_run_stability_beta_hat_equals_brute_force_retraining(stab_table):
     assert all(b > 0.0 for b in betas)
 
 
+@pytest.mark.parametrize("noise", ["", "optimizer.noise_p = 0.05\n"])
+def test_run_stability_m_train_values_do_not_depend_on_batch(tmp_path, noise):
+    """An m_train stability sweep trains as one ensemble; its rows equal
+    those of the same cells, each value keeping its split, run one per call."""
+    text = STAB_CONFIG.replace("sweep.values = 4, 5", "sweep.values = 4, 6, 5")
+    cfg = parse_config(write_config(tmp_path, text + noise, "stab.cfg"))
+    pool = load_pool(cfg)
+    one_per_call = [row for cell in _cells(cfg)
+                    for row in _stability_cells([cell], pool, list(cfg.seeds))]
+    assert len(one_per_call) == 3 * (2 * 2 * 4 + 1)  # values x (indices x seeds x (T + 1) + beta)
+    assert run_stability(cfg).rows == one_per_call
+
+
 def test_run_stability_honours_non_contiguous_seeds(tmp_path):
     text = STAB_CONFIG.replace("optimizer.seeds = 0, 1", "optimizer.seeds = 9, 0, 5")
     cfg = parse_config(write_config(tmp_path, text, "stab.cfg"))
@@ -634,6 +649,21 @@ def test_cli_bound_reports_overflow_as_inf(capsys):
     # delta = 1 zeroes the tail factor: the bound is still inf, not inf * 0.
     assert main(head + ["--delta", "1"]) == 0
     assert "generalization_bound = inf" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--delta", "0", "delta"),
+    ("--noise-p", "1.5", "noise_p"),
+    ("--eta", "-1", "eta"),
+    ("--train-size", "0", "m"),
+])
+def test_cli_bound_out_of_domain_exits_2(capsys, flag, value, name):
+    argv = {"--layers": "1", "--data-dim": "1", "--params": "2", "--train-size": "10",
+            "--iterations": "5", "--eta": "0.1", flag: value}
+    assert main(["bound"] + [v for pair in argv.items() for v in pair]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: ") and name in err
 
 
 def test_cli_data_error_exit_code(tmp_path, capsys):

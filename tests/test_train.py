@@ -12,6 +12,7 @@ from reupqnn.train import (
     LOSS_BOUND,
     SMOOTHNESS,
     TrainConfig,
+    _philox,
     _sgd_paths,
     accuracy,
     draw_index,
@@ -89,6 +90,40 @@ def test_draw_index_independent_of_history():
     alone = draw_index(11, 5, m)
     swept = [draw_index(11, t, m) for t in range(8)][5]
     assert alone == swept
+
+
+def fresh_philox(*key):
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+
+
+def test_philox_draws_equal_a_fresh_generator():
+    """The re-keyed shared generator gives the draws of a newly built one,
+    for every draw kind and also when calls with other keys come between."""
+    keys = [(0, 0), (3, 5), (7, 2**63), (2**63, 11), (2**64 - 1, 2**64 - 1),
+            (np.uint64(0x1D5), 40), (np.uint64(0x9E91), 9)]
+    draws = [
+        lambda g: g.integers(0, 17, size=6),
+        lambda g: g.integers(0, 2**40),
+        lambda g: g.uniform(0.0, 2.0 * np.pi, size=5),
+        lambda g: g.choice(50, size=7, replace=False),
+        lambda g: np.array([g.integers(0, 3), g.uniform(), g.integers(0, 1000)]),
+    ]
+    for draw in draws:
+        for key in keys:
+            np.testing.assert_array_equal(draw(_philox(*key)), draw(fresh_philox(*key)))
+    # Interleaved: each key restarts at counter 0 whatever was drawn before.
+    rng = np.random.default_rng(78)
+    for _ in range(200):
+        key = (int(rng.integers(0, 2**63)), int(rng.integers(0, 2**20)))
+        draw = draws[int(rng.integers(0, len(draws)))]
+        np.testing.assert_array_equal(draw(_philox(*key)), draw(fresh_philox(*key)))
+    c = build_circuit(2, 2, 2, 1)
+    for t in range(20):
+        assert draw_index(5, t, 13) == int(fresh_philox(5, t).integers(0, 13))
+        np.testing.assert_array_equal(
+            init_params(c, t),
+            fresh_philox(t, np.uint64(1) << np.uint64(63)).uniform(0.0, 2.0 * np.pi,
+                                                                   size=c.n_params))
 
 
 # --- sgd ----------------------------------------------------------------------
