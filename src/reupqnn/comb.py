@@ -10,11 +10,13 @@ For a unitary U the Choi operator is the rank-one projector onto the
 column-stacked vector of U, with trace equal to the input dimension.
 
 Composition.  Two Choi operators are composed by the link product
+(Chiribella, D'Ariano & Perinotti, arXiv:0904.4483), which contracts the
+systems s the operands share.  With a the systems only in A and b those
+only in B, entrywise
 
-    A * B = tr_shared[(A (x) 1) (B^{T_shared} (x) 1)],
+    (A * B)[a b, a' b'] = sum_{s,t} A[a s, a' t] B[s b, t b'],
 
-where the partial transpose runs over the shared labels and the identity
-factors pad each operand up to the union of labels.  The link product is
+that is tr_s[(A (x) 1_b) (1_a (x) B^{T_s})].  The link product is
 commutative and associative up to reordering of labels, which lets a
 re-uploading circuit be evaluated by chaining the per-block Choi
 operators against the input state, the encoding Chois and the observable
@@ -30,12 +32,13 @@ eigenvalue of H lies above -1e-8, without computing the spectrum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ansatz import ReuploadCircuit, encoding_unitary, trainable_block_unitary
-from .qcore import CapacityError, NumericalIntegrityError, Observable, QuantumState
+from .qcore import CapacityError, NumericalIntegrityError, Observable
 
 __all__ = [
     "SystemLabel",
@@ -90,9 +93,7 @@ class ChoiOperator:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate system names in {names}")
         mat = np.asarray(self.matrix, dtype=complex)
-        dim = 1
-        for s in systems:
-            dim *= s.dim
+        dim = math.prod(s.dim for s in systems)
         if mat.shape != (dim, dim):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match system dims "
@@ -197,9 +198,7 @@ def partial_trace(op: ChoiOperator, names) -> ChoiOperator:
     tensor_form = op.matrix.reshape(_tensor_shape(op))
     reduced = np.einsum(tensor_form, row_labels + col_labels, out_labels)
     systems = tuple(op.systems[i] for i in keep)
-    dim = 1
-    for s in systems:
-        dim *= s.dim
+    dim = math.prod(s.dim for s in systems)
     return ChoiOperator(systems, reduced.reshape(dim, dim))
 
 
@@ -211,67 +210,61 @@ def _require_systems(op: ChoiOperator, names) -> None:
         raise ValueError(f"duplicate system names {names}")
 
 
-def _identity_operator(systems: tuple[SystemLabel, ...]) -> ChoiOperator:
-    dim = 1
-    for s in systems:
-        dim *= s.dim
-    return ChoiOperator(systems, np.eye(dim, dtype=complex))
-
-
 def link_product(a: ChoiOperator, b: ChoiOperator) -> ChoiOperator:
     """Link product A * B contracting the shared systems.
 
-    The shared systems are the names present in both operands, in the
-    order of ``a``; their dimensions must agree.  The result lives on the
-    remaining systems of ``a`` followed by the remaining systems of ``b``.
-    With no shared systems this reduces to the tensor product; with all
+    The shared systems s are the names present in both operands; their
+    dimensions must agree.  With a the other systems of ``a`` and b the
+    other systems of ``b``, the result is
+
+        (A * B)[a b, a' b'] = sum_{s,t} A[a s, a' t] B[s b, t b'],
+
+    one contraction in which every system has one row index and one
+    column index, shared by both operands.  The result lives on a followed
+    by b.  With no shared systems this is the tensor product; with all
     systems shared it is a full contraction to a scalar operator.
     """
-    shared_names = [n for n in a.names if n in b.names]
-    for name in shared_names:
-        if a.system(name).dim != b.system(name).dim:
+    for name in a.names:
+        if name in b.names and a.system(name).dim != b.system(name).dim:
             raise ValueError(
                 f"shared system {name!r} has mismatched dimensions "
                 f"{a.system(name).dim} vs {b.system(name).dim}"
             )
-    a_only = tuple(s for s in a.systems if s.name not in shared_names)
-    b_only = tuple(s for s in b.systems if s.name not in shared_names)
-    if not shared_names:
-        return tensor(a, b)
-
-    union = a_only + tuple(a.system(n) for n in shared_names) + b_only
-    union_names = [s.name for s in union]
-    total = 1
-    for s in union:
-        total *= s.dim
+    a_only = tuple(s for s in a.systems if s.name not in b.names)
+    b_only = tuple(s for s in b.systems if s.name not in a.names)
+    union = a.systems + b_only
+    total = math.prod(s.dim for s in union)
     if total > (1 << _MAX_COMB_WIRE_QUBITS):
         raise CapacityError(
             f"link product working dimension {total} exceeds 2^{_MAX_COMB_WIRE_QUBITS}"
         )
+    # System k of the union has row index k and column index k + len(union).
+    index = {s.name: k for k, s in enumerate(union)}
 
-    a_full = a if not b_only else tensor(a, _identity_operator(b_only))
-    a_full = permute_systems(a_full, union_names)
-    b_t = partial_transpose(b, shared_names)
-    b_full = b_t if not a_only else tensor(b_t, _identity_operator(a_only))
-    b_full = permute_systems(b_full, union_names)
-    product = ChoiOperator(union, a_full.matrix @ b_full.matrix)
-    # Tracing the shared block of `union` leaves exactly a_only + b_only,
-    # already in result order.
-    return partial_trace(product, shared_names)
+    def labels(systems):
+        return [index[s.name] for s in systems] + [len(union) + index[s.name] for s in systems]
+
+    systems = a_only + b_only
+    result = np.einsum(
+        a.matrix.reshape(_tensor_shape(a)), labels(a.systems),
+        b.matrix.reshape(_tensor_shape(b)), labels(b.systems),
+        labels(systems),
+    )
+    dim = math.prod(s.dim for s in systems)
+    return ChoiOperator(systems, result.reshape(dim, dim))
 
 
 def _wire(index: int, dim: int) -> SystemLabel:
     return SystemLabel(f"w{index}", dim)
 
 
-def _layer_chois(circuit: ReuploadCircuit, theta):
-    d = 1 << circuit.n_qubits
-    chois = []
-    for layer in range(1, circuit.layers + 2):
-        u = trainable_block_unitary(circuit, theta, layer)
-        j = choi_of_unitary(u, f"w{2 * layer - 1}", f"w{2 * layer}")
-        chois.append(j)
-    return chois, d
+def _layer_chois(circuit: ReuploadCircuit, theta) -> list[ChoiOperator]:
+    return [
+        choi_of_unitary(
+            trainable_block_unitary(circuit, theta, layer), f"w{2 * layer - 1}", f"w{2 * layer}"
+        )
+        for layer in range(1, circuit.layers + 2)
+    ]
 
 
 def build_reuploading_comb(circuit: ReuploadCircuit, theta):
@@ -282,7 +275,7 @@ def build_reuploading_comb(circuit: ReuploadCircuit, theta):
     L encoding slots.  Only viable at small scale; the total dimension is
     guarded by the kron capacity limit.
     """
-    chois, _ = _layer_chois(circuit, theta)
+    chois = _layer_chois(circuit, theta)
     comb = chois[0]
     for j in chois[1:]:
         comb = tensor(comb, j)
@@ -307,9 +300,11 @@ def reuploading_comb_output(circuit: ReuploadCircuit, theta, x, obs: Observable)
         )
     if obs.matrix.shape[0] != (1 << circuit.n_qubits):
         raise ValueError("observable dimension does not match the circuit")
-    chois, d = _layer_chois(circuit, theta)
+    chois = _layer_chois(circuit, theta)
     j_enc = choi_of_unitary(encoding_unitary(circuit, x), "enc_in", "enc_out")
-    rho = QuantumState.zero_density(circuit.n_qubits).data
+    d = 1 << circuit.n_qubits
+    rho = np.zeros((d, d), dtype=complex)
+    rho[0, 0] = 1.0
     acc = ChoiOperator((_wire(1, d),), rho)
     for layer in range(1, circuit.layers + 1):
         acc = link_product(acc, chois[layer - 1])
@@ -392,18 +387,14 @@ def validate_comb(c: ChoiOperator, teeth) -> CombReport:
     outputs = [f_name] + [i for i, _ in reversed(teeth)]
     inputs = [o for _, o in reversed(teeth)] + [p_name]
     n_levels = len(outputs)
-    for level in range(n_levels):
-        out_name = outputs[level]
-        in_name = inputs[level]
-        in_dim = cur.system(in_name).dim
+    for level, (out_name, in_name) in enumerate(zip(outputs, inputs)):
+        in_system = cur.system(in_name)
         lhs = partial_trace(cur, [out_name])
-        nxt = partial_trace(cur, [out_name, in_name])
-        nxt = ChoiOperator(nxt.systems, nxt.matrix / in_dim)
-        rhs = tensor(nxt, _identity_operator((cur.system(in_name),))) if nxt.systems \
-            else ChoiOperator((cur.system(in_name),), nxt.matrix[0, 0] * np.eye(in_dim, dtype=complex))
+        cur = partial_trace(lhs, [in_name])
+        cur = ChoiOperator(cur.systems, cur.matrix / in_system.dim)
+        rhs = tensor(cur, ChoiOperator((in_system,), np.eye(in_system.dim)))
         if np.linalg.norm(lhs.matrix - rhs.matrix) > _COMB_ATOL:
             violations.append(f"causality-level-{n_levels - level}")
-        cur = nxt
     if abs(cur.matrix[0, 0] - 1.0) > _COMB_ATOL:
         violations.append("normalization")
     return CombReport(is_comb=not violations, violations=tuple(violations))

@@ -122,8 +122,10 @@ class _Range:
     open: bool = False
 
     def __contains__(self, value) -> bool:
+        # Compared, never converted to float: an integer past the float
+        # range is refused by a finite ``high``, not an OverflowError.
         above = self.low < value if self.open else self.low <= value
-        return math.isfinite(value) and above and value <= self.high
+        return above and value <= self.high and value < math.inf
 
     def __str__(self) -> str:
         if self.high == math.inf:
@@ -149,6 +151,8 @@ def _list_of(item):
     return lambda text: tuple(item(v.strip()) for v in text.split(",") if v.strip())
 
 
+_SEEDS = _Range(0, 2**64 - 1)  # a seed is one 64-bit word of a Philox key
+
 # key -> (ExperimentConfig field, parser, default, allowed values or None).
 # Required keys carry the _REQUIRED sentinel; a list key's range bounds
 # each entry, and sweep.values takes the parser and range of its axis key.
@@ -170,7 +174,7 @@ _SCHEMA = {
     "optimizer.iterations": ("iterations", _integer, 1000, _Range(0)),
     "optimizer.loss": (None, str, _LOSS, (_LOSS,)),
     "optimizer.noise_p": ("noise_p", float, 0.0, _Range(0, 1)),
-    "optimizer.seeds": ("seeds", _list_of(_integer), (0, 1, 2, 3, 4), _Range(0)),
+    "optimizer.seeds": ("seeds", _list_of(_integer), (0, 1, 2, 3, 4), _SEEDS),
     "sweep.axis": ("sweep_axis", str, "layers", tuple(_AXIS_KEYS)),
     "sweep.values": ("sweep_values", None, None, None),
     "stability.indices": ("stability_indices", _integer, 4, _Range(1)),
@@ -426,6 +430,17 @@ def _experiment_cells(cells, pool: Dataset, seeds) -> list[dict]:
     return rows
 
 
+def _offset_seeds(cfg: ExperimentConfig, seed_offset: int) -> list[int]:
+    """The configured seeds plus ``seed_offset``, each still a Philox key word."""
+    seeds = [s + seed_offset for s in cfg.seeds]
+    for seed in seeds:
+        if seed not in _SEEDS:
+            raise ConfigError(
+                f"optimizer.seeds with --seed-offset {seed_offset} must {_SEEDS}, got {seed}"
+            )
+    return seeds
+
+
 def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     """Sweep (values x seeds) and tabulate learning curves.
 
@@ -433,9 +448,9 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     other axes train one batch per value, its seeds in lockstep."""
     if cfg.m_test < 1:
         raise ConfigError("run requires dataset.m_test >= 1")
+    seeds = _offset_seeds(cfg, seed_offset)
     pool = load_pool(cfg)
     _require_pool(cfg, pool, cfg.m_test, "dataset.m_test")
-    seeds = [s + seed_offset for s in cfg.seeds]
     rows = [row for batch in _batches(cfg) for row in _experiment_cells(batch, pool, seeds)]
 
     # Aggregates per (sweep value, iteration) across seeds.
@@ -513,9 +528,9 @@ def run_stability(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
 
     An ``m_train`` axis trains every value's coupled runs in one lockstep
     ensemble; the other axes train one ensemble per value."""
+    seeds = _offset_seeds(cfg, seed_offset)
     pool = load_pool(cfg)
     _require_pool(cfg, pool, cfg.stability_probes, "stability.probes")
-    seeds = [s + seed_offset for s in cfg.seeds]
     rows = [row for batch in _batches(cfg) for row in _stability_cells(batch, pool, seeds)]
     return ResultTable(COLUMNS, rows, _meta(cfg, pool, "stability", seed_offset))
 
@@ -683,7 +698,7 @@ def _cmd_validate_comb(args) -> int:
         matrix = np.load(args.matrix)
     except (OSError, ValueError) as exc:
         raise DataFormatError(f"cannot load {args.matrix}: {exc}") from None
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if matrix.shape != (total, total):
         raise DataFormatError(
             f"matrix shape {matrix.shape} does not match dims product {total}"

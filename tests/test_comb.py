@@ -22,7 +22,7 @@ from reupqnn.comb import (
     tensor,
     validate_comb,
 )
-from reupqnn.qcore import z_observable
+from reupqnn.qcore import CapacityError, z_observable
 
 
 def random_unitary(rng, dim):
@@ -47,6 +47,28 @@ def random_psd_operator(rng, names, dims):
     a = rng.normal(size=(total, total)) + 1j * rng.normal(size=(total, total))
     systems = tuple(SystemLabel(n, d) for n, d in zip(names, dims))
     return ChoiOperator(systems, a @ a.conj().T)
+
+
+def random_operator(rng, names, dims):
+    """A general complex matrix: neither Hermitian nor symmetric."""
+    total = int(np.prod(dims))
+    a = rng.normal(size=(total, total)) + 1j * rng.normal(size=(total, total))
+    return ChoiOperator(tuple(SystemLabel(n, d) for n, d in zip(names, dims)), a)
+
+
+def link_product_by_definition(a, b):
+    """tr_s[(A (x) 1_b) (1_a (x) B^{T_s})] with identity padding and a matmul."""
+    shared = [n for n in a.names if n in b.names]
+    a_only = tuple(s for s in a.systems if s.name not in shared)
+    b_only = tuple(s for s in b.systems if s.name not in shared)
+    union = [s.name for s in a_only] + shared + [s.name for s in b_only]
+
+    def identity(systems):
+        return ChoiOperator(systems, np.eye(int(np.prod([s.dim for s in systems]))))
+
+    a_full = permute_systems(tensor(a, identity(b_only)), union)
+    b_full = permute_systems(tensor(partial_transpose(b, shared), identity(a_only)), union)
+    return partial_trace(ChoiOperator(a_full.systems, a_full.matrix @ b_full.matrix), shared)
 
 
 def align(op, names):
@@ -207,6 +229,28 @@ def test_link_product_full_overlap_gives_scalar():
     assert got.matrix.reshape(()) == pytest.approx(want, abs=1e-12)
 
 
+def test_link_product_matches_its_defining_construction():
+    """Two shared systems of dims 2 and 3, listed in different orders."""
+    rng = np.random.default_rng(52)
+    for _ in range(10):
+        a = random_operator(rng, ("p", "s", "t"), (3, 2, 3))
+        b = random_operator(rng, ("t", "q", "s"), (3, 2, 2))
+        for x, y, names in ((a, b, ("p", "q")), (b, a, ("q", "p"))):
+            got = link_product(x, y)
+            want = link_product_by_definition(x, y)
+            assert got.names == want.names == names
+            np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-12)
+
+
+def test_link_product_union_past_capacity_rejected():
+    """The union a_only + shared + b_only is 128 * 2 * 300 > 2^16."""
+    rng = np.random.default_rng(54)
+    a = random_operator(rng, ("a", "s"), (128, 2))
+    b = random_operator(rng, ("s", "b"), (2, 300))
+    with pytest.raises(CapacityError, match="76800"):
+        link_product(a, b)
+
+
 def test_link_product_dim_mismatch_rejected():
     rng = np.random.default_rng(44)
     a = random_psd_operator(rng, ("a",), (2,))
@@ -303,6 +347,25 @@ def test_validate_comb_flags_causality():
     report = validate_comb(ChoiOperator(systems, j), [("w2", "w3")])
     assert not report.is_comb
     assert any(v.startswith("causality-level-") for v in report.violations)
+
+
+def test_validate_comb_accepts_product_comb_on_unequal_wires():
+    """J_U(p -> i) (x) J_V(o -> f) on dims (2, 2, 3, 3), systems out of causal order."""
+    rng = np.random.default_rng(53)
+    ju = choi_of_unitary(random_unitary(rng, 2), "p", "i")
+    jv = choi_of_unitary(random_unitary(rng, 3), "o", "f")
+    comb = permute_systems(tensor(jv, ju), ("o", "p", "f", "i"))
+    assert comb.dims == (3, 2, 3, 2)
+    assert validate_comb(comb, [("i", "o")]) == CombReport(True, ())
+
+
+def test_validate_comb_flags_entangling_unitary_on_unequal_wires():
+    """A unitary from (p, o) to (i, f) lets the tooth input i see the later input o."""
+    rng = np.random.default_rng(53)
+    j = choi_of_unitary(random_unitary(rng, 6)).matrix
+    systems = (SystemLabel("p", 2), SystemLabel("o", 3), SystemLabel("i", 2), SystemLabel("f", 3))
+    op = permute_systems(ChoiOperator(systems, j), ("o", "p", "f", "i"))
+    assert validate_comb(op, [("i", "o")]) == CombReport(False, ("causality-level-2",))
 
 
 def test_validate_comb_flags_normalization():

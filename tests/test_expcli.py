@@ -537,6 +537,35 @@ def test_cli_rejects_repeated_sweep_values(tmp_path, capsys):
         assert "sweep.values must not repeat" in capsys.readouterr().err
 
 
+CONFIG_OF = {"run": BASE_CONFIG, "stability": STAB_CONFIG}
+
+
+@pytest.mark.parametrize("command", CONFIG_OF)
+@pytest.mark.parametrize("seeds,offset", [
+    ("18446744073709551616", "0"),
+    ("0, 1", "-1"),
+    ("0, 18446744073709551615", "1"),
+    ("1" + "0" * 400, "0"),
+], ids=["2^64", "offset_below_0", "offset_past_2^64-1", "10^400"])
+def test_cli_seed_outside_philox_key_range_exits_2(tmp_path, capsys, command, seeds, offset):
+    """A seed, offset included, is one 64-bit Philox key word: [0, 2^64 - 1]."""
+    cfg_path = write_config(tmp_path, CONFIG_OF[command].replace("seeds = 0, 1", f"seeds = {seeds}"))
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg_path, "--out", str(out), "--seed-offset", offset]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: optimizer.seeds") and "18446744073709551615]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", CONFIG_OF)
+def test_cli_runs_at_the_largest_seeds(tmp_path, capsys, command):
+    cfg_path = write_config(tmp_path, CONFIG_OF[command])
+    offset = str(2**64 - 2)  # seeds 0, 1 become 2^64 - 2 and 2^64 - 1
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "o.csv"),
+                 "--seed-offset", offset]) == 0
+    assert "wrote" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "command,text,fragment",
     [
@@ -743,6 +772,15 @@ def test_cli_validate_comb_argument_errors(tmp_path, capsys):
                  "--dims", "2,2"]) == 3
     assert main(["validate-comb", "--matrix", str(path), "--dims", "2,4"]) == 3
     capsys.readouterr()
+
+
+def test_cli_validate_comb_reports_a_dims_product_past_int64(tmp_path, capsys):
+    path = tmp_path / "id.npy"
+    np.save(path, np.eye(4, dtype=complex))
+    assert main(["validate-comb", "--matrix", str(path),
+                 "--dims", "4294967296,4294967296"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "dims product 18446744073709551616" in err
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
