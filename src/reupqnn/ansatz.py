@@ -19,9 +19,10 @@ package: real statevector rows when noiseless, real density-matrix rows
 under per-gate depolarizing noise (``noise_p`` > 0).  `forward` and
 `noise.noisy_forward` are its one-row wrappers.  Both modes walk one gate
 schedule; `_output_grads` walks it forward and then backward to give
-every row's parameter gradient (adjoint differentiation).  `iter_gates` and the
-dense unitaries build the same circuit gate by gate; they feed the comb
-route and the tests as independent oracles.
+every row's parameter gradient (adjoint differentiation).  There is no
+second simulator: `iter_gates` lists the same circuit gate by gate and the
+dense unitaries multiply it out, for the comb route (the independent
+check) and for the reference simulators in the tests.
 
 Rows are folded in both modes: Ry(a) Ry(b) = Ry(a + b), so an encoding
 block acts as one Ry of the per-qubit feature sum, which merges into the
@@ -117,24 +118,6 @@ class ReuploadCircuit:
         if not (0 <= qubit < self.n_qubits):
             raise ValueError(f"qubit {qubit} out of range")
         return ((layer - 1) * self.sublayers + sublayer) * self.n_qubits + qubit
-
-    def param_layout(self) -> list[tuple[int, int, int]]:
-        """(layer, sublayer, qubit) for every flat parameter index."""
-        return [
-            (l, r, q)
-            for l in range(1, self.layers + 2)
-            for r in range(self.sublayers)
-            for q in range(self.n_qubits)
-        ]
-
-    def encode_layout(self) -> list[tuple[int, int]]:
-        """(column, qubit) slot for every data feature, row-major."""
-        return [(d // self.n_qubits, d % self.n_qubits) for d in range(self.data_dim)]
-
-    def layer_slice(self, layer: int) -> slice:
-        """Slice of the flat parameter vector belonging to one block."""
-        width = self.sublayers * self.n_qubits
-        return slice((layer - 1) * width, layer * width)
 
 
 def build_circuit(n_qubits: int, layers: int, data_dim: int, sublayers: int) -> ReuploadCircuit:

@@ -46,7 +46,6 @@ __all__ = [
     "choi_of_unitary",
     "tensor",
     "permute_systems",
-    "partial_transpose",
     "partial_trace",
     "link_product",
     "build_reuploading_comb",
@@ -57,6 +56,8 @@ __all__ = [
 
 _COMB_ATOL = 1e-8
 _MAX_COMB_WIRE_QUBITS = 16
+# Each system takes a row and a column label in einsum, which has 52 labels.
+_MAX_SYSTEMS = 26
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,7 @@ class ChoiOperator:
         names = [s.name for s in systems]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate system names in {names}")
+        _require_system_count(len(systems))
         mat = np.asarray(self.matrix, dtype=complex)
         dim = math.prod(s.dim for s in systems)
         if mat.shape != (dim, dim):
@@ -121,6 +123,13 @@ class ChoiOperator:
             SystemLabel(mapping.get(s.name, s.name), s.dim) for s in self.systems
         )
         return ChoiOperator(systems, self.matrix)
+
+
+def _require_system_count(count: int) -> None:
+    if count > _MAX_SYSTEMS:
+        raise CapacityError(
+            f"{count} systems exceed the supported maximum of {_MAX_SYSTEMS}"
+        )
 
 
 def choi_of_unitary(u: np.ndarray, in_name: str = "in", out_name: str = "out") -> ChoiOperator:
@@ -171,20 +180,6 @@ def permute_systems(op: ChoiOperator, order) -> ChoiOperator:
     return ChoiOperator(systems, np.ascontiguousarray(tensor_form.reshape(dim, dim)))
 
 
-def partial_transpose(op: ChoiOperator, names) -> ChoiOperator:
-    """Transpose the chosen systems, leaving the others untouched."""
-    names = list(names)
-    _require_systems(op, names)
-    k = len(op.systems)
-    axes = list(range(2 * k))
-    for name in names:
-        i = op.names.index(name)
-        axes[i], axes[k + i] = axes[k + i], axes[i]
-    tensor_form = op.matrix.reshape(_tensor_shape(op)).transpose(axes)
-    dim = op.matrix.shape[0]
-    return ChoiOperator(op.systems, np.ascontiguousarray(tensor_form.reshape(dim, dim)))
-
-
 def partial_trace(op: ChoiOperator, names) -> ChoiOperator:
     """Trace out the chosen systems; remaining systems keep their order."""
     names = list(names)
@@ -233,6 +228,7 @@ def link_product(a: ChoiOperator, b: ChoiOperator) -> ChoiOperator:
     a_only = tuple(s for s in a.systems if s.name not in b.names)
     b_only = tuple(s for s in b.systems if s.name not in a.names)
     union = a.systems + b_only
+    _require_system_count(len(union))
     total = math.prod(s.dim for s in union)
     if total > (1 << _MAX_COMB_WIRE_QUBITS):
         raise CapacityError(

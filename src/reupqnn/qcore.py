@@ -7,9 +7,10 @@ channels) is built on the small set of utilities in this module:
 * Kronecker composition with the big-endian qubit convention: qubit 0 is
   the most significant bit of the basis index, so ``kron(A, B)`` acts with
   A on qubit 0.
-* Pure-state and density-matrix containers with validity checks.
-* Gate application on arbitrary target qubits, expectation values, and
-  the spectral norm.
+* Dense gate embedding on arbitrary target qubits, observables and the
+  spectral norm.
+* A pure-state and density-matrix container with validity checks, and the
+  batched density check that the noisy engine rows run through.
 
 Arrays here are numpy ``complex128`` (the batched engine in
 :mod:`reupqnn.ansatz` keeps its rows in ``float64``); sizes stay at desk
@@ -35,10 +36,8 @@ __all__ = [
     "kron_all",
     "embed_gate",
     "QuantumState",
-    "apply_gate",
     "Observable",
     "z_observable",
-    "expectation",
     "spectral_norm",
 ]
 
@@ -65,7 +64,6 @@ _MAX_KRON_DIM = 1 << 13
 _UNITARY_ATOL = 1e-10
 _STATE_NORM_ATOL = 1e-12
 _DENSITY_EIG_FLOOR = -1e-10
-_RESIDUE_ATOL = 1e-8
 
 
 def rotation_gate(axis: str, angle: float) -> np.ndarray:
@@ -113,13 +111,6 @@ def kron_all(factors) -> np.ndarray:
     return out
 
 
-def _require_unitary(gate: np.ndarray) -> None:
-    dim = gate.shape[0]
-    residual = gate @ gate.conj().T - np.eye(dim)
-    if np.max(np.abs(residual)) > _UNITARY_ATOL:
-        raise ValueError("gate is not unitary within 1e-10")
-
-
 def embed_gate(gate: np.ndarray, targets: tuple[int, ...], n_qubits: int) -> np.ndarray:
     """Dense 2^n x 2^n matrix acting with ``gate`` on ``targets``.
 
@@ -150,6 +141,10 @@ def _check_targets(gate: np.ndarray, targets: tuple[int, ...], n_qubits: int) ->
         )
 
 
+# No package code builds a QuantumState; the reference simulator in
+# tests/_oracles.py does.  It stays here because the benchmark tracer
+# (perfbench/spans.py) patches QuantumState.__post_init__ at install time
+# and stops without the class.
 @dataclass(frozen=True)
 class QuantumState:
     """A pure statevector or a density matrix on ``n_qubits`` qubits.
@@ -238,35 +233,6 @@ def _check_density_rows(rhos: np.ndarray) -> None:
         )
 
 
-def apply_gate(state: QuantumState, gate: np.ndarray, targets) -> QuantumState:
-    """Apply a unitary ``gate`` to ``targets`` of ``state``.
-
-    Pure states transform as U|psi>, density matrices as U rho U^dagger.
-    The gate must be unitary within 1e-10 and its dimension must match the
-    number of distinct target qubits.
-    """
-    gate = np.asarray(gate, dtype=complex)
-    targets = tuple(int(t) for t in targets)
-    _check_targets(gate, targets, state.n_qubits)
-    _require_unitary(gate)
-    n = state.n_qubits
-    k = len(targets)
-    gate_tensor = gate.reshape((2,) * (2 * k))
-    if state.kind == "pure":
-        psi = state.data.reshape((2,) * n)
-        psi = np.tensordot(gate_tensor, psi, axes=(range(k, 2 * k), targets))
-        psi = np.moveaxis(psi, range(k), targets)
-        return QuantumState(psi.reshape(-1), "pure")
-    rho = state.data.reshape((2,) * (2 * n))
-    rho = np.tensordot(gate_tensor, rho, axes=(range(k, 2 * k), targets))
-    rho = np.moveaxis(rho, range(k), targets)
-    col_targets = [n + t for t in targets]
-    rho = np.tensordot(rho, gate_tensor.conj(), axes=(col_targets, range(k, 2 * k)))
-    rho = np.moveaxis(rho, range(2 * n - k, 2 * n), col_targets)
-    dim = 1 << n
-    return QuantumState(rho.reshape(dim, dim), "density")
-
-
 @dataclass(frozen=True)
 class Observable:
     """Hermitian measurement operator with its spectral norm cached."""
@@ -290,29 +256,6 @@ def z_observable(n_qubits: int) -> Observable:
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
     return Observable(kron_all([PAULI_Z] + [I2] * (n_qubits - 1)))
-
-
-def expectation(state: QuantumState, observable) -> float:
-    """Real expectation value <M> in ``state``.
-
-    Accepts an :class:`Observable` or a raw Hermitian matrix.  The
-    imaginary residue must stay below 1e-8; it is then discarded.
-    """
-    mat = observable.matrix if isinstance(observable, Observable) else np.asarray(observable)
-    if mat.shape[0] != state.data.shape[0]:
-        raise ValueError(
-            f"observable dimension {mat.shape[0]} does not match state "
-            f"dimension {state.data.shape[0]}"
-        )
-    if state.kind == "pure":
-        value = np.vdot(state.data, mat @ state.data)
-    else:
-        value = np.trace(mat @ state.data)
-    if abs(value.imag) > _RESIDUE_ATOL:
-        raise NumericalIntegrityError(
-            f"expectation has imaginary residue {value.imag!r} above 1e-8"
-        )
-    return float(value.real)
 
 
 def spectral_norm(m: np.ndarray) -> float:

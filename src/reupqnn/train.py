@@ -20,6 +20,7 @@ so a run's bits do not depend on its batch.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,10 +73,10 @@ class TrainConfig:
     def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not isinstance(self.iterations, numbers.Integral) or self.iterations < 0:
+            raise ValueError(f"iterations must be an integer >= 0, got {self.iterations!r}")
+        if not 0 <= self.seed <= 2**64 - 1:  # one 64-bit word of a Philox key
+            raise ValueError(f"seed must lie in [0, 2^64 - 1], got {self.seed!r}")
         if not (0.0 <= self.noise_p <= 1.0):
             raise ValueError(f"noise_p={self.noise_p!r} outside [0, 1]")
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from _imagegen import surrogate_idx_pair
+from _oracles import apply_gate, kraus_oracle
 from reupqnn.ansatz import build_circuit, circuit_unitary, forward
 from reupqnn.comb import (
     ChoiOperator,
@@ -28,8 +29,8 @@ from reupqnn.comb import (
 from reupqnn.data import synthetic_toy
 from reupqnn.experiments import main, parse_config, run_experiment
 from reupqnn.grad import finite_diff_grad, parameter_shift_grad_f
-from reupqnn.noise import depolarize, noisy_forward
-from reupqnn.qcore import QuantumState, apply_gate, spectral_norm, z_observable
+from reupqnn.noise import noisy_forward
+from reupqnn.qcore import QuantumState, spectral_norm, z_observable
 from reupqnn.stability import (
     BoundInputs,
     coupled_divergence,
@@ -299,7 +300,7 @@ def test_criterion_06_noise_damping_law():
             for gate, targets in iter_gates(c, theta, x):
                 state = apply_gate(state, gate, targets)
                 for q in targets:
-                    state = depolarize(state, p, q)
+                    state = QuantumState(kraus_oracle(state.data, p, q, 1), "density")
                 worst_trace = max(worst_trace, abs(np.trace(state.data).real - 1.0))
     _report(
         6,

@@ -19,17 +19,15 @@ from reupqnn.ansatz import (
     iter_gates,
     trainable_block_unitary,
 )
+from _oracles import apply_gate, expectation, kraus_oracle
 from reupqnn.qcore import (
     CapacityError,
     Observable,
     QuantumState,
-    apply_gate,
     embed_gate,
-    expectation,
     rotation_gate,
     z_observable,
 )
-from test_noise import kraus_oracle
 
 
 def single_qubit_closed_form(circuit, theta, x):
@@ -41,7 +39,7 @@ def single_qubit_closed_form(circuit, theta, x):
 
 
 def forward_via_gate_list(circuit, theta, x, obs):
-    """Replay iter_gates through the generic dense simulator."""
+    """Replay iter_gates through the gate-by-gate reference simulator."""
     state = QuantumState.zero(circuit.n_qubits)
     for gate, targets in iter_gates(circuit, theta, x):
         state = apply_gate(state, gate, targets)
@@ -58,28 +56,32 @@ def test_param_count_formula():
 
 
 def test_param_index_round_trip():
+    """Flat indices run over (layer, sublayer, qubit) row-major, so each
+    block's parameters are one contiguous slice of theta."""
     c = build_circuit(4, 8, data_dim=16, sublayers=2)
-    layout = c.param_layout()
-    assert len(layout) == c.n_params == 72
-    assert layout[0] == (1, 0, 0)
-    assert layout[71] == (9, 1, 3)
-    for j, (layer, sub, q) in enumerate(layout):
-        assert c.param_index(layer, sub, q) == j
+    assert c.n_params == 72
+    width = c.sublayers * c.n_qubits
+    j = 0
+    for layer in range(1, c.layers + 2):
+        for sub in range(c.sublayers):
+            for q in range(c.n_qubits):
+                assert c.param_index(layer, sub, q) == j
+                assert (layer - 1) * width <= j < layer * width
+                j += 1
+    assert j == c.n_params
+    assert c.param_index(9, 1, 3) == 71
 
 
 def test_encode_layout_row_major_wrap():
+    """Feature d sits at column d // N on qubit d % N; slots past D are Ry(0)."""
     c = build_circuit(2, 1, data_dim=5, sublayers=1)
     assert c.encode_columns == 3
-    assert c.encode_layout() == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
-
-
-def test_layer_slice_partitions_theta():
-    c = build_circuit(3, 2, data_dim=3, sublayers=2)
-    seen = []
-    for layer in range(1, c.layers + 2):
-        s = c.layer_slice(layer)
-        seen.extend(range(c.n_params)[s])
-    assert seen == list(range(c.n_params))
+    x = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    gates = list(iter_gates(c, np.zeros(c.n_params), x))
+    encode = gates[c.sublayers * (2 * c.n_qubits - 1):][:c.encode_columns * c.n_qubits]
+    assert [t for _, t in encode] == [(0,), (1,), (0,), (1,), (0,), (1,)]
+    for (gate, _), angle in zip(encode, [0.1, 0.2, 0.3, 0.4, 0.5, 0.0]):
+        np.testing.assert_array_equal(gate, rotation_gate("y", angle))
 
 
 def test_circuit_validation():

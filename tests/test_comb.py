@@ -7,6 +7,7 @@ as oracles; none of them share code with the implementation under test.
 import numpy as np
 import pytest
 
+from _oracles import partial_transpose
 from reupqnn.ansatz import build_circuit, forward, forward_many
 from reupqnn.comb import (
     ChoiOperator,
@@ -16,7 +17,6 @@ from reupqnn.comb import (
     choi_of_unitary,
     link_product,
     partial_trace,
-    partial_transpose,
     permute_systems,
     reuploading_comb_output,
     tensor,
@@ -249,6 +249,24 @@ def test_link_product_union_past_capacity_rejected():
     b = random_operator(rng, ("s", "b"), (2, 300))
     with pytest.raises(CapacityError, match="76800"):
         link_product(a, b)
+
+
+def ones(names):
+    """A 1x1 operator over dimension-1 systems, however many there are."""
+    return ChoiOperator(tuple(SystemLabel(n, 1) for n in names), np.ones((1, 1)))
+
+
+def test_operators_past_26_systems_rejected():
+    """einsum has 52 labels, a row and a column one per system: a 26-system
+    operator and a link product over a 26-system union work, 27 are refused."""
+    op = ones([f"s{i}" for i in range(26)])
+    assert partial_trace(op, ["s0"]).matrix.shape == (1, 1)
+    with pytest.raises(CapacityError, match="27 systems"):
+        ones([f"s{i}" for i in range(27)])
+    a = ones([f"a{i}" for i in range(13)] + ["s"])
+    assert link_product(a, ones([f"b{i}" for i in range(12)] + ["s"])).matrix.shape == (1, 1)
+    with pytest.raises(CapacityError, match="27 systems"):
+        link_product(a, ones([f"b{i}" for i in range(13)]))
 
 
 def test_link_product_dim_mismatch_rejected():

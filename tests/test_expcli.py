@@ -783,6 +783,15 @@ def test_cli_validate_comb_reports_a_dims_product_past_int64(tmp_path, capsys):
     assert err.startswith("data error:") and "dims product 18446744073709551616" in err
 
 
+def test_cli_validate_comb_past_26_systems_exits_4(tmp_path, capsys):
+    path = tmp_path / "one.npy"
+    np.save(path, np.ones((1, 1)))
+    assert main(["validate-comb", "--matrix", str(path), "--dims", ",".join(["1"] * 28)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("capacity error:") and "28 systems" in captured.err
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
 def test_cli_validate_comb_rejects_non_finite_matrix(tmp_path, capsys, bad):
     matrix = np.eye(16, dtype=complex)

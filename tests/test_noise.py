@@ -1,14 +1,18 @@
-"""Depolarizing channel semantics and the exact damping law.
+"""The depolarizing kernel, the noisy circuit output and the damping law.
 
-Oracle: the Kraus form {sqrt(1-3p/4) I, sqrt(p/4) X, sqrt(p/4) Y,
-sqrt(p/4) Z}, which equals replacing the marked qubit by I/2 with
-probability p.
+Oracles: the Kraus form {sqrt(1-3p/4) I, sqrt(p/4) X, sqrt(p/4) Y,
+sqrt(p/4) Z} (``_oracles.kraus_oracle``), which equals replacing the
+marked qubit by I/2 with probability p; a dense density-matrix replay of
+the gate list with that channel after every gate; and the closed-form
+(1-p)^G damping of one-qubit circuits.
 """
 
 import numpy as np
 import pytest
 
+from _oracles import kraus_oracle
 from reupqnn.ansatz import (
+    _depolarize_rows,
     _output_grads,
     build_circuit,
     circuit_unitary,
@@ -17,62 +21,40 @@ from reupqnn.ansatz import (
     iter_gates,
 )
 from reupqnn.grad import parameter_shift_grad_f
-from reupqnn.noise import depolarize, noisy_forward
-from reupqnn.qcore import (
-    I2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    Observable,
-    QuantumState,
-    embed_gate,
-    z_observable,
-)
+from reupqnn.noise import noisy_forward
+from reupqnn.qcore import I2, Observable, _check_density_rows, embed_gate, z_observable
 
 
 def random_density(rng, n):
     dim = 2 ** n
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
-    rho /= np.trace(rho).real
-    return QuantumState(rho, "density")
+    return rho / np.trace(rho).real
 
 
-def kraus_oracle(rho, p, qubit, n):
-    ops = [
-        np.sqrt(1 - 0.75 * p) * I2,
-        np.sqrt(0.25 * p) * PAULI_X,
-        np.sqrt(0.25 * p) * PAULI_Y,
-        np.sqrt(0.25 * p) * PAULI_Z,
-    ]
-    out = np.zeros_like(rho)
-    for k in ops:
-        # embed_gate insists on unitarity, so build the embedding by hand
-        full = np.eye(1, dtype=complex)
-        for q in range(n):
-            full = np.kron(full, k if q == qubit else I2)
-        out += full @ rho @ full.conj().T
-    return out
+def depolarized(rho, p, qubit, n):
+    """D_p on one qubit of ``rho`` by the engine kernel, as a one-row batch."""
+    row = rho.reshape(-1, 1).copy()
+    _depolarize_rows(row, n, qubit, p)
+    return row.reshape(rho.shape)
 
 
 def test_depolarize_p_zero_is_identity():
     rng = np.random.default_rng(61)
-    state = random_density(rng, 2)
-    out = depolarize(state, 0.0, 1)
-    np.testing.assert_array_equal(out.data, state.data)
+    rho = random_density(rng, 2)
+    np.testing.assert_array_equal(depolarized(rho, 0.0, 1, 2), rho)
 
 
 def test_depolarize_p_one_fully_mixes_one_qubit():
     rng = np.random.default_rng(62)
-    state = random_density(rng, 1)
-    out = depolarize(state, 1.0, 0)
-    np.testing.assert_allclose(out.data, 0.5 * np.eye(2), atol=1e-12)
+    out = depolarized(random_density(rng, 1), 1.0, 0, 1)
+    np.testing.assert_allclose(out, 0.5 * np.eye(2), atol=1e-12)
 
 
 def test_depolarize_plus_state_half_strength():
     plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
-    out = depolarize(QuantumState(plus, "density"), 0.5, 0)
-    np.testing.assert_allclose(out.data, [[0.5, 0.25], [0.25, 0.5]], atol=1e-14)
+    out = depolarized(plus, 0.5, 0, 1)
+    np.testing.assert_allclose(out, [[0.5, 0.25], [0.25, 0.5]], atol=1e-14)
 
 
 def test_depolarize_matches_kraus_oracle():
@@ -81,28 +63,16 @@ def test_depolarize_matches_kraus_oracle():
         n = int(rng.integers(1, 4))
         qubit = int(rng.integers(n))
         p = float(rng.uniform(0, 1))
-        state = random_density(rng, n)
-        got = depolarize(state, p, qubit).data
-        want = kraus_oracle(state.data, p, qubit, n)
-        assert np.max(np.abs(got - want)) < 1e-10
+        rho = random_density(rng, n)
+        got = depolarized(rho, p, qubit, n)
+        assert np.max(np.abs(got - kraus_oracle(rho, p, qubit, n))) < 1e-10
 
 
 def test_depolarize_preserves_trace_and_validity():
     rng = np.random.default_rng(64)
-    state = random_density(rng, 2)
-    out = depolarize(state, 0.37, 0)
-    assert np.trace(out.data).real == pytest.approx(1.0, abs=1e-12)
-    QuantumState(out.data, "density")  # re-runs the density invariants
-
-
-def test_depolarize_input_validation():
-    with pytest.raises(ValueError):
-        depolarize(QuantumState.zero(1), 0.1, 0)  # pure state
-    rho = QuantumState.zero_density(1)
-    with pytest.raises(ValueError):
-        depolarize(rho, 1.5, 0)
-    with pytest.raises(ValueError):
-        depolarize(rho, 0.1, 3)
+    out = depolarized(random_density(rng, 2), 0.37, 0, 2)
+    assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
+    _check_density_rows(out[None])  # Hermitian, unit trace, no eigenvalue below -1e-10
 
 
 def test_noisy_forward_p_zero_matches_clean():

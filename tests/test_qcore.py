@@ -4,12 +4,15 @@ Oracles used here are deliberately different code paths from the
 implementation: a truncated matrix exponential for rotations, bitwise
 dense embedding for multi-qubit gates, direct quadratic forms for
 expectations, and a characteristic-polynomial root solver for the
-spectral norm.
+spectral norm.  The gate-by-gate reference simulator that other test files
+replay circuits through (``_oracles.apply_gate`` and ``expectation``) is
+checked here against the same dense embedding and quadratic forms.
 """
 
 import numpy as np
 import pytest
 
+from _oracles import apply_gate, expectation
 from reupqnn.qcore import (
     CapacityError,
     I2,
@@ -19,9 +22,7 @@ from reupqnn.qcore import (
     PAULI_Y,
     PAULI_Z,
     QuantumState,
-    apply_gate,
     embed_gate,
-    expectation,
     kron,
     kron_all,
     rotation_gate,
@@ -231,7 +232,7 @@ def test_state_validation():
         QuantumState(np.array([1.0, 0, 0], dtype=complex), "pure")
 
 
-# --- apply_gate -------------------------------------------------------------
+# --- apply_gate (the tests' gate-by-gate reference simulator) ----------------
 
 
 def test_apply_gate_cx_flips_target_when_control_set():

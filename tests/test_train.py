@@ -252,12 +252,18 @@ def test_accuracy_counts_sign_matches():
 
 
 def test_train_config_validation():
+    TrainConfig(0.1, 2, 2**64 - 1)  # a seed fills one 64-bit Philox key word
     with pytest.raises(ValueError):
         TrainConfig(-0.1, 10, 0)
     with pytest.raises(ValueError):
         TrainConfig(0.1, -1, 0)
     with pytest.raises(ValueError):
         TrainConfig(0.1, 10, 0, noise_p=1.5)
+    with pytest.raises(ValueError, match="iterations"):
+        TrainConfig(0.1, 2.5, 0)
+    for seed in (2**64, -1):
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(0.1, 2, seed)
 
 
 def test_train_on_toy_task_improves_risk():
