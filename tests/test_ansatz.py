@@ -72,6 +72,18 @@ def test_param_index_round_trip():
     assert c.param_index(9, 1, 3) == 71
 
 
+def test_layer_slice_partitions_theta():
+    """Each block's indices are one contiguous run; the blocks tile theta in order."""
+    c = build_circuit(3, 2, data_dim=3, sublayers=2)
+    seen = []
+    for layer in range(1, c.layers + 2):
+        block = [c.param_index(layer, sub, q)
+                 for sub in range(c.sublayers) for q in range(c.n_qubits)]
+        assert block == list(range(block[0], block[0] + len(block)))
+        seen.extend(block)
+    assert seen == list(range(c.n_params))
+
+
 def test_encode_layout_row_major_wrap():
     """Feature d sits at column d // N on qubit d % N; slots past D are Ry(0)."""
     c = build_circuit(2, 1, data_dim=5, sublayers=1)
