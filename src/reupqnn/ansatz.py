@@ -16,13 +16,14 @@ The trainable parameter vector has K = (L + 1) * R * N entries ordered by
 
 One batched engine, `forward_many`, simulates every circuit output in the
 package: real statevector rows when noiseless, real density-matrix rows
-under per-gate depolarizing noise (``noise_p`` > 0).  `forward` and
-`noise.noisy_forward` are its one-row wrappers.  Both modes walk one gate
-schedule; `_output_grads` walks it forward and then backward to give
-every row's parameter gradient (adjoint differentiation).  There is no
-second simulator: `iter_gates` lists the same circuit gate by gate and the
-dense unitaries multiply it out, for the comb route (the independent
-check) and for the reference simulators in the tests.
+under per-gate depolarizing noise (``noise_p`` > 0, a float or one
+strength per row).  `forward` and `noise.noisy_forward` are its one-row
+wrappers.  Both modes walk one gate schedule; `_output_grads` walks it
+forward and then backward to give every row's parameter gradient
+(adjoint differentiation).  There is no second simulator: `iter_gates`
+lists the same circuit gate by gate and the dense unitaries multiply it
+out, for the comb route (the independent check) and for the reference
+simulators in the tests.
 
 Rows are folded in both modes: Ry(a) Ry(b) = Ry(a + b), so an encoding
 block acts as one Ry of the per-qubit feature sum, which merges into the
@@ -223,10 +224,11 @@ def _apply_cx_rows(states: np.ndarray, control: int, target: int) -> None:
     view[:, 1, :, 1] = tmp
 
 
-def _depolarize_rows(rhos: np.ndarray, n: int, qubit: int, p: float) -> None:
+def _depolarize_rows(rhos: np.ndarray, n: int, qubit: int, p) -> None:
     """Depolarizing channel of strength ``p`` (see `noise`) on one qubit of
-    n-qubit density rows stored as 2n-qubit vectors, in place.  k merged
-    channels of strength p are one of strength 1 - (1 - p)^k."""
+    n-qubit density rows stored as 2n-qubit vectors, in place.  ``p`` is a
+    float or a (rows,) vector of per-row strengths.  k merged channels of
+    strength p are one of strength 1 - (1 - p)^k."""
     # Axes: row bits before the qubit, its row bit, the n - 1 bits between
     # it and its column bit, its column bit, the column bits after it.
     view = rhos.reshape(1 << qubit, 2, 1 << (n - 1), 2, -1, rhos.shape[-1])
@@ -282,10 +284,29 @@ def _half_angles(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray) -
     return np.ascontiguousarray(0.5 * angles.reshape(rows, -1).T)
 
 
-def _strengths(circuit: ReuploadCircuit, noise_p: float) -> dict:
-    """1 - (1 - p)^k for every merged channel count k in the schedule; empty when noiseless."""
-    ops = _schedule(circuit, True) if noise_p else ()
-    return {k: 1.0 - (1.0 - noise_p) ** k for kind, _, k in ops if kind == _NOISE}
+def _noisy(noise: np.ndarray) -> bool:
+    """Whether strengths validated by `_check_rows` are positive: a batch
+    is all zero or all positive, so its first row tells."""
+    return noise.size > 0 and noise.item(0) > 0.0
+
+
+def _strengths(circuit: ReuploadCircuit, noise) -> dict:
+    """1 - (1 - p)^k for every merged channel count k in the schedule, p
+    the float or (rows,) vector ``noise``; empty when noiseless.
+
+    Each value is a float when the rows share one p, else a (rows,) vector,
+    whose broadcast in `_depolarize_rows` costs more.  Each distinct p is
+    raised in Python floats, so a row's strength is the same double
+    whatever the other rows of its batch."""
+    noise = np.asarray(noise, dtype=float)
+    if not _noisy(noise):
+        return {}
+    ps, row_p = np.unique(noise, return_inverse=True)
+    counts = {k for kind, _, k in _schedule(circuit, True) if kind == _NOISE}
+    table = {k: [1.0 - (1.0 - p) ** k for p in ps.tolist()] for k in counts}
+    if len(ps) == 1:
+        return {k: column[0] for k, column in table.items()}
+    return {k: np.array(column)[row_p] for k, column in table.items()}
 
 
 def _step(states: np.ndarray, op: tuple, c: np.ndarray, s: np.ndarray, n: int,
@@ -304,9 +325,9 @@ def _step(states: np.ndarray, op: tuple, c: np.ndarray, s: np.ndarray, n: int,
             _apply_cx_rows(states, m + q, m + q + 1)
 
 
-def _fresh_rows(circuit: ReuploadCircuit, rows: int, noise_p: float) -> np.ndarray:
+def _fresh_rows(circuit: ReuploadCircuit, rows: int, noisy: bool) -> np.ndarray:
     """|0...0> as (2^n, rows) statevector rows, or (4^n, rows) density rows."""
-    states = np.zeros((1 << (circuit.n_qubits * (2 if noise_p else 1)), rows))
+    states = np.zeros((1 << (circuit.n_qubits * (2 if noisy else 1)), rows))
     states[0] = 1.0
     return states
 
@@ -322,11 +343,12 @@ def _sweep(states: np.ndarray, circuit: ReuploadCircuit, c: np.ndarray, s: np.nd
 
 
 def _simulate_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
-                   noise_p: float) -> np.ndarray:
-    """Real statevector rows, or density rows as 2n-qubit vectors when ``noise_p`` > 0."""
+                   noise) -> np.ndarray:
+    """Real statevector rows, or density rows as 2n-qubit vectors when ``noise`` > 0."""
     half = _half_angles(circuit, thetas, xs)
-    states = _fresh_rows(circuit, thetas.shape[0], noise_p)
-    _sweep(states, circuit, np.cos(half), np.sin(half), _strengths(circuit, noise_p))
+    strengths = _strengths(circuit, noise)
+    states = _fresh_rows(circuit, thetas.shape[0], bool(strengths))
+    _sweep(states, circuit, np.cos(half), np.sin(half), strengths)
     return states
 
 
@@ -348,11 +370,11 @@ def _observe(matrix: np.ndarray, states: np.ndarray, out: np.ndarray | None = No
 
 
 def _measure(circuit: ReuploadCircuit, states: np.ndarray, obs: Observable,
-             noise_p: float) -> np.ndarray:
+             noisy: bool) -> np.ndarray:
     # Rows are real and Im(M) of a Hermitian M is antisymmetric, so it adds
     # nothing to psi^T M psi or tr(M rho) with rho symmetric.
     matrix = obs.matrix.real
-    if noise_p:
+    if noisy:
         dim = 1 << circuit.n_qubits
         _check_density_rows(np.moveaxis(states.reshape(dim, dim, -1), -1, 0))
         # tr(M rho) = <vec(M^T), vec(rho)>.
@@ -361,8 +383,10 @@ def _measure(circuit: ReuploadCircuit, states: np.ndarray, obs: Observable,
 
 
 def _expectations(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
-                  obs: Observable, noise_p: float) -> np.ndarray:
-    return _measure(circuit, _simulate_rows(circuit, thetas, xs, noise_p), obs, noise_p)
+                  obs: Observable, noise) -> np.ndarray:
+    states = _simulate_rows(circuit, thetas, xs, noise)
+    # Density rows hold 4^n amplitudes, statevector rows 2^n.
+    return _measure(circuit, states, obs, states.shape[0] > 1 << circuit.n_qubits)
 
 
 def _ry_grad(lam: np.ndarray, psi: np.ndarray, qubit: int) -> np.ndarray:
@@ -377,7 +401,7 @@ def _ry_grad(lam: np.ndarray, psi: np.ndarray, qubit: int) -> np.ndarray:
 
 
 def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
-                  obs: Observable, noise_p: float) -> tuple[np.ndarray, np.ndarray]:
+                  obs: Observable, noise) -> tuple[np.ndarray, np.ndarray]:
     """Outputs and their parameter gradients for one chunk of rows: ((rows,), (rows, K)).
 
     Adjoint differentiation (Jones & Gacon, arXiv:2009.02823): one forward
@@ -395,14 +419,15 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
     """
     rows = thetas.shape[0]
     half = _half_angles(circuit, thetas, xs)
-    strengths = _strengths(circuit, noise_p)
+    strengths = _strengths(circuit, noise)
+    noisy = bool(strengths)
     matrix = obs.matrix.real
-    kept = [] if noise_p else None
-    if noise_p:
+    kept = [] if noisy else None
+    if noisy:
         c, s = np.cos(half), np.sin(half)
-        states = _fresh_rows(circuit, rows, noise_p)
+        states = _fresh_rows(circuit, rows, noisy)
         _sweep(states, circuit, c, s, strengths, kept)
-        values = _measure(circuit, states, obs, noise_p)
+        values = _measure(circuit, states, obs, noisy)
         # tr(M rho) = <vec(M^T), vec(rho)>.
         back = np.repeat(matrix.T.reshape(-1, 1), rows, axis=1)
     else:
@@ -410,14 +435,14 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
         # of the rows carry the same angles.
         half = np.concatenate([half, half], axis=1)
         c, s = np.cos(half), np.sin(half)
-        back = _fresh_rows(circuit, 2 * rows, noise_p)
+        back = _fresh_rows(circuit, 2 * rows, noisy)
         _sweep(back[:, :rows], circuit, c[:, :rows], s[:, :rows], strengths)
         _observe(matrix, back[:, :rows], out=back[:, rows:])
         values = _column_sum(back[:, :rows] * back[:, rows:])
     s = -s
     psi, lam = back[:, :rows], back[:, -rows:]
     grads = np.empty((rows, circuit.n_params))
-    ops = _schedule(circuit, bool(noise_p))
+    ops = _schedule(circuit, noisy)
     for i, (kind, q, j) in reversed(list(enumerate(ops))):
         if kind == _RY:
             grads[:, j] = _ry_grad(lam, psi if kept is None else kept.pop(), q)
@@ -427,8 +452,10 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
 
 
 def _check_rows(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
-                noise_p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (rows, K) thetas and (rows, D) xs, single rows broadcast."""
+                noise_p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated (rows, K) thetas and (rows, D) xs, single rows broadcast,
+    and the noise strengths: 0-d for every row, or (rows,) with all rows
+    zero or all positive."""
     thetas, xs = np.atleast_2d(np.asarray(thetas, dtype=float), np.asarray(xs, dtype=float))
     if thetas.shape[0] == 1 and xs.shape[0] > 1:
         thetas = np.broadcast_to(thetas, (xs.shape[0], thetas.shape[1]))
@@ -446,53 +473,71 @@ def _check_rows(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
         raise ValueError("thetas or xs contain non-finite entries")
     if obs.matrix.shape[0] != (1 << circuit.n_qubits):
         raise ValueError("observable dimension does not match the circuit")
-    if not (0.0 <= noise_p <= 1.0):
-        raise ValueError(f"noise strength p={noise_p!r} outside [0, 1]")
-    return thetas, xs
+    rows = thetas.shape[0]
+    noise = np.asarray(noise_p, dtype=float)
+    if noise.ndim == 0:
+        if not (0.0 <= float(noise) <= 1.0):
+            raise ValueError(f"noise strength p={noise_p!r} outside [0, 1]")
+        return thetas, xs, noise
+    if noise.shape != (rows,):
+        raise ValueError(f"noise_p has shape {noise.shape}, expected a float or ({rows},)")
+    low, high = (noise.min(), noise.max()) if rows else (0.0, 0.0)
+    if not (0.0 <= low and high <= 1.0):  # NaN fails too
+        raise ValueError(f"noise strengths {noise_p!r} outside [0, 1]")
+    if low == 0.0 < high:
+        # p = 0 rows are statevectors and p > 0 rows density matrices.
+        raise ValueError("one batch cannot mix noise_p = 0 rows with noise_p > 0 rows")
+    return thetas, xs, noise
 
 
-def _chunks(rows: int, row_bytes: int):
-    """Row slices of at most ``_CHUNK_BYTES`` each (at least one row)."""
+def _chunks(rows: int, row_bytes: int, noise: np.ndarray) -> list:
+    """(row slice, its noise strengths) pairs of at most ``_CHUNK_BYTES``
+    each (at least one row); 0-d ``noise`` holds for every chunk."""
     step = max(1, _CHUNK_BYTES // row_bytes)
-    return [slice(i, i + step) for i in range(0, rows, step)]
+    return [(slice(i, i + step), noise if noise.ndim == 0 else noise[i:i + step])
+            for i in range(0, rows, step)]
 
 
 def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
-                 noise_p: float = 0.0) -> np.ndarray:
+                 noise_p=0.0) -> np.ndarray:
     """Vectorized `forward` over rows of (theta, x) pairs.
 
     ``thetas`` is (rows, K) or (K,) broadcast to all rows; ``xs`` is
-    (rows, D) or (D,).  Returns the (rows,) vector of expectations.  With
-    ``noise_p`` > 0 every row is a density-matrix simulation under
-    per-gate depolarizing noise of that strength (see `noise`), checked
-    once at the end for unit trace, Hermiticity and positivity.
+    (rows, D) or (D,); ``noise_p`` is a float for all rows or a (rows,)
+    vector.  Returns the (rows,) vector of expectations.  A row with
+    p > 0 is a density-matrix simulation under per-gate depolarizing
+    noise of strength p (see `noise`), checked once at the end for unit
+    trace, Hermiticity and positivity.  One batch is all p = 0 or all
+    p > 0; its rows may differ in p.
     """
-    thetas, xs = _check_rows(circuit, thetas, xs, obs, noise_p)
-    row_bytes = 8 << (circuit.n_qubits * (2 if noise_p else 1))
+    thetas, xs, noise = _check_rows(circuit, thetas, xs, obs, noise_p)
+    row_bytes = 8 << (circuit.n_qubits * (2 if _noisy(noise) else 1))
     values = np.empty(thetas.shape[0])
-    for rows in _chunks(thetas.shape[0], row_bytes):
+    for rows, chunk_noise in _chunks(thetas.shape[0], row_bytes, noise):
         values[rows] = _expectations(
             circuit, np.ascontiguousarray(thetas[rows]),
-            np.ascontiguousarray(xs[rows]), obs, noise_p,
+            np.ascontiguousarray(xs[rows]), obs, chunk_noise,
         )
     return values
 
 
 def _output_grads(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
-                  noise_p: float) -> tuple[np.ndarray, np.ndarray]:
+                  noise_p) -> tuple[np.ndarray, np.ndarray]:
     """Every row's output and its gradient: ((rows,), (rows, K)).
 
-    The outputs are `forward_many`'s, bit for bit.  Adjoint
-    differentiation (see `_adjoint_rows`); `grad.parameter_shift_grad_f` is
-    its independent oracle.  A noisy row keeps K density rows for the
-    backward sweep, and chunks hold at most ``_CHUNK_BYTES`` of them.
+    Rows and ``noise_p`` broadcast as in `forward_many`, and the outputs
+    are its outputs, bit for bit.  Adjoint differentiation (see
+    `_adjoint_rows`); `grad.parameter_shift_grad_f` is its independent
+    oracle.  A noisy row keeps K density rows for the backward sweep, and
+    chunks hold at most ``_CHUNK_BYTES`` of them.
     """
-    thetas, xs = _check_rows(circuit, thetas, xs, obs, noise_p)
-    row_bytes = 8 << (circuit.n_qubits * (2 if noise_p else 1))
-    kept_rows = circuit.n_params + 2 if noise_p else 2
+    thetas, xs, noise = _check_rows(circuit, thetas, xs, obs, noise_p)
+    noisy = _noisy(noise)
+    row_bytes = 8 << (circuit.n_qubits * (2 if noisy else 1))
+    kept_rows = circuit.n_params + 2 if noisy else 2
     parts = [_adjoint_rows(circuit, np.ascontiguousarray(thetas[rows]),
-                           np.ascontiguousarray(xs[rows]), obs, noise_p)
-             for rows in _chunks(thetas.shape[0], kept_rows * row_bytes)]
+                           np.ascontiguousarray(xs[rows]), obs, chunk_noise)
+             for rows, chunk_noise in _chunks(thetas.shape[0], kept_rows * row_bytes, noise)]
     if len(parts) == 1:
         return parts[0]
     values, grads = zip(*parts, (np.empty(0), np.empty((0, circuit.n_params))))

@@ -18,9 +18,10 @@ value obeys the rule of the scalar key it replaces (circuit.layers,
 optimizer.learning_rate, dataset.m_train, optimizer.noise_p), and every
 (value, seed) cell is an independent pure computation, so re-running a
 config reproduces the result rows byte for byte.  The seeds of one sweep
-value train in lockstep, as do all values of an ``m_train`` axis, for
-``run`` and ``stability`` alike, and a cell's rows do not depend on which
-other runs share its batch.
+value train in lockstep, as do all values of an ``m_train`` axis and all
+positive values of a ``noise_p`` axis, for ``run`` and ``stability``
+alike (see `_batches`); a cell's rows do not depend on which other runs
+share its batch, and rows come out in sweep-value order.
 
 Result tables always carry the same column set; cells that do not apply
 to a row kind stay empty.  Row kinds: ``sample`` (per-seed learning
@@ -32,8 +33,10 @@ population standard deviation), ``trace`` (coupled-divergence curves),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -326,9 +329,33 @@ def _cells(cfg: ExperimentConfig) -> list:
 
 
 def _batches(cfg: ExperimentConfig) -> list[list]:
-    """Cells that train together: all of an ``m_train`` axis, else one per batch."""
-    cells = _cells(cfg)
-    return [cells] if cfg.sweep_axis == "m_train" else [[cell] for cell in cells]
+    """Cells that train together in one lockstep batch, in the order first seen.
+
+    An ``m_train`` axis is one batch; a ``noise_p`` axis is one batch of its
+    positive values, with 0.0 in a batch of its own (its rows are
+    statevectors, the others density matrices); ``layers`` and
+    ``learning_rate`` train one batch per value."""
+    def key(value):
+        if cfg.sweep_axis == "m_train":
+            return None
+        return value > 0.0 if cfg.sweep_axis == "noise_p" else value
+
+    batches: dict = {}
+    for value, cell in _cells(cfg):
+        batches.setdefault(key(value), []).append((value, cell))
+    return list(batches.values())
+
+
+def _sweep_rows(cfg: ExperimentConfig, cell_rows, pool: Dataset, seeds) -> list[dict]:
+    """Rows of ``cell_rows`` over every batch of `_batches`, in sweep-value order.
+
+    ``cell_rows(batch, pool, seeds)`` gives a batch's rows value by value."""
+    rows = {}
+    for batch in _batches(cfg):
+        for value, block in itertools.groupby(cell_rows(batch, pool, seeds),
+                                              operator.itemgetter("sweep_value")):
+            rows[value] = list(block)
+    return [row for value in cfg.sweep_values for row in rows[value]]
 
 
 def _bound_inputs(cell: ExperimentConfig, iterations: int, n_params: int, data_dim: int,
@@ -388,13 +415,14 @@ def _meta(cfg: ExperimentConfig, pool: Dataset, command: str, seed_offset: int) 
 
 
 def _experiment_cells(cells, pool: Dataset, seeds) -> list[dict]:
-    """Sample rows of (value, cell) pairs whose cells differ only in ``m_train``.
+    """Sample rows of (value, cell) pairs whose cells differ only in
+    ``m_train`` or ``noise_p``, all of them zero or all positive.
 
-    Every (value, seed) run trains in one lockstep batch; the rows come out
-    value by value, seeds in order.  A run's rows do not depend on the
-    batch it rides in.
+    Every (value, seed) run trains in one lockstep batch at its cell's
+    noise_p; the rows come out value by value, seeds in order.  A run's
+    rows do not depend on the batch it rides in.
     """
-    shared = cells[0][1]  # every setting but m_train
+    shared = cells[0][1]  # every setting but m_train and noise_p
     runs_of = [(value, cell, seed) for value, cell in cells for seed in seeds]
     splits = [subsample_split(pool, cell.m_train, cell.m_test, (cell.data_seed, seed))
               for _, cell, seed in runs_of]
@@ -403,14 +431,14 @@ def _experiment_cells(cells, pool: Dataset, seeds) -> list[dict]:
     circuit = build_circuit(shared.qubits, shared.layers, pool.feature_dim, shared.sublayers)
     obs = z_observable(shared.qubits)
     train_sets, test_sets = zip(*splits)
-    runs = _train_runs(train_sets, test_sets, [seed for *_, seed in runs_of], circuit, obs,
+    runs = _train_runs(train_sets, test_sets, [seed for *_, seed in runs_of],
+                       [cell.noise_p for _, cell, _ in runs_of], circuit, obs,
                        TrainConfig(shared.learning_rate, shared.iterations, seeds[0],
                                    shared.noise_p), eval_interval=shared.eval_interval)
     rows = []
     for (value, cell, seed), run in zip(runs_of, runs):
         margin = stable_training_margin(
-            _bound_inputs(cell, max(cell.iterations, 1), circuit.n_params, pool.feature_dim,
-                          obs.norm)
+            _bound_inputs(cell, cell.iterations, circuit.n_params, pool.feature_dim, obs.norm)
         )
         for i, t in enumerate(run.eval_points):
             row = _blank_row("sample", value, seed)
@@ -444,14 +472,15 @@ def _offset_seeds(cfg: ExperimentConfig, seed_offset: int) -> list[int]:
 def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     """Sweep (values x seeds) and tabulate learning curves.
 
-    An ``m_train`` axis trains all its runs in one lockstep batch; the
-    other axes train one batch per value, its seeds in lockstep."""
+    An ``m_train`` axis trains all its runs in one lockstep batch, a
+    ``noise_p`` axis all runs of its positive values; the other axes, and
+    noise_p = 0, train one batch per value, its seeds in lockstep."""
     if cfg.m_test < 1:
         raise ConfigError("run requires dataset.m_test >= 1")
     seeds = _offset_seeds(cfg, seed_offset)
     pool = load_pool(cfg)
     _require_pool(cfg, pool, cfg.m_test, "dataset.m_test")
-    rows = [row for batch in _batches(cfg) for row in _experiment_cells(batch, pool, seeds)]
+    rows = _sweep_rows(cfg, _experiment_cells, pool, seeds)
 
     # Aggregates per (sweep value, iteration) across seeds.
     agg_cols = ("train_risk", "test_risk", "gap", "train_acc", "test_acc",
@@ -475,13 +504,15 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
 
 
 def _stability_cells(cells, pool: Dataset, seeds) -> list[dict]:
-    """Trace and beta rows of (value, cell) pairs whose cells differ only in ``m_train``.
+    """Trace and beta rows of (value, cell) pairs whose cells differ only in
+    ``m_train`` or ``noise_p``, all of them zero or all positive.
 
-    All coupled runs train in one lockstep ensemble; the rows come out
-    value by value.  The value at position vi of the sweep draws its split
-    keyed by (data seed, 777, vi), whatever batch it rides in.
+    All coupled runs train in one lockstep ensemble, each group at its
+    cell's noise_p; the rows come out value by value.  The value at
+    position vi of the sweep draws its split keyed by (data seed, 777, vi),
+    whatever batch it rides in.
     """
-    shared = cells[0][1]  # every setting but m_train
+    shared = cells[0][1]  # every setting but m_train and noise_p
     circuit = build_circuit(shared.qubits, shared.layers, pool.feature_dim, shared.sublayers)
     obs = z_observable(shared.qubits)
     groups = []
@@ -494,7 +525,7 @@ def _stability_cells(cells, pool: Dataset, seeds) -> list[dict]:
             train_set, probe_set = rescale_with_train_stats(train_set, probe_set)
         swaps = [(int(index), replacement_for(int(index), probe_set))
                  for index in sampled_indices(cell.m_train, cell.stability_indices)]
-        groups.append((train_set, probe_set, swaps))
+        groups.append((train_set, probe_set, swaps, cell.noise_p))
     results = coupled_ensemble(
         groups, seeds, circuit, obs,
         TrainConfig(shared.learning_rate, shared.iterations, seeds[0], shared.noise_p),
@@ -510,8 +541,7 @@ def _stability_cells(cells, pool: Dataset, seeds) -> list[dict]:
                 row["probe_f_gap"] = float(trace.probe_f_gap[t])
                 row["probe_loss_gap"] = float(trace.probe_loss_gap[t])
                 rows.append(row)
-        b = _bound_inputs(cell, max(cell.iterations, 1), circuit.n_params,
-                          pool.feature_dim, obs.norm)
+        b = _bound_inputs(cell, cell.iterations, circuit.n_params, pool.feature_dim, obs.norm)
         margin = stable_training_margin(b)
         beta_row = _blank_row("beta", value)
         beta_row["iteration"] = cell.iterations
@@ -527,11 +557,12 @@ def run_stability(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     """Per sweep value: coupled-divergence traces, beta_hat, and closed forms.
 
     An ``m_train`` axis trains every value's coupled runs in one lockstep
-    ensemble; the other axes train one ensemble per value."""
+    ensemble, a ``noise_p`` axis those of every positive value; the other
+    axes, and noise_p = 0, train one ensemble per value."""
     seeds = _offset_seeds(cfg, seed_offset)
     pool = load_pool(cfg)
     _require_pool(cfg, pool, cfg.stability_probes, "stability.probes")
-    rows = [row for batch in _batches(cfg) for row in _stability_cells(batch, pool, seeds)]
+    rows = _sweep_rows(cfg, _stability_cells, pool, seeds)
     return ResultTable(COLUMNS, rows, _meta(cfg, pool, "stability", seed_offset))
 
 

@@ -13,10 +13,12 @@ other.  The simulation itself is the density-matrix mode of the batched
 engine in `ansatz` (``noise_p`` > 0), which `forward_many`, the adjoint
 training gradients and stability probes run directly, and whose kernel
 `ansatz._depolarize_rows` applies the channel; `noisy_forward` is its
-one-row wrapper.  The engine folds noisy rows like noiseless ones and
-merges each qubit's channels up to the next CX that touches it, which
-leaves this model as it is: D_p on q commutes with every unitary on q and
-with every gate that leaves q alone, and D_p^k = D_{1-(1-p)^k}.
+one-row wrapper.  ``noise_p`` may be a float or one strength per row, so
+the values of a noise sweep share one batch.  The engine folds noisy rows
+like noiseless ones and merges each qubit's channels up to the next CX
+that touches it, which leaves this model as it is: D_p on q commutes with
+every unitary on q and with every gate that leaves q alone, and
+D_p^k = D_{1-(1-p)^k}.
 """
 
 from __future__ import annotations

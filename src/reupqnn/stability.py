@@ -11,9 +11,9 @@ coefficient is
 
 Both come from one set of runs (:func:`coupled_ensemble`): the runs on S
 and on each S^i, under every seed, advance together in one lockstep SGD
-loop, as do those of several datasets S (the values of an ``m_train``
-sweep); the traces are read off their parameter paths and beta_hat off
-their final parameters.
+loop, as do those of several groups (the values of an ``m_train`` sweep,
+or the positive values of a ``noise_p`` sweep); the traces are read off
+their parameter paths and beta_hat off their final parameters.
 Under noise (``noise_p`` > 0) the probes are scored by the noisy model,
 the one that was trained and that the noisy bound describes.
 
@@ -114,32 +114,33 @@ def coupled_ensemble(groups, seeds, circuit: ReuploadCircuit, obs: Observable,
                      config: TrainConfig) -> list[tuple[list[StabilityTrace], float]]:
     """Coupled runs on S and on each S^i under every seed: (traces, beta_hat) per group.
 
-    A group is a (dataset S, probes, swaps) triple whose ``swaps`` list
-    the (index, replacement) pairs; groups may differ in m and probes.
-    ``seeds`` stands in for ``config.seed``.  Every run of every group
-    trains in one lockstep loop; each run's probe scores come from one
-    ``forward_many`` call over its whole path, at ``config.noise_p``;
-    traces are in (index, seed) order and beta_hat is read off the same
-    runs' final parameters.
+    A group is a (dataset S, probes, swaps, noise_p) quadruple whose
+    ``swaps`` list the (index, replacement) pairs; groups may differ in m,
+    probes and noise strength, but are all noiseless or all noisy.
+    ``seeds`` stands in for ``config.seed`` and a group's noise_p for
+    ``config.noise_p``.  Every run of every group trains in one lockstep
+    loop; each run's probe scores come from one ``forward_many`` call over
+    its whole path, at its group's noise_p; traces are in (index, seed)
+    order and beta_hat is read off the same runs' final parameters.
     """
     seeds = list(seeds)
     if len(seeds) < 1:
         raise ValueError("need at least one seed")
     train_sets = []  # per group: S first, then the twins in swap order
-    for dataset, probes, swaps in groups:
+    for dataset, probes, swaps, _ in groups:
         if len(probes) < 1:
             raise ValueError("probe set is empty")
         train_sets.append([dataset] + [dataset.replace(index, replacement)
                                        for index, replacement in swaps])
     runs = [train_set for sets in train_sets for train_set in sets for _ in seeds]
-    steps = _sgd_paths(runs, seeds * sum(map(len, train_sets)), circuit, obs, config)
+    noise = [group[3] for group, sets in zip(groups, train_sets) for _ in sets for _ in seeds]
+    steps = _sgd_paths(runs, seeds * sum(map(len, train_sets)), noise, circuit, obs, config)
     paths = np.stack([thetas for _, thetas in steps], axis=1)  # (run, T + 1, K)
     results, start = [], 0
-    for (_, probes, swaps), sets in zip(groups, train_sets):
+    for (_, probes, swaps, noise_p), sets in zip(groups, train_sets):
         stop = start + len(sets) * len(seeds)
         group_paths = paths[start:stop].reshape(len(sets), len(seeds), -1, circuit.n_params)
-        results.append(_group_result(group_paths, probes, swaps, seeds, circuit, obs,
-                                     config.noise_p))
+        results.append(_group_result(group_paths, probes, swaps, seeds, circuit, obs, noise_p))
         start = stop
     return results
 
@@ -148,7 +149,8 @@ def coupled_divergence(dataset: Dataset, index: int, replacement: Sample,
                        circuit: ReuploadCircuit, obs: Observable, config: TrainConfig,
                        probes: Dataset | None = None) -> StabilityTrace:
     """Train on S and on S with sample ``index`` replaced under ``config.seed``."""
-    group = (dataset, dataset if probes is None else probes, [(index, replacement)])
+    group = (dataset, dataset if probes is None else probes, [(index, replacement)],
+             config.noise_p)
     [(traces, _)] = coupled_ensemble([group], [config.seed], circuit, obs, config)
     return traces[0]
 
@@ -177,7 +179,8 @@ def empirical_beta(dataset: Dataset, probe_set: Dataset, n_indices: int, n_seeds
     swaps = [(int(i), replacement_for(int(i), probe_set))
              for i in sampled_indices(len(dataset), n_indices)]
     seeds = range(config.seed, config.seed + n_seeds)
-    [(_, beta)] = coupled_ensemble([(dataset, probe_set, swaps)], seeds, circuit, obs, config)
+    [(_, beta)] = coupled_ensemble([(dataset, probe_set, swaps, config.noise_p)], seeds,
+                                   circuit, obs, config)
     return beta
 
 

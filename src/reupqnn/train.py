@@ -12,9 +12,11 @@ datasets of equal size therefore replay the exact same index sequence
 under the same seed, which is what the stability machinery relies on.
 
 Every run goes through one lockstep loop, which advances a batch of runs
-(seeds, twin datasets, the values of an ``m_train`` sweep) with one
-batched adjoint gradient pass per step.  Rows of the pass never interact,
-so a run's bits do not depend on its batch.
+(seeds, twin datasets, the values of an ``m_train`` or ``noise_p`` sweep)
+with one batched adjoint gradient pass per step.  Each run carries its own
+seed and noise strength; the runs of one batch are all noiseless or all
+noisy.  Rows of the pass never interact, so a run's bits do not depend on
+its batch.
 """
 
 from __future__ import annotations
@@ -120,8 +122,9 @@ def draw_index(seed: int, t: int, m: int) -> int:
 
 
 def _loss_grads(circuit: ReuploadCircuit, thetas, xs, ys, obs: Observable,
-                noise_p: float) -> np.ndarray:
-    """Loss gradients of R runs, run r at ``thetas[r]`` on (``xs[r]``, ``ys[r]``): (R, K).
+                noise_p) -> np.ndarray:
+    """Loss gradients of R runs, run r at ``thetas[r]`` on (``xs[r]``, ``ys[r]``)
+    at noise strength ``noise_p`` (a float, or one per run): (R, K).
 
     One adjoint pass gives every run's output f and df/dtheta; the chain
     rule scales the latter by l'(f, y).
@@ -179,15 +182,19 @@ def accuracy(circuit: ReuploadCircuit, theta, dataset, obs: Observable,
     return _sign_accuracy(outputs, dataset.labels)
 
 
-def _sgd_paths(datasets, seeds, circuit: ReuploadCircuit, obs: Observable,
+def _sgd_paths(datasets, seeds, noise_ps, circuit: ReuploadCircuit, obs: Observable,
                config: TrainConfig):
     """Yield (indices, thetas) for theta_0..theta_T of R runs in lockstep.
 
-    Run r trains on ``datasets[r]`` under ``seeds[r]`` (for ``config.seed``);
-    ``thetas`` is (R, K), ``indices`` the (R,) draws of the step (None at
-    theta_0).  A step draws once per distinct (seed, m) and makes one
-    batched gradient call."""
+    Run r trains on ``datasets[r]`` under ``seeds[r]`` (for ``config.seed``)
+    at noise strength ``noise_ps[r]`` (for ``config.noise_p``), all zero or
+    all positive; ``thetas`` is (R, K), ``indices`` the (R,) draws of the
+    step (None at theta_0).  A step draws once per distinct (seed, m) and
+    makes one batched gradient call."""
     keys = [(seed, len(dataset)) for dataset, seed in zip(datasets, seeds)]
+    # Runs at one strength pass it as a float, which the engine checks
+    # once rather than row by row.
+    noise = noise_ps[0] if len(set(noise_ps)) == 1 else np.array(noise_ps, dtype=float)
     thetas = np.array([init_params(circuit, seed) for seed in seeds])
     yield None, thetas
     for t in range(config.iterations):
@@ -196,15 +203,22 @@ def _sgd_paths(datasets, seeds, circuit: ReuploadCircuit, obs: Observable,
         xs = np.array([dataset.features[i] for dataset, i in zip(datasets, indices)])
         ys = np.array([dataset.labels[i] for dataset, i in zip(datasets, indices)])
         thetas = thetas - config.learning_rate * _loss_grads(
-            circuit, thetas, xs, ys, obs, config.noise_p)
+            circuit, thetas, xs, ys, obs, noise)
         yield indices, thetas
 
 
-def _train_runs(datasets, test_sets, seeds, circuit: ReuploadCircuit, obs: Observable,
-                config: TrainConfig, eval_interval: int | None = None) -> list[TrainRun]:
+def _train_runs(datasets, test_sets, seeds, noise_ps, circuit: ReuploadCircuit,
+                obs: Observable, config: TrainConfig,
+                eval_interval: int | None = None) -> list[TrainRun]:
     """`train` for R runs in lockstep: run r trains on ``datasets[r]`` under
-    ``seeds[r]`` and is scored on ``datasets[r]`` and ``test_sets[r]``
-    (None for no test set).  Returns one TrainRun per run, in order."""
+    ``seeds[r]`` at ``noise_ps[r]`` (see `_sgd_paths`) and is scored on
+    ``datasets[r]`` and ``test_sets[r]`` (None for no test set).  Returns
+    one TrainRun per run, in order.
+
+    At each evaluation a run's train and test rows are scored in one
+    `forward_many` call, whose outputs are then split by set: a row's bits
+    do not depend on its batch, so the curves are those of `risk` and
+    `accuracy` on each set."""
     if any(len(dataset) < 1 for dataset in datasets):
         raise ValueError("training needs at least one sample")
     t_total = config.iterations
@@ -217,19 +231,23 @@ def _train_runs(datasets, test_sets, seeds, circuit: ReuploadCircuit, obs: Obser
     eval_points: list[int] = []
     # One row per evaluation: train risk, train accuracy[, test risk, test accuracy].
     curves: list[list] = [[] for _ in datasets]
+    scored = [[data for data in sets if data is not None] for sets in zip(datasets, test_sets)]
+    features = [np.concatenate([data.features for data in sets]) for sets in scored]
 
-    def score(data, theta) -> tuple[float, float]:
-        outputs = forward_many(circuit, theta, data.features, obs, config.noise_p)
-        return (_mean_loss(outputs, data.labels),
-                _sign_accuracy(outputs, data.labels))
+    def score(theta, p, sets, xs) -> list[float]:
+        outputs = forward_many(circuit, theta, xs, obs, p)
+        m = len(sets[0])
+        return [v for data, part in zip(sets, (outputs[:m], outputs[m:]))
+                for v in (_mean_loss(part, data.labels), _sign_accuracy(part, data.labels))]
 
-    for t, (idx, thetas) in enumerate(_sgd_paths(datasets, seeds, circuit, obs, config)):
+    paths = _sgd_paths(datasets, seeds, noise_ps, circuit, obs, config)
+    for t, (idx, thetas) in enumerate(paths):
         if t > 0:
             indices[:, t - 1] = idx
         if t % eval_interval == 0 or t == t_total:
             eval_points.append(t)
-            for curve, theta, sets in zip(curves, thetas, zip(datasets, test_sets)):
-                curve.append([v for data in sets if data is not None for v in score(data, theta)])
+            for curve, theta, p, sets, xs in zip(curves, thetas, noise_ps, scored, features):
+                curve.append(score(theta, p, sets, xs))
 
     return [TrainRun(
         final_theta=thetas[r], indices=indices[r],
@@ -248,5 +266,5 @@ def train(dataset, circuit: ReuploadCircuit, obs: Observable, config: TrainConfi
     ``eval_interval`` iterations (default max(1, T // 100)) and at the
     final iteration.
     """
-    return _train_runs([dataset], [test_dataset], [config.seed], circuit, obs, config,
-                       eval_interval)[0]
+    return _train_runs([dataset], [test_dataset], [config.seed], [config.noise_p], circuit,
+                       obs, config, eval_interval)[0]

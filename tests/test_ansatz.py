@@ -272,6 +272,35 @@ def test_rows_do_not_depend_on_batch_size_at_many_halves():
                     assert np.array_equal(got[1][row - lo], grads[row])
 
 
+def test_rows_of_mixed_noise_strengths_match_one_call_per_strength():
+    """Rows with different p in (0, 1] in one batch give the bits of one
+    call per p, outputs and gradients alike; a batch that mixes p = 0 with
+    p > 0, or a noise vector of the wrong length, is rejected."""
+    rng = np.random.default_rng(32)
+    c = build_circuit(3, 2, 5, 2)
+    obs = z_observable(3)
+    ps = np.array([0.05, 0.1, 1.0, 0.05, 0.3, 0.1, 1.0])
+    thetas = rng.uniform(0, 2 * np.pi, (len(ps), c.n_params))
+    xs = rng.uniform(0, 2 * np.pi, (len(ps), 5))
+    values = forward_many(c, thetas, xs, obs, ps)
+    outputs, grads = ansatz._output_grads(c, thetas, xs, obs, ps)
+    np.testing.assert_array_equal(outputs, values)
+    for p in (0.05, 0.1, 0.3, 1.0):
+        rows = ps == p
+        np.testing.assert_array_equal(forward_many(c, thetas[rows], xs[rows], obs, p),
+                                      values[rows])
+        alone = ansatz._output_grads(c, thetas[rows], xs[rows], obs, p)
+        np.testing.assert_array_equal(alone[0], outputs[rows])
+        np.testing.assert_array_equal(alone[1], grads[rows])
+    for run in (forward_many, ansatz._output_grads):
+        with pytest.raises(ValueError, match="mix"):
+            run(c, thetas[:3], xs[:3], obs, [0.0, 0.1, 0.1])
+        with pytest.raises(ValueError, match="shape"):
+            run(c, thetas[:3], xs[:3], obs, [0.1, 0.1])
+        with pytest.raises(ValueError, match="outside"):
+            run(c, thetas[:2], xs[:2], obs, [0.1, 1.5])
+
+
 def test_kernels_update_column_views_in_place():
     """The kernels act in place on a column slice, non-contiguous like the
     adjoint's psi half: each column gets the dense gate or Kraus channel,

@@ -13,6 +13,7 @@ from reupqnn.qcore import z_observable
 from reupqnn.experiments import (
     COLUMNS,
     ConfigError,
+    _batches,
     _cells,
     _stability_cells,
     emit_results,
@@ -298,6 +299,24 @@ def test_run_experiment_m_train_values_do_not_depend_on_batch(tmp_path):
         assert value_rows(swept, value) == alone
 
 
+def test_run_experiment_noise_p_values_do_not_depend_on_batch(tmp_path):
+    """A noise_p sweep trains its positive values as one batch and 0.0 in a
+    batch of its own; each value's rows are the same bits as when it runs
+    alone, and the table keeps the sweep order."""
+    text = BASE_CONFIG.replace("sweep.axis = layers", "sweep.axis = noise_p")
+    text = text.replace("sweep.values = 1, 2", "sweep.values = 0.05, 0.0, 0.1")
+    cfg = parse_config(write_config(tmp_path, text + "circuit.qubits = 2\n"))
+    assert [[value for value, _ in batch] for batch in _batches(cfg)] == [[0.05, 0.1], [0.0]]
+    swept = run_experiment(cfg).rows
+    alone = [run_experiment(replace(cfg, sweep_values=(value,))).rows
+             for value in cfg.sweep_values]
+    # two seeds' samples, a mean and a std at iterations 0, 2, 4
+    assert [len(rows) for rows in alone] == [(2 + 1 + 1) * 3] * 3
+    assert swept[:3 * 6] == [r for rows in alone for r in rows if r["kind"] == "sample"]
+    for value, rows in zip(cfg.sweep_values, alone):
+        assert [r for r in swept if r["sweep_value"] == value] == rows
+
+
 def test_run_experiment_seed_offset_shifts_seeds(toy_table):
     cfg, table = toy_table
     shifted = run_experiment(cfg, seed_offset=10)
@@ -431,6 +450,21 @@ def test_run_stability_m_train_values_do_not_depend_on_batch(tmp_path, noise):
     assert run_stability(cfg).rows == one_per_call
 
 
+def test_run_stability_noise_p_values_do_not_depend_on_batch(tmp_path):
+    """A noise_p stability sweep trains its positive values as one ensemble
+    and 0.0 alone; its rows equal those of each cell run one per call, in
+    sweep order."""
+    text = STAB_CONFIG.replace("sweep.axis = m_train", "sweep.axis = noise_p")
+    text = text.replace("sweep.values = 4, 5", "sweep.values = 0.05, 0.0, 0.1")
+    cfg = parse_config(write_config(tmp_path, text, "stab.cfg"))
+    assert [[value for value, _ in batch] for batch in _batches(cfg)] == [[0.05, 0.1], [0.0]]
+    pool = load_pool(cfg)
+    one_per_call = [row for cell in _cells(cfg)
+                    for row in _stability_cells([cell], pool, list(cfg.seeds))]
+    assert len(one_per_call) == 3 * (2 * 2 * 4 + 1)  # values x (indices x seeds x (T + 1) + beta)
+    assert run_stability(cfg).rows == one_per_call
+
+
 def test_run_stability_honours_non_contiguous_seeds(tmp_path):
     text = STAB_CONFIG.replace("optimizer.seeds = 0, 1", "optimizer.seeds = 9, 0, 5")
     cfg = parse_config(write_config(tmp_path, text, "stab.cfg"))
@@ -509,6 +543,28 @@ def test_cli_stability_subcommand(tmp_path, capsys):
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["meta"]["command"] == "stability"
     assert any(r["kind"] == "beta" for r in payload["rows"])
+
+
+def test_cli_stability_beta_bound_at_zero_iterations_is_the_bound_commands(tmp_path, capsys):
+    """At T = 0 the beta row's closed form is the T = 0 one that `bound`
+    prints, 0.0, not the T = 1 value."""
+    text = STAB_CONFIG.replace("optimizer.iterations = 3", "optimizer.iterations = 0")
+    out = tmp_path / "stab.csv"
+    assert main(["stability", "--config", write_config(tmp_path, text, "stab.cfg"),
+                 "--out", str(out)]) == 0
+    header, *lines = out.read_text(encoding="utf-8").splitlines()
+    beta_rows = [dict(zip(header.split(","), line.split(","))) for line in lines
+                 if line.startswith("beta,")]
+    n_params = build_circuit(1, 1, 1, 2).n_params
+    capsys.readouterr()
+    for row in beta_rows:
+        assert main(["bound", "--layers", "1", "--data-dim", "1", "--params", str(n_params),
+                     "--train-size", row["sweep_value"], "--iterations", "0",
+                     "--eta", "0.1"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert f"theoretical_beta = {row['bound_value']}" in printed
+        assert row["bound_value"] == "0.0"
+    assert [row["sweep_value"] for row in beta_rows] == ["4", "5"]
 
 
 def test_cli_requires_output_path(tmp_path, capsys):

@@ -214,7 +214,7 @@ def test_coupled_ensemble_matches_single_index_calls():
     config = TrainConfig(0.2, 6, seed=4)
     indices = sampled_indices(len(dataset), 3)
     swaps = [(int(i), replacement_for(int(i), probe)) for i in indices]
-    [(traces, beta)] = coupled_ensemble([(dataset, probe, swaps)], [4, 5], c, obs, config)
+    [(traces, beta)] = coupled_ensemble([(dataset, probe, swaps, 0.0)], [4, 5], c, obs, config)
     pairs = [(swap, seed) for swap in swaps for seed in (4, 5)]
     assert [(t.replaced_index, t.seed) for t in traces] == [(i, s) for (i, _), s in pairs]
     for trace, ((index, replacement), seed) in zip(traces, pairs):
@@ -225,9 +225,9 @@ def test_coupled_ensemble_matches_single_index_calls():
         np.testing.assert_array_equal(trace.probe_loss_gap, single.probe_loss_gap)
     assert beta == empirical_beta(dataset, probe, 3, 2, c, obs, config)
     with pytest.raises(ValueError):
-        coupled_ensemble([(dataset, probe, swaps)], [], c, obs, config)
+        coupled_ensemble([(dataset, probe, swaps, 0.0)], [], c, obs, config)
     with pytest.raises(ValueError):
-        coupled_ensemble([(dataset, probe.subset([]), swaps)], [4], c, obs, config)
+        coupled_ensemble([(dataset, probe.subset([]), swaps, 0.0)], [4], c, obs, config)
 
 
 def test_coupled_ensemble_traces_do_not_depend_on_batch():
@@ -238,8 +238,8 @@ def test_coupled_ensemble_traces_do_not_depend_on_batch():
     obs = z_observable(2)
     config = TrainConfig(0.2, 6, seed=5)
     swaps = [(int(i), replacement_for(int(i), probe)) for i in sampled_indices(7, 3)]
-    [(alone, _)] = coupled_ensemble([(dataset, probe, swaps)], [5], c, obs, config)
-    [(batched, _)] = coupled_ensemble([(dataset, probe, swaps)], [4, 5], c, obs, config)
+    [(alone, _)] = coupled_ensemble([(dataset, probe, swaps, 0.0)], [5], c, obs, config)
+    [(batched, _)] = coupled_ensemble([(dataset, probe, swaps, 0.0)], [4, 5], c, obs, config)
     batched = [t for t in batched if t.seed == 5]
     assert len(alone) == len(batched) == 3
     for a, b in zip(alone, batched):
@@ -260,7 +260,7 @@ def test_coupled_ensemble_groups_match_one_group_per_call(noise_p):
     for m, n_probes, n_indices, seed in ((7, 5, 3, 20), (5, 3, 2, 22), (9, 4, 1, 24)):
         dataset, probe = synthetic_toy(m, seed=seed), synthetic_toy(n_probes, seed=seed + 1)
         swaps = [(int(i), replacement_for(int(i), probe)) for i in sampled_indices(m, n_indices)]
-        groups.append((dataset, probe, swaps))
+        groups.append((dataset, probe, swaps, noise_p))
     together = coupled_ensemble(groups, [3, 1], c, obs, config)
     assert len(together) == len(groups)
     for group, (traces, beta) in zip(groups, together):
@@ -283,10 +283,11 @@ def test_coupled_ensemble_scores_probes_on_the_noisy_model():
     p, seeds = 0.1, [2, 3]
     config = TrainConfig(0.3, 4, seed=2, noise_p=p)
     swaps = [(int(i), replacement_for(int(i), probe)) for i in sampled_indices(6, 2)]
-    [(traces, beta)] = coupled_ensemble([(dataset, probe, swaps)], seeds, c, obs, config)
+    [(traces, beta)] = coupled_ensemble([(dataset, probe, swaps, p)], seeds, c, obs, config)
 
     def probe_outputs(train_set, seed):
-        path = _sgd_paths([train_set], [seed], c, obs, TrainConfig(0.3, 4, seed=seed, noise_p=p))
+        path = _sgd_paths([train_set], [seed], [p], c, obs,
+                          TrainConfig(0.3, 4, seed=seed, noise_p=p))
         return np.array([[noisy_forward(c, thetas[0], x, obs, p) for x in probe.features]
                          for _, thetas in path])
 

@@ -14,6 +14,7 @@ from reupqnn.train import (
     TrainConfig,
     _philox,
     _sgd_paths,
+    _train_runs,
     accuracy,
     draw_index,
     init_params,
@@ -201,8 +202,8 @@ def test_train_eval_schedule_and_trajectory():
     assert run.eval_points.tolist() == [0, 3, 6, 7]
     assert run.train_risks.shape == (4,)
     assert run.test_risks.shape == (4,)
-    trajectory = np.array([thetas[0] for _, thetas in
-                           _sgd_paths([dataset], [config.seed], c, z_observable(1), config)])
+    paths = _sgd_paths([dataset], [config.seed], [0.0], c, z_observable(1), config)
+    trajectory = np.array([thetas[0] for _, thetas in paths])
     assert trajectory.shape == (8, c.n_params)
     np.testing.assert_array_equal(trajectory[-1], run.final_theta)
 
@@ -214,12 +215,12 @@ def test_sgd_paths_same_seed_different_sizes():
     c = build_circuit(2, 1, 2, 1)
     obs = z_observable(2)
     config = TrainConfig(0.1, 12, seed=6)
-    paired = list(_sgd_paths([small, large], [6, 6], c, obs, config))
+    paired = list(_sgd_paths([small, large], [6, 6], [0.0, 0.0], c, obs, config))
     assert paired[0][0] is None
     for r, data in enumerate((small, large)):
         want = [draw_index(6, t, len(data)) for t in range(12)]
         assert [int(idx[r]) for idx, _ in paired[1:]] == want
-        solo = list(_sgd_paths([data], [6], c, obs, config))
+        solo = list(_sgd_paths([data], [6], [0.0], c, obs, config))
         assert len(solo) == len(paired) == 13
         for (_, thetas), (_, solo_thetas) in zip(paired, solo):
             assert np.all(thetas[r] == solo_thetas[0])
@@ -249,6 +250,34 @@ def test_accuracy_counts_sign_matches():
     outputs = np.array([forward(c, theta, dataset.features[i], obs) for i in range(10)])
     want = np.mean(np.where(outputs >= 0, 1, -1) == dataset.labels)
     assert accuracy(c, theta, dataset, obs) == pytest.approx(want, abs=1e-15)
+
+
+@pytest.mark.parametrize("noise_ps", [(0.0, 0.0, 0.0), (0.05, 0.1, 0.05)])
+def test_train_runs_score_each_run_in_one_call_like_risk_and_accuracy(noise_ps):
+    """An evaluation scores a run's train and test rows in one call and
+    splits the outputs; every curve entry is the bits of `risk` and
+    `accuracy` on that set alone, at the run's theta and noise strength."""
+    rng = np.random.default_rng(78)
+    c = build_circuit(2, 1, 3, 1)
+    obs = z_observable(2)
+    config = TrainConfig(0.2, 4, seed=3)
+    train_sets = [tiny_dataset(rng, m, 3) for m in (5, 7, 3)]
+    test_sets = [tiny_dataset(rng, 9, 3), None, tiny_dataset(rng, 4, 3)]
+    seeds = [3, 8, 3]
+    runs = _train_runs(train_sets, test_sets, seeds, noise_ps, c, obs, config, eval_interval=2)
+    paths = [thetas for _, thetas in _sgd_paths(train_sets, seeds, noise_ps, c, obs, config)]
+    for r, (run, train_set, test_set, p) in enumerate(zip(runs, train_sets, test_sets, noise_ps)):
+        assert run.eval_points.tolist() == [0, 2, 4]
+        np.testing.assert_array_equal(run.final_theta, paths[-1][r])
+        for i, t in enumerate(run.eval_points):
+            theta = paths[t][r]
+            assert run.train_risks[i] == risk(c, theta, train_set, obs, p)
+            assert run.train_accs[i] == accuracy(c, theta, train_set, obs, p)
+            if test_set is None:
+                assert run.test_risks is None and run.test_accs is None
+            else:
+                assert run.test_risks[i] == risk(c, theta, test_set, obs, p)
+                assert run.test_accs[i] == accuracy(c, theta, test_set, obs, p)
 
 
 def test_train_config_validation():
