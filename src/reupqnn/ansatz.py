@@ -454,8 +454,8 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
 def _check_rows(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
                 noise_p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated (rows, K) thetas and (rows, D) xs, single rows broadcast,
-    and the noise strengths: 0-d for every row, or (rows,) with all rows
-    zero or all positive."""
+    and the (rows,) noise strengths, a float broadcast, all zero or all
+    positive."""
     thetas, xs = np.atleast_2d(np.asarray(thetas, dtype=float), np.asarray(xs, dtype=float))
     if thetas.shape[0] == 1 and xs.shape[0] > 1:
         thetas = np.broadcast_to(thetas, (xs.shape[0], thetas.shape[1]))
@@ -475,16 +475,14 @@ def _check_rows(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
         raise ValueError("observable dimension does not match the circuit")
     rows = thetas.shape[0]
     noise = np.asarray(noise_p, dtype=float)
-    if noise.ndim == 0:
-        if not (0.0 <= float(noise) <= 1.0):
-            raise ValueError(f"noise strength p={noise_p!r} outside [0, 1]")
-        return thetas, xs, noise
-    if noise.shape != (rows,):
-        raise ValueError(f"noise_p has shape {noise.shape}, expected a float or ({rows},)")
-    low, high = (noise.min(), noise.max()) if rows else (0.0, 0.0)
-    if not (0.0 <= low and high <= 1.0):  # NaN fails too
+    ps = set(noise.ravel().tolist())  # cheaper than numpy reductions on a few rows
+    if not all(0.0 <= p <= 1.0 for p in ps):  # NaN fails too
         raise ValueError(f"noise strengths {noise_p!r} outside [0, 1]")
-    if low == 0.0 < high:
+    if noise.ndim == 0:
+        noise = np.full(rows, noise)
+    elif noise.shape != (rows,):
+        raise ValueError(f"noise_p has shape {noise.shape}, expected a float or ({rows},)")
+    if 0.0 in ps and len(ps) > 1:
         # p = 0 rows are statevectors and p > 0 rows density matrices.
         raise ValueError("one batch cannot mix noise_p = 0 rows with noise_p > 0 rows")
     return thetas, xs, noise
@@ -492,10 +490,9 @@ def _check_rows(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
 
 def _chunks(rows: int, row_bytes: int, noise: np.ndarray) -> list:
     """(row slice, its noise strengths) pairs of at most ``_CHUNK_BYTES``
-    each (at least one row); 0-d ``noise`` holds for every chunk."""
+    each (at least one row)."""
     step = max(1, _CHUNK_BYTES // row_bytes)
-    return [(slice(i, i + step), noise if noise.ndim == 0 else noise[i:i + step])
-            for i in range(0, rows, step)]
+    return [(slice(i, i + step), noise[i:i + step]) for i in range(0, rows, step)]
 
 
 def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable,

@@ -33,10 +33,8 @@ population standard deviation), ``trace`` (coupled-divergence curves),
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -346,18 +344,6 @@ def _batches(cfg: ExperimentConfig) -> list[list]:
     return list(batches.values())
 
 
-def _sweep_rows(cfg: ExperimentConfig, cell_rows, pool: Dataset, seeds) -> list[dict]:
-    """Rows of ``cell_rows`` over every batch of `_batches`, in sweep-value order.
-
-    ``cell_rows(batch, pool, seeds)`` gives a batch's rows value by value."""
-    rows = {}
-    for batch in _batches(cfg):
-        for value, block in itertools.groupby(cell_rows(batch, pool, seeds),
-                                              operator.itemgetter("sweep_value")):
-            rows[value] = list(block)
-    return [row for value in cfg.sweep_values for row in rows[value]]
-
-
 def _bound_inputs(cell: ExperimentConfig, iterations: int, n_params: int, data_dim: int,
                   obs_norm: float) -> BoundInputs:
     return BoundInputs(
@@ -433,8 +419,9 @@ def _experiment_cells(cells, pool: Dataset, seeds) -> list[dict]:
     train_sets, test_sets = zip(*splits)
     runs = _train_runs(train_sets, test_sets, [seed for *_, seed in runs_of],
                        [cell.noise_p for _, cell, _ in runs_of], circuit, obs,
-                       TrainConfig(shared.learning_rate, shared.iterations, seeds[0],
-                                   shared.noise_p), eval_interval=shared.eval_interval)
+                       # Seeds and strengths come per run; config's are not read.
+                       TrainConfig(shared.learning_rate, shared.iterations, seeds[0]),
+                       eval_interval=shared.eval_interval)
     rows = []
     for (value, cell, seed), run in zip(runs_of, runs):
         margin = stable_training_margin(
@@ -480,7 +467,11 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     seeds = _offset_seeds(cfg, seed_offset)
     pool = load_pool(cfg)
     _require_pool(cfg, pool, cfg.m_test, "dataset.m_test")
-    rows = _sweep_rows(cfg, _experiment_cells, pool, seeds)
+    # A stable sort into sweep-value order: a batch gives its values' rows
+    # in order, but the 0.0 batch of a noise_p axis may follow the others.
+    rows = sorted((row for batch in _batches(cfg)
+                   for row in _experiment_cells(batch, pool, seeds)),
+                  key=lambda row: cfg.sweep_values.index(row["sweep_value"]))
 
     # Aggregates per (sweep value, iteration) across seeds.
     agg_cols = ("train_risk", "test_risk", "gap", "train_acc", "test_acc",
@@ -526,9 +517,10 @@ def _stability_cells(cells, pool: Dataset, seeds) -> list[dict]:
         swaps = [(int(index), replacement_for(int(index), probe_set))
                  for index in sampled_indices(cell.m_train, cell.stability_indices)]
         groups.append((train_set, probe_set, swaps, cell.noise_p))
+    # Seeds and strengths come per run; config's are not read.
     results = coupled_ensemble(
         groups, seeds, circuit, obs,
-        TrainConfig(shared.learning_rate, shared.iterations, seeds[0], shared.noise_p),
+        TrainConfig(shared.learning_rate, shared.iterations, seeds[0]),
     )
     rows: list[dict] = []
     for (value, cell), (traces, beta) in zip(cells, results):
@@ -562,7 +554,9 @@ def run_stability(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     seeds = _offset_seeds(cfg, seed_offset)
     pool = load_pool(cfg)
     _require_pool(cfg, pool, cfg.stability_probes, "stability.probes")
-    rows = _sweep_rows(cfg, _stability_cells, pool, seeds)
+    rows = sorted((row for batch in _batches(cfg)  # as in run_experiment
+                   for row in _stability_cells(batch, pool, seeds)),
+                  key=lambda row: cfg.sweep_values.index(row["sweep_value"]))
     return ResultTable(COLUMNS, rows, _meta(cfg, pool, "stability", seed_offset))
 
 

@@ -118,10 +118,11 @@ def coupled_ensemble(groups, seeds, circuit: ReuploadCircuit, obs: Observable,
     ``swaps`` list the (index, replacement) pairs; groups may differ in m,
     probes and noise strength, but are all noiseless or all noisy.
     ``seeds`` stands in for ``config.seed`` and a group's noise_p for
-    ``config.noise_p``.  Every run of every group trains in one lockstep
-    loop; each run's probe scores come from one ``forward_many`` call over
-    its whole path, at its group's noise_p; traces are in (index, seed)
-    order and beta_hat is read off the same runs' final parameters.
+    ``config.noise_p``; neither is read.  Every run of every group trains
+    in one lockstep loop; each run's probe scores come from one
+    ``forward_many`` call over its whole path, at its group's noise_p;
+    traces are in (index, seed) order and beta_hat is read off the same
+    runs' final parameters.
     """
     seeds = list(seeds)
     if len(seeds) < 1:

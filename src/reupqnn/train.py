@@ -186,15 +186,14 @@ def _sgd_paths(datasets, seeds, noise_ps, circuit: ReuploadCircuit, obs: Observa
                config: TrainConfig):
     """Yield (indices, thetas) for theta_0..theta_T of R runs in lockstep.
 
-    Run r trains on ``datasets[r]`` under ``seeds[r]`` (for ``config.seed``)
-    at noise strength ``noise_ps[r]`` (for ``config.noise_p``), all zero or
-    all positive; ``thetas`` is (R, K), ``indices`` the (R,) draws of the
-    step (None at theta_0).  A step draws once per distinct (seed, m) and
-    makes one batched gradient call."""
+    Run r trains on ``datasets[r]`` under ``seeds[r]`` at noise strength
+    ``noise_ps[r]``, all zero or all positive; these stand in for
+    ``config.seed`` and ``config.noise_p``, which are not read.  ``thetas``
+    is (R, K), ``indices`` the (R,) draws of the step (None at theta_0).  A
+    step draws once per distinct (seed, m) and makes one batched gradient
+    call."""
     keys = [(seed, len(dataset)) for dataset, seed in zip(datasets, seeds)]
-    # Runs at one strength pass it as a float, which the engine checks
-    # once rather than row by row.
-    noise = noise_ps[0] if len(set(noise_ps)) == 1 else np.array(noise_ps, dtype=float)
+    noise = np.asarray(noise_ps, dtype=float)
     thetas = np.array([init_params(circuit, seed) for seed in seeds])
     yield None, thetas
     for t in range(config.iterations):
