@@ -20,7 +20,12 @@ under per-gate depolarizing noise (``noise_p`` > 0, a float or one
 strength per row).  `forward` and `noise.noisy_forward` are its one-row
 wrappers.  Both modes walk one gate schedule; `_output_grads` walks it
 forward and then backward to give every row's parameter gradient
-(adjoint differentiation).  There is no second simulator: `iter_gates`
+(adjoint differentiation).  The gradient has one core with two entry
+points: `_output_grads` checks its inputs on every call, for outside
+callers, and then runs `_planned_grads`; the SGD loop
+(`train._sgd_paths`) checks a batch's fixed inputs and plans its chunks
+and channel factors once per loop, then calls `_planned_grads` at every
+step.  There is no second simulator: `iter_gates`
 lists the same circuit gate by gate and the dense unitaries multiply it
 out, for the comb route (the independent check) and for the reference
 simulators in the tests.
@@ -229,11 +234,19 @@ def _depolarize_rows(rhos: np.ndarray, n: int, qubit: int, p) -> None:
     n-qubit density rows stored as 2n-qubit vectors, in place.  ``p`` is a
     float or a (rows,) vector of per-row strengths.  k merged channels of
     strength p are one of strength 1 - (1 - p)^k."""
+    _mix_rows(rhos, n, qubit, 1.0 - p, 0.5 * p)
+
+
+def _mix_rows(rhos: np.ndarray, n: int, qubit: int, keep, half) -> None:
+    """`_depolarize_rows` with its factors given: ``keep`` = 1 - p and
+    ``half`` = p / 2, floats or (rows,) vectors.  Every entry is scaled by
+    keep, then half times the sum of the qubit's two diagonal blocks is
+    added to each of them."""
     # Axes: row bits before the qubit, its row bit, the n - 1 bits between
     # it and its column bit, its column bit, the column bits after it.
     view = rhos.reshape(1 << qubit, 2, 1 << (n - 1), 2, -1, rhos.shape[-1])
-    mixed = 0.5 * p * (view[:, 0, :, 0] + view[:, 1, :, 1])
-    view *= 1.0 - p
+    mixed = half * (view[:, 0, :, 0] + view[:, 1, :, 1])
+    rhos *= keep  # the flat (amplitudes, rows) array, not the 6-d view
     view[:, 0, :, 0] += mixed
     view[:, 1, :, 1] += mixed
 
@@ -291,13 +304,13 @@ def _noisy(noise: np.ndarray) -> bool:
 
 
 def _strengths(circuit: ReuploadCircuit, noise) -> dict:
-    """1 - (1 - p)^k for every merged channel count k in the schedule, p
-    the float or (rows,) vector ``noise``; empty when noiseless.
+    """The `_mix_rows` factors (1 - s, s / 2), s = 1 - (1 - p)^k, for every
+    merged channel count k in the schedule, p the float or (rows,) vector
+    ``noise``; empty when noiseless.
 
-    Each value is a float when the rows share one p, else a (rows,) vector,
-    whose broadcast in `_depolarize_rows` costs more.  Each distinct p is
-    raised in Python floats, so a row's strength is the same double
-    whatever the other rows of its batch."""
+    The factors are floats when the rows share one p, else (rows,)
+    vectors.  Each distinct p is raised in Python floats, so a row's
+    factors are the same doubles whatever the other rows of its batch."""
     noise = np.asarray(noise, dtype=float)
     if not _noisy(noise):
         return {}
@@ -305,8 +318,9 @@ def _strengths(circuit: ReuploadCircuit, noise) -> dict:
     counts = {k for kind, _, k in _schedule(circuit, True) if kind == _NOISE}
     table = {k: [1.0 - (1.0 - p) ** k for p in ps.tolist()] for k in counts}
     if len(ps) == 1:
-        return {k: column[0] for k, column in table.items()}
-    return {k: np.array(column)[row_p] for k, column in table.items()}
+        return {k: (1.0 - column[0], 0.5 * column[0]) for k, column in table.items()}
+    vectors = {k: np.array(column)[row_p] for k, column in table.items()}
+    return {k: (1.0 - v, 0.5 * v) for k, v in vectors.items()}
 
 
 def _step(states: np.ndarray, op: tuple, c: np.ndarray, s: np.ndarray, n: int,
@@ -316,7 +330,7 @@ def _step(states: np.ndarray, op: tuple, c: np.ndarray, s: np.ndarray, n: int,
     ``strengths`` those of `_strengths`."""
     kind, q, j = op
     if kind == _NOISE:
-        _depolarize_rows(states, n, q, strengths[j])
+        _mix_rows(states, n, q, *strengths[j])
         return
     for m in ((0, n) if strengths else (0,)):
         if kind == _RY:
@@ -401,8 +415,9 @@ def _ry_grad(lam: np.ndarray, psi: np.ndarray, qubit: int) -> np.ndarray:
 
 
 def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
-                  obs: Observable, noise) -> tuple[np.ndarray, np.ndarray]:
-    """Outputs and their parameter gradients for one chunk of rows: ((rows,), (rows, K)).
+                  obs: Observable, strengths: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs and their parameter gradients for one chunk of rows under
+    the channel factors ``strengths`` of `_strengths`: ((rows,), (rows, K)).
 
     Adjoint differentiation (Jones & Gacon, arXiv:2009.02823): one forward
     sweep, then one backward sweep that un-applies the schedule.  Every gate
@@ -419,7 +434,6 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
     """
     rows = thetas.shape[0]
     half = _half_angles(circuit, thetas, xs)
-    strengths = _strengths(circuit, noise)
     noisy = bool(strengths)
     matrix = obs.matrix.real
     kept = [] if noisy else None
@@ -454,8 +468,7 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
 def _check_rows(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
                 noise_p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated (rows, K) thetas and (rows, D) xs, single rows broadcast,
-    and the (rows,) noise strengths, a float broadcast, all zero or all
-    positive."""
+    and the (rows,) noise strengths of `_check_batch`."""
     thetas, xs = np.atleast_2d(np.asarray(thetas, dtype=float), np.asarray(xs, dtype=float))
     if thetas.shape[0] == 1 and xs.shape[0] > 1:
         thetas = np.broadcast_to(thetas, (xs.shape[0], thetas.shape[1]))
@@ -463,6 +476,18 @@ def _check_rows(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
         xs = np.broadcast_to(xs, (thetas.shape[0], xs.shape[1]))
     if thetas.shape[0] != xs.shape[0]:
         raise ValueError("thetas and xs row counts do not match")
+    return thetas, xs, _check_batch(circuit, thetas, xs, obs, noise_p)
+
+
+def _check_batch(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
+                 obs: Observable, noise_p) -> np.ndarray:
+    """The checks of `_check_rows` that do not pair theta rows with x rows.
+
+    (R, K) ``thetas`` and (N, D) ``xs`` must be finite, ``obs`` must match
+    the circuit, and ``noise_p`` must lie in [0, 1], a float or one per
+    theta row, all zero or all positive.  Returns the (R,) strengths, a
+    float broadcast.  `train._sgd_paths` runs it once over a batch's
+    initial thetas and every run's features."""
     if thetas.shape[1] != circuit.n_params:
         raise ValueError(
             f"thetas have {thetas.shape[1]} columns, expected {circuit.n_params}"
@@ -485,7 +510,7 @@ def _check_rows(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
     if 0.0 in ps and len(ps) > 1:
         # p = 0 rows are statevectors and p > 0 rows density matrices.
         raise ValueError("one batch cannot mix noise_p = 0 rows with noise_p > 0 rows")
-    return thetas, xs, noise
+    return noise
 
 
 def _chunks(rows: int, row_bytes: int, noise: np.ndarray) -> list:
@@ -518,6 +543,32 @@ def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
     return values
 
 
+def _grad_plan(circuit: ReuploadCircuit, noise: np.ndarray) -> list:
+    """The chunks of an adjoint pass over rows of checked (rows,) strengths
+    ``noise``: (row slice, its `_strengths` factors) pairs.  A noisy row
+    keeps K density rows for the backward sweep, and chunks hold at most
+    ``_CHUNK_BYTES`` of them."""
+    noisy = _noisy(noise)
+    row_bytes = 8 << (circuit.n_qubits * (2 if noisy else 1))
+    kept_rows = circuit.n_params + 2 if noisy else 2
+    return [(rows, _strengths(circuit, chunk_noise))
+            for rows, chunk_noise in _chunks(len(noise), kept_rows * row_bytes, noise)]
+
+
+def _planned_grads(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
+                   obs: Observable, plan: list) -> tuple[np.ndarray, np.ndarray]:
+    """`_output_grads` of checked (rows, K) thetas and (rows, D) xs by the
+    `_grad_plan` of their strengths, unchecked: the core that both it and
+    `train._sgd_paths` call."""
+    parts = [_adjoint_rows(circuit, np.ascontiguousarray(thetas[rows]),
+                           np.ascontiguousarray(xs[rows]), obs, strengths)
+             for rows, strengths in plan]
+    if len(parts) == 1:
+        return parts[0]
+    values, grads = zip(*parts, (np.empty(0), np.empty((0, circuit.n_params))))
+    return np.concatenate(values), np.concatenate(grads)
+
+
 def _output_grads(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
                   noise_p) -> tuple[np.ndarray, np.ndarray]:
     """Every row's output and its gradient: ((rows,), (rows, K)).
@@ -525,20 +576,10 @@ def _output_grads(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
     Rows and ``noise_p`` broadcast as in `forward_many`, and the outputs
     are its outputs, bit for bit.  Adjoint differentiation (see
     `_adjoint_rows`); `grad.parameter_shift_grad_f` is its independent
-    oracle.  A noisy row keeps K density rows for the backward sweep, and
-    chunks hold at most ``_CHUNK_BYTES`` of them.
+    oracle.  This is the checked entry point of `_planned_grads`.
     """
     thetas, xs, noise = _check_rows(circuit, thetas, xs, obs, noise_p)
-    noisy = _noisy(noise)
-    row_bytes = 8 << (circuit.n_qubits * (2 if noisy else 1))
-    kept_rows = circuit.n_params + 2 if noisy else 2
-    parts = [_adjoint_rows(circuit, np.ascontiguousarray(thetas[rows]),
-                           np.ascontiguousarray(xs[rows]), obs, chunk_noise)
-             for rows, chunk_noise in _chunks(thetas.shape[0], kept_rows * row_bytes, noise)]
-    if len(parts) == 1:
-        return parts[0]
-    values, grads = zip(*parts, (np.empty(0), np.empty((0, circuit.n_params))))
-    return np.concatenate(values), np.concatenate(grads)
+    return _planned_grads(circuit, thetas, xs, obs, _grad_plan(circuit, noise))
 
 
 # --- dense unitaries ------------------------------------------------------

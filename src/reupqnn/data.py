@@ -53,7 +53,7 @@ class Sample:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix (m, D) in [0, 2pi] with labels in {-1, +1}."""
+    """Feature matrix (m, D), finite and in [0, 2pi], with labels in {-1, +1}."""
 
     name: str
     features: np.ndarray
@@ -67,6 +67,8 @@ class Dataset:
             raise ValueError("features must be a 2-d array")
         if labels.shape != (features.shape[0],):
             raise ValueError("labels length does not match feature rows")
+        if not np.isfinite(features).all():  # NaN passes the range test below
+            raise ValueError("features must be finite")
         if features.size and (features.min() < -1e-12 or features.max() > TWO_PI + 1e-12):
             raise ValueError("features must lie in [0, 2pi]")
         if not np.all(np.isin(labels, (-1, 1))):
@@ -154,6 +156,8 @@ def load_wdbc(path: str) -> Dataset:
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     raw = np.array(rows, dtype=float)
+    if not np.isfinite(raw).all():  # float() reads "nan" and "inf"
+        raise DataFormatError(f"{path}: non-finite feature value")
     scaled = _minmax_scale(raw, raw.min(axis=0), raw.max(axis=0))
     return Dataset(
         "wdbc",

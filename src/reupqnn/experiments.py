@@ -400,13 +400,13 @@ def _meta(cfg: ExperimentConfig, pool: Dataset, command: str, seed_offset: int) 
     }
 
 
-def _experiment_cells(cells, pool: Dataset, seeds) -> list[dict]:
+def _experiment_cells(cells, pool: Dataset, seeds) -> dict:
     """Sample rows of (value, cell) pairs whose cells differ only in
-    ``m_train`` or ``noise_p``, all of them zero or all positive.
+    ``m_train`` or ``noise_p``, all of them zero or all positive: a dict of
+    each value's rows, seeds in order, in the order of ``cells``.
 
     Every (value, seed) run trains in one lockstep batch at its cell's
-    noise_p; the rows come out value by value, seeds in order.  A run's
-    rows do not depend on the batch it rides in.
+    noise_p.  A run's rows do not depend on the batch it rides in.
     """
     shared = cells[0][1]  # every setting but m_train and noise_p
     runs_of = [(value, cell, seed) for value, cell in cells for seed in seeds]
@@ -422,7 +422,7 @@ def _experiment_cells(cells, pool: Dataset, seeds) -> list[dict]:
                        # Seeds and strengths come per run; config's are not read.
                        TrainConfig(shared.learning_rate, shared.iterations, seeds[0]),
                        eval_interval=shared.eval_interval)
-    rows = []
+    by_value: dict = {value: [] for value, _ in cells}
     for (value, cell, seed), run in zip(runs_of, runs):
         margin = stable_training_margin(
             _bound_inputs(cell, cell.iterations, circuit.n_params, pool.feature_dim, obs.norm)
@@ -441,8 +441,8 @@ def _experiment_cells(cells, pool: Dataset, seeds) -> list[dict]:
                 lambda: noisy_generalization_bound(b) if t > 0 else generalization_bound(0.0, b))
             row["stable_margin"] = float(margin.value)
             row["margin_flagged"] = int(margin.flagged)
-            rows.append(row)
-    return rows
+            by_value[value].append(row)
+    return by_value
 
 
 def _offset_seeds(cfg: ExperimentConfig, seed_offset: int) -> list[int]:
@@ -467,11 +467,11 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     seeds = _offset_seeds(cfg, seed_offset)
     pool = load_pool(cfg)
     _require_pool(cfg, pool, cfg.m_test, "dataset.m_test")
-    # A stable sort into sweep-value order: a batch gives its values' rows
-    # in order, but the 0.0 batch of a noise_p axis may follow the others.
-    rows = sorted((row for batch in _batches(cfg)
-                   for row in _experiment_cells(batch, pool, seeds)),
-                  key=lambda row: cfg.sweep_values.index(row["sweep_value"]))
+    # Into sweep-value order: the 0.0 batch of a noise_p axis may follow
+    # the others.
+    by_value = {value: rows for batch in _batches(cfg)
+                for value, rows in _experiment_cells(batch, pool, seeds).items()}
+    rows = [row for value in cfg.sweep_values for row in by_value[value]]
 
     # Aggregates per (sweep value, iteration) across seeds.
     agg_cols = ("train_risk", "test_risk", "gap", "train_acc", "test_acc",
@@ -495,13 +495,18 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
 
 
 def _stability_cells(cells, pool: Dataset, seeds) -> list[dict]:
+    """The rows of `_stability_by_value`, value by value."""
+    return [row for rows in _stability_by_value(cells, pool, seeds).values() for row in rows]
+
+
+def _stability_by_value(cells, pool: Dataset, seeds) -> dict:
     """Trace and beta rows of (value, cell) pairs whose cells differ only in
-    ``m_train`` or ``noise_p``, all of them zero or all positive.
+    ``m_train`` or ``noise_p``, all of them zero or all positive: a dict of
+    each value's rows, in the order of ``cells``.
 
     All coupled runs train in one lockstep ensemble, each group at its
-    cell's noise_p; the rows come out value by value.  The value at
-    position vi of the sweep draws its split keyed by (data seed, 777, vi),
-    whatever batch it rides in.
+    cell's noise_p.  The value at position vi of the sweep draws its split
+    keyed by (data seed, 777, vi), whatever batch it rides in.
     """
     shared = cells[0][1]  # every setting but m_train and noise_p
     circuit = build_circuit(shared.qubits, shared.layers, pool.feature_dim, shared.sublayers)
@@ -522,17 +527,19 @@ def _stability_cells(cells, pool: Dataset, seeds) -> list[dict]:
         groups, seeds, circuit, obs,
         TrainConfig(shared.learning_rate, shared.iterations, seeds[0]),
     )
-    rows: list[dict] = []
+    by_value = {}
     for (value, cell), (traces, beta) in zip(cells, results):
-        for trace in traces:
-            for t in range(cell.iterations + 1):
-                row = _blank_row("trace", value, trace.seed)
-                row["replaced_index"] = trace.replaced_index
-                row["iteration"] = t
-                row["sum_abs_dtheta"] = float(trace.sum_abs_dtheta[t])
-                row["probe_f_gap"] = float(trace.probe_f_gap[t])
-                row["probe_loss_gap"] = float(trace.probe_loss_gap[t])
-                rows.append(row)
+        # One dict literal per trace row, every column in COLUMNS order.
+        rows = [{"kind": "trace", "sweep_value": value, "seed": trace.seed,
+                 "replaced_index": trace.replaced_index, "iteration": t,
+                 "train_risk": "", "test_risk": "", "gap": "", "train_acc": "",
+                 "test_acc": "", "sum_abs_dtheta": dtheta, "probe_f_gap": f_gap,
+                 "probe_loss_gap": loss_gap, "beta_hat": "", "bound_value": "",
+                 "stable_margin": "", "margin_flagged": ""}
+                for trace in traces
+                for t, (dtheta, f_gap, loss_gap) in enumerate(zip(
+                    trace.sum_abs_dtheta.tolist(), trace.probe_f_gap.tolist(),
+                    trace.probe_loss_gap.tolist()))]
         b = _bound_inputs(cell, cell.iterations, circuit.n_params, pool.feature_dim, obs.norm)
         margin = stable_training_margin(b)
         beta_row = _blank_row("beta", value)
@@ -542,7 +549,8 @@ def _stability_cells(cells, pool: Dataset, seeds) -> list[dict]:
         beta_row["stable_margin"] = float(margin.value)
         beta_row["margin_flagged"] = int(margin.flagged)
         rows.append(beta_row)
-    return rows
+        by_value[value] = rows
+    return by_value
 
 
 def run_stability(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
@@ -554,19 +562,21 @@ def run_stability(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     seeds = _offset_seeds(cfg, seed_offset)
     pool = load_pool(cfg)
     _require_pool(cfg, pool, cfg.stability_probes, "stability.probes")
-    rows = sorted((row for batch in _batches(cfg)  # as in run_experiment
-                   for row in _stability_cells(batch, pool, seeds)),
-                  key=lambda row: cfg.sweep_values.index(row["sweep_value"]))
+    by_value = {value: rows for batch in _batches(cfg)
+                for value, rows in _stability_by_value(batch, pool, seeds).items()}
+    rows = [row for value in cfg.sweep_values for row in by_value[value]]
     return ResultTable(COLUMNS, rows, _meta(cfg, pool, "stability", seed_offset))
 
 
-_FORMAT_BY_TYPE = {str: str, int: str, float: repr}  # the common cells, by exact type
+# Cells of these exact types are written as str(value), which for a float
+# is its repr, the shortest round-trip decimal.  Subclasses (bool,
+# np.float64) go through `_format_cell`.
+_PLAIN = frozenset((str, int, float))
 
 
 def _format_cell(value) -> str:
-    fast = _FORMAT_BY_TYPE.get(type(value))
-    if fast is not None:
-        return fast(value)
+    if type(value) in _PLAIN:
+        return str(value)
     if value is None:
         return ""
     if isinstance(value, (int, np.integer)):
@@ -611,9 +621,18 @@ def emit_results(table: ResultTable, path: str, fmt: str) -> None:
         if fmt == "json":
             fh.write(text)
         else:  # row by row, so the table's text is never held whole in memory
-            fh.write(",".join(table.columns) + "\n")
+            columns = tuple(table.columns)
+            fh.write(",".join(columns) + "\n")
+            line = ",".join(["%s"] * len(columns)) + "\n"  # %s is str()
             for row in table.rows:
-                fh.write(",".join([_format_cell(row.get(c, "")) for c in table.columns]) + "\n")
+                # A row holding every column in order gives its cells as is.
+                if tuple(row) == columns:
+                    cells = row.values()
+                else:
+                    cells = [row.get(c, "") for c in columns]
+                if not _PLAIN.issuperset(map(type, cells)):
+                    cells = map(_format_cell, cells)
+                fh.write(line % tuple(cells))
 
 
 # --- command line ----------------------------------------------------------

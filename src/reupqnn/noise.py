@@ -12,7 +12,8 @@ rotations in the encoding blocks count as gates and are noised like any
 other.  The simulation itself is the density-matrix mode of the batched
 engine in `ansatz` (``noise_p`` > 0), which `forward_many`, the adjoint
 training gradients and stability probes run directly, and whose kernel
-`ansatz._depolarize_rows` applies the channel; `noisy_forward` is its
+`ansatz._depolarize_rows` applies the channel (`ansatz._mix_rows` with
+its factors 1 - p and p / 2 computed once per batch); `noisy_forward` is its
 one-row wrapper.  ``noise_p`` may be a float or one strength per row, so
 the values of a noise sweep share one batch.  The engine folds noisy rows
 like noiseless ones and merges each qubit's channels up to the next CX

@@ -27,7 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import ReuploadCircuit, _output_grads, forward_many
+from .ansatz import (
+    ReuploadCircuit,
+    _check_batch,
+    _grad_plan,
+    _output_grads,
+    _planned_grads,
+    forward_many,
+)
 from .qcore import Observable
 
 __all__ = [
@@ -189,20 +196,34 @@ def _sgd_paths(datasets, seeds, noise_ps, circuit: ReuploadCircuit, obs: Observa
     Run r trains on ``datasets[r]`` under ``seeds[r]`` at noise strength
     ``noise_ps[r]``, all zero or all positive; these stand in for
     ``config.seed`` and ``config.noise_p``, which are not read.  ``thetas``
-    is (R, K), ``indices`` the (R,) draws of the step (None at theta_0).  A
-    step draws once per distinct (seed, m) and makes one batched gradient
-    call."""
+    is (R, K), ``indices`` the (R,) draws of the step (None at theta_0).
+
+    What stays fixed through the loop is checked once, by the engine's own
+    checks: the shapes, the observable, the strengths and every run's
+    features; the strengths' channel factors and the chunks are planned
+    once too.  The runs' samples are stacked once, so a step gathers its
+    rows with one index.  A step draws once per distinct (seed, m), checks
+    only that its thetas are finite, and makes one call to the engine's
+    unchecked adjoint core (`ansatz._planned_grads`, which
+    `ansatz._output_grads` runs after its checks)."""
     keys = [(seed, len(dataset)) for dataset, seed in zip(datasets, seeds)]
-    noise = np.asarray(noise_ps, dtype=float)
+    distinct = list(dict.fromkeys(keys))
+    key_of = np.array([distinct.index(key) for key in keys], dtype=np.int64)
+    offsets = np.cumsum([0] + [m for _, m in keys[:-1]], dtype=np.int64)
+    features = np.concatenate([dataset.features for dataset in datasets])
+    labels = np.concatenate([dataset.labels for dataset in datasets]).astype(float)
     thetas = np.array([init_params(circuit, seed) for seed in seeds])
+    plan = _grad_plan(circuit, _check_batch(circuit, thetas, features, obs, noise_ps))
     yield None, thetas
     for t in range(config.iterations):
-        draws = {key: draw_index(key[0], t, key[1]) for key in set(keys)}
-        indices = np.array([draws[key] for key in keys], dtype=np.int64)
-        xs = np.array([dataset.features[i] for dataset, i in zip(datasets, indices)])
-        ys = np.array([dataset.labels[i] for dataset, i in zip(datasets, indices)])
-        thetas = thetas - config.learning_rate * _loss_grads(
-            circuit, thetas, xs, ys, obs, noise)
+        indices = np.array([draw_index(seed, t, m) for seed, m in distinct],
+                           dtype=np.int64)[key_of]
+        if not np.isfinite(thetas).all():
+            raise ValueError("thetas contain non-finite entries")
+        rows = offsets + indices
+        values, grads = _planned_grads(circuit, thetas, features[rows], obs, plan)
+        thetas = thetas - config.learning_rate * (
+            loss_derivative(values, labels[rows])[:, None] * grads)
         yield indices, thetas
 
 

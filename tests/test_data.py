@@ -71,6 +71,16 @@ def test_wdbc_rejects_bad_rows(tmp_path):
         load_wdbc(path)
 
 
+def test_wdbc_rejects_non_finite_values(tmp_path):
+    """"nan" and "inf" parse as floats; the loader refuses them as a data error."""
+    good = [wdbc_row(2, "M", [1.0] * 30)]
+    for text in ("nan", "inf", "-inf"):
+        bad = wdbc_row(1, "B", [0.0] * 30).replace("0.0", text, 1)
+        path = write_wdbc(tmp_path / f"{text}.csv", [bad] + good)
+        with pytest.raises(DataFormatError, match="non-finite"):
+            load_wdbc(path)
+
+
 def test_rescale_with_train_stats(tmp_path):
     rng = np.random.default_rng(81)
     features = rng.uniform(0, TWO_PI, (8, 2))
@@ -175,6 +185,16 @@ def test_dataset_validates_ranges():
         Dataset("d", np.array([[1.0]]), np.array([2], dtype=np.int64), {})
     with pytest.raises(ValueError):
         Dataset("d", np.array([1.0]), np.array([1], dtype=np.int64), {})
+
+
+def test_dataset_rejects_non_finite_features():
+    """NaN fails every comparison, so the range test alone would let it in."""
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset("t", [[bad], [1.0]], [1, -1], {})
+    ds = Dataset("t", [[0.5], [1.0]], [1, -1], {})
+    with pytest.raises(ValueError, match="finite"):
+        ds.replace(0, Sample(np.array([np.nan]), 1))
 
 
 def test_dataset_subset_and_replace():

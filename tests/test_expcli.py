@@ -13,8 +13,10 @@ from reupqnn.qcore import z_observable
 from reupqnn.experiments import (
     COLUMNS,
     ConfigError,
+    ResultTable,
     _batches,
     _cells,
+    _format_cell,
     _stability_cells,
     emit_results,
     load_pool,
@@ -490,6 +492,40 @@ def test_emit_csv_reproducible_bytes(toy_table, tmp_path):
     assert lines[0] == ",".join(COLUMNS)
     assert len(lines) == 1 + len(table.rows)
     assert data.endswith(b"\n")
+
+
+def test_emit_csv_cell_types_write_frozen_bytes(tmp_path):
+    """Rows of plain str/int/float cells (written as str) and rows holding
+    numpy scalars, None or bool (written by `_format_cell`), rows missing
+    a column and rows out of column order all give the bytes of one
+    `_format_cell` call per cell, frozen here."""
+    rows = [
+        {"kind": "trace", "n": 25, "x": 0.1, "y": ""},
+        {"kind": "plain", "n": -3, "x": float("inf"), "y": float("nan")},
+        {"kind": "big", "n": 10**20, "x": 1e16, "y": -0.0},
+        {"kind": np.float64(0.1), "n": np.int64(7), "x": None, "y": True},
+        {"kind": False, "n": np.float64(-np.inf), "x": np.float32(0.1), "y": 1e-5},
+        {"kind": np.str_("s"), "n": np.float64(np.nan), "x": 2.5e-300, "y": 123456789.125},
+        {"x": 2.5, "kind": "partial"},
+        {"y": 1, "x": 2.0, "n": 3, "kind": "reordered"},
+    ]
+    table = ResultTable(("kind", "n", "x", "y"), rows, {})
+    path = tmp_path / "cells.csv"
+    emit_results(table, str(path), "csv")
+    assert path.read_bytes() == (
+        b"kind,n,x,y\n"
+        b"trace,25,0.1,\n"
+        b"plain,-3,inf,nan\n"
+        b"big,100000000000000000000,1e+16,-0.0\n"
+        b"0.1,7,,1\n"
+        b"0,-inf,0.10000000149011612,1e-05\n"
+        b"s,nan,2.5e-300,123456789.125\n"
+        b"partial,,2.5,\n"
+        b"reordered,3,2.0,1\n"
+    )
+    per_cell = "".join(",".join(_format_cell(row.get(c, "")) for c in table.columns) + "\n"
+                       for row in rows)
+    assert path.read_bytes() == ("kind,n,x,y\n" + per_cell).encode()
 
 
 def test_emit_json_round_trip(toy_table, tmp_path):

@@ -421,6 +421,32 @@ def test_noisy_beta_matches_reference():
         )
 
 
+@pytest.mark.parametrize("noise_p", [0.0, 0.05])
+def test_measured_beta_stays_under_the_closed_form(noise_p):
+    """beta_hat <= beta on criterion 9's toy over a small (m, eta, T) grid,
+    noiseless against `theoretical_beta` and noisy against
+    `noisy_theoretical_beta`.  The closed form is loose: the largest
+    ratio on this grid is about 5e-3 in both modes.  beta_hat is not
+    monotone in eta or T, so only the inequality is pinned."""
+    c = build_circuit(1, 1, 1, 1)
+    obs = z_observable(1)
+    n_probes, n_indices, seeds = 16, 4, range(4)
+    pool = synthetic_toy(100 + n_probes, 11)
+    probes = pool.subset(range(100, 100 + n_probes))
+    closed_form = noisy_theoretical_beta if noise_p else theoretical_beta
+    groups = [(pool.subset(range(m)), probes,
+               [(int(i), replacement_for(int(i), probes)) for i in sampled_indices(m, n_indices)],
+               noise_p) for m in (25, 100)]
+    for eta in (0.01, 0.2):
+        for iterations in (50, 200):
+            results = coupled_ensemble(groups, seeds, c, obs, TrainConfig(eta, iterations, 0))
+            for (train_set, *_), (_, beta_hat) in zip(groups, results):
+                b = BoundInputs(layers=1, data_dim=1, n_params=c.n_params, m=len(train_set),
+                                iterations=iterations, eta=eta, obs_norm=obs.norm,
+                                noise_p=noise_p)
+                assert 0.0 < beta_hat <= closed_form(b)
+
+
 def test_generalization_bound_hand_values():
     b = base_inputs()
     want = 2 * 0.005 + (4 * 100 * 0.005 + 1.0) * math.sqrt(math.log(20.0) / 200.0)

@@ -7,11 +7,13 @@ from reupqnn.ansatz import build_circuit, forward
 from reupqnn.data import Dataset, Sample, synthetic_toy
 from reupqnn.grad import parameter_shift_grad_f
 from reupqnn.qcore import z_observable
+from reupqnn.stability import coupled_ensemble
 from reupqnn.train import (
     LIPSCHITZ,
     LOSS_BOUND,
     SMOOTHNESS,
     TrainConfig,
+    _loss_grads,
     _philox,
     _sgd_paths,
     _train_runs,
@@ -224,6 +226,55 @@ def test_sgd_paths_same_seed_different_sizes():
         assert len(solo) == len(paired) == 13
         for (_, thetas), (_, solo_thetas) in zip(paired, solo):
             assert np.all(thetas[r] == solo_thetas[0])
+
+
+@pytest.mark.parametrize("noise_ps", [(0.0, 0.0, 0.0), (0.02, 0.1, 0.02)])
+def test_sgd_paths_match_steps_through_the_checked_entry_point(noise_ps):
+    """Three steps unrolled by hand, each through the checked `_output_grads`
+    (by `_loss_grads`) on rows gathered one by one, give the loop's
+    indices and thetas bit for bit: checking a batch once and gathering
+    its rows with one index change no bits."""
+    rng = np.random.default_rng(79)
+    c = build_circuit(2, 2, 3, 1)
+    obs = z_observable(2)
+    config = TrainConfig(0.3, 3, seed=0)
+    datasets = [tiny_dataset(rng, m, 3) for m in (4, 6, 4)]
+    seeds = [2, 2, 5]
+    paths = list(_sgd_paths(datasets, seeds, noise_ps, c, obs, config))
+    thetas = np.array([init_params(c, seed) for seed in seeds])
+    assert paths[0][0] is None and np.array_equal(paths[0][1], thetas)
+    for t, (indices, loop_thetas) in enumerate(paths[1:]):
+        drawn = [draw_index(seed, t, len(data)) for seed, data in zip(seeds, datasets)]
+        xs = np.array([data.features[i] for data, i in zip(datasets, drawn)])
+        ys = np.array([data.labels[i] for data, i in zip(datasets, drawn)])
+        thetas = thetas - config.learning_rate * _loss_grads(c, thetas, xs, ys, obs, noise_ps)
+        assert indices.tolist() == drawn
+        assert np.array_equal(loop_thetas, thetas)
+    assert len(paths) == 4
+
+
+def test_overflowing_parameters_stop_the_loop():
+    """A step size that drives theta past the float range ends training
+    with an error rather than steps on inf or nan; the loop checks its
+    thetas at every step, not only the first."""
+    toy = synthetic_toy(20, seed=1)
+    c = build_circuit(1, 1, 1, 1)
+    obs = z_observable(1)
+    config = TrainConfig(1e308, 50, 0)
+    with np.errstate(over="ignore"):
+        steps = []
+        with pytest.raises(ValueError, match="non-finite"):
+            for _, thetas in _sgd_paths([toy], [0], [0.0], c, obs, config):
+                steps.append(thetas)
+        # The step after the first non-finite theta raises, before T.
+        assert 1 < len(steps) < 51
+        assert all(np.isfinite(thetas).all() for thetas in steps[:-1])
+        # Scored at every step, and scored only at 0 and T.
+        for eval_interval in (None, 1000):
+            with pytest.raises(ValueError, match="non-finite"):
+                train(toy, c, obs, config, eval_interval=eval_interval)
+        with pytest.raises(ValueError, match="non-finite"):
+            coupled_ensemble([(toy, toy, [(0, toy.sample(1))], 0.0)], [0, 1], c, obs, config)
 
 
 def test_risk_matches_naive_loop():
