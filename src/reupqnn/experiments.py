@@ -17,11 +17,11 @@ m_train or noise_p) crosses a list of values with the seed list; each
 value obeys the rule of the scalar key it replaces (circuit.layers,
 optimizer.learning_rate, dataset.m_train, optimizer.noise_p), and every
 (value, seed) cell is an independent pure computation, so re-running a
-config reproduces the result rows byte for byte.  The seeds of one sweep
-value train in lockstep, as do all values of an ``m_train`` axis and all
-positive values of a ``noise_p`` axis, for ``run`` and ``stability``
-alike (see `_batches`); a cell's rows do not depend on which other runs
-share its batch, and rows come out in sweep-value order.
+config reproduces the result rows byte for byte.  Every run of the sweep
+values that share a circuit and a row kind trains in one lockstep batch,
+for ``run`` and ``stability`` alike (see `_batches`); a cell's rows do not
+depend on which other runs share its batch, and rows come out in
+sweep-value order.
 
 Result tables always carry the same column set; cells that do not apply
 to a row kind stay empty.  Row kinds: ``sample`` (per-seed learning
@@ -329,18 +329,14 @@ def _cells(cfg: ExperimentConfig) -> list:
 def _batches(cfg: ExperimentConfig) -> list[list]:
     """Cells that train together in one lockstep batch, in the order first seen.
 
-    An ``m_train`` axis is one batch; a ``noise_p`` axis is one batch of its
-    positive values, with 0.0 in a batch of its own (its rows are
-    statevectors, the others density matrices); ``layers`` and
-    ``learning_rate`` train one batch per value."""
-    def key(value):
-        if cfg.sweep_axis == "m_train":
-            return None
-        return value > 0.0 if cfg.sweep_axis == "noise_p" else value
-
+    Cells share a batch when they share a circuit (``layers``) and a row
+    kind (statevectors at noise_p = 0, density matrices above): an
+    ``m_train`` or ``learning_rate`` axis is one batch, a ``noise_p`` axis
+    one batch of its positive values and 0.0 one of its own, and a
+    ``layers`` axis one batch per value."""
     batches: dict = {}
     for value, cell in _cells(cfg):
-        batches.setdefault(key(value), []).append((value, cell))
+        batches.setdefault((cell.layers, cell.noise_p > 0.0), []).append((value, cell))
     return list(batches.values())
 
 
@@ -401,14 +397,13 @@ def _meta(cfg: ExperimentConfig, pool: Dataset, command: str, seed_offset: int) 
 
 
 def _experiment_cells(cells, pool: Dataset, seeds) -> dict:
-    """Sample rows of (value, cell) pairs whose cells differ only in
-    ``m_train`` or ``noise_p``, all of them zero or all positive: a dict of
-    each value's rows, seeds in order, in the order of ``cells``.
+    """Sample rows of the (value, cell) pairs of one `_batches` batch: a
+    dict of each value's rows, seeds in order, in the order of ``cells``.
 
-    Every (value, seed) run trains in one lockstep batch at its cell's
-    noise_p.  A run's rows do not depend on the batch it rides in.
+    Every (value, seed) run trains in one lockstep batch under its cell's
+    settings.  A run's rows do not depend on the batch it rides in.
     """
-    shared = cells[0][1]  # every setting but m_train and noise_p
+    shared = cells[0][1]  # the circuit and data settings every cell shares
     runs_of = [(value, cell, seed) for value, cell in cells for seed in seeds]
     splits = [subsample_split(pool, cell.m_train, cell.m_test, (cell.data_seed, seed))
               for _, cell, seed in runs_of]
@@ -416,12 +411,10 @@ def _experiment_cells(cells, pool: Dataset, seeds) -> dict:
         splits = [rescale_with_train_stats(*split) for split in splits]
     circuit = build_circuit(shared.qubits, shared.layers, pool.feature_dim, shared.sublayers)
     obs = z_observable(shared.qubits)
-    train_sets, test_sets = zip(*splits)
-    runs = _train_runs(train_sets, test_sets, [seed for *_, seed in runs_of],
-                       [cell.noise_p for _, cell, _ in runs_of], circuit, obs,
-                       # Seeds and strengths come per run; config's are not read.
-                       TrainConfig(shared.learning_rate, shared.iterations, seeds[0]),
-                       eval_interval=shared.eval_interval)
+    runs = _train_runs(
+        [(train_set, TrainConfig(cell.learning_rate, cell.iterations, seed, cell.noise_p))
+         for (train_set, _), (_, cell, seed) in zip(splits, runs_of)],
+        [test_set for _, test_set in splits], circuit, obs, shared.eval_interval)
     by_value: dict = {value: [] for value, _ in cells}
     for (value, cell, seed), run in zip(runs_of, runs):
         margin = stable_training_margin(
@@ -459,9 +452,9 @@ def _offset_seeds(cfg: ExperimentConfig, seed_offset: int) -> list[int]:
 def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     """Sweep (values x seeds) and tabulate learning curves.
 
-    An ``m_train`` axis trains all its runs in one lockstep batch, a
-    ``noise_p`` axis all runs of its positive values; the other axes, and
-    noise_p = 0, train one batch per value, its seeds in lockstep."""
+    The runs of every `_batches` batch train in lockstep: all runs of an
+    ``m_train`` or ``learning_rate`` axis, those of a ``noise_p`` axis's
+    positive values, and one ``layers`` value's seeds."""
     if cfg.m_test < 1:
         raise ConfigError("run requires dataset.m_test >= 1")
     seeds = _offset_seeds(cfg, seed_offset)
@@ -494,21 +487,15 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     return ResultTable(COLUMNS, rows, _meta(cfg, pool, "run", seed_offset))
 
 
-def _stability_cells(cells, pool: Dataset, seeds) -> list[dict]:
-    """The rows of `_stability_by_value`, value by value."""
-    return [row for rows in _stability_by_value(cells, pool, seeds).values() for row in rows]
-
-
 def _stability_by_value(cells, pool: Dataset, seeds) -> dict:
-    """Trace and beta rows of (value, cell) pairs whose cells differ only in
-    ``m_train`` or ``noise_p``, all of them zero or all positive: a dict of
-    each value's rows, in the order of ``cells``.
+    """Trace and beta rows of the (value, cell) pairs of one `_batches`
+    batch: a dict of each value's rows, in the order of ``cells``.
 
-    All coupled runs train in one lockstep ensemble, each group at its
-    cell's noise_p.  The value at position vi of the sweep draws its split
+    All coupled runs train in one lockstep ensemble, each group under its
+    cell's settings.  The value at position vi of the sweep draws its split
     keyed by (data seed, 777, vi), whatever batch it rides in.
     """
-    shared = cells[0][1]  # every setting but m_train and noise_p
+    shared = cells[0][1]  # the circuit and data settings every cell shares
     circuit = build_circuit(shared.qubits, shared.layers, pool.feature_dim, shared.sublayers)
     obs = z_observable(shared.qubits)
     groups = []
@@ -521,12 +508,10 @@ def _stability_by_value(cells, pool: Dataset, seeds) -> dict:
             train_set, probe_set = rescale_with_train_stats(train_set, probe_set)
         swaps = [(int(index), replacement_for(int(index), probe_set))
                  for index in sampled_indices(cell.m_train, cell.stability_indices)]
-        groups.append((train_set, probe_set, swaps, cell.noise_p))
-    # Seeds and strengths come per run; config's are not read.
-    results = coupled_ensemble(
-        groups, seeds, circuit, obs,
-        TrainConfig(shared.learning_rate, shared.iterations, seeds[0]),
-    )
+        configs = [TrainConfig(cell.learning_rate, cell.iterations, seed, cell.noise_p)
+                   for seed in seeds]
+        groups.append((train_set, probe_set, swaps, configs))
+    results = coupled_ensemble(groups, circuit, obs)
     by_value = {}
     for (value, cell), (traces, beta) in zip(cells, results):
         # One dict literal per trace row, every column in COLUMNS order.
@@ -556,9 +541,9 @@ def _stability_by_value(cells, pool: Dataset, seeds) -> dict:
 def run_stability(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     """Per sweep value: coupled-divergence traces, beta_hat, and closed forms.
 
-    An ``m_train`` axis trains every value's coupled runs in one lockstep
-    ensemble, a ``noise_p`` axis those of every positive value; the other
-    axes, and noise_p = 0, train one ensemble per value."""
+    The coupled runs of every `_batches` batch train in one lockstep
+    ensemble: all values of an ``m_train`` or ``learning_rate`` axis, the
+    positive values of a ``noise_p`` axis, and one ``layers`` value."""
     seeds = _offset_seeds(cfg, seed_offset)
     pool = load_pool(cfg)
     _require_pool(cfg, pool, cfg.stability_probes, "stability.probes")

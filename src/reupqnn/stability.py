@@ -10,12 +10,12 @@ coefficient is
                | mean_seeds l(A_S, z) - mean_seeds l(A_Si, z) |.
 
 Both come from one set of runs (:func:`coupled_ensemble`): the runs on S
-and on each S^i, under every seed, advance together in one lockstep SGD
-loop, as do those of several groups (the values of an ``m_train`` sweep,
-or the positive values of a ``noise_p`` sweep); the traces are read off
-their parameter paths and beta_hat off their final parameters.
-Under noise (``noise_p`` > 0) the probes are scored by the noisy model,
-the one that was trained and that the noisy bound describes.
+and on each S^i, under every seed's TrainConfig, advance together in one
+lockstep SGD loop, as do those of several groups (the values of a sweep on
+one circuit); the traces are read off their parameter paths and beta_hat
+off their final parameters.  Under noise (``noise_p`` > 0) the probes are
+scored by the noisy model, the one that was trained and that the noisy
+bound describes.
 
 Analytic side.  For K single-Pauli parameters, L re-uploading layers, D
 features, m training samples and T iterations of step size eta, the
@@ -35,7 +35,7 @@ noiseless expressions exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,30 +78,30 @@ class StabilityTrace:
     probe_loss_gap: np.ndarray
 
 
-def _group_result(paths: np.ndarray, probes: Dataset, swaps, seeds, circuit: ReuploadCircuit,
-                  obs: Observable, noise_p: float) -> tuple[list[StabilityTrace], float]:
-    """(traces, beta_hat) of one group from its (train set, seed, T + 1, K) paths."""
+def _group_result(paths: np.ndarray, probes: Dataset, swaps, configs, circuit: ReuploadCircuit,
+                  obs: Observable) -> tuple[list[StabilityTrace], float]:
+    """(traces, beta_hat) of one group from its (train set, config, T + 1, K) paths."""
 
-    def arm(path: np.ndarray):
+    def arm(path: np.ndarray, config: TrainConfig):
         n_steps, n_probes = path.shape[0], len(probes)
         f = forward_many(circuit, np.repeat(path, n_probes, axis=0),
                          np.tile(probes.features, (n_steps, 1)), obs,
-                         noise_p).reshape(n_steps, n_probes)
+                         config.noise_p).reshape(n_steps, n_probes)
         return path, f, loss(f, probes.labels)
 
     def mean_final_loss(arms) -> np.ndarray:
         return sum(probe_loss[-1] for _, _, probe_loss in arms) / len(arms)
 
-    bases = [arm(path) for path in paths[0]]
+    bases = [arm(path, config) for path, config in zip(paths[0], configs)]
     base_mean = mean_final_loss(bases)
     traces: list[StabilityTrace] = []
     worst = 0.0
     for (index, _), twin_paths in zip(swaps, paths[1:]):
-        twins = [arm(path) for path in twin_paths]
-        for seed, (path_a, f_a, l_a), (path_b, f_b, l_b) in zip(seeds, bases, twins):
+        twins = [arm(path, config) for path, config in zip(twin_paths, configs)]
+        for config, (path_a, f_a, l_a), (path_b, f_b, l_b) in zip(configs, bases, twins):
             traces.append(StabilityTrace(
                 replaced_index=index,
-                seed=seed,
+                seed=config.seed,
                 sum_abs_dtheta=np.sum(np.abs(path_a - path_b), axis=1),
                 probe_f_gap=np.max(np.abs(f_a - f_b), axis=1),
                 probe_loss_gap=np.max(np.abs(l_a - l_b), axis=1),
@@ -110,38 +110,36 @@ def _group_result(paths: np.ndarray, probes: Dataset, swaps, seeds, circuit: Reu
     return traces, 0.5 * worst
 
 
-def coupled_ensemble(groups, seeds, circuit: ReuploadCircuit, obs: Observable,
-                     config: TrainConfig) -> list[tuple[list[StabilityTrace], float]]:
-    """Coupled runs on S and on each S^i under every seed: (traces, beta_hat) per group.
+def coupled_ensemble(groups, circuit: ReuploadCircuit,
+                     obs: Observable) -> list[tuple[list[StabilityTrace], float]]:
+    """Coupled runs on S and on each S^i under every config: (traces, beta_hat) per group.
 
-    A group is a (dataset S, probes, swaps, noise_p) quadruple whose
-    ``swaps`` list the (index, replacement) pairs; groups may differ in m,
-    probes and noise strength, but are all noiseless or all noisy.
-    ``seeds`` stands in for ``config.seed`` and a group's noise_p for
-    ``config.noise_p``; neither is read.  Every run of every group trains
-    in one lockstep loop; each run's probe scores come from one
-    ``forward_many`` call over its whole path, at its group's noise_p;
-    traces are in (index, seed) order and beta_hat is read off the same
-    runs' final parameters.
+    A group is a (dataset S, probes, swaps, configs) quadruple whose
+    ``swaps`` list the (index, replacement) pairs and whose ``configs``
+    hold one TrainConfig per seed; groups may differ in m, probes, step
+    size and noise strength, but share T and are all noiseless or all
+    noisy.  Every run of every group trains in one lockstep loop; each
+    run's probe scores come from one ``forward_many`` call over its whole
+    path, at its config's noise_p; traces are in (index, seed) order and
+    beta_hat is read off the same runs' final parameters.
     """
-    seeds = list(seeds)
-    if len(seeds) < 1:
-        raise ValueError("need at least one seed")
-    train_sets = []  # per group: S first, then the twins in swap order
-    for dataset, probes, swaps, _ in groups:
+    runs = []  # per group: S first, then the twins in swap order, each under every config
+    for dataset, probes, swaps, configs in groups:
         if len(probes) < 1:
             raise ValueError("probe set is empty")
-        train_sets.append([dataset] + [dataset.replace(index, replacement)
-                                       for index, replacement in swaps])
-    runs = [train_set for sets in train_sets for train_set in sets for _ in seeds]
-    noise = [group[3] for group, sets in zip(groups, train_sets) for _ in sets for _ in seeds]
-    steps = _sgd_paths(runs, seeds * sum(map(len, train_sets)), noise, circuit, obs, config)
+        if len(configs) < 1:
+            raise ValueError("need at least one run")
+        train_sets = [dataset] + [dataset.replace(index, replacement)
+                                  for index, replacement in swaps]
+        runs += [(train_set, config) for train_set in train_sets for config in configs]
+    steps = _sgd_paths(runs, circuit, obs)
     paths = np.stack([thetas for _, thetas in steps], axis=1)  # (run, T + 1, K)
     results, start = [], 0
-    for (_, probes, swaps, noise_p), sets in zip(groups, train_sets):
-        stop = start + len(sets) * len(seeds)
-        group_paths = paths[start:stop].reshape(len(sets), len(seeds), -1, circuit.n_params)
-        results.append(_group_result(group_paths, probes, swaps, seeds, circuit, obs, noise_p))
+    for _, probes, swaps, configs in groups:
+        stop = start + (len(swaps) + 1) * len(configs)
+        group_paths = paths[start:stop].reshape(len(swaps) + 1, len(configs), -1,
+                                                circuit.n_params)
+        results.append(_group_result(group_paths, probes, swaps, configs, circuit, obs))
         start = stop
     return results
 
@@ -149,10 +147,9 @@ def coupled_ensemble(groups, seeds, circuit: ReuploadCircuit, obs: Observable,
 def coupled_divergence(dataset: Dataset, index: int, replacement: Sample,
                        circuit: ReuploadCircuit, obs: Observable, config: TrainConfig,
                        probes: Dataset | None = None) -> StabilityTrace:
-    """Train on S and on S with sample ``index`` replaced under ``config.seed``."""
-    group = (dataset, dataset if probes is None else probes, [(index, replacement)],
-             config.noise_p)
-    [(traces, _)] = coupled_ensemble([group], [config.seed], circuit, obs, config)
+    """Train on S and on S with sample ``index`` replaced under ``config``."""
+    group = (dataset, dataset if probes is None else probes, [(index, replacement)], [config])
+    [(traces, _)] = coupled_ensemble([group], circuit, obs)
     return traces[0]
 
 
@@ -179,9 +176,8 @@ def empirical_beta(dataset: Dataset, probe_set: Dataset, n_indices: int, n_seeds
     """Monte-Carlo estimate of the uniform-stability coefficient."""
     swaps = [(int(i), replacement_for(int(i), probe_set))
              for i in sampled_indices(len(dataset), n_indices)]
-    seeds = range(config.seed, config.seed + n_seeds)
-    [(_, beta)] = coupled_ensemble([(dataset, probe_set, swaps, config.noise_p)], seeds,
-                                   circuit, obs, config)
+    configs = [replace(config, seed=config.seed + k) for k in range(n_seeds)]
+    [(_, beta)] = coupled_ensemble([(dataset, probe_set, swaps, configs)], circuit, obs)
     return beta
 
 

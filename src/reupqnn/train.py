@@ -12,11 +12,11 @@ datasets of equal size therefore replay the exact same index sequence
 under the same seed, which is what the stability machinery relies on.
 
 Every run goes through one lockstep loop, which advances a batch of runs
-(seeds, twin datasets, the values of an ``m_train`` or ``noise_p`` sweep)
-with one batched adjoint gradient pass per step.  Each run carries its own
-seed and noise strength; the runs of one batch are all noiseless or all
-noisy.  Rows of the pass never interact, so a run's bits do not depend on
-its batch.
+(seeds, twin datasets, the values of a sweep on one circuit) with one
+batched adjoint gradient pass per step.  A run is a (dataset, TrainConfig)
+pair, and its config's seed, noise strength and step size are its own; the
+runs of one batch share T and are all noiseless or all noisy.  Rows of the
+pass never interact, so a run's bits do not depend on its batch.
 """
 
 from __future__ import annotations
@@ -74,6 +74,8 @@ def loss_derivative(f, y):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The settings of one SGD run: step size, T, Philox seed and noise strength."""
+
     learning_rate: float
     iterations: int
     seed: int
@@ -84,8 +86,9 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
         if not isinstance(self.iterations, numbers.Integral) or self.iterations < 0:
             raise ValueError(f"iterations must be an integer >= 0, got {self.iterations!r}")
-        if not 0 <= self.seed <= 2**64 - 1:  # one 64-bit word of a Philox key
-            raise ValueError(f"seed must lie in [0, 2^64 - 1], got {self.seed!r}")
+        # One 64-bit word of a Philox key.
+        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed <= 2**64 - 1:
+            raise ValueError(f"seed must be an integer in [0, 2^64 - 1], got {self.seed!r}")
         if not (0.0 <= self.noise_p <= 1.0):
             raise ValueError(f"noise_p={self.noise_p!r} outside [0, 1]")
 
@@ -189,14 +192,22 @@ def accuracy(circuit: ReuploadCircuit, theta, dataset, obs: Observable,
     return _sign_accuracy(outputs, dataset.labels)
 
 
-def _sgd_paths(datasets, seeds, noise_ps, circuit: ReuploadCircuit, obs: Observable,
-               config: TrainConfig):
+def _iterations(runs) -> int:
+    """The iteration count T that every (dataset, config) run shares."""
+    counts = {config.iterations for _, config in runs}
+    if len(counts) != 1:
+        raise ValueError("need at least one run" if not counts else
+                         f"runs of one batch must share iterations, got {sorted(counts)}")
+    return counts.pop()
+
+
+def _sgd_paths(runs, circuit: ReuploadCircuit, obs: Observable):
     """Yield (indices, thetas) for theta_0..theta_T of R runs in lockstep.
 
-    Run r trains on ``datasets[r]`` under ``seeds[r]`` at noise strength
-    ``noise_ps[r]``, all zero or all positive; these stand in for
-    ``config.seed`` and ``config.noise_p``, which are not read.  ``thetas``
-    is (R, K), ``indices`` the (R,) draws of the step (None at theta_0).
+    Each run is a (dataset, TrainConfig) pair and trains on its dataset
+    under its config's seed, noise_p and learning_rate; the runs share
+    ``iterations`` and are all noiseless or all noisy.  ``thetas`` is
+    (R, K), ``indices`` the (R,) draws of the step (None at theta_0).
 
     What stays fixed through the loop is checked once, by the engine's own
     checks: the shapes, the observable, the strengths and every run's
@@ -206,52 +217,54 @@ def _sgd_paths(datasets, seeds, noise_ps, circuit: ReuploadCircuit, obs: Observa
     only that its thetas are finite, and makes one call to the engine's
     unchecked adjoint core (`ansatz._planned_grads`, which
     `ansatz._output_grads` runs after its checks)."""
-    keys = [(seed, len(dataset)) for dataset, seed in zip(datasets, seeds)]
+    iterations = _iterations(runs)
+    keys = [(config.seed, len(dataset)) for dataset, config in runs]
     distinct = list(dict.fromkeys(keys))
     key_of = np.array([distinct.index(key) for key in keys], dtype=np.int64)
     offsets = np.cumsum([0] + [m for _, m in keys[:-1]], dtype=np.int64)
-    features = np.concatenate([dataset.features for dataset in datasets])
-    labels = np.concatenate([dataset.labels for dataset in datasets]).astype(float)
-    thetas = np.array([init_params(circuit, seed) for seed in seeds])
-    plan = _grad_plan(circuit, _check_batch(circuit, thetas, features, obs, noise_ps))
+    features = np.concatenate([dataset.features for dataset, _ in runs])
+    labels = np.concatenate([dataset.labels for dataset, _ in runs]).astype(float)
+    eta = np.array([config.learning_rate for _, config in runs])[:, None]
+    thetas = np.array([init_params(circuit, config.seed) for _, config in runs])
+    plan = _grad_plan(circuit, _check_batch(circuit, thetas, features, obs,
+                                            [config.noise_p for _, config in runs]))
     yield None, thetas
-    for t in range(config.iterations):
+    for t in range(iterations):
         indices = np.array([draw_index(seed, t, m) for seed, m in distinct],
                            dtype=np.int64)[key_of]
         if not np.isfinite(thetas).all():
             raise ValueError("thetas contain non-finite entries")
         rows = offsets + indices
         values, grads = _planned_grads(circuit, thetas, features[rows], obs, plan)
-        thetas = thetas - config.learning_rate * (
-            loss_derivative(values, labels[rows])[:, None] * grads)
+        thetas = thetas - eta * (loss_derivative(values, labels[rows])[:, None] * grads)
         yield indices, thetas
 
 
-def _train_runs(datasets, test_sets, seeds, noise_ps, circuit: ReuploadCircuit,
-                obs: Observable, config: TrainConfig,
+def _train_runs(runs, test_sets, circuit: ReuploadCircuit, obs: Observable,
                 eval_interval: int | None = None) -> list[TrainRun]:
-    """`train` for R runs in lockstep: run r trains on ``datasets[r]`` under
-    ``seeds[r]`` at ``noise_ps[r]`` (see `_sgd_paths`) and is scored on
-    ``datasets[r]`` and ``test_sets[r]`` (None for no test set).  Returns
-    one TrainRun per run, in order.
+    """`train` for R (dataset, TrainConfig) runs in lockstep (see
+    `_sgd_paths`): run r is scored on its dataset and ``test_sets[r]``
+    (None for no test set) at its config's noise_p.  Returns one TrainRun
+    per run, in order.
 
     At each evaluation a run's train and test rows are scored in one
     `forward_many` call, whose outputs are then split by set: a row's bits
     do not depend on its batch, so the curves are those of `risk` and
     `accuracy` on each set."""
-    if any(len(dataset) < 1 for dataset in datasets):
+    if any(len(dataset) < 1 for dataset, _ in runs):
         raise ValueError("training needs at least one sample")
-    t_total = config.iterations
+    t_total = _iterations(runs)
     if eval_interval is None:
         eval_interval = max(1, t_total // 100)
     if eval_interval < 1:
         raise ValueError("eval_interval must be >= 1")
 
-    indices = np.empty((len(datasets), t_total), dtype=np.int64)
+    indices = np.empty((len(runs), t_total), dtype=np.int64)
     eval_points: list[int] = []
     # One row per evaluation: train risk, train accuracy[, test risk, test accuracy].
-    curves: list[list] = [[] for _ in datasets]
-    scored = [[data for data in sets if data is not None] for sets in zip(datasets, test_sets)]
+    curves: list[list] = [[] for _ in runs]
+    scored = [[data for data in (dataset, test_set) if data is not None]
+              for (dataset, _), test_set in zip(runs, test_sets)]
     features = [np.concatenate([data.features for data in sets]) for sets in scored]
 
     def score(theta, p, sets, xs) -> list[float]:
@@ -260,14 +273,13 @@ def _train_runs(datasets, test_sets, seeds, noise_ps, circuit: ReuploadCircuit,
         return [v for data, part in zip(sets, (outputs[:m], outputs[m:]))
                 for v in (_mean_loss(part, data.labels), _sign_accuracy(part, data.labels))]
 
-    paths = _sgd_paths(datasets, seeds, noise_ps, circuit, obs, config)
-    for t, (idx, thetas) in enumerate(paths):
+    for t, (idx, thetas) in enumerate(_sgd_paths(runs, circuit, obs)):
         if t > 0:
             indices[:, t - 1] = idx
         if t % eval_interval == 0 or t == t_total:
             eval_points.append(t)
-            for curve, theta, p, sets, xs in zip(curves, thetas, noise_ps, scored, features):
-                curve.append(score(theta, p, sets, xs))
+            for curve, theta, (_, config), sets, xs in zip(curves, thetas, runs, scored, features):
+                curve.append(score(theta, config.noise_p, sets, xs))
 
     return [TrainRun(
         final_theta=thetas[r], indices=indices[r],
@@ -286,5 +298,4 @@ def train(dataset, circuit: ReuploadCircuit, obs: Observable, config: TrainConfi
     ``eval_interval`` iterations (default max(1, T // 100)) and at the
     final iteration.
     """
-    return _train_runs([dataset], [test_dataset], [config.seed], [config.noise_p], circuit,
-                       obs, config, eval_interval)[0]
+    return _train_runs([(dataset, config)], [test_dataset], circuit, obs, eval_interval)[0]

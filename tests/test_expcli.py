@@ -17,7 +17,7 @@ from reupqnn.experiments import (
     _batches,
     _cells,
     _format_cell,
-    _stability_cells,
+    _stability_by_value,
     emit_results,
     load_pool,
     main,
@@ -319,6 +319,39 @@ def test_run_experiment_noise_p_values_do_not_depend_on_batch(tmp_path):
         assert [r for r in swept if r["sweep_value"] == value] == rows
 
 
+@pytest.mark.parametrize("axis, values, batches", [
+    ("layers", "1, 2, 3", [[1], [2], [3]]),
+    ("m_train", "4, 6, 5", [[4, 6, 5]]),
+    ("learning_rate", "0.05, 0.01, 0.2", [[0.05, 0.01, 0.2]]),
+    ("noise_p", "0.05, 0.0, 0.1", [[0.05, 0.1], [0.0]]),
+])
+def test_batches_share_a_circuit_and_a_row_kind(tmp_path, axis, values, batches):
+    text = BASE_CONFIG.replace("sweep.axis = layers", f"sweep.axis = {axis}")
+    cfg = parse_config(write_config(tmp_path, text.replace("sweep.values = 1, 2",
+                                                           f"sweep.values = {values}")))
+    assert [[value for value, _ in batch] for batch in _batches(cfg)] == batches
+
+
+LEARNING_RATES = "sweep.axis = learning_rate\nsweep.values = 0.05, 0.01, 0.2\n"
+
+
+@pytest.mark.parametrize("noise", ["", "optimizer.noise_p = 0.05\n"])
+def test_run_experiment_learning_rate_values_do_not_depend_on_batch(tmp_path, noise):
+    """A learning_rate sweep trains as one batch; each value's rows are the
+    same bits as when it runs alone, and the table keeps the sweep order."""
+    text = BASE_CONFIG.replace("sweep.axis = layers\nsweep.values = 1, 2\n", LEARNING_RATES)
+    cfg = parse_config(write_config(tmp_path, text + noise + "circuit.qubits = 2\n"))
+    assert len(_batches(cfg)) == 1
+    swept = run_experiment(cfg).rows
+    alone = [run_experiment(replace(cfg, sweep_values=(value,))).rows
+             for value in cfg.sweep_values]
+    # two seeds' samples, a mean and a std at iterations 0, 2, 4
+    assert [len(rows) for rows in alone] == [(2 + 1 + 1) * 3] * 3
+    assert swept[:3 * 6] == [r for rows in alone for r in rows if r["kind"] == "sample"]
+    for value, rows in zip(cfg.sweep_values, alone):
+        assert [r for r in swept if r["sweep_value"] == value] == rows
+
+
 def test_run_experiment_seed_offset_shifts_seeds(toy_table):
     cfg, table = toy_table
     shifted = run_experiment(cfg, seed_offset=10)
@@ -447,7 +480,8 @@ def test_run_stability_m_train_values_do_not_depend_on_batch(tmp_path, noise):
     cfg = parse_config(write_config(tmp_path, text + noise, "stab.cfg"))
     pool = load_pool(cfg)
     one_per_call = [row for cell in _cells(cfg)
-                    for row in _stability_cells([cell], pool, list(cfg.seeds))]
+                    for rows in _stability_by_value([cell], pool, list(cfg.seeds)).values()
+                    for row in rows]
     assert len(one_per_call) == 3 * (2 * 2 * 4 + 1)  # values x (indices x seeds x (T + 1) + beta)
     assert run_stability(cfg).rows == one_per_call
 
@@ -462,7 +496,23 @@ def test_run_stability_noise_p_values_do_not_depend_on_batch(tmp_path):
     assert [[value for value, _ in batch] for batch in _batches(cfg)] == [[0.05, 0.1], [0.0]]
     pool = load_pool(cfg)
     one_per_call = [row for cell in _cells(cfg)
-                    for row in _stability_cells([cell], pool, list(cfg.seeds))]
+                    for rows in _stability_by_value([cell], pool, list(cfg.seeds)).values()
+                    for row in rows]
+    assert len(one_per_call) == 3 * (2 * 2 * 4 + 1)  # values x (indices x seeds x (T + 1) + beta)
+    assert run_stability(cfg).rows == one_per_call
+
+
+@pytest.mark.parametrize("noise", ["", "optimizer.noise_p = 0.05\n"])
+def test_run_stability_learning_rate_values_do_not_depend_on_batch(tmp_path, noise):
+    """A learning_rate stability sweep trains as one ensemble; its rows
+    equal those of each cell run one per call, in sweep order."""
+    text = STAB_CONFIG.replace("sweep.axis = m_train\nsweep.values = 4, 5\n", LEARNING_RATES)
+    cfg = parse_config(write_config(tmp_path, text + noise, "stab.cfg"))
+    assert len(_batches(cfg)) == 1
+    pool = load_pool(cfg)
+    one_per_call = [row for cell in _cells(cfg)
+                    for rows in _stability_by_value([cell], pool, list(cfg.seeds)).values()
+                    for row in rows]
     assert len(one_per_call) == 3 * (2 * 2 * 4 + 1)  # values x (indices x seeds x (T + 1) + beta)
     assert run_stability(cfg).rows == one_per_call
 

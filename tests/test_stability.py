@@ -1,6 +1,7 @@
 """Coupled divergence, the empirical stability estimate, and closed forms."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -214,7 +215,8 @@ def test_coupled_ensemble_matches_single_index_calls():
     config = TrainConfig(0.2, 6, seed=4)
     indices = sampled_indices(len(dataset), 3)
     swaps = [(int(i), replacement_for(int(i), probe)) for i in indices]
-    [(traces, beta)] = coupled_ensemble([(dataset, probe, swaps, 0.0)], [4, 5], c, obs, config)
+    configs = [config, replace(config, seed=5)]
+    [(traces, beta)] = coupled_ensemble([(dataset, probe, swaps, configs)], c, obs)
     pairs = [(swap, seed) for swap in swaps for seed in (4, 5)]
     assert [(t.replaced_index, t.seed) for t in traces] == [(i, s) for (i, _), s in pairs]
     for trace, ((index, replacement), seed) in zip(traces, pairs):
@@ -225,9 +227,9 @@ def test_coupled_ensemble_matches_single_index_calls():
         np.testing.assert_array_equal(trace.probe_loss_gap, single.probe_loss_gap)
     assert beta == empirical_beta(dataset, probe, 3, 2, c, obs, config)
     with pytest.raises(ValueError):
-        coupled_ensemble([(dataset, probe, swaps, 0.0)], [], c, obs, config)
+        coupled_ensemble([(dataset, probe, swaps, [])], c, obs)
     with pytest.raises(ValueError):
-        coupled_ensemble([(dataset, probe.subset([]), swaps, 0.0)], [4], c, obs, config)
+        coupled_ensemble([(dataset, probe.subset([]), swaps, [config])], c, obs)
 
 
 def test_coupled_ensemble_traces_do_not_depend_on_batch():
@@ -238,8 +240,9 @@ def test_coupled_ensemble_traces_do_not_depend_on_batch():
     obs = z_observable(2)
     config = TrainConfig(0.2, 6, seed=5)
     swaps = [(int(i), replacement_for(int(i), probe)) for i in sampled_indices(7, 3)]
-    [(alone, _)] = coupled_ensemble([(dataset, probe, swaps, 0.0)], [5], c, obs, config)
-    [(batched, _)] = coupled_ensemble([(dataset, probe, swaps, 0.0)], [4, 5], c, obs, config)
+    [(alone, _)] = coupled_ensemble([(dataset, probe, swaps, [config])], c, obs)
+    [(batched, _)] = coupled_ensemble(
+        [(dataset, probe, swaps, [replace(config, seed=4), config])], c, obs)
     batched = [t for t in batched if t.seed == 5]
     assert len(alone) == len(batched) == 3
     for a, b in zip(alone, batched):
@@ -260,11 +263,11 @@ def test_coupled_ensemble_groups_match_one_group_per_call(noise_p):
     for m, n_probes, n_indices, seed in ((7, 5, 3, 20), (5, 3, 2, 22), (9, 4, 1, 24)):
         dataset, probe = synthetic_toy(m, seed=seed), synthetic_toy(n_probes, seed=seed + 1)
         swaps = [(int(i), replacement_for(int(i), probe)) for i in sampled_indices(m, n_indices)]
-        groups.append((dataset, probe, swaps, noise_p))
-    together = coupled_ensemble(groups, [3, 1], c, obs, config)
+        groups.append((dataset, probe, swaps, [replace(config, seed=3), replace(config, seed=1)]))
+    together = coupled_ensemble(groups, c, obs)
     assert len(together) == len(groups)
     for group, (traces, beta) in zip(groups, together):
-        [(alone, alone_beta)] = coupled_ensemble([group], [3, 1], c, obs, config)
+        [(alone, alone_beta)] = coupled_ensemble([group], c, obs)
         assert beta == alone_beta and beta > 0.0
         assert len(traces) == len(alone) == 2 * len(group[2])
         for a, b in zip(traces, alone):
@@ -283,11 +286,11 @@ def test_coupled_ensemble_scores_probes_on_the_noisy_model():
     p, seeds = 0.1, [2, 3]
     config = TrainConfig(0.3, 4, seed=2, noise_p=p)
     swaps = [(int(i), replacement_for(int(i), probe)) for i in sampled_indices(6, 2)]
-    [(traces, beta)] = coupled_ensemble([(dataset, probe, swaps, p)], seeds, c, obs, config)
+    configs = [replace(config, seed=seed) for seed in seeds]
+    [(traces, beta)] = coupled_ensemble([(dataset, probe, swaps, configs)], c, obs)
 
     def probe_outputs(train_set, seed):
-        path = _sgd_paths([train_set], [seed], [p], c, obs,
-                          TrainConfig(0.3, 4, seed=seed, noise_p=p))
+        path = _sgd_paths([(train_set, TrainConfig(0.3, 4, seed=seed, noise_p=p))], c, obs)
         return np.array([[noisy_forward(c, thetas[0], x, obs, p) for x in probe.features]
                          for _, thetas in path])
 
@@ -303,6 +306,21 @@ def test_coupled_ensemble_scores_probes_on_the_noisy_model():
         worst = max(worst, float(np.max(np.abs(mean_final_loss(bases) - mean_final_loss(twins)))))
     assert beta == 0.5 * worst
     assert beta > 0.0
+
+
+def test_out_of_range_seeds_and_empty_groups_raise_value_errors():
+    """The seeds past the last one and an empty ensemble are refused by the
+    package's own checks, not by numpy's conversion or concatenation."""
+    dataset = synthetic_toy(6, seed=12)
+    probe = synthetic_toy(4, seed=13)
+    c = build_circuit(1, 1, 1, 1)
+    obs = z_observable(1)
+    last = TrainConfig(0.1, 3, 2**64 - 1)
+    assert empirical_beta(dataset, probe, 2, 1, c, obs, last) >= 0.0
+    with pytest.raises(ValueError, match="seed"):
+        empirical_beta(dataset, probe, 2, 2, c, obs, last)
+    with pytest.raises(ValueError, match="at least one run"):
+        coupled_ensemble([], c, obs)
 
 
 def test_empirical_beta_deterministic():
@@ -434,12 +452,13 @@ def test_measured_beta_stays_under_the_closed_form(noise_p):
     pool = synthetic_toy(100 + n_probes, 11)
     probes = pool.subset(range(100, 100 + n_probes))
     closed_form = noisy_theoretical_beta if noise_p else theoretical_beta
-    groups = [(pool.subset(range(m)), probes,
-               [(int(i), replacement_for(int(i), probes)) for i in sampled_indices(m, n_indices)],
-               noise_p) for m in (25, 100)]
     for eta in (0.01, 0.2):
         for iterations in (50, 200):
-            results = coupled_ensemble(groups, seeds, c, obs, TrainConfig(eta, iterations, 0))
+            configs = [TrainConfig(eta, iterations, seed, noise_p) for seed in seeds]
+            groups = [(pool.subset(range(m)), probes,
+                       [(int(i), replacement_for(int(i), probes))
+                        for i in sampled_indices(m, n_indices)], configs) for m in (25, 100)]
+            results = coupled_ensemble(groups, c, obs)
             for (train_set, *_), (_, beta_hat) in zip(groups, results):
                 b = BoundInputs(layers=1, data_dim=1, n_params=c.n_params, m=len(train_set),
                                 iterations=iterations, eta=eta, obs_norm=obs.norm,

@@ -1,5 +1,7 @@
 """The loss and its constants, seeded parameter init, and the SGD loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -204,7 +206,7 @@ def test_train_eval_schedule_and_trajectory():
     assert run.eval_points.tolist() == [0, 3, 6, 7]
     assert run.train_risks.shape == (4,)
     assert run.test_risks.shape == (4,)
-    paths = _sgd_paths([dataset], [config.seed], [0.0], c, z_observable(1), config)
+    paths = _sgd_paths([(dataset, config)], c, z_observable(1))
     trajectory = np.array([thetas[0] for _, thetas in paths])
     assert trajectory.shape == (8, c.n_params)
     np.testing.assert_array_equal(trajectory[-1], run.final_theta)
@@ -217,12 +219,12 @@ def test_sgd_paths_same_seed_different_sizes():
     c = build_circuit(2, 1, 2, 1)
     obs = z_observable(2)
     config = TrainConfig(0.1, 12, seed=6)
-    paired = list(_sgd_paths([small, large], [6, 6], [0.0, 0.0], c, obs, config))
+    paired = list(_sgd_paths([(small, config), (large, config)], c, obs))
     assert paired[0][0] is None
     for r, data in enumerate((small, large)):
         want = [draw_index(6, t, len(data)) for t in range(12)]
         assert [int(idx[r]) for idx, _ in paired[1:]] == want
-        solo = list(_sgd_paths([data], [6], [0.0], c, obs, config))
+        solo = list(_sgd_paths([(data, config)], c, obs))
         assert len(solo) == len(paired) == 13
         for (_, thetas), (_, solo_thetas) in zip(paired, solo):
             assert np.all(thetas[r] == solo_thetas[0])
@@ -232,25 +234,28 @@ def test_sgd_paths_same_seed_different_sizes():
 def test_sgd_paths_match_steps_through_the_checked_entry_point(noise_ps):
     """Three steps unrolled by hand, each through the checked `_output_grads`
     (by `_loss_grads`) on rows gathered one by one, give the loop's
-    indices and thetas bit for bit: checking a batch once and gathering
-    its rows with one index change no bits."""
+    indices and thetas bit for bit, with one step size for every run or
+    one per run: checking a batch once, gathering its rows with one index
+    and scaling each run by its own step size change no bits."""
     rng = np.random.default_rng(79)
     c = build_circuit(2, 2, 3, 1)
     obs = z_observable(2)
-    config = TrainConfig(0.3, 3, seed=0)
     datasets = [tiny_dataset(rng, m, 3) for m in (4, 6, 4)]
     seeds = [2, 2, 5]
-    paths = list(_sgd_paths(datasets, seeds, noise_ps, c, obs, config))
-    thetas = np.array([init_params(c, seed) for seed in seeds])
-    assert paths[0][0] is None and np.array_equal(paths[0][1], thetas)
-    for t, (indices, loop_thetas) in enumerate(paths[1:]):
-        drawn = [draw_index(seed, t, len(data)) for seed, data in zip(seeds, datasets)]
-        xs = np.array([data.features[i] for data, i in zip(datasets, drawn)])
-        ys = np.array([data.labels[i] for data, i in zip(datasets, drawn)])
-        thetas = thetas - config.learning_rate * _loss_grads(c, thetas, xs, ys, obs, noise_ps)
-        assert indices.tolist() == drawn
-        assert np.array_equal(loop_thetas, thetas)
-    assert len(paths) == 4
+    for etas in ((0.3, 0.3, 0.3), (0.3, 0.05, 0.7)):
+        configs = [TrainConfig(eta, 3, seed, p) for eta, seed, p in zip(etas, seeds, noise_ps)]
+        paths = list(_sgd_paths(list(zip(datasets, configs)), c, obs))
+        thetas = np.array([init_params(c, seed) for seed in seeds])
+        assert paths[0][0] is None and np.array_equal(paths[0][1], thetas)
+        for t, (indices, loop_thetas) in enumerate(paths[1:]):
+            drawn = [draw_index(seed, t, len(data)) for seed, data in zip(seeds, datasets)]
+            xs = np.array([data.features[i] for data, i in zip(datasets, drawn)])
+            ys = np.array([data.labels[i] for data, i in zip(datasets, drawn)])
+            grads = _loss_grads(c, thetas, xs, ys, obs, noise_ps)
+            thetas = np.array([theta - eta * g for theta, eta, g in zip(thetas, etas, grads)])
+            assert indices.tolist() == drawn
+            assert np.array_equal(loop_thetas, thetas)
+        assert len(paths) == 4
 
 
 def test_overflowing_parameters_stop_the_loop():
@@ -264,7 +269,7 @@ def test_overflowing_parameters_stop_the_loop():
     with np.errstate(over="ignore"):
         steps = []
         with pytest.raises(ValueError, match="non-finite"):
-            for _, thetas in _sgd_paths([toy], [0], [0.0], c, obs, config):
+            for _, thetas in _sgd_paths([(toy, config)], c, obs):
                 steps.append(thetas)
         # The step after the first non-finite theta raises, before T.
         assert 1 < len(steps) < 51
@@ -274,7 +279,8 @@ def test_overflowing_parameters_stop_the_loop():
             with pytest.raises(ValueError, match="non-finite"):
                 train(toy, c, obs, config, eval_interval=eval_interval)
         with pytest.raises(ValueError, match="non-finite"):
-            coupled_ensemble([(toy, toy, [(0, toy.sample(1))], 0.0)], [0, 1], c, obs, config)
+            coupled_ensemble([(toy, toy, [(0, toy.sample(1))],
+                              [config, replace(config, seed=1)])], c, obs)
 
 
 def test_risk_matches_naive_loop():
@@ -311,13 +317,14 @@ def test_train_runs_score_each_run_in_one_call_like_risk_and_accuracy(noise_ps):
     rng = np.random.default_rng(78)
     c = build_circuit(2, 1, 3, 1)
     obs = z_observable(2)
-    config = TrainConfig(0.2, 4, seed=3)
     train_sets = [tiny_dataset(rng, m, 3) for m in (5, 7, 3)]
     test_sets = [tiny_dataset(rng, 9, 3), None, tiny_dataset(rng, 4, 3)]
     seeds = [3, 8, 3]
-    runs = _train_runs(train_sets, test_sets, seeds, noise_ps, c, obs, config, eval_interval=2)
-    paths = [thetas for _, thetas in _sgd_paths(train_sets, seeds, noise_ps, c, obs, config)]
-    for r, (run, train_set, test_set, p) in enumerate(zip(runs, train_sets, test_sets, noise_ps)):
+    runs = [(data, TrainConfig(0.2, 4, seed, p))
+            for data, seed, p in zip(train_sets, seeds, noise_ps)]
+    trained = _train_runs(runs, test_sets, c, obs, eval_interval=2)
+    paths = [thetas for _, thetas in _sgd_paths(runs, c, obs)]
+    for r, (run, (train_set, _), test_set, p) in enumerate(zip(trained, runs, test_sets, noise_ps)):
         assert run.eval_points.tolist() == [0, 2, 4]
         np.testing.assert_array_equal(run.final_theta, paths[-1][r])
         for i, t in enumerate(run.eval_points):
@@ -344,6 +351,31 @@ def test_train_config_validation():
     for seed in (2**64, -1):
         with pytest.raises(ValueError, match="seed"):
             TrainConfig(0.1, 2, seed)
+
+
+def test_train_config_rejects_a_non_integer_seed():
+    """A fractional seed once passed and trained exactly like its integer part."""
+    for seed in (1.5, 1.0, "1"):
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(0.1, 2, seed)
+    assert TrainConfig(0.1, 2, np.uint64(2**64 - 1)).seed == 2**64 - 1
+
+
+def test_runs_of_one_batch_share_iterations():
+    rng = np.random.default_rng(80)
+    c = build_circuit(1, 1, 1, 1)
+    obs = z_observable(1)
+    data = tiny_dataset(rng, 4, 1)
+    runs = [(data, TrainConfig(0.1, 3, 0)), (data, TrainConfig(0.1, 4, 1))]
+    with pytest.raises(ValueError, match="share iterations"):
+        next(_sgd_paths(runs, c, obs))
+    with pytest.raises(ValueError, match="share iterations"):
+        _train_runs(runs, [None, None], c, obs)
+    groups = [(data, data, [(0, data.sample(1))], [config]) for _, config in runs]
+    with pytest.raises(ValueError, match="share iterations"):
+        coupled_ensemble(groups, c, obs)
+    with pytest.raises(ValueError, match="at least one run"):
+        next(_sgd_paths([], c, obs))
 
 
 def test_train_on_toy_task_improves_risk():
