@@ -20,12 +20,13 @@ under per-gate depolarizing noise (``noise_p`` > 0, a float or one
 strength per row).  `forward` and `noise.noisy_forward` are its one-row
 wrappers.  Both modes walk one gate schedule; `_output_grads` walks it
 forward and then backward to give every row's parameter gradient
-(adjoint differentiation).  The gradient has one core with two entry
-points: `_output_grads` checks its inputs on every call, for outside
-callers, and then runs `_planned_grads`; the SGD loop
-(`train._sgd_paths`) checks a batch's fixed inputs and plans its chunks
-and channel factors once per loop, then calls `_planned_grads` at every
-step.  There is no second simulator: `iter_gates`
+(adjoint differentiation).  One planner, `_chunk_plan`, splits the rows
+of a forward or an adjoint pass into chunks with their channel factors.
+The gradient has one core with two entry points: `_output_grads` checks
+its inputs and plans on every call, for outside callers, and then runs
+`_planned_grads`; the SGD loop (`train._sgd_paths`) checks a batch's
+fixed inputs and plans once per loop, then calls `_planned_grads` at
+every step.  There is no second simulator: `iter_gates`
 lists the same circuit gate by gate and the dense unitaries multiply it
 out, for the comb route (the independent check) and for the reference
 simulators in the tests.
@@ -229,19 +230,14 @@ def _apply_cx_rows(states: np.ndarray, control: int, target: int) -> None:
     view[:, 1, :, 1] = tmp
 
 
-def _depolarize_rows(rhos: np.ndarray, n: int, qubit: int, p) -> None:
-    """Depolarizing channel of strength ``p`` (see `noise`) on one qubit of
-    n-qubit density rows stored as 2n-qubit vectors, in place.  ``p`` is a
-    float or a (rows,) vector of per-row strengths.  k merged channels of
-    strength p are one of strength 1 - (1 - p)^k."""
-    _mix_rows(rhos, n, qubit, 1.0 - p, 0.5 * p)
-
-
 def _mix_rows(rhos: np.ndarray, n: int, qubit: int, keep, half) -> None:
-    """`_depolarize_rows` with its factors given: ``keep`` = 1 - p and
-    ``half`` = p / 2, floats or (rows,) vectors.  Every entry is scaled by
-    keep, then half times the sum of the qubit's two diagonal blocks is
-    added to each of them."""
+    """Depolarizing channel of strength p (see `noise`) on one qubit of
+    n-qubit density rows stored as 2n-qubit vectors, in place, given by its
+    factors ``keep`` = 1 - p and ``half`` = p / 2: floats, or (rows,)
+    vectors of per-row strengths.  k merged channels of strength p are one
+    of strength 1 - (1 - p)^k.  Every entry is scaled by keep, then half
+    times the sum of the qubit's two diagonal blocks is added to each of
+    them."""
     # Axes: row bits before the qubit, its row bit, the n - 1 bits between
     # it and its column bit, its column bit, the column bits after it.
     view = rhos.reshape(1 << qubit, 2, 1 << (n - 1), 2, -1, rhos.shape[-1])
@@ -356,16 +352,6 @@ def _sweep(states: np.ndarray, circuit: ReuploadCircuit, c: np.ndarray, s: np.nd
             kept.append(states.copy())
 
 
-def _simulate_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
-                   noise) -> np.ndarray:
-    """Real statevector rows, or density rows as 2n-qubit vectors when ``noise`` > 0."""
-    half = _half_angles(circuit, thetas, xs)
-    strengths = _strengths(circuit, noise)
-    states = _fresh_rows(circuit, thetas.shape[0], bool(strengths))
-    _sweep(states, circuit, np.cos(half), np.sin(half), strengths)
-    return states
-
-
 def _column_sum(terms: np.ndarray) -> np.ndarray:
     """Sum of (amplitudes, rows) terms over the amplitudes, one per row.
 
@@ -383,24 +369,22 @@ def _observe(matrix: np.ndarray, states: np.ndarray, out: np.ndarray | None = No
     return np.einsum("ij,jb->ib", np.asfortranarray(matrix), states, out=out)
 
 
-def _measure(circuit: ReuploadCircuit, states: np.ndarray, obs: Observable,
-             noisy: bool) -> np.ndarray:
+def _forward_rows(circuit: ReuploadCircuit, c: np.ndarray, s: np.ndarray, obs: Observable,
+                  strengths: dict, kept: list | None = None) -> np.ndarray:
+    """Every row's output: |0...0> swept forward (see `_sweep`, which fills
+    ``kept``) by the cosines ``c`` and sines ``s`` of `_half_angles` under
+    the channel factors ``strengths`` of `_strengths`, then measured."""
+    states = _fresh_rows(circuit, c.shape[1], bool(strengths))
+    _sweep(states, circuit, c, s, strengths, kept)
     # Rows are real and Im(M) of a Hermitian M is antisymmetric, so it adds
     # nothing to psi^T M psi or tr(M rho) with rho symmetric.
     matrix = obs.matrix.real
-    if noisy:
+    if strengths:
         dim = 1 << circuit.n_qubits
         _check_density_rows(np.moveaxis(states.reshape(dim, dim, -1), -1, 0))
         # tr(M rho) = <vec(M^T), vec(rho)>.
         return _column_sum(matrix.T.reshape(-1, 1) * states)
     return _column_sum(states * _observe(matrix, states))
-
-
-def _expectations(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
-                  obs: Observable, noise) -> np.ndarray:
-    states = _simulate_rows(circuit, thetas, xs, noise)
-    # Density rows hold 4^n amplitudes, statevector rows 2^n.
-    return _measure(circuit, states, obs, states.shape[0] > 1 << circuit.n_qubits)
 
 
 def _ry_grad(lam: np.ndarray, psi: np.ndarray, qubit: int) -> np.ndarray:
@@ -439,9 +423,7 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
     kept = [] if noisy else None
     if noisy:
         c, s = np.cos(half), np.sin(half)
-        states = _fresh_rows(circuit, rows, noisy)
-        _sweep(states, circuit, c, s, strengths, kept)
-        values = _measure(circuit, states, obs, noisy)
+        values = _forward_rows(circuit, c, s, obs, strengths, kept)
         # tr(M rho) = <vec(M^T), vec(rho)>.
         back = np.repeat(matrix.T.reshape(-1, 1), rows, axis=1)
     else:
@@ -513,11 +495,19 @@ def _check_batch(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
     return noise
 
 
-def _chunks(rows: int, row_bytes: int, noise: np.ndarray) -> list:
-    """(row slice, its noise strengths) pairs of at most ``_CHUNK_BYTES``
-    each (at least one row)."""
+def _chunk_plan(circuit: ReuploadCircuit, noise: np.ndarray, adjoint: bool) -> list:
+    """The chunks of a forward or an adjoint pass over rows of checked
+    (rows,) strengths ``noise``: (row slice, its `_strengths` factors)
+    pairs, each of at least one row and at most ``_CHUNK_BYTES`` of states.
+    A row of a forward pass holds one state; of an adjoint pass two, or,
+    noisy, K + 2 with the density rows kept for the backward sweep."""
+    noisy = _noisy(noise)
+    row_bytes = 8 << (circuit.n_qubits * (2 if noisy else 1))
+    if adjoint:
+        row_bytes *= circuit.n_params + 2 if noisy else 2
     step = max(1, _CHUNK_BYTES // row_bytes)
-    return [(slice(i, i + step), noise[i:i + step]) for i in range(0, rows, step)]
+    return [(slice(i, i + step), _strengths(circuit, noise[i:i + step]))
+            for i in range(0, len(noise), step)]
 
 
 def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
@@ -533,32 +523,18 @@ def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
     p > 0; its rows may differ in p.
     """
     thetas, xs, noise = _check_rows(circuit, thetas, xs, obs, noise_p)
-    row_bytes = 8 << (circuit.n_qubits * (2 if _noisy(noise) else 1))
     values = np.empty(thetas.shape[0])
-    for rows, chunk_noise in _chunks(thetas.shape[0], row_bytes, noise):
-        values[rows] = _expectations(
-            circuit, np.ascontiguousarray(thetas[rows]),
-            np.ascontiguousarray(xs[rows]), obs, chunk_noise,
-        )
+    for rows, strengths in _chunk_plan(circuit, noise, adjoint=False):
+        half = _half_angles(circuit, np.ascontiguousarray(thetas[rows]),
+                            np.ascontiguousarray(xs[rows]))
+        values[rows] = _forward_rows(circuit, np.cos(half), np.sin(half), obs, strengths)
     return values
-
-
-def _grad_plan(circuit: ReuploadCircuit, noise: np.ndarray) -> list:
-    """The chunks of an adjoint pass over rows of checked (rows,) strengths
-    ``noise``: (row slice, its `_strengths` factors) pairs.  A noisy row
-    keeps K density rows for the backward sweep, and chunks hold at most
-    ``_CHUNK_BYTES`` of them."""
-    noisy = _noisy(noise)
-    row_bytes = 8 << (circuit.n_qubits * (2 if noisy else 1))
-    kept_rows = circuit.n_params + 2 if noisy else 2
-    return [(rows, _strengths(circuit, chunk_noise))
-            for rows, chunk_noise in _chunks(len(noise), kept_rows * row_bytes, noise)]
 
 
 def _planned_grads(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
                    obs: Observable, plan: list) -> tuple[np.ndarray, np.ndarray]:
     """`_output_grads` of checked (rows, K) thetas and (rows, D) xs by the
-    `_grad_plan` of their strengths, unchecked: the core that both it and
+    adjoint `_chunk_plan` of their strengths, unchecked: the core that both it and
     `train._sgd_paths` call."""
     parts = [_adjoint_rows(circuit, np.ascontiguousarray(thetas[rows]),
                            np.ascontiguousarray(xs[rows]), obs, strengths)
@@ -579,7 +555,7 @@ def _output_grads(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
     oracle.  This is the checked entry point of `_planned_grads`.
     """
     thetas, xs, noise = _check_rows(circuit, thetas, xs, obs, noise_p)
-    return _planned_grads(circuit, thetas, xs, obs, _grad_plan(circuit, noise))
+    return _planned_grads(circuit, thetas, xs, obs, _chunk_plan(circuit, noise, adjoint=True))
 
 
 # --- dense unitaries ------------------------------------------------------

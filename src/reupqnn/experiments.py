@@ -17,17 +17,21 @@ m_train or noise_p) crosses a list of values with the seed list; each
 value obeys the rule of the scalar key it replaces (circuit.layers,
 optimizer.learning_rate, dataset.m_train, optimizer.noise_p), and every
 (value, seed) cell is an independent pure computation, so re-running a
-config reproduces the result rows byte for byte.  Every run of the sweep
-values that share a circuit and a row kind trains in one lockstep batch,
-for ``run`` and ``stability`` alike (see `_batches`); a cell's rows do not
-depend on which other runs share its batch, and rows come out in
-sweep-value order.
+config reproduces the result rows byte for byte.  ``run`` and
+``stability`` share one sweep driver, `_sweep_rows`: it checks the seeds
+and the pool and hands the command's row builder each batch of sweep
+values that share a circuit and a row kind, whose runs train in one
+lockstep batch (see `_batches`); a cell's rows do not depend on which
+other runs share its batch.
 
-Result tables always carry the same column set; cells that do not apply
-to a row kind stay empty.  Row kinds: ``sample`` (per-seed learning
-curves), ``mean``/``std`` (per-iteration aggregates across seeds,
-population standard deviation), ``trace`` (coupled-divergence curves),
-``beta`` (one empirical stability estimate per sweep value).
+Result tables always carry the same column set, and every row holds
+every column in order; cells that do not apply to a row kind stay empty.
+Row kinds: ``sample`` (per-seed learning curves), ``mean``/``std``
+(per-iteration aggregates across seeds, population standard deviation),
+``trace`` (coupled-divergence curves), ``beta`` (one empirical stability
+estimate per sweep value).  ``run`` writes every sample row in
+sweep-value order, then each value's mean rows and its std rows;
+``stability`` writes each value's trace rows and then its beta row.
 """
 
 from __future__ import annotations
@@ -112,6 +116,8 @@ COLUMNS = (
     "stable_margin",
     "margin_flagged",
 )
+# Every table row is built on this one, so it holds each column in order.
+_BLANK = dict.fromkeys(COLUMNS, "")
 
 
 @dataclass(frozen=True)
@@ -340,16 +346,15 @@ def _batches(cfg: ExperimentConfig) -> list[list]:
     return list(batches.values())
 
 
-def _bound_inputs(cell: ExperimentConfig, iterations: int, n_params: int, data_dim: int,
-                  obs_norm: float) -> BoundInputs:
+def _bound_inputs(cell: ExperimentConfig, iterations: int, circuit, obs) -> BoundInputs:
     return BoundInputs(
         layers=cell.layers,
-        data_dim=data_dim,
-        n_params=n_params,
+        data_dim=circuit.data_dim,
+        n_params=circuit.n_params,
         m=cell.m_train,
         iterations=iterations,
         eta=cell.learning_rate,
-        obs_norm=obs_norm,
+        obs_norm=obs.norm,
         delta=cell.delta,
         noise_p=cell.noise_p,
     )
@@ -366,24 +371,6 @@ def _or_inf(closed_form) -> float:
         return float("inf")
 
 
-def _require_pool(cfg: ExperimentConfig, pool: Dataset, held_out: int, key: str) -> None:
-    """Reject a pool too small for the largest m_train plus ``held_out`` samples."""
-    m_train = max(cell.m_train for _, cell in _cells(cfg))
-    if len(pool) < m_train + held_out:
-        raise ConfigError(
-            f"the pool has {len(pool)} samples, fewer than dataset.m_train + {key} "
-            f"= {m_train} + {held_out}"
-        )
-
-
-def _blank_row(kind: str, value, seed="") -> dict:
-    row = {c: "" for c in COLUMNS}
-    row["kind"] = kind
-    row["sweep_value"] = value
-    row["seed"] = seed
-    return row
-
-
 def _meta(cfg: ExperimentConfig, pool: Dataset, command: str, seed_offset: int) -> dict:
     return {
         "command": command,
@@ -396,160 +383,157 @@ def _meta(cfg: ExperimentConfig, pool: Dataset, command: str, seed_offset: int) 
     }
 
 
-def _experiment_cells(cells, pool: Dataset, seeds) -> dict:
-    """Sample rows of the (value, cell) pairs of one `_batches` batch: a
-    dict of each value's rows, seeds in order, in the order of ``cells``.
+def _split(cell: ExperimentConfig, pool: Dataset, held_out: int, key) -> tuple:
+    """The cell's m_train samples and ``held_out`` others, drawn by ``key``;
+    wdbc features rescaled by the training half's statistics."""
+    split = subsample_split(pool, cell.m_train, held_out, key)
+    return rescale_with_train_stats(*split) if cell.kind == "wdbc" else split
 
-    Every (value, seed) run trains in one lockstep batch under its cell's
-    settings.  A run's rows do not depend on the batch it rides in.
+
+def _sweep_rows(cfg: ExperimentConfig, seed_offset: int, key: str, value_rows) -> tuple:
+    """The sweep driver of ``run`` and ``stability``: (pool, each sweep
+    value's rows, in sweep order).
+
+    The seeds are offset and checked, the pool must hold the largest
+    m_train plus the samples of config ``key`` held out, and each
+    `_batches` batch gets its circuit and observable once.  ``value_rows``
+    is called as ``value_rows(cells, pool, seeds, circuit, obs)`` on a
+    batch's (value, cell) pairs and yields each value's rows in turn.
     """
-    shared = cells[0][1]  # the circuit and data settings every cell shares
-    runs_of = [(value, cell, seed) for value, cell in cells for seed in seeds]
-    splits = [subsample_split(pool, cell.m_train, cell.m_test, (cell.data_seed, seed))
-              for _, cell, seed in runs_of]
-    if shared.kind == "wdbc":
-        splits = [rescale_with_train_stats(*split) for split in splits]
-    circuit = build_circuit(shared.qubits, shared.layers, pool.feature_dim, shared.sublayers)
-    obs = z_observable(shared.qubits)
-    runs = _train_runs(
-        [(train_set, TrainConfig(cell.learning_rate, cell.iterations, seed, cell.noise_p))
-         for (train_set, _), (_, cell, seed) in zip(splits, runs_of)],
-        [test_set for _, test_set in splits], circuit, obs, shared.eval_interval)
-    by_value: dict = {value: [] for value, _ in cells}
-    for (value, cell, seed), run in zip(runs_of, runs):
-        margin = stable_training_margin(
-            _bound_inputs(cell, cell.iterations, circuit.n_params, pool.feature_dim, obs.norm)
-        )
-        for i, t in enumerate(run.eval_points):
-            row = _blank_row("sample", value, seed)
-            row["iteration"] = int(t)
-            row["train_risk"] = float(run.train_risks[i])
-            row["test_risk"] = float(run.test_risks[i])
-            row["gap"] = float(run.test_risks[i] - run.train_risks[i])
-            row["train_acc"] = float(run.train_accs[i])
-            row["test_acc"] = float(run.test_accs[i])
-            b = _bound_inputs(cell, max(int(t), 1), circuit.n_params, pool.feature_dim,
-                              obs.norm)
-            row["bound_value"] = _or_inf(
-                lambda: noisy_generalization_bound(b) if t > 0 else generalization_bound(0.0, b))
-            row["stable_margin"] = float(margin.value)
-            row["margin_flagged"] = int(margin.flagged)
-            by_value[value].append(row)
-    return by_value
-
-
-def _offset_seeds(cfg: ExperimentConfig, seed_offset: int) -> list[int]:
-    """The configured seeds plus ``seed_offset``, each still a Philox key word."""
     seeds = [s + seed_offset for s in cfg.seeds]
     for seed in seeds:
         if seed not in _SEEDS:
             raise ConfigError(
                 f"optimizer.seeds with --seed-offset {seed_offset} must {_SEEDS}, got {seed}"
             )
-    return seeds
+    pool = load_pool(cfg)
+    m_train = max(cell.m_train for _, cell in _cells(cfg))
+    held_out = getattr(cfg, _SCHEMA[key][0])
+    if len(pool) < m_train + held_out:
+        raise ConfigError(
+            f"the pool has {len(pool)} samples, fewer than dataset.m_train + {key} "
+            f"= {m_train} + {held_out}"
+        )
+    by_value = {}
+    for cells in _batches(cfg):
+        shared = cells[0][1]  # the circuit settings every cell shares
+        circuit = build_circuit(shared.qubits, shared.layers, pool.feature_dim, shared.sublayers)
+        rows = value_rows(cells, pool, seeds, circuit, z_observable(shared.qubits))
+        by_value.update(zip([value for value, _ in cells], rows))
+    # Into sweep-value order: the 0.0 batch of a noise_p axis may follow
+    # the others.
+    return pool, [by_value[value] for value in cfg.sweep_values]
+
+
+def _run_rows(cells, pool: Dataset, seeds, circuit, obs):
+    """Yield (sample rows, mean and std rows) of each (value, cell) pair of
+    one `_batches` batch, in the order of ``cells``.
+
+    Every (value, seed) run trains in one lockstep batch under its cell's
+    settings.  A run's rows do not depend on the batch it rides in.
+    """
+    runs_of = [(cell, seed) for _, cell in cells for seed in seeds]
+    splits = [_split(cell, pool, cell.m_test, (cell.data_seed, seed)) for cell, seed in runs_of]
+    runs = _train_runs(
+        [(train_set, TrainConfig(cell.learning_rate, cell.iterations, seed, cell.noise_p))
+         for (train_set, _), (cell, seed) in zip(splits, runs_of)],
+        [test_set for _, test_set in splits], circuit, obs, cells[0][1].eval_interval)
+    for vi, (value, cell) in enumerate(cells):
+        value_runs = runs[vi * len(seeds):(vi + 1) * len(seeds)]
+        points = value_runs[0].eval_points.tolist()
+        bounds = []
+        for t in points:
+            b = _bound_inputs(cell, max(t, 1), circuit, obs)
+            bounds.append(_or_inf(
+                lambda: noisy_generalization_bound(b) if t > 0 else generalization_bound(0.0, b)))
+        margin = stable_training_margin(_bound_inputs(cell, cell.iterations, circuit, obs))
+        curves = {
+            "train_risk": [run.train_risks for run in value_runs],
+            "test_risk": [run.test_risks for run in value_runs],
+            "gap": [run.test_risks - run.train_risks for run in value_runs],
+            "train_acc": [run.train_accs for run in value_runs],
+            "test_acc": [run.test_accs for run in value_runs],
+            "bound_value": [bounds] * len(seeds),
+            "stable_margin": [[margin.value] * len(points)] * len(seeds),
+        }
+        # (points, columns, seeds), the seeds contiguous: a reduction over
+        # them then rounds as the 1-D reduction of one column's seeds does,
+        # which one over a strided axis does not from 8 seeds on.
+        stacked = np.ascontiguousarray(np.array(list(curves.values())).transpose(2, 0, 1))
+        samples = [{**_BLANK, "kind": "sample", "sweep_value": value, "seed": seed,
+                    "iteration": t, **dict(zip(curves, entries)),
+                    "margin_flagged": int(margin.flagged)}
+                   for seed, block in zip(seeds, stacked.transpose(2, 0, 1).tolist())
+                   for t, entries in zip(points, block)]
+        with np.errstate(invalid="ignore"):  # the std of inf bounds is nan
+            stats = [(kind, stat(stacked, axis=-1).tolist())
+                     for kind, stat in (("mean", np.mean), ("std", np.std))]
+        yield samples, [{**_BLANK, "kind": kind, "sweep_value": value, "iteration": t,
+                         **dict(zip(curves, entries))}
+                        for kind, table in stats for t, entries in zip(points, table)]
 
 
 def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
-    """Sweep (values x seeds) and tabulate learning curves.
+    """Sweep (values x seeds) and tabulate learning curves: every sample
+    row in sweep order, then each value's mean rows and std rows.
 
     The runs of every `_batches` batch train in lockstep: all runs of an
     ``m_train`` or ``learning_rate`` axis, those of a ``noise_p`` axis's
     positive values, and one ``layers`` value's seeds."""
     if cfg.m_test < 1:
         raise ConfigError("run requires dataset.m_test >= 1")
-    seeds = _offset_seeds(cfg, seed_offset)
-    pool = load_pool(cfg)
-    _require_pool(cfg, pool, cfg.m_test, "dataset.m_test")
-    # Into sweep-value order: the 0.0 batch of a noise_p axis may follow
-    # the others.
-    by_value = {value: rows for batch in _batches(cfg)
-                for value, rows in _experiment_cells(batch, pool, seeds).items()}
-    rows = [row for value in cfg.sweep_values for row in by_value[value]]
-
-    # Aggregates per (sweep value, iteration) across seeds.
-    agg_cols = ("train_risk", "test_risk", "gap", "train_acc", "test_acc",
-                "bound_value", "stable_margin")
-    groups: dict = {}
-    for row in rows:
-        groups.setdefault((row["sweep_value"], row["iteration"]), []).append(row)
-    for value in cfg.sweep_values:
-        iterations = sorted(t for v, t in groups if v == value)
-        for kind, stat in (("mean", np.mean), ("std", np.std)):
-            for t in iterations:
-                agg_row = _blank_row(kind, value)
-                agg_row["iteration"] = t
-                for col in agg_cols:
-                    data = np.array([r[col] for r in groups[value, t]], dtype=float)
-                    with np.errstate(invalid="ignore"):  # the std of inf bounds is nan
-                        agg_row[col] = float(stat(data))
-                rows.append(agg_row)
-
+    pool, results = _sweep_rows(cfg, seed_offset, "dataset.m_test", _run_rows)
+    rows = [row for samples, _ in results for row in samples]
+    rows += [row for _, aggregates in results for row in aggregates]
     return ResultTable(COLUMNS, rows, _meta(cfg, pool, "run", seed_offset))
 
 
-def _stability_by_value(cells, pool: Dataset, seeds) -> dict:
-    """Trace and beta rows of the (value, cell) pairs of one `_batches`
-    batch: a dict of each value's rows, in the order of ``cells``.
+def _stability_rows(cells, pool: Dataset, seeds, circuit, obs):
+    """Yield the trace rows and then the beta row of each (value, cell) pair
+    of one `_batches` batch, in the order of ``cells``.
 
     All coupled runs train in one lockstep ensemble, each group under its
     cell's settings.  The value at position vi of the sweep draws its split
     keyed by (data seed, 777, vi), whatever batch it rides in.
     """
-    shared = cells[0][1]  # the circuit and data settings every cell shares
-    circuit = build_circuit(shared.qubits, shared.layers, pool.feature_dim, shared.sublayers)
-    obs = z_observable(shared.qubits)
     groups = []
     for value, cell in cells:
         vi = cell.sweep_values.index(value)
-        train_set, probe_set = subsample_split(
-            pool, cell.m_train, cell.stability_probes, (cell.data_seed, 777, vi)
-        )
-        if cell.kind == "wdbc":
-            train_set, probe_set = rescale_with_train_stats(train_set, probe_set)
+        train_set, probe_set = _split(cell, pool, cell.stability_probes,
+                                      (cell.data_seed, 777, vi))
         swaps = [(int(index), replacement_for(int(index), probe_set))
                  for index in sampled_indices(cell.m_train, cell.stability_indices)]
         configs = [TrainConfig(cell.learning_rate, cell.iterations, seed, cell.noise_p)
                    for seed in seeds]
         groups.append((train_set, probe_set, swaps, configs))
     results = coupled_ensemble(groups, circuit, obs)
-    by_value = {}
     for (value, cell), (traces, beta) in zip(cells, results):
-        # One dict literal per trace row, every column in COLUMNS order.
-        rows = [{"kind": "trace", "sweep_value": value, "seed": trace.seed,
+        rows = [{**_BLANK, "kind": "trace", "sweep_value": value, "seed": trace.seed,
                  "replaced_index": trace.replaced_index, "iteration": t,
-                 "train_risk": "", "test_risk": "", "gap": "", "train_acc": "",
-                 "test_acc": "", "sum_abs_dtheta": dtheta, "probe_f_gap": f_gap,
-                 "probe_loss_gap": loss_gap, "beta_hat": "", "bound_value": "",
-                 "stable_margin": "", "margin_flagged": ""}
+                 "sum_abs_dtheta": dtheta, "probe_f_gap": f_gap, "probe_loss_gap": loss_gap}
                 for trace in traces
                 for t, (dtheta, f_gap, loss_gap) in enumerate(zip(
                     trace.sum_abs_dtheta.tolist(), trace.probe_f_gap.tolist(),
                     trace.probe_loss_gap.tolist()))]
-        b = _bound_inputs(cell, cell.iterations, circuit.n_params, pool.feature_dim, obs.norm)
+        b = _bound_inputs(cell, cell.iterations, circuit, obs)
         margin = stable_training_margin(b)
-        beta_row = _blank_row("beta", value)
-        beta_row["iteration"] = cell.iterations
-        beta_row["beta_hat"] = float(beta)
-        beta_row["bound_value"] = _or_inf(lambda: noisy_theoretical_beta(b))
-        beta_row["stable_margin"] = float(margin.value)
-        beta_row["margin_flagged"] = int(margin.flagged)
-        rows.append(beta_row)
-        by_value[value] = rows
-    return by_value
+        rows.append({**_BLANK, "kind": "beta", "sweep_value": value,
+                     "iteration": cell.iterations, "beta_hat": float(beta),
+                     "bound_value": _or_inf(lambda: noisy_theoretical_beta(b)),
+                     "stable_margin": float(margin.value),
+                     "margin_flagged": int(margin.flagged)})
+        yield rows
 
 
 def run_stability(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
-    """Per sweep value: coupled-divergence traces, beta_hat, and closed forms.
+    """Per sweep value: coupled-divergence traces, beta_hat, and closed
+    forms; each value's trace rows, then its beta row, in sweep order.
 
     The coupled runs of every `_batches` batch train in one lockstep
     ensemble: all values of an ``m_train`` or ``learning_rate`` axis, the
     positive values of a ``noise_p`` axis, and one ``layers`` value."""
-    seeds = _offset_seeds(cfg, seed_offset)
-    pool = load_pool(cfg)
-    _require_pool(cfg, pool, cfg.stability_probes, "stability.probes")
-    by_value = {value: rows for batch in _batches(cfg)
-                for value, rows in _stability_by_value(batch, pool, seeds).items()}
-    rows = [row for value in cfg.sweep_values for row in by_value[value]]
+    pool, results = _sweep_rows(cfg, seed_offset, "stability.probes", _stability_rows)
+    rows = [row for value_rows in results for row in value_rows]
     return ResultTable(COLUMNS, rows, _meta(cfg, pool, "stability", seed_offset))
 
 

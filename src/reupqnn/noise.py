@@ -12,10 +12,10 @@ rotations in the encoding blocks count as gates and are noised like any
 other.  The simulation itself is the density-matrix mode of the batched
 engine in `ansatz` (``noise_p`` > 0), which `forward_many`, the adjoint
 training gradients and stability probes run directly, and whose kernel
-`ansatz._depolarize_rows` applies the channel (`ansatz._mix_rows` with
-its factors 1 - p and p / 2 computed once per batch); `noisy_forward` is its
-one-row wrapper.  ``noise_p`` may be a float or one strength per row, so
-the values of a noise sweep share one batch.  The engine folds noisy rows
+`ansatz._mix_rows` applies the channel by its factors 1 - p and p / 2,
+computed once per batch; `noisy_forward` is its one-row wrapper.
+``noise_p`` may be a float or one strength per row, so the values of a
+noise sweep share one batch.  The engine folds noisy rows
 like noiseless ones and merges each qubit's channels up to the next CX
 that touches it, which leaves this model as it is: D_p on q commutes with
 every unitary on q and with every gate that leaves q alone, and

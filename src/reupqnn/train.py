@@ -30,7 +30,7 @@ import numpy as np
 from .ansatz import (
     ReuploadCircuit,
     _check_batch,
-    _grad_plan,
+    _chunk_plan,
     _output_grads,
     _planned_grads,
     forward_many,
@@ -226,8 +226,8 @@ def _sgd_paths(runs, circuit: ReuploadCircuit, obs: Observable):
     labels = np.concatenate([dataset.labels for dataset, _ in runs]).astype(float)
     eta = np.array([config.learning_rate for _, config in runs])[:, None]
     thetas = np.array([init_params(circuit, config.seed) for _, config in runs])
-    plan = _grad_plan(circuit, _check_batch(circuit, thetas, features, obs,
-                                            [config.noise_p for _, config in runs]))
+    noise = _check_batch(circuit, thetas, features, obs, [config.noise_p for _, config in runs])
+    plan = _chunk_plan(circuit, noise, adjoint=True)
     yield None, thetas
     for t in range(iterations):
         indices = np.array([draw_index(seed, t, m) for seed, m in distinct],

@@ -327,7 +327,7 @@ def test_kernels_update_column_views_in_place():
         base[:, j] = (m @ m.T / np.trace(m @ m.T)).ravel()
     for q in range(n):
         big = base.copy()
-        ansatz._depolarize_rows(big[:, :r], n, q, p)
+        ansatz._mix_rows(big[:, :r], n, q, 1 - p, 0.5 * p)
         for j in range(r):
             want = kraus_oracle(base[:, j].reshape(dim, dim).astype(complex), p, q, n)
             assert np.max(np.abs(big[:, j] - want.real.ravel())) <= 1e-12
@@ -343,15 +343,15 @@ def test_forward_many_chunks_rows_bitwise(monkeypatch):
     xs = rng.uniform(0, 2 * np.pi, (11, 3))
     for p in (0.0, 0.1):
         whole = forward_many(c, thetas, xs, obs, p)
-        row_bytes = ansatz._simulate_rows(c, thetas[:1], xs[:1], p).nbytes
+        row_bytes = ansatz._fresh_rows(c, 1, p > 0).nbytes
         chunks = []
-        expectations = ansatz._expectations
+        forward_rows = ansatz._forward_rows
 
-        def counted(circuit, thetas, *rest):
-            chunks.append(len(thetas))
-            return expectations(circuit, thetas, *rest)
+        def counted(circuit, cos, *rest):
+            chunks.append(cos.shape[1])
+            return forward_rows(circuit, cos, *rest)
 
-        monkeypatch.setattr(ansatz, "_expectations", counted)
+        monkeypatch.setattr(ansatz, "_forward_rows", counted)
         monkeypatch.setattr(ansatz, "_CHUNK_BYTES", 3 * row_bytes)
         chunked = forward_many(c, thetas, xs, obs, p)
         monkeypatch.undo()
@@ -369,7 +369,7 @@ def test_output_grads_chunks_rows_bitwise(monkeypatch):
     xs = rng.uniform(0, 2 * np.pi, (11, 3))
     for p in (0.0, 0.1):
         values, grads = ansatz._output_grads(c, thetas, xs, obs, p)
-        row_bytes = ansatz._simulate_rows(c, thetas[:1], xs[:1], p).nbytes
+        row_bytes = ansatz._fresh_rows(c, 1, p > 0).nbytes
         kept_rows = c.n_params + 2 if p else 2
         chunks = []
         adjoint_rows = ansatz._adjoint_rows

@@ -8,7 +8,7 @@ import pytest
 
 from reupqnn.ansatz import build_circuit, forward_many
 from reupqnn.comb import choi_of_unitary
-from reupqnn.data import subsample_split
+from reupqnn.data import rescale_with_train_stats, subsample_split
 from reupqnn.qcore import z_observable
 from reupqnn.experiments import (
     COLUMNS,
@@ -17,7 +17,7 @@ from reupqnn.experiments import (
     _batches,
     _cells,
     _format_cell,
-    _stability_by_value,
+    _stability_rows,
     emit_results,
     load_pool,
     main,
@@ -244,20 +244,26 @@ def test_run_experiment_row_structure(toy_table):
 
 
 def test_run_experiment_aggregates_recompute(toy_table):
+    """Each mean and std cell is the 1-D np.mean or np.std of its column
+    over the seeds, bit for bit, at 2 seeds and at 9: from 8 seeds on, a
+    reduction over a strided axis would round differently."""
     cfg, table = toy_table
-    sample = [r for r in table.rows if r["kind"] == "sample"]
-    for kind, reducer in (("mean", np.mean), ("std", np.std)):
-        for agg in (r for r in table.rows if r["kind"] == kind):
-            group = [
-                r
-                for r in sample
-                if r["sweep_value"] == agg["sweep_value"]
-                and r["iteration"] == agg["iteration"]
-            ]
-            assert len(group) == 2
-            for col in ("train_risk", "test_risk", "gap", "bound_value"):
-                want = float(reducer(np.array([r[col] for r in group], dtype=float)))
-                assert agg[col] == want
+    nine = replace(cfg, seeds=tuple(range(9)))
+    for cfg, table in ((cfg, table), (nine, run_experiment(nine))):
+        sample = [r for r in table.rows if r["kind"] == "sample"]
+        for kind, reducer in (("mean", np.mean), ("std", np.std)):
+            for agg in (r for r in table.rows if r["kind"] == kind):
+                group = [
+                    r
+                    for r in sample
+                    if r["sweep_value"] == agg["sweep_value"]
+                    and r["iteration"] == agg["iteration"]
+                ]
+                assert len(group) == len(cfg.seeds)
+                for col in ("train_risk", "test_risk", "gap", "train_acc", "test_acc",
+                            "bound_value", "stable_margin"):
+                    want = float(reducer(np.array([r[col] for r in group], dtype=float)))
+                    assert agg[col] == want
 
 
 def test_run_experiment_margin_columns(toy_table):
@@ -472,16 +478,23 @@ def test_run_stability_beta_hat_equals_brute_force_retraining(stab_table):
     assert all(b > 0.0 for b in betas)
 
 
+def stability_rows_one_cell_per_call(cfg):
+    """The stability rows of each cell of ``cfg`` run alone, in sweep order."""
+    pool = load_pool(cfg)
+    circuit = build_circuit(cfg.qubits, cfg.layers, pool.feature_dim, cfg.sublayers)
+    obs = z_observable(cfg.qubits)
+    return [row for cell in _cells(cfg)
+            for rows in _stability_rows([cell], pool, list(cfg.seeds), circuit, obs)
+            for row in rows]
+
+
 @pytest.mark.parametrize("noise", ["", "optimizer.noise_p = 0.05\n"])
 def test_run_stability_m_train_values_do_not_depend_on_batch(tmp_path, noise):
     """An m_train stability sweep trains as one ensemble; its rows equal
     those of the same cells, each value keeping its split, run one per call."""
     text = STAB_CONFIG.replace("sweep.values = 4, 5", "sweep.values = 4, 6, 5")
     cfg = parse_config(write_config(tmp_path, text + noise, "stab.cfg"))
-    pool = load_pool(cfg)
-    one_per_call = [row for cell in _cells(cfg)
-                    for rows in _stability_by_value([cell], pool, list(cfg.seeds)).values()
-                    for row in rows]
+    one_per_call = stability_rows_one_cell_per_call(cfg)
     assert len(one_per_call) == 3 * (2 * 2 * 4 + 1)  # values x (indices x seeds x (T + 1) + beta)
     assert run_stability(cfg).rows == one_per_call
 
@@ -494,10 +507,7 @@ def test_run_stability_noise_p_values_do_not_depend_on_batch(tmp_path):
     text = text.replace("sweep.values = 4, 5", "sweep.values = 0.05, 0.0, 0.1")
     cfg = parse_config(write_config(tmp_path, text, "stab.cfg"))
     assert [[value for value, _ in batch] for batch in _batches(cfg)] == [[0.05, 0.1], [0.0]]
-    pool = load_pool(cfg)
-    one_per_call = [row for cell in _cells(cfg)
-                    for rows in _stability_by_value([cell], pool, list(cfg.seeds)).values()
-                    for row in rows]
+    one_per_call = stability_rows_one_cell_per_call(cfg)
     assert len(one_per_call) == 3 * (2 * 2 * 4 + 1)  # values x (indices x seeds x (T + 1) + beta)
     assert run_stability(cfg).rows == one_per_call
 
@@ -509,10 +519,7 @@ def test_run_stability_learning_rate_values_do_not_depend_on_batch(tmp_path, noi
     text = STAB_CONFIG.replace("sweep.axis = m_train\nsweep.values = 4, 5\n", LEARNING_RATES)
     cfg = parse_config(write_config(tmp_path, text + noise, "stab.cfg"))
     assert len(_batches(cfg)) == 1
-    pool = load_pool(cfg)
-    one_per_call = [row for cell in _cells(cfg)
-                    for rows in _stability_by_value([cell], pool, list(cfg.seeds)).values()
-                    for row in rows]
+    one_per_call = stability_rows_one_cell_per_call(cfg)
     assert len(one_per_call) == 3 * (2 * 2 * 4 + 1)  # values x (indices x seeds x (T + 1) + beta)
     assert run_stability(cfg).rows == one_per_call
 
@@ -525,6 +532,42 @@ def test_run_stability_honours_non_contiguous_seeds(tmp_path):
         seeds = [r["seed"] for r in table.rows if r["kind"] == "trace" and r["iteration"] == 0]
         # 2 values x 2 indices, each with one trace per configured seed, in config order
         assert seeds == [9 + offset, offset, 5 + offset] * 4
+
+
+def test_run_and_stability_on_a_wdbc_pool(tmp_path, capsys):
+    """On a wdbc pool every run trains on its split rescaled by the training
+    half's statistics, and a stability sweep runs end to end."""
+    rng = np.random.default_rng(91)
+    lines = [",".join([str(i), "BM"[i % 2]] + [repr(float(v)) for v in rng.uniform(0, 50, 30)])
+             for i in range(24)]
+    data = tmp_path / "wdbc.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    kind = f"dataset.kind = wdbc\ndataset.path = {data}\ncircuit.qubits = 2"
+    cfg = parse_config(write_config(tmp_path, BASE_CONFIG.replace("dataset.kind = toy", kind)))
+    pool = load_pool(cfg)
+    obs = z_observable(2)
+    table = run_experiment(cfg)
+    for value in cfg.sweep_values:
+        circuit = build_circuit(2, value, pool.feature_dim, cfg.sublayers)
+        for seed in cfg.seeds:
+            train_set, test_set = rescale_with_train_stats(
+                *subsample_split(pool, cfg.m_train, cfg.m_test, (cfg.data_seed, seed)))
+            run = train(train_set, circuit, obs, TrainConfig(cfg.learning_rate, cfg.iterations, seed),
+                        test_set, cfg.eval_interval)
+            rows = [r for r in table.rows
+                    if r["kind"] == "sample" and r["sweep_value"] == value and r["seed"] == seed]
+            assert [r["iteration"] for r in rows] == run.eval_points.tolist()
+            assert [r["train_risk"] for r in rows] == run.train_risks.tolist()
+            assert [r["test_risk"] for r in rows] == run.test_risks.tolist()
+            assert [r["train_acc"] for r in rows] == run.train_accs.tolist()
+            assert [r["test_acc"] for r in rows] == run.test_accs.tolist()
+
+    cfg_path = write_config(tmp_path, STAB_CONFIG.replace("dataset.kind = toy", kind), "stab.cfg")
+    out = tmp_path / "stab.csv"
+    assert main(["stability", "--config", cfg_path, "--out", str(out)]) == 0
+    rows = 2 * (2 * 2 * 4 + 1)  # values x (indices x seeds x (T + 1) + beta)
+    assert capsys.readouterr().out == f"wrote {rows} rows to {out} (csv)\n"
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + rows
 
 
 # --- output files -----------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from _oracles import kraus_oracle
 from reupqnn.ansatz import (
-    _depolarize_rows,
+    _mix_rows,
     _output_grads,
     build_circuit,
     circuit_unitary,
@@ -35,7 +35,7 @@ def random_density(rng, n):
 def depolarized(rho, p, qubit, n):
     """D_p on one qubit of ``rho`` by the engine kernel, as a one-row batch."""
     row = rho.reshape(-1, 1).copy()
-    _depolarize_rows(row, n, qubit, p)
+    _mix_rows(row, n, qubit, 1 - p, 0.5 * p)
     return row.reshape(rho.shape)
 
 
