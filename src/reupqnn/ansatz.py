@@ -192,13 +192,11 @@ def forward(circuit: ReuploadCircuit, theta, x, obs: Observable) -> float:
 # (every run of a lockstep step, or a whole dataset); doing so row-parallel
 # inside numpy is the difference between seconds and hours.  Rows are stored
 # batch-last: a batch is (amplitudes, rows), so every kernel's inner loop
-# runs contiguously over the rows, whatever the qubit.  The kernels split
-# only the leading axis, so a column slice such as the adjoint's psi half
-# stays a view and is updated in place.  The same two gate kernels serve
-# both modes: a noisy row holds its density matrix as a 2n-qubit vector
-# (row bits, then column bits), and since Ry and CX are real,
-# U rho U^dagger = U rho U^T is the gate applied once on qubit q and once on
-# qubit n + q.  Every kernel is elementwise per row, and every sum over
+# runs contiguously over the rows, whatever the qubit.  The same two gate
+# kernels serve both modes: a noisy row holds its density matrix as a
+# 2n-qubit vector (row bits, then column bits), and since Ry and CX are
+# real, U rho U^dagger = U rho U^T is the gate applied once on qubit q and
+# once on qubit n + q.  Every kernel is elementwise per row, and every sum over
 # amplitudes runs in one fixed order (see `_column_sum`), so a row's bits do
 # not depend on the other rows of its batch.
 
@@ -249,8 +247,8 @@ def _mix_rows(rhos: np.ndarray, n: int, qubit: int, keep, half) -> None:
 
 @functools.lru_cache(maxsize=32)
 def _schedule(circuit: ReuploadCircuit, noisy: bool) -> tuple:
-    """The gate sequence of one row, walked forward by `_sweep` and backward
-    by `_adjoint_rows`.
+    """The gate sequence of one row, walked forward by `_forward_rows` and
+    backward by `_adjoint_rows`.
 
     Entries are (_RY, q, j): Ry on qubit q by column j of `_half_angles`;
     (_CX, q, -1): CX from q to q + 1; (_NOISE, q, k): k merged channels on q.
@@ -342,16 +340,6 @@ def _fresh_rows(circuit: ReuploadCircuit, rows: int, noisy: bool) -> np.ndarray:
     return states
 
 
-def _sweep(states: np.ndarray, circuit: ReuploadCircuit, c: np.ndarray, s: np.ndarray,
-           strengths: dict, kept: list | None = None) -> None:
-    """Walk the schedule forward over ``states`` in place.  With ``kept`` a
-    list, append a copy of the rows after every Ry."""
-    for op in _schedule(circuit, bool(strengths)):
-        _step(states, op, c, s, circuit.n_qubits, strengths)
-        if kept is not None and op[0] == _RY:
-            kept.append(states.copy())
-
-
 def _column_sum(terms: np.ndarray) -> np.ndarray:
     """Sum of (amplitudes, rows) terms over the amplitudes, one per row.
 
@@ -362,29 +350,40 @@ def _column_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=0)[-1]
 
 
-def _observe(matrix: np.ndarray, states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _observe(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
     """M psi for a real M.  einsum, not BLAS, whose bits can depend on the
     row count; M column-major, so that the inner loop never sums over j,
     not even for a lone column (see `_column_sum`)."""
-    return np.einsum("ij,jb->ib", np.asfortranarray(matrix), states, out=out)
+    return np.einsum("ij,jb->ib", np.asfortranarray(matrix), states)
 
 
 def _forward_rows(circuit: ReuploadCircuit, c: np.ndarray, s: np.ndarray, obs: Observable,
-                  strengths: dict, kept: list | None = None) -> np.ndarray:
-    """Every row's output: |0...0> swept forward (see `_sweep`, which fills
-    ``kept``) by the cosines ``c`` and sines ``s`` of `_half_angles` under
-    the channel factors ``strengths`` of `_strengths`, then measured."""
-    states = _fresh_rows(circuit, c.shape[1], bool(strengths))
-    _sweep(states, circuit, c, s, strengths, kept)
+                  strengths: dict, kept: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's output and the direction lam it was measured along:
+    |0...0> swept forward through the schedule by the cosines ``c`` and
+    sines ``s`` of `_half_angles` under the channel factors ``strengths`` of
+    `_strengths`, then measured as the (rows,) sums of lam * state.
+
+    lam is (Re M) psi for statevector rows, and vec((Re M)^T), one column
+    for all rows, for density rows: tr(M rho) = <vec(M^T), vec(rho)>.  With
+    ``kept`` a list, a copy of the rows is appended after every trainable
+    Ry, in schedule order."""
+    noisy = bool(strengths)
+    states = _fresh_rows(circuit, c.shape[1], noisy)
+    for op in _schedule(circuit, noisy):
+        _step(states, op, c, s, circuit.n_qubits, strengths)
+        if kept is not None and op[0] == _RY:
+            kept.append(states.copy())
     # Rows are real and Im(M) of a Hermitian M is antisymmetric, so it adds
     # nothing to psi^T M psi or tr(M rho) with rho symmetric.
     matrix = obs.matrix.real
-    if strengths:
+    if noisy:
         dim = 1 << circuit.n_qubits
         _check_density_rows(np.moveaxis(states.reshape(dim, dim, -1), -1, 0))
-        # tr(M rho) = <vec(M^T), vec(rho)>.
-        return _column_sum(matrix.T.reshape(-1, 1) * states)
-    return _column_sum(states * _observe(matrix, states))
+        lam = matrix.T.reshape(-1, 1)
+    else:
+        lam = _observe(matrix, states)
+    return _column_sum(lam * states), lam
 
 
 def _ry_grad(lam: np.ndarray, psi: np.ndarray, qubit: int) -> np.ndarray:
@@ -403,47 +402,30 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
     """Outputs and their parameter gradients for one chunk of rows under
     the channel factors ``strengths`` of `_strengths`: ((rows,), (rows, K)).
 
-    Adjoint differentiation (Jones & Gacon, arXiv:2009.02823): one forward
-    sweep, then one backward sweep that un-applies the schedule.  Every gate
-    is real, so its inverse is its transpose: Ry(-a), and CX itself.
-
-    Noiseless, psi and lam = (Re M) psi ride as the two column halves
-    ``back[:, :rows]`` and ``back[:, rows:]`` of one array; at a trainable
-    Ry, dE/dtheta = 2 lam^T J_q psi.  Noisy (Heisenberg picture), Lam =
-    vec(Re M) runs backward alone: the channel is self-adjoint under the
-    Hilbert-Schmidt product, and the forward density rows, which cannot be
-    recovered backward, are kept at every trainable Ry.  The gradient there
-    is <Lam, (J_q + J_{n+q}) rho>, which equals 2 <Lam, J_q rho> because Lam
-    and rho are symmetric matrices: the noiseless formula on 2n-qubit rows.
+    Adjoint differentiation (Jones & Gacon, arXiv:2009.02823), one algorithm
+    for statevector and density rows.  The forward sweep (`_forward_rows`)
+    keeps the rows after every trainable Ry and gives the direction lam the
+    output was measured along.  The backward sweep un-applies the schedule
+    on lam alone: every gate is real, so its inverse is its transpose, Ry(-a)
+    and CX itself, and the channel is self-adjoint under the Hilbert-Schmidt
+    product (the Heisenberg picture).  At a trainable Ry with kept rows psi,
+    dE/dtheta = 2 lam^T J_q psi.  For density rows that is the noiseless
+    formula on 2n-qubit rows: the gradient <lam, (J_q + J_{n+q}) rho> equals
+    2 <lam, J_q rho> because lam and rho are symmetric matrices.
     """
-    rows = thetas.shape[0]
     half = _half_angles(circuit, thetas, xs)
-    noisy = bool(strengths)
-    matrix = obs.matrix.real
-    kept = [] if noisy else None
-    if noisy:
-        c, s = np.cos(half), np.sin(half)
-        values = _forward_rows(circuit, c, s, obs, strengths, kept)
-        # tr(M rho) = <vec(M^T), vec(rho)>.
-        back = np.repeat(matrix.T.reshape(-1, 1), rows, axis=1)
-    else:
-        # The backward sweep moves psi and lam together, so both halves
-        # of the rows carry the same angles.
-        half = np.concatenate([half, half], axis=1)
-        c, s = np.cos(half), np.sin(half)
-        back = _fresh_rows(circuit, 2 * rows, noisy)
-        _sweep(back[:, :rows], circuit, c[:, :rows], s[:, :rows], strengths)
-        _observe(matrix, back[:, :rows], out=back[:, rows:])
-        values = _column_sum(back[:, :rows] * back[:, rows:])
+    c, s = np.cos(half), np.sin(half)
+    kept = []
+    values, lam = _forward_rows(circuit, c, s, obs, strengths, kept)
+    lam = np.broadcast_to(lam, kept[-1].shape).copy()
     s = -s
-    psi, lam = back[:, :rows], back[:, -rows:]
-    grads = np.empty((rows, circuit.n_params))
-    ops = _schedule(circuit, noisy)
-    for i, (kind, q, j) in reversed(list(enumerate(ops))):
+    grads = np.empty((thetas.shape[0], circuit.n_params))
+    for op in reversed(_schedule(circuit, bool(strengths))):
+        kind, q, j = op
         if kind == _RY:
-            grads[:, j] = _ry_grad(lam, psi if kept is None else kept.pop(), q)
-        if i:
-            _step(back, ops[i], c, s, circuit.n_qubits, strengths)
+            grads[:, j] = _ry_grad(lam, kept.pop(), q)
+        if kept:  # once the first entry, an Ry, is done, nothing is left to undo
+            _step(lam, op, c, s, circuit.n_qubits, strengths)
     return values, grads
 
 
@@ -499,12 +481,11 @@ def _chunk_plan(circuit: ReuploadCircuit, noise: np.ndarray, adjoint: bool) -> l
     """The chunks of a forward or an adjoint pass over rows of checked
     (rows,) strengths ``noise``: (row slice, its `_strengths` factors)
     pairs, each of at least one row and at most ``_CHUNK_BYTES`` of states.
-    A row of a forward pass holds one state; of an adjoint pass two, or,
-    noisy, K + 2 with the density rows kept for the backward sweep."""
-    noisy = _noisy(noise)
-    row_bytes = 8 << (circuit.n_qubits * (2 if noisy else 1))
+    A row of a forward pass holds one state; of an adjoint pass K + 2: the
+    forward state, lam, and the K states kept for the backward sweep."""
+    row_bytes = 8 << (circuit.n_qubits * (2 if _noisy(noise) else 1))
     if adjoint:
-        row_bytes *= circuit.n_params + 2 if noisy else 2
+        row_bytes *= circuit.n_params + 2
     step = max(1, _CHUNK_BYTES // row_bytes)
     return [(slice(i, i + step), _strengths(circuit, noise[i:i + step]))
             for i in range(0, len(noise), step)]
@@ -527,7 +508,7 @@ def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
     for rows, strengths in _chunk_plan(circuit, noise, adjoint=False):
         half = _half_angles(circuit, np.ascontiguousarray(thetas[rows]),
                             np.ascontiguousarray(xs[rows]))
-        values[rows] = _forward_rows(circuit, np.cos(half), np.sin(half), obs, strengths)
+        values[rows] = _forward_rows(circuit, np.cos(half), np.sin(half), obs, strengths)[0]
     return values
 
 

@@ -20,6 +20,7 @@ files.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -187,35 +188,32 @@ def rescale_with_train_stats(train: Dataset, test: Dataset) -> tuple[Dataset, Da
     )
 
 
-def _read_idx_images(path: str) -> np.ndarray:
+def _read_idx(path: str, ndim: int) -> np.ndarray:
+    """A uint8 IDX array of ``ndim`` axes: a big-endian header of the magic
+    0x0800 | ndim (2051 for images, 2049 for labels) and the ndim sizes,
+    the count first, then the payload."""
+    size = 4 * (ndim + 1)
     with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) < 16:
-            raise DataFormatError(f"{path}: truncated IDX image header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != 2051:
-            raise DataFormatError(f"{path}: bad image magic {magic}, expected 2051")
+        header = fh.read(size)
+        if len(header) < size:
+            raise DataFormatError(f"{path}: truncated IDX header")
+        magic, *shape = struct.unpack(f">{ndim + 1}I", header)
+        if magic != 0x0800 | ndim:
+            raise DataFormatError(f"{path}: bad IDX magic {magic}, expected {0x0800 | ndim}")
         body = fh.read()
-    expected = count * rows * cols
+    expected = math.prod(shape)
     if len(body) != expected:
         raise DataFormatError(
-            f"{path}: payload holds {len(body)} bytes, expected {expected}"
+            f"{path}: payload holds {len(body)} bytes, expected {expected} for count {shape[0]}"
         )
-    return np.frombuffer(body, dtype=np.uint8).reshape(count, rows, cols)
+    return np.frombuffer(body, dtype=np.uint8).reshape(shape)
 
 
-def _read_idx_labels(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) < 8:
-            raise DataFormatError(f"{path}: truncated IDX label header")
-        magic, count = struct.unpack(">II", header)
-        if magic != 2049:
-            raise DataFormatError(f"{path}: bad label magic {magic}, expected 2049")
-        body = fh.read()
-    if len(body) != count:
-        raise DataFormatError(f"{path}: payload holds {len(body)} labels, expected {count}")
-    return np.frombuffer(body, dtype=np.uint8)
+def _write_idx(path: str, array: np.ndarray) -> None:
+    """Write a uint8 array in the IDX format that `_read_idx` reads."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(f">{array.ndim + 1}I", 0x0800 | array.ndim, *array.shape))
+        fh.write(array.tobytes())
 
 
 def load_idx_pair(images_path: str, labels_path: str, classes: tuple[int, int]) -> Dataset:
@@ -228,8 +226,8 @@ def load_idx_pair(images_path: str, labels_path: str, classes: tuple[int, int]) 
     a, b = int(classes[0]), int(classes[1])
     if a == b:
         raise ValueError("the two classes must differ")
-    images = _read_idx_images(images_path)
-    labels = _read_idx_labels(labels_path)
+    images = _read_idx(images_path, 3)
+    labels = _read_idx(labels_path, 1)
     if images.shape[0] != labels.shape[0]:
         raise DataFormatError(
             f"image count {images.shape[0]} does not match label count {labels.shape[0]}"
@@ -311,9 +309,5 @@ def write_idx_pair(images: np.ndarray, labels: np.ndarray,
         raise ValueError("images must have shape (n, 28, 28)")
     if labels.shape != (images.shape[0],):
         raise ValueError("labels length does not match image count")
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", 2051, images.shape[0], 28, 28))
-        fh.write(images.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", 2049, labels.shape[0]))
-        fh.write(labels.tobytes())
+    _write_idx(images_path, images)
+    _write_idx(labels_path, labels)

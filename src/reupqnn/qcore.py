@@ -188,16 +188,6 @@ class QuantumState:
         vec[0] = 1.0
         return cls(vec, "pure")
 
-    @classmethod
-    def zero_density(cls, n_qubits: int) -> "QuantumState":
-        """|0...0><0...0| on ``n_qubits`` qubits."""
-        dim = 1 << n_qubits
-        if n_qubits < 1:
-            raise ValueError("need at least one qubit")
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[0, 0] = 1.0
-        return cls(mat, "density")
-
     def to_density(self) -> "QuantumState":
         if self.kind == "density":
             return self
@@ -245,6 +235,8 @@ class Observable:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("observable must be a square matrix")
         _qubit_count(mat.shape[0])
+        if not np.isfinite(mat).all():
+            raise ValueError("observable contains non-finite entries")
         if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
             raise ValueError("observable is not Hermitian within 1e-12")
         object.__setattr__(self, "matrix", mat)

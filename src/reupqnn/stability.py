@@ -206,8 +206,8 @@ class BoundInputs:
         if not (np.isfinite(self.eta) and self.eta > 0.0):
             raise ValueError("eta must be finite and > 0")
         for name in ("obs_norm", "lipschitz", "smoothness", "loss_bound"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
+                raise ValueError(f"{name} must be finite and > 0")
         if not (0.0 < self.delta <= 1.0):
             raise ValueError("delta must lie in (0, 1]")
         if not (0.0 <= self.noise_p <= 1.0):

@@ -370,7 +370,7 @@ def test_output_grads_chunks_rows_bitwise(monkeypatch):
     for p in (0.0, 0.1):
         values, grads = ansatz._output_grads(c, thetas, xs, obs, p)
         row_bytes = ansatz._fresh_rows(c, 1, p > 0).nbytes
-        kept_rows = c.n_params + 2 if p else 2
+        kept_rows = c.n_params + 2
         chunks = []
         adjoint_rows = ansatz._adjoint_rows
 

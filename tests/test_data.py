@@ -158,6 +158,16 @@ def test_idx_error_cases(tmp_path):
     with pytest.raises(DataFormatError, match="count"):
         load_idx_pair(ip, str(three), (0, 1))
 
+    good = open(lp, "rb").read()
+    bad_label_magic = tmp_path / "bad_label_magic.idx"
+    bad_label_magic.write_bytes(good[:3] + b"\x03" + good[4:])  # the image magic's ndim
+    with pytest.raises(DataFormatError, match="magic"):
+        load_idx_pair(ip, str(bad_label_magic), (0, 1))
+    short_labels = tmp_path / "short_labels.idx"
+    short_labels.write_bytes(good[:-1])
+    with pytest.raises(DataFormatError, match="count 2"):
+        load_idx_pair(ip, str(short_labels), (0, 1))
+
     with pytest.raises(DataFormatError, match="no samples"):
         load_idx_pair(ip, lp, (5, 6))
     with pytest.raises(ValueError):

@@ -870,6 +870,10 @@ def test_cli_bound_reports_overflow_as_inf(capsys):
     ("--noise-p", "1.5", "noise_p"),
     ("--eta", "-1", "eta"),
     ("--train-size", "0", "m"),
+    ("--obs-norm", "nan", "obs_norm"),
+    ("--lipschitz", "inf", "lipschitz"),
+    ("--smoothness", "nan", "smoothness"),
+    ("--loss-bound", "inf", "loss_bound"),
 ])
 def test_cli_bound_out_of_domain_exits_2(capsys, flag, value, name):
     argv = {"--layers": "1", "--data-dim": "1", "--params": "2", "--train-size": "10",

@@ -9,6 +9,8 @@ replay circuits through (``_oracles.apply_gate`` and ``expectation``) is
 checked here against the same dense embedding and quadratic forms.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,16 @@ def test_z_observable_layout():
 def test_observable_requires_hermitian():
     with pytest.raises(ValueError):
         Observable(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_observable_rejects_non_finite_entries():
+    """inf and nan entries fail with ValueError, before the Hermiticity test
+    could warn on inf - inf or the SVD of the norm could fail on nan."""
+    for bad in (np.inf, np.nan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                Observable(np.array([[bad, 0], [0, 1]], dtype=complex))
 
 
 def test_expectation_quadratic_form_oracle():

@@ -519,6 +519,10 @@ def test_bound_inputs_validation():
         base_inputs(noise_p=-0.1)
     with pytest.raises(ValueError):
         base_inputs(iterations=-1)
+    for name, value in (("obs_norm", math.nan), ("lipschitz", math.inf),
+                        ("smoothness", math.nan), ("loss_bound", math.inf)):
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            base_inputs(**{name: value})
 
 
 def test_stable_training_margin_regimes():
