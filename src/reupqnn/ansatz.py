@@ -15,9 +15,11 @@ The trainable parameter vector has K = (L + 1) * R * N entries ordered by
 (layer, sublayer, qubit).
 
 One batched engine, `forward_many`, simulates every circuit output in the
-package: real statevector rows when noiseless, real density-matrix rows
-under per-gate depolarizing noise (``noise_p`` > 0, a float or one
-strength per row).  `forward` and `noise.noisy_forward` are its one-row
+package: real statevector rows when noiseless, and under per-gate
+depolarizing noise (``noise_p`` > 0, a float or one strength per row) the
+density matrix's 4^n real Pauli coefficients, in which an Ry is one
+rotation, a CX a permutation and the channel a scale (see the batched
+engine below).  `forward` and `noise.noisy_forward` are its one-row
 wrappers.  Both modes walk one gate schedule; `_output_grads` walks it
 forward and then backward to give every row's parameter gradient
 (adjoint differentiation).  One planner, `_chunk_plan`, splits the rows
@@ -191,13 +193,19 @@ def forward(circuit: ReuploadCircuit, theta, x, obs: Observable) -> float:
 # The training loop evaluates many (theta, x) rows against the same circuit
 # (every run of a lockstep step, or a whole dataset); doing so row-parallel
 # inside numpy is the difference between seconds and hours.  Rows are stored
-# batch-last: a batch is (amplitudes, rows), so every kernel's inner loop
-# runs contiguously over the rows, whatever the qubit.  The same two gate
-# kernels serve both modes: a noisy row holds its density matrix as a
-# 2n-qubit vector (row bits, then column bits), and since Ry and CX are
-# real, U rho U^dagger = U rho U^T is the gate applied once on qubit q and
-# once on qubit n + q.  Every kernel is elementwise per row, and every sum over
-# amplitudes runs in one fixed order (see `_column_sum`), so a row's bits do
+# batch-last: a batch is (entries, rows), so every kernel's inner loop runs
+# contiguously over the rows, whatever the qubit.  A noiseless row is a real
+# statevector.  A noisy row holds the 4^n real Pauli coefficients of its
+# density matrix, c(x, z) = tr(Q(x, z)^T rho) with Q(x, z) the tensor
+# product over qubits of X^x_q Z^z_q, so rho = 2^-n sum_Q c(x, z) Q(x, z).
+# Qubit q's x bit is entry bit q and its z bit entry bit n + q, the places
+# of rho's row and column bits.  In this basis (the Pauli transfer matrix
+# view: Greenbaum, arXiv:1509.02921) an Ry by the full angle rotates q's X
+# and Z coefficients and leaves I and XZ alone, a CX permutes coefficients
+# without signs, and the channel scales q's three non-identity coefficients
+# by 1 - p (see `noise`).  No kernel touches the identity coefficient
+# tr(rho) = 1.  Every kernel is elementwise per row, and every sum over
+# entries runs in one fixed order (see `_column_sum`), so a row's bits do
 # not depend on the other rows of its batch.
 
 # Rows are simulated in chunks of at most this many bytes of states.
@@ -207,12 +215,25 @@ _CHUNK_BYTES = 64 << 20
 _RY, _CX, _NOISE = range(3)
 
 
-def _apply_ry_rows(states: np.ndarray, qubit: int, c: np.ndarray, s: np.ndarray) -> None:
-    """Ry on one qubit of every row, in place; ``c`` and ``s`` are the
-    (rows,) cosines and sines of half the angles."""
-    view = states.reshape(1 << qubit, 2, -1, states.shape[-1])
-    a = view[:, 0]
-    b = view[:, 1]
+def _pair(states: np.ndarray, qubit: int, n: int | None = None) -> tuple:
+    """The two views of every row an Ry on ``qubit`` rotates, (a, b): the
+    qubit's |0> and |1> halves of statevector rows (``n`` None), or its Z
+    and X coefficients, (x_q, z_q) = (0, 1) and (1, 0), of n-qubit Pauli
+    rows."""
+    if n is None:
+        view = states.reshape(1 << qubit, 2, -1, states.shape[-1])
+        return view[:, 0], view[:, 1]
+    view = states.reshape(1 << qubit, 2, 1 << (n - 1), 2, -1, states.shape[-1])
+    return view[:, 0, :, 1], view[:, 1, :, 0]
+
+
+def _apply_ry_rows(states: np.ndarray, qubit: int, c: np.ndarray, s: np.ndarray,
+                   n: int | None = None) -> None:
+    """Ry on one qubit of every row, in place: (a, b) <- (c a - s b, c b + s a)
+    on the `_pair` views, ``c`` and ``s`` the (rows,) cosines and sines of
+    half the angles for statevector rows, of the full angles for Pauli rows
+    (Z <- c Z - s X, X <- c X + s Z; I and XZ are untouched)."""
+    a, b = _pair(states, qubit, n)
     new_a = c * a - s * b
     b *= c
     b += s * a
@@ -220,29 +241,58 @@ def _apply_ry_rows(states: np.ndarray, qubit: int, c: np.ndarray, s: np.ndarray)
 
 
 def _apply_cx_rows(states: np.ndarray, control: int, target: int) -> None:
-    # control < target by construction of the chain; pure index permutation.
-    mid = 1 << (target - control - 1)
-    view = states.reshape(1 << control, 2, mid, 2, -1, states.shape[-1])
-    tmp = view[:, 1, :, 0].copy()
-    view[:, 1, :, 0] = view[:, 1, :, 1]
-    view[:, 1, :, 1] = tmp
+    """Flip entry bit ``target`` where bit ``control`` is set, in place: a
+    pure index permutation, with the control on either side."""
+    lo, hi = sorted((control, target))
+    view = states.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1, states.shape[-1])
+    a, b = (view[:, 1, :, 0], view[:, 1, :, 1]) if control < target else (
+        view[:, 0, :, 1], view[:, 1, :, 1])
+    tmp = a.copy()
+    a[...] = b
+    b[...] = tmp
 
 
-def _mix_rows(rhos: np.ndarray, n: int, qubit: int, keep, half) -> None:
-    """Depolarizing channel of strength p (see `noise`) on one qubit of
-    n-qubit density rows stored as 2n-qubit vectors, in place, given by its
-    factors ``keep`` = 1 - p and ``half`` = p / 2: floats, or (rows,)
-    vectors of per-row strengths.  k merged channels of strength p are one
-    of strength 1 - (1 - p)^k.  Every entry is scaled by keep, then half
-    times the sum of the qubit's two diagonal blocks is added to each of
-    them."""
-    # Axes: row bits before the qubit, its row bit, the n - 1 bits between
-    # it and its column bit, its column bit, the column bits after it.
-    view = rhos.reshape(1 << qubit, 2, 1 << (n - 1), 2, -1, rhos.shape[-1])
-    mixed = half * (view[:, 0, :, 0] + view[:, 1, :, 1])
-    rhos *= keep  # the flat (amplitudes, rows) array, not the 6-d view
-    view[:, 0, :, 0] += mixed
-    view[:, 1, :, 1] += mixed
+def _damp_rows(coeffs: np.ndarray, n: int, qubit: int, factor) -> None:
+    """k merged channels on one qubit of n-qubit Pauli rows, in place: the
+    coefficients with X, Z or XZ on the qubit are scaled by ``factor`` =
+    (1 - p)^k, a float or a (rows,) vector of per-row factors."""
+    view = coeffs.reshape(1 << qubit, 2, 1 << (n - 1), 2, -1, coeffs.shape[-1])
+    view[:, 1] *= factor
+    view[:, 0, :, 1] *= factor
+
+
+# One qubit's basis change, as (out, first, second, sign) entries, out =
+# first + sign * second, each an index pair of the qubit's two entry bits.
+# To density entries (row bit, column bit) from Pauli coefficients (x, z):
+# 2 rho_00 = I + Z, 2 rho_11 = I - Z, 2 rho_01 = X - XZ, 2 rho_10 = X + XZ.
+_TO_DENSITY = (((0, 0), (0, 0), (0, 1), 1), ((1, 1), (0, 0), (0, 1), -1),
+               ((0, 1), (1, 0), (1, 1), -1), ((1, 0), (1, 0), (1, 1), 1))
+# Its transpose: 2 I = m_00 + m_11, 2 Z = m_00 - m_11, 2 X = m_01 + m_10,
+# 2 XZ = m_10 - m_01 of a matrix m.
+_TO_PAULI = (((0, 0), (0, 0), (1, 1), 1), ((0, 1), (0, 0), (1, 1), -1),
+             ((1, 0), (0, 1), (1, 0), 1), ((1, 1), (1, 0), (0, 1), -1))
+
+
+def _per_qubit(rows: np.ndarray, n: int, table: tuple) -> np.ndarray:
+    """The one-qubit basis change ``table``, times 1/2, on entry bits q and
+    n + q of (4^n, rows) ``rows`` for every qubit q in turn: a new array."""
+    for q in range(n):
+        view = rows.reshape(1 << q, 2, 1 << (n - 1), 2, -1)
+        out = np.empty_like(view)
+        for (i, j), (k, l), (k2, l2), sign in table:
+            (np.add if sign > 0 else np.subtract)(view[:, k, :, l], view[:, k2, :, l2],
+                                                   out=out[:, i, :, j])
+        rows = out.reshape(rows.shape)
+    rows *= 0.5 ** n
+    return rows
+
+
+def _check_pauli_rows(coeffs: np.ndarray, n: int) -> None:
+    """`_check_density_rows` on the density matrices of (4^n, rows) Pauli
+    rows, rebuilt qubit by qubit (``_TO_DENSITY``)."""
+    dim = 1 << n
+    rhos = _per_qubit(coeffs, n, _TO_DENSITY)
+    _check_density_rows(np.moveaxis(rhos.reshape(dim, dim, -1), -1, 0))
 
 
 @functools.lru_cache(maxsize=32)
@@ -250,10 +300,10 @@ def _schedule(circuit: ReuploadCircuit, noisy: bool) -> tuple:
     """The gate sequence of one row, walked forward by `_forward_rows` and
     backward by `_adjoint_rows`.
 
-    Entries are (_RY, q, j): Ry on qubit q by column j of `_half_angles`;
+    Entries are (_RY, q, j): Ry on qubit q by column j of `_angles`;
     (_CX, q, -1): CX from q to q + 1; (_NOISE, q, k): k merged channels on q.
     Rows are folded (see the module docstring): an encoding block has no
-    entries of its own, and `_half_angles` adds its per-qubit feature sums to
+    entries of its own, and `_angles` adds its per-qubit feature sums to
     the next block's first Ry column.  With noise, every gate, Ry(0) fillers
     included, owes one channel to each qubit it touches; a qubit's owed
     channels are paid as one entry just before the next CX that touches it,
@@ -281,14 +331,20 @@ def _schedule(circuit: ReuploadCircuit, noisy: bool) -> tuple:
     return tuple(ops)
 
 
-def _half_angles(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Half of every trainable Ry angle, encoding sums folded in: (K, rows)."""
+def _angles(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
+            noisy: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Cosines and sines of every trainable Ry angle, encoding sums folded
+    in, (K, rows) each: of half the angle for statevector rows, of the
+    full angle for Pauli rows."""
     rows = thetas.shape[0]
     slots = np.zeros((rows, circuit.encode_columns * circuit.n_qubits))
     slots[:, :circuit.data_dim] = xs
     angles = thetas.reshape(rows, circuit.layers + 1, circuit.sublayers, -1).copy()
     angles[:, 1:, 0, :] += slots.reshape(rows, -1, circuit.n_qubits).sum(axis=1)[:, None, :]
-    return np.ascontiguousarray(0.5 * angles.reshape(rows, -1).T)
+    angles = np.ascontiguousarray(angles.reshape(rows, -1).T)
+    if not noisy:
+        angles *= 0.5
+    return np.cos(angles), np.sin(angles)
 
 
 def _noisy(noise: np.ndarray) -> bool:
@@ -298,9 +354,9 @@ def _noisy(noise: np.ndarray) -> bool:
 
 
 def _strengths(circuit: ReuploadCircuit, noise) -> dict:
-    """The `_mix_rows` factors (1 - s, s / 2), s = 1 - (1 - p)^k, for every
-    merged channel count k in the schedule, p the float or (rows,) vector
-    ``noise``; empty when noiseless.
+    """The `_damp_rows` factors (1 - p)^k for every merged channel count k
+    in the schedule, p the float or (rows,) vector ``noise``; empty when
+    noiseless.
 
     The factors are floats when the rows share one p, else (rows,)
     vectors.  Each distinct p is raised in Python floats, so a row's
@@ -310,38 +366,40 @@ def _strengths(circuit: ReuploadCircuit, noise) -> dict:
         return {}
     ps, row_p = np.unique(noise, return_inverse=True)
     counts = {k for kind, _, k in _schedule(circuit, True) if kind == _NOISE}
-    table = {k: [1.0 - (1.0 - p) ** k for p in ps.tolist()] for k in counts}
+    table = {k: [(1.0 - p) ** k for p in ps.tolist()] for k in counts}
     if len(ps) == 1:
-        return {k: (1.0 - column[0], 0.5 * column[0]) for k, column in table.items()}
-    vectors = {k: np.array(column)[row_p] for k, column in table.items()}
-    return {k: (1.0 - v, 0.5 * v) for k, v in vectors.items()}
+        return {k: column[0] for k, column in table.items()}
+    return {k: np.array(column)[row_p] for k, column in table.items()}
 
 
 def _step(states: np.ndarray, op: tuple, c: np.ndarray, s: np.ndarray, n: int,
           strengths: dict) -> None:
-    """Apply one schedule entry to every row in place; ``c`` and ``s`` are
-    the cosines and sines of `_half_angles` (negated sines undo an Ry), and
-    ``strengths`` those of `_strengths`."""
+    """Apply one schedule entry to every row in place: statevector rows
+    when ``strengths`` (those of `_strengths`) is empty, else Pauli rows.
+    ``c`` and ``s`` are the cosines and sines of `_angles` (negated sines
+    undo an Ry)."""
     kind, q, j = op
-    if kind == _NOISE:
-        _mix_rows(states, n, q, *strengths[j])
-        return
-    for m in ((0, n) if strengths else (0,)):
-        if kind == _RY:
-            _apply_ry_rows(states, m + q, c[j], s[j])
-        else:
-            _apply_cx_rows(states, m + q, m + q + 1)
+    if kind == _RY:
+        _apply_ry_rows(states, q, c[j], s[j], n if strengths else None)
+    elif kind == _NOISE:
+        _damp_rows(states, n, q, strengths[j])
+    else:
+        _apply_cx_rows(states, q, q + 1)  # for Pauli rows, x_{q+1} ^= x_q
+        if strengths:
+            _apply_cx_rows(states, n + q + 1, n + q)  # z_q ^= z_{q+1}
 
 
 def _fresh_rows(circuit: ReuploadCircuit, rows: int, noisy: bool) -> np.ndarray:
-    """|0...0> as (2^n, rows) statevector rows, or (4^n, rows) density rows."""
-    states = np.zeros((1 << (circuit.n_qubits * (2 if noisy else 1)), rows))
-    states[0] = 1.0
+    """|0...0> as (2^n, rows) statevector rows, or as (4^n, rows) Pauli
+    rows: c(x, z) = <0|Q(x, z)|0>, which is 1 where x = 0 and 0 elsewhere."""
+    n = circuit.n_qubits
+    states = np.zeros((1 << (2 * n if noisy else n), rows))
+    states[:1 << n if noisy else 1] = 1.0
     return states
 
 
 def _column_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum of (amplitudes, rows) terms over the amplitudes, one per row.
+    """Sum of (entries, rows) terms over the entries, one per row.
 
     Sequential, so a row's bits do not depend on its batch: np.add.reduce
     or einsum over a lone contiguous column switches to a pairwise or
@@ -350,82 +408,92 @@ def _column_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=0)[-1]
 
 
+def _observable_form(circuit: ReuploadCircuit, obs: Observable, noise: np.ndarray) -> np.ndarray:
+    """The fixed form of Re(M) that rows of checked strengths ``noise`` are
+    measured with, built once per call or SGD loop: Re(M) column-major for
+    statevector rows (see `_observe`); for Pauli rows the (4^n, 1) column
+    lam = 2^-n m, m_Q = tr(Re(M) Q), so that tr(M rho) = sum_Q lam_Q c_Q.
+
+    Rows are real and Im(M) of a Hermitian M is antisymmetric, so it adds
+    nothing to psi^T M psi or tr(M rho) with rho symmetric."""
+    matrix = obs.matrix.real
+    if not _noisy(noise):
+        return np.asfortranarray(matrix)
+    return _per_qubit(matrix.reshape(-1, 1), circuit.n_qubits, _TO_PAULI)
+
+
 def _observe(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """M psi for a real M.  einsum, not BLAS, whose bits can depend on the
-    row count; M column-major, so that the inner loop never sums over j,
-    not even for a lone column (see `_column_sum`)."""
-    return np.einsum("ij,jb->ib", np.asfortranarray(matrix), states)
+    """M psi for the column-major M of `_observable_form`.  einsum, not
+    BLAS, whose bits can depend on the row count; M column-major, so that
+    the inner loop never sums over j, not even for a lone column (see
+    `_column_sum`)."""
+    return np.einsum("ij,jb->ib", matrix, states)
 
 
-def _forward_rows(circuit: ReuploadCircuit, c: np.ndarray, s: np.ndarray, obs: Observable,
+def _forward_rows(circuit: ReuploadCircuit, c: np.ndarray, s: np.ndarray, form: np.ndarray,
                   strengths: dict, kept: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Every row's output and the direction lam it was measured along:
     |0...0> swept forward through the schedule by the cosines ``c`` and
-    sines ``s`` of `_half_angles` under the channel factors ``strengths`` of
+    sines ``s`` of `_angles` under the channel factors ``strengths`` of
     `_strengths`, then measured as the (rows,) sums of lam * state.
 
-    lam is (Re M) psi for statevector rows, and vec((Re M)^T), one column
-    for all rows, for density rows: tr(M rho) = <vec(M^T), vec(rho)>.  With
-    ``kept`` a list, a copy of the rows is appended after every trainable
-    Ry, in schedule order."""
+    lam is (Re M) psi for statevector rows and the one column ``form`` of
+    `_observable_form` for Pauli rows, whose density matrices are checked
+    here.  With ``kept`` a list, a copy of the rows is appended after every
+    trainable Ry, in schedule order."""
     noisy = bool(strengths)
     states = _fresh_rows(circuit, c.shape[1], noisy)
     for op in _schedule(circuit, noisy):
         _step(states, op, c, s, circuit.n_qubits, strengths)
         if kept is not None and op[0] == _RY:
             kept.append(states.copy())
-    # Rows are real and Im(M) of a Hermitian M is antisymmetric, so it adds
-    # nothing to psi^T M psi or tr(M rho) with rho symmetric.
-    matrix = obs.matrix.real
     if noisy:
-        dim = 1 << circuit.n_qubits
-        _check_density_rows(np.moveaxis(states.reshape(dim, dim, -1), -1, 0))
-        lam = matrix.T.reshape(-1, 1)
+        _check_pauli_rows(states, circuit.n_qubits)
+        lam = form
     else:
-        lam = _observe(matrix, states)
+        lam = _observe(form, states)
     return _column_sum(lam * states), lam
 
 
-def _ry_grad(lam: np.ndarray, psi: np.ndarray, qubit: int) -> np.ndarray:
-    """2 lam^T J_q psi per row, J = dRy/dtheta Ry^T = [[0, -1/2], [1/2, 0]]:
-    the sum over the qubit's halves of lam_1 psi_0 - lam_0 psi_1, for
-    (amplitudes, rows) ``lam`` and ``psi``."""
-    rows = psi.shape[-1]
-    lam = lam.reshape(1 << qubit, 2, -1, rows)
-    psi = psi.reshape(1 << qubit, 2, -1, rows)
-    terms = lam[:, 1] * psi[:, 0] - lam[:, 0] * psi[:, 1]
-    return _column_sum(terms.reshape(-1, rows))
+def _ry_grad(lam: tuple, psi: tuple) -> np.ndarray:
+    """The derivative of every row's output by the angle of an Ry, from
+    the `_pair` views (a, b) of lam and of the rows psi kept after the Ry:
+    the sum of lam_b psi_a - lam_a psi_b.  For statevector rows that is
+    2 lam^T J psi, J = dRy/dtheta Ry^T = [[0, -1/2], [1/2, 0]] on the
+    qubit; for Pauli rows lam_X c_Z - lam_Z c_X, the rotation's generator."""
+    terms = lam[1] * psi[0] - lam[0] * psi[1]
+    return _column_sum(terms.reshape(-1, terms.shape[-1]))
 
 
 def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
-                  obs: Observable, strengths: dict) -> tuple[np.ndarray, np.ndarray]:
+                  form: np.ndarray, strengths: dict) -> tuple[np.ndarray, np.ndarray]:
     """Outputs and their parameter gradients for one chunk of rows under
     the channel factors ``strengths`` of `_strengths`: ((rows,), (rows, K)).
 
     Adjoint differentiation (Jones & Gacon, arXiv:2009.02823), one algorithm
-    for statevector and density rows.  The forward sweep (`_forward_rows`)
+    for statevector and Pauli rows.  The forward sweep (`_forward_rows`)
     keeps the rows after every trainable Ry and gives the direction lam the
     output was measured along.  The backward sweep un-applies the schedule
-    on lam alone: every gate is real, so its inverse is its transpose, Ry(-a)
-    and CX itself, and the channel is self-adjoint under the Hilbert-Schmidt
-    product (the Heisenberg picture).  At a trainable Ry with kept rows psi,
-    dE/dtheta = 2 lam^T J_q psi.  For density rows that is the noiseless
-    formula on 2n-qubit rows: the gradient <lam, (J_q + J_{n+q}) rho> equals
-    2 <lam, J_q rho> because lam and rho are symmetric matrices.
+    on lam alone: every gate is real and orthogonal on the rows, so its
+    inverse is its transpose, Ry by the negated angle and CX itself, and the
+    channel is diagonal, its own adjoint, and never divided by.  At a
+    trainable Ry with kept rows psi, the gradient is `_ry_grad`.
     """
-    half = _half_angles(circuit, thetas, xs)
-    c, s = np.cos(half), np.sin(half)
+    noisy = bool(strengths)
+    n = circuit.n_qubits
+    c, s = _angles(circuit, thetas, xs, noisy)
     kept = []
-    values, lam = _forward_rows(circuit, c, s, obs, strengths, kept)
+    values, lam = _forward_rows(circuit, c, s, form, strengths, kept)
     lam = np.broadcast_to(lam, kept[-1].shape).copy()
     s = -s
     grads = np.empty((thetas.shape[0], circuit.n_params))
-    for op in reversed(_schedule(circuit, bool(strengths))):
+    pauli = n if noisy else None
+    for op in reversed(_schedule(circuit, noisy)):
         kind, q, j = op
         if kind == _RY:
-            grads[:, j] = _ry_grad(lam, kept.pop(), q)
+            grads[:, j] = _ry_grad(_pair(lam, q, pauli), _pair(kept.pop(), q, pauli))
         if kept:  # once the first entry, an Ry, is done, nothing is left to undo
-            _step(lam, op, c, s, circuit.n_qubits, strengths)
+            _step(lam, op, c, s, n, strengths)
     return values, grads
 
 
@@ -499,26 +567,28 @@ def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
     (rows, D) or (D,); ``noise_p`` is a float for all rows or a (rows,)
     vector.  Returns the (rows,) vector of expectations.  A row with
     p > 0 is a density-matrix simulation under per-gate depolarizing
-    noise of strength p (see `noise`), checked once at the end for unit
-    trace, Hermiticity and positivity.  One batch is all p = 0 or all
+    noise of strength p (see `noise`) in the Pauli basis, whose density
+    matrix is rebuilt and checked once at the end for unit trace,
+    Hermiticity and positivity.  One batch is all p = 0 or all
     p > 0; its rows may differ in p.
     """
     thetas, xs, noise = _check_rows(circuit, thetas, xs, obs, noise_p)
+    form = _observable_form(circuit, obs, noise)
     values = np.empty(thetas.shape[0])
     for rows, strengths in _chunk_plan(circuit, noise, adjoint=False):
-        half = _half_angles(circuit, np.ascontiguousarray(thetas[rows]),
-                            np.ascontiguousarray(xs[rows]))
-        values[rows] = _forward_rows(circuit, np.cos(half), np.sin(half), obs, strengths)[0]
+        c, s = _angles(circuit, np.ascontiguousarray(thetas[rows]),
+                       np.ascontiguousarray(xs[rows]), bool(strengths))
+        values[rows] = _forward_rows(circuit, c, s, form, strengths)[0]
     return values
 
 
 def _planned_grads(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
-                   obs: Observable, plan: list) -> tuple[np.ndarray, np.ndarray]:
+                   form: np.ndarray, plan: list) -> tuple[np.ndarray, np.ndarray]:
     """`_output_grads` of checked (rows, K) thetas and (rows, D) xs by the
-    adjoint `_chunk_plan` of their strengths, unchecked: the core that both it and
-    `train._sgd_paths` call."""
+    adjoint `_chunk_plan` and the `_observable_form` of their strengths,
+    unchecked: the core that both it and `train._sgd_paths` call."""
     parts = [_adjoint_rows(circuit, np.ascontiguousarray(thetas[rows]),
-                           np.ascontiguousarray(xs[rows]), obs, strengths)
+                           np.ascontiguousarray(xs[rows]), form, strengths)
              for rows, strengths in plan]
     if len(parts) == 1:
         return parts[0]
@@ -536,7 +606,8 @@ def _output_grads(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
     oracle.  This is the checked entry point of `_planned_grads`.
     """
     thetas, xs, noise = _check_rows(circuit, thetas, xs, obs, noise_p)
-    return _planned_grads(circuit, thetas, xs, obs, _chunk_plan(circuit, noise, adjoint=True))
+    return _planned_grads(circuit, thetas, xs, _observable_form(circuit, obs, noise),
+                          _chunk_plan(circuit, noise, adjoint=True))
 
 
 # --- dense unitaries ------------------------------------------------------

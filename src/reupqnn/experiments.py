@@ -336,10 +336,10 @@ def _batches(cfg: ExperimentConfig) -> list[list]:
     """Cells that train together in one lockstep batch, in the order first seen.
 
     Cells share a batch when they share a circuit (``layers``) and a row
-    kind (statevectors at noise_p = 0, density matrices above): an
-    ``m_train`` or ``learning_rate`` axis is one batch, a ``noise_p`` axis
-    one batch of its positive values and 0.0 one of its own, and a
-    ``layers`` axis one batch per value."""
+    kind (statevectors at noise_p = 0, Pauli rows of density matrices
+    above): an ``m_train`` or ``learning_rate`` axis is one batch, a
+    ``noise_p`` axis one batch of its positive values and 0.0 one of its
+    own, and a ``layers`` axis one batch per value."""
     batches: dict = {}
     for value, cell in _cells(cfg):
         batches.setdefault((cell.layers, cell.noise_p > 0.0), []).append((value, cell))

@@ -11,9 +11,12 @@ qubit a gate touches, immediately after that gate; identity filler
 rotations in the encoding blocks count as gates and are noised like any
 other.  The simulation itself is the density-matrix mode of the batched
 engine in `ansatz` (``noise_p`` > 0), which `forward_many`, the adjoint
-training gradients and stability probes run directly, and whose kernel
-`ansatz._mix_rows` applies the channel by its factors 1 - p and p / 2,
-computed once per batch; `noisy_forward` is its one-row wrapper.
+training gradients and stability probes run directly.  It holds a density
+matrix as its Pauli coefficients, in which D_p keeps every coefficient
+whose factor on the marked qubit is I and scales the others by 1 - p (the
+per-weight damping of the Pauli transfer matrix); its kernel
+`ansatz._damp_rows` applies k merged channels as one scale by (1 - p)^k,
+computed once per batch.  `noisy_forward` is its one-row wrapper.
 ``noise_p`` may be a float or one strength per row, so the values of a
 noise sweep share one batch.  The engine folds noisy rows
 like noiseless ones and merges each qubit's channels up to the next CX

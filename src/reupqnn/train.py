@@ -31,6 +31,7 @@ from .ansatz import (
     ReuploadCircuit,
     _check_batch,
     _chunk_plan,
+    _observable_form,
     _output_grads,
     _planned_grads,
     forward_many,
@@ -211,12 +212,13 @@ def _sgd_paths(runs, circuit: ReuploadCircuit, obs: Observable):
 
     What stays fixed through the loop is checked once, by the engine's own
     checks: the shapes, the observable, the strengths and every run's
-    features; the strengths' channel factors and the chunks are planned
-    once too.  The runs' samples are stacked once, so a step gathers its
-    rows with one index.  A step draws once per distinct (seed, m), checks
-    only that its thetas are finite, and makes one call to the engine's
-    unchecked adjoint core (`ansatz._planned_grads`, which
-    `ansatz._output_grads` runs after its checks)."""
+    features; the strengths' channel factors, the chunks and the
+    observable's fixed form are built once too.  The runs' samples are
+    stacked once, so a step gathers its rows with one index.  A step draws
+    once per distinct (seed, m), checks only that its thetas are finite,
+    and makes one call to the engine's unchecked adjoint core
+    (`ansatz._planned_grads`, which `ansatz._output_grads` runs after its
+    checks)."""
     iterations = _iterations(runs)
     keys = [(config.seed, len(dataset)) for dataset, config in runs]
     distinct = list(dict.fromkeys(keys))
@@ -228,6 +230,7 @@ def _sgd_paths(runs, circuit: ReuploadCircuit, obs: Observable):
     thetas = np.array([init_params(circuit, config.seed) for _, config in runs])
     noise = _check_batch(circuit, thetas, features, obs, [config.noise_p for _, config in runs])
     plan = _chunk_plan(circuit, noise, adjoint=True)
+    form = _observable_form(circuit, obs, noise)
     yield None, thetas
     for t in range(iterations):
         indices = np.array([draw_index(seed, t, m) for seed, m in distinct],
@@ -235,7 +238,7 @@ def _sgd_paths(runs, circuit: ReuploadCircuit, obs: Observable):
         if not np.isfinite(thetas).all():
             raise ValueError("thetas contain non-finite entries")
         rows = offsets + indices
-        values, grads = _planned_grads(circuit, thetas, features[rows], obs, plan)
+        values, grads = _planned_grads(circuit, thetas, features[rows], form, plan)
         thetas = thetas - eta * (loss_derivative(values, labels[rows])[:, None] * grads)
         yield indices, thetas
 

@@ -5,8 +5,10 @@ circuit output there, and the comb route is the package's own independent
 check.  These oracles take a different road to the same numbers:
 ``apply_gate`` contracts one gate into a pure or density state through
 tensordot, ``expectation`` is the quadratic form or trace,
-``kraus_oracle`` applies the depolarizing channel by its Kraus form, and
-``partial_transpose`` swaps a system's row and column axes.
+``kraus_oracle`` applies the depolarizing channel by its Kraus form,
+``pauli_coefficients`` and ``from_pauli_coefficients`` change a density
+matrix to and from the engine's Pauli rows by the dense Pauli products,
+and ``partial_transpose`` swaps a system's row and column axes.
 """
 
 import numpy as np
@@ -103,6 +105,33 @@ def kraus_oracle(rho, p, qubit, n):
             full = np.kron(full, k if q == qubit else I2)
         out += full @ rho @ full.conj().T
     return out
+
+
+def _pauli_products(n):
+    """Q(x, z) = (x)_q X^x_q Z^z_q for every entry of an n-qubit Pauli row,
+    qubit q's x bit at entry bit q and its z bit at entry bit n + q (bit 0
+    the most significant): a (4^n, 2^n, 2^n) real stack."""
+    out = []
+    for entry in range(4 ** n):
+        bits = [(entry >> (2 * n - 1 - b)) & 1 for b in range(2 * n)]
+        full = np.eye(1)
+        for q in range(n):
+            factor = (PAULI_X if bits[q] else I2) @ (PAULI_Z if bits[n + q] else I2)
+            full = np.kron(full, factor.real)
+        out.append(full)
+    return np.array(out)
+
+
+def pauli_coefficients(rho):
+    """The Pauli row c(x, z) = tr(Q(x, z)^T rho) of an n-qubit matrix."""
+    n = int(rho.shape[0]).bit_length() - 1
+    return np.einsum("kij,ij->k", _pauli_products(n), rho)
+
+
+def from_pauli_coefficients(c):
+    """The matrix 2^-n sum_Q c(x, z) Q(x, z) of a Pauli row."""
+    n = (int(c.shape[0]).bit_length() - 1) // 2
+    return np.einsum("k,kij->ij", c, _pauli_products(n)) / 2 ** n
 
 
 def partial_transpose(op: ChoiOperator, names) -> ChoiOperator:

@@ -19,7 +19,13 @@ from reupqnn.ansatz import (
     iter_gates,
     trainable_block_unitary,
 )
-from _oracles import apply_gate, expectation, kraus_oracle
+from _oracles import (
+    apply_gate,
+    expectation,
+    from_pauli_coefficients,
+    kraus_oracle,
+    pauli_coefficients,
+)
 from reupqnn.qcore import (
     CapacityError,
     Observable,
@@ -320,18 +326,32 @@ def test_kernels_update_column_views_in_place():
             assert np.max(np.abs(big[:, j] - (u @ base[:, j]).real)) <= 1e-12
         assert np.array_equal(big[:, r:], base[:, r:])
 
-    n, dim, p = 2, 4, 0.3
+    # Pauli rows: each schedule entry, the CX's two permutations included,
+    # against the dense gate or Kraus channel on the rebuilt matrices.
+    n, dim, p = 3, 8, 0.3
     base = rng.normal(size=(dim * dim, 2 * r + 1))
+    rhos = []
     for j in range(r):
         m = rng.normal(size=(dim, dim))
-        base[:, j] = (m @ m.T / np.trace(m @ m.T)).ravel()
+        rhos.append(m @ m.T / np.trace(m @ m.T))
+        base[:, j] = pauli_coefficients(rhos[j])
+    cos, sin = np.cos(2 * half)[None], np.sin(2 * half)[None]  # full angles
     for q in range(n):
-        big = base.copy()
-        ansatz._mix_rows(big[:, :r], n, q, 1 - p, 0.5 * p)
-        for j in range(r):
-            want = kraus_oracle(base[:, j].reshape(dim, dim).astype(complex), p, q, n)
-            assert np.max(np.abs(big[:, j] - want.real.ravel())) <= 1e-12
-        assert np.array_equal(big[:, r:], base[:, r:])
+        ops = [(ansatz._RY, q, 0), (ansatz._NOISE, q, 1)]
+        ops += [(ansatz._CX, q, -1)] if q < n - 1 else []
+        for op in ops:
+            big = base.copy()
+            ansatz._step(big[:, :r], op, cos, sin, n, {1: 1 - p})
+            for j, rho in enumerate(rhos):
+                if op[0] == ansatz._NOISE:
+                    want = kraus_oracle(rho.astype(complex), p, q, n).real
+                else:
+                    gate, targets = ((rotation_gate("y", 2 * half[j]), (q,))
+                                     if op[0] == ansatz._RY else (ansatz.CX, (q, q + 1)))
+                    u = embed_gate(gate, targets, n).real
+                    want = u @ rho @ u.T
+                assert np.max(np.abs(from_pauli_coefficients(big[:, j]) - want)) <= 1e-12
+            assert np.array_equal(big[:, r:], base[:, r:])
 
 
 def test_forward_many_chunks_rows_bitwise(monkeypatch):

@@ -10,9 +10,10 @@ the gate list with that channel after every gate; and the closed-form
 import numpy as np
 import pytest
 
-from _oracles import kraus_oracle
+from _oracles import from_pauli_coefficients, kraus_oracle, pauli_coefficients
+from reupqnn import ansatz
 from reupqnn.ansatz import (
-    _mix_rows,
+    _damp_rows,
     _output_grads,
     build_circuit,
     circuit_unitary,
@@ -22,7 +23,14 @@ from reupqnn.ansatz import (
 )
 from reupqnn.grad import parameter_shift_grad_f
 from reupqnn.noise import noisy_forward
-from reupqnn.qcore import I2, Observable, _check_density_rows, embed_gate, z_observable
+from reupqnn.qcore import (
+    I2,
+    NumericalIntegrityError,
+    Observable,
+    _check_density_rows,
+    embed_gate,
+    z_observable,
+)
 
 
 def random_density(rng, n):
@@ -32,17 +40,24 @@ def random_density(rng, n):
     return rho / np.trace(rho).real
 
 
+def damped(rho, p, qubit, n):
+    """The Pauli row of ``rho`` after D_p on one qubit by the engine kernel,
+    as a one-row batch."""
+    row = pauli_coefficients(rho).reshape(-1, 1)
+    _damp_rows(row, n, qubit, 1 - p)
+    return row[:, 0]
+
+
 def depolarized(rho, p, qubit, n):
-    """D_p on one qubit of ``rho`` by the engine kernel, as a one-row batch."""
-    row = rho.reshape(-1, 1).copy()
-    _mix_rows(row, n, qubit, 1 - p, 0.5 * p)
-    return row.reshape(rho.shape)
+    """D_p on one qubit of ``rho`` by the engine kernel, through the
+    change to and from the Pauli basis."""
+    return from_pauli_coefficients(damped(rho, p, qubit, n))
 
 
 def test_depolarize_p_zero_is_identity():
     rng = np.random.default_rng(61)
     rho = random_density(rng, 2)
-    np.testing.assert_array_equal(depolarized(rho, 0.0, 1, 2), rho)
+    np.testing.assert_array_equal(damped(rho, 0.0, 1, 2), pauli_coefficients(rho))
 
 
 def test_depolarize_p_one_fully_mixes_one_qubit():
@@ -209,3 +224,56 @@ def test_noisy_forward_contracts_toward_zero():
     obs = z_observable(1)
     values = [abs(noisy_forward(c, theta, x, obs, p)) for p in (0.0, 0.1, 0.3, 0.7)]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def test_noisy_sweeps_keep_the_identity_coefficient_at_one(monkeypatch):
+    """No kernel touches a Pauli row's identity coefficient tr(rho): after
+    every noisy sweep, forward or adjoint, at one strength or several, it
+    is 1.0 bit for bit in every row, so unit trace holds by construction."""
+    seen = []
+    check = ansatz._check_pauli_rows
+
+    def record(coeffs, n):
+        seen.append(coeffs[0].copy())
+        check(coeffs, n)
+
+    monkeypatch.setattr(ansatz, "_check_pauli_rows", record)
+    rng = np.random.default_rng(71)
+    for n, layers, d, r in [(1, 3, 1, 2), (3, 2, 5, 2), (4, 2, 16, 2)]:
+        c = build_circuit(n, layers, d, r)
+        obs = z_observable(n)
+        thetas = rng.uniform(0, 2 * np.pi, (5, c.n_params))
+        xs = rng.uniform(0, 2 * np.pi, (5, d))
+        for p in (1e-6, 0.3, 1.0, rng.uniform(0.01, 1.0, 5)):
+            forward_many(c, thetas, xs, obs, p)
+            _output_grads(c, thetas, xs, obs, p)
+    assert len(seen) == 24
+    assert all(np.all(row == 1.0) for row in seen)
+
+
+@pytest.mark.parametrize("corruption, message", [("trace", "trace"), ("negative", "eigenvalue")])
+def test_corrupted_pauli_rows_fail_the_density_check(monkeypatch, corruption, message):
+    """The engine rebuilds every noisy row's density matrix from its Pauli
+    coefficients and checks it: final rows corrupted to a trace drift of
+    1e-9, or to rho = (I + 1.5 Z_0) / 2^n with a negative eigenvalue, raise
+    from `forward_many` and `_output_grads`."""
+    check = ansatz._check_pauli_rows
+
+    def corrupt(coeffs, n):
+        if corruption == "trace":
+            coeffs[0] += 1e-9
+        else:
+            coeffs[1:] = 0.0
+            coeffs[1 << (n - 1)] = 1.5  # the coefficient of Z on qubit 0
+        check(coeffs, n)
+
+    rng = np.random.default_rng(72)
+    c = build_circuit(2, 2, 3, 2)
+    obs = z_observable(2)
+    thetas = rng.uniform(0, 2 * np.pi, (3, c.n_params))
+    xs = rng.uniform(0, 2 * np.pi, (3, 3))
+    forward_many(c, thetas, xs, obs, 0.1)
+    monkeypatch.setattr(ansatz, "_check_pauli_rows", corrupt)
+    for run in (forward_many, _output_grads):
+        with pytest.raises(NumericalIntegrityError, match=message):
+            run(c, thetas, xs, obs, 0.1)
