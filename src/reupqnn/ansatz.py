@@ -198,15 +198,21 @@ def forward(circuit: ReuploadCircuit, theta, x, obs: Observable) -> float:
 # statevector.  A noisy row holds the 4^n real Pauli coefficients of its
 # density matrix, c(x, z) = tr(Q(x, z)^T rho) with Q(x, z) the tensor
 # product over qubits of X^x_q Z^z_q, so rho = 2^-n sum_Q c(x, z) Q(x, z).
-# Qubit q's x bit is entry bit q and its z bit entry bit n + q, the places
-# of rho's row and column bits.  In this basis (the Pauli transfer matrix
-# view: Greenbaum, arXiv:1509.02921) an Ry by the full angle rotates q's X
-# and Z coefficients and leaves I and XZ alone, a CX permutes coefficients
-# without signs, and the channel scales q's three non-identity coefficients
-# by 1 - p (see `noise`).  No kernel touches the identity coefficient
-# tr(rho) = 1.  Every kernel is elementwise per row, and every sum over
-# entries runs in one fixed order (see `_column_sum`), so a row's bits do
-# not depend on the other rows of its batch.
+# Both kinds store a row as n sites, one per qubit: site q is the q-th
+# digit, qubit 0 the most significant, of the entry index in base d, with
+# d = 2 for statevector rows (|0>, |1>) and d = 4 for Pauli rows, whose
+# site holds (I, Z, X, XZ) at 2x + z: qubit q's x bit is entry bit 2q and
+# its z bit entry bit 2q + 1.  In this basis (the Pauli transfer matrix
+# view: Greenbaum, arXiv:1509.02921) an Ry by the full angle rotates q's Z
+# and X coefficients, the middle two entries of its site, just as it turns
+# |0> and |1>, the two entries of a statevector site; a CX permutes
+# coefficients without signs, and the channel scales q's three
+# non-identity coefficients by 1 - p (see `noise`).  So one kernel per
+# gate serves both kinds, and none is told n.  No
+# kernel touches the identity coefficient tr(rho) = 1.  Every kernel is
+# elementwise per row, and every sum over entries runs in one fixed order
+# (see `_column_sum`), so a row's bits do not depend on the other rows of
+# its batch.
 
 # Rows are simulated in chunks of at most this many bytes of states.
 _CHUNK_BYTES = 64 << 20
@@ -214,30 +220,32 @@ _CHUNK_BYTES = 64 << 20
 # Schedule entry kinds; see `_schedule`.
 _RY, _CX, _NOISE = range(3)
 
-
-def _pair(states: np.ndarray, qubit: int, n: int | None = None) -> tuple:
-    """The two views of every row an Ry on ``qubit`` rotates, (a, b): the
-    qubit's |0> and |1> halves of statevector rows (``n`` None), or its Z
-    and X coefficients, (x_q, z_q) = (0, 1) and (1, 0), of n-qubit Pauli
-    rows."""
-    if n is None:
-        view = states.reshape(1 << qubit, 2, -1, states.shape[-1])
-        return view[:, 0], view[:, 1]
-    view = states.reshape(1 << qubit, 2, 1 << (n - 1), 2, -1, states.shape[-1])
-    return view[:, 0, :, 1], view[:, 1, :, 0]
+# The signs that stack a sine s as (-s, s) along axis 1 of `_angles`' S.
+_SIGNS = np.array([-1.0, 1.0])[:, None, None]
 
 
-def _apply_ry_rows(states: np.ndarray, qubit: int, c: np.ndarray, s: np.ndarray,
-                   n: int | None = None) -> None:
+def _site(states: np.ndarray, qubit: int, d: int) -> np.ndarray:
+    """Every row's entries by ``qubit``'s site, the qubit-th base-d digit of
+    the entry index: a (d^qubit, d, rest, rows) view."""
+    return states.reshape(d ** qubit, d, -1, states.shape[-1])
+
+
+def _pair(states: np.ndarray, qubit: int, d: int) -> np.ndarray:
+    """The two site entries an Ry on ``qubit`` rotates, (a, b) along axis 1:
+    |0> and |1> of statevector rows (d = 2), Z and X of Pauli rows (d = 4)."""
+    return _site(states, qubit, d)[:, d // 2 - 1:d // 2 + 1]
+
+
+def _apply_ry_rows(states: np.ndarray, qubit: int, c: np.ndarray, S: np.ndarray,
+                   d: int) -> None:
     """Ry on one qubit of every row, in place: (a, b) <- (c a - s b, c b + s a)
-    on the `_pair` views, ``c`` and ``s`` the (rows,) cosines and sines of
-    half the angles for statevector rows, of the full angles for Pauli rows
-    (Z <- c Z - s X, X <- c X + s Z; I and XZ are untouched)."""
-    a, b = _pair(states, qubit, n)
-    new_a = c * a - s * b
-    b *= c
-    b += s * a
-    a[...] = new_a
+    on the `_pair` of site size ``d``, ``c`` the (rows,) cosines and ``S`` the
+    (2, 1, rows) stacked (-s, s) of `_angles` (Z <- c Z - s X, X <- c X + s Z
+    for Pauli rows; I and XZ are untouched)."""
+    pair = _pair(states, qubit, d)
+    turned = pair[:, ::-1] * S
+    pair *= c
+    pair += turned
 
 
 def _apply_cx_rows(states: np.ndarray, control: int, target: int) -> None:
@@ -245,54 +253,42 @@ def _apply_cx_rows(states: np.ndarray, control: int, target: int) -> None:
     pure index permutation, with the control on either side."""
     lo, hi = sorted((control, target))
     view = states.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1, states.shape[-1])
-    a, b = (view[:, 1, :, 0], view[:, 1, :, 1]) if control < target else (
-        view[:, 0, :, 1], view[:, 1, :, 1])
-    tmp = a.copy()
-    a[...] = b
-    b[...] = tmp
+    if control > target:
+        view = view.swapaxes(1, 3)
+    flipped = view[:, 1]
+    flipped[...] = flipped[:, :, ::-1]
 
 
-def _damp_rows(coeffs: np.ndarray, n: int, qubit: int, factor) -> None:
-    """k merged channels on one qubit of n-qubit Pauli rows, in place: the
-    coefficients with X, Z or XZ on the qubit are scaled by ``factor`` =
-    (1 - p)^k, a float or a (rows,) vector of per-row factors."""
-    view = coeffs.reshape(1 << qubit, 2, 1 << (n - 1), 2, -1, coeffs.shape[-1])
-    view[:, 1] *= factor
-    view[:, 0, :, 1] *= factor
+def _damp_rows(coeffs: np.ndarray, qubit: int, factor) -> None:
+    """k merged channels on one qubit of Pauli rows, in place: its Z, X and
+    XZ coefficients are scaled by ``factor`` = (1 - p)^k, a float or a
+    (rows,) vector of per-row factors."""
+    _site(coeffs, qubit, 4)[:, 1:] *= factor
 
 
-# One qubit's basis change, as (out, first, second, sign) entries, out =
-# first + sign * second, each an index pair of the qubit's two entry bits.
-# To density entries (row bit, column bit) from Pauli coefficients (x, z):
-# 2 rho_00 = I + Z, 2 rho_11 = I - Z, 2 rho_01 = X - XZ, 2 rho_10 = X + XZ.
-_TO_DENSITY = (((0, 0), (0, 0), (0, 1), 1), ((1, 1), (0, 0), (0, 1), -1),
-               ((0, 1), (1, 0), (1, 1), -1), ((1, 0), (1, 0), (1, 1), 1))
-# Its transpose: 2 I = m_00 + m_11, 2 Z = m_00 - m_11, 2 X = m_01 + m_10,
-# 2 XZ = m_10 - m_01 of a matrix m.
-_TO_PAULI = (((0, 0), (0, 0), (1, 1), 1), ((0, 1), (0, 0), (1, 1), -1),
-             ((1, 0), (0, 1), (1, 0), 1), ((1, 1), (1, 0), (0, 1), -1))
+# One qubit's basis change, times 1/2, from a Pauli site (I, Z, X, XZ) to a
+# density site (rho_00, rho_01, rho_10, rho_11), index 2 row + column:
+# 2 rho_00 = I + Z, 2 rho_01 = X - XZ, 2 rho_10 = X + XZ, 2 rho_11 = I - Z.
+# Its transpose takes a matrix site m to (I, Z, X, XZ) = (m_00 + m_11,
+# m_00 - m_11, m_01 + m_10, m_10 - m_01) / 2.
+_TO_DENSITY = 0.5 * np.array([[1.0, 1, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1], [1, -1, 0, 0]])
 
 
-def _per_qubit(rows: np.ndarray, n: int, table: tuple) -> np.ndarray:
-    """The one-qubit basis change ``table``, times 1/2, on entry bits q and
-    n + q of (4^n, rows) ``rows`` for every qubit q in turn: a new array."""
+def _per_site(rows: np.ndarray, n: int, matrix: np.ndarray) -> np.ndarray:
+    """The 4x4 ``matrix`` on every site of (4^n, cols) ``rows`` in turn: a
+    new array of the same shape."""
     for q in range(n):
-        view = rows.reshape(1 << q, 2, 1 << (n - 1), 2, -1)
-        out = np.empty_like(view)
-        for (i, j), (k, l), (k2, l2), sign in table:
-            (np.add if sign > 0 else np.subtract)(view[:, k, :, l], view[:, k2, :, l2],
-                                                   out=out[:, i, :, j])
-        rows = out.reshape(rows.shape)
-    rows *= 0.5 ** n
-    return rows
+        rows = matrix @ rows.reshape(4 ** q, 4, -1)
+    return rows.reshape(4 ** n, -1)
 
 
 def _check_pauli_rows(coeffs: np.ndarray, n: int) -> None:
     """`_check_density_rows` on the density matrices of (4^n, rows) Pauli
-    rows, rebuilt qubit by qubit (``_TO_DENSITY``)."""
-    dim = 1 << n
-    rhos = _per_qubit(coeffs, n, _TO_DENSITY)
-    _check_density_rows(np.moveaxis(rhos.reshape(dim, dim, -1), -1, 0))
+    rows, rebuilt site by site (``_TO_DENSITY``) and moved from site order
+    (r_0 c_0 r_1 c_1 ...) to matrix order."""
+    sites = _per_site(coeffs, n, _TO_DENSITY).reshape((2,) * (2 * n) + (-1,))
+    rhos = sites.transpose(2 * n, *range(0, 2 * n, 2), *range(1, 2 * n, 2))
+    _check_density_rows(rhos.reshape(-1, 1 << n, 1 << n))
 
 
 @functools.lru_cache(maxsize=32)
@@ -333,9 +329,9 @@ def _schedule(circuit: ReuploadCircuit, noisy: bool) -> tuple:
 
 def _angles(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
             noisy: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Cosines and sines of every trainable Ry angle, encoding sums folded
-    in, (K, rows) each: of half the angle for statevector rows, of the
-    full angle for Pauli rows."""
+    """Cosines c, (K, rows), and sines stacked as S = (-s, s), (K, 2, 1,
+    rows), of every trainable Ry angle, encoding sums folded in: of half the
+    angle for statevector rows, of the full angle for Pauli rows."""
     rows = thetas.shape[0]
     slots = np.zeros((rows, circuit.encode_columns * circuit.n_qubits))
     slots[:, :circuit.data_dim] = xs
@@ -344,7 +340,7 @@ def _angles(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
     angles = np.ascontiguousarray(angles.reshape(rows, -1).T)
     if not noisy:
         angles *= 0.5
-    return np.cos(angles), np.sin(angles)
+    return np.cos(angles), np.sin(angles)[:, None, None] * _SIGNS
 
 
 def _noisy(noise: np.ndarray) -> bool:
@@ -372,29 +368,31 @@ def _strengths(circuit: ReuploadCircuit, noise) -> dict:
     return {k: np.array(column)[row_p] for k, column in table.items()}
 
 
-def _step(states: np.ndarray, op: tuple, c: np.ndarray, s: np.ndarray, n: int,
+def _step(states: np.ndarray, op: tuple, c: np.ndarray, S: np.ndarray,
           strengths: dict) -> None:
     """Apply one schedule entry to every row in place: statevector rows
     when ``strengths`` (those of `_strengths`) is empty, else Pauli rows.
-    ``c`` and ``s`` are the cosines and sines of `_angles` (negated sines
-    undo an Ry)."""
+    ``c`` and ``S`` are the cosines and stacked sines of `_angles` (``S``
+    reversed along axis 1 undoes an Ry)."""
     kind, q, j = op
     if kind == _RY:
-        _apply_ry_rows(states, q, c[j], s[j], n if strengths else None)
+        _apply_ry_rows(states, q, c[j], S[j], 4 if strengths else 2)
     elif kind == _NOISE:
-        _damp_rows(states, n, q, strengths[j])
+        _damp_rows(states, q, strengths[j])
+    elif strengths:
+        _apply_cx_rows(states, 2 * q, 2 * q + 2)  # x_{q+1} ^= x_q
+        _apply_cx_rows(states, 2 * q + 3, 2 * q + 1)  # z_q ^= z_{q+1}
     else:
-        _apply_cx_rows(states, q, q + 1)  # for Pauli rows, x_{q+1} ^= x_q
-        if strengths:
-            _apply_cx_rows(states, n + q + 1, n + q)  # z_q ^= z_{q+1}
+        _apply_cx_rows(states, q, q + 1)
 
 
 def _fresh_rows(circuit: ReuploadCircuit, rows: int, noisy: bool) -> np.ndarray:
     """|0...0> as (2^n, rows) statevector rows, or as (4^n, rows) Pauli
-    rows: c(x, z) = <0|Q(x, z)|0>, which is 1 where x = 0 and 0 elsewhere."""
-    n = circuit.n_qubits
-    states = np.zeros((1 << (2 * n if noisy else n), rows))
-    states[:1 << n if noisy else 1] = 1.0
+    rows: c(x, z) = <0|Q(x, z)|0>, which is 1 where x = 0 and 0 elsewhere.
+    Either way, the entries whose every site lies in its first half."""
+    n, d = circuit.n_qubits, 4 if noisy else 2
+    states = np.zeros((d ** n, rows))
+    states.reshape((d,) * n + (rows,))[(slice(d // 2),) * n] = 1.0
     return states
 
 
@@ -419,7 +417,9 @@ def _observable_form(circuit: ReuploadCircuit, obs: Observable, noise: np.ndarra
     matrix = obs.matrix.real
     if not _noisy(noise):
         return np.asfortranarray(matrix)
-    return _per_qubit(matrix.reshape(-1, 1), circuit.n_qubits, _TO_PAULI)
+    n = circuit.n_qubits  # to site order: row bit q, then column bit q
+    sites = matrix.reshape((2,) * (2 * n)).transpose([a for q in range(n) for a in (q, n + q)])
+    return _per_site(sites.reshape(-1, 1), n, _TO_DENSITY.T)
 
 
 def _observe(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -430,12 +430,13 @@ def _observe(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jb->ib", matrix, states)
 
 
-def _forward_rows(circuit: ReuploadCircuit, c: np.ndarray, s: np.ndarray, form: np.ndarray,
+def _forward_rows(circuit: ReuploadCircuit, c: np.ndarray, S: np.ndarray, form: np.ndarray,
                   strengths: dict, kept: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Every row's output and the direction lam it was measured along:
     |0...0> swept forward through the schedule by the cosines ``c`` and
-    sines ``s`` of `_angles` under the channel factors ``strengths`` of
-    `_strengths`, then measured as the (rows,) sums of lam * state.
+    stacked sines ``S`` of `_angles` under the channel factors
+    ``strengths`` of `_strengths`, then measured as the (rows,) sums of
+    lam * state.
 
     lam is (Re M) psi for statevector rows and the one column ``form`` of
     `_observable_form` for Pauli rows, whose density matrices are checked
@@ -444,7 +445,7 @@ def _forward_rows(circuit: ReuploadCircuit, c: np.ndarray, s: np.ndarray, form: 
     noisy = bool(strengths)
     states = _fresh_rows(circuit, c.shape[1], noisy)
     for op in _schedule(circuit, noisy):
-        _step(states, op, c, s, circuit.n_qubits, strengths)
+        _step(states, op, c, S, strengths)
         if kept is not None and op[0] == _RY:
             kept.append(states.copy())
     if noisy:
@@ -455,13 +456,13 @@ def _forward_rows(circuit: ReuploadCircuit, c: np.ndarray, s: np.ndarray, form: 
     return _column_sum(lam * states), lam
 
 
-def _ry_grad(lam: tuple, psi: tuple) -> np.ndarray:
+def _ry_grad(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """The derivative of every row's output by the angle of an Ry, from
     the `_pair` views (a, b) of lam and of the rows psi kept after the Ry:
     the sum of lam_b psi_a - lam_a psi_b.  For statevector rows that is
     2 lam^T J psi, J = dRy/dtheta Ry^T = [[0, -1/2], [1/2, 0]] on the
     qubit; for Pauli rows lam_X c_Z - lam_Z c_X, the rotation's generator."""
-    terms = lam[1] * psi[0] - lam[0] * psi[1]
+    terms = lam[:, 1] * psi[:, 0] - lam[:, 0] * psi[:, 1]
     return _column_sum(terms.reshape(-1, terms.shape[-1]))
 
 
@@ -475,25 +476,25 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
     keeps the rows after every trainable Ry and gives the direction lam the
     output was measured along.  The backward sweep un-applies the schedule
     on lam alone: every gate is real and orthogonal on the rows, so its
-    inverse is its transpose, Ry by the negated angle and CX itself, and the
-    channel is diagonal, its own adjoint, and never divided by.  At a
-    trainable Ry with kept rows psi, the gradient is `_ry_grad`.
+    inverse is its transpose, Ry by the negated angle (``S`` reversed) and
+    CX itself, and the channel is diagonal, its own adjoint, and never
+    divided by.  At a trainable Ry with kept rows psi, the gradient is
+    `_ry_grad`.
     """
     noisy = bool(strengths)
-    n = circuit.n_qubits
-    c, s = _angles(circuit, thetas, xs, noisy)
+    c, S = _angles(circuit, thetas, xs, noisy)
     kept = []
-    values, lam = _forward_rows(circuit, c, s, form, strengths, kept)
+    values, lam = _forward_rows(circuit, c, S, form, strengths, kept)
     lam = np.broadcast_to(lam, kept[-1].shape).copy()
-    s = -s
+    S = S[:, ::-1]
     grads = np.empty((thetas.shape[0], circuit.n_params))
-    pauli = n if noisy else None
+    d = 4 if noisy else 2
     for op in reversed(_schedule(circuit, noisy)):
         kind, q, j = op
         if kind == _RY:
-            grads[:, j] = _ry_grad(_pair(lam, q, pauli), _pair(kept.pop(), q, pauli))
+            grads[:, j] = _ry_grad(_pair(lam, q, d), _pair(kept.pop(), q, d))
         if kept:  # once the first entry, an Ry, is done, nothing is left to undo
-            _step(lam, op, c, s, n, strengths)
+            _step(lam, op, c, S, strengths)
     return values, grads
 
 

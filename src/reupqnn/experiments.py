@@ -40,7 +40,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -441,11 +441,8 @@ def _run_rows(cells, pool: Dataset, seeds, circuit, obs):
     for vi, (value, cell) in enumerate(cells):
         value_runs = runs[vi * len(seeds):(vi + 1) * len(seeds)]
         points = value_runs[0].eval_points.tolist()
-        bounds = []
-        for t in points:
-            b = _bound_inputs(cell, max(t, 1), circuit, obs)
-            bounds.append(_or_inf(
-                lambda: noisy_generalization_bound(b) if t > 0 else generalization_bound(0.0, b)))
+        bounds = [_or_inf(lambda: noisy_generalization_bound(_bound_inputs(cell, t, circuit, obs)))
+                  for t in points]
         margin = stable_training_margin(_bound_inputs(cell, cell.iterations, circuit, obs))
         curves = {
             "train_risk": [run.train_risks for run in value_runs],
@@ -634,8 +631,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bound_p = sub.add_parser("bound", help="print closed-form bounds for given constants")
     bound_p.add_argument("--layers", type=int, required=True)
     bound_p.add_argument("--data-dim", type=int, required=True)
-    bound_p.add_argument("--params", type=int, required=True)
-    bound_p.add_argument("--train-size", type=int, required=True)
+    bound_p.add_argument("--params", dest="n_params", metavar="PARAMS", type=int, required=True)
+    bound_p.add_argument("--train-size", dest="m", metavar="TRAIN_SIZE", type=int, required=True)
     bound_p.add_argument("--iterations", type=int, required=True)
     bound_p.add_argument("--eta", type=float, required=True)
     bound_p.add_argument("--obs-norm", type=float, default=1.0)
@@ -667,20 +664,7 @@ def _cmd_run(args, runner) -> int:
 
 def _cmd_bound(args) -> int:
     try:
-        b = BoundInputs(
-            layers=args.layers,
-            data_dim=args.data_dim,
-            n_params=args.params,
-            m=args.train_size,
-            iterations=args.iterations,
-            eta=args.eta,
-            obs_norm=args.obs_norm,
-            lipschitz=args.lipschitz,
-            smoothness=args.smoothness,
-            loss_bound=args.loss_bound,
-            delta=args.delta,
-            noise_p=args.noise_p,
-        )
+        b = BoundInputs(**{f.name: getattr(args, f.name) for f in fields(BoundInputs)})
     except ValueError as exc:
         raise ConfigError(f"bound: {exc}") from None
     margin = stable_training_margin(b)

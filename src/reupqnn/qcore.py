@@ -20,6 +20,7 @@ asymptotics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,32 +83,39 @@ def rotation_gate(axis: str, angle: float) -> np.ndarray:
     return np.cos(half) * I2 - 1.0j * np.sin(half) * pauli
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with a acting on the more significant subsystem."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
+def _check_kron(factors: list) -> None:
+    """The operands of a kron product, checked before it is built: 2-d,
+    non-empty, and a result no larger than ``_MAX_KRON_DIM`` either way."""
+    if any(f.ndim != 2 for f in factors):
         raise ValueError("kron expects 2-d operands")
-    if min(a.shape + b.shape) == 0:
+    if any(0 in f.shape for f in factors):
         raise ValueError("kron operands must be non-empty")
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
+    rows, cols = (math.prod(f.shape[axis] for f in factors) for axis in (0, 1))
     if rows > _MAX_KRON_DIM or cols > _MAX_KRON_DIM:
         raise CapacityError(
             f"kron result {rows}x{cols} exceeds the supported maximum "
             f"dimension {_MAX_KRON_DIM}"
         )
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product with a acting on the more significant subsystem."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    _check_kron([a, b])
     return np.kron(a, b)
 
 
 def kron_all(factors) -> np.ndarray:
-    """Left-to-right kron of a non-empty sequence (index 0 most significant)."""
-    factors = list(factors)
+    """Left-to-right kron of a non-empty sequence (index 0 most significant),
+    its size checked before any product is built."""
+    factors = [np.asarray(f) for f in factors]
     if not factors:
         raise ValueError("kron_all needs at least one factor")
+    _check_kron(factors)
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
-        out = kron(out, f)
+        out = np.kron(out, f)
     return out
 
 

@@ -215,6 +215,8 @@ class BoundInputs:
 
 
 def _beta_closed_form(b: BoundInputs, p: float) -> float:
+    if b.iterations == 0:  # no step, no divergence: not inf * 0
+        return 0.0
     damp_params = (1.0 - p) ** b.n_params
     damp_data = (1.0 - p) ** (b.layers * b.data_dim)
     per_step = (
@@ -222,9 +224,7 @@ def _beta_closed_form(b: BoundInputs, p: float) -> float:
         * b.layers * b.data_dim * damp_data / b.m
     )
     ratio = 1.0 + 2.0 * b.eta * b.smoothness * b.n_params * b.obs_norm * damp_params
-    if b.iterations == 0:
-        geometric = 0.0
-    elif ratio == 1.0:
+    if ratio == 1.0:
         geometric = float(b.iterations)
     else:
         try:

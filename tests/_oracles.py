@@ -11,6 +11,8 @@ matrix to and from the engine's Pauli rows by the dense Pauli products,
 and ``partial_transpose`` swaps a system's row and column axes.
 """
 
+import functools
+
 import numpy as np
 
 from reupqnn.comb import ChoiOperator, _require_systems
@@ -107,19 +109,22 @@ def kraus_oracle(rho, p, qubit, n):
     return out
 
 
+@functools.lru_cache(maxsize=8)
 def _pauli_products(n):
     """Q(x, z) = (x)_q X^x_q Z^z_q for every entry of an n-qubit Pauli row,
-    qubit q's x bit at entry bit q and its z bit at entry bit n + q (bit 0
+    qubit q's x bit at entry bit 2q and its z bit at entry bit 2q + 1 (bit 0
     the most significant): a (4^n, 2^n, 2^n) real stack."""
     out = []
     for entry in range(4 ** n):
         bits = [(entry >> (2 * n - 1 - b)) & 1 for b in range(2 * n)]
         full = np.eye(1)
         for q in range(n):
-            factor = (PAULI_X if bits[q] else I2) @ (PAULI_Z if bits[n + q] else I2)
+            factor = (PAULI_X if bits[2 * q] else I2) @ (PAULI_Z if bits[2 * q + 1] else I2)
             full = np.kron(full, factor.real)
         out.append(full)
-    return np.array(out)
+    out = np.array(out)
+    out.flags.writeable = False  # shared by every call with this n
+    return out
 
 
 def pauli_coefficients(rho):

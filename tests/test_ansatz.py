@@ -310,12 +310,19 @@ def test_rows_of_mixed_noise_strengths_match_one_call_per_strength():
 def test_kernels_update_column_views_in_place():
     """The kernels act in place on a column slice, non-contiguous like the
     adjoint's psi half: each column gets the dense gate or Kraus channel,
-    and the columns outside the slice keep their bits."""
+    and the columns outside the slice keep their bits.  n = 1 and each
+    last qubit check the sites with nothing before or after them."""
     rng = np.random.default_rng(30)
-    n, r = 3, 4
+    for n in (1, 3, 4):
+        _check_kernels_on_column_views(rng, n)
+
+
+def _check_kernels_on_column_views(rng, n):
+    r = 4
     base = rng.normal(size=(2 ** n, 2 * r + 1))
     half = rng.uniform(0, np.pi, r)
-    ops = [(ansatz._apply_ry_rows, (q, np.cos(half), np.sin(half)),
+    stacked = np.stack((-np.sin(half), np.sin(half)))[:, None]  # S of `_angles`
+    ops = [(ansatz._apply_ry_rows, (q, np.cos(half), stacked, 2),
             [embed_gate(rotation_gate("y", 2 * h), (q,), n) for h in half]) for q in range(n)]
     ops += [(ansatz._apply_cx_rows, (q, q + 1), [embed_gate(ansatz.CX, (q, q + 1), n)] * r)
             for q in range(n - 1)]
@@ -328,20 +335,21 @@ def test_kernels_update_column_views_in_place():
 
     # Pauli rows: each schedule entry, the CX's two permutations included,
     # against the dense gate or Kraus channel on the rebuilt matrices.
-    n, dim, p = 3, 8, 0.3
+    dim, p = 2 ** n, 0.3
     base = rng.normal(size=(dim * dim, 2 * r + 1))
     rhos = []
     for j in range(r):
         m = rng.normal(size=(dim, dim))
         rhos.append(m @ m.T / np.trace(m @ m.T))
         base[:, j] = pauli_coefficients(rhos[j])
-    cos, sin = np.cos(2 * half)[None], np.sin(2 * half)[None]  # full angles
+    cos, sin = np.cos(2 * half)[None], np.sin(2 * half)  # full angles
+    stacked = np.stack((-sin, sin))[None, :, None]
     for q in range(n):
         ops = [(ansatz._RY, q, 0), (ansatz._NOISE, q, 1)]
         ops += [(ansatz._CX, q, -1)] if q < n - 1 else []
         for op in ops:
             big = base.copy()
-            ansatz._step(big[:, :r], op, cos, sin, n, {1: 1 - p})
+            ansatz._step(big[:, :r], op, cos, stacked, {1: 1 - p})
             for j, rho in enumerate(rhos):
                 if op[0] == ansatz._NOISE:
                     want = kraus_oracle(rho.astype(complex), p, q, n).real

@@ -863,6 +863,12 @@ def test_cli_bound_reports_overflow_as_inf(capsys):
     # delta = 1 zeroes the tail factor: the bound is still inf, not inf * 0.
     assert main(head + ["--delta", "1"]) == 0
     assert "generalization_bound = inf" in capsys.readouterr().out
+    # Zero steps move nothing: beta is exactly 0 whatever eta, not inf * 0.
+    assert main(["bound", "--layers", "1", "--data-dim", "1", "--params", "2",
+                 "--train-size", "10", "--iterations", "0", "--eta", "1e308"]) == 0
+    values = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert values["theoretical_beta"] == "0.0"
+    assert float(values["generalization_bound"]) == LOSS_BOUND * np.sqrt(np.log(20) / 20)
 
 
 @pytest.mark.parametrize("flag, value, name", [

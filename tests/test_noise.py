@@ -44,7 +44,7 @@ def damped(rho, p, qubit, n):
     """The Pauli row of ``rho`` after D_p on one qubit by the engine kernel,
     as a one-row batch."""
     row = pauli_coefficients(rho).reshape(-1, 1)
-    _damp_rows(row, n, qubit, 1 - p)
+    _damp_rows(row, qubit, 1 - p)
     return row[:, 0]
 
 
@@ -264,7 +264,7 @@ def test_corrupted_pauli_rows_fail_the_density_check(monkeypatch, corruption, me
             coeffs[0] += 1e-9
         else:
             coeffs[1:] = 0.0
-            coeffs[1 << (n - 1)] = 1.5  # the coefficient of Z on qubit 0
+            coeffs[1 << (2 * n - 2)] = 1.5  # the coefficient of Z on qubit 0
         check(coeffs, n)
 
     rng = np.random.default_rng(72)

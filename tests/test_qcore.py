@@ -9,6 +9,7 @@ replay circuits through (``_oracles.apply_gate`` and ``expectation``) is
 checked here against the same dense embedding and quadratic forms.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -171,8 +172,18 @@ def test_kron_all_matches_numpy_chain():
 
 
 def test_kron_capacity_guard():
-    with pytest.raises(CapacityError):
-        kron_all([I2] * 14)
+    """An oversized product is refused before any factor is multiplied out:
+    building the 13-qubit prefix alone would take 1 GiB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            kron_all([I2] * 14)
+        with pytest.raises(CapacityError):
+            z_observable(14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_kron_rejects_bad_shapes():
