@@ -23,7 +23,9 @@ engine below).  `forward` and `noise.noisy_forward` are its one-row
 wrappers.  Both modes walk one gate schedule; `_output_grads` walks it
 forward and then backward to give every row's parameter gradient
 (adjoint differentiation).  One planner, `_chunk_plan`, splits the rows
-of a forward or an adjoint pass into chunks with their channel factors.
+of a forward or an adjoint pass into chunks of one kind, statevector or
+Pauli, with their channel factors and observable form, so rows of any
+strengths share a call.
 The gradient has one core with two entry points: `_output_grads` checks
 its inputs and plans on every call, for outside callers, and then runs
 `_planned_grads`; the SGD loop (`train._sgd_paths`) checks a batch's
@@ -217,6 +219,10 @@ def forward(circuit: ReuploadCircuit, theta, x, obs: Observable) -> float:
 # Rows are simulated in chunks of at most this many bytes of states.
 _CHUNK_BYTES = 64 << 20
 
+# No one row may take more bytes than this.  A noisy adjoint row (see
+# `_chunk_plan`) at L4 R2 takes 856 MB at 10 qubits and 3.76 GB at 11.
+_ROW_BYTES = 1 << 30
+
 # Schedule entry kinds; see `_schedule`.
 _RY, _CX, _NOISE = range(3)
 
@@ -343,23 +349,13 @@ def _angles(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
     return np.cos(angles), np.sin(angles)[:, None, None] * _SIGNS
 
 
-def _noisy(noise: np.ndarray) -> bool:
-    """Whether strengths validated by `_check_rows` are positive: a batch
-    is all zero or all positive, so its first row tells."""
-    return noise.size > 0 and noise.item(0) > 0.0
-
-
-def _strengths(circuit: ReuploadCircuit, noise) -> dict:
+def _strengths(circuit: ReuploadCircuit, noise: np.ndarray) -> dict:
     """The `_damp_rows` factors (1 - p)^k for every merged channel count k
-    in the schedule, p the float or (rows,) vector ``noise``; empty when
-    noiseless.
+    in the schedule, p the (rows,) vector ``noise`` of Pauli rows.
 
     The factors are floats when the rows share one p, else (rows,)
     vectors.  Each distinct p is raised in Python floats, so a row's
     factors are the same doubles whatever the other rows of its batch."""
-    noise = np.asarray(noise, dtype=float)
-    if not _noisy(noise):
-        return {}
     ps, row_p = np.unique(noise, return_inverse=True)
     counts = {k for kind, _, k in _schedule(circuit, True) if kind == _NOISE}
     table = {k: [(1.0 - p) ** k for p in ps.tolist()] for k in counts}
@@ -406,16 +402,16 @@ def _column_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=0)[-1]
 
 
-def _observable_form(circuit: ReuploadCircuit, obs: Observable, noise: np.ndarray) -> np.ndarray:
-    """The fixed form of Re(M) that rows of checked strengths ``noise`` are
-    measured with, built once per call or SGD loop: Re(M) column-major for
+def _observable_form(circuit: ReuploadCircuit, obs: Observable, noisy: bool) -> np.ndarray:
+    """The fixed form of Re(M) that one kind of rows is measured with,
+    built once per kind by `_chunk_plan`: Re(M) column-major for
     statevector rows (see `_observe`); for Pauli rows the (4^n, 1) column
     lam = 2^-n m, m_Q = tr(Re(M) Q), so that tr(M rho) = sum_Q lam_Q c_Q.
 
     Rows are real and Im(M) of a Hermitian M is antisymmetric, so it adds
     nothing to psi^T M psi or tr(M rho) with rho symmetric."""
     matrix = obs.matrix.real
-    if not _noisy(noise):
+    if not noisy:
         return np.asfortranarray(matrix)
     n = circuit.n_qubits  # to site order: row bit q, then column bit q
     sites = matrix.reshape((2,) * (2 * n)).transpose([a for q in range(n) for a in (q, n + q)])
@@ -518,9 +514,9 @@ def _check_batch(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
 
     (R, K) ``thetas`` and (N, D) ``xs`` must be finite, ``obs`` must match
     the circuit, and ``noise_p`` must lie in [0, 1], a float or one per
-    theta row, all zero or all positive.  Returns the (R,) strengths, a
-    float broadcast.  `train._sgd_paths` runs it once over a batch's
-    initial thetas and every run's features."""
+    theta row.  Returns the (R,) strengths, a float broadcast.
+    `train._sgd_paths` runs it once over a batch's initial thetas and every
+    run's features."""
     if thetas.shape[1] != circuit.n_params:
         raise ValueError(
             f"thetas have {thetas.shape[1]} columns, expected {circuit.n_params}"
@@ -533,31 +529,47 @@ def _check_batch(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
         raise ValueError("observable dimension does not match the circuit")
     rows = thetas.shape[0]
     noise = np.asarray(noise_p, dtype=float)
-    ps = set(noise.ravel().tolist())  # cheaper than numpy reductions on a few rows
-    if not all(0.0 <= p <= 1.0 for p in ps):  # NaN fails too
+    # A set of Python floats is cheaper than numpy reductions on a few rows.
+    if not all(0.0 <= p <= 1.0 for p in set(noise.ravel().tolist())):  # NaN fails too
         raise ValueError(f"noise strengths {noise_p!r} outside [0, 1]")
     if noise.ndim == 0:
         noise = np.full(rows, noise)
     elif noise.shape != (rows,):
         raise ValueError(f"noise_p has shape {noise.shape}, expected a float or ({rows},)")
-    if 0.0 in ps and len(ps) > 1:
-        # p = 0 rows are statevectors and p > 0 rows density matrices.
-        raise ValueError("one batch cannot mix noise_p = 0 rows with noise_p > 0 rows")
     return noise
 
 
-def _chunk_plan(circuit: ReuploadCircuit, noise: np.ndarray, adjoint: bool) -> list:
+def _chunk_plan(circuit: ReuploadCircuit, obs: Observable, noise: np.ndarray,
+                adjoint: bool) -> list:
     """The chunks of a forward or an adjoint pass over rows of checked
-    (rows,) strengths ``noise``: (row slice, its `_strengths` factors)
-    pairs, each of at least one row and at most ``_CHUNK_BYTES`` of states.
-    A row of a forward pass holds one state; of an adjoint pass K + 2: the
-    forward state, lam, and the K states kept for the backward sweep."""
-    row_bytes = 8 << (circuit.n_qubits * (2 if _noisy(noise) else 1))
-    if adjoint:
-        row_bytes *= circuit.n_params + 2
-    step = max(1, _CHUNK_BYTES // row_bytes)
-    return [(slice(i, i + step), _strengths(circuit, noise[i:i + step]))
-            for i in range(0, len(noise), step)]
+    (rows,) strengths ``noise``: (row slice, its `_strengths` factors, the
+    `_observable_form` of its kind) triples, in row order.
+
+    A row is a statevector row at p = 0 and a Pauli row at p > 0.  The rows
+    are cut wherever the kind changes, and each run of one kind into
+    chunks of at least one row and at most ``_CHUNK_BYTES`` of states; a
+    statevector chunk has no factors.  A row of a forward pass holds one
+    state; of an adjoint pass K + 2: the forward state, lam, and the K
+    states kept for the backward sweep.  A row of more than ``_ROW_BYTES``
+    raises CapacityError before any state is allocated."""
+    noisy = noise > 0.0
+    # Runs of one kind, cut where a row's kind differs from the row before.
+    bounds = [0, *(np.flatnonzero(noisy[1:] != noisy[:-1]) + 1).tolist(), len(noise)]
+    plan, forms = [], {}
+    for start, stop in zip(bounds, bounds[1:]):
+        kind = bool(noisy[start:stop].any())  # False for no rows at all
+        row_bytes = 8 << (circuit.n_qubits * (1 + kind))  # a 2^n or 4^n state of doubles
+        row_bytes *= circuit.n_params + 2 if adjoint else 1
+        if row_bytes > _ROW_BYTES:
+            raise CapacityError(f"one row of this {circuit.n_qubits}-qubit circuit needs "
+                                f"{row_bytes} bytes, more than the {_ROW_BYTES} a row may take")
+        if kind not in forms:
+            forms[kind] = _observable_form(circuit, obs, kind)
+        step = max(1, _CHUNK_BYTES // row_bytes)
+        for i in range(start, stop, step):
+            rows = slice(i, min(i + step, stop))
+            plan.append((rows, _strengths(circuit, noise[rows]) if kind else {}, forms[kind]))
+    return plan
 
 
 def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
@@ -570,27 +582,24 @@ def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
     p > 0 is a density-matrix simulation under per-gate depolarizing
     noise of strength p (see `noise`) in the Pauli basis, whose density
     matrix is rebuilt and checked once at the end for unit trace,
-    Hermiticity and positivity.  One batch is all p = 0 or all
-    p > 0; its rows may differ in p.
+    Hermiticity and positivity; a row with p = 0 is a statevector.  Rows
+    of any strengths may share a call, in any order.
     """
     thetas, xs, noise = _check_rows(circuit, thetas, xs, obs, noise_p)
-    form = _observable_form(circuit, obs, noise)
     values = np.empty(thetas.shape[0])
-    for rows, strengths in _chunk_plan(circuit, noise, adjoint=False):
-        c, s = _angles(circuit, np.ascontiguousarray(thetas[rows]),
-                       np.ascontiguousarray(xs[rows]), bool(strengths))
+    for rows, strengths, form in _chunk_plan(circuit, obs, noise, adjoint=False):
+        c, s = _angles(circuit, thetas[rows], xs[rows], bool(strengths))
         values[rows] = _forward_rows(circuit, c, s, form, strengths)[0]
     return values
 
 
 def _planned_grads(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
-                   form: np.ndarray, plan: list) -> tuple[np.ndarray, np.ndarray]:
+                   plan: list) -> tuple[np.ndarray, np.ndarray]:
     """`_output_grads` of checked (rows, K) thetas and (rows, D) xs by the
-    adjoint `_chunk_plan` and the `_observable_form` of their strengths,
-    unchecked: the core that both it and `train._sgd_paths` call."""
-    parts = [_adjoint_rows(circuit, np.ascontiguousarray(thetas[rows]),
-                           np.ascontiguousarray(xs[rows]), form, strengths)
-             for rows, strengths in plan]
+    adjoint `_chunk_plan` of their strengths, unchecked: the core that both
+    it and `train._sgd_paths` call."""
+    parts = [_adjoint_rows(circuit, thetas[rows], xs[rows], form, strengths)
+             for rows, strengths, form in plan]
     if len(parts) == 1:
         return parts[0]
     values, grads = zip(*parts, (np.empty(0), np.empty((0, circuit.n_params))))
@@ -607,8 +616,7 @@ def _output_grads(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
     oracle.  This is the checked entry point of `_planned_grads`.
     """
     thetas, xs, noise = _check_rows(circuit, thetas, xs, obs, noise_p)
-    return _planned_grads(circuit, thetas, xs, _observable_form(circuit, obs, noise),
-                          _chunk_plan(circuit, noise, adjoint=True))
+    return _planned_grads(circuit, thetas, xs, _chunk_plan(circuit, obs, noise, adjoint=True))
 
 
 # --- dense unitaries ------------------------------------------------------

@@ -20,9 +20,9 @@ optimizer.learning_rate, dataset.m_train, optimizer.noise_p), and every
 config reproduces the result rows byte for byte.  ``run`` and
 ``stability`` share one sweep driver, `_sweep_rows`: it checks the seeds
 and the pool and hands the command's row builder each batch of sweep
-values that share a circuit and a row kind, whose runs train in one
-lockstep batch (see `_batches`); a cell's rows do not depend on which
-other runs share its batch.
+values that share a circuit, whose runs train in one lockstep batch (see
+`_batches`); a cell's rows do not depend on which other runs share its
+batch.
 
 Result tables always carry the same column set, and every row holds
 every column in order; cells that do not apply to a row kind stay empty.
@@ -333,16 +333,13 @@ def _cells(cfg: ExperimentConfig) -> list:
 
 
 def _batches(cfg: ExperimentConfig) -> list[list]:
-    """Cells that train together in one lockstep batch, in the order first seen.
+    """Cells that train together in one lockstep batch, in sweep order.
 
-    Cells share a batch when they share a circuit (``layers``) and a row
-    kind (statevectors at noise_p = 0, Pauli rows of density matrices
-    above): an ``m_train`` or ``learning_rate`` axis is one batch, a
-    ``noise_p`` axis one batch of its positive values and 0.0 one of its
-    own, and a ``layers`` axis one batch per value."""
+    Cells share a batch when they share a circuit (``layers``): a
+    ``layers`` axis is one batch per value, and any other axis one batch."""
     batches: dict = {}
     for value, cell in _cells(cfg):
-        batches.setdefault((cell.layers, cell.noise_p > 0.0), []).append((value, cell))
+        batches.setdefault(cell.layers, []).append((value, cell))
     return list(batches.values())
 
 
@@ -414,15 +411,12 @@ def _sweep_rows(cfg: ExperimentConfig, seed_offset: int, key: str, value_rows) -
             f"the pool has {len(pool)} samples, fewer than dataset.m_train + {key} "
             f"= {m_train} + {held_out}"
         )
-    by_value = {}
+    results = []
     for cells in _batches(cfg):
         shared = cells[0][1]  # the circuit settings every cell shares
         circuit = build_circuit(shared.qubits, shared.layers, pool.feature_dim, shared.sublayers)
-        rows = value_rows(cells, pool, seeds, circuit, z_observable(shared.qubits))
-        by_value.update(zip([value for value, _ in cells], rows))
-    # Into sweep-value order: the 0.0 batch of a noise_p axis may follow
-    # the others.
-    return pool, [by_value[value] for value in cfg.sweep_values]
+        results += value_rows(cells, pool, seeds, circuit, z_observable(shared.qubits))
+    return pool, results
 
 
 def _run_rows(cells, pool: Dataset, seeds, circuit, obs):
@@ -474,9 +468,9 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     """Sweep (values x seeds) and tabulate learning curves: every sample
     row in sweep order, then each value's mean rows and std rows.
 
-    The runs of every `_batches` batch train in lockstep: all runs of an
-    ``m_train`` or ``learning_rate`` axis, those of a ``noise_p`` axis's
-    positive values, and one ``layers`` value's seeds."""
+    The runs of every `_batches` batch train in lockstep: every run on
+    one circuit, so all runs of an ``m_train``, ``learning_rate`` or
+    ``noise_p`` axis, and one ``layers`` value's seeds."""
     if cfg.m_test < 1:
         raise ConfigError("run requires dataset.m_test >= 1")
     pool, results = _sweep_rows(cfg, seed_offset, "dataset.m_test", _run_rows)
@@ -527,8 +521,8 @@ def run_stability(cfg: ExperimentConfig, seed_offset: int = 0) -> ResultTable:
     forms; each value's trace rows, then its beta row, in sweep order.
 
     The coupled runs of every `_batches` batch train in one lockstep
-    ensemble: all values of an ``m_train`` or ``learning_rate`` axis, the
-    positive values of a ``noise_p`` axis, and one ``layers`` value."""
+    ensemble: every run on one circuit, so all values of an ``m_train``,
+    ``learning_rate`` or ``noise_p`` axis, and one ``layers`` value."""
     pool, results = _sweep_rows(cfg, seed_offset, "stability.probes", _stability_rows)
     rows = [row for value_rows in results for row in value_rows]
     return ResultTable(COLUMNS, rows, _meta(cfg, pool, "stability", seed_offset))
@@ -609,7 +603,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (overrides output.path)")
     parser.add_argument("--format", choices=("csv", "json"), help="output format")
     parser.add_argument("--threads", type=int, default=1,
-                        help="ignored: a sweep value's seeds train in lockstep in one "
+                        help="ignored: every run of a batch trains in lockstep in one "
                              "process; still parsed so scripts that pass it keep working")
     parser.add_argument("--seed-offset", type=int, default=0,
                         help="added to every configured seed")

@@ -117,11 +117,11 @@ def coupled_ensemble(groups, circuit: ReuploadCircuit,
     A group is a (dataset S, probes, swaps, configs) quadruple whose
     ``swaps`` list the (index, replacement) pairs and whose ``configs``
     hold one TrainConfig per seed; groups may differ in m, probes, step
-    size and noise strength, but share T and are all noiseless or all
-    noisy.  Every run of every group trains in one lockstep loop; each
-    run's probe scores come from one ``forward_many`` call over its whole
-    path, at its config's noise_p; traces are in (index, seed) order and
-    beta_hat is read off the same runs' final parameters.
+    size and noise strength, but share T.  Every run of every group trains
+    in one lockstep loop; each run's probe scores come from one
+    ``forward_many`` call over its whole path, at its config's noise_p;
+    traces are in (index, seed) order and beta_hat is read off the same
+    runs' final parameters.
     """
     runs = []  # per group: S first, then the twins in swap order, each under every config
     for dataset, probes, swaps, configs in groups:

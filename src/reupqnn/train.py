@@ -15,8 +15,8 @@ Every run goes through one lockstep loop, which advances a batch of runs
 (seeds, twin datasets, the values of a sweep on one circuit) with one
 batched adjoint gradient pass per step.  A run is a (dataset, TrainConfig)
 pair, and its config's seed, noise strength and step size are its own; the
-runs of one batch share T and are all noiseless or all noisy.  Rows of the
-pass never interact, so a run's bits do not depend on its batch.
+runs of one batch share a circuit and T.  Rows of the pass never interact,
+so a run's bits do not depend on its batch.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .ansatz import (
     ReuploadCircuit,
     _check_batch,
     _chunk_plan,
-    _observable_form,
     _output_grads,
     _planned_grads,
     forward_many,
@@ -207,13 +206,13 @@ def _sgd_paths(runs, circuit: ReuploadCircuit, obs: Observable):
 
     Each run is a (dataset, TrainConfig) pair and trains on its dataset
     under its config's seed, noise_p and learning_rate; the runs share
-    ``iterations`` and are all noiseless or all noisy.  ``thetas`` is
-    (R, K), ``indices`` the (R,) draws of the step (None at theta_0).
+    ``iterations``.  ``thetas`` is (R, K), ``indices`` the (R,) draws of
+    the step (None at theta_0).
 
     What stays fixed through the loop is checked once, by the engine's own
     checks: the shapes, the observable, the strengths and every run's
-    features; the strengths' channel factors, the chunks and the
-    observable's fixed form are built once too.  The runs' samples are
+    features; the engine's chunk plan, with its channel factors and
+    observable forms, is built once too.  The runs' samples are
     stacked once, so a step gathers its rows with one index.  A step draws
     once per distinct (seed, m), checks only that its thetas are finite,
     and makes one call to the engine's unchecked adjoint core
@@ -229,8 +228,7 @@ def _sgd_paths(runs, circuit: ReuploadCircuit, obs: Observable):
     eta = np.array([config.learning_rate for _, config in runs])[:, None]
     thetas = np.array([init_params(circuit, config.seed) for _, config in runs])
     noise = _check_batch(circuit, thetas, features, obs, [config.noise_p for _, config in runs])
-    plan = _chunk_plan(circuit, noise, adjoint=True)
-    form = _observable_form(circuit, obs, noise)
+    plan = _chunk_plan(circuit, obs, noise, adjoint=True)
     yield None, thetas
     for t in range(iterations):
         indices = np.array([draw_index(seed, t, m) for seed, m in distinct],
@@ -238,7 +236,7 @@ def _sgd_paths(runs, circuit: ReuploadCircuit, obs: Observable):
         if not np.isfinite(thetas).all():
             raise ValueError("thetas contain non-finite entries")
         rows = offsets + indices
-        values, grads = _planned_grads(circuit, thetas, features[rows], form, plan)
+        values, grads = _planned_grads(circuit, thetas, features[rows], plan)
         thetas = thetas - eta * (loss_derivative(values, labels[rows])[:, None] * grads)
         yield indices, thetas
 

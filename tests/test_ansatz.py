@@ -279,28 +279,28 @@ def test_rows_do_not_depend_on_batch_size_at_many_halves():
 
 
 def test_rows_of_mixed_noise_strengths_match_one_call_per_strength():
-    """Rows with different p in (0, 1] in one batch give the bits of one
-    call per p, outputs and gradients alike; a batch that mixes p = 0 with
-    p > 0, or a noise vector of the wrong length, is rejected."""
+    """Rows with different p in [0, 1] in one batch, p = 0 statevector rows
+    interleaved among p > 0 Pauli rows, give the bits of one call per p,
+    outputs and gradients alike, for z and for a dense observable; a noise
+    vector of the wrong length or outside [0, 1] is rejected."""
     rng = np.random.default_rng(32)
     c = build_circuit(3, 2, 5, 2)
-    obs = z_observable(3)
-    ps = np.array([0.05, 0.1, 1.0, 0.05, 0.3, 0.1, 1.0])
-    thetas = rng.uniform(0, 2 * np.pi, (len(ps), c.n_params))
-    xs = rng.uniform(0, 2 * np.pi, (len(ps), 5))
-    values = forward_many(c, thetas, xs, obs, ps)
-    outputs, grads = ansatz._output_grads(c, thetas, xs, obs, ps)
-    np.testing.assert_array_equal(outputs, values)
-    for p in (0.05, 0.1, 0.3, 1.0):
-        rows = ps == p
-        np.testing.assert_array_equal(forward_many(c, thetas[rows], xs[rows], obs, p),
-                                      values[rows])
-        alone = ansatz._output_grads(c, thetas[rows], xs[rows], obs, p)
-        np.testing.assert_array_equal(alone[0], outputs[rows])
-        np.testing.assert_array_equal(alone[1], grads[rows])
+    a = rng.normal(size=(8, 8))
+    ps = np.array([0.0, 0.05, 0.1, 1.0, 0.0, 0.0, 0.05, 0.3, 0.1, 0.0, 1.0])
+    for obs in (z_observable(3), Observable(a + a.T)):
+        thetas = rng.uniform(0, 2 * np.pi, (len(ps), c.n_params))
+        xs = rng.uniform(0, 2 * np.pi, (len(ps), 5))
+        values = forward_many(c, thetas, xs, obs, ps)
+        outputs, grads = ansatz._output_grads(c, thetas, xs, obs, ps)
+        np.testing.assert_array_equal(outputs, values)
+        for p in (0.0, 0.05, 0.1, 0.3, 1.0):
+            rows = ps == p
+            np.testing.assert_array_equal(forward_many(c, thetas[rows], xs[rows], obs, p),
+                                          values[rows])
+            alone = ansatz._output_grads(c, thetas[rows], xs[rows], obs, p)
+            np.testing.assert_array_equal(alone[0], outputs[rows])
+            np.testing.assert_array_equal(alone[1], grads[rows])
     for run in (forward_many, ansatz._output_grads):
-        with pytest.raises(ValueError, match="mix"):
-            run(c, thetas[:3], xs[:3], obs, [0.0, 0.1, 0.1])
         with pytest.raises(ValueError, match="shape"):
             run(c, thetas[:3], xs[:3], obs, [0.1, 0.1])
         with pytest.raises(ValueError, match="outside"):
@@ -362,57 +362,115 @@ def _check_kernels_on_column_views(rng, n):
             assert np.array_equal(big[:, r:], base[:, r:])
 
 
+# Runs of 7, 4, 14 and 1 rows by kind: a budget of three 2-qubit Pauli
+# rows holds twelve statevector rows, so the budget cuts runs of both kinds.
+MIXED = np.array([0.0] * 7 + [0.1, 0.2, 0.1, 0.1] + [0.0] * 14 + [0.1])
+
+
+def _chunk_cases(rng, c):
+    """(noise_p, thetas, xs, chunk sizes under a budget of three rows of
+    the batch's largest kind) for the two chunk tests."""
+    thetas = rng.uniform(0, 2 * np.pi, (11, c.n_params))
+    xs = rng.uniform(0, 2 * np.pi, (11, 3))
+    mixed = (MIXED, rng.uniform(0, 2 * np.pi, (len(MIXED), c.n_params)),
+             rng.uniform(0, 2 * np.pi, (len(MIXED), 3)), [7, 3, 1, 12, 2, 1])
+    return [(0.0, thetas, xs, [3, 3, 3, 2]), (0.1, thetas, xs, [3, 3, 3, 2]), mixed]
+
+
+def _check_chunk_kinds(chunks, noise_p, budget, row_bytes):
+    """Each (rows, noisy) chunk, in row order, holds rows of one kind, the
+    kind it was run as, and stays under the budget in rows of that kind."""
+    noisy = np.broadcast_to(np.asarray(noise_p) > 0.0, sum(rows for rows, _ in chunks))
+    start = 0
+    for rows, kind in chunks:
+        assert set(noisy[start:start + rows].tolist()) == {kind}
+        assert rows * row_bytes(kind) <= budget
+        start += rows
+
+
 def test_forward_many_chunks_rows_bitwise(monkeypatch):
-    """Rows simulated in chunks under the byte budget give the unchunked bits."""
+    """Rows simulated in chunks under the byte budget give the unchunked
+    bits; rows of mixed strengths are cut where the row kind changes."""
     rng = np.random.default_rng(27)
     c = build_circuit(2, 2, 3, 1)
     obs = z_observable(2)
-    thetas = rng.uniform(0, 2 * np.pi, (11, c.n_params))
-    xs = rng.uniform(0, 2 * np.pi, (11, 3))
-    for p in (0.0, 0.1):
+
+    def row_bytes(noisy):
+        return ansatz._fresh_rows(c, 1, noisy).nbytes
+
+    for p, thetas, xs, want in _chunk_cases(rng, c):
         whole = forward_many(c, thetas, xs, obs, p)
-        row_bytes = ansatz._fresh_rows(c, 1, p > 0).nbytes
+        budget = 3 * row_bytes(bool(np.any(np.asarray(p) > 0)))
         chunks = []
         forward_rows = ansatz._forward_rows
 
-        def counted(circuit, cos, *rest):
-            chunks.append(cos.shape[1])
-            return forward_rows(circuit, cos, *rest)
+        def counted(circuit, cos, S, form, strengths):
+            chunks.append((cos.shape[1], bool(strengths)))
+            return forward_rows(circuit, cos, S, form, strengths)
 
         monkeypatch.setattr(ansatz, "_forward_rows", counted)
-        monkeypatch.setattr(ansatz, "_CHUNK_BYTES", 3 * row_bytes)
+        monkeypatch.setattr(ansatz, "_CHUNK_BYTES", budget)
         chunked = forward_many(c, thetas, xs, obs, p)
         monkeypatch.undo()
-        assert chunks == [3, 3, 3, 2]
+        assert [rows for rows, _ in chunks] == want
+        _check_chunk_kinds(chunks, p, budget, row_bytes)
         np.testing.assert_array_equal(chunked, whole)
 
 
 def test_output_grads_chunks_rows_bitwise(monkeypatch):
     """Adjoint rows, a noisy row with its K kept density rows, stay under the
-    byte budget and give the unchunked bits."""
+    byte budget and give the unchunked bits; rows of mixed strengths are
+    cut where the row kind changes."""
     rng = np.random.default_rng(28)
     c = build_circuit(2, 2, 3, 1)
     obs = z_observable(2)
-    thetas = rng.uniform(0, 2 * np.pi, (11, c.n_params))
-    xs = rng.uniform(0, 2 * np.pi, (11, 3))
-    for p in (0.0, 0.1):
+
+    def row_bytes(noisy):
+        return (c.n_params + 2) * ansatz._fresh_rows(c, 1, noisy).nbytes
+
+    for p, thetas, xs, want in _chunk_cases(rng, c):
         values, grads = ansatz._output_grads(c, thetas, xs, obs, p)
-        row_bytes = ansatz._fresh_rows(c, 1, p > 0).nbytes
-        kept_rows = c.n_params + 2
+        budget = 3 * row_bytes(bool(np.any(np.asarray(p) > 0)))
         chunks = []
         adjoint_rows = ansatz._adjoint_rows
 
-        def counted(circuit, thetas, *rest):
-            chunks.append(len(thetas))
-            return adjoint_rows(circuit, thetas, *rest)
+        def counted(circuit, thetas, xs, form, strengths):
+            chunks.append((len(thetas), bool(strengths)))
+            return adjoint_rows(circuit, thetas, xs, form, strengths)
 
         monkeypatch.setattr(ansatz, "_adjoint_rows", counted)
-        monkeypatch.setattr(ansatz, "_CHUNK_BYTES", 3 * kept_rows * row_bytes)
+        monkeypatch.setattr(ansatz, "_CHUNK_BYTES", budget)
         chunked = ansatz._output_grads(c, thetas, xs, obs, p)
         monkeypatch.undo()
-        assert chunks == [3, 3, 3, 2]
+        assert [rows for rows, _ in chunks] == want
+        _check_chunk_kinds(chunks, p, budget, row_bytes)
         np.testing.assert_array_equal(chunked[0], values)
         np.testing.assert_array_equal(chunked[1], grads)
+
+
+def test_a_row_over_the_byte_cap_is_refused(monkeypatch):
+    """A row of more than ``_ROW_BYTES``, 8 d^n bytes for a forward row and
+    (K + 2) times that for an adjoint row, raises CapacityError before any
+    state is allocated; a row of exactly the cap runs.  Unpatched, a noisy
+    adjoint row at 12 qubits, L1 R2 (6.25 GiB), is refused in the plan."""
+    rng = np.random.default_rng(33)
+    c = build_circuit(2, 2, 3, 1)
+    obs = z_observable(2)
+    thetas = rng.uniform(0, 2 * np.pi, (3, c.n_params))
+    xs = rng.uniform(0, 2 * np.pi, (3, 3))
+    for run, states in ((forward_many, 1), (ansatz._output_grads, c.n_params + 2)):
+        for p, d in ((0.0, 2), (0.1, 4), ([0.0, 0.1, 0.0], 4)):
+            row_bytes = states * 8 * d ** c.n_qubits
+            monkeypatch.setattr(ansatz, "_ROW_BYTES", row_bytes)
+            run(c, thetas, xs, obs, p)
+            monkeypatch.setattr(ansatz, "_ROW_BYTES", row_bytes - 1)
+            monkeypatch.setattr(ansatz, "_fresh_rows", None)  # nothing may be allocated
+            with pytest.raises(CapacityError, match=f"needs {row_bytes} bytes"):
+                run(c, thetas, xs, obs, p)
+            monkeypatch.undo()
+    big = build_circuit(12, 1, 1, 2)
+    with pytest.raises(CapacityError, match=f"needs {8 * 4 ** 12 * (big.n_params + 2)} bytes"):
+        ansatz._chunk_plan(big, None, np.array([0.1]), adjoint=True)  # obs is never read
 
 
 def test_output_grads_on_zero_rows():

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reupqnn import ansatz
 from reupqnn.ansatz import build_circuit, forward_many
 from reupqnn.comb import choi_of_unitary
 from reupqnn.data import rescale_with_train_stats, subsample_split
@@ -308,13 +309,13 @@ def test_run_experiment_m_train_values_do_not_depend_on_batch(tmp_path):
 
 
 def test_run_experiment_noise_p_values_do_not_depend_on_batch(tmp_path):
-    """A noise_p sweep trains its positive values as one batch and 0.0 in a
-    batch of its own; each value's rows are the same bits as when it runs
-    alone, and the table keeps the sweep order."""
+    """A noise_p sweep through 0.0 trains as one batch; each value's rows
+    are the same bits as when it runs alone, and the table keeps the sweep
+    order."""
     text = BASE_CONFIG.replace("sweep.axis = layers", "sweep.axis = noise_p")
     text = text.replace("sweep.values = 1, 2", "sweep.values = 0.05, 0.0, 0.1")
     cfg = parse_config(write_config(tmp_path, text + "circuit.qubits = 2\n"))
-    assert [[value for value, _ in batch] for batch in _batches(cfg)] == [[0.05, 0.1], [0.0]]
+    assert [[value for value, _ in batch] for batch in _batches(cfg)] == [[0.05, 0.0, 0.1]]
     swept = run_experiment(cfg).rows
     alone = [run_experiment(replace(cfg, sweep_values=(value,))).rows
              for value in cfg.sweep_values]
@@ -329,9 +330,9 @@ def test_run_experiment_noise_p_values_do_not_depend_on_batch(tmp_path):
     ("layers", "1, 2, 3", [[1], [2], [3]]),
     ("m_train", "4, 6, 5", [[4, 6, 5]]),
     ("learning_rate", "0.05, 0.01, 0.2", [[0.05, 0.01, 0.2]]),
-    ("noise_p", "0.05, 0.0, 0.1", [[0.05, 0.1], [0.0]]),
+    ("noise_p", "0.05, 0.0, 0.1", [[0.05, 0.0, 0.1]]),
 ])
-def test_batches_share_a_circuit_and_a_row_kind(tmp_path, axis, values, batches):
+def test_batches_share_a_circuit(tmp_path, axis, values, batches):
     text = BASE_CONFIG.replace("sweep.axis = layers", f"sweep.axis = {axis}")
     cfg = parse_config(write_config(tmp_path, text.replace("sweep.values = 1, 2",
                                                            f"sweep.values = {values}")))
@@ -500,13 +501,12 @@ def test_run_stability_m_train_values_do_not_depend_on_batch(tmp_path, noise):
 
 
 def test_run_stability_noise_p_values_do_not_depend_on_batch(tmp_path):
-    """A noise_p stability sweep trains its positive values as one ensemble
-    and 0.0 alone; its rows equal those of each cell run one per call, in
-    sweep order."""
+    """A noise_p stability sweep through 0.0 trains as one ensemble; its
+    rows equal those of each cell run one per call, in sweep order."""
     text = STAB_CONFIG.replace("sweep.axis = m_train", "sweep.axis = noise_p")
     text = text.replace("sweep.values = 4, 5", "sweep.values = 0.05, 0.0, 0.1")
     cfg = parse_config(write_config(tmp_path, text, "stab.cfg"))
-    assert [[value for value, _ in batch] for batch in _batches(cfg)] == [[0.05, 0.1], [0.0]]
+    assert [[value for value, _ in batch] for batch in _batches(cfg)] == [[0.05, 0.0, 0.1]]
     one_per_call = stability_rows_one_cell_per_call(cfg)
     assert len(one_per_call) == 3 * (2 * 2 * 4 + 1)  # values x (indices x seeds x (T + 1) + beta)
     assert run_stability(cfg).rows == one_per_call
@@ -901,11 +901,20 @@ def test_cli_data_error_exit_code(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-def test_cli_capacity_error_exit_code(tmp_path, capsys):
+def test_cli_capacity_error_exit_code(tmp_path, capsys, monkeypatch):
+    """More than 14 qubits exits 4, and so does a row over the engine's
+    byte cap, patched here below a 1-qubit row of either kind."""
     text = BASE_CONFIG + "circuit.qubits = 15\n"
     cfg_path = write_config(tmp_path, text)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o.csv")]) == 4
     assert "capacity error" in capsys.readouterr().err
+    monkeypatch.setattr(ansatz, "_ROW_BYTES", 8 * 2 - 1)
+    for noise in ("", "optimizer.noise_p = 0.1\n"):
+        cfg_path = write_config(tmp_path, BASE_CONFIG + noise)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o.csv")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error:") and "a row may take" in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_cli_bound_prints_closed_forms(capsys):

@@ -252,15 +252,18 @@ def test_coupled_ensemble_traces_do_not_depend_on_batch():
         assert np.all(a.probe_loss_gap == b.probe_loss_gap)
 
 
-@pytest.mark.parametrize("noise_p", [0.0, 0.1])
-def test_coupled_ensemble_groups_match_one_group_per_call(noise_p):
-    """Groups of different m and probe sets in one call give each group's
-    traces and beta_hat of a call on that group alone, bit for bit."""
+@pytest.mark.parametrize("noise_ps", [(0.0,) * 3, (0.1,) * 3, (0.0, 0.1, 0.0)],
+                         ids=["0.0", "0.1", "mixed"])
+def test_coupled_ensemble_groups_match_one_group_per_call(noise_ps):
+    """Groups of different m, probe sets and noise strengths, p = 0 among
+    p > 0 included, in one call give each group's traces and beta_hat of a
+    call on that group alone, bit for bit."""
     c = build_circuit(2, 1, 1, 1)
     obs = z_observable(2)
-    config = TrainConfig(0.3, 5, seed=0, noise_p=noise_p)
     groups = []
-    for m, n_probes, n_indices, seed in ((7, 5, 3, 20), (5, 3, 2, 22), (9, 4, 1, 24)):
+    for (m, n_probes, n_indices, seed), p in zip(((7, 5, 3, 20), (5, 3, 2, 22), (9, 4, 1, 24)),
+                                                 noise_ps):
+        config = TrainConfig(0.3, 5, seed=0, noise_p=p)
         dataset, probe = synthetic_toy(m, seed=seed), synthetic_toy(n_probes, seed=seed + 1)
         swaps = [(int(i), replacement_for(int(i), probe)) for i in sampled_indices(m, n_indices)]
         groups.append((dataset, probe, swaps, [replace(config, seed=3), replace(config, seed=1)]))

@@ -230,7 +230,7 @@ def test_sgd_paths_same_seed_different_sizes():
             assert np.all(thetas[r] == solo_thetas[0])
 
 
-@pytest.mark.parametrize("noise_ps", [(0.0, 0.0, 0.0), (0.02, 0.1, 0.02)])
+@pytest.mark.parametrize("noise_ps", [(0.0, 0.0, 0.0), (0.02, 0.1, 0.02), (0.0, 0.1, 0.0)])
 def test_sgd_paths_match_steps_through_the_checked_entry_point(noise_ps):
     """Three steps unrolled by hand, each through the checked `_output_grads`
     (by `_loss_grads`) on rows gathered one by one, give the loop's
@@ -309,7 +309,7 @@ def test_accuracy_counts_sign_matches():
     assert accuracy(c, theta, dataset, obs) == pytest.approx(want, abs=1e-15)
 
 
-@pytest.mark.parametrize("noise_ps", [(0.0, 0.0, 0.0), (0.05, 0.1, 0.05)])
+@pytest.mark.parametrize("noise_ps", [(0.0, 0.0, 0.0), (0.05, 0.1, 0.05), (0.0, 0.1, 0.0)])
 def test_train_runs_score_each_run_in_one_call_like_risk_and_accuracy(noise_ps):
     """An evaluation scores a run's train and test rows in one call and
     splits the outputs; every curve entry is the bits of `risk` and
