@@ -333,16 +333,28 @@ def _schedule(circuit: ReuploadCircuit, noisy: bool) -> tuple:
     return tuple(ops)
 
 
-def _angles(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
+def _fold(circuit: ReuploadCircuit, xs: np.ndarray) -> np.ndarray:
+    """The per-qubit feature sums of (rows, D) ``xs``, the angle an encoding
+    block turns each qubit by (see the module docstring): (rows, N).
+
+    A row's columns are summed in one order whatever the other rows, so
+    folding a dataset once and gathering rows gives the bits of folding
+    those rows."""
+    rows, columns = xs.shape[0], circuit.encode_columns
+    slots = np.zeros((rows, columns * circuit.n_qubits))
+    slots[:, :circuit.data_dim] = xs
+    return slots.reshape(rows, columns, circuit.n_qubits).sum(axis=1)
+
+
+def _angles(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray,
             noisy: bool) -> tuple[np.ndarray, np.ndarray]:
     """Cosines c, (K, rows), and sines stacked as S = (-s, s), (K, 2, 1,
-    rows), of every trainable Ry angle, encoding sums folded in: of half the
-    angle for statevector rows, of the full angle for Pauli rows."""
+    rows), of every trainable Ry angle, the `_fold` sums ``sums`` added to
+    each encoding block's next Ry column: of half the angle for
+    statevector rows, of the full angle for Pauli rows."""
     rows = thetas.shape[0]
-    slots = np.zeros((rows, circuit.encode_columns * circuit.n_qubits))
-    slots[:, :circuit.data_dim] = xs
     angles = thetas.reshape(rows, circuit.layers + 1, circuit.sublayers, -1).copy()
-    angles[:, 1:, 0, :] += slots.reshape(rows, -1, circuit.n_qubits).sum(axis=1)[:, None, :]
+    angles[:, 1:, 0, :] += sums[:, None, :]
     angles = np.ascontiguousarray(angles.reshape(rows, -1).T)
     if not noisy:
         angles *= 0.5
@@ -462,10 +474,11 @@ def _ry_grad(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return _column_sum(terms.reshape(-1, terms.shape[-1]))
 
 
-def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
+def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray,
                   form: np.ndarray, strengths: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Outputs and their parameter gradients for one chunk of rows under
-    the channel factors ``strengths`` of `_strengths`: ((rows,), (rows, K)).
+    """Outputs and their parameter gradients for one chunk of rows, thetas
+    and `_fold` sums, under the channel factors ``strengths`` of
+    `_strengths`: ((rows,), (rows, K)).
 
     Adjoint differentiation (Jones & Gacon, arXiv:2009.02823), one algorithm
     for statevector and Pauli rows.  The forward sweep (`_forward_rows`)
@@ -475,13 +488,16 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
     inverse is its transpose, Ry by the negated angle (``S`` reversed) and
     CX itself, and the channel is diagonal, its own adjoint, and never
     divided by.  At a trainable Ry with kept rows psi, the gradient is
-    `_ry_grad`.
+    `_ry_grad`.  lam is swept in place: statevector rows measure a fresh
+    (Re M) psi, and Pauli rows a fresh copy per row of the chunk's shared
+    `_observable_form`.
     """
     noisy = bool(strengths)
-    c, S = _angles(circuit, thetas, xs, noisy)
+    c, S = _angles(circuit, thetas, sums, noisy)
     kept = []
     values, lam = _forward_rows(circuit, c, S, form, strengths, kept)
-    lam = np.broadcast_to(lam, kept[-1].shape).copy()
+    if noisy:
+        lam = lam.repeat(c.shape[1], axis=1)
     S = S[:, ::-1]
     grads = np.empty((thetas.shape[0], circuit.n_params))
     d = 4 if noisy else 2
@@ -586,19 +602,21 @@ def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
     of any strengths may share a call, in any order.
     """
     thetas, xs, noise = _check_rows(circuit, thetas, xs, obs, noise_p)
+    sums = _fold(circuit, xs)
     values = np.empty(thetas.shape[0])
     for rows, strengths, form in _chunk_plan(circuit, obs, noise, adjoint=False):
-        c, s = _angles(circuit, thetas[rows], xs[rows], bool(strengths))
+        c, s = _angles(circuit, thetas[rows], sums[rows], bool(strengths))
         values[rows] = _forward_rows(circuit, c, s, form, strengths)[0]
     return values
 
 
-def _planned_grads(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
+def _planned_grads(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray,
                    plan: list) -> tuple[np.ndarray, np.ndarray]:
-    """`_output_grads` of checked (rows, K) thetas and (rows, D) xs by the
-    adjoint `_chunk_plan` of their strengths, unchecked: the core that both
-    it and `train._sgd_paths` call."""
-    parts = [_adjoint_rows(circuit, thetas[rows], xs[rows], form, strengths)
+    """`_output_grads` of checked (rows, K) thetas and the (rows, N) `_fold`
+    sums of checked features, by the adjoint `_chunk_plan` of their
+    strengths, unchecked: the core that both it and `train._sgd_paths`
+    call."""
+    parts = [_adjoint_rows(circuit, thetas[rows], sums[rows], form, strengths)
              for rows, strengths, form in plan]
     if len(parts) == 1:
         return parts[0]
@@ -616,7 +634,8 @@ def _output_grads(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
     oracle.  This is the checked entry point of `_planned_grads`.
     """
     thetas, xs, noise = _check_rows(circuit, thetas, xs, obs, noise_p)
-    return _planned_grads(circuit, thetas, xs, _chunk_plan(circuit, obs, noise, adjoint=True))
+    return _planned_grads(circuit, thetas, _fold(circuit, xs),
+                          _chunk_plan(circuit, obs, noise, adjoint=True))
 
 
 # --- dense unitaries ------------------------------------------------------

@@ -60,12 +60,11 @@ from .data import (
 from .qcore import CapacityError, z_observable
 from .stability import (
     BoundInputs,
+    _swaps,
     coupled_ensemble,
     generalization_bound,
     noisy_generalization_bound,
     noisy_theoretical_beta,
-    replacement_for,
-    sampled_indices,
     stable_training_margin,
     theoretical_beta,
 )
@@ -492,8 +491,7 @@ def _stability_rows(cells, pool: Dataset, seeds, circuit, obs):
         vi = cell.sweep_values.index(value)
         train_set, probe_set = _split(cell, pool, cell.stability_probes,
                                       (cell.data_seed, 777, vi))
-        swaps = [(int(index), replacement_for(int(index), probe_set))
-                 for index in sampled_indices(cell.m_train, cell.stability_indices)]
+        swaps = _swaps(cell.m_train, cell.stability_indices, probe_set)
         configs = [TrainConfig(cell.learning_rate, cell.iterations, seed, cell.noise_p)
                    for seed in seeds]
         groups.append((train_set, probe_set, swaps, configs))

@@ -42,7 +42,8 @@ import numpy as np
 from .ansatz import ReuploadCircuit, forward_many
 from .data import Dataset, Sample
 from .qcore import Observable
-from .train import LIPSCHITZ, LOSS_BOUND, SMOOTHNESS, TrainConfig, _philox, _sgd_paths, loss
+from .train import (LIPSCHITZ, LOSS_BOUND, SMOOTHNESS, TrainConfig, _draw_indices, _philox,
+                    _sgd_paths, draw_index, loss)
 
 __all__ = [
     "StabilityTrace",
@@ -161,21 +162,27 @@ def sampled_indices(m: int, n_indices: int) -> np.ndarray:
     return np.sort(_philox(_INDEX_TAG, m).choice(m, size=n, replace=False))
 
 
+def _swaps(m: int, n_indices: int, probe_set: Dataset) -> list[tuple[int, Sample]]:
+    """The (index, replacement) pairs of a coupled ensemble: each of
+    `sampled_indices` with its `replacement_for`, all drawn at once."""
+    indices = sampled_indices(m, n_indices)
+    picks = _draw_indices(_REPLACEMENT_TAG, indices, len(probe_set))
+    return [(int(index), probe_set.sample(int(pick))) for index, pick in zip(indices, picks)]
+
+
 def replacement_for(index: int, probe_set: Dataset) -> Sample:
     """Replacement sample for one index, drawn from the probe pool.
 
     Keyed by the index alone, never by the training seed, so every seed
     of the ensemble sees the same replaced dataset.
     """
-    pick = int(_philox(_REPLACEMENT_TAG, index).integers(0, len(probe_set)))
-    return probe_set.sample(pick)
+    return probe_set.sample(draw_index(_REPLACEMENT_TAG, index, len(probe_set)))
 
 
 def empirical_beta(dataset: Dataset, probe_set: Dataset, n_indices: int, n_seeds: int,
                    circuit: ReuploadCircuit, obs: Observable, config: TrainConfig) -> float:
     """Monte-Carlo estimate of the uniform-stability coefficient."""
-    swaps = [(int(i), replacement_for(int(i), probe_set))
-             for i in sampled_indices(len(dataset), n_indices)]
+    swaps = _swaps(len(dataset), n_indices, probe_set)
     configs = [replace(config, seed=config.seed + k) for k in range(n_seeds)]
     [(_, beta)] = coupled_ensemble([(dataset, probe_set, swaps, configs)], circuit, obs)
     return beta

@@ -10,13 +10,18 @@ All randomness is counter-based (Philox): the index drawn at iteration t
 depends only on (seed, t) and the initial parameters only on (seed,); two
 datasets of equal size therefore replay the exact same index sequence
 under the same seed, which is what the stability machinery relies on.
+The draws are those of numpy's ``Generator(Philox(key=...))``, bit for
+bit, computed for a whole array of keys at once (`_philox_words`).
 
 Every run goes through one lockstep loop, which advances a batch of runs
 (seeds, twin datasets, the values of a sweep on one circuit) with one
 batched adjoint gradient pass per step.  A run is a (dataset, TrainConfig)
 pair, and its config's seed, noise strength and step size are its own; the
 runs of one batch share a circuit and T.  Rows of the pass never interact,
-so a run's bits do not depend on its batch.
+so a run's bits do not depend on its batch.  The loop pays once for what
+does not change from step to step: it draws every run's initial
+parameters at once and the indices of a block of steps at once, and folds
+the runs' features into per-qubit sums once.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .ansatz import (
     ReuploadCircuit,
     _check_batch,
     _chunk_plan,
+    _fold,
     _output_grads,
     _planned_grads,
     forward_many,
@@ -106,11 +112,13 @@ def _shared_generator() -> np.random.Generator:
 def _philox(*key) -> np.random.Generator:
     """The generator of ``Philox(key=key)``: key set, counter 0, buffer empty.
 
-    One generator is re-keyed for every call, because ``Philox(key=...)``
-    first builds, then discards, a SeedSequence from OS entropy; setting
-    the state costs a fraction of that and gives the same stream.  Draw
-    from it at once: a generator held across another ``_philox`` call has
-    been re-keyed by that call.
+    Only the draws that `_philox_words` does not compute come from it:
+    the redraws of `_draw_indices` and `stability.sampled_indices`'
+    ``choice``.  One generator is re-keyed for every call, because
+    ``Philox(key=...)`` first builds, then discards, a SeedSequence from
+    OS entropy; setting the state costs a fraction of that and gives the
+    same stream.  Draw from it at once: a generator held across another
+    ``_philox`` call has been re-keyed by that call.
     """
     generator = _shared_generator()
     generator.bit_generator.state = {
@@ -119,16 +127,83 @@ def _philox(*key) -> np.random.Generator:
     return generator
 
 
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC'11), computed as numpy's Philox computes it: the multipliers of
+# words 0 and 2, whole and split into 32-bit halves, and the ten round
+# keys' offsets from the key, r times the Weyl increments in round r.
+_LOW, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M_HI, _PHILOX_M_LO = _PHILOX_M >> _HALF, _PHILOX_M & _LOW
+_PHILOX_ROUND_KEYS = np.arange(10, dtype=np.uint64)[:, None, None] * np.array(
+    [[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+
+
+def _philox_words(key0, key1, counter) -> np.ndarray:
+    """The Philox4x64-10 block at counter (``counter``, 0, 0, 0) under key
+    (``key0``, ``key1``) for broadcast uint64 arguments: (..., 4) words, in
+    the order numpy's Philox draws them.
+
+    numpy bumps the counter before it computes a block, so the first
+    block a fresh ``Philox(key=(key0, key1))`` draws is that at counter
+    1.  The high words of the 128-bit products are built from 32-bit
+    halves; uint64 arithmetic wraps, which gives the low words."""
+    key0, key1, counter = np.broadcast_arrays(
+        *(np.asarray(a, dtype=np.uint64) for a in (key0, key1, counter)))
+    keys = _PHILOX_ROUND_KEYS + np.stack([key0.ravel(), key1.ravel()])
+    mixed = np.stack([counter.ravel(), np.zeros(counter.size, dtype=np.uint64)])  # words 0, 2
+    passed = np.zeros_like(mixed)  # words 1, 3
+    for key in keys:
+        hi, lo = mixed >> _HALF, mixed & _LOW
+        mid = _PHILOX_M_HI * lo + ((_PHILOX_M_LO * lo) >> _HALF)
+        high = _PHILOX_M_HI * hi + (mid >> _HALF) + ((_PHILOX_M_LO * hi + (mid & _LOW)) >> _HALF)
+        mixed, passed = high[::-1] ^ passed ^ key, (_PHILOX_M * mixed)[::-1]
+    return np.stack([mixed[0], passed[0], mixed[1], passed[1]], axis=-1).reshape(*counter.shape, 4)
+
+
+def _init_thetas(circuit: ReuploadCircuit, seeds) -> np.ndarray:
+    """`init_params` of every seed in ``seeds``: (seeds, K).
+
+    ``Generator.uniform(0, 2 pi)`` of ``Philox(key=(seed, 2^63))``, bit for
+    bit: its K words, from counters 1, 2, ... in order, as
+    2 pi ((w >> 11) 2^-53)."""
+    k = circuit.n_params
+    seeds = np.asarray(seeds, dtype=np.uint64)[:, None]
+    words = _philox_words(seeds, _INIT_TAG, np.arange(1, -(-k // 4) + 1))
+    return 2.0 * np.pi * ((words.reshape(len(seeds), -1)[:, :k] >> np.uint64(11)) * 2.0**-53)
+
+
 def init_params(circuit: ReuploadCircuit, seed: int) -> np.ndarray:
     """Initial parameters, uniform on [0, 2pi), keyed by the seed alone."""
-    return _philox(seed, _INIT_TAG).uniform(0.0, 2.0 * np.pi, size=circuit.n_params)
+    return _init_thetas(circuit, [seed])[0]
+
+
+def _draw_indices(seed, t, m) -> np.ndarray:
+    """Sample indices uniform on [0, m), keyed by (seed, t), for broadcast
+    arguments: ``Generator(Philox(key=(seed, t))).integers(0, m)`` of each,
+    bit for bit.
+
+    An index comes from the low 32 bits w of the first word that generator
+    draws (`_philox_words` at counter 1) by ``integers``' rule for m up to
+    2^32 (Lemire's): it is (w m) >> 32, unless the low 32 bits of w m fall
+    below (2^32 - m) mod m; that draw is rejected, and the generator
+    itself redraws it, as it draws every index at m > 2^32."""
+    seed, t, m = np.broadcast_arrays(np.asarray(seed, dtype=np.uint64),
+                                     np.asarray(t, dtype=np.uint64), np.asarray(m))
+    if (m < 1).any():
+        raise ValueError("cannot draw from an empty dataset")
+    shape, seed, t, m = m.shape, seed.ravel(), t.ravel(), m.ravel()
+    bound = np.minimum(m, 1 << 32).astype(np.uint64)
+    scaled = (_philox_words(seed, t, 1)[:, 0] & _LOW) * bound
+    indices = (scaled >> _HALF).astype(np.int64)
+    redraw = ((scaled & _LOW) < (np.uint64(1 << 32) - bound) % bound) | (m > 1 << 32)
+    for i in np.flatnonzero(redraw):
+        indices[i] = _philox(int(seed[i]), int(t[i])).integers(0, int(m[i]))
+    return indices.reshape(shape)
 
 
 def draw_index(seed: int, t: int, m: int) -> int:
     """Sample index for iteration ``t``, uniform on [0, m), keyed by (seed, t)."""
-    if m < 1:
-        raise ValueError("cannot draw from an empty dataset")
-    return int(_philox(seed, t).integers(0, m))
+    return int(_draw_indices(seed, t, m))
 
 
 def _loss_grads(circuit: ReuploadCircuit, thetas, xs, ys, obs: Observable,
@@ -201,6 +276,10 @@ def _iterations(runs) -> int:
     return counts.pop()
 
 
+# Steps whose indices `_sgd_paths` draws in one `_draw_indices` pass.
+_DRAW_BLOCK = 256
+
+
 def _sgd_paths(runs, circuit: ReuploadCircuit, obs: Observable):
     """Yield (indices, thetas) for theta_0..theta_T of R runs in lockstep.
 
@@ -212,33 +291,41 @@ def _sgd_paths(runs, circuit: ReuploadCircuit, obs: Observable):
     What stays fixed through the loop is checked once, by the engine's own
     checks: the shapes, the observable, the strengths and every run's
     features; the engine's chunk plan, with its channel factors and
-    observable forms, is built once too.  The runs' samples are
-    stacked once, so a step gathers its rows with one index.  A step draws
-    once per distinct (seed, m), checks only that its thetas are finite,
-    and makes one call to the engine's unchecked adjoint core
-    (`ansatz._planned_grads`, which `ansatz._output_grads` runs after its
-    checks)."""
+    observable forms, is built once too.  The runs' samples are stacked
+    and their features folded (`ansatz._fold`) once, and every run's
+    initial parameters drawn at once.  Every distinct (seed, m)'s indices
+    are drawn ``_DRAW_BLOCK`` steps at a time, and the block's feature sums
+    and labels gathered with one index each.  A step checks only that its
+    thetas are finite and makes one call to the engine's unchecked adjoint
+    core (`ansatz._planned_grads`, which `ansatz._output_grads` runs after
+    its checks)."""
     iterations = _iterations(runs)
     keys = [(config.seed, len(dataset)) for dataset, config in runs]
     distinct = list(dict.fromkeys(keys))
     key_of = np.array([distinct.index(key) for key in keys], dtype=np.int64)
+    seeds = np.array([seed for seed, _ in distinct], dtype=np.uint64)[:, None]
+    sizes = np.array([m for _, m in distinct])[:, None]
     offsets = np.cumsum([0] + [m for _, m in keys[:-1]], dtype=np.int64)
     features = np.concatenate([dataset.features for dataset, _ in runs])
     labels = np.concatenate([dataset.labels for dataset, _ in runs]).astype(float)
     eta = np.array([config.learning_rate for _, config in runs])[:, None]
-    thetas = np.array([init_params(circuit, config.seed) for _, config in runs])
+    thetas = _init_thetas(circuit, [config.seed for _, config in runs])
     noise = _check_batch(circuit, thetas, features, obs, [config.noise_p for _, config in runs])
     plan = _chunk_plan(circuit, obs, noise, adjoint=True)
+    sums = _fold(circuit, features)
     yield None, thetas
     for t in range(iterations):
-        indices = np.array([draw_index(seed, t, m) for seed, m in distinct],
-                           dtype=np.int64)[key_of]
+        step = t % _DRAW_BLOCK
+        if step == 0:
+            drawn = _draw_indices(seeds, np.arange(t, min(t + _DRAW_BLOCK, iterations)),
+                                  sizes)[key_of]
+            rows = offsets[:, None] + drawn
+            block_sums, block_labels = sums[rows], labels[rows]
         if not np.isfinite(thetas).all():
             raise ValueError("thetas contain non-finite entries")
-        rows = offsets + indices
-        values, grads = _planned_grads(circuit, thetas, features[rows], plan)
-        thetas = thetas - eta * (loss_derivative(values, labels[rows])[:, None] * grads)
-        yield indices, thetas
+        values, grads = _planned_grads(circuit, thetas, block_sums[:, step], plan)
+        thetas = thetas - eta * (loss_derivative(values, block_labels[:, step])[:, None] * grads)
+        yield drawn[:, step], thetas
 
 
 def _train_runs(runs, test_sets, circuit: ReuploadCircuit, obs: Observable,

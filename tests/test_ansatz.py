@@ -484,6 +484,46 @@ def test_output_grads_on_zero_rows():
         assert grads.shape == (0, c.n_params)
 
 
+def test_fold_once_then_gather_gives_the_bits_of_folding_the_rows():
+    """`_fold` over a whole set, then gathered, equals `_fold` of the
+    gathered rows bit for bit, one row, a few or none, for N = 1 (where
+    numpy sums a row's columns pairwise) and for N > 1, fillers
+    included; and the sums are the per-qubit sums of the encoding slots."""
+    rng = np.random.default_rng(34)
+    for n, d in ((1, 1), (1, 13), (2, 3), (3, 17), (4, 16)):
+        c = build_circuit(n, 1, d, 1)
+        xs = rng.uniform(-7.0, 7.0, (500, d))
+        whole = ansatz._fold(c, xs)
+        assert whole.shape == (500, n)
+        for rows in ([], [5], [499, 0, 7, 7], list(range(0, 500, 3))):
+            np.testing.assert_array_equal(ansatz._fold(c, xs[rows]), whole[rows])
+        slots = np.zeros((500, c.encode_columns * n))
+        slots[:, :d] = xs
+        np.testing.assert_allclose(whole, slots.reshape(500, -1, n).sum(axis=1), rtol=0, atol=0)
+
+
+def test_adjoint_leaves_the_plans_observable_form_unwritten():
+    """The backward sweep runs on a fresh lam: a plan's shared observable
+    form is unchanged after `_planned_grads`, a one-row Pauli chunk
+    included, and a second call gives the first call's bits."""
+    rng = np.random.default_rng(35)
+    c = build_circuit(2, 2, 3, 1)
+    a = rng.normal(size=(4, 4))
+    obs = Observable(a + a.T)
+    for p in ([0.1], [0.0], [0.1, 0.1], [0.0, 0.1, 0.0]):
+        noise = np.array(p)
+        plan = ansatz._chunk_plan(c, obs, noise, adjoint=True)
+        forms = [form.copy() for _, _, form in plan]
+        thetas = rng.uniform(0, 2 * np.pi, (len(p), c.n_params))
+        sums = ansatz._fold(c, rng.uniform(0, 2 * np.pi, (len(p), 3)))
+        first = ansatz._planned_grads(c, thetas, sums, plan)
+        for (_, _, form), saved in zip(plan, forms):
+            np.testing.assert_array_equal(form, saved)
+        second = ansatz._planned_grads(c, thetas, sums, plan)
+        np.testing.assert_array_equal(first[0], second[0])
+        np.testing.assert_array_equal(first[1], second[1])
+
+
 def test_noisy_schedule_merges_each_qubits_channels_up_to_its_next_cx():
     """`_schedule(c, True)` owes a qubit one channel for every `iter_gates`
     gate that touches it, fillers included, and pays them as one entry

@@ -13,6 +13,7 @@ from reupqnn.qcore import z_observable
 from reupqnn.stability import (
     BoundInputs,
     MarginReport,
+    _swaps,
     coupled_divergence,
     coupled_ensemble,
     empirical_beta,
@@ -151,6 +152,22 @@ def test_replacement_for_is_keyed_by_index_only():
     assert s1.x[0] == s2.x[0] and s1.y == s2.y
     picks = {replacement_for(i, probe).x[0] for i in range(10)}
     assert len(picks) > 1
+
+
+def test_swaps_pair_each_sampled_index_with_its_replacement():
+    """`_swaps` draws a cell's replacements at once and gives the samples of
+    `replacement_for`, one call per index; a replacement is the probe at
+    ``integers(0, len(probes))`` of a fresh generator keyed (0x9E91, index)."""
+    probe = synthetic_toy(23, seed=7)
+    for m, n in ((50, 6), (3, 10), (1000, 40)):
+        swaps = _swaps(m, n, probe)
+        assert [index for index, _ in swaps] == sampled_indices(m, n).tolist()
+        for index, sample in swaps:
+            pick = np.random.Generator(np.random.Philox(key=np.array(
+                [0x9E91, index], dtype=np.uint64))).integers(0, len(probe))
+            for got in (sample, replacement_for(index, probe)):
+                np.testing.assert_array_equal(got.x, probe.sample(int(pick)).x)
+                assert got.y == probe.sample(int(pick)).y
 
 
 # --- empirical beta ----------------------------------------------------------------

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reupqnn import train as train_module
 from reupqnn.ansatz import build_circuit, forward
 from reupqnn.data import Dataset, Sample, synthetic_toy
 from reupqnn.grad import parameter_shift_grad_f
@@ -15,6 +16,8 @@ from reupqnn.train import (
     LOSS_BOUND,
     SMOOTHNESS,
     TrainConfig,
+    _DRAW_BLOCK,
+    _draw_indices,
     _loss_grads,
     _philox,
     _sgd_paths,
@@ -129,6 +132,69 @@ def test_philox_draws_equal_a_fresh_generator():
             init_params(c, t),
             fresh_philox(t, np.uint64(1) << np.uint64(63)).uniform(0.0, 2.0 * np.pi,
                                                                    size=c.n_params))
+
+
+def test_vectorized_philox_draws_equal_the_public_generator(monkeypatch):
+    """`_draw_indices` gives ``Generator(Philox(key=(seed, t))).integers(0,
+    m)`` bit for bit over seeds at both ends of the key range, t up to
+    10^4, and m around every edge of ``integers``' 32-bit rule; the
+    generator redraws the rejected draws (many at m = 3e9) and every draw
+    at m > 2^32, and nothing else.  `init_params` gives ``uniform`` of
+    key (seed, 2^63) at K = 2, 4, 5, 6 and 18, most not multiples of 4."""
+    redraws = []
+    philox = train_module._philox
+
+    def counted(*key):
+        redraws.append(key)
+        return philox(*key)
+
+    monkeypatch.setattr(train_module, "_philox", counted)
+    ts = np.arange(0, 10**4 + 1, 50)
+    for m in (1, 2, 3, 7, 200, 1000, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 3 * 10**9):
+        redraws.clear()
+        for seed in (0, 1, 2**63, 2**64 - 1):
+            want = [fresh_philox(seed, int(t)).integers(0, m) for t in ts]
+            np.testing.assert_array_equal(_draw_indices(seed, ts, m), want)
+        if m > 2**32:
+            assert len(redraws) == 4 * len(ts)
+        elif m == 3 * 10**9:
+            assert 0 < len(redraws) < 4 * len(ts)  # 30 % of draws are rejected here
+        else:
+            assert redraws == []
+    for seed in (0, 1, 2**63, 2**64 - 1):
+        for shape in ((1, 1, 1, 1), (2, 1, 1, 1), (1, 4, 1, 1), (3, 1, 1, 1), (3, 2, 3, 2)):
+            c = build_circuit(*shape)
+            np.testing.assert_array_equal(
+                init_params(c, seed),
+                fresh_philox(seed, 2**63).uniform(0.0, 2.0 * np.pi, size=c.n_params))
+
+
+def test_sgd_paths_draw_every_index_and_theta_without_the_generator(monkeypatch):
+    """The loop's initial parameters and indices come from the vectorized
+    Philox alone: with `_philox` raising, every step's indices still equal
+    a fresh generator's ``integers(0, m)`` at key (seed, t), for T = 0 and
+    for a T over two draw blocks and not a multiple of one, with repeated
+    (seed, m) keys."""
+
+    def refused(*key):
+        raise AssertionError(f"the generator was asked for key {key}")
+
+    monkeypatch.setattr(train_module, "_philox", refused)
+    rng = np.random.default_rng(80)
+    c = build_circuit(1, 1, 2, 1)
+    obs = z_observable(1)
+    sets = {m: tiny_dataset(rng, m, 2) for m in (1, 7, 200, 1000)}
+    keys = [(0, 7), (2**64 - 1, 1000), (5, 200), (5, 200), (0, 7), (5, 1), (0, 1000)]
+    for iterations in (0, 2 * _DRAW_BLOCK + 37):
+        configs = [TrainConfig(0.05, iterations, seed) for seed, _ in keys]
+        paths = list(_sgd_paths([(sets[m], config) for (_, m), config in zip(keys, configs)],
+                                c, obs))
+        assert len(paths) == iterations + 1 and paths[0][0] is None
+        for (seed, _), theta in zip(keys, paths[0][1]):
+            np.testing.assert_array_equal(
+                theta, fresh_philox(seed, 2**63).uniform(0.0, 2.0 * np.pi, size=c.n_params))
+        for t, (indices, _) in enumerate(paths[1:]):
+            assert indices.tolist() == [fresh_philox(seed, t).integers(0, m) for seed, m in keys]
 
 
 # --- sgd ----------------------------------------------------------------------
