@@ -18,22 +18,21 @@ One batched engine, `forward_many`, simulates every circuit output in the
 package: real statevector rows when noiseless, and under per-gate
 depolarizing noise (``noise_p`` > 0, a float or one strength per row) the
 density matrix's 4^n real Pauli coefficients, in which an Ry is one
-rotation, a CX a permutation and the channel a scale (see the batched
-engine below).  `forward` and `noise.noisy_forward` are its one-row
-wrappers.  Both modes walk one gate schedule; `_output_grads` walks it
-forward and then backward to give every row's parameter gradient
-(adjoint differentiation).  One planner, `_chunk_plan`, splits the rows
-of a forward or an adjoint pass into chunks of one kind, statevector or
-Pauli, with their channel factors and observable form, so rows of any
-strengths share a call.
+rotation, a run of CX gates one index gather and the channel a scale
+(see the batched engine below).  `forward` and `noise.noisy_forward` are
+its one-row wrappers.  Both modes walk one gate schedule; `_output_grads`
+walks it forward and then backward to give every row's parameter
+gradient (adjoint differentiation).  One planner, `_chunk_plan`, splits
+the rows of a forward or an adjoint pass into chunks of one kind,
+statevector or Pauli, with their channel factors and observable form, so
+rows of any strengths share a call.
 The gradient has one core with two entry points: `_output_grads` checks
 its inputs and plans on every call, for outside callers, and then runs
 `_planned_grads`; the SGD loop (`train._sgd_paths`) checks a batch's
 fixed inputs and plans once per loop, then calls `_planned_grads` at
-every step.  There is no second simulator: `iter_gates`
-lists the same circuit gate by gate and the dense unitaries multiply it
-out, for the comb route (the independent check) and for the reference
-simulators in the tests.
+every step.  There is no second simulator: `iter_gates` lists the same
+circuit gate by gate and the dense unitaries multiply it out, for the
+comb route (the independent check) and for the tests' reference simulators.
 
 Rows are folded in both modes: Ry(a) Ry(b) = Ry(a + b), so an encoding
 block acts as one Ry of the per-qubit feature sum, which merges into the
@@ -41,6 +40,8 @@ next trainable block's first Ry column.  This is a modelling fact, not only
 a speed-up: with D > N the model depends on x only through the N sums of
 the features sharing a qubit (the Fourier view of Schuld, Sweke & Meyer,
 arXiv:2008.08605).  The paper's bound still counts L * D encoding gates.
+Only the L * N angles the sums shift depend on x, so a theta shared by
+many rows has the cosines and sines of its other angles computed once.
 Noisy rows also merge each qubit's channels up to the next CX that touches
 it: D_p on q commutes with every unitary on q and with every gate that
 leaves q alone, and D_p^k = D_{1-(1-p)^k} (see `noise` for the model).
@@ -208,13 +209,13 @@ def forward(circuit: ReuploadCircuit, theta, x, obs: Observable) -> float:
 # view: Greenbaum, arXiv:1509.02921) an Ry by the full angle rotates q's Z
 # and X coefficients, the middle two entries of its site, just as it turns
 # |0> and |1>, the two entries of a statevector site; a CX permutes
-# coefficients without signs, and the channel scales q's three
-# non-identity coefficients by 1 - p (see `noise`).  So one kernel per
-# gate serves both kinds, and none is told n.  No
-# kernel touches the identity coefficient tr(rho) = 1.  Every kernel is
-# elementwise per row, and every sum over entries runs in one fixed order
-# (see `_column_sum`), so a row's bits do not depend on the other rows of
-# its batch.
+# coefficients without signs, so a run of CX gates is one index gather of
+# its sites, and the channel scales q's three non-identity coefficients by
+# 1 - p (see `noise`).  So one kernel per gate serves both kinds, and none
+# is told n.  No kernel touches the identity coefficient tr(rho) = 1.
+# Every kernel is elementwise per row, and every sum over entries runs in
+# one fixed order (see `_column_sum`), so a row's bits do not depend on the
+# other rows of its batch.
 
 # Rows are simulated in chunks of at most this many bytes of states.
 _CHUNK_BYTES = 64 << 20
@@ -254,17 +255,6 @@ def _apply_ry_rows(states: np.ndarray, qubit: int, c: np.ndarray, S: np.ndarray,
     pair += turned
 
 
-def _apply_cx_rows(states: np.ndarray, control: int, target: int) -> None:
-    """Flip entry bit ``target`` where bit ``control`` is set, in place: a
-    pure index permutation, with the control on either side."""
-    lo, hi = sorted((control, target))
-    view = states.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1, states.shape[-1])
-    if control > target:
-        view = view.swapaxes(1, 3)
-    flipped = view[:, 1]
-    flipped[...] = flipped[:, :, ::-1]
-
-
 def _damp_rows(coeffs: np.ndarray, qubit: int, factor) -> None:
     """k merged channels on one qubit of Pauli rows, in place: its Z, X and
     XZ coefficients are scaled by ``factor`` = (1 - p)^k, a float or a
@@ -297,20 +287,38 @@ def _check_pauli_rows(coeffs: np.ndarray, n: int) -> None:
     _check_density_rows(rhos.reshape(-1, 1 << n, 1 << n))
 
 
-@functools.lru_cache(maxsize=32)
-def _schedule(circuit: ReuploadCircuit, noisy: bool) -> tuple:
-    """The gate sequence of one row, walked forward by `_forward_rows` and
-    backward by `_adjoint_rows`.
+@functools.lru_cache(maxsize=None)
+def _cx_gather(first: int, last: int, noisy: bool) -> np.ndarray:
+    """CX (first, first + 1), ..., (last, last + 1), in order, as one gather
+    of sites first to last + 1: rows <- rows[index].  A CX flips bit q + 1
+    where bit q is set; on Pauli rows, x_{q+1} ^= x_q and z_q ^= z_{q+1}."""
+    bits = 2 if noisy else 1  # entry bits per site, the most significant first
+    width = bits * (last - first + 2)
+    index = np.arange(1 << width)
+    for q in range(width - 2 * bits, -1, -bits):  # each CX's first bit, the last CX first
+        for control, target in ((q, q + 2), (q + 3, q + 1)) if noisy else ((q, q + 1),):
+            index ^= (index >> (width - 1 - control) & 1) << (width - 1 - target)
+    return index
+
+
+@functools.lru_cache(maxsize=64)
+def _schedule(circuit: ReuploadCircuit, noisy: bool, backward: bool = False) -> tuple:
+    """The gate sequence of one row, walked by `_forward_rows`; with
+    ``backward``, its inverse, reversed with each gather inverted, walked
+    by `_adjoint_rows`.
 
     Entries are (_RY, q, j): Ry on qubit q by column j of `_angles`;
-    (_CX, q, -1): CX from q to q + 1; (_NOISE, q, k): k merged channels on q.
-    Rows are folded (see the module docstring): an encoding block has no
-    entries of its own, and `_angles` adds its per-qubit feature sums to
-    the next block's first Ry column.  With noise, every gate, Ry(0) fillers
-    included, owes one channel to each qubit it touches; a qubit's owed
-    channels are paid as one entry just before the next CX that touches it,
-    or at the end of the circuit.
+    (_CX, q, index): a run of CX gates from q on, as its `_cx_gather`;
+    (_NOISE, q, k): k merged channels on q.  Rows are folded (see the
+    module docstring): an encoding block has no entries of its own, and
+    `_angles` adds its per-qubit feature sums to the next block's first Ry
+    column.  With noise, every gate, Ry(0) fillers included, owes one
+    channel to each qubit it touches, paid as one entry just before the
+    next CX that touches it (so a noisy CX runs alone) or at the end.
     """
+    if backward:
+        return tuple((kind, q, np.argsort(j) if kind == _CX else j)
+                     for kind, q, j in reversed(_schedule(circuit, noisy)))
     n = circuit.n_qubits
     ops, owed = [], [0] * n
 
@@ -327,10 +335,11 @@ def _schedule(circuit: ReuploadCircuit, noisy: bool) -> tuple:
                 owed[q] += 1 + (circuit.encode_columns if layer > 1 and r == 0 else 0)
             for q in range(n - 1):
                 pay(q, q + 1)
-                ops.append((_CX, q, -1))
+                first = ops.pop()[1] if ops[-1][0] == _CX else q  # extend a run
+                ops.append((_CX, first, q))
                 owed[q] = owed[q + 1] = 1  # both were just paid
     pay(*range(n))
-    return tuple(ops)
+    return tuple((kind, q, _cx_gather(q, j, noisy) if kind == _CX else j) for kind, q, j in ops)
 
 
 def _fold(circuit: ReuploadCircuit, xs: np.ndarray) -> np.ndarray:
@@ -351,9 +360,21 @@ def _angles(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray,
     """Cosines c, (K, rows), and sines stacked as S = (-s, s), (K, 2, 1,
     rows), of every trainable Ry angle, the `_fold` sums ``sums`` added to
     each encoding block's next Ry column: of half the angle for
-    statevector rows, of the full angle for Pauli rows."""
-    rows = thetas.shape[0]
-    angles = thetas.reshape(rows, circuit.layers + 1, circuit.sublayers, -1).copy()
+    statevector rows, of the full angle for Pauli rows.  Of a theta
+    broadcast to every row (stride 0, see `_check_rows`) only the L * N
+    shifted columns are computed per row, the others once: the same doubles."""
+    rows, grid = len(sums), (circuit.layers + 1, circuit.sublayers, -1)
+    if rows > 1 and thetas.strides[0] == 0:
+        theta, scale = thetas[0].reshape(grid), 1.0 if noisy else 0.5
+        shifted = theta[1:, 0, :, None] + np.ascontiguousarray(sums.T)  # (L, N, rows)
+        shifted *= scale
+        c, S = np.empty(theta.shape + (rows,)), np.empty(theta.shape + (2, 1, rows))
+        c[...] = np.cos(theta * scale)[..., None]
+        S[...] = np.sin(theta * scale)[..., None, None, None] * _SIGNS
+        np.cos(shifted, out=c[1:, 0])
+        np.negative(np.sin(shifted, out=S[1:, 0, :, 1, 0]), out=S[1:, 0, :, 0, 0])
+        return c.reshape(-1, rows), S.reshape(-1, 2, 1, rows)
+    angles = thetas.reshape((rows,) + grid).copy()
     angles[:, 1:, 0, :] += sums[:, None, :]
     angles = np.ascontiguousarray(angles.reshape(rows, -1).T)
     if not noisy:
@@ -381,17 +402,16 @@ def _step(states: np.ndarray, op: tuple, c: np.ndarray, S: np.ndarray,
     """Apply one schedule entry to every row in place: statevector rows
     when ``strengths`` (those of `_strengths`) is empty, else Pauli rows.
     ``c`` and ``S`` are the cosines and stacked sines of `_angles` (``S``
-    reversed along axis 1 undoes an Ry)."""
+    reversed along axis 1 undoes an Ry); a CX run is one gather."""
     kind, q, j = op
+    d = 4 if strengths else 2
     if kind == _RY:
-        _apply_ry_rows(states, q, c[j], S[j], 4 if strengths else 2)
+        _apply_ry_rows(states, q, c[j], S[j], d)
     elif kind == _NOISE:
         _damp_rows(states, q, strengths[j])
-    elif strengths:
-        _apply_cx_rows(states, 2 * q, 2 * q + 2)  # x_{q+1} ^= x_q
-        _apply_cx_rows(states, 2 * q + 3, 2 * q + 1)  # z_q ^= z_{q+1}
     else:
-        _apply_cx_rows(states, q, q + 1)
+        sites = states.reshape(d ** q, len(j), -1, states.shape[-1])
+        sites[...] = sites.take(j, axis=1)
 
 
 def _fresh_rows(circuit: ReuploadCircuit, rows: int, noisy: bool) -> np.ndarray:
@@ -483,11 +503,11 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray
     Adjoint differentiation (Jones & Gacon, arXiv:2009.02823), one algorithm
     for statevector and Pauli rows.  The forward sweep (`_forward_rows`)
     keeps the rows after every trainable Ry and gives the direction lam the
-    output was measured along.  The backward sweep un-applies the schedule
-    on lam alone: every gate is real and orthogonal on the rows, so its
-    inverse is its transpose, Ry by the negated angle (``S`` reversed) and
-    CX itself, and the channel is diagonal, its own adjoint, and never
-    divided by.  At a trainable Ry with kept rows psi, the gradient is
+    output was measured along.  The backward sweep walks the backward
+    `_schedule` on lam alone: every gate is real and orthogonal on the rows,
+    so its inverse is its transpose, Ry by the negated angle (``S``
+    reversed) and a CX run the inverse gather, and the channel is diagonal,
+    its own adjoint, and never divided by.  At a trainable Ry with kept rows psi, the gradient is
     `_ry_grad`.  lam is swept in place: statevector rows measure a fresh
     (Re M) psi, and Pauli rows a fresh copy per row of the chunk's shared
     `_observable_form`.
@@ -499,9 +519,9 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray
     if noisy:
         lam = lam.repeat(c.shape[1], axis=1)
     S = S[:, ::-1]
-    grads = np.empty((thetas.shape[0], circuit.n_params))
+    grads = np.empty((len(sums), circuit.n_params))
     d = 4 if noisy else 2
-    for op in reversed(_schedule(circuit, noisy)):
+    for op in _schedule(circuit, noisy, backward=True):
         kind, q, j = op
         if kind == _RY:
             grads[:, j] = _ry_grad(_pair(lam, q, d), _pair(kept.pop(), q, d))
@@ -515,9 +535,9 @@ def _check_rows(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
     """Validated (rows, K) thetas and (rows, D) xs, single rows broadcast,
     and the (rows,) noise strengths of `_check_batch`."""
     thetas, xs = np.atleast_2d(np.asarray(thetas, dtype=float), np.asarray(xs, dtype=float))
-    if thetas.shape[0] == 1 and xs.shape[0] > 1:
+    if thetas.shape[0] == 1 and xs.shape[0] != 1:
         thetas = np.broadcast_to(thetas, (xs.shape[0], thetas.shape[1]))
-    if xs.shape[0] == 1 and thetas.shape[0] > 1:
+    if xs.shape[0] == 1 and thetas.shape[0] != 1:
         xs = np.broadcast_to(xs, (thetas.shape[0], xs.shape[1]))
     if thetas.shape[0] != xs.shape[0]:
         raise ValueError("thetas and xs row counts do not match")

@@ -307,6 +307,23 @@ def test_rows_of_mixed_noise_strengths_match_one_call_per_strength():
             run(c, thetas[:2], xs[:2], obs, [0.1, 1.5])
 
 
+def _cx_runs(n, noisy):
+    """The CX-run entries of an n-qubit, L1 R1 circuit's `_schedule`."""
+    c = build_circuit(n, 1, 1, 1)
+    return [op for op in ansatz._schedule(c, noisy) if op[0] == ansatz._CX]
+
+
+def _cx_run_unitary(op, d, n):
+    """The dense product of the CX gates (q, q + 1) a CX-run entry merges:
+    its gather spans sites first to last + 1, d^(last - first + 2) entries."""
+    _, first, index = op
+    last = first + round(np.log(len(index)) / np.log(d)) - 2
+    u = np.eye(2 ** n)
+    for q in range(first, last + 1):
+        u = embed_gate(ansatz.CX, (q, q + 1), n).real @ u
+    return u
+
+
 def test_kernels_update_column_views_in_place():
     """The kernels act in place on a column slice, non-contiguous like the
     adjoint's psi half: each column gets the dense gate or Kraus channel,
@@ -324,8 +341,8 @@ def _check_kernels_on_column_views(rng, n):
     stacked = np.stack((-np.sin(half), np.sin(half)))[:, None]  # S of `_angles`
     ops = [(ansatz._apply_ry_rows, (q, np.cos(half), stacked, 2),
             [embed_gate(rotation_gate("y", 2 * h), (q,), n) for h in half]) for q in range(n)]
-    ops += [(ansatz._apply_cx_rows, (q, q + 1), [embed_gate(ansatz.CX, (q, q + 1), n)] * r)
-            for q in range(n - 1)]
+    ops += [(ansatz._step, (op, None, None, {}), [_cx_run_unitary(op, 2, n)] * r)
+            for op in _cx_runs(n, False)]
     for kernel, args, gates in ops:
         big = base.copy()
         kernel(big[:, :r], *args)
@@ -333,8 +350,8 @@ def _check_kernels_on_column_views(rng, n):
             assert np.max(np.abs(big[:, j] - (u @ base[:, j]).real)) <= 1e-12
         assert np.array_equal(big[:, r:], base[:, r:])
 
-    # Pauli rows: each schedule entry, the CX's two permutations included,
-    # against the dense gate or Kraus channel on the rebuilt matrices.
+    # Pauli rows: each schedule entry, a CX's one gather included, against
+    # the dense gate or Kraus channel on the rebuilt matrices.
     dim, p = 2 ** n, 0.3
     base = rng.normal(size=(dim * dim, 2 * r + 1))
     rhos = []
@@ -344,9 +361,10 @@ def _check_kernels_on_column_views(rng, n):
         base[:, j] = pauli_coefficients(rhos[j])
     cos, sin = np.cos(2 * half)[None], np.sin(2 * half)  # full angles
     stacked = np.stack((-sin, sin))[None, :, None]
+    cx = {op[1]: op for op in _cx_runs(n, True)}  # one CX per entry
     for q in range(n):
         ops = [(ansatz._RY, q, 0), (ansatz._NOISE, q, 1)]
-        ops += [(ansatz._CX, q, -1)] if q < n - 1 else []
+        ops += [cx[q]] if q < n - 1 else []
         for op in ops:
             big = base.copy()
             ansatz._step(big[:, :r], op, cos, stacked, {1: 1 - p})
@@ -538,7 +556,16 @@ def test_noisy_schedule_merges_each_qubits_channels_up_to_its_next_cx():
             c = build_circuit(n, layers, d, r)
             ops = ansatz._schedule(c, True)
             gates = [targets for _, targets in iter_gates(c, np.zeros(c.n_params), np.zeros(d))]
-            assert [op for op in ops if op[0] != ansatz._NOISE] == list(ansatz._schedule(c, False))
+            quiet = ansatz._schedule(c, False)
+            assert ([op for op in ops if op[0] == ansatz._RY]
+                    == [op for op in quiet if op[0] == ansatz._RY])
+            # A noiseless CX chain is one gather of all n sites; a noisy CX,
+            # between channels, one gather of its own two sites.
+            blocks = (layers + 1) * r
+            assert ([(a, len(j)) for kind, a, j in quiet if kind == ansatz._CX]
+                    == [(0, 2 ** n)] * blocks * (n > 1))
+            assert ([(a, len(j)) for kind, a, j in ops if kind == ansatz._CX]
+                    == [(a, 16) for _ in range(blocks) for a in range(n - 1)])
             assert sorted(j for kind, _, j in ops if kind == ansatz._RY) == list(range(c.n_params))
             for q in range(n):
                 touching = [i for i, t in enumerate(gates) if q in t]
@@ -554,6 +581,80 @@ def test_noisy_schedule_merges_each_qubits_channels_up_to_its_next_cx():
                         cx_since_paid = True
                 assert at_cx == owed
                 assert paid == len(touching)
+
+
+def test_cx_run_gathers_are_the_dense_gates_and_backward_entries_undo_them():
+    """Every CX-run entry of `_schedule`, n = 1 to 5, applied to random
+    rows by `_step`: statevector rows get the dense product of the run's
+    CX gates, Pauli rows the matrices U rho U^T; the matching entry of the
+    backward schedule gives the rows back exactly."""
+    rng = np.random.default_rng(36)
+    for n in range(1, 6):
+        c = build_circuit(n, 1, n, 2)
+        for noisy, d in ((False, 2), (True, 4)):
+            ops = ansatz._schedule(c, noisy)
+            back = ansatz._schedule(c, noisy, backward=True)[::-1]
+            assert len(back) == len(ops)
+            runs = [i for i, op in enumerate(ops) if op[0] == ansatz._CX]
+            assert len(runs) == 4 * (n - 1 if noisy else n > 1)  # (L + 1) R chains
+            if noisy:
+                rhos = []
+                for _ in range(3):
+                    m = rng.normal(size=(2 ** n, 2 ** n))
+                    rhos.append(m @ m.T / np.trace(m @ m.T))
+                rows = np.stack([pauli_coefficients(rho) for rho in rhos], axis=1)
+            else:
+                rows = rng.normal(size=(2 ** n, 3))
+            for i in runs:
+                u = _cx_run_unitary(ops[i], d, n)
+                states = rows.copy()
+                ansatz._step(states, ops[i], None, None, {1: 1.0} if noisy else {})
+                for j in range(3):
+                    if noisy:
+                        got = from_pauli_coefficients(states[:, j])
+                        want = u @ rhos[j] @ u.T
+                    else:
+                        got, want = states[:, j], u @ rows[:, j]
+                    assert np.max(np.abs(got - want)) <= 1e-12
+                assert back[i][:2] == ops[i][:2]
+                ansatz._step(states, back[i], None, None, {1: 1.0} if noisy else {})
+                np.testing.assert_array_equal(states, rows)
+
+
+def test_a_shared_theta_gives_the_bits_of_the_theta_repeated(monkeypatch):
+    """One theta for many rows, whose unshifted angles `_angles` computes
+    once, gives `forward_many` and `_output_grads` the bits of the same
+    theta repeated per row: noiseless, at one p and at mixed strengths, and
+    across chunk boundaries with a small byte budget."""
+    rng = np.random.default_rng(37)
+    c = build_circuit(2, 3, 3, 2)
+    a = rng.normal(size=(4, 4))
+    obs = Observable(a + a.T)
+    xs = rng.uniform(0, 2 * np.pi, (len(MIXED), 3))
+    theta = rng.uniform(0, 2 * np.pi, c.n_params)
+    repeated = np.repeat(theta[None], len(MIXED), axis=0)
+    # Three Pauli rows of a forward pass, then of an adjoint pass.
+    for budget in (None, 3 * 8 * 4 ** 2, 3 * 8 * 4 ** 2 * (c.n_params + 2)):
+        if budget is not None:
+            monkeypatch.setattr(ansatz, "_CHUNK_BYTES", budget)
+        for p in (0.0, 0.1, MIXED):
+            np.testing.assert_array_equal(forward_many(c, theta, xs, obs, p),
+                                          forward_many(c, repeated, xs, obs, p))
+            for got, want in zip(ansatz._output_grads(c, theta, xs, obs, p),
+                                 ansatz._output_grads(c, repeated, xs, obs, p)):
+                np.testing.assert_array_equal(got, want)
+
+
+def test_one_theta_broadcasts_to_zero_rows():
+    """A single theta with no x rows gives an empty (0,) output and an
+    empty (0, K) gradient, as a (0, K) theta does."""
+    c = build_circuit(2, 1, 2, 1)
+    obs = z_observable(2)
+    theta, xs = np.zeros(c.n_params), np.zeros((0, 2))
+    for p in (0.0, 0.1):
+        assert forward_many(c, theta, xs, obs, p).shape == (0,)
+        values, grads = ansatz._output_grads(c, theta, xs, obs, p)
+        assert values.shape == (0,) and grads.shape == (0, c.n_params)
 
 
 def test_forward_many_shape_errors():
