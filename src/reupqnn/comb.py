@@ -27,7 +27,9 @@ quantum comb: positivity plus the recursive partial-trace cascade that
 forces each tooth's output to be independent of later inputs.
 Positivity is decided by one Cholesky factorization of H + 1e-8*I, with
 H the Hermitian part of the operator: it succeeds exactly when every
-eigenvalue of H lies above -1e-8, without computing the spectrum.
+eigenvalue of H lies above -1e-8, without computing the spectrum.  An
+operator with no imaginary part, such as the comb of any Ry + CX circuit,
+is factored in real arithmetic, under the same threshold.
 """
 
 from __future__ import annotations
@@ -334,7 +336,8 @@ def validate_comb(c: ChoiOperator, teeth) -> CombReport:
     * Hermiticity of the full operator, and positive semidefiniteness of
       its Hermitian part H: a Cholesky factorization of H + 1e-8*I must
       succeed, which it does exactly when no eigenvalue of H is at or
-      below -1e-8.
+      below -1e-8.  A matrix with no imaginary part is checked and
+      factored in real arithmetic; the threshold is the same.
     * For each level i from the last tooth down to the global input:
       tracing the level's output from the running operator must equal the
       next running operator tensored with identity on the level's input,
@@ -365,15 +368,24 @@ def validate_comb(c: ChoiOperator, teeth) -> CombReport:
     mat = cur.matrix
     if not np.all(np.isfinite(mat)):
         raise ValueError("comb matrix has non-finite entries")
-    adjoint = mat.conj().T
-    if np.max(np.abs(mat - adjoint)) > _COMB_ATOL:
+    if not mat.imag.any():
+        # A real symmetric matrix has the spectrum of its complex copy, so
+        # the same threshold decides positivity in real arithmetic.
+        mat = mat.real
+    # One contiguous adjoint serves the deviation and H.  np.array copies
+    # even where mat.T is already contiguous (1x1), so the in-place writes
+    # below never reach the caller's matrix.
+    herm = np.array(mat.T, order="C")
+    np.conjugate(herm, out=herm)
+    if np.max(np.abs(mat - herm)) > _COMB_ATOL:
         violations.append("hermiticity")
-    herm = mat + adjoint
-    del adjoint  # no second matrix-sized copy may stay alive during the factorization
+    np.add(herm, mat, out=herm)
     herm *= 0.5
     herm[np.diag_indices_from(herm)] += _COMB_ATOL
     try:
-        np.linalg.cholesky(herm)
+        # H^T is H or its conjugate, with the same spectrum; its Fortran
+        # layout is what LAPACK reads, so numpy skips a transposing copy.
+        np.linalg.cholesky(herm.T)
     except np.linalg.LinAlgError:
         violations.append("positivity")
 

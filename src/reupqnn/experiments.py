@@ -687,6 +687,11 @@ def _cmd_validate_comb(args) -> int:
         matrix = np.load(args.matrix)
     except (OSError, ValueError) as exc:
         raise DataFormatError(f"cannot load {args.matrix}: {exc}") from None
+    if not isinstance(matrix, np.ndarray):
+        matrix.close()  # an .npz archive keeps its file open
+        raise DataFormatError(
+            f"{args.matrix} holds a {type(matrix).__name__}, not a single .npy array"
+        )
     total = math.prod(dims)
     if matrix.shape != (total, total):
         raise DataFormatError(

@@ -398,6 +398,77 @@ def test_validate_comb_flags_normalization():
             assert report.violations == ("normalization",)
 
 
+def test_validate_comb_flags_positivity_hidden_in_the_imaginary_part():
+    """[[1, 2j], [-2j, 1]] has eigenvalues -1 and 3; its real part is the identity."""
+    op = ChoiOperator((SystemLabel("p", 2), SystemLabel("f", 1)), [[1, 2j], [-2j, 1]])
+    report = validate_comb(op, [])
+    assert "positivity" in report.violations
+    assert "hermiticity" not in report.violations
+
+
+def test_validate_comb_flags_a_symmetric_imaginary_part_as_non_hermitian():
+    """A comb plus i*B with B real symmetric: the real part is still the comb."""
+    c = build_circuit(1, 1, 1, 1)
+    comb, teeth = build_reuploading_comb(c, np.array([0.3, 0.8]))
+    bad = comb.matrix.copy()
+    bad[0, 3] += 0.1j
+    bad[3, 0] += 0.1j
+    assert validate_comb(ChoiOperator(comb.systems, bad.real), teeth) == CombReport(True, ())
+    report = validate_comb(ChoiOperator(comb.systems, bad), teeth)
+    assert not report.is_comb
+    assert "hermiticity" in report.violations
+
+
+@pytest.mark.parametrize("entry", [1.0 + 0.5j, 1.0])
+def test_validate_comb_leaves_a_scalar_operator_untouched(entry):
+    """A 1x1 matrix is its own contiguous transpose; the check must still copy it."""
+    op = ChoiOperator((SystemLabel("p", 1), SystemLabel("f", 1)), [[entry]])
+    validate_comb(op, [])
+    assert op.matrix[0, 0] == entry
+
+
+@pytest.fixture
+def cholesky_dtypes(monkeypatch):
+    """The dtype of every matrix handed to np.linalg.cholesky."""
+    seen = []
+    factor = np.linalg.cholesky
+
+    def recording(a):
+        seen.append(a.dtype)
+        return factor(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    return seen
+
+
+def test_validate_comb_factors_a_real_operator_in_real_arithmetic(cholesky_dtypes):
+    rng = np.random.default_rng(54)
+    c = build_circuit(1, 2, 1, 1)
+    comb, teeth = build_reuploading_comb(c, rng.uniform(0, 2 * np.pi, c.n_params))
+    assert not comb.matrix.imag.any()
+    assert validate_comb(comb, teeth) == CombReport(True, ())
+    assert cholesky_dtypes == [np.dtype(np.float64)]
+
+    cholesky_dtypes.clear()
+    assert validate_comb(choi_of_unitary(random_unitary(rng, 2), "p", "f"), []) == CombReport(True, ())
+    assert cholesky_dtypes == [np.dtype(np.complex128)]
+
+
+def test_validate_comb_reports_a_real_matrix_as_its_complex_copy(cholesky_dtypes):
+    """A real matrix and the same matrix + 0j give one report, both factored as float64."""
+    c = build_circuit(1, 1, 1, 1)
+    comb, teeth = build_reuploading_comb(c, np.array([0.3, 0.8]))
+    real = comb.matrix.real
+    kernel = np.linalg.eigh(real)[1][:, 0]
+    not_hermitian = real.copy()
+    not_hermitian[0, 3] += 0.1
+    for matrix in (real, 1.5 * real, real - 0.1 * np.outer(kernel, kernel), not_hermitian):
+        as_real = validate_comb(ChoiOperator(comb.systems, matrix), teeth)
+        as_complex = validate_comb(ChoiOperator(comb.systems, matrix + 0j), teeth)
+        assert as_real == as_complex
+    assert set(cholesky_dtypes) == {np.dtype(np.float64)}
+
+
 def _hermitian_with_spectrum(rng, eigenvalues, complex_entries):
     d = len(eigenvalues)
     a = rng.normal(size=(d, d))

@@ -1016,3 +1016,37 @@ def test_cli_validate_comb_rejects_non_numeric_matrix(tmp_path, capsys, matrix):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("data error:") and "not numeric" in captured.err
+
+
+def test_cli_validate_comb_rejects_an_npz_archive(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "m.npz"
+    np.savez(path, matrix=np.eye(4))
+    opened = []
+    load = np.load
+
+    def recording(*args, **kwargs):
+        opened.append(load(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(np, "load", recording)
+    assert main(["validate-comb", "--matrix", str(path), "--dims", "2,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error:") and "NpzFile" in captured.err
+    assert opened[0].fid is None  # the archive was closed
+
+
+def test_cli_validate_comb_factors_a_real_npy_in_real_arithmetic(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "id.npy"
+    np.save(path, choi_of_unitary(np.eye(2)).matrix.real)
+    seen = []
+    factor = np.linalg.cholesky
+
+    def recording(a):
+        seen.append(a.dtype)
+        return factor(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    assert main(["validate-comb", "--matrix", str(path), "--dims", "2,2"]) == 0
+    assert "comb = true" in capsys.readouterr().out
+    assert seen == [np.dtype(np.float64)]
