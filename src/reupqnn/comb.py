@@ -26,10 +26,12 @@ Verification.  ``validate_comb`` checks the defining conditions of a
 quantum comb: positivity plus the recursive partial-trace cascade that
 forces each tooth's output to be independent of later inputs.
 Positivity is decided by one Cholesky factorization of H + 1e-8*I, with
-H the Hermitian part of the operator: it succeeds exactly when every
-eigenvalue of H lies above -1e-8, without computing the spectrum.  An
-operator with no imaginary part, such as the comb of any Ry + CX circuit,
-is factored in real arithmetic, under the same threshold.
+H the Hermitian part of the operator (``qcore._psd_violations``, the
+test the density checks use): it succeeds when every eigenvalue of H lies
+above -1e-8, up to rounding of order 1e-16*||H||, either verdict exactly
+at the floor, without computing the spectrum.  An operator with no
+imaginary part, such as the comb of any Ry + CX circuit, is factored in
+real arithmetic, under the same threshold.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ansatz import ReuploadCircuit, encoding_unitary, trainable_block_unitary
-from .qcore import CapacityError, NumericalIntegrityError, Observable
+from .qcore import CapacityError, NumericalIntegrityError, Observable, _psd_violations
 
 __all__ = [
     "SystemLabel",
@@ -335,9 +337,11 @@ def validate_comb(c: ChoiOperator, teeth) -> CombReport:
 
     * Hermiticity of the full operator, and positive semidefiniteness of
       its Hermitian part H: a Cholesky factorization of H + 1e-8*I must
-      succeed, which it does exactly when no eigenvalue of H is at or
-      below -1e-8.  A matrix with no imaginary part is checked and
-      factored in real arithmetic; the threshold is the same.
+      succeed, which it does when no eigenvalue of H is below -1e-8, up
+      to rounding of order 1e-16*||H||, either verdict exactly at the
+      floor (``qcore._psd_violations``).  A matrix with no imaginary part
+      is checked and factored in real arithmetic; the threshold is the
+      same.
     * For each level i from the last tooth down to the global input:
       tracing the level's output from the running operator must equal the
       next running operator tensored with identity on the level's input,
@@ -364,30 +368,9 @@ def validate_comb(c: ChoiOperator, teeth) -> CombReport:
     causal.append(f_name)
     cur = permute_systems(c, causal)
 
-    violations: list[str] = []
-    mat = cur.matrix
-    if not np.all(np.isfinite(mat)):
+    if not np.all(np.isfinite(cur.matrix)):
         raise ValueError("comb matrix has non-finite entries")
-    if not mat.imag.any():
-        # A real symmetric matrix has the spectrum of its complex copy, so
-        # the same threshold decides positivity in real arithmetic.
-        mat = mat.real
-    # One contiguous adjoint serves the deviation and H.  np.array copies
-    # even where mat.T is already contiguous (1x1), so the in-place writes
-    # below never reach the caller's matrix.
-    herm = np.array(mat.T, order="C")
-    np.conjugate(herm, out=herm)
-    if np.max(np.abs(mat - herm)) > _COMB_ATOL:
-        violations.append("hermiticity")
-    np.add(herm, mat, out=herm)
-    herm *= 0.5
-    herm[np.diag_indices_from(herm)] += _COMB_ATOL
-    try:
-        # H^T is H or its conjugate, with the same spectrum; its Fortran
-        # layout is what LAPACK reads, so numpy skips a transposing copy.
-        np.linalg.cholesky(herm.T)
-    except np.linalg.LinAlgError:
-        violations.append("positivity")
+    violations = list(_psd_violations(cur.matrix, _COMB_ATOL))
 
     # Causality cascade: outputs in reverse causal order are F, then each
     # tooth input; the matching comb inputs are the previous tooth output,

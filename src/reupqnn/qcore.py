@@ -11,6 +11,9 @@ channels) is built on the small set of utilities in this module:
   spectral norm.
 * A pure-state and density-matrix container with validity checks, and the
   batched density check that the noisy engine rows run through.
+* The package's one positivity test, ``_psd_violations``: a Cholesky
+  factorization of a stack's Hermitian part shifted by the floor, shared
+  by the density check and :func:`reupqnn.comb.validate_comb`.
 
 Arrays here are numpy ``complex128`` (the batched engine in
 :mod:`reupqnn.ansatz` keeps its rows in ``float64``); sizes stay at desk
@@ -64,7 +67,6 @@ _MAX_KRON_DIM = 1 << 13
 
 _UNITARY_ATOL = 1e-10
 _STATE_NORM_ATOL = 1e-12
-_DENSITY_EIG_FLOOR = -1e-10
 
 
 def rotation_gate(axis: str, angle: float) -> np.ndarray:
@@ -159,7 +161,8 @@ class QuantumState:
 
     Invariants are checked at construction: unit norm for pure states;
     Hermiticity, unit trace and an eigenvalue floor of -1e-10 for density
-    matrices.
+    matrices (`_check_density_rows`).  A NaN or infinite entry fails either
+    kind.  The caller's array is only read.
     """
 
     data: np.ndarray
@@ -174,7 +177,7 @@ class QuantumState:
                 raise ValueError("pure state must be a 1-d vector")
             n = _qubit_count(data.shape[0])
             norm = np.linalg.norm(data)
-            if abs(norm - 1.0) > _STATE_NORM_ATOL:
+            if not abs(norm - 1.0) <= _STATE_NORM_ATOL:  # NaN fails too
                 raise NumericalIntegrityError(
                     f"statevector norm {norm!r} deviates from 1 beyond 1e-12"
                 )
@@ -211,24 +214,56 @@ def _qubit_count(dim: int) -> int:
 
 
 def _check_density_rows(rhos: np.ndarray) -> None:
-    """Density invariants on a (rows, dim, dim) stack, one batched ``eigvalsh``.
+    """Density invariants on a (rows, dim, dim) stack, one `_psd_violations`.
 
     Every row must be Hermitian within 1e-10, have unit trace within 1e-12
-    and no eigenvalue below -1e-10.  The error names the first condition
-    that fails in the stack (the trace message gives the largest drift),
-    not the row.
+    and no eigenvalue below -1e-10, up to rounding of order 1e-16*||rho||
+    (either verdict exactly at the floor).  A NaN or infinite entry fails
+    the Hermiticity test.  The error names the first condition that fails
+    in the stack (the trace message gives the largest drift), not the row.
     """
-    if np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)), initial=0.0) > _UNITARY_ATOL:
+    violations = _psd_violations(rhos, _UNITARY_ATOL)
+    if "hermiticity" in violations:
         raise NumericalIntegrityError("density matrix is not Hermitian")
     drift = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
     if np.max(drift, initial=0.0) > _STATE_NORM_ATOL:
         raise NumericalIntegrityError(
             f"density trace deviates from 1 by {np.max(drift)!r}, beyond 1e-12"
         )
-    if np.min(np.linalg.eigvalsh(rhos), initial=0.0) < _DENSITY_EIG_FLOOR:
-        raise NumericalIntegrityError(
-            "density matrix has an eigenvalue below -1e-10"
-        )
+    if violations:
+        raise NumericalIntegrityError("density matrix has an eigenvalue below -1e-10")
+
+
+def _psd_violations(mats: np.ndarray, tol: float) -> tuple[str, ...]:
+    """The conditions a (..., d, d) stack fails, in order: ``"hermiticity"``
+    when an entry of M - M^dagger exceeds ``tol`` in modulus, or is NaN;
+    ``"positivity"`` when a Cholesky factorization of H + tol*I fails, H
+    the Hermitian part.  It fails when an eigenvalue of H lies below
+    -tol, up to rounding of order 1e-16*||H|| (either verdict exactly at
+    the floor), without computing the spectrum.
+
+    A stack with no imaginary part is checked and factored in real
+    arithmetic: a real symmetric matrix has the spectrum of its complex
+    copy.  ``mats`` is only read.
+    """
+    if np.iscomplexobj(mats) and not mats.imag.any():
+        mats = mats.real
+    # One contiguous adjoint, a new array, serves the deviation and H, so
+    # the in-place writes below never reach the caller's stack.
+    herm = np.conjugate(mats.swapaxes(-1, -2), order="C")
+    violations = []
+    if not np.max(np.abs(mats - herm), initial=0.0) <= tol:
+        violations.append("hermiticity")
+    np.add(herm, mats, out=herm)
+    herm *= 0.5
+    np.einsum("...ii->...i", herm)[...] += tol  # a writable view of the diagonals
+    try:
+        # H^T is H or its conjugate, with the same spectrum; its Fortran
+        # layout is what LAPACK reads, so numpy skips a transposing copy.
+        np.linalg.cholesky(herm.swapaxes(-1, -2))
+    except np.linalg.LinAlgError:
+        violations.append("positivity")
+    return tuple(violations)
 
 
 @dataclass(frozen=True)

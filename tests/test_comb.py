@@ -22,7 +22,7 @@ from reupqnn.comb import (
     tensor,
     validate_comb,
 )
-from reupqnn.qcore import CapacityError, z_observable
+from reupqnn.qcore import CapacityError, NumericalIntegrityError, _check_density_rows, z_observable
 
 
 def random_unitary(rng, dim):
@@ -495,6 +495,33 @@ def test_validate_comb_positivity_agrees_with_eigvalsh(complex_entries, full_ran
         systems = (SystemLabel("p", 2), SystemLabel("f", d // 2))
         report = validate_comb(ChoiOperator(systems, h), [])
         assert ("positivity" in report.violations) == oracle, (d, lam_min)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("d", [2, 4, 16, 64])
+def test_both_positivity_floors_decide_a_thousandth_of_the_floor_away(complex_entries, d):
+    """The one positivity test under both floors, 1e-10 in the density
+    check and 1e-8 in `validate_comb`: lambda_min = -floor * (1 + 1e-3) is
+    flagged and -floor * (1 - 1e-3) passes.  H has unit trace and norm at
+    most 1 + floor, so the rounding of order 1e-16*||H|| the verdict is
+    exact up to stays far inside the 1e-3 * floor margin."""
+    rng = np.random.default_rng(58)
+    systems = (SystemLabel("p", 2), SystemLabel("f", d // 2))
+    for _ in range(50):
+        for floor in (1e-10, 1e-8):
+            for factor in (1 + 1e-3, 1 - 1e-3):
+                lam_min = -floor * factor
+                spectrum = np.append(lam_min, (1 - lam_min) * rng.dirichlet(np.ones(d - 1)))
+                h = _hermitian_with_spectrum(rng, rng.permutation(spectrum), complex_entries)
+                flagged = factor > 1
+                if floor == 1e-8:
+                    report = validate_comb(ChoiOperator(systems, h), [])
+                    assert ("positivity" in report.violations) == flagged, (lam_min, report)
+                elif flagged:
+                    with pytest.raises(NumericalIntegrityError, match="eigenvalue below -1e-10"):
+                        _check_density_rows(h[None])
+                else:
+                    _check_density_rows(h[None])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])

@@ -251,21 +251,27 @@ def test_noisy_sweeps_keep_the_identity_coefficient_at_one(monkeypatch):
     assert all(np.all(row == 1.0) for row in seen)
 
 
-@pytest.mark.parametrize("corruption, message", [("trace", "trace"), ("negative", "eigenvalue")])
+@pytest.mark.parametrize("corruption, message", [
+    ("trace", "trace"), ("negative", "eigenvalue"), ("nan", "Hermitian"), ("inf", "Hermitian"),
+])
 def test_corrupted_pauli_rows_fail_the_density_check(monkeypatch, corruption, message):
     """The engine rebuilds every noisy row's density matrix from its Pauli
     coefficients and checks it: final rows corrupted to a trace drift of
-    1e-9, or to rho = (I + 1.5 Z_0) / 2^n with a negative eigenvalue, raise
-    from `forward_many` and `_output_grads`."""
+    1e-9, to rho = (I + 1.5 Z_0) / 2^n with a negative eigenvalue, or to a
+    NaN or infinite coefficient raise `NumericalIntegrityError` (never a
+    `LinAlgError`) from `forward_many` and `_output_grads`."""
     check = ansatz._check_pauli_rows
 
     def corrupt(coeffs, n):
         if corruption == "trace":
             coeffs[0] += 1e-9
-        else:
+        elif corruption == "negative":
             coeffs[1:] = 0.0
             coeffs[1 << (2 * n - 2)] = 1.5  # the coefficient of Z on qubit 0
-        check(coeffs, n)
+        else:
+            coeffs[1, 1] = np.nan if corruption == "nan" else np.inf
+        with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf on the way
+            check(coeffs, n)
 
     rng = np.random.default_rng(72)
     c = build_circuit(2, 2, 3, 2)

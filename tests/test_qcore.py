@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from _oracles import apply_gate, expectation
+from reupqnn.ansatz import _output_grads, build_circuit, forward_many
+from reupqnn.comb import build_reuploading_comb, validate_comb
 from reupqnn.qcore import (
     CapacityError,
     I2,
@@ -25,6 +27,7 @@ from reupqnn.qcore import (
     PAULI_Y,
     PAULI_Z,
     QuantumState,
+    _check_density_rows,
     embed_gate,
     kron,
     kron_all,
@@ -243,6 +246,66 @@ def test_state_validation():
         QuantumState(np.diag([2.0, -1.0]).astype(complex), "density")
     with pytest.raises(ValueError):
         QuantumState(np.array([1.0, 0, 0], dtype=complex), "pure")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])
+def test_states_reject_non_finite_entries(bad):
+    """A NaN or infinite entry fails a pure state's norm test and a density
+    matrix's Hermiticity test, on or off the diagonal, alone or in one row
+    of a stack: always `NumericalIntegrityError`, never a `LinAlgError` from
+    the factorization, and never accepted."""
+    with pytest.raises(NumericalIntegrityError, match="norm"):
+        QuantumState(np.array([bad, 0.0]), "pure")
+    for i, j in [(0, 0), (0, 1), (1, 0)]:
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        rho[i, j] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf in the Hermiticity deviation
+            with pytest.raises(NumericalIntegrityError, match="not Hermitian"):
+                QuantumState(rho, "density")
+            with pytest.raises(NumericalIntegrityError, match="not Hermitian"):
+                _check_density_rows(np.stack([np.eye(2) / 2, rho]))
+
+
+def test_one_positivity_test_serves_every_check(monkeypatch):
+    """Noisy `forward_many` and `_output_grads`, a density `QuantumState`
+    and `validate_comb` all decide positivity by one shifted Cholesky and
+    none by eigvalsh: Pauli rows and a real comb factor as float64, a
+    complex density matrix as complex128, and the caller's array keeps its
+    bits."""
+    positivity_calls = []  # the dtype of every matrix np.linalg.cholesky gets
+    factor = np.linalg.cholesky
+
+    def recording(a):
+        positivity_calls.append(a.dtype)
+        return factor(a)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvalsh was called")
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    rng = np.random.default_rng(75)
+    c = build_circuit(2, 2, 3, 2)
+    thetas = rng.uniform(0, 2 * np.pi, (3, c.n_params))
+    xs = rng.uniform(0, 2 * np.pi, (3, 3))
+    forward_many(c, thetas, xs, z_observable(2), 0.1)
+    _output_grads(c, thetas, xs, z_observable(2), 0.1)
+    assert positivity_calls == [np.dtype(np.float64)] * 2
+
+    positivity_calls.clear()
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    before = rho.tobytes()
+    QuantumState(rho, "density")
+    assert rho.tobytes() == before
+    assert positivity_calls == [np.dtype(np.complex128)]
+
+    positivity_calls.clear()
+    c = build_circuit(1, 2, 1, 1)
+    comb, teeth = build_reuploading_comb(c, rng.uniform(0, 2 * np.pi, c.n_params))
+    assert validate_comb(comb, teeth).is_comb
+    assert positivity_calls == [np.dtype(np.float64)]
 
 
 # --- apply_gate (the tests' gate-by-gate reference simulator) ----------------
