@@ -217,7 +217,8 @@ def forward(circuit: ReuploadCircuit, theta, x, obs: Observable) -> float:
 # one fixed order (see `_column_sum`), so a row's bits do not depend on the
 # other rows of its batch.
 
-# Rows are simulated in chunks of at most this many bytes of states.
+# Rows are simulated in chunks of at most this many bytes of states and
+# their angles.
 _CHUNK_BYTES = 64 << 20
 
 # No one row may take more bytes than this.  A noisy adjoint row (see
@@ -534,7 +535,11 @@ def _check_rows(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
                 noise_p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated (rows, K) thetas and (rows, D) xs, single rows broadcast,
     and the (rows,) noise strengths of `_check_batch`."""
-    thetas, xs = np.atleast_2d(np.asarray(thetas, dtype=float), np.asarray(xs, dtype=float))
+    thetas, xs = np.asarray(thetas, dtype=float), np.asarray(xs, dtype=float)
+    for name, rows in (("thetas", thetas), ("xs", xs)):
+        if rows.ndim not in (1, 2):
+            raise ValueError(f"{name} must be 1-D or 2-D, got shape {rows.shape}")
+    thetas, xs = np.atleast_2d(thetas, xs)
     if thetas.shape[0] == 1 and xs.shape[0] != 1:
         thetas = np.broadcast_to(thetas, (xs.shape[0], thetas.shape[1]))
     if xs.shape[0] == 1 and thetas.shape[0] != 1:
@@ -583,11 +588,12 @@ def _chunk_plan(circuit: ReuploadCircuit, obs: Observable, noise: np.ndarray,
 
     A row is a statevector row at p = 0 and a Pauli row at p > 0.  The rows
     are cut wherever the kind changes, and each run of one kind into
-    chunks of at least one row and at most ``_CHUNK_BYTES`` of states; a
-    statevector chunk has no factors.  A row of a forward pass holds one
-    state; of an adjoint pass K + 2: the forward state, lam, and the K
-    states kept for the backward sweep.  A row of more than ``_ROW_BYTES``
-    raises CapacityError before any state is allocated."""
+    chunks of at least one row and at most ``_CHUNK_BYTES`` of states and
+    their angles; a statevector chunk has no factors.  A row of a forward
+    pass holds one state; of an adjoint pass K + 2: the forward state, lam,
+    and the K states kept for the backward sweep.  Its `_angles` take 40 K
+    bytes more: c, S and the angle copy.  A row whose states take more than
+    ``_ROW_BYTES`` raises CapacityError before any state is allocated."""
     noisy = noise > 0.0
     # Runs of one kind, cut where a row's kind differs from the row before.
     bounds = [0, *(np.flatnonzero(noisy[1:] != noisy[:-1]) + 1).tolist(), len(noise)]
@@ -601,7 +607,7 @@ def _chunk_plan(circuit: ReuploadCircuit, obs: Observable, noise: np.ndarray,
                                 f"{row_bytes} bytes, more than the {_ROW_BYTES} a row may take")
         if kind not in forms:
             forms[kind] = _observable_form(circuit, obs, kind)
-        step = max(1, _CHUNK_BYTES // row_bytes)
+        step = max(1, _CHUNK_BYTES // (row_bytes + 40 * circuit.n_params))
         for i in range(start, stop, step):
             rows = slice(i, min(i + step, stop))
             plan.append((rows, _strengths(circuit, noise[rows]) if kind else {}, forms[kind]))

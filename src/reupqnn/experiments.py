@@ -545,10 +545,12 @@ def _format_cell(value) -> str:
 
 
 def _json_cell(value):
+    if isinstance(value, np.generic):
+        value = value.item()  # the Python value a numpy scalar holds
     if value == "":
         return None
-    if isinstance(value, (float, np.floating)) and not np.isfinite(value):
-        return repr(float(value))  # "inf", "-inf" or "nan", as in the CSV
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)  # "inf", "-inf" or "nan", as in the CSV
     return value
 
 

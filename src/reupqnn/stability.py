@@ -35,6 +35,7 @@ noiseless expressions exactly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,34 +82,24 @@ class StabilityTrace:
 
 def _group_result(paths: np.ndarray, probes: Dataset, swaps, configs, circuit: ReuploadCircuit,
                   obs: Observable) -> tuple[list[StabilityTrace], float]:
-    """(traces, beta_hat) of one group from its (train set, config, T + 1, K) paths."""
-
-    def arm(path: np.ndarray, config: TrainConfig):
-        n_steps, n_probes = path.shape[0], len(probes)
-        f = forward_many(circuit, np.repeat(path, n_probes, axis=0),
-                         np.tile(probes.features, (n_steps, 1)), obs,
-                         config.noise_p).reshape(n_steps, n_probes)
-        return path, f, loss(f, probes.labels)
-
-    def mean_final_loss(arms) -> np.ndarray:
-        return sum(probe_loss[-1] for _, _, probe_loss in arms) / len(arms)
-
-    bases = [arm(path, config) for path, config in zip(paths[0], configs)]
-    base_mean = mean_final_loss(bases)
-    traces: list[StabilityTrace] = []
-    worst = 0.0
-    for (index, _), twin_paths in zip(swaps, paths[1:]):
-        twins = [arm(path, config) for path, config in zip(twin_paths, configs)]
-        for config, (path_a, f_a, l_a), (path_b, f_b, l_b) in zip(configs, bases, twins):
-            traces.append(StabilityTrace(
-                replaced_index=index,
-                seed=config.seed,
-                sum_abs_dtheta=np.sum(np.abs(path_a - path_b), axis=1),
-                probe_f_gap=np.max(np.abs(f_a - f_b), axis=1),
-                probe_loss_gap=np.max(np.abs(l_a - l_b), axis=1),
-            ))
-        worst = max(worst, float(np.max(np.abs(base_mean - mean_final_loss(twins)))))
-    return traces, 0.5 * worst
+    """(traces, beta_hat) of one group from its (swap + 1, seed, T + 1, K)
+    paths, S's runs first: each run's probe scores from one `forward_many`
+    call over its whole path, at its config's noise_p, and every gap a
+    reduction of S's runs against each twin's."""
+    n_probes, runs = len(probes), paths.reshape(-1, *paths.shape[2:])
+    features = np.tile(probes.features, (paths.shape[2], 1))
+    f = np.stack([forward_many(circuit, np.repeat(path, n_probes, axis=0), features, obs,
+                               config.noise_p)
+                  for path, config in zip(runs, configs * len(paths))])
+    f = f.reshape(paths.shape[:3] + (n_probes,))
+    l = loss(f, probes.labels)
+    gaps = np.stack([np.sum(np.abs(paths[0] - paths[1:]), axis=-1),
+                     np.max(np.abs(f[0] - f[1:]), axis=-1),
+                     np.max(np.abs(l[0] - l[1:]), axis=-1)], axis=2)  # (swap, seed, 3, T + 1)
+    final = np.cumsum(l[:, :, -1], axis=1)[:, -1] / len(configs)  # seeds summed in order
+    traces = [StabilityTrace(index, config.seed, *gaps[k, s])
+              for k, (index, _) in enumerate(swaps) for s, config in enumerate(configs)]
+    return traces, 0.5 * float(np.max(np.abs(final[0] - final[1:]), initial=0.0))
 
 
 def coupled_ensemble(groups, circuit: ReuploadCircuit,
@@ -135,14 +126,11 @@ def coupled_ensemble(groups, circuit: ReuploadCircuit,
         runs += [(train_set, config) for train_set in train_sets for config in configs]
     steps = _sgd_paths(runs, circuit, obs)
     paths = np.stack([thetas for _, thetas in steps], axis=1)  # (run, T + 1, K)
-    results, start = [], 0
-    for _, probes, swaps, configs in groups:
-        stop = start + (len(swaps) + 1) * len(configs)
-        group_paths = paths[start:stop].reshape(len(swaps) + 1, len(configs), -1,
-                                                circuit.n_params)
-        results.append(_group_result(group_paths, probes, swaps, configs, circuit, obs))
-        start = stop
-    return results
+    sizes = [(len(swaps) + 1) * len(configs) for _, _, swaps, configs in groups]
+    return [_group_result(group_paths.reshape(len(swaps) + 1, len(configs), -1, circuit.n_params),
+                          probes, swaps, configs, circuit, obs)
+            for group_paths, (_, probes, swaps, configs)
+            in zip(np.split(paths, np.cumsum(sizes)[:-1]), groups)]
 
 
 def coupled_divergence(dataset: Dataset, index: int, replacement: Sample,
@@ -206,6 +194,9 @@ class BoundInputs:
     noise_p: float = 0.0
 
     def __post_init__(self):
+        for name in ("layers", "data_dim", "n_params", "m", "iterations"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.layers < 1 or self.data_dim < 1 or self.n_params < 1 or self.m < 1:
             raise ValueError("layers, data_dim, n_params and m must be >= 1")
         if self.iterations < 0:

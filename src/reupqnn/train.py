@@ -26,7 +26,6 @@ the runs' features into per-qubit sums once.
 
 from __future__ import annotations
 
-import functools
 import numbers
 from dataclasses import dataclass
 
@@ -99,32 +98,13 @@ class TrainConfig:
             raise ValueError(f"noise_p={self.noise_p!r} outside [0, 1]")
 
 
-_ZEROS = np.zeros(4, dtype=np.uint64)
-
-
-@functools.cache
-def _shared_generator() -> np.random.Generator:
-    # Built on first use: numpy loads its random module lazily, and an
-    # import of the package that never draws should not pay for it.
-    return np.random.Generator(np.random.Philox(key=0))
-
-
 def _philox(*key) -> np.random.Generator:
-    """The generator of ``Philox(key=key)``: key set, counter 0, buffer empty.
+    """A new ``Generator(Philox(key=key))``: key set, counter 0, buffer empty.
 
     Only the draws that `_philox_words` does not compute come from it:
-    the redraws of `_draw_indices` and `stability.sampled_indices`'
-    ``choice``.  One generator is re-keyed for every call, because
-    ``Philox(key=...)`` first builds, then discards, a SeedSequence from
-    OS entropy; setting the state costs a fraction of that and gives the
-    same stream.  Draw from it at once: a generator held across another
-    ``_philox`` call has been re-keyed by that call.
-    """
-    generator = _shared_generator()
-    generator.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
-        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return generator
+    `stability.sampled_indices`' ``choice`` and the redraws of
+    `_draw_indices`, about m / 2^32 of its draws."""
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,

@@ -8,13 +8,16 @@ tensordot, ``expectation`` is the quadratic form or trace,
 ``kraus_oracle`` applies the depolarizing channel by its Kraus form,
 ``pauli_coefficients`` and ``from_pauli_coefficients`` change a density
 matrix to and from the engine's Pauli rows by the dense Pauli products,
-and ``partial_transpose`` swaps a system's row and column axes.
+``partial_transpose`` swaps a system's row and column axes, and
+``group_result_loop`` scores a coupled group one (swap, seed) pair at a
+time.
 """
 
 import functools
 
 import numpy as np
 
+from reupqnn.ansatz import forward_many
 from reupqnn.comb import ChoiOperator, _require_systems
 from reupqnn.qcore import (
     I2,
@@ -26,6 +29,8 @@ from reupqnn.qcore import (
     QuantumState,
     _check_targets,
 )
+from reupqnn.stability import StabilityTrace
+from reupqnn.train import loss
 
 _UNITARY_ATOL = 1e-10
 _RESIDUE_ATOL = 1e-8
@@ -151,3 +156,38 @@ def partial_transpose(op: ChoiOperator, names) -> ChoiOperator:
     tensor_form = op.matrix.reshape(op.dims + op.dims).transpose(axes)
     dim = op.matrix.shape[0]
     return ChoiOperator(op.systems, np.ascontiguousarray(tensor_form.reshape(dim, dim)))
+
+
+def group_result_loop(paths, probes, swaps, configs, circuit, obs):
+    """(traces, beta_hat) of one coupled group from its (swap + 1, seed,
+    T + 1, K) paths, S's runs first, walked pair by pair: each run scored
+    by one ``forward_many`` call over its whole path, each (swap, seed)
+    trace built on its own, and beta_hat a running max over the swaps of
+    the seed-mean final losses' largest gap."""
+
+    def arm(path, config):
+        n_steps, n_probes = path.shape[0], len(probes)
+        f = forward_many(circuit, np.repeat(path, n_probes, axis=0),
+                         np.tile(probes.features, (n_steps, 1)), obs,
+                         config.noise_p).reshape(n_steps, n_probes)
+        return path, f, loss(f, probes.labels)
+
+    def mean_final_loss(arms):
+        return sum(probe_loss[-1] for _, _, probe_loss in arms) / len(arms)
+
+    bases = [arm(path, config) for path, config in zip(paths[0], configs)]
+    base_mean = mean_final_loss(bases)
+    traces = []
+    worst = 0.0
+    for (index, _), twin_paths in zip(swaps, paths[1:]):
+        twins = [arm(path, config) for path, config in zip(twin_paths, configs)]
+        for config, (path_a, f_a, l_a), (path_b, f_b, l_b) in zip(configs, bases, twins):
+            traces.append(StabilityTrace(
+                replaced_index=index,
+                seed=config.seed,
+                sum_abs_dtheta=np.sum(np.abs(path_a - path_b), axis=1),
+                probe_f_gap=np.max(np.abs(f_a - f_b), axis=1),
+                probe_loss_gap=np.max(np.abs(l_a - l_b), axis=1),
+            ))
+        worst = max(worst, float(np.max(np.abs(base_mean - mean_final_loss(twins)))))
+    return traces, 0.5 * worst

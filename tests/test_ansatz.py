@@ -5,6 +5,8 @@ qubit every gate is a y rotation, rotations about a shared axis add
 their angles, and <Z> after rotating |0> by a total angle A is cos(A).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -380,18 +382,20 @@ def _check_kernels_on_column_views(rng, n):
             assert np.array_equal(big[:, r:], base[:, r:])
 
 
-# Runs of 7, 4, 14 and 1 rows by kind: a budget of three 2-qubit Pauli
-# rows holds twelve statevector rows, so the budget cuts runs of both kinds.
+# Runs of 7, 4, 14 and 1 rows by kind: at 2q L2 D3 R1 (K = 6), a budget
+# of three Pauli rows with their angles holds four statevector forward rows
+# and seven adjoint ones, so the budget cuts runs of both kinds.
 MIXED = np.array([0.0] * 7 + [0.1, 0.2, 0.1, 0.1] + [0.0] * 14 + [0.1])
 
 
-def _chunk_cases(rng, c):
+def _chunk_cases(rng, c, mixed_chunks):
     """(noise_p, thetas, xs, chunk sizes under a budget of three rows of
-    the batch's largest kind) for the two chunk tests."""
+    the batch's largest kind) for the two chunk tests; ``mixed_chunks``
+    are the chunk sizes of the MIXED rows."""
     thetas = rng.uniform(0, 2 * np.pi, (11, c.n_params))
     xs = rng.uniform(0, 2 * np.pi, (11, 3))
     mixed = (MIXED, rng.uniform(0, 2 * np.pi, (len(MIXED), c.n_params)),
-             rng.uniform(0, 2 * np.pi, (len(MIXED), 3)), [7, 3, 1, 12, 2, 1])
+             rng.uniform(0, 2 * np.pi, (len(MIXED), 3)), mixed_chunks)
     return [(0.0, thetas, xs, [3, 3, 3, 2]), (0.1, thetas, xs, [3, 3, 3, 2]), mixed]
 
 
@@ -413,10 +417,10 @@ def test_forward_many_chunks_rows_bitwise(monkeypatch):
     c = build_circuit(2, 2, 3, 1)
     obs = z_observable(2)
 
-    def row_bytes(noisy):
-        return ansatz._fresh_rows(c, 1, noisy).nbytes
+    def row_bytes(noisy):  # a state and its 40 K bytes of angles
+        return ansatz._fresh_rows(c, 1, noisy).nbytes + 40 * c.n_params
 
-    for p, thetas, xs, want in _chunk_cases(rng, c):
+    for p, thetas, xs, want in _chunk_cases(rng, c, [4, 3, 3, 1, 4, 4, 4, 2, 1]):
         whole = forward_many(c, thetas, xs, obs, p)
         budget = 3 * row_bytes(bool(np.any(np.asarray(p) > 0)))
         chunks = []
@@ -443,10 +447,10 @@ def test_output_grads_chunks_rows_bitwise(monkeypatch):
     c = build_circuit(2, 2, 3, 1)
     obs = z_observable(2)
 
-    def row_bytes(noisy):
-        return (c.n_params + 2) * ansatz._fresh_rows(c, 1, noisy).nbytes
+    def row_bytes(noisy):  # K + 2 states and 40 K bytes of angles
+        return (c.n_params + 2) * ansatz._fresh_rows(c, 1, noisy).nbytes + 40 * c.n_params
 
-    for p, thetas, xs, want in _chunk_cases(rng, c):
+    for p, thetas, xs, want in _chunk_cases(rng, c, [7, 3, 1, 7, 7, 1]):
         values, grads = ansatz._output_grads(c, thetas, xs, obs, p)
         budget = 3 * row_bytes(bool(np.any(np.asarray(p) > 0)))
         chunks = []
@@ -464,6 +468,30 @@ def test_output_grads_chunks_rows_bitwise(monkeypatch):
         _check_chunk_kinds(chunks, p, budget, row_bytes)
         np.testing.assert_array_equal(chunked[0], values)
         np.testing.assert_array_equal(chunked[1], grads)
+
+
+def test_forward_many_chunks_count_the_angles(monkeypatch):
+    """A chunk's rotation angles count against the byte budget: at 4q L16
+    R2 (K = 136) a row's angles take 5.4 KB against its 128 B state, so
+    under a 1 MB budget 5000 rows, with one theta per row or one theta
+    for all, peak within twice the budget, and give the unchunked bits."""
+    rng = np.random.default_rng(41)
+    c = build_circuit(4, 16, 16, 2)
+    obs = z_observable(4)
+    xs = rng.uniform(0, 2 * np.pi, (5000, 16))
+    for thetas in (rng.uniform(0, 2 * np.pi, (5000, c.n_params)),
+                   rng.uniform(0, 2 * np.pi, c.n_params)):
+        whole = forward_many(c, thetas, xs, obs)
+        monkeypatch.setattr(ansatz, "_CHUNK_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            chunked = forward_many(c, thetas, xs, obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert peak < 2 << 20
+        np.testing.assert_array_equal(chunked, whole)
 
 
 def test_a_row_over_the_byte_cap_is_refused(monkeypatch):
@@ -664,6 +692,14 @@ def test_forward_many_shape_errors():
         forward_many(c, np.zeros((3, 4)), np.zeros((2, 2)), obs)
     with pytest.raises(ValueError):
         forward_many(c, np.zeros((3, 5)), np.zeros((3, 2)), obs)
+    # Rows of more than two axes are refused by name, not read as rows of rows.
+    one = build_circuit(1, 1, 1, 1)
+    with pytest.raises(ValueError, match=r"thetas must be 1-D or 2-D, got shape \(3, 2, 2\)"):
+        forward_many(one, np.zeros((3, 2, 2)), np.ones((3, 1)), z_observable(1))
+    with pytest.raises(ValueError, match=r"thetas must be 1-D or 2-D"):
+        ansatz._output_grads(one, np.zeros((3, 2, 2)), np.ones((3, 1)), z_observable(1), 0.0)
+    with pytest.raises(ValueError, match=r"xs must be 1-D or 2-D, got shape \(3, 1, 1\)"):
+        forward_many(one, np.zeros(2), np.ones((3, 1, 1)), z_observable(1))
 
 
 # --- dense unitaries ---------------------------------------------------------

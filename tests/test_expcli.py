@@ -587,21 +587,26 @@ def test_emit_csv_reproducible_bytes(toy_table, tmp_path):
     assert data.endswith(b"\n")
 
 
+# Plain str/int/float cells, numpy scalars, None and bools, a row missing
+# columns and a row out of column order.
+CELL_ROWS = [
+    {"kind": "trace", "n": 25, "x": 0.1, "y": ""},
+    {"kind": "plain", "n": -3, "x": float("inf"), "y": float("nan")},
+    {"kind": "big", "n": 10**20, "x": 1e16, "y": -0.0},
+    {"kind": np.float64(0.1), "n": np.int64(7), "x": None, "y": True},
+    {"kind": False, "n": np.float64(-np.inf), "x": np.float32(0.1), "y": 1e-5},
+    {"kind": np.str_("s"), "n": np.float64(np.nan), "x": 2.5e-300, "y": 123456789.125},
+    {"x": 2.5, "kind": "partial"},
+    {"y": 1, "x": 2.0, "n": 3, "kind": "reordered"},
+]
+
+
 def test_emit_csv_cell_types_write_frozen_bytes(tmp_path):
     """Rows of plain str/int/float cells (written as str) and rows holding
     numpy scalars, None or bool (written by `_format_cell`), rows missing
     a column and rows out of column order all give the bytes of one
     `_format_cell` call per cell, frozen here."""
-    rows = [
-        {"kind": "trace", "n": 25, "x": 0.1, "y": ""},
-        {"kind": "plain", "n": -3, "x": float("inf"), "y": float("nan")},
-        {"kind": "big", "n": 10**20, "x": 1e16, "y": -0.0},
-        {"kind": np.float64(0.1), "n": np.int64(7), "x": None, "y": True},
-        {"kind": False, "n": np.float64(-np.inf), "x": np.float32(0.1), "y": 1e-5},
-        {"kind": np.str_("s"), "n": np.float64(np.nan), "x": 2.5e-300, "y": 123456789.125},
-        {"x": 2.5, "kind": "partial"},
-        {"y": 1, "x": 2.0, "n": 3, "kind": "reordered"},
-    ]
+    rows = CELL_ROWS
     table = ResultTable(("kind", "n", "x", "y"), rows, {})
     path = tmp_path / "cells.csv"
     emit_results(table, str(path), "csv")
@@ -619,6 +624,30 @@ def test_emit_csv_cell_types_write_frozen_bytes(tmp_path):
     per_cell = "".join(",".join(_format_cell(row.get(c, "")) for c in table.columns) + "\n"
                        for row in rows)
     assert path.read_bytes() == ("kind,n,x,y\n" + per_cell).encode()
+
+
+def test_emit_json_writes_the_numbers_the_csv_writes(tmp_path):
+    """CELL_ROWS, numpy scalars and bools among them, written as JSON: each
+    numeric cell loads back equal to the value of its CSV text, a
+    non-finite one as that text, and a blank as null."""
+    table = ResultTable(("kind", "n", "x", "y"), CELL_ROWS, {})
+    emit_results(table, str(tmp_path / "cells.csv"), "csv")
+    emit_results(table, str(tmp_path / "cells.json"), "json")
+    csv_rows = (tmp_path / "cells.csv").read_text(encoding="utf-8").splitlines()[1:]
+    json_rows = json.loads((tmp_path / "cells.json").read_text(encoding="utf-8"))["rows"]
+    assert len(json_rows) == len(csv_rows) == len(CELL_ROWS)
+    numbers = 0
+    for line, got in zip(csv_rows, json_rows):
+        for column, text in zip(table.columns, line.split(",")):
+            cell = got[column]
+            if text == "":
+                assert cell is None
+            elif isinstance(cell, str):
+                assert cell == text
+            else:
+                numbers += 1
+                assert cell == json.loads(text)
+    assert numbers == 18
 
 
 def test_emit_json_round_trip(toy_table, tmp_path):

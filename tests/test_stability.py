@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from _oracles import group_result_loop
 from reupqnn.ansatz import build_circuit, forward
 from reupqnn.data import Dataset, Sample, synthetic_toy
 from reupqnn.noise import noisy_forward
@@ -247,6 +248,38 @@ def test_coupled_ensemble_matches_single_index_calls():
         coupled_ensemble([(dataset, probe, swaps, [])], c, obs)
     with pytest.raises(ValueError):
         coupled_ensemble([(dataset, probe.subset([]), swaps, [config])], c, obs)
+
+
+@pytest.mark.parametrize("noise_p", [0.0, 0.05])
+@pytest.mark.parametrize("n_seeds", [1, 9, 12])
+def test_coupled_ensemble_matches_the_pair_by_pair_loop(n_seeds, noise_p):
+    """Two groups of different m and probe sets, three swaps each, in one
+    call give the traces and beta_hat of the loop that scores one (swap,
+    seed) pair at a time, bit for bit; at 9 and 12 seeds a seed mean
+    summed in another order would show."""
+    c = build_circuit(2, 1, 1, 1)
+    obs = z_observable(2)
+    groups = []
+    for m, n_probes, seed in ((7, 5, 30), (9, 3, 32)):
+        dataset, probe = synthetic_toy(m, seed=seed), synthetic_toy(n_probes, seed=seed + 1)
+        swaps = [(int(i), replacement_for(int(i), probe)) for i in sampled_indices(m, 3)]
+        configs = [TrainConfig(0.3, 4, seed=s, noise_p=noise_p) for s in range(n_seeds)]
+        groups.append((dataset, probe, swaps, configs))
+    results = coupled_ensemble(groups, c, obs)
+    for (dataset, probe, swaps, configs), (traces, beta) in zip(groups, results):
+        runs = [(train_set, config)
+                for train_set in [dataset] + [dataset.replace(i, r) for i, r in swaps]
+                for config in configs]
+        paths = np.stack([thetas for _, thetas in _sgd_paths(runs, c, obs)], axis=1)
+        paths = paths.reshape(len(swaps) + 1, n_seeds, -1, c.n_params)
+        want, want_beta = group_result_loop(paths, probe, swaps, configs, c, obs)
+        assert beta == want_beta and beta > 0.0
+        assert len(traces) == len(want) == 3 * n_seeds
+        for a, b in zip(traces, want):
+            assert (a.replaced_index, a.seed) == (b.replaced_index, b.seed)
+            np.testing.assert_array_equal(a.sum_abs_dtheta, b.sum_abs_dtheta)
+            np.testing.assert_array_equal(a.probe_f_gap, b.probe_f_gap)
+            np.testing.assert_array_equal(a.probe_loss_gap, b.probe_loss_gap)
 
 
 def test_coupled_ensemble_traces_do_not_depend_on_batch():
@@ -543,6 +576,12 @@ def test_bound_inputs_validation():
                         ("smoothness", math.nan), ("loss_bound", math.inf)):
         with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
             base_inputs(**{name: value})
+    # Counts are integers: 1.5, 2.0 and NaN are refused by name, numpy integers pass.
+    for name in ("layers", "data_dim", "n_params", "m", "iterations"):
+        for value in (1.5, 2.0, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                base_inputs(**{name: value})
+        assert theoretical_beta(base_inputs(**{name: np.int64(2)})) > 0.0
 
 
 def test_stable_training_margin_regimes():

@@ -105,8 +105,8 @@ def fresh_philox(*key):
 
 
 def test_philox_draws_equal_a_fresh_generator():
-    """The re-keyed shared generator gives the draws of a newly built one,
-    for every draw kind and also when calls with other keys come between."""
+    """`_philox` gives the draws of a newly built generator, for every draw
+    kind and also when calls with other keys come between."""
     keys = [(0, 0), (3, 5), (7, 2**63), (2**63, 11), (2**64 - 1, 2**64 - 1),
             (np.uint64(0x1D5), 40), (np.uint64(0x9E91), 9)]
     draws = [
@@ -132,6 +132,17 @@ def test_philox_draws_equal_a_fresh_generator():
             init_params(c, t),
             fresh_philox(t, np.uint64(1) << np.uint64(63)).uniform(0.0, 2.0 * np.pi,
                                                                    size=c.n_params))
+
+
+def test_a_held_philox_generator_keeps_its_stream():
+    """`_philox` keeps no state: a generator held while another key draws
+    still draws the stream of a fresh one under its own key."""
+    held = _philox(1, 2)
+    first = held.integers(0, 10, size=3)
+    _philox(3, 4).integers(0, 10)
+    want = fresh_philox(1, 2)
+    np.testing.assert_array_equal(first, want.integers(0, 10, size=3))
+    np.testing.assert_array_equal(held.integers(0, 10, size=5), want.integers(0, 10, size=5))
 
 
 def test_vectorized_philox_draws_equal_the_public_generator(monkeypatch):
