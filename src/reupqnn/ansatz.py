@@ -22,7 +22,9 @@ rotation, a run of CX gates one index gather and the channel a scale
 (see the batched engine below).  `forward` and `noise.noisy_forward` are
 its one-row wrappers.  Both modes walk one gate schedule; `_output_grads`
 walks it forward and then backward to give every row's parameter
-gradient (adjoint differentiation).  One planner, `_chunk_plan`, splits
+gradient (adjoint differentiation), paid per sweep and qubit, not per
+Ry: both sweeps copy each qubit's rotated pair into its slabs, and one
+expression per qubit contracts them.  One planner, `_chunk_plan`, splits
 the rows of a forward or an adjoint pass into chunks of one kind,
 statevector or Pauli, with their channel factors and observable form, so
 rows of any strengths share a call.
@@ -221,8 +223,8 @@ def forward(circuit: ReuploadCircuit, theta, x, obs: Observable) -> float:
 # their angles.
 _CHUNK_BYTES = 64 << 20
 
-# No one row may take more bytes than this.  A noisy adjoint row (see
-# `_chunk_plan`) at L4 R2 takes 856 MB at 10 qubits and 3.76 GB at 11.
+# No one row may take more bytes than this.  An adjoint row at L4 R2 (see
+# `_chunk_plan`) takes 3.76 GB noisy at 11 qubits, 37.0 MB noiseless at 14.
 _ROW_BYTES = 1 << 30
 
 # Schedule entry kinds; see `_schedule`.
@@ -238,19 +240,17 @@ def _site(states: np.ndarray, qubit: int, d: int) -> np.ndarray:
     return states.reshape(d ** qubit, d, -1, states.shape[-1])
 
 
-def _pair(states: np.ndarray, qubit: int, d: int) -> np.ndarray:
-    """The two site entries an Ry on ``qubit`` rotates, (a, b) along axis 1:
-    |0> and |1> of statevector rows (d = 2), Z and X of Pauli rows (d = 4)."""
-    return _site(states, qubit, d)[:, d // 2 - 1:d // 2 + 1]
+def _pairs(states: np.ndarray, n: int, d: int) -> list:
+    """Per qubit q, the (d^q, 2, d^(n-q-1), rows) view of the entries an Ry
+    on q rotates: |0> and |1> of statevector rows, Z and X of Pauli rows."""
+    return [_site(states, q, d)[:, d // 2 - 1:d // 2 + 1] for q in range(n)]
 
 
-def _apply_ry_rows(states: np.ndarray, qubit: int, c: np.ndarray, S: np.ndarray,
-                   d: int) -> None:
+def _apply_ry_rows(pair: np.ndarray, c: np.ndarray, S: np.ndarray) -> None:
     """Ry on one qubit of every row, in place: (a, b) <- (c a - s b, c b + s a)
-    on the `_pair` of site size ``d``, ``c`` the (rows,) cosines and ``S`` the
+    on its `_pairs` view ``pair``, ``c`` the (rows,) cosines and ``S`` the
     (2, 1, rows) stacked (-s, s) of `_angles` (Z <- c Z - s X, X <- c X + s Z
     for Pauli rows; I and XZ are untouched)."""
-    pair = _pair(states, qubit, d)
     turned = pair[:, ::-1] * S
     pair *= c
     pair += turned
@@ -398,20 +398,19 @@ def _strengths(circuit: ReuploadCircuit, noise: np.ndarray) -> dict:
     return {k: np.array(column)[row_p] for k, column in table.items()}
 
 
-def _step(states: np.ndarray, op: tuple, c: np.ndarray, S: np.ndarray,
+def _step(states: np.ndarray, pairs: list, op: tuple, c: np.ndarray, S: np.ndarray,
           strengths: dict) -> None:
     """Apply one schedule entry to every row in place: statevector rows
     when ``strengths`` (those of `_strengths`) is empty, else Pauli rows.
-    ``c`` and ``S`` are the cosines and stacked sines of `_angles` (``S``
-    reversed along axis 1 undoes an Ry); a CX run is one gather."""
+    ``pairs`` are its `_pairs`, ``c`` and ``S`` the cosines and stacked sines
+    of `_angles` (``S`` reversed undoes an Ry); a CX run is one gather."""
     kind, q, j = op
-    d = 4 if strengths else 2
     if kind == _RY:
-        _apply_ry_rows(states, q, c[j], S[j], d)
+        _apply_ry_rows(pairs[q], c[j], S[j])
     elif kind == _NOISE:
         _damp_rows(states, q, strengths[j])
     else:
-        sites = states.reshape(d ** q, len(j), -1, states.shape[-1])
+        sites = states.reshape((4 if strengths else 2) ** q, len(j), -1, states.shape[-1])
         sites[...] = sites.take(j, axis=1)
 
 
@@ -426,7 +425,7 @@ def _fresh_rows(circuit: ReuploadCircuit, rows: int, noisy: bool) -> np.ndarray:
 
 
 def _column_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum of (entries, rows) terms over the entries, one per row.
+    """Sum of (entries, ..., rows) terms over the entries, one per column.
 
     Sequential, so a row's bits do not depend on its batch: np.add.reduce
     or einsum over a lone contiguous column switches to a pairwise or
@@ -460,7 +459,7 @@ def _observe(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 
 def _forward_rows(circuit: ReuploadCircuit, c: np.ndarray, S: np.ndarray, form: np.ndarray,
-                  strengths: dict, kept: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  strengths: dict, slabs: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Every row's output and the direction lam it was measured along:
     |0...0> swept forward through the schedule by the cosines ``c`` and
     stacked sines ``S`` of `_angles` under the channel factors
@@ -469,30 +468,21 @@ def _forward_rows(circuit: ReuploadCircuit, c: np.ndarray, S: np.ndarray, form: 
 
     lam is (Re M) psi for statevector rows and the one column ``form`` of
     `_observable_form` for Pauli rows, whose density matrices are checked
-    here.  With ``kept`` a list, a copy of the rows is appended after every
-    trainable Ry, in schedule order."""
-    noisy = bool(strengths)
+    here.  With ``slabs`` the per-qubit psi slabs of `_adjoint_rows`, the
+    qubit's pair of the rows after every trainable Ry is written to its slot."""
+    noisy, n = bool(strengths), circuit.n_qubits
     states = _fresh_rows(circuit, c.shape[1], noisy)
+    pairs = _pairs(states, n, 4 if noisy else 2)
     for op in _schedule(circuit, noisy):
-        _step(states, op, c, S, strengths)
-        if kept is not None and op[0] == _RY:
-            kept.append(states.copy())
+        _step(states, pairs, op, c, S, strengths)
+        if slabs is not None and op[0] == _RY:
+            slabs[op[1]][op[2] // n] = pairs[op[1]]
     if noisy:
-        _check_pauli_rows(states, circuit.n_qubits)
+        _check_pauli_rows(states, n)
         lam = form
     else:
         lam = _observe(form, states)
     return _column_sum(lam * states), lam
-
-
-def _ry_grad(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """The derivative of every row's output by the angle of an Ry, from
-    the `_pair` views (a, b) of lam and of the rows psi kept after the Ry:
-    the sum of lam_b psi_a - lam_a psi_b.  For statevector rows that is
-    2 lam^T J psi, J = dRy/dtheta Ry^T = [[0, -1/2], [1/2, 0]] on the
-    qubit; for Pauli rows lam_X c_Z - lam_Z c_X, the rotation's generator."""
-    terms = lam[:, 1] * psi[:, 0] - lam[:, 0] * psi[:, 1]
-    return _column_sum(terms.reshape(-1, terms.shape[-1]))
 
 
 def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray,
@@ -502,60 +492,73 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray
     `_strengths`: ((rows,), (rows, K)).
 
     Adjoint differentiation (Jones & Gacon, arXiv:2009.02823), one algorithm
-    for statevector and Pauli rows.  The forward sweep (`_forward_rows`)
-    keeps the rows after every trainable Ry and gives the direction lam the
-    output was measured along.  The backward sweep walks the backward
-    `_schedule` on lam alone: every gate is real and orthogonal on the rows,
-    so its inverse is its transpose, Ry by the negated angle (``S``
-    reversed) and a CX run the inverse gather, and the channel is diagonal,
-    its own adjoint, and never divided by.  At a trainable Ry with kept rows psi, the gradient is
-    `_ry_grad`.  lam is swept in place: statevector rows measure a fresh
-    (Re M) psi, and Pauli rows a fresh copy per row of the chunk's shared
-    `_observable_form`.
+    for statevector and Pauli rows, paid per sweep and qubit, not per Ry.
+    Qubit q has a psi and a lam slab, (K/N, d^q, 2, d^(N-q-1), rows), its
+    `_pairs` view with slot j // N for each trainable Ry j on q.  The
+    forward sweep (`_forward_rows`) fills the psi slabs and gives the
+    direction lam the output was measured along.  The backward sweep walks
+    the backward `_schedule` on lam alone, filling the lam slabs before it
+    undoes each Ry: every gate is real and orthogonal on the rows, so its
+    inverse is its transpose, Ry by the negated angle (``S`` reversed) and a
+    CX run the inverse gather, and the channel is diagonal, its own
+    adjoint, and never divided by.  Each qubit then sums lam_b psi_a -
+    lam_a psi_b over its slabs' entries, in `_column_sum` order, into
+    gradient columns q, q + N, ...: for statevector rows 2 lam^T J psi,
+    J = dRy/dtheta Ry^T = [[0, -1/2], [1/2, 0]] on the qubit; for Pauli rows
+    lam_X c_Z - lam_Z c_X, the rotation's generator.  lam is swept in place:
+    statevector rows measure a fresh (Re M) psi, and Pauli rows a fresh
+    copy per row of the chunk's shared `_observable_form`.
     """
-    noisy = bool(strengths)
+    noisy, n, rows = bool(strengths), circuit.n_qubits, len(sums)
+    d, per = 4 if noisy else 2, circuit.n_params // n
     c, S = _angles(circuit, thetas, sums, noisy)
-    kept = []
-    values, lam = _forward_rows(circuit, c, S, form, strengths, kept)
+    psis, lams = ([np.empty((per, d ** q, 2, d ** (n - q - 1), rows)) for q in range(n)]
+                  for _ in range(2))
+    values, lam = _forward_rows(circuit, c, S, form, strengths, psis)
     if noisy:
-        lam = lam.repeat(c.shape[1], axis=1)
-    S = S[:, ::-1]
-    grads = np.empty((len(sums), circuit.n_params))
-    d = 4 if noisy else 2
+        lam = lam.repeat(rows, axis=1)
+    pairs, S = _pairs(lam, n, d), S[:, ::-1]
     for op in _schedule(circuit, noisy, backward=True):
-        kind, q, j = op
-        if kind == _RY:
-            grads[:, j] = _ry_grad(_pair(lam, q, d), _pair(kept.pop(), q, d))
-        if kept:  # once the first entry, an Ry, is done, nothing is left to undo
-            _step(lam, op, c, S, strengths)
+        if op[0] == _RY:
+            lams[op[1]][op[2] // n] = pairs[op[1]]
+            if op[2] == 0:  # the first Ry: nothing is left to undo
+                break
+        _step(lam, pairs, op, c, S, strengths)
+    grads = np.empty((rows, circuit.n_params))
+    for q in range(n):
+        terms = lams[q][:, :, 1] * psis[q][:, :, 0] - lams[q][:, :, 0] * psis[q][:, :, 1]
+        grads[:, q::n] = _column_sum(terms.reshape(per, -1, rows).swapaxes(0, 1)).T
     return values, grads
 
 
 def _check_rows(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
                 noise_p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated (rows, K) thetas and (rows, D) xs, single rows broadcast,
-    and the (rows,) noise strengths of `_check_batch`."""
+    """Validated (rows, K) thetas and (rows, D) xs, a single row broadcast
+    once `_check_batch` has checked it, and its (rows,) noise strengths."""
     thetas, xs = np.asarray(thetas, dtype=float), np.asarray(xs, dtype=float)
     for name, rows in (("thetas", thetas), ("xs", xs)):
         if rows.ndim not in (1, 2):
             raise ValueError(f"{name} must be 1-D or 2-D, got shape {rows.shape}")
     thetas, xs = np.atleast_2d(thetas, xs)
-    if thetas.shape[0] == 1 and xs.shape[0] != 1:
-        thetas = np.broadcast_to(thetas, (xs.shape[0], thetas.shape[1]))
-    if xs.shape[0] == 1 and thetas.shape[0] != 1:
-        xs = np.broadcast_to(xs, (thetas.shape[0], xs.shape[1]))
-    if thetas.shape[0] != xs.shape[0]:
+    rows = len(xs) if len(thetas) == 1 else len(thetas)
+    if len(xs) not in (1, rows):
         raise ValueError("thetas and xs row counts do not match")
-    return thetas, xs, _check_batch(circuit, thetas, xs, obs, noise_p)
+    noise = _check_batch(circuit, thetas, xs, obs, noise_p, rows)
+    if len(thetas) != rows:
+        thetas = np.broadcast_to(thetas, (rows, thetas.shape[1]))
+    if len(xs) != rows:
+        xs = np.broadcast_to(xs, (rows, xs.shape[1]))
+    return thetas, xs, noise
 
 
 def _check_batch(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
-                 obs: Observable, noise_p) -> np.ndarray:
+                 obs: Observable, noise_p, rows: int) -> np.ndarray:
     """The checks of `_check_rows` that do not pair theta rows with x rows.
 
     (R, K) ``thetas`` and (N, D) ``xs`` must be finite, ``obs`` must match
     the circuit, and ``noise_p`` must lie in [0, 1], a float or one per
-    theta row.  Returns the (R,) strengths, a float broadcast.
+    row of the batch's ``rows``.  Returns the (rows,) strengths, a float
+    broadcast.
     `train._sgd_paths` runs it once over a batch's initial thetas and every
     run's features."""
     if thetas.shape[1] != circuit.n_params:
@@ -568,7 +571,6 @@ def _check_batch(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
         raise ValueError("thetas or xs contain non-finite entries")
     if obs.matrix.shape[0] != (1 << circuit.n_qubits):
         raise ValueError("observable dimension does not match the circuit")
-    rows = thetas.shape[0]
     noise = np.asarray(noise_p, dtype=float)
     # A set of Python floats is cheaper than numpy reductions on a few rows.
     if not all(0.0 <= p <= 1.0 for p in set(noise.ravel().tolist())):  # NaN fails too
@@ -590,8 +592,8 @@ def _chunk_plan(circuit: ReuploadCircuit, obs: Observable, noise: np.ndarray,
     are cut wherever the kind changes, and each run of one kind into
     chunks of at least one row and at most ``_CHUNK_BYTES`` of states and
     their angles; a statevector chunk has no factors.  A row of a forward
-    pass holds one state; of an adjoint pass K + 2: the forward state, lam,
-    and the K states kept for the backward sweep.  Its `_angles` take 40 K
+    pass holds one state; of an adjoint pass 2K + 2 (K + 2 for Pauli rows,
+    whose `_adjoint_rows` slabs keep half sites).  Its `_angles` take 40 K
     bytes more: c, S and the angle copy.  A row whose states take more than
     ``_ROW_BYTES`` raises CapacityError before any state is allocated."""
     noisy = noise > 0.0
@@ -601,7 +603,7 @@ def _chunk_plan(circuit: ReuploadCircuit, obs: Observable, noise: np.ndarray,
     for start, stop in zip(bounds, bounds[1:]):
         kind = bool(noisy[start:stop].any())  # False for no rows at all
         row_bytes = 8 << (circuit.n_qubits * (1 + kind))  # a 2^n or 4^n state of doubles
-        row_bytes *= circuit.n_params + 2 if adjoint else 1
+        row_bytes *= (2 - kind) * circuit.n_params + 2 if adjoint else 1
         if row_bytes > _ROW_BYTES:
             raise CapacityError(f"one row of this {circuit.n_qubits}-qubit circuit needs "
                                 f"{row_bytes} bytes, more than the {_ROW_BYTES} a row may take")

@@ -290,7 +290,8 @@ def _sgd_paths(runs, circuit: ReuploadCircuit, obs: Observable):
     labels = np.concatenate([dataset.labels for dataset, _ in runs]).astype(float)
     eta = np.array([config.learning_rate for _, config in runs])[:, None]
     thetas = _init_thetas(circuit, [config.seed for _, config in runs])
-    noise = _check_batch(circuit, thetas, features, obs, [config.noise_p for _, config in runs])
+    noise = _check_batch(circuit, thetas, features, obs, [config.noise_p for _, config in runs],
+                         len(runs))
     plan = _chunk_plan(circuit, obs, noise, adjoint=True)
     sums = _fold(circuit, features)
     yield None, thetas

@@ -8,8 +8,9 @@ tensordot, ``expectation`` is the quadratic form or trace,
 ``kraus_oracle`` applies the depolarizing channel by its Kraus form,
 ``pauli_coefficients`` and ``from_pauli_coefficients`` change a density
 matrix to and from the engine's Pauli rows by the dense Pauli products,
-``partial_transpose`` swaps a system's row and column axes, and
+``partial_transpose`` swaps a system's row and column axes,
 ``group_result_loop`` scores a coupled group one (swap, seed) pair at a
+time, and ``adjoint_rows_per_ry`` differentiates one trainable Ry at a
 time.
 """
 
@@ -17,6 +18,7 @@ import functools
 
 import numpy as np
 
+from reupqnn import ansatz
 from reupqnn.ansatz import forward_many
 from reupqnn.comb import ChoiOperator, _require_systems
 from reupqnn.qcore import (
@@ -191,3 +193,39 @@ def group_result_loop(paths, probes, swaps, configs, circuit, obs):
             ))
         worst = max(worst, float(np.max(np.abs(base_mean - mean_final_loss(twins)))))
     return traces, 0.5 * worst
+
+
+def _ry_grad(lam, psi):
+    """The derivative of every row's output by the angle of an Ry, from
+    the `_pairs` views (a, b) of lam and of the rows psi kept after the Ry:
+    the sum of lam_b psi_a - lam_a psi_b in `_column_sum` order."""
+    terms = lam[:, 1] * psi[:, 0] - lam[:, 0] * psi[:, 1]
+    return ansatz._column_sum(terms.reshape(-1, terms.shape[-1]))
+
+
+def adjoint_rows_per_ry(circuit, thetas, sums, form, strengths):
+    """``ansatz._adjoint_rows`` one trainable Ry at a time: the forward
+    sweep keeps a copy of the whole rows after every Ry, and the backward
+    sweep takes `_ry_grad` of lam and of the rows kept for an Ry just before
+    it undoes that Ry.  Same signature and result, ((rows,), (rows, K))."""
+    noisy, n = bool(strengths), circuit.n_qubits
+    d = 4 if noisy else 2
+    c, S = ansatz._angles(circuit, thetas, sums, noisy)
+    states = ansatz._fresh_rows(circuit, c.shape[1], noisy)
+    kept = []
+    pairs = ansatz._pairs(states, n, d)
+    for op in ansatz._schedule(circuit, noisy):
+        ansatz._step(states, pairs, op, c, S, strengths)
+        if op[0] == ansatz._RY:
+            kept.append(states.copy())
+    lam = form.repeat(c.shape[1], axis=1) if noisy else ansatz._observe(form, states)
+    values = ansatz._column_sum(lam * states)
+    grads = np.empty((len(sums), circuit.n_params))
+    pairs, S = ansatz._pairs(lam, n, d), S[:, ::-1]
+    for op in ansatz._schedule(circuit, noisy, backward=True):
+        kind, q, j = op
+        if kind == ansatz._RY:
+            grads[:, j] = _ry_grad(pairs[q], ansatz._pairs(kept.pop(), n, d)[q])
+        if kept:  # once the first entry, an Ry, is done, nothing is left to undo
+            ansatz._step(lam, pairs, op, c, S, strengths)
+    return values, grads

@@ -22,6 +22,7 @@ from reupqnn.ansatz import (
     trainable_block_unitary,
 )
 from _oracles import (
+    adjoint_rows_per_ry,
     apply_gate,
     expectation,
     from_pauli_coefficients,
@@ -341,13 +342,20 @@ def _check_kernels_on_column_views(rng, n):
     base = rng.normal(size=(2 ** n, 2 * r + 1))
     half = rng.uniform(0, np.pi, r)
     stacked = np.stack((-np.sin(half), np.sin(half)))[:, None]  # S of `_angles`
-    ops = [(ansatz._apply_ry_rows, (q, np.cos(half), stacked, 2),
-            [embed_gate(rotation_gate("y", 2 * h), (q,), n) for h in half]) for q in range(n)]
-    ops += [(ansatz._step, (op, None, None, {}), [_cx_run_unitary(op, 2, n)] * r)
-            for op in _cx_runs(n, False)]
-    for kernel, args, gates in ops:
+
+    def ry(q):  # the kernel on the rows' `_pairs` view of q
+        return lambda rows: ansatz._apply_ry_rows(ansatz._pairs(rows, n, 2)[q],
+                                                  np.cos(half), stacked)
+
+    def cx(op):
+        return lambda rows: ansatz._step(rows, ansatz._pairs(rows, n, 2), op, None, None, {})
+
+    ops = [(ry(q), [embed_gate(rotation_gate("y", 2 * h), (q,), n) for h in half])
+           for q in range(n)]
+    ops += [(cx(op), [_cx_run_unitary(op, 2, n)] * r) for op in _cx_runs(n, False)]
+    for kernel, gates in ops:
         big = base.copy()
-        kernel(big[:, :r], *args)
+        kernel(big[:, :r])
         for j, u in enumerate(gates):
             assert np.max(np.abs(big[:, j] - (u @ base[:, j]).real)) <= 1e-12
         assert np.array_equal(big[:, r:], base[:, r:])
@@ -369,7 +377,8 @@ def _check_kernels_on_column_views(rng, n):
         ops += [cx[q]] if q < n - 1 else []
         for op in ops:
             big = base.copy()
-            ansatz._step(big[:, :r], op, cos, stacked, {1: 1 - p})
+            view = big[:, :r]
+            ansatz._step(view, ansatz._pairs(view, n, 4), op, cos, stacked, {1: 1 - p})
             for j, rho in enumerate(rhos):
                 if op[0] == ansatz._NOISE:
                     want = kraus_oracle(rho.astype(complex), p, q, n).real
@@ -384,7 +393,7 @@ def _check_kernels_on_column_views(rng, n):
 
 # Runs of 7, 4, 14 and 1 rows by kind: at 2q L2 D3 R1 (K = 6), a budget
 # of three Pauli rows with their angles holds four statevector forward rows
-# and seven adjoint ones, so the budget cuts runs of both kinds.
+# and five adjoint ones, so the budget cuts runs of both kinds.
 MIXED = np.array([0.0] * 7 + [0.1, 0.2, 0.1, 0.1] + [0.0] * 14 + [0.1])
 
 
@@ -440,17 +449,19 @@ def test_forward_many_chunks_rows_bitwise(monkeypatch):
 
 
 def test_output_grads_chunks_rows_bitwise(monkeypatch):
-    """Adjoint rows, a noisy row with its K kept density rows, stay under the
-    byte budget and give the unchunked bits; rows of mixed strengths are
-    cut where the row kind changes."""
+    """Adjoint rows, 2K + 2 statevectors or K + 2 Pauli rows each (the
+    slabs of a Pauli row keep half sites), stay under the byte budget and
+    give the unchunked bits; rows of mixed strengths are cut where the row
+    kind changes."""
     rng = np.random.default_rng(28)
     c = build_circuit(2, 2, 3, 1)
     obs = z_observable(2)
 
-    def row_bytes(noisy):  # K + 2 states and 40 K bytes of angles
-        return (c.n_params + 2) * ansatz._fresh_rows(c, 1, noisy).nbytes + 40 * c.n_params
+    def row_bytes(noisy):  # 2K + 2 or K + 2 states and 40 K bytes of angles
+        states = (2 - noisy) * c.n_params + 2
+        return states * ansatz._fresh_rows(c, 1, noisy).nbytes + 40 * c.n_params
 
-    for p, thetas, xs, want in _chunk_cases(rng, c, [7, 3, 1, 7, 7, 1]):
+    for p, thetas, xs, want in _chunk_cases(rng, c, [5, 2, 3, 1, 5, 5, 4, 1]):
         values, grads = ansatz._output_grads(c, thetas, xs, obs, p)
         budget = 3 * row_bytes(bool(np.any(np.asarray(p) > 0)))
         chunks = []
@@ -496,16 +507,18 @@ def test_forward_many_chunks_count_the_angles(monkeypatch):
 
 def test_a_row_over_the_byte_cap_is_refused(monkeypatch):
     """A row of more than ``_ROW_BYTES``, 8 d^n bytes for a forward row and
-    (K + 2) times that for an adjoint row, raises CapacityError before any
-    state is allocated; a row of exactly the cap runs.  Unpatched, a noisy
-    adjoint row at 12 qubits, L1 R2 (6.25 GiB), is refused in the plan."""
+    (2K + 2) times that for an adjoint statevector row, (K + 2) times for an
+    adjoint Pauli row, raises CapacityError before any state is allocated; a
+    row of exactly the cap runs.  Unpatched, a noisy adjoint row at 12
+    qubits, L1 R2 (6.25 GiB), is refused in the plan."""
     rng = np.random.default_rng(33)
     c = build_circuit(2, 2, 3, 1)
     obs = z_observable(2)
     thetas = rng.uniform(0, 2 * np.pi, (3, c.n_params))
     xs = rng.uniform(0, 2 * np.pi, (3, 3))
-    for run, states in ((forward_many, 1), (ansatz._output_grads, c.n_params + 2)):
+    for run, adjoint in ((forward_many, False), (ansatz._output_grads, True)):
         for p, d in ((0.0, 2), (0.1, 4), ([0.0, 0.1, 0.0], 4)):
+            states = (4 // d) * c.n_params + 2 if adjoint else 1  # 2K + 2 or K + 2
             row_bytes = states * 8 * d ** c.n_qubits
             monkeypatch.setattr(ansatz, "_ROW_BYTES", row_bytes)
             run(c, thetas, xs, obs, p)
@@ -636,7 +649,8 @@ def test_cx_run_gathers_are_the_dense_gates_and_backward_entries_undo_them():
             for i in runs:
                 u = _cx_run_unitary(ops[i], d, n)
                 states = rows.copy()
-                ansatz._step(states, ops[i], None, None, {1: 1.0} if noisy else {})
+                pairs = ansatz._pairs(states, n, d)
+                ansatz._step(states, pairs, ops[i], None, None, {1: 1.0} if noisy else {})
                 for j in range(3):
                     if noisy:
                         got = from_pauli_coefficients(states[:, j])
@@ -645,7 +659,7 @@ def test_cx_run_gathers_are_the_dense_gates_and_backward_entries_undo_them():
                         got, want = states[:, j], u @ rows[:, j]
                     assert np.max(np.abs(got - want)) <= 1e-12
                 assert back[i][:2] == ops[i][:2]
-                ansatz._step(states, back[i], None, None, {1: 1.0} if noisy else {})
+                ansatz._step(states, pairs, back[i], None, None, {1: 1.0} if noisy else {})
                 np.testing.assert_array_equal(states, rows)
 
 
@@ -671,6 +685,56 @@ def test_a_shared_theta_gives_the_bits_of_the_theta_repeated(monkeypatch):
             for got, want in zip(ansatz._output_grads(c, theta, xs, obs, p),
                                  ansatz._output_grads(c, repeated, xs, obs, p)):
                 np.testing.assert_array_equal(got, want)
+
+
+def test_output_grads_are_the_bytes_of_the_per_ry_oracle(monkeypatch):
+    """`_output_grads`, which contracts each qubit's slabs once per sweep,
+    gives the bytes of `adjoint_rows_per_ry`, one contraction per trainable
+    Ry: noiseless, at one p and at mixed strengths with p = 0 rows, per-row
+    thetas and a shared theta, at 3q, at 1q L1, under Z and a random complex
+    M, and across chunk boundaries under a budget of three Pauli rows."""
+    rng = np.random.default_rng(44)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    three = build_circuit(3, 2, 5, 2)
+    for c, obs in ((three, z_observable(3)), (three, Observable(a + a.conj().T)),
+                   (build_circuit(1, 1, 1, 1), z_observable(1))):
+        thetas = rng.uniform(0, 2 * np.pi, (len(MIXED), c.n_params))
+        xs = rng.uniform(0, 2 * np.pi, (len(MIXED), c.data_dim))
+        budget = 3 * (c.n_params + 2) * ansatz._fresh_rows(c, 1, True).nbytes
+        for theta in (thetas, thetas[0]):
+            for p in (0.0, 0.1, MIXED):
+                monkeypatch.setattr(ansatz, "_adjoint_rows", adjoint_rows_per_ry)
+                want = ansatz._output_grads(c, theta, xs, obs, p)
+                monkeypatch.undo()
+                for chunk_bytes in (ansatz._CHUNK_BYTES, budget):
+                    monkeypatch.setattr(ansatz, "_CHUNK_BYTES", chunk_bytes)
+                    got = ansatz._output_grads(c, theta, xs, obs, p)
+                    monkeypatch.undo()
+                    for g, w in zip(got, want):
+                        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_a_shared_theta_is_checked_before_it_is_broadcast():
+    """`_check_rows` tests one theta's finiteness before it broadcasts the
+    theta to every x row: at 4q L16 D16 R2 (K = 136) against 20 000 rows it
+    peaks under 1 MB, where a rows x K temporary of bools takes 2.7 MB.  A
+    non-finite shared theta is still refused."""
+    rng = np.random.default_rng(45)
+    c = build_circuit(4, 16, 16, 2)
+    obs = z_observable(4)
+    theta = rng.uniform(0, 2 * np.pi, c.n_params)
+    xs = rng.uniform(0, 2 * np.pi, (20000, 16))
+    tracemalloc.start()
+    try:
+        thetas, _, noise = ansatz._check_rows(c, theta, xs, obs, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert thetas.shape == (20000, c.n_params) and noise.shape == (20000,)
+    theta[7] = np.inf
+    with pytest.raises(ValueError, match="thetas or xs contain non-finite entries"):
+        ansatz._check_rows(c, theta, xs, obs, 0.0)
 
 
 def test_one_theta_broadcasts_to_zero_rows():
