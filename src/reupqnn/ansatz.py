@@ -224,7 +224,7 @@ def forward(circuit: ReuploadCircuit, theta, x, obs: Observable) -> float:
 _CHUNK_BYTES = 64 << 20
 
 # No one row may take more bytes than this.  An adjoint row at L4 R2 (see
-# `_chunk_plan`) takes 3.76 GB noisy at 11 qubits, 37.0 MB noiseless at 14.
+# `_chunk_plan`) takes 3.93 GB noisy at 11 qubits, 38.3 MB noiseless at 14.
 _ROW_BYTES = 1 << 30
 
 # Schedule entry kinds; see `_schedule`.
@@ -430,8 +430,9 @@ def _column_sum(terms: np.ndarray) -> np.ndarray:
     Sequential, so a row's bits do not depend on its batch: np.add.reduce
     or einsum over a lone contiguous column switches to a pairwise or
     unrolled sum, which rounds differently from the same column in a batch.
+    The sums are copied out, so the full accumulate is freed on return.
     """
-    return np.add.accumulate(terms, axis=0)[-1]
+    return np.add.accumulate(terms, axis=0)[-1].copy()
 
 
 def _observable_form(circuit: ReuploadCircuit, obs: Observable, noisy: bool) -> np.ndarray:
@@ -526,7 +527,8 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray
         _step(lam, pairs, op, c, S, strengths)
     grads = np.empty((rows, circuit.n_params))
     for q in range(n):
-        terms = lams[q][:, :, 1] * psis[q][:, :, 0] - lams[q][:, :, 0] * psis[q][:, :, 1]
+        terms = lams[q][:, :, 1] * psis[q][:, :, 0]
+        terms -= lams[q][:, :, 0] * psis[q][:, :, 1]
         grads[:, q::n] = _column_sum(terms.reshape(per, -1, rows).swapaxes(0, 1)).T
     return values, grads
 
@@ -558,7 +560,7 @@ def _check_batch(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
     (R, K) ``thetas`` and (N, D) ``xs`` must be finite, ``obs`` must match
     the circuit, and ``noise_p`` must lie in [0, 1], a float or one per
     row of the batch's ``rows``.  Returns the (rows,) strengths, a float
-    broadcast.
+    broadcast as a read-only view.
     `train._sgd_paths` runs it once over a batch's initial thetas and every
     run's features."""
     if thetas.shape[1] != circuit.n_params:
@@ -576,7 +578,7 @@ def _check_batch(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
     if not all(0.0 <= p <= 1.0 for p in set(noise.ravel().tolist())):  # NaN fails too
         raise ValueError(f"noise strengths {noise_p!r} outside [0, 1]")
     if noise.ndim == 0:
-        noise = np.full(rows, noise)
+        noise = np.broadcast_to(noise, (rows,))
     elif noise.shape != (rows,):
         raise ValueError(f"noise_p has shape {noise.shape}, expected a float or ({rows},)")
     return noise
@@ -593,9 +595,11 @@ def _chunk_plan(circuit: ReuploadCircuit, obs: Observable, noise: np.ndarray,
     chunks of at least one row and at most ``_CHUNK_BYTES`` of states and
     their angles; a statevector chunk has no factors.  A row of a forward
     pass holds one state; of an adjoint pass 2K + 2 (K + 2 for Pauli rows,
-    whose `_adjoint_rows` slabs keep half sites).  Its `_angles` take 40 K
-    bytes more: c, S and the angle copy.  A row whose states take more than
-    ``_ROW_BYTES`` raises CapacityError before any state is allocated."""
+    whose `_adjoint_rows` slabs keep half sites), and K/N states more (K/2N)
+    for the two half-slab temporaries of one qubit's gradient contraction.
+    Its `_angles` take 40 K bytes more: c, S and the angle copy.  A row
+    whose states take more than ``_ROW_BYTES`` raises CapacityError before
+    any state is allocated."""
     noisy = noise > 0.0
     # Runs of one kind, cut where a row's kind differs from the row before.
     bounds = [0, *(np.flatnonzero(noisy[1:] != noisy[:-1]) + 1).tolist(), len(noise)]
@@ -603,7 +607,9 @@ def _chunk_plan(circuit: ReuploadCircuit, obs: Observable, noise: np.ndarray,
     for start, stop in zip(bounds, bounds[1:]):
         kind = bool(noisy[start:stop].any())  # False for no rows at all
         row_bytes = 8 << (circuit.n_qubits * (1 + kind))  # a 2^n or 4^n state of doubles
-        row_bytes *= (2 - kind) * circuit.n_params + 2 if adjoint else 1
+        if adjoint:
+            slabs = (2 - kind) * circuit.n_params
+            row_bytes = row_bytes * (slabs + 2) + row_bytes * slabs // (2 * circuit.n_qubits)
         if row_bytes > _ROW_BYTES:
             raise CapacityError(f"one row of this {circuit.n_qubits}-qubit circuit needs "
                                 f"{row_bytes} bytes, more than the {_ROW_BYTES} a row may take")

@@ -8,6 +8,12 @@ Representation.  A channel N is stored by its (unnormalized) Choi
 operator J_N = sum_ij |i><j| (x) N(|i><j|) over labeled tensor factors.
 For a unitary U the Choi operator is the rank-one projector onto the
 column-stacked vector of U, with trace equal to the input dimension.
+Real operators stay real: a U with no imaginary part, such as every block
+of an Ry + CX circuit, has a float64 Choi operator, and tensor products,
+link products, partial traces and permutations of float64 operators are
+float64, so the comb of such a circuit is built, contracted and validated
+in real arithmetic at half the bytes.  A complex operand gives a
+complex128 result.
 
 Composition.  Two Choi operators are composed by the link product
 (Chiribella, D'Ariano & Perinotti, arXiv:0904.4483), which contracts the
@@ -29,9 +35,9 @@ Positivity is decided by one Cholesky factorization of H + 1e-8*I, with
 H the Hermitian part of the operator (``qcore._psd_violations``, the
 test the density checks use): it succeeds when every eigenvalue of H lies
 above -1e-8, up to rounding of order 1e-16*||H||, either verdict exactly
-at the floor, without computing the spectrum.  An operator with no
-imaginary part, such as the comb of any Ry + CX circuit, is factored in
-real arithmetic, under the same threshold.
+at the floor, without computing the spectrum.  A float64 operator, such
+as the comb of any Ry + CX circuit, and a complex one with no imaginary
+part are factored in real arithmetic, under the same threshold.
 """
 
 from __future__ import annotations
@@ -86,6 +92,10 @@ class ChoiOperator:
     dimensions; row and column multi-indices both follow the order of
     ``systems``.  Zero systems (a 1x1 matrix, i.e. a scalar) are allowed
     as the end point of full contractions.
+
+    ``matrix`` keeps its dtype kind: a bool, integer or float matrix is
+    stored as float64 and a complex one as complex128.  A complex matrix
+    is not scanned for a zero imaginary part; it stays complex128.
     """
 
     systems: tuple[SystemLabel, ...]
@@ -98,7 +108,7 @@ class ChoiOperator:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate system names in {names}")
         _require_system_count(len(systems))
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = _as_kind64(np.asarray(self.matrix))
         dim = math.prod(s.dim for s in systems)
         if mat.shape != (dim, dim):
             raise ValueError(
@@ -129,6 +139,11 @@ class ChoiOperator:
         return ChoiOperator(systems, self.matrix)
 
 
+def _as_kind64(a: np.ndarray) -> np.ndarray:
+    """``a`` as complex128 if it is complex, else as float64."""
+    return a.astype(complex if np.iscomplexobj(a) else float, copy=False)
+
+
 def _require_system_count(count: int) -> None:
     if count > _MAX_SYSTEMS:
         raise CapacityError(
@@ -140,9 +155,14 @@ def choi_of_unitary(u: np.ndarray, in_name: str = "in", out_name: str = "out") -
     """Choi operator of the unitary channel rho -> U rho U^dagger.
 
     The result is sum_ij |i><j| (x) U|i><j|U^dagger on systems
-    (in_name, out_name); rank one with trace equal to dim(U).
+    (in_name, out_name); rank one with trace equal to dim(U).  It is
+    float64 when U has no imaginary part, as every trainable and encoding
+    block of an Ry + CX circuit, and complex128 otherwise.
     """
-    u = np.asarray(u, dtype=complex)
+    u = np.asarray(u)
+    if np.iscomplexobj(u) and not u.imag.any():
+        u = u.real
+    u = _as_kind64(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("expected a square matrix")
     d = u.shape[0]
@@ -290,7 +310,7 @@ def reuploading_comb_output(circuit: ReuploadCircuit, theta, x, obs: Observable)
     |0...0><0...0| (the engine's start) and the encoding-block Choi by
     pairwise link products, then closes with the observable.  The full
     tensor product of all blocks is never formed; intermediates stay at
-    one or two wires.
+    one or two wires, and in float64 while every block is real.
     """
     wires = circuit.n_qubits * (2 * circuit.layers + 2)
     if wires > _MAX_COMB_WIRE_QUBITS:
@@ -303,7 +323,7 @@ def reuploading_comb_output(circuit: ReuploadCircuit, theta, x, obs: Observable)
     chois = _layer_chois(circuit, theta)
     j_enc = choi_of_unitary(encoding_unitary(circuit, x), "enc_in", "enc_out")
     d = 1 << circuit.n_qubits
-    rho = np.zeros((d, d), dtype=complex)
+    rho = np.zeros((d, d))
     rho[0, 0] = 1.0
     acc = ChoiOperator((_wire(1, d),), rho)
     for layer in range(1, circuit.layers + 1):
@@ -341,7 +361,7 @@ def validate_comb(c: ChoiOperator, teeth) -> CombReport:
       to rounding of order 1e-16*||H||, either verdict exactly at the
       floor (``qcore._psd_violations``).  A matrix with no imaginary part
       is checked and factored in real arithmetic; the threshold is the
-      same.
+      same.  A float64 operator also stays float64 through the cascade.
     * For each level i from the last tooth down to the global input:
       tracing the level's output from the running operator must equal the
       next running operator tensored with identity on the level's input,

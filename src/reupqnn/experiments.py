@@ -704,7 +704,7 @@ def _cmd_validate_comb(args) -> int:
     if not np.all(np.isfinite(matrix)):
         raise DataFormatError("matrix has non-finite entries")
     systems = tuple(SystemLabel(f"w{i + 1}", d) for i, d in enumerate(dims))
-    op = ChoiOperator(systems, matrix.astype(complex))
+    op = ChoiOperator(systems, matrix)
     n_teeth = (len(dims) - 2) // 2
     teeth = [(f"w{2 * i + 2}", f"w{2 * i + 3}") for i in range(n_teeth)]
     report = validate_comb(op, teeth)

@@ -15,9 +15,11 @@ channels) is built on the small set of utilities in this module:
   factorization of a stack's Hermitian part shifted by the floor, shared
   by the density check and :func:`reupqnn.comb.validate_comb`.
 
-Arrays here are numpy ``complex128`` (the batched engine in
-:mod:`reupqnn.ansatz` keeps its rows in ``float64``); sizes stay at desk
-scale (a handful of qubits), so the implementations favor clarity over
+Gates, observables and states here are numpy ``complex128`` (the batched
+engine in :mod:`reupqnn.ansatz` keeps its rows in ``float64``, and
+:mod:`reupqnn.comb` keeps real Choi operators in ``float64``, which
+``_psd_violations`` checks as they are); sizes stay at desk scale (a
+handful of qubits), so the implementations favor clarity over
 asymptotics.
 """
 
@@ -252,8 +254,13 @@ def _psd_violations(mats: np.ndarray, tol: float) -> tuple[str, ...]:
     # the in-place writes below never reach the caller's stack.
     herm = np.conjugate(mats.swapaxes(-1, -2), order="C")
     violations = []
-    if not np.max(np.abs(mats - herm), initial=0.0) <= tol:
+    # The deviation's moduli overwrite it, real parts of a complex stack,
+    # so it is the one full-size temporary; it is freed before the factor.
+    deviation = mats - herm
+    np.abs(deviation, out=deviation)
+    if not np.max(deviation.real, initial=0.0) <= tol:
         violations.append("hermiticity")
+    del deviation
     np.add(herm, mats, out=herm)
     herm *= 0.5
     np.einsum("...ii->...i", herm)[...] += tol  # a writable view of the diagonals

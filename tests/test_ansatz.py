@@ -450,16 +450,17 @@ def test_forward_many_chunks_rows_bitwise(monkeypatch):
 
 def test_output_grads_chunks_rows_bitwise(monkeypatch):
     """Adjoint rows, 2K + 2 statevectors or K + 2 Pauli rows each (the
-    slabs of a Pauli row keep half sites), stay under the byte budget and
-    give the unchunked bits; rows of mixed strengths are cut where the row
-    kind changes."""
+    slabs of a Pauli row keep half sites) plus the K/N or K/2N states of
+    one qubit's gradient temporaries, stay under the byte budget and give
+    the unchunked bits; rows of mixed strengths are cut where the row kind
+    changes."""
     rng = np.random.default_rng(28)
     c = build_circuit(2, 2, 3, 1)
     obs = z_observable(2)
 
-    def row_bytes(noisy):  # 2K + 2 or K + 2 states and 40 K bytes of angles
-        states = (2 - noisy) * c.n_params + 2
-        return states * ansatz._fresh_rows(c, 1, noisy).nbytes + 40 * c.n_params
+    def row_bytes(noisy):  # the states above and 40 K bytes of angles
+        state, slabs = ansatz._fresh_rows(c, 1, noisy).nbytes, (2 - noisy) * c.n_params
+        return state * (slabs + 2) + state * slabs // (2 * c.n_qubits) + 40 * c.n_params
 
     for p, thetas, xs, want in _chunk_cases(rng, c, [5, 2, 3, 1, 5, 5, 4, 1]):
         values, grads = ansatz._output_grads(c, thetas, xs, obs, p)
@@ -507,10 +508,10 @@ def test_forward_many_chunks_count_the_angles(monkeypatch):
 
 def test_a_row_over_the_byte_cap_is_refused(monkeypatch):
     """A row of more than ``_ROW_BYTES``, 8 d^n bytes for a forward row and
-    (2K + 2) times that for an adjoint statevector row, (K + 2) times for an
-    adjoint Pauli row, raises CapacityError before any state is allocated; a
-    row of exactly the cap runs.  Unpatched, a noisy adjoint row at 12
-    qubits, L1 R2 (6.25 GiB), is refused in the plan."""
+    (2K + 2 + K/N) times that for an adjoint statevector row, (K + 2 +
+    K/2N) times for an adjoint Pauli row, raises CapacityError before any
+    state is allocated; a row of exactly the cap runs.  Unpatched, a noisy
+    adjoint row at 12 qubits, L1 R2 (6.5 GiB), is refused in the plan."""
     rng = np.random.default_rng(33)
     c = build_circuit(2, 2, 3, 1)
     obs = z_observable(2)
@@ -518,8 +519,10 @@ def test_a_row_over_the_byte_cap_is_refused(monkeypatch):
     xs = rng.uniform(0, 2 * np.pi, (3, 3))
     for run, adjoint in ((forward_many, False), (ansatz._output_grads, True)):
         for p, d in ((0.0, 2), (0.1, 4), ([0.0, 0.1, 0.0], 4)):
-            states = (4 // d) * c.n_params + 2 if adjoint else 1  # 2K + 2 or K + 2
-            row_bytes = states * 8 * d ** c.n_qubits
+            state, slabs = 8 * d ** c.n_qubits, (4 // d) * c.n_params  # 2K or K
+            row_bytes = state
+            if adjoint:
+                row_bytes = state * (slabs + 2) + state * slabs // (2 * c.n_qubits)
             monkeypatch.setattr(ansatz, "_ROW_BYTES", row_bytes)
             run(c, thetas, xs, obs, p)
             monkeypatch.setattr(ansatz, "_ROW_BYTES", row_bytes - 1)
@@ -528,7 +531,9 @@ def test_a_row_over_the_byte_cap_is_refused(monkeypatch):
                 run(c, thetas, xs, obs, p)
             monkeypatch.undo()
     big = build_circuit(12, 1, 1, 2)
-    with pytest.raises(CapacityError, match=f"needs {8 * 4 ** 12 * (big.n_params + 2)} bytes"):
+    state = 8 * 4 ** 12
+    pauli_row = state * (big.n_params + 2) + state * big.n_params // (2 * 12)
+    with pytest.raises(CapacityError, match=f"needs {pauli_row} bytes"):
         ansatz._chunk_plan(big, None, np.array([0.1]), adjoint=True)  # obs is never read
 
 
@@ -712,6 +717,27 @@ def test_output_grads_are_the_bytes_of_the_per_ry_oracle(monkeypatch):
                     monkeypatch.undo()
                     for g, w in zip(got, want):
                         assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_output_grads_peak_within_the_chunk_budget_above_the_outputs(monkeypatch):
+    """Under a 1 MB budget, an adjoint pass over many chunks peaks no more
+    than 1.1 budgets above its outputs: the budget counts the slabs, the
+    angles and the two half-slab temporaries of a qubit's gradient
+    contraction, a chunk's outputs keep no state-sized sum buffer, and one
+    noise strength for all rows is not expanded to a row vector."""
+    rng = np.random.default_rng(62)
+    monkeypatch.setattr(ansatz, "_CHUNK_BYTES", 1 << 20)
+    for (n, layers, d, r), rows in (((2, 4, 2, 2), 4000), ((1, 1, 1, 1), 20000)):
+        c = build_circuit(n, layers, d, r)
+        thetas = rng.uniform(0, 2 * np.pi, (rows, c.n_params))
+        xs = rng.uniform(0, 2 * np.pi, (rows, d))
+        tracemalloc.start()
+        try:
+            values, grads = ansatz._output_grads(c, thetas, xs, z_observable(n), 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - values.nbytes - grads.nbytes <= 1.1 * (1 << 20), (n, layers, peak)
 
 
 def test_a_shared_theta_is_checked_before_it_is_broadcast():

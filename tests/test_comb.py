@@ -4,11 +4,19 @@ The double-loop Choi construction and a basis-by-basis contraction serve
 as oracles; none of them share code with the implementation under test.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from _oracles import partial_transpose
-from reupqnn.ansatz import build_circuit, forward, forward_many
+from reupqnn.ansatz import (
+    build_circuit,
+    encoding_unitary,
+    forward,
+    forward_many,
+    trainable_block_unitary,
+)
 from reupqnn.comb import (
     ChoiOperator,
     CombReport,
@@ -22,7 +30,13 @@ from reupqnn.comb import (
     tensor,
     validate_comb,
 )
-from reupqnn.qcore import CapacityError, NumericalIntegrityError, _check_density_rows, z_observable
+from reupqnn.qcore import (
+    CapacityError,
+    NumericalIntegrityError,
+    Observable,
+    _check_density_rows,
+    z_observable,
+)
 
 
 def random_unitary(rng, dim):
@@ -107,6 +121,89 @@ def test_choi_rank_one_and_trace():
 def test_choi_rejects_non_unitary():
     with pytest.raises(ValueError):
         choi_of_unitary(np.diag([1.0, 2.0]).astype(complex))
+
+
+def test_real_operators_stay_float64_and_complex_ones_complex128():
+    """A real unitary, stored real or complex, has a float64 Choi operator,
+    and so has the comb of every Ry + CX circuit; a unitary with an
+    imaginary part gives complex128.  `ChoiOperator` stores a bool, int or
+    float matrix as float64 and a complex one as complex128, whatever its
+    imaginary part."""
+    rng = np.random.default_rng(59)
+    orthogonal = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    for u in (orthogonal, orthogonal + 0j):
+        assert choi_of_unitary(u).matrix.dtype == np.float64
+    assert choi_of_unitary(random_unitary(rng, 4)).matrix.dtype == np.complex128
+    for n, layers in [(1, 1), (1, 4), (2, 2)]:
+        c = build_circuit(n, layers, n, 2)
+        comb, _ = build_reuploading_comb(c, rng.uniform(0, 2 * np.pi, c.n_params))
+        assert comb.matrix.dtype == np.float64
+    systems = (SystemLabel("a", 2),)
+    for entries in ([[1, 0], [0, 1]], [[True, False], [False, True]], np.eye(2, dtype=np.float32)):
+        assert ChoiOperator(systems, entries).matrix.dtype == np.float64
+    for entries in (np.eye(2) + 0j, np.eye(2, dtype=np.complex64)):
+        assert ChoiOperator(systems, entries).matrix.dtype == np.complex128
+
+
+def _comb_chain_output(c, theta, x, obs, cast):
+    """`reuploading_comb_output` written out, every Choi operator and the
+    input state passed through ``cast`` first."""
+    def choi(u, a, b):
+        j = choi_of_unitary(u, a, b)
+        return ChoiOperator(j.systems, cast(j.matrix))
+
+    d = 1 << c.n_qubits
+    rho = np.zeros((d, d))
+    rho[0, 0] = 1.0
+    acc = ChoiOperator((SystemLabel("w1", d),), cast(rho))
+    u_enc = encoding_unitary(c, x)
+    for layer in range(1, c.layers + 2):
+        block = trainable_block_unitary(c, theta, layer)
+        acc = link_product(acc, choi(block, f"w{2 * layer - 1}", f"w{2 * layer}"))
+        if layer <= c.layers:
+            acc = link_product(acc, choi(u_enc, f"w{2 * layer}", f"w{2 * layer + 1}"))
+    return float(np.trace(acc.matrix @ obs.matrix).real)
+
+
+def test_real_comb_chain_gives_the_bytes_of_its_complex_copy():
+    """The float64 link-product chain of `reuploading_comb_output` gives
+    the bytes of the same chain on + 0j copies of every Choi operator and
+    of the input state, on random shapes up to 3 qubits."""
+    rng = np.random.default_rng(60)
+    for _ in range(24):
+        n = int(rng.integers(1, 4))
+        layers = int(rng.integers(1, (16 // n - 2) // 2 + 1))
+        c = build_circuit(n, layers, int(rng.integers(1, 2 * n + 2)), int(rng.integers(1, 3)))
+        obs = z_observable(n)
+        if rng.integers(2):
+            h = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+            obs = Observable(h + h.conj().T)
+        theta = rng.uniform(0, 2 * np.pi, c.n_params)
+        x = rng.uniform(0, 2 * np.pi, c.data_dim)
+        got = reuploading_comb_output(c, theta, x, obs)
+        assert got == _comb_chain_output(c, theta, x, obs, lambda m: m)
+        want = _comb_chain_output(c, theta, x, obs, lambda m: m + 0j)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n, layers)
+
+
+def test_real_combs_are_built_and_validated_at_float64_size():
+    """On the 1q L4 comb, 1024 x 1024 (8 MiB in float64): building it peaks
+    under 9 MiB, and validating it under 16.5 MiB, the comb's Hermitian
+    part and one deviation or Cholesky factor at a time."""
+    c = build_circuit(1, 4, 1, 1)
+    theta = np.random.default_rng(61).uniform(0, 2 * np.pi, c.n_params)
+    tracemalloc.start()
+    try:
+        comb, teeth = build_reuploading_comb(c, theta)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        report = validate_comb(comb, teeth)
+        validated = tracemalloc.get_traced_memory()[1] - comb.matrix.nbytes
+    finally:
+        tracemalloc.stop()
+    assert comb.matrix.nbytes == 8 << 20 and report == CombReport(True, ())
+    assert built <= 9 << 20
+    assert validated <= 16.5 * (1 << 20)
 
 
 # --- operator plumbing ------------------------------------------------------
@@ -410,7 +507,7 @@ def test_validate_comb_flags_a_symmetric_imaginary_part_as_non_hermitian():
     """A comb plus i*B with B real symmetric: the real part is still the comb."""
     c = build_circuit(1, 1, 1, 1)
     comb, teeth = build_reuploading_comb(c, np.array([0.3, 0.8]))
-    bad = comb.matrix.copy()
+    bad = comb.matrix.astype(complex)
     bad[0, 3] += 0.1j
     bad[3, 0] += 0.1j
     assert validate_comb(ChoiOperator(comb.systems, bad.real), teeth) == CombReport(True, ())
@@ -425,20 +522,6 @@ def test_validate_comb_leaves_a_scalar_operator_untouched(entry):
     op = ChoiOperator((SystemLabel("p", 1), SystemLabel("f", 1)), [[entry]])
     validate_comb(op, [])
     assert op.matrix[0, 0] == entry
-
-
-@pytest.fixture
-def cholesky_dtypes(monkeypatch):
-    """The dtype of every matrix handed to np.linalg.cholesky."""
-    seen = []
-    factor = np.linalg.cholesky
-
-    def recording(a):
-        seen.append(a.dtype)
-        return factor(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", recording)
-    return seen
 
 
 def test_validate_comb_factors_a_real_operator_in_real_arithmetic(cholesky_dtypes):
@@ -528,7 +611,7 @@ def test_both_positivity_floors_decide_a_thousandth_of_the_floor_away(complex_en
 def test_validate_comb_rejects_non_finite_entries(bad):
     c = build_circuit(1, 1, 1, 1)
     comb, teeth = build_reuploading_comb(c, np.array([0.3, 0.8]))
-    m = comb.matrix.copy()
+    m = comb.matrix.astype(complex)
     m[1, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
         validate_comb(ChoiOperator(comb.systems, m), teeth)

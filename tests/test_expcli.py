@@ -8,7 +8,7 @@ import pytest
 
 from reupqnn import ansatz
 from reupqnn.ansatz import build_circuit, forward_many
-from reupqnn.comb import choi_of_unitary
+from reupqnn.comb import build_reuploading_comb, choi_of_unitary
 from reupqnn.data import rescale_with_train_stats, subsample_split
 from reupqnn.qcore import z_observable
 from reupqnn.experiments import (
@@ -1065,17 +1065,35 @@ def test_cli_validate_comb_rejects_an_npz_archive(tmp_path, capsys, monkeypatch)
     assert opened[0].fid is None  # the archive was closed
 
 
-def test_cli_validate_comb_factors_a_real_npy_in_real_arithmetic(tmp_path, capsys, monkeypatch):
+def test_cli_validate_comb_factors_a_real_npy_in_real_arithmetic(tmp_path, capsys, cholesky_dtypes):
     path = tmp_path / "id.npy"
     np.save(path, choi_of_unitary(np.eye(2)).matrix.real)
-    seen = []
-    factor = np.linalg.cholesky
-
-    def recording(a):
-        seen.append(a.dtype)
-        return factor(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", recording)
     assert main(["validate-comb", "--matrix", str(path), "--dims", "2,2"]) == 0
     assert "comb = true" in capsys.readouterr().out
-    assert seen == [np.dtype(np.float64)]
+    assert cholesky_dtypes == [np.dtype(np.float64)]
+
+
+def test_cli_validate_comb_reports_a_real_npy_as_its_complex_copy(tmp_path, capsys, cholesky_dtypes):
+    """A real .npy comb, a non-comb scaled from it and a non-Hermitian one
+    print the lines and exit with the code of their + 0j copies; the real
+    files are checked as loaded, float64 into the factorization."""
+    c = build_circuit(1, 2, 1, 1)
+    comb, _ = build_reuploading_comb(c, np.random.default_rng(63).uniform(0, 2 * np.pi, c.n_params))
+    assert comb.matrix.dtype == np.float64
+    skewed = comb.matrix.copy()
+    skewed[0, 3] += 0.1
+    verdicts = []
+    for matrix in (comb.matrix, 1.5 * comb.matrix, skewed):
+        seen = []
+        for copy in (matrix, matrix + 0j):
+            path = tmp_path / "comb.npy"
+            np.save(path, copy)
+            cholesky_dtypes.clear()
+            code = main(["validate-comb", "--matrix", str(path), "--dims", "2,2,2,2,2,2"])
+            seen.append((code, capsys.readouterr().out))
+            if copy is matrix:
+                assert cholesky_dtypes == [np.dtype(np.float64)]
+        assert seen[0] == seen[1]
+        verdicts.append(seen[0])
+    assert verdicts == [(0, "comb = true\n"), (0, "comb = false\nviolation: normalization\n"),
+                        (0, "comb = false\nviolation: hermiticity\nviolation: positivity\n")]
