@@ -223,8 +223,13 @@ def forward(circuit: ReuploadCircuit, theta, x, obs: Observable) -> float:
 # their angles.
 _CHUNK_BYTES = 64 << 20
 
+# The states a row of `_check_pauli_rows` holds at once besides its own:
+# two in `_per_site`, then the matrix-order copy, the positivity test's H
+# and its deviation or Cholesky factor (see `qcore._psd_violations`).
+_CHECK_STATES = 3
+
 # No one row may take more bytes than this.  An adjoint row at L4 R2 (see
-# `_chunk_plan`) takes 3.93 GB noisy at 11 qubits, 38.3 MB noiseless at 14.
+# `_chunk_plan`) takes 4.03 GB noisy at 11 qubits, 38.3 MB noiseless at 14.
 _ROW_BYTES = 1 << 30
 
 # Schedule entry kinds; see `_schedule`.
@@ -282,10 +287,13 @@ def _per_site(rows: np.ndarray, n: int, matrix: np.ndarray) -> np.ndarray:
 def _check_pauli_rows(coeffs: np.ndarray, n: int) -> None:
     """`_check_density_rows` on the density matrices of (4^n, rows) Pauli
     rows, rebuilt site by site (``_TO_DENSITY``) and moved from site order
-    (r_0 c_0 r_1 c_1 ...) to matrix order."""
+    (r_0 c_0 r_1 c_1 ...) to matrix order.  It holds at most
+    ``_CHECK_STATES`` states a row besides ``coeffs``."""
     sites = _per_site(coeffs, n, _TO_DENSITY).reshape((2,) * (2 * n) + (-1,))
     rhos = sites.transpose(2 * n, *range(0, 2 * n, 2), *range(1, 2 * n, 2))
-    _check_density_rows(rhos.reshape(-1, 1 << n, 1 << n))
+    rhos = rhos.reshape(-1, 1 << n, 1 << n)  # a copy, so the site-order rows go
+    del sites
+    _check_density_rows(rhos)
 
 
 @functools.lru_cache(maxsize=None)
@@ -469,8 +477,9 @@ def _forward_rows(circuit: ReuploadCircuit, c: np.ndarray, S: np.ndarray, form: 
 
     lam is (Re M) psi for statevector rows and the one column ``form`` of
     `_observable_form` for Pauli rows, whose density matrices are checked
-    here.  With ``slabs`` the per-qubit psi slabs of `_adjoint_rows`, the
-    qubit's pair of the rows after every trainable Ry is written to its slot."""
+    here.  With ``slabs`` the `_slots` of the per-qubit psi slabs of
+    `_adjoint_rows`, the qubit's pair of the rows after every trainable Ry
+    is written to its slot."""
     noisy, n = bool(strengths), circuit.n_qubits
     states = _fresh_rows(circuit, c.shape[1], noisy)
     pairs = _pairs(states, n, 4 if noisy else 2)
@@ -486,16 +495,26 @@ def _forward_rows(circuit: ReuploadCircuit, c: np.ndarray, S: np.ndarray, form: 
     return _column_sum(lam * states), lam
 
 
+def _slots(slabs: list) -> list:
+    """Per qubit, the (K/N, d^q, 2, d^(N-q-1), rows) view of its
+    `_adjoint_rows` slab whose slot j // N takes the `_pairs` view of the
+    rows after trainable Ry j."""
+    return [slab.transpose(1, 2, 0, 3, 4) for slab in slabs]
+
+
 def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray,
-                  form: np.ndarray, strengths: dict) -> tuple[np.ndarray, np.ndarray]:
+                  form: np.ndarray, strengths: dict, grads: np.ndarray) -> np.ndarray:
     """Outputs and their parameter gradients for one chunk of rows, thetas
     and `_fold` sums, under the channel factors ``strengths`` of
-    `_strengths`: ((rows,), (rows, K)).
+    `_strengths`: the (rows,) outputs are returned, and the gradients
+    written into the (rows, K) ``grads``.
 
     Adjoint differentiation (Jones & Gacon, arXiv:2009.02823), one algorithm
     for statevector and Pauli rows, paid per sweep and qubit, not per Ry.
-    Qubit q has a psi and a lam slab, (K/N, d^q, 2, d^(N-q-1), rows), its
-    `_pairs` view with slot j // N for each trainable Ry j on q.  The
+    Qubit q has a psi and a lam slab, (2, K/N, d^q, d^(N-q-1), rows), with
+    its `_pairs` view in slot j // N of `_slots` for each trainable Ry j on
+    q; the pair axis leads so that each half the contraction multiplies is
+    contiguous (numpy buffers a strided operand, up to 64 KiB of it).  The
     forward sweep (`_forward_rows`) fills the psi slabs and gives the
     direction lam the output was measured along.  The backward sweep walks
     the backward `_schedule` on lam alone, filling the lam slabs before it
@@ -513,24 +532,23 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray
     noisy, n, rows = bool(strengths), circuit.n_qubits, len(sums)
     d, per = 4 if noisy else 2, circuit.n_params // n
     c, S = _angles(circuit, thetas, sums, noisy)
-    psis, lams = ([np.empty((per, d ** q, 2, d ** (n - q - 1), rows)) for q in range(n)]
+    psis, lams = ([np.empty((2, per, d ** q, d ** (n - q - 1), rows)) for q in range(n)]
                   for _ in range(2))
-    values, lam = _forward_rows(circuit, c, S, form, strengths, psis)
+    values, lam = _forward_rows(circuit, c, S, form, strengths, _slots(psis))
     if noisy:
         lam = lam.repeat(rows, axis=1)
-    pairs, S = _pairs(lam, n, d), S[:, ::-1]
+    pairs, S, slots = _pairs(lam, n, d), S[:, ::-1], _slots(lams)
     for op in _schedule(circuit, noisy, backward=True):
         if op[0] == _RY:
-            lams[op[1]][op[2] // n] = pairs[op[1]]
+            slots[op[1]][op[2] // n] = pairs[op[1]]
             if op[2] == 0:  # the first Ry: nothing is left to undo
                 break
         _step(lam, pairs, op, c, S, strengths)
-    grads = np.empty((rows, circuit.n_params))
     for q in range(n):
-        terms = lams[q][:, :, 1] * psis[q][:, :, 0]
-        terms -= lams[q][:, :, 0] * psis[q][:, :, 1]
+        terms = lams[q][1] * psis[q][0]
+        terms -= lams[q][0] * psis[q][1]
         grads[:, q::n] = _column_sum(terms.reshape(per, -1, rows).swapaxes(0, 1)).T
-    return values, grads
+    return values
 
 
 def _check_rows(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
@@ -597,19 +615,22 @@ def _chunk_plan(circuit: ReuploadCircuit, obs: Observable, noise: np.ndarray,
     pass holds one state; of an adjoint pass 2K + 2 (K + 2 for Pauli rows,
     whose `_adjoint_rows` slabs keep half sites), and K/N states more (K/2N)
     for the two half-slab temporaries of one qubit's gradient contraction.
-    Its `_angles` take 40 K bytes more: c, S and the angle copy.  A row
-    whose states take more than ``_ROW_BYTES`` raises CapacityError before
-    any state is allocated."""
+    A Pauli row of either pass holds ``_CHECK_STATES`` more for the density
+    check at the end of its forward sweep (`_check_pauli_rows`).  Its
+    `_angles` take 40 K bytes more: c, S and the angle copy.  A row whose
+    states take more than ``_ROW_BYTES`` raises CapacityError before any
+    state is allocated."""
     noisy = noise > 0.0
     # Runs of one kind, cut where a row's kind differs from the row before.
     bounds = [0, *(np.flatnonzero(noisy[1:] != noisy[:-1]) + 1).tolist(), len(noise)]
     plan, forms = [], {}
     for start, stop in zip(bounds, bounds[1:]):
         kind = bool(noisy[start:stop].any())  # False for no rows at all
-        row_bytes = 8 << (circuit.n_qubits * (1 + kind))  # a 2^n or 4^n state of doubles
+        state = 8 << (circuit.n_qubits * (1 + kind))  # a 2^n or 4^n state of doubles
+        row_bytes = state * (1 + _CHECK_STATES * kind)
         if adjoint:
             slabs = (2 - kind) * circuit.n_params
-            row_bytes = row_bytes * (slabs + 2) + row_bytes * slabs // (2 * circuit.n_qubits)
+            row_bytes += state * (slabs + 1) + state * slabs // (2 * circuit.n_qubits)
         if row_bytes > _ROW_BYTES:
             raise CapacityError(f"one row of this {circuit.n_qubits}-qubit circuit needs "
                                 f"{row_bytes} bytes, more than the {_ROW_BYTES} a row may take")
@@ -649,13 +670,13 @@ def _planned_grads(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarra
     """`_output_grads` of checked (rows, K) thetas and the (rows, N) `_fold`
     sums of checked features, by the adjoint `_chunk_plan` of their
     strengths, unchecked: the core that both it and `train._sgd_paths`
-    call."""
-    parts = [_adjoint_rows(circuit, thetas[rows], sums[rows], form, strengths)
-             for rows, strengths, form in plan]
-    if len(parts) == 1:
-        return parts[0]
-    values, grads = zip(*parts, (np.empty(0), np.empty((0, circuit.n_params))))
-    return np.concatenate(values), np.concatenate(grads)
+    call.  Each chunk writes its rows of the outputs, so they are held
+    once and no chunk holds gradients of its own."""
+    values, grads = np.empty(len(sums)), np.empty((len(sums), circuit.n_params))
+    for rows, strengths, form in plan:
+        values[rows] = _adjoint_rows(circuit, thetas[rows], sums[rows], form, strengths,
+                                     grads[rows])
+    return values, grads
 
 
 def _output_grads(circuit: ReuploadCircuit, thetas, xs, obs: Observable,

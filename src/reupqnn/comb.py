@@ -35,8 +35,9 @@ Positivity is decided by one Cholesky factorization of H + 1e-8*I, with
 H the Hermitian part of the operator (``qcore._psd_violations``, the
 test the density checks use): it succeeds when every eigenvalue of H lies
 above -1e-8, up to rounding of order 1e-16*||H||, either verdict exactly
-at the floor, without computing the spectrum.  A float64 operator, such
-as the comb of any Ry + CX circuit, and a complex one with no imaginary
+at the floor, without computing the spectrum, in one full-size copy of
+the operator factored in place by blocks.  A float64 operator, such as
+the comb of any Ry + CX circuit, and a complex one with no imaginary
 part are factored in real arithmetic, under the same threshold.
 """
 
@@ -362,6 +363,10 @@ def validate_comb(c: ChoiOperator, teeth) -> CombReport:
       floor (``qcore._psd_violations``).  A matrix with no imaginary part
       is checked and factored in real arithmetic; the threshold is the
       same.  A float64 operator also stays float64 through the cascade.
+      The test holds one full-size copy: the upper block triangle of H
+      + 1e-8*I, factored in place by blocks of ``qcore._PSD_BLOCK``, whose
+      verdict is that of one whole-matrix factorization up to the same
+      rounding.
     * For each level i from the last tooth down to the global input:
       tracing the level's output from the running operator must equal the
       next running operator tensored with identity on the level's input,

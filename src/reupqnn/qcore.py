@@ -13,7 +13,9 @@ channels) is built on the small set of utilities in this module:
   batched density check that the noisy engine rows run through.
 * The package's one positivity test, ``_psd_violations``: a Cholesky
   factorization of a stack's Hermitian part shifted by the floor, shared
-  by the density check and :func:`reupqnn.comb.validate_comb`.
+  by the density check and :func:`reupqnn.comb.validate_comb`, in one
+  full-size copy that a matrix larger than ``_PSD_BLOCK`` is factored in
+  place by blocks.
 
 Gates, observables and states here are numpy ``complex128`` (the batched
 engine in :mod:`reupqnn.ansatz` keeps its rows in ``float64``, and
@@ -69,6 +71,10 @@ _MAX_KRON_DIM = 1 << 13
 
 _UNITARY_ATOL = 1e-10
 _STATE_NORM_ATOL = 1e-12
+
+# The positivity test's tile and block size: a matrix up to it is factored
+# by one Cholesky call, a larger one by blocks of it (`_psd_violations`).
+_PSD_BLOCK = 256
 
 
 def rotation_gate(axis: str, angle: float) -> np.ndarray:
@@ -223,6 +229,8 @@ def _check_density_rows(rhos: np.ndarray) -> None:
     (either verdict exactly at the floor).  A NaN or infinite entry fails
     the Hermiticity test.  The error names the first condition that fails
     in the stack (the trace message gives the largest drift), not the row.
+    The positivity test holds one full-size copy of the stack, factored in
+    place by blocks for rows larger than ``_PSD_BLOCK`` (`_psd_violations`).
     """
     violations = _psd_violations(rhos, _UNITARY_ATOL)
     if "hermiticity" in violations:
@@ -242,35 +250,92 @@ def _psd_violations(mats: np.ndarray, tol: float) -> tuple[str, ...]:
     ``"positivity"`` when a Cholesky factorization of H + tol*I fails, H
     the Hermitian part.  It fails when an eigenvalue of H lies below
     -tol, up to rounding of order 1e-16*||H|| (either verdict exactly at
-    the floor), without computing the spectrum.
+    the floor), without computing the spectrum.  A stack with a NaN or
+    infinite entry fails both and is not factored.
 
     A stack with no imaginary part is checked and factored in real
     arithmetic: a real symmetric matrix has the spectrum of its complex
     copy.  ``mats`` is only read.
+
+    Memory: for d > ``_PSD_BLOCK``, one full-size array besides ``mats``,
+    the upper block triangle of H + tol*I, built in ``_PSD_BLOCK`` tiles
+    and factored in place by blocks (`_factor_by_blocks`); besides it, a
+    tile's deviation, a block row of the factor and one trailing product,
+    and numpy's internal copies of a block and a block row.  A stack of d
+    <= ``_PSD_BLOCK`` is one tile and one Cholesky call on the whole of
+    it, whose deviation, then factor, is a second full-size array.
     """
     if np.iscomplexobj(mats) and not mats.imag.any():
         mats = mats.real
-    # One contiguous adjoint, a new array, serves the deviation and H, so
-    # the in-place writes below never reach the caller's stack.
-    herm = np.conjugate(mats.swapaxes(-1, -2), order="C")
-    violations = []
-    # The deviation's moduli overwrite it, real parts of a complex stack,
-    # so it is the one full-size temporary; it is freed before the factor.
-    deviation = mats - herm
-    np.abs(deviation, out=deviation)
-    if not np.max(deviation.real, initial=0.0) <= tol:
-        violations.append("hermiticity")
-    del deviation
-    np.add(herm, mats, out=herm)
-    herm *= 0.5
-    np.einsum("...ii->...i", herm)[...] += tol  # a writable view of the diagonals
+    herm = np.empty(mats.shape, mats.dtype)
+    worst = _hermitian_tiles(mats, herm, tol)
+    if not math.isfinite(worst):  # a NaN or infinite entry
+        return ("hermiticity", "positivity")
+    violations = ["hermiticity"] if worst > tol else []
     try:
-        # H^T is H or its conjugate, with the same spectrum; its Fortran
-        # layout is what LAPACK reads, so numpy skips a transposing copy.
-        np.linalg.cholesky(herm.swapaxes(-1, -2))
+        _factor_by_blocks(herm)
     except np.linalg.LinAlgError:
         violations.append("positivity")
     return tuple(violations)
+
+
+def _hermitian_tiles(mats: np.ndarray, herm: np.ndarray, tol: float) -> float:
+    """Write H + tol*I, H = (M + M^dagger)/2, into the upper block triangle
+    of ``herm`` tile by tile, and return max |M - M^dagger|.  Each tile
+    reads the adjoint of its mirror tile into place once, takes the
+    deviation from it in a tile-sized temporary, then becomes H's bits; the
+    lower block triangle is left as it was.  At the first tile whose
+    deviation is NaN or infinite, which every NaN or infinite entry gives,
+    it returns that deviation with ``herm`` part written."""
+    d = mats.shape[-1]
+    worst = 0.0
+    for i in range(0, d, _PSD_BLOCK):
+        rows = slice(i, i + _PSD_BLOCK)
+        for j in range(i, d, _PSD_BLOCK):
+            cols = slice(j, j + _PSD_BLOCK)
+            tile = herm[..., rows, cols]
+            np.conjugate(mats[..., cols, rows].swapaxes(-1, -2), out=tile)
+            deviation = mats[..., rows, cols] - tile
+            np.abs(deviation, out=deviation)  # moduli land in the real parts if complex
+            largest = float(np.max(deviation.real, initial=0.0))
+            del deviation
+            if not math.isfinite(largest):  # a NaN or infinite entry: no H is needed
+                return largest
+            worst = max(worst, largest)
+            np.add(tile, mats[..., rows, cols], out=tile)
+            tile *= 0.5
+            if i == j:
+                np.einsum("...ii->...i", tile)[...] += tol  # a writable view of the diagonals
+    return worst
+
+
+def _factor_by_blocks(herm: np.ndarray) -> None:
+    """Right-looking blocked Cholesky H = R^dagger R of the (..., d, d)
+    stack whose upper block triangle of ``_PSD_BLOCK`` tiles holds H; it
+    raises LinAlgError when a diagonal block is not positive definite.  The
+    trailing blocks are updated in place; R is not kept.  For d <=
+    ``_PSD_BLOCK`` it is one np.linalg.cholesky call on the whole stack.
+
+    Each diagonal block reaches LAPACK as its transpose, H_kk^T (H_kk or
+    its conjugate, with the same spectrum), whose Fortran layout is what
+    LAPACK reads, so numpy makes no transposing copy.  Its lower factor L
+    is R_kk^T, and the block row of R right of it solves R_kk^dagger X =
+    H_kt with R_kk^dagger = conj(L), which is backward stable where an
+    explicit inverse's error grows with its condition number."""
+    d = herm.shape[-1]
+    for k in range(0, d - _PSD_BLOCK, _PSD_BLOCK):
+        head, tail = slice(k, k + _PSD_BLOCK), slice(k + _PSD_BLOCK, None)
+        factor = np.linalg.cholesky(herm[..., head, head].swapaxes(-1, -2))
+        panel = np.linalg.solve(factor.conj(), herm[..., head, tail])
+        del factor
+        # H_ij -= R_ki^dagger R_kj on the trailing upper block triangle, one
+        # block row at a time, so no product is larger than the block row.
+        for i in range(0, d - k - _PSD_BLOCK, _PSD_BLOCK):
+            rows = slice(k + _PSD_BLOCK + i, k + 2 * _PSD_BLOCK + i)
+            left = panel[..., i:i + _PSD_BLOCK].conj().swapaxes(-1, -2)
+            herm[..., rows, rows.start:] -= left @ panel[..., i:]
+    last = slice(d - 1 - (d - 1) % _PSD_BLOCK, None)
+    np.linalg.cholesky(herm[..., last, last].swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)

@@ -203,11 +203,12 @@ def _ry_grad(lam, psi):
     return ansatz._column_sum(terms.reshape(-1, terms.shape[-1]))
 
 
-def adjoint_rows_per_ry(circuit, thetas, sums, form, strengths):
+def adjoint_rows_per_ry(circuit, thetas, sums, form, strengths, grads):
     """``ansatz._adjoint_rows`` one trainable Ry at a time: the forward
     sweep keeps a copy of the whole rows after every Ry, and the backward
     sweep takes `_ry_grad` of lam and of the rows kept for an Ry just before
-    it undoes that Ry.  Same signature and result, ((rows,), (rows, K))."""
+    it undoes that Ry.  Same signature and result: the (rows,) outputs
+    returned, the gradients written into the (rows, K) ``grads``."""
     noisy, n = bool(strengths), circuit.n_qubits
     d = 4 if noisy else 2
     c, S = ansatz._angles(circuit, thetas, sums, noisy)
@@ -220,7 +221,6 @@ def adjoint_rows_per_ry(circuit, thetas, sums, form, strengths):
             kept.append(states.copy())
     lam = form.repeat(c.shape[1], axis=1) if noisy else ansatz._observe(form, states)
     values = ansatz._column_sum(lam * states)
-    grads = np.empty((len(sums), circuit.n_params))
     pairs, S = ansatz._pairs(lam, n, d), S[:, ::-1]
     for op in ansatz._schedule(circuit, noisy, backward=True):
         kind, q, j = op
@@ -228,4 +228,4 @@ def adjoint_rows_per_ry(circuit, thetas, sums, form, strengths):
             grads[:, j] = _ry_grad(pairs[q], ansatz._pairs(kept.pop(), n, d)[q])
         if kept:  # once the first entry, an Ry, is done, nothing is left to undo
             ansatz._step(lam, pairs, op, c, S, strengths)
-    return values, grads
+    return values

@@ -426,10 +426,11 @@ def test_forward_many_chunks_rows_bitwise(monkeypatch):
     c = build_circuit(2, 2, 3, 1)
     obs = z_observable(2)
 
-    def row_bytes(noisy):  # a state and its 40 K bytes of angles
-        return ansatz._fresh_rows(c, 1, noisy).nbytes + 40 * c.n_params
+    def row_bytes(noisy):  # a state, the density check's states and 40 K bytes of angles
+        state = ansatz._fresh_rows(c, 1, noisy).nbytes
+        return state * (1 + ansatz._CHECK_STATES * noisy) + 40 * c.n_params
 
-    for p, thetas, xs, want in _chunk_cases(rng, c, [4, 3, 3, 1, 4, 4, 4, 2, 1]):
+    for p, thetas, xs, want in _chunk_cases(rng, c, [7, 3, 1, 8, 6, 1]):
         whole = forward_many(c, thetas, xs, obs, p)
         budget = 3 * row_bytes(bool(np.any(np.asarray(p) > 0)))
         chunks = []
@@ -460,17 +461,19 @@ def test_output_grads_chunks_rows_bitwise(monkeypatch):
 
     def row_bytes(noisy):  # the states above and 40 K bytes of angles
         state, slabs = ansatz._fresh_rows(c, 1, noisy).nbytes, (2 - noisy) * c.n_params
-        return state * (slabs + 2) + state * slabs // (2 * c.n_qubits) + 40 * c.n_params
+        check = state * ansatz._CHECK_STATES * noisy
+        return (state * (slabs + 2) + state * slabs // (2 * c.n_qubits) + check
+                + 40 * c.n_params)
 
-    for p, thetas, xs, want in _chunk_cases(rng, c, [5, 2, 3, 1, 5, 5, 4, 1]):
+    for p, thetas, xs, want in _chunk_cases(rng, c, [7, 3, 1, 7, 7, 1]):
         values, grads = ansatz._output_grads(c, thetas, xs, obs, p)
         budget = 3 * row_bytes(bool(np.any(np.asarray(p) > 0)))
         chunks = []
         adjoint_rows = ansatz._adjoint_rows
 
-        def counted(circuit, thetas, xs, form, strengths):
+        def counted(circuit, thetas, xs, form, strengths, grads):
             chunks.append((len(thetas), bool(strengths)))
-            return adjoint_rows(circuit, thetas, xs, form, strengths)
+            return adjoint_rows(circuit, thetas, xs, form, strengths, grads)
 
         monkeypatch.setattr(ansatz, "_adjoint_rows", counted)
         monkeypatch.setattr(ansatz, "_CHUNK_BYTES", budget)
@@ -509,9 +512,10 @@ def test_forward_many_chunks_count_the_angles(monkeypatch):
 def test_a_row_over_the_byte_cap_is_refused(monkeypatch):
     """A row of more than ``_ROW_BYTES``, 8 d^n bytes for a forward row and
     (2K + 2 + K/N) times that for an adjoint statevector row, (K + 2 +
-    K/2N) times for an adjoint Pauli row, raises CapacityError before any
-    state is allocated; a row of exactly the cap runs.  Unpatched, a noisy
-    adjoint row at 12 qubits, L1 R2 (6.5 GiB), is refused in the plan."""
+    K/2N) times for an adjoint Pauli row, and ``_CHECK_STATES`` times more
+    for a Pauli row's density check, raises CapacityError before any state
+    is allocated; a row of exactly the cap runs.  Unpatched, a noisy
+    adjoint row at 12 qubits, L1 R2 (6.875 GiB), is refused in the plan."""
     rng = np.random.default_rng(33)
     c = build_circuit(2, 2, 3, 1)
     obs = z_observable(2)
@@ -520,9 +524,9 @@ def test_a_row_over_the_byte_cap_is_refused(monkeypatch):
     for run, adjoint in ((forward_many, False), (ansatz._output_grads, True)):
         for p, d in ((0.0, 2), (0.1, 4), ([0.0, 0.1, 0.0], 4)):
             state, slabs = 8 * d ** c.n_qubits, (4 // d) * c.n_params  # 2K or K
-            row_bytes = state
+            row_bytes = state * (1 + ansatz._CHECK_STATES * (d == 4))
             if adjoint:
-                row_bytes = state * (slabs + 2) + state * slabs // (2 * c.n_qubits)
+                row_bytes += state * (slabs + 1) + state * slabs // (2 * c.n_qubits)
             monkeypatch.setattr(ansatz, "_ROW_BYTES", row_bytes)
             run(c, thetas, xs, obs, p)
             monkeypatch.setattr(ansatz, "_ROW_BYTES", row_bytes - 1)
@@ -532,7 +536,8 @@ def test_a_row_over_the_byte_cap_is_refused(monkeypatch):
             monkeypatch.undo()
     big = build_circuit(12, 1, 1, 2)
     state = 8 * 4 ** 12
-    pauli_row = state * (big.n_params + 2) + state * big.n_params // (2 * 12)
+    pauli_row = (state * (big.n_params + 2 + ansatz._CHECK_STATES)
+                 + state * big.n_params // (2 * 12))
     with pytest.raises(CapacityError, match=f"needs {pauli_row} bytes"):
         ansatz._chunk_plan(big, None, np.array([0.1]), adjoint=True)  # obs is never read
 
@@ -723,11 +728,13 @@ def test_output_grads_peak_within_the_chunk_budget_above_the_outputs(monkeypatch
     """Under a 1 MB budget, an adjoint pass over many chunks peaks no more
     than 1.1 budgets above its outputs: the budget counts the slabs, the
     angles and the two half-slab temporaries of a qubit's gradient
-    contraction, a chunk's outputs keep no state-sized sum buffer, and one
-    noise strength for all rows is not expanded to a row vector."""
+    contraction, each chunk writes its rows of the outputs (held once) and
+    keeps no state-sized sum buffer, and one noise strength for all rows is
+    not expanded to a row vector.  At 4q L16 the outputs are 2.09 MiB."""
     rng = np.random.default_rng(62)
     monkeypatch.setattr(ansatz, "_CHUNK_BYTES", 1 << 20)
-    for (n, layers, d, r), rows in (((2, 4, 2, 2), 4000), ((1, 1, 1, 1), 20000)):
+    for (n, layers, d, r), rows in (((2, 4, 2, 2), 4000), ((1, 1, 1, 1), 20000),
+                                    ((4, 16, 16, 2), 2000)):
         c = build_circuit(n, layers, d, r)
         thetas = rng.uniform(0, 2 * np.pi, (rows, c.n_params))
         xs = rng.uniform(0, 2 * np.pi, (rows, d))
@@ -738,6 +745,27 @@ def test_output_grads_peak_within_the_chunk_budget_above_the_outputs(monkeypatch
         finally:
             tracemalloc.stop()
         assert peak - values.nbytes - grads.nbytes <= 1.1 * (1 << 20), (n, layers, peak)
+
+
+def test_pauli_rows_peak_within_the_chunk_budget_with_their_density_check(monkeypatch):
+    """Under a 1 MB budget, forward and adjoint passes over 3000 Pauli rows
+    of 3q L2 D3 R1 at p = 0.1 peak no more than 1.1 budgets above their
+    outputs: the budget counts the states that the density check at the
+    end of each forward sweep holds (`_check_pauli_rows`)."""
+    rng = np.random.default_rng(63)
+    monkeypatch.setattr(ansatz, "_CHUNK_BYTES", 1 << 20)
+    c = build_circuit(3, 2, 3, 1)
+    thetas = rng.uniform(0, 2 * np.pi, (3000, c.n_params))
+    xs = rng.uniform(0, 2 * np.pi, (3000, 3))
+    for run in (forward_many, ansatz._output_grads):
+        tracemalloc.start()
+        try:
+            outputs = run(c, thetas, xs, z_observable(3), 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(out.nbytes for out in (outputs if isinstance(outputs, tuple) else (outputs,)))
+        assert peak - held <= 1.1 * (1 << 20), (run.__name__, peak)
 
 
 def test_a_shared_theta_is_checked_before_it_is_broadcast():

@@ -119,6 +119,21 @@ def test_idx_round_trip_and_pooling(tmp_path):
     ).hexdigest()
 
 
+def test_idx_pooling_is_the_float_mean_as_bytes(tmp_path):
+    """Block means taken from integer block sums are the bytes of the
+    float mean of every 7x7 block, on all-0, all-255 and random images."""
+    rng = np.random.default_rng(29)
+    images = np.concatenate([np.zeros((1, 28, 28), np.uint8), np.full((1, 28, 28), 255, np.uint8),
+                             rng.integers(0, 256, (30, 28, 28), dtype=np.uint8)])
+    labels = np.arange(len(images), dtype=np.uint8) % 2
+    ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+    write_idx_pair(images, labels, ip, lp)
+    means = images.astype(float).reshape(-1, 4, 7, 4, 7).mean(axis=(2, 4))
+    want = means.reshape(-1, 16) / 255.0 * TWO_PI
+    got = load_idx_pair(ip, lp, (0, 1)).features
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_idx_class_filter_and_label_order(tmp_path):
     images = np.zeros((4, 28, 28), dtype=np.uint8)
     labels = np.array([0, 1, 2, 1], dtype=np.uint8)

@@ -27,7 +27,9 @@ from reupqnn.qcore import (
     PAULI_Y,
     PAULI_Z,
     QuantumState,
+    _PSD_BLOCK,
     _check_density_rows,
+    _psd_violations,
     embed_gate,
     kron,
     kron_all,
@@ -306,6 +308,90 @@ def test_one_positivity_test_serves_every_check(monkeypatch):
     comb, teeth = build_reuploading_comb(c, rng.uniform(0, 2 * np.pi, c.n_params))
     assert validate_comb(comb, teeth).is_comb
     assert positivity_calls == [np.dtype(np.float64)]
+
+
+def _one_cholesky_flags(mats, tol):
+    """The positivity verdict of one np.linalg.cholesky call on the whole
+    of H + tol*I, H the Hermitian part, in real arithmetic for a real
+    stack: the unblocked reference of `_psd_violations`."""
+    herm = 0.5 * (mats + np.conjugate(mats.swapaxes(-1, -2)))
+    herm = herm + tol * np.eye(mats.shape[-1])
+    try:
+        np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def _boundary_stack(rng, rows, d, lam_min, complex_entries):
+    """(rows, d, d) Hermitian matrices of unit trace with lam_min as their
+    least eigenvalue on a random direction."""
+    out = []
+    for _ in range(rows):
+        a = rng.normal(size=(d, d))
+        if complex_entries:
+            a = a + 1j * rng.normal(size=(d, d))
+        q, _ = np.linalg.qr(a)
+        spectrum = np.append(lam_min, (1 - lam_min) * rng.dirichlet(np.ones(d - 1)))
+        h = (q * rng.permutation(spectrum)) @ q.conj().T
+        out.append(0.5 * (h + h.conj().T))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_blocked_positivity_agrees_with_one_cholesky_at_both_floors(complex_entries):
+    """Below, at and above one ``_PSD_BLOCK`` (a d that is no multiple of
+    it, a multiple, and a stack of two such matrices), H with lambda_min =
+    -floor * (1 +- 1e-6) at both floors gets the verdict of one Cholesky
+    call on the whole matrix, and of its construction: the blocks factor
+    the same H, rounded differently by about 1e-16*||H||."""
+    rng = np.random.default_rng(76)
+    block = _PSD_BLOCK
+    for rows, d in ((1, block // 2), (1, block), (1, block + 44), (1, 2 * block), (2, block + 44)):
+        for floor in (1e-8, 1e-10):
+            for factor in (1 + 1e-6, 1 - 1e-6):
+                h = _boundary_stack(rng, rows, d, -floor * factor, complex_entries)
+                flagged = "positivity" in _psd_violations(h, floor)
+                assert flagged == _one_cholesky_flags(h, floor) == (factor > 1), (rows, d, floor)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_a_non_finite_entry_above_the_diagonal_fails_hermiticity(bad):
+    """NaN or an infinity above the diagonal, in the first tile or in a
+    far tile of a blocked matrix, real or complex: the stack fails the
+    Hermiticity test (and is not factored), with no RuntimeWarning, and
+    the caller's bytes are untouched."""
+    rng = np.random.default_rng(77)
+    for d in (8, _PSD_BLOCK + 44):
+        for complex_entries in (False, True):
+            if np.iscomplexobj(bad) and not complex_entries:
+                continue
+            h = _boundary_stack(rng, 1, d, 0.0, complex_entries)[0]
+            for i, j in ((0, 1), (0, d - 1)):
+                m = h.copy()
+                m[i, j] = bad
+                before = m.tobytes()
+                assert _psd_violations(m, 1e-8)[0] == "hermiticity", (d, i, j)
+                assert _psd_violations(m[None], 1e-10)[0] == "hermiticity"
+                assert m.tobytes() == before
+
+
+def test_blocked_positivity_holds_one_full_size_array():
+    """On a 1024 x 1024 real positive definite matrix (8 MiB) the test
+    peaks at one full-size array, its block triangle of H, plus two block
+    rows of the factor; one np.linalg.cholesky call and its new factor
+    would take 8 MiB more.  The verdict is the unblocked one."""
+    rng = np.random.default_rng(78)
+    a = rng.normal(size=(1024, 1024))
+    h = a @ a.T / 1024
+    tracemalloc.start()
+    try:
+        violations = _psd_violations(h, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert violations == ()
+    assert peak <= h.nbytes + 2 * _PSD_BLOCK * 1024 * h.itemsize, peak
 
 
 # --- apply_gate (the tests' gate-by-gate reference simulator) ----------------
