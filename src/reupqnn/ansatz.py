@@ -27,14 +27,16 @@ Ry: both sweeps copy each qubit's rotated pair into its slabs, and one
 expression per qubit contracts them.  One planner, `_chunk_plan`, splits
 the rows of a forward or an adjoint pass into chunks of one kind,
 statevector or Pauli, with their channel factors and observable form, so
-rows of any strengths share a call.
+rows of any strengths share a call; `_prepare` binds each chunk to its
+buffers and compiles its sweeps to kernels on views of them (`_Chunk`).
 The gradient has one core with two entry points: `_output_grads` checks
-its inputs and plans on every call, for outside callers, and then runs
-`_planned_grads`; the SGD loop (`train._sgd_paths`) checks a batch's
-fixed inputs and plans once per loop, then calls `_planned_grads` at
-every step.  There is no second simulator: `iter_gates` lists the same
-circuit gate by gate and the dense unitaries multiply it out, for the
-comb route (the independent check) and for the tests' reference simulators.
+its inputs, plans and binds on every call, for outside callers, and then
+runs `_planned_grads` once; the SGD loop (`train._sgd_paths`) checks a
+batch's fixed inputs, plans and binds once per loop, then calls
+`_planned_grads` on the same bound chunks at every step.  There is no
+second simulator: `iter_gates` lists the same circuit gate by gate and
+the dense unitaries multiply it out, for the comb route (the independent
+check) and for the tests' reference simulators.
 
 Rows are folded in both modes: Ry(a) Ry(b) = Ry(a + b), so an encoding
 block acts as one Ry of the per-qubit feature sum, which merges into the
@@ -42,8 +44,11 @@ next trainable block's first Ry column.  This is a modelling fact, not only
 a speed-up: with D > N the model depends on x only through the N sums of
 the features sharing a qubit (the Fourier view of Schuld, Sweke & Meyer,
 arXiv:2008.08605).  The paper's bound still counts L * D encoding gates.
-Only the L * N angles the sums shift depend on x, so a theta shared by
-many rows has the cosines and sines of its other angles computed once.
+The merged rotation is composed, not summed: its cosine and sine are
+products of the trainable Ry's and the encoding's (`_angles`), so the
+trig is paid once per theta and once per x, however many rows name them
+(a theta shared by an evaluation's rows, a path scored against its
+probes as a grid by `_forward_grid`), never once per layer and row.
 Noisy rows also merge each qubit's channels up to the next CX that touches
 it: D_p on q commutes with every unitary on q and with every gate that
 leaves q alone, and D_p^k = D_{1-(1-p)^k} (see `noise` for the model).
@@ -52,6 +57,7 @@ leaves q alone, and D_p^k = D_{1-(1-p)^k} (see `noise` for the model).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,8 +225,8 @@ def forward(circuit: ReuploadCircuit, theta, x, obs: Observable) -> float:
 # one fixed order (see `_column_sum`), so a row's bits do not depend on the
 # other rows of its batch.
 
-# Rows are simulated in chunks of at most this many bytes of states and
-# their angles.
+# Rows are simulated in chunks of at most this many bytes of buffers,
+# temporaries and angles (see `_chunk_plan`).
 _CHUNK_BYTES = 64 << 20
 
 # The states a row of `_check_pauli_rows` holds at once besides its own:
@@ -232,11 +238,15 @@ _CHECK_STATES = 3
 # `_chunk_plan`) takes 4.03 GB noisy at 11 qubits, 38.3 MB noiseless at 14.
 _ROW_BYTES = 1 << 30
 
+# The bytes of Python views and tuples that a `_Chunk`'s compiled sweeps
+# hold, at most, per entry or column view that `_chunk_plan` counts.
+# Measured with tracemalloc (Python 3.11, numpy 2.4) on 1 to 6 qubits: at
+# most 283 B a counted entry, 224 KB for the 1452 of a 4q L16 R2 Pauli
+# adjoint chunk and 4.4 KB for the 22 of a 1q L1 forward chunk.
+_ENTRY_BYTES = 512
+
 # Schedule entry kinds; see `_schedule`.
 _RY, _CX, _NOISE = range(3)
-
-# The signs that stack a sine s as (-s, s) along axis 1 of `_angles`' S.
-_SIGNS = np.array([-1.0, 1.0])[:, None, None]
 
 
 def _site(states: np.ndarray, qubit: int, d: int) -> np.ndarray:
@@ -251,21 +261,34 @@ def _pairs(states: np.ndarray, n: int, d: int) -> list:
     return [_site(states, q, d)[:, d // 2 - 1:d // 2 + 1] for q in range(n)]
 
 
-def _apply_ry_rows(pair: np.ndarray, c: np.ndarray, S: np.ndarray) -> None:
+def _apply_ry_rows(pair: np.ndarray, swapped: np.ndarray, c: np.ndarray, S: np.ndarray,
+                   turned: np.ndarray) -> None:
     """Ry on one qubit of every row, in place: (a, b) <- (c a - s b, c b + s a)
-    on its `_pairs` view ``pair``, ``c`` the (rows,) cosines and ``S`` the
-    (2, 1, rows) stacked (-s, s) of `_angles` (Z <- c Z - s X, X <- c X + s Z
-    for Pauli rows; I and XZ are untouched)."""
-    turned = pair[:, ::-1] * S
+    on its `_pairs` view ``pair``, ``swapped`` its (b, a) view pair[:, ::-1],
+    ``c`` the (rows,) cosines and ``S`` the (2, 1, rows) stacked (-s, s) of
+    `_angles` (Z <- c Z - s X, X <- c X + s Z for Pauli rows; I and XZ are
+    untouched).  ``turned``, an array of the pair's shape that no one
+    reads, takes (-s b, s a)."""
+    np.multiply(swapped, S, out=turned)
     pair *= c
     pair += turned
 
 
-def _damp_rows(coeffs: np.ndarray, qubit: int, factor) -> None:
+def _damp_rows(site: np.ndarray, factor) -> None:
     """k merged channels on one qubit of Pauli rows, in place: its Z, X and
-    XZ coefficients are scaled by ``factor`` = (1 - p)^k, a float or a
-    (rows,) vector of per-row factors."""
-    _site(coeffs, qubit, 4)[:, 1:] *= factor
+    XZ coefficients, the (d^q, 3, rest, rows) view ``site`` = `_site`[:, 1:],
+    are scaled by ``factor`` = (1 - p)^k, a float or a (rows,) vector of
+    per-row factors."""
+    site *= factor
+
+
+def _gather(sites: np.ndarray, index: np.ndarray, spare: np.ndarray) -> None:
+    """A run of CX gates on every row, in place: ``sites`` <- its entries
+    gathered by ``index`` along axis 1, through ``spare``, a view of the
+    same shape into a state the sweep does not use ("clip" mode, for valid
+    indices, lets `np.take` write it unbuffered)."""
+    sites.take(index, axis=1, out=spare, mode="clip")
+    np.copyto(sites, spare)
 
 
 # One qubit's basis change, times 1/2, from a Pauli site (I, Z, X, XZ) to a
@@ -312,16 +335,16 @@ def _cx_gather(first: int, last: int, noisy: bool) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _schedule(circuit: ReuploadCircuit, noisy: bool, backward: bool = False) -> tuple:
-    """The gate sequence of one row, walked by `_forward_rows`; with
-    ``backward``, its inverse, reversed with each gather inverted, walked
-    by `_adjoint_rows`.
+    """The gate sequence of one row, compiled by `_Chunk` into its forward
+    sweep; with ``backward``, its inverse, reversed with each gather
+    inverted, compiled into the adjoint's backward sweep.
 
     Entries are (_RY, q, j): Ry on qubit q by column j of `_angles`;
     (_CX, q, index): a run of CX gates from q on, as its `_cx_gather`;
     (_NOISE, q, k): k merged channels on q.  Rows are folded (see the
     module docstring): an encoding block has no entries of its own, and
-    `_angles` adds its per-qubit feature sums to the next block's first Ry
-    column.  With noise, every gate, Ry(0) fillers included, owes one
+    `_angles` composes its per-qubit rotation into the next block's first
+    Ry column.  With noise, every gate, Ry(0) fillers included, owes one
     channel to each qubit it touches, paid as one entry just before the
     next CX that touches it (so a noisy CX runs alone) or at the end.
     """
@@ -364,31 +387,71 @@ def _fold(circuit: ReuploadCircuit, xs: np.ndarray) -> np.ndarray:
     return slots.reshape(rows, columns, circuit.n_qubits).sum(axis=1)
 
 
-def _angles(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray,
-            noisy: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Cosines c, (K, rows), and sines stacked as S = (-s, s), (K, 2, 1,
-    rows), of every trainable Ry angle, the `_fold` sums ``sums`` added to
-    each encoding block's next Ry column: of half the angle for
-    statevector rows, of the full angle for Pauli rows.  Of a theta
-    broadcast to every row (stride 0, see `_check_rows`) only the L * N
-    shifted columns are computed per row, the others once: the same doubles."""
-    rows, grid = len(sums), (circuit.layers + 1, circuit.sublayers, -1)
-    if rows > 1 and thetas.strides[0] == 0:
-        theta, scale = thetas[0].reshape(grid), 1.0 if noisy else 0.5
-        shifted = theta[1:, 0, :, None] + np.ascontiguousarray(sums.T)  # (L, N, rows)
-        shifted *= scale
-        c, S = np.empty(theta.shape + (rows,)), np.empty(theta.shape + (2, 1, rows))
-        c[...] = np.cos(theta * scale)[..., None]
-        S[...] = np.sin(theta * scale)[..., None, None, None] * _SIGNS
-        np.cos(shifted, out=c[1:, 0])
-        np.negative(np.sin(shifted, out=S[1:, 0, :, 1, 0]), out=S[1:, 0, :, 0, 0])
-        return c.reshape(-1, rows), S.reshape(-1, 2, 1, rows)
-    angles = thetas.reshape((rows,) + grid).copy()
-    angles[:, 1:, 0, :] += sums[:, None, :]
-    angles = np.ascontiguousarray(angles.reshape(rows, -1).T)
-    if not noisy:
-        angles *= 0.5
-    return np.cos(angles), np.sin(angles)[:, None, None] * _SIGNS
+def _named_trig(values: np.ndarray, per: int, rows: slice, scale: float, cos: np.ndarray,
+                sin: np.ndarray) -> None:
+    """cos and sin of ``scale`` times the entries of (entries, cols)
+    ``values`` that the ``rows`` name, written to (cols, rows) ``cos`` and
+    ``sin``: row r names entry (r // per) mod entries.
+
+    Each entry named is paid once, and rows that repeat or cycle entries
+    gather them from a table, which never has more entries than the rows
+    have: a cycle longer than the rows and cut by their ends takes each
+    row's own entry instead."""
+    count, width = len(values), rows.stop - rows.start
+    first, last = rows.start // per, (rows.stop - 1) // per
+    lo = first % count
+    if first // count == last // count:  # the entries first to last, in order
+        values = values[lo:lo + last - first + 1]
+    elif last - first < count:  # a cycle cut by the rows' ends
+        values = values[np.arange(rows.start, rows.stop) // per % count]
+    else:  # whole cycles: every entry
+        lo = 0
+    if len(values) == width:  # one entry per row, in order
+        np.multiply(values.T, scale, out=cos)
+        np.sin(cos, out=sin)
+        np.cos(cos, out=cos)
+        return
+    names = np.arange(rows.start, rows.stop)
+    names //= per
+    names %= count
+    names -= lo
+    table = values.T * scale
+    np.take(np.sin(table), names, axis=1, out=sin, mode="clip")
+    np.take(np.cos(table, out=table), names, axis=1, out=cos, mode="clip")
+
+
+def _angles(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray, rows: slice,
+            total: int, scale: float, c: np.ndarray, S: np.ndarray) -> None:
+    """The cosines c, (K, rows), and the sines stacked as S = (-s, s), (2,
+    K, 1, rows), of every trainable Ry of the ``rows`` of a batch of
+    ``total``, written in place: of half the angle for statevector rows
+    (``scale`` 1/2), of the full angle for Pauli rows (``scale`` 1).
+
+    Rows name their theta and their x: row r runs theta r // (total / A) of
+    the (A, K) ``thetas`` on the `_fold` sums r mod B of the (B, N)
+    ``sums``.  So a theta per row, one theta for all (A = 1), one x for all
+    (B = 1) and every theta against every x (`_forward_grid`) are one rule,
+    and cos and sin are paid once per theta column and once per x's N fold
+    angles (`_named_trig`).  The rotation of an encoding block is composed
+    with the next block's first Ry on each qubit, not added to its angle:
+
+        c = c_theta c_x - s_theta s_x,    s = s_theta c_x + c_theta s_x,
+
+    for each of the L N shifted columns, in plain elementwise multiplies
+    and adds (no complex multiply, no einsum), so a row's bits depend
+    neither on its batch nor on how it names its theta and x."""
+    _named_trig(thetas, total // len(thetas), rows, scale, c, S[1, :, 0])
+    cos_x, sin_x = (np.empty((circuit.n_qubits, c.shape[1])) for _ in range(2))
+    _named_trig(sums, 1, rows, scale, cos_x, sin_x)
+    shape = (circuit.layers + 1, circuit.sublayers, circuit.n_qubits, -1)
+    cos_t, sin_t, product = (part.reshape(shape)[1:, 0] for part in (c, S[1], S[0]))
+    cross = cos_t * sin_x
+    np.multiply(sin_t, sin_x, out=product)
+    cos_t *= cos_x
+    cos_t -= product
+    sin_t *= cos_x
+    sin_t += cross
+    np.negative(S[1], out=S[0])
 
 
 def _strengths(circuit: ReuploadCircuit, noise: np.ndarray) -> dict:
@@ -406,20 +469,43 @@ def _strengths(circuit: ReuploadCircuit, noise: np.ndarray) -> dict:
     return {k: np.array(column)[row_p] for k, column in table.items()}
 
 
-def _step(states: np.ndarray, pairs: list, op: tuple, c: np.ndarray, S: np.ndarray,
-          strengths: dict) -> None:
-    """Apply one schedule entry to every row in place: statevector rows
-    when ``strengths`` (those of `_strengths`) is empty, else Pauli rows.
-    ``pairs`` are its `_pairs`, ``c`` and ``S`` the cosines and stacked sines
-    of `_angles` (``S`` reversed undoes an Ry); a CX run is one gather."""
-    kind, q, j = op
-    if kind == _RY:
-        _apply_ry_rows(pairs[q], c[j], S[j])
-    elif kind == _NOISE:
-        _damp_rows(states, q, strengths[j])
-    else:
-        sites = states.reshape((4 if strengths else 2) ** q, len(j), -1, states.shape[-1])
-        sites[...] = sites.take(j, axis=1)
+def _compiler(states: np.ndarray, spare: np.ndarray, c: list, S: list, strengths: dict,
+              n: int):
+    """The compiler of schedule entries on (d^n, rows) ``states`` to
+    (kernel, operands) pairs: statevector rows when ``strengths`` (those of
+    `_strengths`) is empty, else Pauli rows.  An Ry turns its qubit's
+    `_pairs` view and its (b, a) view by column j of the cosines ``c`` and
+    stacked sines ``S`` of `_angles`, given as lists of their columns (``S``
+    reversed undoes an Ry) into the qubit's pair of ``spare``; k merged
+    channels are `_damp_rows` of the qubit's site; a CX run is one
+    `_gather` through ``spare``.  Each view is made once and shared by
+    every entry that uses it."""
+    d, rows = 4 if strengths else 2, states.shape[-1]
+    pairs = [(pair, pair[:, ::-1], turned)
+             for pair, turned in zip(_pairs(states, n, d), _pairs(spare, n, d))]
+    sites = [_site(states, q, 4)[:, 1:] for q in range(n)] if strengths else []
+    gathers = {}  # (first qubit, sites' width): the run's views of states and spare
+
+    def entry(op: tuple) -> tuple:
+        kind, q, j = op
+        if kind == _RY:
+            pair, swapped, turned = pairs[q]
+            return _apply_ry_rows, (pair, swapped, c[j], S[j], turned)
+        if kind == _NOISE:
+            return _damp_rows, (sites[q], strengths[j])
+        if (q, len(j)) not in gathers:
+            shape = (d ** q, len(j), -1, rows)
+            gathers[q, len(j)] = states.reshape(shape), spare.reshape(shape)
+        here, there = gathers[q, len(j)]
+        return _gather, (here, j, there)
+
+    return entry
+
+
+def _run(program: list) -> None:
+    """Apply each (kernel, operands) pair of a compiled sweep, in order."""
+    for kernel, operands in program:
+        kernel(*operands)
 
 
 def _fresh_rows(circuit: ReuploadCircuit, rows: int, noisy: bool) -> np.ndarray:
@@ -433,14 +519,15 @@ def _fresh_rows(circuit: ReuploadCircuit, rows: int, noisy: bool) -> np.ndarray:
 
 
 def _column_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum of (entries, ..., rows) terms over the entries, one per column.
+    """Sum of (entries, ..., rows) terms over the entries, one per column,
+    in place: ``terms`` is overwritten by its running sums, and the last,
+    a view, is returned.
 
     Sequential, so a row's bits do not depend on its batch: np.add.reduce
     or einsum over a lone contiguous column switches to a pairwise or
     unrolled sum, which rounds differently from the same column in a batch.
-    The sums are copied out, so the full accumulate is freed on return.
     """
-    return np.add.accumulate(terms, axis=0)[-1].copy()
+    return np.add.accumulate(terms, axis=0, out=terms)[-1]
 
 
 def _observable_form(circuit: ReuploadCircuit, obs: Observable, noisy: bool) -> np.ndarray:
@@ -459,40 +546,12 @@ def _observable_form(circuit: ReuploadCircuit, obs: Observable, noisy: bool) -> 
     return _per_site(sites.reshape(-1, 1), n, _TO_DENSITY.T)
 
 
-def _observe(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """M psi for the column-major M of `_observable_form`.  einsum, not
-    BLAS, whose bits can depend on the row count; M column-major, so that
-    the inner loop never sums over j, not even for a lone column (see
-    `_column_sum`)."""
-    return np.einsum("ij,jb->ib", matrix, states)
-
-
-def _forward_rows(circuit: ReuploadCircuit, c: np.ndarray, S: np.ndarray, form: np.ndarray,
-                  strengths: dict, slabs: list | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's output and the direction lam it was measured along:
-    |0...0> swept forward through the schedule by the cosines ``c`` and
-    stacked sines ``S`` of `_angles` under the channel factors
-    ``strengths`` of `_strengths`, then measured as the (rows,) sums of
-    lam * state.
-
-    lam is (Re M) psi for statevector rows and the one column ``form`` of
-    `_observable_form` for Pauli rows, whose density matrices are checked
-    here.  With ``slabs`` the `_slots` of the per-qubit psi slabs of
-    `_adjoint_rows`, the qubit's pair of the rows after every trainable Ry
-    is written to its slot."""
-    noisy, n = bool(strengths), circuit.n_qubits
-    states = _fresh_rows(circuit, c.shape[1], noisy)
-    pairs = _pairs(states, n, 4 if noisy else 2)
-    for op in _schedule(circuit, noisy):
-        _step(states, pairs, op, c, S, strengths)
-        if slabs is not None and op[0] == _RY:
-            slabs[op[1]][op[2] // n] = pairs[op[1]]
-    if noisy:
-        _check_pauli_rows(states, n)
-        lam = form
-    else:
-        lam = _observe(form, states)
-    return _column_sum(lam * states), lam
+def _observe(matrix: np.ndarray, states: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """M psi, written to ``out``, for the column-major M of
+    `_observable_form`.  einsum, not BLAS, whose bits can depend on the row
+    count; M column-major, so that the inner loop never sums over j, not
+    even for a lone column (see `_column_sum`)."""
+    return np.einsum("ij,jb->ib", matrix, states, out=out)
 
 
 def _slots(slabs: list) -> list:
@@ -502,12 +561,112 @@ def _slots(slabs: list) -> list:
     return [slab.transpose(1, 2, 0, 3, 4) for slab in slabs]
 
 
-def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray,
-                  form: np.ndarray, strengths: dict, grads: np.ndarray) -> np.ndarray:
-    """Outputs and their parameter gradients for one chunk of rows, thetas
-    and `_fold` sums, under the channel factors ``strengths`` of
-    `_strengths`: the (rows,) outputs are returned, and the gradients
-    written into the (rows, K) ``grads``.
+def _buffers(circuit: ReuploadCircuit, width: int, noisy: bool, adjoint: bool) -> list:
+    """The shapes of the buffers of a `_Chunk` of ``width`` rows: the rows,
+    the second state, c and S of `_angles`, then for an adjoint pass every
+    qubit's psi slab and every qubit's lam slab (see `_adjoint_rows`)."""
+    n, k, d = circuit.n_qubits, circuit.n_params, 4 if noisy else 2
+    shapes = [(d ** n, width)] * 2 + [(k, width), (2, k, 1, width)]
+    if adjoint:
+        shapes += [(2, k // n, d ** q, d ** (n - q - 1), width) for q in range(n)] * 2
+    return shapes
+
+
+class _Chunk:
+    """One chunk of a `_chunk_plan`, bound to its buffers, with its sweeps
+    compiled once to (kernel, operands) pairs on views of them.
+
+    The buffers (`_buffers`) are the rows, a second state, the angles and
+    the adjoint's slabs.  The second state is lam, (Re M) psi or the Pauli
+    rows' copy of the form, and it is the spare of every CX gather of the
+    forward sweep; the rows are the spare of the backward sweep, which runs
+    on lam.  A run rewrites every buffer it reads, so one chunk serves any
+    thetas and sums of its rows, pass after pass, and allocates only
+    temporaries."""
+
+    def __init__(self, circuit: ReuploadCircuit, rows: slice, total: int, strengths: dict,
+                 form: np.ndarray, buffers: list):
+        n = circuit.n_qubits
+        self.circuit, self.rows, self.total = circuit, rows, total
+        self.strengths, self.form = strengths, form
+        self.noisy = noisy = bool(strengths)
+        self.scale, d = (1.0, 4) if noisy else (0.5, 2)
+        self.states, self.lam, self.c, self.S, *slabs = buffers
+        self.fresh = _fresh_rows(circuit, 1, noisy)
+        self.psis, self.lams, self.adjoint = slabs[:n], slabs[n:], bool(slabs)
+        cs = list(self.c)
+        entry = _compiler(self.states, self.lam, cs, list(self.S.swapaxes(0, 1)), strengths, n)
+        slots = [list(slot) for slot in _slots(self.psis)]
+        pairs = _pairs(self.states, n, d) if self.adjoint else []
+        self.sweep = []
+        for op in _schedule(circuit, noisy):
+            self.sweep.append(entry(op))
+            if self.adjoint and op[0] == _RY:
+                self.sweep.append((np.copyto, (slots[op[1]][op[2] // n], pairs[op[1]])))
+        self.unsweep = []
+        if self.adjoint:
+            entry = _compiler(self.lam, self.states, cs, list(self.S[::-1].swapaxes(0, 1)),
+                              strengths, n)
+            pairs, slots = _pairs(self.lam, n, d), [list(slot) for slot in _slots(self.lams)]
+            for op in _schedule(circuit, noisy, backward=True):
+                if op[0] == _RY:
+                    self.unsweep.append((np.copyto, (slots[op[1]][op[2] // n], pairs[op[1]])))
+                    if op[2] == 0:  # the first Ry: nothing is left to undo
+                        break
+                self.unsweep.append(entry(op))
+
+
+def _prepare(circuit: ReuploadCircuit, plan: list, adjoint: bool):
+    """The chunks of ``plan`` bound in turn (`_Chunk`), all of them to the
+    same memory, one array per buffer the size of the largest chunk's:
+    chunks run one after another, and each run rewrites the buffers it
+    reads.  A caller that keeps the chunks (`train._sgd_paths`) binds them
+    once for all its passes; one that runs them once lets each go after
+    its run."""
+    total = plan[-1][0].stop if plan else 0
+    widest = {}  # rows of the widest chunk of each kind
+    for rows, strengths, _ in plan:
+        widest[bool(strengths)] = max(widest.get(bool(strengths), 0), rows.stop - rows.start)
+    memory = [np.empty(max(map(math.prod, role))) for role in
+              zip(*(_buffers(circuit, width, kind, adjoint) for kind, width in widest.items()))]
+    for rows, strengths, form in plan:
+        shapes = _buffers(circuit, rows.stop - rows.start, bool(strengths), adjoint)
+        buffers = [whole[:math.prod(shape)].reshape(shape) for whole, shape in zip(memory, shapes)]
+        yield _Chunk(circuit, rows, total, strengths, form, buffers)
+
+
+def _forward_rows(chunk: _Chunk, thetas: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Every output of the ``chunk``'s rows, which name ``thetas`` and
+    `_fold` ``sums`` as in `_angles`: |0...0> swept forward through the
+    schedule, then measured as the (rows,) sums of lam * state, returned as
+    a view into the chunk's rows, which the product and its running sums
+    overwrite.  An adjoint chunk's forward sweep also copies the qubit's
+    pair of the rows after every trainable Ry to its psi slot.
+
+    lam is (Re M) psi for statevector rows and the one column ``form`` of
+    `_observable_form` for Pauli rows, whose density matrices are checked
+    here; an adjoint chunk leaves lam in its second state for the backward
+    sweep."""
+    _angles(chunk.circuit, thetas, sums, chunk.rows, chunk.total, chunk.scale, chunk.c, chunk.S)
+    states = chunk.states
+    np.copyto(states, chunk.fresh)
+    _run(chunk.sweep)
+    if chunk.noisy:
+        _check_pauli_rows(states, chunk.circuit.n_qubits)
+        if chunk.adjoint:
+            np.copyto(chunk.lam, chunk.form)
+        states *= chunk.form
+    else:
+        states *= _observe(chunk.form, states, chunk.lam)
+    return _column_sum(states)
+
+
+def _adjoint_rows(chunk: _Chunk, thetas: np.ndarray, sums: np.ndarray,
+                  grads: np.ndarray) -> np.ndarray:
+    """Outputs and their parameter gradients for the rows of an adjoint
+    ``chunk``, which name ``thetas`` and `_fold` ``sums`` as in `_angles`:
+    the (rows,) outputs are returned, and the gradients written into the
+    (rows, K) ``grads``.
 
     Adjoint differentiation (Jones & Gacon, arXiv:2009.02823), one algorithm
     for statevector and Pauli rows, paid per sweep and qubit, not per Ry.
@@ -525,36 +684,24 @@ def _adjoint_rows(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray
     lam_a psi_b over its slabs' entries, in `_column_sum` order, into
     gradient columns q, q + N, ...: for statevector rows 2 lam^T J psi,
     J = dRy/dtheta Ry^T = [[0, -1/2], [1/2, 0]] on the qubit; for Pauli rows
-    lam_X c_Z - lam_Z c_X, the rotation's generator.  lam is swept in place:
-    statevector rows measure a fresh (Re M) psi, and Pauli rows a fresh
-    copy per row of the chunk's shared `_observable_form`.
+    lam_X c_Z - lam_Z c_X, the rotation's generator.
     """
-    noisy, n, rows = bool(strengths), circuit.n_qubits, len(sums)
-    d, per = 4 if noisy else 2, circuit.n_params // n
-    c, S = _angles(circuit, thetas, sums, noisy)
-    psis, lams = ([np.empty((2, per, d ** q, d ** (n - q - 1), rows)) for q in range(n)]
-                  for _ in range(2))
-    values, lam = _forward_rows(circuit, c, S, form, strengths, _slots(psis))
-    if noisy:
-        lam = lam.repeat(rows, axis=1)
-    pairs, S, slots = _pairs(lam, n, d), S[:, ::-1], _slots(lams)
-    for op in _schedule(circuit, noisy, backward=True):
-        if op[0] == _RY:
-            slots[op[1]][op[2] // n] = pairs[op[1]]
-            if op[2] == 0:  # the first Ry: nothing is left to undo
-                break
-        _step(lam, pairs, op, c, S, strengths)
-    for q in range(n):
-        terms = lams[q][1] * psis[q][0]
-        terms -= lams[q][0] * psis[q][1]
+    values = _forward_rows(chunk, thetas, sums).copy()  # the backward gathers reuse the rows
+    _run(chunk.unsweep)
+    n, rows = chunk.circuit.n_qubits, len(values)
+    per = chunk.circuit.n_params // n
+    for q, (psi, lam) in enumerate(zip(chunk.psis, chunk.lams)):
+        terms = lam[1] * psi[0]
+        terms -= lam[0] * psi[1]
         grads[:, q::n] = _column_sum(terms.reshape(per, -1, rows).swapaxes(0, 1)).T
     return values
 
 
 def _check_rows(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
                 noise_p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated (rows, K) thetas and (rows, D) xs, a single row broadcast
-    once `_check_batch` has checked it, and its (rows,) noise strengths."""
+    """Validated (A, K) thetas and (B, D) xs, each one row or one per row
+    of the batch, and its (rows,) noise strengths: the rows name their
+    theta and x as in `_angles`, and neither is broadcast."""
     thetas, xs = np.asarray(thetas, dtype=float), np.asarray(xs, dtype=float)
     for name, rows in (("thetas", thetas), ("xs", xs)):
         if rows.ndim not in (1, 2):
@@ -563,12 +710,7 @@ def _check_rows(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
     rows = len(xs) if len(thetas) == 1 else len(thetas)
     if len(xs) not in (1, rows):
         raise ValueError("thetas and xs row counts do not match")
-    noise = _check_batch(circuit, thetas, xs, obs, noise_p, rows)
-    if len(thetas) != rows:
-        thetas = np.broadcast_to(thetas, (rows, thetas.shape[1]))
-    if len(xs) != rows:
-        xs = np.broadcast_to(xs, (rows, xs.shape[1]))
-    return thetas, xs, noise
+    return thetas, xs, _check_batch(circuit, thetas, xs, obs, noise_p, rows)
 
 
 def _check_batch(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
@@ -606,76 +748,110 @@ def _chunk_plan(circuit: ReuploadCircuit, obs: Observable, noise: np.ndarray,
                 adjoint: bool) -> list:
     """The chunks of a forward or an adjoint pass over rows of checked
     (rows,) strengths ``noise``: (row slice, its `_strengths` factors, the
-    `_observable_form` of its kind) triples, in row order.
+    `_observable_form` of its kind) triples, in row order, which `_prepare`
+    binds to buffers.
 
     A row is a statevector row at p = 0 and a Pauli row at p > 0.  The rows
     are cut wherever the kind changes, and each run of one kind into
-    chunks of at least one row and at most ``_CHUNK_BYTES`` of states and
-    their angles; a statevector chunk has no factors.  A row of a forward
-    pass holds one state; of an adjoint pass 2K + 2 (K + 2 for Pauli rows,
-    whose `_adjoint_rows` slabs keep half sites), and K/N states more (K/2N)
-    for the two half-slab temporaries of one qubit's gradient contraction.
-    A Pauli row of either pass holds ``_CHECK_STATES`` more for the density
-    check at the end of its forward sweep (`_check_pauli_rows`).  Its
-    `_angles` take 40 K bytes more: c, S and the angle copy.  A row whose
-    states take more than ``_ROW_BYTES`` raises CapacityError before any
-    state is allocated."""
+    chunks of at least one row and at most ``_CHUNK_BYTES``; a statevector
+    chunk has no factors.  A row of either pass holds two states (`_Chunk`:
+    its own, and lam or the spare of a gather); the measurement and its
+    sums run in place.  An adjoint row holds 2K slab states more (K for
+    Pauli rows, whose slabs keep half sites), and K/N more (K/2N) for the
+    two half-slab temporaries of one qubit's gradient contraction.  A Pauli
+    row of either pass holds ``_CHECK_STATES`` more for the density check
+    at the end of its forward sweep (`_check_pauli_rows`).  Its `_angles`
+    take 40 K + 32 N + 8 bytes more: c and S (24 K), and then at most a
+    gathered theta table with its names (16 K + 8), or the x trig with its
+    table and names (32 N + 8), or the x trig with the composed product (16
+    N + 8 L N, less than 16 K).  A chunk's compiled sweeps take
+    ``_ENTRY_BYTES`` out of the budget first for each of their entries and
+    column views: the schedule's entries and the K columns of c and of S,
+    twice over for an adjoint pass (its backward sweep, the slot copies of
+    both sweeps and the reversed S), and 16 more.  A row whose states take
+    more than ``_ROW_BYTES`` raises CapacityError before any state is
+    allocated."""
     noisy = noise > 0.0
     # Runs of one kind, cut where a row's kind differs from the row before.
     bounds = [0, *(np.flatnonzero(noisy[1:] != noisy[:-1]) + 1).tolist(), len(noise)]
     plan, forms = [], {}
+    angle_bytes = 40 * circuit.n_params + 32 * circuit.n_qubits + 8
     for start, stop in zip(bounds, bounds[1:]):
         kind = bool(noisy[start:stop].any())  # False for no rows at all
         state = 8 << (circuit.n_qubits * (1 + kind))  # a 2^n or 4^n state of doubles
-        row_bytes = state * (1 + _CHECK_STATES * kind)
+        row_bytes = state * (2 + _CHECK_STATES * kind)
         if adjoint:
             slabs = (2 - kind) * circuit.n_params
-            row_bytes += state * (slabs + 1) + state * slabs // (2 * circuit.n_qubits)
+            row_bytes += state * slabs + state * slabs // (2 * circuit.n_qubits)
         if row_bytes > _ROW_BYTES:
             raise CapacityError(f"one row of this {circuit.n_qubits}-qubit circuit needs "
                                 f"{row_bytes} bytes, more than the {_ROW_BYTES} a row may take")
         if kind not in forms:
             forms[kind] = _observable_form(circuit, obs, kind)
-        step = max(1, _CHUNK_BYTES // (row_bytes + 40 * circuit.n_params))
+        entries = 16 + (len(_schedule(circuit, kind)) + 2 * circuit.n_params) * (1 + adjoint)
+        step = max(1, (_CHUNK_BYTES - _ENTRY_BYTES * entries) // (row_bytes + angle_bytes))
         for i in range(start, stop, step):
             rows = slice(i, min(i + step, stop))
             plan.append((rows, _strengths(circuit, noise[rows]) if kind else {}, forms[kind]))
     return plan
 
 
+def _outputs(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray, obs: Observable,
+             noise: np.ndarray) -> np.ndarray:
+    """The (rows,) outputs of checked rows at checked (rows,) strengths
+    ``noise``, which name (A, K) ``thetas`` and (B, N) `_fold` ``sums`` as
+    in `_angles`: each chunk of the forward plan bound, run once and let go."""
+    values = np.empty(len(noise))
+    for chunk in _prepare(circuit, _chunk_plan(circuit, obs, noise, adjoint=False), False):
+        values[chunk.rows] = _forward_rows(chunk, thetas, sums)
+        del chunk  # let it go before the next is bound
+    return values
+
+
 def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
                  noise_p=0.0) -> np.ndarray:
     """Vectorized `forward` over rows of (theta, x) pairs.
 
-    ``thetas`` is (rows, K) or (K,) broadcast to all rows; ``xs`` is
-    (rows, D) or (D,); ``noise_p`` is a float for all rows or a (rows,)
-    vector.  Returns the (rows,) vector of expectations.  A row with
-    p > 0 is a density-matrix simulation under per-gate depolarizing
-    noise of strength p (see `noise`) in the Pauli basis, whose density
-    matrix is rebuilt and checked once at the end for unit trace,
-    Hermiticity and positivity; a row with p = 0 is a statevector.  Rows
-    of any strengths may share a call, in any order.
+    ``thetas`` is (rows, K) or (K,) for all rows; ``xs`` is (rows, D) or
+    (D,); ``noise_p`` is a float for all rows or a (rows,) vector.  Returns
+    the (rows,) vector of expectations.  A row with p > 0 is a
+    density-matrix simulation under per-gate depolarizing noise of
+    strength p (see `noise`) in the Pauli basis, whose density matrix is
+    rebuilt and checked once at the end for unit trace, Hermiticity and
+    positivity; a row with p = 0 is a statevector.  Rows of any strengths
+    may share a call, in any order.
     """
     thetas, xs, noise = _check_rows(circuit, thetas, xs, obs, noise_p)
-    sums = _fold(circuit, xs)
-    values = np.empty(thetas.shape[0])
-    for rows, strengths, form in _chunk_plan(circuit, obs, noise, adjoint=False):
-        c, s = _angles(circuit, thetas[rows], sums[rows], bool(strengths))
-        values[rows] = _forward_rows(circuit, c, s, form, strengths)[0]
-    return values
+    return _outputs(circuit, thetas, _fold(circuit, xs), obs, noise)
 
 
-def _planned_grads(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray,
-                   plan: list) -> tuple[np.ndarray, np.ndarray]:
-    """`_output_grads` of checked (rows, K) thetas and the (rows, N) `_fold`
-    sums of checked features, by the adjoint `_chunk_plan` of their
-    strengths, unchecked: the core that both it and `train._sgd_paths`
-    call.  Each chunk writes its rows of the outputs, so they are held
-    once and no chunk holds gradients of its own."""
-    values, grads = np.empty(len(sums)), np.empty((len(sums), circuit.n_params))
-    for rows, strengths, form in plan:
-        values[rows] = _adjoint_rows(circuit, thetas[rows], sums[rows], form, strengths,
-                                     grads[rows])
+def _forward_grid(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
+                  noise_p) -> np.ndarray:
+    """`forward_many` of every pair of (A, K) ``thetas`` and (B, D) ``xs``,
+    theta-major, at ``noise_p``, a float or one strength per theta: the (A,
+    B) outputs, bit for bit those of the thetas repeated and the xs tiled.
+    The rows name their theta and x (see `_angles`), so the trig is paid
+    once per theta and once per x, not per row."""
+    thetas, xs = np.asarray(thetas, dtype=float), np.asarray(xs, dtype=float)
+    noise = np.asarray(noise_p, dtype=float)
+    if noise.ndim:
+        noise = noise.repeat(len(xs))
+    noise = _check_batch(circuit, thetas, xs, obs, noise, len(thetas) * len(xs))
+    return _outputs(circuit, thetas, _fold(circuit, xs), obs, noise).reshape(len(thetas), len(xs))
+
+
+def _planned_grads(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray, chunks,
+                   rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_output_grads` of ``rows`` checked rows that name (A, K) thetas and
+    the (B, N) `_fold` sums of checked features as in `_angles`, by the
+    adjoint `_Chunk`s ``chunks`` of their strengths, unchecked: the core
+    that both it and `train._sgd_paths` call, the latter with chunks bound
+    once for all its steps.  Each chunk writes its rows of the outputs, so
+    they are held once and no chunk holds gradients of its own."""
+    values, grads = np.empty(rows), np.empty((rows, circuit.n_params))
+    for chunk in chunks:
+        values[chunk.rows] = _adjoint_rows(chunk, thetas, sums, grads[chunk.rows])
+        del chunk  # a chunk run once goes before the next is bound
     return values, grads
 
 
@@ -686,11 +862,12 @@ def _output_grads(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
     Rows and ``noise_p`` broadcast as in `forward_many`, and the outputs
     are its outputs, bit for bit.  Adjoint differentiation (see
     `_adjoint_rows`); `grad.parameter_shift_grad_f` is its independent
-    oracle.  This is the checked entry point of `_planned_grads`.
+    oracle.  This is the checked entry point of `_planned_grads`, whose
+    chunks it binds, runs once and lets go.
     """
     thetas, xs, noise = _check_rows(circuit, thetas, xs, obs, noise_p)
-    return _planned_grads(circuit, thetas, _fold(circuit, xs),
-                          _chunk_plan(circuit, obs, noise, adjoint=True))
+    chunks = _prepare(circuit, _chunk_plan(circuit, obs, noise, adjoint=True), True)
+    return _planned_grads(circuit, thetas, _fold(circuit, xs), chunks, len(noise))
 
 
 # --- dense unitaries ------------------------------------------------------

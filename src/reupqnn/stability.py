@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ansatz import ReuploadCircuit, forward_many
+from .ansatz import ReuploadCircuit, _forward_grid
 from .data import Dataset, Sample
 from .qcore import Observable
 from .train import (LIPSCHITZ, LOSS_BOUND, SMOOTHNESS, TrainConfig, _draw_indices, _philox,
@@ -83,15 +83,14 @@ class StabilityTrace:
 def _group_result(paths: np.ndarray, probes: Dataset, swaps, configs, circuit: ReuploadCircuit,
                   obs: Observable) -> tuple[list[StabilityTrace], float]:
     """(traces, beta_hat) of one group from its (swap + 1, seed, T + 1, K)
-    paths, S's runs first: each run's probe scores from one `forward_many`
-    call over its whole path, at its config's noise_p, and every gap a
-    reduction of S's runs against each twin's."""
-    n_probes, runs = len(probes), paths.reshape(-1, *paths.shape[2:])
-    features = np.tile(probes.features, (paths.shape[2], 1))
-    f = np.stack([forward_many(circuit, np.repeat(path, n_probes, axis=0), features, obs,
-                               config.noise_p)
+    paths, S's runs first: every run's probe scores from one grid of its
+    whole path against the probes (`ansatz._forward_grid`, which pays the
+    trig once per theta and once per probe), at its config's noise_p, and
+    every gap a reduction of S's runs against each twin's."""
+    runs = paths.reshape(-1, *paths.shape[2:])
+    f = np.stack([_forward_grid(circuit, path, probes.features, obs, config.noise_p)
                   for path, config in zip(runs, configs * len(paths))])
-    f = f.reshape(paths.shape[:3] + (n_probes,))
+    f = f.reshape(paths.shape[:3] + (len(probes),))
     l = loss(f, probes.labels)
     gaps = np.stack([np.sum(np.abs(paths[0] - paths[1:]), axis=-1),
                      np.max(np.abs(f[0] - f[1:]), axis=-1),
@@ -110,8 +109,8 @@ def coupled_ensemble(groups, circuit: ReuploadCircuit,
     ``swaps`` list the (index, replacement) pairs and whose ``configs``
     hold one TrainConfig per seed; groups may differ in m, probes, step
     size and noise strength, but share T.  Every run of every group trains
-    in one lockstep loop; each run's probe scores come from one
-    ``forward_many`` call over its whole path, at its config's noise_p;
+    in one lockstep loop; each run's probe scores come from one grid of its
+    whole path against the probes, at its config's noise_p;
     traces are in (index, seed) order and beta_hat is read off the same
     runs' final parameters.
     """

@@ -11,7 +11,8 @@ depends only on (seed, t) and the initial parameters only on (seed,); two
 datasets of equal size therefore replay the exact same index sequence
 under the same seed, which is what the stability machinery relies on.
 The draws are those of numpy's ``Generator(Philox(key=...))``, bit for
-bit, computed for a whole array of keys at once (`_philox_words`).
+bit: a one-off draw comes from the generator itself, and the loops
+compute theirs for a whole array of keys at once (`_philox_words`).
 
 Every run goes through one lockstep loop, which advances a batch of runs
 (seeds, twin datasets, the values of a sweep on one circuit) with one
@@ -20,8 +21,9 @@ pair, and its config's seed, noise strength and step size are its own; the
 runs of one batch share a circuit and T.  Rows of the pass never interact,
 so a run's bits do not depend on its batch.  The loop pays once for what
 does not change from step to step: it draws every run's initial
-parameters at once and the indices of a block of steps at once, and folds
-the runs' features into per-qubit sums once.
+parameters at once and the indices of a block of steps at once, folds
+the runs' features into per-qubit sums once, and binds the engine's
+buffers and compiled sweeps once.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .ansatz import (
     _fold,
     _output_grads,
     _planned_grads,
+    _prepare,
     forward_many,
 )
 from .qcore import Observable
@@ -101,7 +104,9 @@ class TrainConfig:
 def _philox(*key) -> np.random.Generator:
     """A new ``Generator(Philox(key=key))``: key set, counter 0, buffer empty.
 
-    Only the draws that `_philox_words` does not compute come from it:
+    The draws of a single key come from it (`init_params`, `draw_index`,
+    and through it `stability.replacement_for`), and so do those that
+    `_philox_words`, which computes blocks of keys, does not:
     `stability.sampled_indices`' ``choice`` and the redraws of
     `_draw_indices`, about m / 2^32 of its draws."""
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
@@ -153,8 +158,10 @@ def _init_thetas(circuit: ReuploadCircuit, seeds) -> np.ndarray:
 
 
 def init_params(circuit: ReuploadCircuit, seed: int) -> np.ndarray:
-    """Initial parameters, uniform on [0, 2pi), keyed by the seed alone."""
-    return _init_thetas(circuit, [seed])[0]
+    """Initial parameters, uniform on [0, 2pi), keyed by the seed alone:
+    drawn by the generator itself, whose draws `_init_thetas` computes for
+    many seeds at once."""
+    return _philox(seed, _INIT_TAG).uniform(0.0, 2.0 * np.pi, circuit.n_params)
 
 
 def _draw_indices(seed, t, m) -> np.ndarray:
@@ -182,8 +189,12 @@ def _draw_indices(seed, t, m) -> np.ndarray:
 
 
 def draw_index(seed: int, t: int, m: int) -> int:
-    """Sample index for iteration ``t``, uniform on [0, m), keyed by (seed, t)."""
-    return int(_draw_indices(seed, t, m))
+    """Sample index for iteration ``t``, uniform on [0, m), keyed by (seed, t):
+    drawn by the generator itself, whose draws `_draw_indices` computes
+    for whole arrays of keys."""
+    if m < 1:
+        raise ValueError("cannot draw from an empty dataset")
+    return int(_philox(seed, t).integers(0, m))
 
 
 def _loss_grads(circuit: ReuploadCircuit, thetas, xs, ys, obs: Observable,
@@ -271,7 +282,8 @@ def _sgd_paths(runs, circuit: ReuploadCircuit, obs: Observable):
     What stays fixed through the loop is checked once, by the engine's own
     checks: the shapes, the observable, the strengths and every run's
     features; the engine's chunk plan, with its channel factors and
-    observable forms, is built once too.  The runs' samples are stacked
+    observable forms, is built and bound once too, so its chunks keep their
+    buffers and compiled sweeps for every step (`ansatz._prepare`).  The runs' samples are stacked
     and their features folded (`ansatz._fold`) once, and every run's
     initial parameters drawn at once.  Every distinct (seed, m)'s indices
     are drawn ``_DRAW_BLOCK`` steps at a time, and the block's feature sums
@@ -292,7 +304,7 @@ def _sgd_paths(runs, circuit: ReuploadCircuit, obs: Observable):
     thetas = _init_thetas(circuit, [config.seed for _, config in runs])
     noise = _check_batch(circuit, thetas, features, obs, [config.noise_p for _, config in runs],
                          len(runs))
-    plan = _chunk_plan(circuit, obs, noise, adjoint=True)
+    chunks = list(_prepare(circuit, _chunk_plan(circuit, obs, noise, adjoint=True), True))
     sums = _fold(circuit, features)
     yield None, thetas
     for t in range(iterations):
@@ -304,7 +316,7 @@ def _sgd_paths(runs, circuit: ReuploadCircuit, obs: Observable):
             block_sums, block_labels = sums[rows], labels[rows]
         if not np.isfinite(thetas).all():
             raise ValueError("thetas contain non-finite entries")
-        values, grads = _planned_grads(circuit, thetas, block_sums[:, step], plan)
+        values, grads = _planned_grads(circuit, thetas, block_sums[:, step], chunks, len(runs))
         thetas = thetas - eta * (loss_derivative(values, block_labels[:, step])[:, None] * grads)
         yield drawn[:, step], thetas
 

@@ -203,29 +203,49 @@ def _ry_grad(lam, psi):
     return ansatz._column_sum(terms.reshape(-1, terms.shape[-1]))
 
 
-def adjoint_rows_per_ry(circuit, thetas, sums, form, strengths, grads):
-    """``ansatz._adjoint_rows`` one trainable Ry at a time: the forward
+def _step(states, op, c, S, strengths):
+    """One schedule entry on every row, in place, applied by a per-gate
+    dispatch: an Ry by column j of ``c`` and ``S`` (``S`` reversed undoes
+    it), k merged channels a scale of the qubit's Z, X and XZ by
+    ``strengths[k]``, a CX run one gather of its sites."""
+    kind, q, j = op
+    d = 4 if strengths else 2
+    if kind == ansatz._RY:
+        pair = ansatz._site(states, q, d)[:, d // 2 - 1:d // 2 + 1]
+        ansatz._apply_ry_rows(pair, pair[:, ::-1], c[j], S[:, j], np.empty_like(pair))
+    elif kind == ansatz._NOISE:
+        ansatz._damp_rows(ansatz._site(states, q, 4)[:, 1:], strengths[j])
+    else:
+        sites = states.reshape(d ** q, len(j), -1, states.shape[-1])
+        sites[...] = sites.take(j, axis=1)
+
+
+def adjoint_rows_per_ry(chunk, thetas, sums, grads):
+    """``ansatz._adjoint_rows`` one trainable Ry at a time, walking the
+    schedule gate by gate (`_step`) on arrays of its own: the forward
     sweep keeps a copy of the whole rows after every Ry, and the backward
     sweep takes `_ry_grad` of lam and of the rows kept for an Ry just before
     it undoes that Ry.  Same signature and result: the (rows,) outputs
     returned, the gradients written into the (rows, K) ``grads``."""
-    noisy, n = bool(strengths), circuit.n_qubits
+    circuit, noisy, strengths = chunk.circuit, chunk.noisy, chunk.strengths
+    n, rows = circuit.n_qubits, chunk.rows.stop - chunk.rows.start
     d = 4 if noisy else 2
-    c, S = ansatz._angles(circuit, thetas, sums, noisy)
-    states = ansatz._fresh_rows(circuit, c.shape[1], noisy)
+    c, S = np.empty((circuit.n_params, rows)), np.empty((2, circuit.n_params, 1, rows))
+    ansatz._angles(circuit, thetas, sums, chunk.rows, chunk.total, chunk.scale, c, S)
+    states = ansatz._fresh_rows(circuit, rows, noisy)
     kept = []
-    pairs = ansatz._pairs(states, n, d)
     for op in ansatz._schedule(circuit, noisy):
-        ansatz._step(states, pairs, op, c, S, strengths)
+        _step(states, op, c, S, strengths)
         if op[0] == ansatz._RY:
             kept.append(states.copy())
-    lam = form.repeat(c.shape[1], axis=1) if noisy else ansatz._observe(form, states)
+    lam = (chunk.form.repeat(rows, axis=1) if noisy
+           else ansatz._observe(chunk.form, states, np.empty_like(states)))
     values = ansatz._column_sum(lam * states)
-    pairs, S = ansatz._pairs(lam, n, d), S[:, ::-1]
+    S = S[::-1]
     for op in ansatz._schedule(circuit, noisy, backward=True):
         kind, q, j = op
         if kind == ansatz._RY:
-            grads[:, j] = _ry_grad(pairs[q], ansatz._pairs(kept.pop(), n, d)[q])
+            grads[:, j] = _ry_grad(ansatz._pairs(lam, n, d)[q], ansatz._pairs(kept.pop(), n, d)[q])
         if kept:  # once the first entry, an Ry, is done, nothing is left to undo
-            ansatz._step(lam, pairs, op, c, S, strengths)
+            _step(lam, op, c, S, strengths)
     return values

@@ -327,6 +327,13 @@ def _cx_run_unitary(op, d, n):
     return u
 
 
+def _apply_entry(states, op, c, S, strengths, n):
+    """One schedule entry, compiled by `_compiler` on ``states`` with a
+    spare state of their shape, applied in place."""
+    kernel, operands = ansatz._compiler(states, np.empty_like(states), c, S, strengths, n)(op)
+    kernel(*operands)
+
+
 def test_kernels_update_column_views_in_place():
     """The kernels act in place on a column slice, non-contiguous like the
     adjoint's psi half: each column gets the dense gate or Kraus channel,
@@ -344,11 +351,14 @@ def _check_kernels_on_column_views(rng, n):
     stacked = np.stack((-np.sin(half), np.sin(half)))[:, None]  # S of `_angles`
 
     def ry(q):  # the kernel on the rows' `_pairs` view of q
-        return lambda rows: ansatz._apply_ry_rows(ansatz._pairs(rows, n, 2)[q],
-                                                  np.cos(half), stacked)
+        def kernel(rows):
+            pair = ansatz._pairs(rows, n, 2)[q]
+            ansatz._apply_ry_rows(pair, pair[:, ::-1], np.cos(half), stacked,
+                                  np.empty_like(pair))
+        return kernel
 
     def cx(op):
-        return lambda rows: ansatz._step(rows, ansatz._pairs(rows, n, 2), op, None, None, {})
+        return lambda rows: _apply_entry(rows, op, None, None, {}, n)
 
     ops = [(ry(q), [embed_gate(rotation_gate("y", 2 * h), (q,), n) for h in half])
            for q in range(n)]
@@ -378,7 +388,7 @@ def _check_kernels_on_column_views(rng, n):
         for op in ops:
             big = base.copy()
             view = big[:, :r]
-            ansatz._step(view, ansatz._pairs(view, n, 4), op, cos, stacked, {1: 1 - p})
+            _apply_entry(view, op, cos, stacked, {1: 1 - p}, n)
             for j, rho in enumerate(rhos):
                 if op[0] == ansatz._NOISE:
                     want = kraus_oracle(rho.astype(complex), p, q, n).real
@@ -392,8 +402,9 @@ def _check_kernels_on_column_views(rng, n):
 
 
 # Runs of 7, 4, 14 and 1 rows by kind: at 2q L2 D3 R1 (K = 6), a budget
-# of three Pauli rows with their angles holds four statevector forward rows
-# and five adjoint ones, so the budget cuts runs of both kinds.
+# of three Pauli rows with their angles and their chunk's compiled sweeps
+# cuts the run of four; statevector runs are cut under a budget of three
+# statevector rows (the p = 0 case).
 MIXED = np.array([0.0] * 7 + [0.1, 0.2, 0.1, 0.1] + [0.0] * 14 + [0.1])
 
 
@@ -408,45 +419,73 @@ def _chunk_cases(rng, c, mixed_chunks):
     return [(0.0, thetas, xs, [3, 3, 3, 2]), (0.1, thetas, xs, [3, 3, 3, 2]), mixed]
 
 
-def _check_chunk_kinds(chunks, noise_p, budget, row_bytes):
-    """Each (rows, noisy) chunk, in row order, holds rows of one kind, the
-    kind it was run as, and stays under the budget in rows of that kind."""
-    noisy = np.broadcast_to(np.asarray(noise_p) > 0.0, sum(rows for rows, _ in chunks))
-    start = 0
-    for rows, kind in chunks:
-        assert set(noisy[start:start + rows].tolist()) == {kind}
-        assert rows * row_bytes(kind) <= budget
-        start += rows
+def _angle_bytes(c):
+    """A row's `_angles`: c and S, then at most a gathered theta table and
+    its names, or the x trig with its table and names."""
+    return 40 * c.n_params + 32 * c.n_qubits + 8
+
+
+def _row_bytes(c, noisy, adjoint):
+    """A row's bytes in the chunk budget: two states (its own, and lam or a
+    gather's spare), for an adjoint row 2K slab states (K for Pauli rows,
+    whose slabs keep half sites) and the K/N (K/2N) of one qubit's
+    gradient temporaries, the density check's states for a Pauli row, and
+    its angles."""
+    state, slabs = ansatz._fresh_rows(c, 1, noisy).nbytes, (2 - noisy) * c.n_params * adjoint
+    return (state * (2 + slabs + ansatz._CHECK_STATES * noisy)
+            + state * slabs // (2 * c.n_qubits) + _angle_bytes(c))
+
+
+def _sweep_bytes(c, noisy, adjoint):
+    """What a chunk's compiled sweeps take out of the budget: one
+    ``_ENTRY_BYTES`` per schedule entry and column view of c and S, twice
+    for an adjoint pass (its backward sweep and slot copies), and 16 more."""
+    entries = 16 + (len(ansatz._schedule(c, noisy)) + 2 * c.n_params) * (1 + adjoint)
+    return ansatz._ENTRY_BYTES * entries
+
+
+def _check_chunks(c, cases, run, hook, row_bytes, adjoint, monkeypatch):
+    """Each case run whole, then in chunks under a budget of three rows of
+    its largest kind with that kind's compiled sweeps, counted at
+    ``hook``: the chunk sizes are the case's, the bits the unchunked ones,
+    and each chunk, in row order, holds rows of one kind, the kind it was
+    run as, and stays under the budget with its kind's sweeps."""
+    obs = z_observable(c.n_qubits)
+    for p, thetas, xs, want in cases:
+        whole = run(c, thetas, xs, obs, p)
+        largest = bool(np.any(np.asarray(p) > 0))
+        budget = 3 * row_bytes(largest) + _sweep_bytes(c, largest, adjoint)
+        chunks = []
+        engine = getattr(ansatz, hook)
+
+        def counted(chunk, *args):
+            chunks.append((chunk.rows.stop - chunk.rows.start, chunk.noisy))
+            return engine(chunk, *args)
+
+        monkeypatch.setattr(ansatz, hook, counted)
+        monkeypatch.setattr(ansatz, "_CHUNK_BYTES", budget)
+        chunked = run(c, thetas, xs, obs, p)
+        monkeypatch.undo()
+        assert [rows for rows, _ in chunks] == want
+        noisy = np.broadcast_to(np.asarray(p) > 0.0, len(thetas))
+        start = 0
+        for rows, kind in chunks:
+            assert set(noisy[start:start + rows].tolist()) == {kind}
+            assert rows * row_bytes(kind) + _sweep_bytes(c, kind, adjoint) <= budget
+            start += rows
+        for got, expected in zip(chunked, whole) if adjoint else [(chunked, whole)]:
+            np.testing.assert_array_equal(got, expected)
 
 
 def test_forward_many_chunks_rows_bitwise(monkeypatch):
     """Rows simulated in chunks under the byte budget give the unchunked
-    bits; rows of mixed strengths are cut where the row kind changes."""
+    bits; rows of mixed strengths are cut where the row kind changes.  A
+    forward row holds two states, its own and lam or a gather's spare,
+    the density check's states if it is a Pauli row, and its angles."""
     rng = np.random.default_rng(27)
     c = build_circuit(2, 2, 3, 1)
-    obs = z_observable(2)
-
-    def row_bytes(noisy):  # a state, the density check's states and 40 K bytes of angles
-        state = ansatz._fresh_rows(c, 1, noisy).nbytes
-        return state * (1 + ansatz._CHECK_STATES * noisy) + 40 * c.n_params
-
-    for p, thetas, xs, want in _chunk_cases(rng, c, [7, 3, 1, 8, 6, 1]):
-        whole = forward_many(c, thetas, xs, obs, p)
-        budget = 3 * row_bytes(bool(np.any(np.asarray(p) > 0)))
-        chunks = []
-        forward_rows = ansatz._forward_rows
-
-        def counted(circuit, cos, S, form, strengths):
-            chunks.append((cos.shape[1], bool(strengths)))
-            return forward_rows(circuit, cos, S, form, strengths)
-
-        monkeypatch.setattr(ansatz, "_forward_rows", counted)
-        monkeypatch.setattr(ansatz, "_CHUNK_BYTES", budget)
-        chunked = forward_many(c, thetas, xs, obs, p)
-        monkeypatch.undo()
-        assert [rows for rows, _ in chunks] == want
-        _check_chunk_kinds(chunks, p, budget, row_bytes)
-        np.testing.assert_array_equal(chunked, whole)
+    _check_chunks(c, _chunk_cases(rng, c, [7, 3, 1, 14, 1]), forward_many, "_forward_rows",
+                  lambda noisy: _row_bytes(c, noisy, False), False, monkeypatch)
 
 
 def test_output_grads_chunks_rows_bitwise(monkeypatch):
@@ -457,32 +496,8 @@ def test_output_grads_chunks_rows_bitwise(monkeypatch):
     changes."""
     rng = np.random.default_rng(28)
     c = build_circuit(2, 2, 3, 1)
-    obs = z_observable(2)
-
-    def row_bytes(noisy):  # the states above and 40 K bytes of angles
-        state, slabs = ansatz._fresh_rows(c, 1, noisy).nbytes, (2 - noisy) * c.n_params
-        check = state * ansatz._CHECK_STATES * noisy
-        return (state * (slabs + 2) + state * slabs // (2 * c.n_qubits) + check
-                + 40 * c.n_params)
-
-    for p, thetas, xs, want in _chunk_cases(rng, c, [7, 3, 1, 7, 7, 1]):
-        values, grads = ansatz._output_grads(c, thetas, xs, obs, p)
-        budget = 3 * row_bytes(bool(np.any(np.asarray(p) > 0)))
-        chunks = []
-        adjoint_rows = ansatz._adjoint_rows
-
-        def counted(circuit, thetas, xs, form, strengths, grads):
-            chunks.append((len(thetas), bool(strengths)))
-            return adjoint_rows(circuit, thetas, xs, form, strengths, grads)
-
-        monkeypatch.setattr(ansatz, "_adjoint_rows", counted)
-        monkeypatch.setattr(ansatz, "_CHUNK_BYTES", budget)
-        chunked = ansatz._output_grads(c, thetas, xs, obs, p)
-        monkeypatch.undo()
-        assert [rows for rows, _ in chunks] == want
-        _check_chunk_kinds(chunks, p, budget, row_bytes)
-        np.testing.assert_array_equal(chunked[0], values)
-        np.testing.assert_array_equal(chunked[1], grads)
+    _check_chunks(c, _chunk_cases(rng, c, [7, 3, 1, 14, 1]), ansatz._output_grads,
+                  "_adjoint_rows", lambda noisy: _row_bytes(c, noisy, True), True, monkeypatch)
 
 
 def test_forward_many_chunks_count_the_angles(monkeypatch):
@@ -510,11 +525,12 @@ def test_forward_many_chunks_count_the_angles(monkeypatch):
 
 
 def test_a_row_over_the_byte_cap_is_refused(monkeypatch):
-    """A row of more than ``_ROW_BYTES``, 8 d^n bytes for a forward row and
-    (2K + 2 + K/N) times that for an adjoint statevector row, (K + 2 +
-    K/2N) times for an adjoint Pauli row, and ``_CHECK_STATES`` times more
-    for a Pauli row's density check, raises CapacityError before any state
-    is allocated; a row of exactly the cap runs.  Unpatched, a noisy
+    """A row of more than ``_ROW_BYTES``, counted in states of 8 d^n bytes
+    (two for a forward row, its own and lam or a gather's spare; 2K + 2 +
+    K/N for an adjoint statevector row, K + 2 + K/2N for an adjoint Pauli
+    row; ``_CHECK_STATES`` more for a Pauli row's density check), raises
+    CapacityError before any state is allocated; a row of exactly the cap
+    runs.  Unpatched, a noisy
     adjoint row at 12 qubits, L1 R2 (6.875 GiB), is refused in the plan."""
     rng = np.random.default_rng(33)
     c = build_circuit(2, 2, 3, 1)
@@ -524,9 +540,9 @@ def test_a_row_over_the_byte_cap_is_refused(monkeypatch):
     for run, adjoint in ((forward_many, False), (ansatz._output_grads, True)):
         for p, d in ((0.0, 2), (0.1, 4), ([0.0, 0.1, 0.0], 4)):
             state, slabs = 8 * d ** c.n_qubits, (4 // d) * c.n_params  # 2K or K
-            row_bytes = state * (1 + ansatz._CHECK_STATES * (d == 4))
+            row_bytes = state * (2 + ansatz._CHECK_STATES * (d == 4))
             if adjoint:
-                row_bytes += state * (slabs + 1) + state * slabs // (2 * c.n_qubits)
+                row_bytes += state * slabs + state * slabs // (2 * c.n_qubits)
             monkeypatch.setattr(ansatz, "_ROW_BYTES", row_bytes)
             run(c, thetas, xs, obs, p)
             monkeypatch.setattr(ansatz, "_ROW_BYTES", row_bytes - 1)
@@ -574,7 +590,8 @@ def test_fold_once_then_gather_gives_the_bits_of_folding_the_rows():
 def test_adjoint_leaves_the_plans_observable_form_unwritten():
     """The backward sweep runs on a fresh lam: a plan's shared observable
     form is unchanged after `_planned_grads`, a one-row Pauli chunk
-    included, and a second call gives the first call's bits."""
+    included, and a second call on the same bound chunks gives the first
+    call's bits."""
     rng = np.random.default_rng(35)
     c = build_circuit(2, 2, 3, 1)
     a = rng.normal(size=(4, 4))
@@ -583,12 +600,13 @@ def test_adjoint_leaves_the_plans_observable_form_unwritten():
         noise = np.array(p)
         plan = ansatz._chunk_plan(c, obs, noise, adjoint=True)
         forms = [form.copy() for _, _, form in plan]
+        chunks = list(ansatz._prepare(c, plan, True))
         thetas = rng.uniform(0, 2 * np.pi, (len(p), c.n_params))
         sums = ansatz._fold(c, rng.uniform(0, 2 * np.pi, (len(p), 3)))
-        first = ansatz._planned_grads(c, thetas, sums, plan)
+        first = ansatz._planned_grads(c, thetas, sums, chunks, len(p))
         for (_, _, form), saved in zip(plan, forms):
             np.testing.assert_array_equal(form, saved)
-        second = ansatz._planned_grads(c, thetas, sums, plan)
+        second = ansatz._planned_grads(c, thetas, sums, chunks, len(p))
         np.testing.assert_array_equal(first[0], second[0])
         np.testing.assert_array_equal(first[1], second[1])
 
@@ -636,7 +654,7 @@ def test_noisy_schedule_merges_each_qubits_channels_up_to_its_next_cx():
 
 def test_cx_run_gathers_are_the_dense_gates_and_backward_entries_undo_them():
     """Every CX-run entry of `_schedule`, n = 1 to 5, applied to random
-    rows by `_step`: statevector rows get the dense product of the run's
+    rows by its compiled `_gather`: statevector rows get the dense product of the run's
     CX gates, Pauli rows the matrices U rho U^T; the matching entry of the
     backward schedule gives the rows back exactly."""
     rng = np.random.default_rng(36)
@@ -659,8 +677,7 @@ def test_cx_run_gathers_are_the_dense_gates_and_backward_entries_undo_them():
             for i in runs:
                 u = _cx_run_unitary(ops[i], d, n)
                 states = rows.copy()
-                pairs = ansatz._pairs(states, n, d)
-                ansatz._step(states, pairs, ops[i], None, None, {1: 1.0} if noisy else {})
+                _apply_entry(states, ops[i], None, None, {1: 1.0} if noisy else {}, n)
                 for j in range(3):
                     if noisy:
                         got = from_pauli_coefficients(states[:, j])
@@ -669,7 +686,7 @@ def test_cx_run_gathers_are_the_dense_gates_and_backward_entries_undo_them():
                         got, want = states[:, j], u @ rows[:, j]
                     assert np.max(np.abs(got - want)) <= 1e-12
                 assert back[i][:2] == ops[i][:2]
-                ansatz._step(states, pairs, back[i], None, None, {1: 1.0} if noisy else {})
+                _apply_entry(states, back[i], None, None, {1: 1.0} if noisy else {}, n)
                 np.testing.assert_array_equal(states, rows)
 
 
@@ -768,11 +785,174 @@ def test_pauli_rows_peak_within_the_chunk_budget_with_their_density_check(monkey
         assert peak - held <= 1.1 * (1 << 20), (run.__name__, peak)
 
 
+# Shapes (n, L, D, R) of the memory grid: one qubit, a wide and a deep
+# circuit, five qubits and the 4q L16 R2 image shape.
+BUDGET_SHAPES = [(1, 1, 1, 1), (2, 4, 2, 2), (3, 2, 3, 1), (5, 2, 5, 1), (4, 16, 16, 2)]
+
+
+@pytest.mark.parametrize("shape", BUDGET_SHAPES)
+@pytest.mark.parametrize("noise", ["statevector", "pauli", "mixed"])
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("shared", [False, True])
+def test_every_pass_peaks_within_the_chunk_budget_above_its_outputs(monkeypatch, shape, noise,
+                                                                    adjoint, shared):
+    """Under a 1 MB budget, a forward or an adjoint pass over about three
+    budgets of rows, statevector, Pauli or both interleaved, with a theta
+    per row or one for all, peaks no more than 1.1 budgets above its
+    outputs: the plan counts every state a row holds (its own, lam or a
+    gather's spare, the slabs and contraction temporaries of the adjoint,
+    the density check of Pauli rows), its angles and its chunk's compiled
+    sweeps."""
+    budget = 1 << 20
+    monkeypatch.setattr(ansatz, "_CHUNK_BYTES", budget)
+    rng = np.random.default_rng(64)
+    n, layers, d, r = shape
+    c = build_circuit(n, layers, d, r)
+    noisy = noise != "statevector"
+    state = 8 * (4 if noisy else 2) ** n
+    slabs = (2 - noisy) * c.n_params if adjoint else 0
+    row_bytes = state * (2 + slabs + ansatz._CHECK_STATES * noisy) + 40 * c.n_params
+    rows = max(2, min(3 * budget // row_bytes, 8000))
+    ps = {"statevector": 0.0, "pauli": 0.1,
+          "mixed": np.where(np.arange(rows) % 7 < 3, 0.1, 0.0)}[noise]
+    thetas = rng.uniform(0, 2 * np.pi, c.n_params if shared else (rows, c.n_params))
+    xs = rng.uniform(0, 2 * np.pi, (rows, d))
+    run, obs = ansatz._output_grads if adjoint else forward_many, z_observable(n)
+    tracemalloc.start()
+    try:
+        outputs = run(c, thetas, xs, obs, ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(out.nbytes for out in (outputs if adjoint else (outputs,)))
+    assert peak - held <= 1.1 * budget, (rows, peak - held)
+
+
+def test_composed_rotations_are_within_four_ulp_and_beat_the_rounded_sum():
+    """The cosine and sine `_angles` composes for a shifted column, against
+    a long-double reference of the exact sum theta + s, are within 4 ulp of
+    1, and strictly closer than the cos and sin of the rounded sum, for
+    statevector half angles and Pauli full angles, in every way rows name
+    their theta and x: a theta per row, one theta for all rows, and every
+    theta against every x, over many cycles of the xs and across the end
+    of one.  The unshifted
+    column is cos and sin of its theta exactly."""
+    rng = np.random.default_rng(65)
+    c = build_circuit(1, 1, 1, 1)  # column 1 is shifted by the one x
+    rows = 20000
+    ulp = np.finfo(float).eps
+    for scale in (0.5, 1.0):
+        thetas = rng.uniform(0, 2 * np.pi, (rows, 2))
+        xs = rng.uniform(0, 8 * np.pi, (rows, 1))
+        shared = thetas[:1]
+        grid_thetas, grid_xs = thetas[:rows // 100], xs[:100]
+        grid_rows = np.repeat(grid_thetas, 100, axis=0), np.tile(grid_xs, (rows // 100, 1))
+        forms = [  # (thetas, sums, the slice of rows, total, each row's theta and x)
+            (thetas, xs, slice(0, rows), rows, thetas, xs),
+            (shared, xs, slice(0, rows), rows, np.repeat(shared, rows, axis=0), xs),
+        ]
+        # Many cycles of the 100 xs, and 20 rows across the end of one.
+        for part in (slice(50, rows - 30), slice(90, 110)):
+            forms.append((grid_thetas, grid_xs, part, rows, *(r[part] for r in grid_rows)))
+        for named, sums, part, total, row_thetas, row_xs in forms:
+            width = part.stop - part.start
+            cos, S = np.empty((2, width)), np.empty((2, 2, 1, width))
+            ansatz._angles(c, named, sums, part, total, scale, cos, S)
+            np.testing.assert_array_equal(cos[0], np.cos(scale * row_thetas[:, 0]))
+            np.testing.assert_array_equal(S[1, 0, 0], np.sin(scale * row_thetas[:, 0]))
+            np.testing.assert_array_equal(S[0], -S[1])
+            exact = (np.longdouble(scale) * row_thetas[:, 1].astype(np.longdouble)
+                     + np.longdouble(scale) * row_xs[:, 0].astype(np.longdouble))
+            want = np.cos(exact), np.sin(exact)
+            rounded = scale * row_thetas[:, 1] + scale * row_xs[:, 0]
+            for got, sum_route, ref in zip((cos[1], S[1, 1, 0]),
+                                           (np.cos(rounded), np.sin(rounded)), want):
+                error = np.max(np.abs(got.astype(np.longdouble) - ref))
+                sum_error = np.max(np.abs(sum_route.astype(np.longdouble) - ref))
+                assert error <= 4 * ulp, (scale, error)
+                assert error < sum_error, (scale, error, sum_error)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.1, "mixed"])
+def test_a_row_has_the_same_bits_however_it_names_its_theta_and_x(monkeypatch, noise):
+    """One (theta, x) row gives the same output and gradient bits in every
+    form of row: a theta per row (the grid's rows shuffled), one theta
+    shared by all rows, that theta repeated per row, and every theta
+    against every probe x as a grid (`_forward_grid`, and the adjoint
+    `_planned_grads` on the same naming); noiseless, at one p, and at
+    strengths mixed by theta, whole and under a budget that cuts chunks
+    inside and across cycles of the probes."""
+    rng = np.random.default_rng(66)
+    c = build_circuit(2, 2, 3, 2)
+    a = rng.normal(size=(4, 4))
+    obs = Observable(a + a.T)
+    thetas = rng.uniform(0, 2 * np.pi, (5, c.n_params))
+    probes = rng.uniform(0, 2 * np.pi, (4, 3))
+    ps = np.array([0.0, 0.1, 0.0, 0.05, 0.1]) if noise == "mixed" else np.full(5, noise)
+    rows_p = np.repeat(ps, len(probes))
+    repeated, tiled = np.repeat(thetas, len(probes), axis=0), np.tile(probes, (len(thetas), 1))
+    # Chunks of about three rows of one pass and kind, so of one to three
+    # of the others: inside and across cycles of the four probes.
+    budgets = [_sweep_bytes(c, noisy, adjoint) + 3 * _row_bytes(c, noisy, adjoint)
+               for noisy, adjoint in ((False, False), (True, True))]
+    for budget in [None] + budgets:
+        if budget is not None:
+            monkeypatch.setattr(ansatz, "_CHUNK_BYTES", budget)
+        values, grads = ansatz._output_grads(c, repeated, tiled, obs, rows_p)
+        np.testing.assert_array_equal(forward_many(c, repeated, tiled, obs, rows_p), values)
+        grid = ansatz._forward_grid(c, thetas, probes, obs, ps)
+        np.testing.assert_array_equal(grid.ravel(), values)
+        plan = ansatz._chunk_plan(c, obs, rows_p, adjoint=True)
+        named = ansatz._planned_grads(c, thetas, ansatz._fold(c, probes),
+                                      ansatz._prepare(c, plan, True), len(rows_p))
+        np.testing.assert_array_equal(named[0], values)
+        np.testing.assert_array_equal(named[1], grads)
+        order = rng.permutation(len(rows_p))
+        shuffled = ansatz._output_grads(c, repeated[order], tiled[order], obs, rows_p[order])
+        np.testing.assert_array_equal(shuffled[0], values[order])
+        np.testing.assert_array_equal(shuffled[1], grads[order])
+        for k, theta in enumerate(thetas):
+            mine = slice(k * len(probes), (k + 1) * len(probes))
+            np.testing.assert_array_equal(forward_many(c, theta, probes, obs, ps[k]),
+                                          values[mine])
+            shared = ansatz._output_grads(c, theta, probes, obs, ps[k])
+            np.testing.assert_array_equal(shared[0], values[mine])
+            np.testing.assert_array_equal(shared[1], grads[mine])
+        monkeypatch.undo()
+
+
+def test_bound_chunks_reused_step_after_step_give_the_bytes_of_fresh_calls(monkeypatch):
+    """Adjoint chunks bound once and run for T steps, as the SGD loop runs
+    them, give at every step the bytes of a fresh `_output_grads` call on
+    the step's rows: statevector and Pauli rows across a chunk boundary,
+    with the rows naming a theta each, one theta for all, or two thetas
+    against four xs as a grid, in turn (against the fresh call's thetas
+    repeated and xs tiled)."""
+    rng = np.random.default_rng(67)
+    c = build_circuit(3, 2, 5, 2)
+    obs = z_observable(3)
+    ps = np.array([0.1, 0.1, 0.0, 0.0, 0.0, 0.05, 0.05, 0.1])
+    monkeypatch.setattr(ansatz, "_CHUNK_BYTES", 80_000)
+    plan = ansatz._chunk_plan(c, obs, ps, adjoint=True)
+    assert len(plan) > 3  # cut inside runs of one kind, not only between them
+    chunks = list(ansatz._prepare(c, plan, True))
+    for t in range(6):
+        named, distinct = [(len(ps), len(ps)), (1, len(ps)), (2, 4)][t % 3]
+        theta = rng.uniform(0, 2 * np.pi, (named, c.n_params))
+        xs = rng.uniform(0, 2 * np.pi, (distinct, 5))
+        got = ansatz._planned_grads(c, theta, ansatz._fold(c, xs), chunks, len(ps))
+        thetas = np.repeat(theta, len(ps) // named, axis=0)
+        want = ansatz._output_grads(c, thetas, np.tile(xs, (len(ps) // distinct, 1)), obs, ps)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), t
+
+
 def test_a_shared_theta_is_checked_before_it_is_broadcast():
-    """`_check_rows` tests one theta's finiteness before it broadcasts the
-    theta to every x row: at 4q L16 D16 R2 (K = 136) against 20 000 rows it
-    peaks under 1 MB, where a rows x K temporary of bools takes 2.7 MB.  A
-    non-finite shared theta is still refused."""
+    """`_check_rows` tests one theta's finiteness and never broadcasts the
+    theta to every x row (the rows name it, see `_angles`): at 4q L16 D16
+    R2 (K = 136) against 20 000 rows it peaks under 1 MB, where a rows x K
+    temporary of bools takes 2.7 MB.  A non-finite shared theta is still
+    refused."""
     rng = np.random.default_rng(45)
     c = build_circuit(4, 16, 16, 2)
     obs = z_observable(4)
@@ -785,7 +965,7 @@ def test_a_shared_theta_is_checked_before_it_is_broadcast():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert thetas.shape == (20000, c.n_params) and noise.shape == (20000,)
+    assert thetas.shape == (1, c.n_params) and noise.shape == (20000,)
     theta[7] = np.inf
     with pytest.raises(ValueError, match="thetas or xs contain non-finite entries"):
         ansatz._check_rows(c, theta, xs, obs, 0.0)

@@ -44,7 +44,7 @@ def damped(rho, p, qubit, n):
     """The Pauli row of ``rho`` after D_p on one qubit by the engine kernel,
     as a one-row batch."""
     row = pauli_coefficients(rho).reshape(-1, 1)
-    _damp_rows(row, qubit, 1 - p)
+    _damp_rows(ansatz._site(row, qubit, 4)[:, 1:], 1 - p)
     return row[:, 0]
 
 

@@ -150,8 +150,9 @@ def test_vectorized_philox_draws_equal_the_public_generator(monkeypatch):
     m)`` bit for bit over seeds at both ends of the key range, t up to
     10^4, and m around every edge of ``integers``' 32-bit rule; the
     generator redraws the rejected draws (many at m = 3e9) and every draw
-    at m > 2^32, and nothing else.  `init_params` gives ``uniform`` of
-    key (seed, 2^63) at K = 2, 4, 5, 6 and 18, most not multiples of 4."""
+    at m > 2^32, and nothing else.  `_init_thetas`, like `init_params`,
+    gives ``uniform`` of key (seed, 2^63) at K = 2, 4, 5, 6 and 18, most
+    not multiples of 4."""
     redraws = []
     philox = train_module._philox
 
@@ -175,9 +176,9 @@ def test_vectorized_philox_draws_equal_the_public_generator(monkeypatch):
     for seed in (0, 1, 2**63, 2**64 - 1):
         for shape in ((1, 1, 1, 1), (2, 1, 1, 1), (1, 4, 1, 1), (3, 1, 1, 1), (3, 2, 3, 2)):
             c = build_circuit(*shape)
-            np.testing.assert_array_equal(
-                init_params(c, seed),
-                fresh_philox(seed, 2**63).uniform(0.0, 2.0 * np.pi, size=c.n_params))
+            want = fresh_philox(seed, 2**63).uniform(0.0, 2.0 * np.pi, size=c.n_params)
+            np.testing.assert_array_equal(train_module._init_thetas(c, [seed])[0], want)
+            np.testing.assert_array_equal(init_params(c, seed), want)
 
 
 def test_sgd_paths_draw_every_index_and_theta_without_the_generator(monkeypatch):
