@@ -39,6 +39,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import sys
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
@@ -561,11 +563,14 @@ def emit_results(table: ResultTable, path: str, fmt: str) -> None:
     their shortest round-trip decimal, and a non-finite float as the
     string ``inf``, ``-inf`` or ``nan`` (a JSON string, so the file
     stays strict JSON).  CSV output is byte-reproducible; JSON differs
-    between runs only in ``meta.created_utc``.
+    between runs only in ``meta.created_utc`` and, across machines, in
+    ``meta.environment``: the Python and numpy versions and the CPU count.
     """
     if fmt == "json":
         meta = dict(table.meta)
         meta["created_utc"] = datetime.now(timezone.utc).isoformat()
+        meta["environment"] = {"python": platform.python_version(), "numpy": np.__version__,
+                               "cpu_count": os.cpu_count()}
         payload = {
             "meta": meta,
             "columns": list(table.columns),

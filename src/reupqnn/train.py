@@ -23,7 +23,10 @@ so a run's bits do not depend on its batch.  The loop pays once for what
 does not change from step to step: it draws every run's initial
 parameters at once and the indices of a block of steps at once, folds
 the runs' features into per-qubit sums once, and binds the engine's
-buffers and compiled sweeps once.
+buffers and compiled sweeps once.  Its evaluations pay per distinct
+(theta, p, x) row: the runs that stand at one theta under one noise
+strength, as every run of a seed does at iteration 0, are scored in one
+engine call over the distinct rows of their sets.
 """
 
 from __future__ import annotations
@@ -321,6 +324,25 @@ def _sgd_paths(runs, circuit: ReuploadCircuit, obs: Observable):
         yield drawn[:, step], thetas
 
 
+def _distinct_outputs(circuit: ReuploadCircuit, theta, blocks, obs: Observable,
+                      p) -> list[np.ndarray]:
+    """`forward_many` of one ``theta`` at strength ``p`` on each of the (rows,
+    D) feature ``blocks``, from one call over their distinct rows: each
+    block's outputs, in its own row order.
+
+    Rows are the same when their bytes are (`np.unique` of the rows viewed
+    as ``np.void``), and a row's bits do not depend on its batch, so every
+    block gets the bits of its own call.  The blocks' concatenation is let
+    go before the engine binds its buffers."""
+    xs = np.concatenate(blocks, dtype=float)
+    distinct, inverse = np.unique(xs.view(np.dtype((np.void, xs.itemsize * xs.shape[1]))).ravel(),
+                                  return_inverse=True)
+    del xs
+    outputs = forward_many(circuit, theta, distinct.view(float).reshape(len(distinct), -1),
+                           obs, p)[inverse]
+    return np.split(outputs, np.cumsum([len(block) for block in blocks[:-1]]))
+
+
 def _train_runs(runs, test_sets, circuit: ReuploadCircuit, obs: Observable,
                 eval_interval: int | None = None) -> list[TrainRun]:
     """`train` for R (dataset, TrainConfig) runs in lockstep (see
@@ -328,10 +350,14 @@ def _train_runs(runs, test_sets, circuit: ReuploadCircuit, obs: Observable,
     (None for no test set) at its config's noise_p.  Returns one TrainRun
     per run, in order.
 
-    At each evaluation a run's train and test rows are scored in one
-    `forward_many` call, whose outputs are then split by set: a row's bits
-    do not depend on its batch, so the curves are those of `risk` and
-    `accuracy` on each set."""
+    At each evaluation the runs are grouped by their theta's bytes and
+    their noise_p.  A run alone in its group has its train and test rows
+    scored in one `forward_many` call; a group of several runs, such as a
+    sweep's values under one seed at iteration 0, whose sets are drawn
+    from one permutation, is scored in one call over the distinct rows of
+    all its members' sets (`_distinct_outputs`).  Each run's outputs are
+    then split by set: a row's bits do not depend on its batch, so the
+    curves are those of `risk` and `accuracy` on each set."""
     if any(len(dataset) < 1 for dataset, _ in runs):
         raise ValueError("training needs at least one sample")
     t_total = _iterations(runs)
@@ -348,19 +374,28 @@ def _train_runs(runs, test_sets, circuit: ReuploadCircuit, obs: Observable,
               for (dataset, _), test_set in zip(runs, test_sets)]
     features = [np.concatenate([data.features for data in sets]) for sets in scored]
 
-    def score(theta, p, sets, xs) -> list[float]:
-        outputs = forward_many(circuit, theta, xs, obs, p)
-        m = len(sets[0])
-        return [v for data, part in zip(sets, (outputs[:m], outputs[m:]))
-                for v in (_mean_loss(part, data.labels), _sign_accuracy(part, data.labels))]
+    def score(theta, p, members) -> None:
+        if len(members) == 1:
+            parts = [forward_many(circuit, theta, features[members[0]], obs, p)]
+        else:
+            parts = _distinct_outputs(circuit, theta, [features[r] for r in members], obs, p)
+        for r, outputs in zip(members, parts):
+            sets = scored[r]
+            m = len(sets[0])
+            curves[r].append([v for data, part in zip(sets, (outputs[:m], outputs[m:]))
+                              for v in (_mean_loss(part, data.labels),
+                                        _sign_accuracy(part, data.labels))])
 
     for t, (idx, thetas) in enumerate(_sgd_paths(runs, circuit, obs)):
         if t > 0:
             indices[:, t - 1] = idx
         if t % eval_interval == 0 or t == t_total:
             eval_points.append(t)
-            for curve, theta, (_, config), sets, xs in zip(curves, thetas, runs, scored, features):
-                curve.append(score(theta, config.noise_p, sets, xs))
+            groups: dict = {}
+            for r, (theta, (_, config)) in enumerate(zip(thetas, runs)):
+                groups.setdefault((theta.tobytes(), config.noise_p), []).append(r)
+            for (_, p), members in groups.items():
+                score(thetas[members[0]], p, members)
 
     return [TrainRun(
         final_theta=thetas[r], indices=indices[r],

@@ -1,6 +1,8 @@
 """Config parsing, sweep tables, output formats, and the command line."""
 
 import json
+import os
+import platform
 from dataclasses import replace
 
 import numpy as np
@@ -665,6 +667,18 @@ def test_emit_json_round_trip(toy_table, tmp_path):
     first = payload["rows"][0]
     assert first["beta_hat"] is None  # blank cells become null
     assert first["train_risk"] == table.rows[0]["train_risk"]
+
+
+def test_emit_json_records_the_environment(toy_table, tmp_path):
+    """JSON meta names the Python and numpy versions and the CPU count;
+    the table's own meta, and so its CSV, do not."""
+    _, table = toy_table
+    path = tmp_path / "out.json"
+    emit_results(table, str(path), "json")
+    environment = json.loads(path.read_text(encoding="utf-8"))["meta"]["environment"]
+    assert environment == {"python": platform.python_version(), "numpy": np.__version__,
+                           "cpu_count": os.cpu_count()}
+    assert "environment" not in table.meta
 
 
 def test_emit_unknown_format(toy_table, tmp_path):

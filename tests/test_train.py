@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from reupqnn import train as train_module
-from reupqnn.ansatz import build_circuit, forward
-from reupqnn.data import Dataset, Sample, synthetic_toy
+from reupqnn.ansatz import build_circuit, forward, forward_many
+from reupqnn.data import Dataset, Sample, subsample_split, synthetic_toy
 from reupqnn.grad import parameter_shift_grad_f
 from reupqnn.qcore import z_observable
 from reupqnn.stability import coupled_ensemble
@@ -414,6 +414,77 @@ def test_train_runs_score_each_run_in_one_call_like_risk_and_accuracy(noise_ps):
             else:
                 assert run.test_risks[i] == risk(c, theta, test_set, obs, p)
                 assert run.test_accs[i] == accuracy(c, theta, test_set, obs, p)
+
+
+def test_train_runs_score_runs_at_one_theta_over_distinct_rows_like_risk_and_accuracy():
+    """Runs that stand at one theta under one noise strength are scored
+    over the distinct rows of their sets, and every curve entry is still
+    the bits of `risk` and `accuracy` on that set alone: m_train-style
+    sets of one seed drawn from one permutation, learning_rate-style
+    identical sets, a set holding a row twice, a run with no test set, and
+    two runs of one seed and sets at different strengths, which are not
+    merged."""
+    rng = np.random.default_rng(91)
+    c = build_circuit(2, 1, 3, 1)
+    obs = z_observable(2)
+    pool = tiny_dataset(rng, 16, 3)
+    runs, test_sets = [], []
+    for m in (4, 6, 9):  # one permutation, as the sweep draws each m_train value's sets
+        train_set, test_set = subsample_split(pool, m, 5, (7, 2))
+        runs.append((train_set, TrainConfig(0.2, 4, seed=2)))
+        test_sets.append(test_set)
+    train_set, test_set = subsample_split(pool, 6, 5, (7, 3))
+    for eta in (0.1, 0.3, 0.3):
+        runs.append((train_set, TrainConfig(eta, 4, seed=3)))
+        test_sets.append(test_set)
+    runs.append((pool.subset([0, 3, 0, 7]), TrainConfig(0.2, 4, seed=2)))
+    test_sets.append(pool.subset([9, 3, 9]))
+    runs.append((pool.subset([1, 2, 5]), TrainConfig(0.2, 4, seed=3)))
+    test_sets.append(None)
+    for p in (0.0, 0.1):
+        runs.append((train_set, TrainConfig(0.2, 4, seed=5, noise_p=p)))
+        test_sets.append(test_set)
+    trained = _train_runs(runs, test_sets, c, obs, eval_interval=2)
+    paths = [thetas for _, thetas in _sgd_paths(runs, c, obs)]
+    assert len({theta.tobytes() for theta in paths[0]}) == 3
+    for r, (run, (train_set, config), test_set) in enumerate(zip(trained, runs, test_sets)):
+        assert run.eval_points.tolist() == [0, 2, 4]
+        for i, t in enumerate(run.eval_points):
+            theta, p = paths[t][r], config.noise_p
+            assert run.train_risks[i] == risk(c, theta, train_set, obs, p)
+            assert run.train_accs[i] == accuracy(c, theta, train_set, obs, p)
+            if test_set is None:
+                assert run.test_risks is None and run.test_accs is None
+            else:
+                assert run.test_risks[i] == risk(c, theta, test_set, obs, p)
+                assert run.test_accs[i] == accuracy(c, theta, test_set, obs, p)
+
+
+@pytest.mark.parametrize("sizes, etas, scored", [
+    ((6, 8, 10), (0.2, 0.2, 0.2), [14, 10, 12, 14, 10, 12, 14]),
+    ((8, 8, 8), (0.1, 0.2, 0.3), [12, 12, 12, 12, 12, 12, 12]),
+], ids=["m_train", "learning_rate"])
+def test_train_runs_score_each_distinct_row_once_per_theta(monkeypatch, sizes, etas, scored):
+    """Three sweep values under one seed stand at one theta_0: at t = 0 one
+    call scores the distinct union of their train and test rows; once
+    their thetas part, each run's own rows are scored, one call a run."""
+    rng = np.random.default_rng(93)
+    c = build_circuit(2, 1, 3, 1)
+    obs = z_observable(2)
+    pool = tiny_dataset(rng, 20, 3)
+    splits = [subsample_split(pool, m, 4, (1, 9)) for m in sizes]
+    runs = [(train_set, TrainConfig(eta, 4, seed=9)) for (train_set, _), eta in zip(splits, etas)]
+    rows = []
+
+    def counted(circuit, theta, xs, obs, noise_p=0.0):
+        rows.append(len(xs))
+        return forward_many(circuit, theta, xs, obs, noise_p)
+
+    monkeypatch.setattr(train_module, "forward_many", counted)
+    _train_runs(runs, [test_set for _, test_set in splits], c, obs, eval_interval=2)
+    paths = [thetas for _, thetas in _sgd_paths(runs, c, obs)]
+    assert [len({theta.tobytes() for theta in paths[t]}) for t in (0, 2, 4)] == [1, 3, 3]
+    assert rows == scored
 
 
 def test_train_config_validation():
