@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,10 +108,11 @@ class ReuploadCircuit:
     sublayers: int
 
     def __post_init__(self):
-        if self.n_qubits < 1 or self.layers < 1 or self.data_dim < 1 or self.sublayers < 1:
-            raise ValueError(
-                "n_qubits, layers, data_dim and sublayers must all be >= 1"
-            )
+        for name in ("n_qubits", "layers", "data_dim", "sublayers"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))  # no numpy integer wraps in K
         if self.n_qubits > _MAX_QUBITS:
             raise CapacityError(
                 f"{self.n_qubits} qubits exceeds the supported maximum {_MAX_QUBITS}"
@@ -225,8 +227,8 @@ def forward(circuit: ReuploadCircuit, theta, x, obs: Observable) -> float:
 # one fixed order (see `_column_sum`), so a row's bits do not depend on the
 # other rows of its batch.
 
-# Rows are simulated in chunks of at most this many bytes of buffers,
-# temporaries and angles (see `_chunk_plan`).
+# Rows are simulated in chunks of at most this many bytes: each row's
+# `_row_bytes` and the chunk's `_sweep_bytes` (see `_chunk_plan`).
 _CHUNK_BYTES = 64 << 20
 
 # The states a row of `_check_pauli_rows` holds at once besides its own:
@@ -234,12 +236,12 @@ _CHUNK_BYTES = 64 << 20
 # and its deviation or Cholesky factor (see `qcore._psd_violations`).
 _CHECK_STATES = 3
 
-# No one row may take more bytes than this.  An adjoint row at L4 R2 (see
-# `_chunk_plan`) takes 4.03 GB noisy at 11 qubits, 38.3 MB noiseless at 14.
+# No one row may take more `_row_bytes` than this.  An adjoint row at L4 R2
+# takes 3.86 GB noisy at 11 qubits, 37.0 MB noiseless at 14.
 _ROW_BYTES = 1 << 30
 
 # The bytes of Python views and tuples that a `_Chunk`'s compiled sweeps
-# hold, at most, per entry or column view that `_chunk_plan` counts.
+# hold, at most, per entry or column view that `_sweep_bytes` counts.
 # Measured with tracemalloc (Python 3.11, numpy 2.4) on 1 to 6 qubits: at
 # most 283 B a counted entry, 224 KB for the 1452 of a 4q L16 R2 Pauli
 # adjoint chunk and 4.4 KB for the 22 of a 1q L1 forward chunk.
@@ -393,29 +395,25 @@ def _named_trig(values: np.ndarray, per: int, rows: slice, scale: float, cos: np
     ``values`` that the ``rows`` name, written to (cols, rows) ``cos`` and
     ``sin``: row r names entry (r // per) mod entries.
 
-    Each entry named is paid once, and rows that repeat or cycle entries
-    gather them from a table, which never has more entries than the rows
-    have: a cycle longer than the rows and cut by their ends takes each
-    row's own entry instead."""
+    The rows name consecutive entries, first to first + span - 1 (mod
+    entries), each paid once from a table of them: when the span is the
+    rows' width, each row has its own entry in order and the trig is
+    written directly; otherwise the rows gather it from the table, which
+    never has more entries than the rows have."""
     count, width = len(values), rows.stop - rows.start
     first, last = rows.start // per, (rows.stop - 1) // per
-    lo = first % count
-    if first // count == last // count:  # the entries first to last, in order
-        values = values[lo:lo + last - first + 1]
-    elif last - first < count:  # a cycle cut by the rows' ends
-        values = values[np.arange(rows.start, rows.stop) // per % count]
-    else:  # whole cycles: every entry
-        lo = 0
-    if len(values) == width:  # one entry per row, in order
-        np.multiply(values.T, scale, out=cos)
+    span = min(last - first + 1, count)
+    table = values.take(np.arange(first, first + span), axis=0, mode="wrap")
+    if span == width:
+        np.multiply(table.T, scale, out=cos)
         np.sin(cos, out=sin)
         np.cos(cos, out=cos)
         return
     names = np.arange(rows.start, rows.stop)
     names //= per
+    names -= first
     names %= count
-    names -= lo
-    table = values.T * scale
+    table = table.T * scale
     np.take(np.sin(table), names, axis=1, out=sin, mode="clip")
     np.take(np.cos(table, out=table), names, axis=1, out=cos, mode="clip")
 
@@ -572,6 +570,35 @@ def _buffers(circuit: ReuploadCircuit, width: int, noisy: bool, adjoint: bool) -
     return shapes
 
 
+def _kernel_bytes(circuit: ReuploadCircuit, noisy: bool) -> int:
+    """The bytes a row of either pass holds beyond its chunk's buffers, one
+    term per kernel that holds them; every other kernel runs in place on
+    the buffers."""
+    n, k = circuit.n_qubits, circuit.n_params
+    check_pauli_rows = _CHECK_STATES * (8 << 2 * n) * noisy
+    # `_angles` and its `_named_trig`, at most: a theta table with its trig
+    # copy and names (16 K + 8), or the x trig, its table and names (32 N +
+    # 8), or the x trig and the composed product (< 16 K).
+    angles = 16 * k + 32 * n + 8
+    return check_pauli_rows + angles
+
+
+def _row_bytes(circuit: ReuploadCircuit, noisy: bool, adjoint: bool) -> int:
+    """The bytes one row of a forward or an adjoint pass holds at its peak:
+    its share of the chunk's `_buffers` and its `_kernel_bytes`."""
+    shares = sum(math.prod(shape) for shape in _buffers(circuit, 1, noisy, adjoint))
+    return 8 * shares + _kernel_bytes(circuit, noisy)
+
+
+def _sweep_bytes(circuit: ReuploadCircuit, noisy: bool, adjoint: bool) -> int:
+    """The bytes a chunk's compiled sweeps hold, whatever its width:
+    ``_ENTRY_BYTES`` for each schedule entry and each of the K columns of c
+    and of S, twice over for an adjoint pass (its backward sweep, the slot
+    copies of both sweeps and the reversed S), and 16 more."""
+    entries = len(_schedule(circuit, noisy)) + 2 * circuit.n_params
+    return _ENTRY_BYTES * (16 + entries * (1 + adjoint))
+
+
 class _Chunk:
     """One chunk of a `_chunk_plan`, bound to its buffers, with its sweeps
     compiled once to (kernel, operands) pairs on views of them.
@@ -581,8 +608,8 @@ class _Chunk:
     rows' copy of the form, and it is the spare of every CX gather of the
     forward sweep; the rows are the spare of the backward sweep, which runs
     on lam.  A run rewrites every buffer it reads, so one chunk serves any
-    thetas and sums of its rows, pass after pass, and allocates only
-    temporaries."""
+    thetas and sums of its rows, pass after pass, and allocates only what
+    `_kernel_bytes` counts."""
 
     def __init__(self, circuit: ReuploadCircuit, rows: slice, total: int, strengths: dict,
                  form: np.ndarray, buffers: list):
@@ -684,16 +711,19 @@ def _adjoint_rows(chunk: _Chunk, thetas: np.ndarray, sums: np.ndarray,
     lam_a psi_b over its slabs' entries, in `_column_sum` order, into
     gradient columns q, q + N, ...: for statevector rows 2 lam^T J psi,
     J = dRy/dtheta Ry^T = [[0, -1/2], [1/2, 0]] on the qubit; for Pauli rows
-    lam_X c_Z - lam_Z c_X, the rotation's generator.
+    lam_X c_Z - lam_Z c_X, the rotation's generator.  The terms are formed
+    and summed in place on the lam slab, which the next run rewrites before
+    it reads it, so the contraction allocates nothing.
     """
     values = _forward_rows(chunk, thetas, sums).copy()  # the backward gathers reuse the rows
     _run(chunk.unsweep)
     n, rows = chunk.circuit.n_qubits, len(values)
     per = chunk.circuit.n_params // n
     for q, (psi, lam) in enumerate(zip(chunk.psis, chunk.lams)):
-        terms = lam[1] * psi[0]
-        terms -= lam[0] * psi[1]
-        grads[:, q::n] = _column_sum(terms.reshape(per, -1, rows).swapaxes(0, 1)).T
+        lam[1] *= psi[0]
+        lam[0] *= psi[1]
+        lam[1] -= lam[0]
+        grads[:, q::n] = _column_sum(lam[1].reshape(per, -1, rows).swapaxes(0, 1)).T
     return values
 
 
@@ -717,7 +747,7 @@ def _check_batch(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
                  obs: Observable, noise_p, rows: int) -> np.ndarray:
     """The checks of `_check_rows` that do not pair theta rows with x rows.
 
-    (R, K) ``thetas`` and (N, D) ``xs`` must be finite, ``obs`` must match
+    (A, K) ``thetas`` and (B, D) ``xs`` must be finite, ``obs`` must match
     the circuit, and ``noise_p`` must lie in [0, 1], a float or one per
     row of the batch's ``rows``.  Returns the (rows,) strengths, a float
     broadcast as a read-only view.
@@ -753,43 +783,23 @@ def _chunk_plan(circuit: ReuploadCircuit, obs: Observable, noise: np.ndarray,
 
     A row is a statevector row at p = 0 and a Pauli row at p > 0.  The rows
     are cut wherever the kind changes, and each run of one kind into
-    chunks of at least one row and at most ``_CHUNK_BYTES``; a statevector
-    chunk has no factors.  A row of either pass holds two states (`_Chunk`:
-    its own, and lam or the spare of a gather); the measurement and its
-    sums run in place.  An adjoint row holds 2K slab states more (K for
-    Pauli rows, whose slabs keep half sites), and K/N more (K/2N) for the
-    two half-slab temporaries of one qubit's gradient contraction.  A Pauli
-    row of either pass holds ``_CHECK_STATES`` more for the density check
-    at the end of its forward sweep (`_check_pauli_rows`).  Its `_angles`
-    take 40 K + 32 N + 8 bytes more: c and S (24 K), and then at most a
-    gathered theta table with its names (16 K + 8), or the x trig with its
-    table and names (32 N + 8), or the x trig with the composed product (16
-    N + 8 L N, less than 16 K).  A chunk's compiled sweeps take
-    ``_ENTRY_BYTES`` out of the budget first for each of their entries and
-    column views: the schedule's entries and the K columns of c and of S,
-    twice over for an adjoint pass (its backward sweep, the slot copies of
-    both sweeps and the reversed S), and 16 more.  A row whose states take
-    more than ``_ROW_BYTES`` raises CapacityError before any state is
-    allocated."""
+    chunks of at least one row and at most ``_CHUNK_BYTES``: the chunk's
+    `_sweep_bytes` and its rows' `_row_bytes`; a statevector chunk has no
+    factors.  A row of more than ``_ROW_BYTES`` raises CapacityError before
+    any state is allocated."""
     noisy = noise > 0.0
     # Runs of one kind, cut where a row's kind differs from the row before.
     bounds = [0, *(np.flatnonzero(noisy[1:] != noisy[:-1]) + 1).tolist(), len(noise)]
     plan, forms = [], {}
-    angle_bytes = 40 * circuit.n_params + 32 * circuit.n_qubits + 8
     for start, stop in zip(bounds, bounds[1:]):
         kind = bool(noisy[start:stop].any())  # False for no rows at all
-        state = 8 << (circuit.n_qubits * (1 + kind))  # a 2^n or 4^n state of doubles
-        row_bytes = state * (2 + _CHECK_STATES * kind)
-        if adjoint:
-            slabs = (2 - kind) * circuit.n_params
-            row_bytes += state * slabs + state * slabs // (2 * circuit.n_qubits)
+        row_bytes = _row_bytes(circuit, kind, adjoint)
         if row_bytes > _ROW_BYTES:
             raise CapacityError(f"one row of this {circuit.n_qubits}-qubit circuit needs "
                                 f"{row_bytes} bytes, more than the {_ROW_BYTES} a row may take")
         if kind not in forms:
             forms[kind] = _observable_form(circuit, obs, kind)
-        entries = 16 + (len(_schedule(circuit, kind)) + 2 * circuit.n_params) * (1 + adjoint)
-        step = max(1, (_CHUNK_BYTES - _ENTRY_BYTES * entries) // (row_bytes + angle_bytes))
+        step = max(1, (_CHUNK_BYTES - _sweep_bytes(circuit, kind, adjoint)) // row_bytes)
         for i in range(start, stop, step):
             rows = slice(i, min(i + step, stop))
             plan.append((rows, _strengths(circuit, noise[rows]) if kind else {}, forms[kind]))

@@ -363,8 +363,8 @@ def _train_runs(runs, test_sets, circuit: ReuploadCircuit, obs: Observable,
     t_total = _iterations(runs)
     if eval_interval is None:
         eval_interval = max(1, t_total // 100)
-    if eval_interval < 1:
-        raise ValueError("eval_interval must be >= 1")
+    if not isinstance(eval_interval, numbers.Integral) or eval_interval < 1:
+        raise ValueError(f"eval_interval must be an integer >= 1, got {eval_interval!r}")
 
     indices = np.empty((len(runs), t_total), dtype=np.int64)
     eval_points: list[int] = []

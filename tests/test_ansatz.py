@@ -114,6 +114,16 @@ def test_circuit_validation():
         build_circuit(15, 1, 1, 1)
 
 
+def test_circuit_rejects_non_integer_sizes():
+    """A fractional size once built a fractional K that failed deep in the engine."""
+    for sizes in ((1.5, 1, 1, 1), (1, 2.0, 1, 1), (1, 1, 1.0, 1), (1, 1, 1, "2")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_circuit(*sizes)
+    c = build_circuit(np.int64(2), np.uint8(1), np.int32(3), np.int16(1))
+    assert c == build_circuit(2, 1, 3, 1) and type(c.n_params) is int
+    assert forward(c, np.zeros(c.n_params), np.zeros(3), z_observable(2)) == 1.0
+
+
 def test_gate_count():
     # R (N rotations + N-1 entanglers) per trainable block,
     # N rotations per encode column, L encode blocks.
@@ -419,32 +429,23 @@ def _chunk_cases(rng, c, mixed_chunks):
     return [(0.0, thetas, xs, [3, 3, 3, 2]), (0.1, thetas, xs, [3, 3, 3, 2]), mixed]
 
 
-def _angle_bytes(c):
-    """A row's `_angles`: c and S, then at most a gathered theta table and
-    its names, or the x trig with its table and names."""
-    return 40 * c.n_params + 32 * c.n_qubits + 8
+def _traced(run, *args):
+    """``run(*args)`` and the peak bytes it allocated, in tracemalloc."""
+    tracemalloc.start()
+    try:
+        outputs = run(*args)
+        return outputs, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
-def _row_bytes(c, noisy, adjoint):
-    """A row's bytes in the chunk budget: two states (its own, and lam or a
-    gather's spare), for an adjoint row 2K slab states (K for Pauli rows,
-    whose slabs keep half sites) and the K/N (K/2N) of one qubit's
-    gradient temporaries, the density check's states for a Pauli row, and
-    its angles."""
-    state, slabs = ansatz._fresh_rows(c, 1, noisy).nbytes, (2 - noisy) * c.n_params * adjoint
-    return (state * (2 + slabs + ansatz._CHECK_STATES * noisy)
-            + state * slabs // (2 * c.n_qubits) + _angle_bytes(c))
+def _three_rows(c, noisy, adjoint):
+    """A chunk budget of three rows of one kind and pass with the chunk's
+    compiled sweeps."""
+    return 3 * ansatz._row_bytes(c, noisy, adjoint) + ansatz._sweep_bytes(c, noisy, adjoint)
 
 
-def _sweep_bytes(c, noisy, adjoint):
-    """What a chunk's compiled sweeps take out of the budget: one
-    ``_ENTRY_BYTES`` per schedule entry and column view of c and S, twice
-    for an adjoint pass (its backward sweep and slot copies), and 16 more."""
-    entries = 16 + (len(ansatz._schedule(c, noisy)) + 2 * c.n_params) * (1 + adjoint)
-    return ansatz._ENTRY_BYTES * entries
-
-
-def _check_chunks(c, cases, run, hook, row_bytes, adjoint, monkeypatch):
+def _check_chunks(c, cases, run, hook, adjoint, monkeypatch):
     """Each case run whole, then in chunks under a budget of three rows of
     its largest kind with that kind's compiled sweeps, counted at
     ``hook``: the chunk sizes are the case's, the bits the unchunked ones,
@@ -454,7 +455,7 @@ def _check_chunks(c, cases, run, hook, row_bytes, adjoint, monkeypatch):
     for p, thetas, xs, want in cases:
         whole = run(c, thetas, xs, obs, p)
         largest = bool(np.any(np.asarray(p) > 0))
-        budget = 3 * row_bytes(largest) + _sweep_bytes(c, largest, adjoint)
+        budget = _three_rows(c, largest, adjoint)
         chunks = []
         engine = getattr(ansatz, hook)
 
@@ -471,33 +472,31 @@ def _check_chunks(c, cases, run, hook, row_bytes, adjoint, monkeypatch):
         start = 0
         for rows, kind in chunks:
             assert set(noisy[start:start + rows].tolist()) == {kind}
-            assert rows * row_bytes(kind) + _sweep_bytes(c, kind, adjoint) <= budget
+            assert (rows * ansatz._row_bytes(c, kind, adjoint)
+                    + ansatz._sweep_bytes(c, kind, adjoint) <= budget)
             start += rows
         for got, expected in zip(chunked, whole) if adjoint else [(chunked, whole)]:
             np.testing.assert_array_equal(got, expected)
 
 
 def test_forward_many_chunks_rows_bitwise(monkeypatch):
-    """Rows simulated in chunks under the byte budget give the unchunked
-    bits; rows of mixed strengths are cut where the row kind changes.  A
-    forward row holds two states, its own and lam or a gather's spare,
-    the density check's states if it is a Pauli row, and its angles."""
+    """Forward rows simulated in chunks under the byte budget give the
+    unchunked bits; rows of mixed strengths are cut where the row kind
+    changes."""
     rng = np.random.default_rng(27)
     c = build_circuit(2, 2, 3, 1)
     _check_chunks(c, _chunk_cases(rng, c, [7, 3, 1, 14, 1]), forward_many, "_forward_rows",
-                  lambda noisy: _row_bytes(c, noisy, False), False, monkeypatch)
+                  False, monkeypatch)
 
 
 def test_output_grads_chunks_rows_bitwise(monkeypatch):
-    """Adjoint rows, 2K + 2 statevectors or K + 2 Pauli rows each (the
-    slabs of a Pauli row keep half sites) plus the K/N or K/2N states of
-    one qubit's gradient temporaries, stay under the byte budget and give
-    the unchunked bits; rows of mixed strengths are cut where the row kind
+    """Adjoint rows simulated in chunks under the byte budget give the
+    unchunked bits; rows of mixed strengths are cut where the row kind
     changes."""
     rng = np.random.default_rng(28)
     c = build_circuit(2, 2, 3, 1)
     _check_chunks(c, _chunk_cases(rng, c, [7, 3, 1, 14, 1]), ansatz._output_grads,
-                  "_adjoint_rows", lambda noisy: _row_bytes(c, noisy, True), True, monkeypatch)
+                  "_adjoint_rows", True, monkeypatch)
 
 
 def test_forward_many_chunks_count_the_angles(monkeypatch):
@@ -513,36 +512,25 @@ def test_forward_many_chunks_count_the_angles(monkeypatch):
                    rng.uniform(0, 2 * np.pi, c.n_params)):
         whole = forward_many(c, thetas, xs, obs)
         monkeypatch.setattr(ansatz, "_CHUNK_BYTES", 1 << 20)
-        tracemalloc.start()
-        try:
-            chunked = forward_many(c, thetas, xs, obs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        chunked, peak = _traced(forward_many, c, thetas, xs, obs)
         monkeypatch.undo()
         assert peak < 2 << 20
         np.testing.assert_array_equal(chunked, whole)
 
 
 def test_a_row_over_the_byte_cap_is_refused(monkeypatch):
-    """A row of more than ``_ROW_BYTES``, counted in states of 8 d^n bytes
-    (two for a forward row, its own and lam or a gather's spare; 2K + 2 +
-    K/N for an adjoint statevector row, K + 2 + K/2N for an adjoint Pauli
-    row; ``_CHECK_STATES`` more for a Pauli row's density check), raises
-    CapacityError before any state is allocated; a row of exactly the cap
-    runs.  Unpatched, a noisy
-    adjoint row at 12 qubits, L1 R2 (6.875 GiB), is refused in the plan."""
+    """A row of more than ``_ROW_BYTES`` of `_row_bytes`, the largest of a
+    pass's kinds, raises CapacityError before any state is allocated; a
+    row of exactly the cap runs.  Unpatched, a noisy adjoint row at 12
+    qubits, L1 R2 (about 6.625 GiB), is refused in the plan."""
     rng = np.random.default_rng(33)
     c = build_circuit(2, 2, 3, 1)
     obs = z_observable(2)
     thetas = rng.uniform(0, 2 * np.pi, (3, c.n_params))
     xs = rng.uniform(0, 2 * np.pi, (3, 3))
     for run, adjoint in ((forward_many, False), (ansatz._output_grads, True)):
-        for p, d in ((0.0, 2), (0.1, 4), ([0.0, 0.1, 0.0], 4)):
-            state, slabs = 8 * d ** c.n_qubits, (4 // d) * c.n_params  # 2K or K
-            row_bytes = state * (2 + ansatz._CHECK_STATES * (d == 4))
-            if adjoint:
-                row_bytes += state * slabs + state * slabs // (2 * c.n_qubits)
+        for p, noisy in ((0.0, False), (0.1, True), ([0.0, 0.1, 0.0], True)):
+            row_bytes = ansatz._row_bytes(c, noisy, adjoint)
             monkeypatch.setattr(ansatz, "_ROW_BYTES", row_bytes)
             run(c, thetas, xs, obs, p)
             monkeypatch.setattr(ansatz, "_ROW_BYTES", row_bytes - 1)
@@ -551,9 +539,8 @@ def test_a_row_over_the_byte_cap_is_refused(monkeypatch):
                 run(c, thetas, xs, obs, p)
             monkeypatch.undo()
     big = build_circuit(12, 1, 1, 2)
-    state = 8 * 4 ** 12
-    pauli_row = (state * (big.n_params + 2 + ansatz._CHECK_STATES)
-                 + state * big.n_params // (2 * 12))
+    pauli_row = ansatz._row_bytes(big, True, True)
+    assert round(pauli_row / 2 ** 30, 3) == 6.625
     with pytest.raises(CapacityError, match=f"needs {pauli_row} bytes"):
         ansatz._chunk_plan(big, None, np.array([0.1]), adjoint=True)  # obs is never read
 
@@ -694,7 +681,7 @@ def test_a_shared_theta_gives_the_bits_of_the_theta_repeated(monkeypatch):
     """One theta for many rows, whose unshifted angles `_angles` computes
     once, gives `forward_many` and `_output_grads` the bits of the same
     theta repeated per row: noiseless, at one p and at mixed strengths, and
-    across chunk boundaries with a small byte budget."""
+    across chunk boundaries, in chunks of one row and of three Pauli rows."""
     rng = np.random.default_rng(37)
     c = build_circuit(2, 3, 3, 2)
     a = rng.normal(size=(4, 4))
@@ -702,8 +689,8 @@ def test_a_shared_theta_gives_the_bits_of_the_theta_repeated(monkeypatch):
     xs = rng.uniform(0, 2 * np.pi, (len(MIXED), 3))
     theta = rng.uniform(0, 2 * np.pi, c.n_params)
     repeated = np.repeat(theta[None], len(MIXED), axis=0)
-    # Three Pauli rows of a forward pass, then of an adjoint pass.
-    for budget in (None, 3 * 8 * 4 ** 2, 3 * 8 * 4 ** 2 * (c.n_params + 2)):
+    # A row a chunk, then three Pauli rows of a forward and of an adjoint pass.
+    for budget in (None, 1, _three_rows(c, True, False), _three_rows(c, True, True)):
         if budget is not None:
             monkeypatch.setattr(ansatz, "_CHUNK_BYTES", budget)
         for p in (0.0, 0.1, MIXED):
@@ -719,7 +706,8 @@ def test_output_grads_are_the_bytes_of_the_per_ry_oracle(monkeypatch):
     gives the bytes of `adjoint_rows_per_ry`, one contraction per trainable
     Ry: noiseless, at one p and at mixed strengths with p = 0 rows, per-row
     thetas and a shared theta, at 3q, at 1q L1, under Z and a random complex
-    M, and across chunk boundaries under a budget of three Pauli rows."""
+    M, and across chunk boundaries, in chunks of one row and of three Pauli
+    rows."""
     rng = np.random.default_rng(44)
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     three = build_circuit(3, 2, 5, 2)
@@ -727,13 +715,12 @@ def test_output_grads_are_the_bytes_of_the_per_ry_oracle(monkeypatch):
                    (build_circuit(1, 1, 1, 1), z_observable(1))):
         thetas = rng.uniform(0, 2 * np.pi, (len(MIXED), c.n_params))
         xs = rng.uniform(0, 2 * np.pi, (len(MIXED), c.data_dim))
-        budget = 3 * (c.n_params + 2) * ansatz._fresh_rows(c, 1, True).nbytes
         for theta in (thetas, thetas[0]):
             for p in (0.0, 0.1, MIXED):
                 monkeypatch.setattr(ansatz, "_adjoint_rows", adjoint_rows_per_ry)
                 want = ansatz._output_grads(c, theta, xs, obs, p)
                 monkeypatch.undo()
-                for chunk_bytes in (ansatz._CHUNK_BYTES, budget):
+                for chunk_bytes in (ansatz._CHUNK_BYTES, 1, _three_rows(c, True, True)):
                     monkeypatch.setattr(ansatz, "_CHUNK_BYTES", chunk_bytes)
                     got = ansatz._output_grads(c, theta, xs, obs, p)
                     monkeypatch.undo()
@@ -743,11 +730,10 @@ def test_output_grads_are_the_bytes_of_the_per_ry_oracle(monkeypatch):
 
 def test_output_grads_peak_within_the_chunk_budget_above_the_outputs(monkeypatch):
     """Under a 1 MB budget, an adjoint pass over many chunks peaks no more
-    than 1.1 budgets above its outputs: the budget counts the slabs, the
-    angles and the two half-slab temporaries of a qubit's gradient
-    contraction, each chunk writes its rows of the outputs (held once) and
-    keeps no state-sized sum buffer, and one noise strength for all rows is
-    not expanded to a row vector.  At 4q L16 the outputs are 2.09 MiB."""
+    than 1.1 budgets above its outputs: the budget counts the slabs and the
+    angles, each chunk writes its rows of the outputs (held once) and keeps
+    no state-sized sum buffer, and one noise strength for all rows is not
+    expanded to a row vector.  At 4q L16 the outputs are 2.09 MiB."""
     rng = np.random.default_rng(62)
     monkeypatch.setattr(ansatz, "_CHUNK_BYTES", 1 << 20)
     for (n, layers, d, r), rows in (((2, 4, 2, 2), 4000), ((1, 1, 1, 1), 20000),
@@ -755,13 +741,28 @@ def test_output_grads_peak_within_the_chunk_budget_above_the_outputs(monkeypatch
         c = build_circuit(n, layers, d, r)
         thetas = rng.uniform(0, 2 * np.pi, (rows, c.n_params))
         xs = rng.uniform(0, 2 * np.pi, (rows, d))
-        tracemalloc.start()
-        try:
-            values, grads = ansatz._output_grads(c, thetas, xs, z_observable(n), 0.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (values, grads), peak = _traced(ansatz._output_grads, c, thetas, xs, z_observable(n), 0.0)
         assert peak - values.nbytes - grads.nbytes <= 1.1 * (1 << 20), (n, layers, peak)
+
+
+@pytest.mark.parametrize("shape, p", [((4, 16, 16, 2), 0.0), ((3, 4, 3, 2), 0.1)])
+def test_a_bound_adjoint_pass_holds_no_more_than_its_kernel_bytes(shape, p):
+    """On adjoint chunks bound once, a warm `_planned_grads` call over 300
+    rows peaks above its (rows,) outputs and (rows, K) gradients no higher
+    than the rows' `_kernel_bytes` and a fixed 64 KiB: every other kernel,
+    the gradient contraction included, runs in place on the buffers."""
+    rng = np.random.default_rng(67)
+    n, layers, d, r = shape
+    c, rows = build_circuit(n, layers, d, r), 300
+    noise = np.full(rows, p)
+    plan = ansatz._chunk_plan(c, z_observable(n), noise, adjoint=True)
+    chunks = list(ansatz._prepare(c, plan, True))
+    thetas = rng.uniform(0, 2 * np.pi, (rows, c.n_params))
+    sums = ansatz._fold(c, rng.uniform(0, 2 * np.pi, (rows, d)))
+    ansatz._planned_grads(c, thetas, sums, chunks, rows)
+    (values, grads), peak = _traced(ansatz._planned_grads, c, thetas, sums, chunks, rows)
+    allowed = rows * ansatz._kernel_bytes(c, p > 0) + (64 << 10)
+    assert peak - values.nbytes - grads.nbytes <= allowed, (peak, allowed)
 
 
 def test_pauli_rows_peak_within_the_chunk_budget_with_their_density_check(monkeypatch):
@@ -775,12 +776,7 @@ def test_pauli_rows_peak_within_the_chunk_budget_with_their_density_check(monkey
     thetas = rng.uniform(0, 2 * np.pi, (3000, c.n_params))
     xs = rng.uniform(0, 2 * np.pi, (3000, 3))
     for run in (forward_many, ansatz._output_grads):
-        tracemalloc.start()
-        try:
-            outputs = run(c, thetas, xs, z_observable(3), 0.1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        outputs, peak = _traced(run, c, thetas, xs, z_observable(3), 0.1)
         held = sum(out.nbytes for out in (outputs if isinstance(outputs, tuple) else (outputs,)))
         assert peak - held <= 1.1 * (1 << 20), (run.__name__, peak)
 
@@ -799,31 +795,20 @@ def test_every_pass_peaks_within_the_chunk_budget_above_its_outputs(monkeypatch,
     """Under a 1 MB budget, a forward or an adjoint pass over about three
     budgets of rows, statevector, Pauli or both interleaved, with a theta
     per row or one for all, peaks no more than 1.1 budgets above its
-    outputs: the plan counts every state a row holds (its own, lam or a
-    gather's spare, the slabs and contraction temporaries of the adjoint,
-    the density check of Pauli rows), its angles and its chunk's compiled
-    sweeps."""
+    outputs: the plan counts every byte a row holds (`_row_bytes`) and
+    its chunk's compiled sweeps (`_sweep_bytes`)."""
     budget = 1 << 20
     monkeypatch.setattr(ansatz, "_CHUNK_BYTES", budget)
     rng = np.random.default_rng(64)
     n, layers, d, r = shape
     c = build_circuit(n, layers, d, r)
-    noisy = noise != "statevector"
-    state = 8 * (4 if noisy else 2) ** n
-    slabs = (2 - noisy) * c.n_params if adjoint else 0
-    row_bytes = state * (2 + slabs + ansatz._CHECK_STATES * noisy) + 40 * c.n_params
-    rows = max(2, min(3 * budget // row_bytes, 8000))
+    rows = max(2, min(3 * budget // ansatz._row_bytes(c, noise != "statevector", adjoint), 8000))
     ps = {"statevector": 0.0, "pauli": 0.1,
           "mixed": np.where(np.arange(rows) % 7 < 3, 0.1, 0.0)}[noise]
     thetas = rng.uniform(0, 2 * np.pi, c.n_params if shared else (rows, c.n_params))
     xs = rng.uniform(0, 2 * np.pi, (rows, d))
     run, obs = ansatz._output_grads if adjoint else forward_many, z_observable(n)
-    tracemalloc.start()
-    try:
-        outputs = run(c, thetas, xs, obs, ps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    outputs, peak = _traced(run, c, thetas, xs, obs, ps)
     held = sum(out.nbytes for out in (outputs if adjoint else (outputs,)))
     assert peak - held <= 1.1 * budget, (rows, peak - held)
 
@@ -893,8 +878,7 @@ def test_a_row_has_the_same_bits_however_it_names_its_theta_and_x(monkeypatch, n
     repeated, tiled = np.repeat(thetas, len(probes), axis=0), np.tile(probes, (len(thetas), 1))
     # Chunks of about three rows of one pass and kind, so of one to three
     # of the others: inside and across cycles of the four probes.
-    budgets = [_sweep_bytes(c, noisy, adjoint) + 3 * _row_bytes(c, noisy, adjoint)
-               for noisy, adjoint in ((False, False), (True, True))]
+    budgets = [_three_rows(c, noisy, adjoint) for noisy, adjoint in ((False, False), (True, True))]
     for budget in [None] + budgets:
         if budget is not None:
             monkeypatch.setattr(ansatz, "_CHUNK_BYTES", budget)
@@ -958,12 +942,7 @@ def test_a_shared_theta_is_checked_before_it_is_broadcast():
     obs = z_observable(4)
     theta = rng.uniform(0, 2 * np.pi, c.n_params)
     xs = rng.uniform(0, 2 * np.pi, (20000, 16))
-    tracemalloc.start()
-    try:
-        thetas, _, noise = ansatz._check_rows(c, theta, xs, obs, 0.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (thetas, _, noise), peak = _traced(ansatz._check_rows, c, theta, xs, obs, 0.0)
     assert peak < 1 << 20
     assert thetas.shape == (1, c.n_params) and noise.shape == (20000,)
     theta[7] = np.inf

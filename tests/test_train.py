@@ -510,6 +510,20 @@ def test_train_config_rejects_a_non_integer_seed():
     assert TrainConfig(0.1, 2, np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
+def test_train_rejects_a_non_integer_eval_interval():
+    """A fractional interval once evaluated wherever t % interval was 0 in
+    floats: 2.5 at T = 10 scored [0, 5, 10] without a word."""
+    c = build_circuit(1, 1, 1, 1)
+    obs = z_observable(1)
+    data = synthetic_toy(6, seed=3)
+    config = TrainConfig(0.1, 10, 0)
+    for interval in (2.5, 2.0, "2", 0, -1):
+        with pytest.raises(ValueError, match="eval_interval must be an integer >= 1"):
+            train(data, c, obs, config, eval_interval=interval)
+    run = train(data, c, obs, config, eval_interval=np.int64(5))
+    np.testing.assert_array_equal(run.eval_points, [0, 5, 10])
+
+
 def test_runs_of_one_batch_share_iterations():
     rng = np.random.default_rng(80)
     c = build_circuit(1, 1, 1, 1)
