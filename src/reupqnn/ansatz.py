@@ -228,8 +228,15 @@ def forward(circuit: ReuploadCircuit, theta, x, obs: Observable) -> float:
 # other rows of its batch.
 
 # Rows are simulated in chunks of at most this many bytes: each row's
-# `_row_bytes` and the chunk's `_sweep_bytes` (see `_chunk_plan`).
-_CHUNK_BYTES = 64 << 20
+# `_row_bytes` and the chunk's `_sweep_bytes` (see `_chunk_plan`).  An
+# evaluation pass scores every run of a batch at once (`train._train_runs`),
+# so the budget, not the run count, bounds its peak: 8 MiB is about 1400
+# statevector rows at 4q L16 R2 (5.8 KB a row), as many as one run's train
+# and test rows at 1000 test samples, where the 3224 rows of three such
+# runs in one chunk would hold 18.8 MB.  A smaller budget adds chunks,
+# each paying its binding and compile (about 50 us for a 4q L2 Pauli
+# forward chunk).
+_CHUNK_BYTES = 8 << 20
 
 # The states a row of `_check_pauli_rows` holds at once besides its own:
 # two in `_per_site`, then the matrix-order copy, the positivity test's H
@@ -389,58 +396,69 @@ def _fold(circuit: ReuploadCircuit, xs: np.ndarray) -> np.ndarray:
     return slots.reshape(rows, columns, circuit.n_qubits).sum(axis=1)
 
 
-def _named_trig(values: np.ndarray, per: int, rows: slice, scale: float, cos: np.ndarray,
+def _naming(names: np.ndarray) -> tuple:
+    """How the rows of a chunk name the entries of a table (the thetas or
+    the fold sums), from their (rows,) ``names``: (index, inverse), the
+    entries they name, ``table[index]``, each once and in order, and each
+    row's place among them, or None when the rows name consecutive
+    entries, each its own and in order (``index`` is then a slice).
+    Found once per bound chunk (`_Chunk`), by a mask over the range of
+    names, so a chunk's run pays no naming of its own."""
+    lo, hi = int(names.min()), int(names.max())
+    if hi - lo + 1 == len(names) and (np.diff(names) == 1).all():
+        return slice(lo, hi + 1), None
+    present = np.zeros(hi - lo + 1, dtype=bool)
+    offsets = names - lo
+    present[offsets] = True
+    place = np.cumsum(present) - 1
+    return np.flatnonzero(present) + lo, place[offsets]
+
+
+def _named_trig(values: np.ndarray, naming: tuple, scale: float, cos: np.ndarray,
                 sin: np.ndarray) -> None:
     """cos and sin of ``scale`` times the entries of (entries, cols)
-    ``values`` that the ``rows`` name, written to (cols, rows) ``cos`` and
-    ``sin``: row r names entry (r // per) mod entries.
-
-    The rows name consecutive entries, first to first + span - 1 (mod
-    entries), each paid once from a table of them: when the span is the
-    rows' width, each row has its own entry in order and the trig is
-    written directly; otherwise the rows gather it from the table, which
-    never has more entries than the rows have."""
-    count, width = len(values), rows.stop - rows.start
-    first, last = rows.start // per, (rows.stop - 1) // per
-    span = min(last - first + 1, count)
-    table = values.take(np.arange(first, first + span), axis=0, mode="wrap")
-    if span == width:
+    ``values`` that a chunk's rows name, written to (cols, rows) ``cos``
+    and ``sin``, paid once per named entry: by the rows' `_naming`, the
+    trig is written directly when each row names its own entry in order,
+    and otherwise gathered from a table of the named entries, which never
+    has more entries than the rows have."""
+    index, inverse = naming
+    table = values[index]
+    if inverse is None:
         np.multiply(table.T, scale, out=cos)
         np.sin(cos, out=sin)
         np.cos(cos, out=cos)
         return
-    names = np.arange(rows.start, rows.stop)
-    names //= per
-    names -= first
-    names %= count
     table = table.T * scale
-    np.take(np.sin(table), names, axis=1, out=sin, mode="clip")
-    np.take(np.cos(table, out=table), names, axis=1, out=cos, mode="clip")
+    np.take(np.sin(table), inverse, axis=1, out=sin, mode="clip")
+    np.take(np.cos(table, out=table), inverse, axis=1, out=cos, mode="clip")
 
 
-def _angles(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray, rows: slice,
-            total: int, scale: float, c: np.ndarray, S: np.ndarray) -> None:
+def _angles(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray, naming: tuple,
+            scale: float, c: np.ndarray, S: np.ndarray) -> None:
     """The cosines c, (K, rows), and the sines stacked as S = (-s, s), (2,
-    K, 1, rows), of every trainable Ry of the ``rows`` of a batch of
-    ``total``, written in place: of half the angle for statevector rows
-    (``scale`` 1/2), of the full angle for Pauli rows (``scale`` 1).
+    K, 1, rows), of every trainable Ry of a chunk's rows, written in place:
+    of half the angle for statevector rows (``scale`` 1/2), of the full
+    angle for Pauli rows (``scale`` 1).
 
-    Rows name their theta and their x: row r runs theta r // (total / A) of
-    the (A, K) ``thetas`` on the `_fold` sums r mod B of the (B, N)
-    ``sums``.  So a theta per row, one theta for all (A = 1), one x for all
-    (B = 1) and every theta against every x (`_forward_grid`) are one rule,
-    and cos and sin are paid once per theta column and once per x's N fold
-    angles (`_named_trig`).  The rotation of an encoding block is composed
-    with the next block's first Ry on each qubit, not added to its angle:
+    Rows name their theta and their x by index: row r runs theta
+    names[0][r] of the (A, K) ``thetas`` on the `_fold` sums names[1][r] of
+    the (B, N) ``sums``, and ``naming`` is the chunk's `_naming` of both.
+    So a theta per row, one theta for all, every theta against every x
+    (`_forward_grid`) and the groups of an evaluation pass
+    (`train._train_runs`) are one rule, and cos and sin are paid once per
+    named theta column and once per named x's N fold angles
+    (`_named_trig`).  The rotation of an encoding block is composed with
+    the next block's first Ry on each qubit, not added to its angle:
 
         c = c_theta c_x - s_theta s_x,    s = s_theta c_x + c_theta s_x,
 
     for each of the L N shifted columns, in plain elementwise multiplies
     and adds (no complex multiply, no einsum), so a row's bits depend
     neither on its batch nor on how it names its theta and x."""
-    _named_trig(thetas, total // len(thetas), rows, scale, c, S[1, :, 0])
+    _named_trig(thetas, naming[0], scale, c, S[1, :, 0])
     cos_x, sin_x = (np.empty((circuit.n_qubits, c.shape[1])) for _ in range(2))
-    _named_trig(sums, 1, rows, scale, cos_x, sin_x)
+    _named_trig(sums, naming[1], scale, cos_x, sin_x)
     shape = (circuit.layers + 1, circuit.sublayers, circuit.n_qubits, -1)
     cos_t, sin_t, product = (part.reshape(shape)[1:, 0] for part in (c, S[1], S[0]))
     cross = cos_t * sin_x
@@ -576,10 +594,11 @@ def _kernel_bytes(circuit: ReuploadCircuit, noisy: bool) -> int:
     the buffers."""
     n, k = circuit.n_qubits, circuit.n_params
     check_pauli_rows = _CHECK_STATES * (8 << 2 * n) * noisy
-    # `_angles` and its `_named_trig`, at most: a theta table with its trig
-    # copy and names (16 K + 8), or the x trig, its table and names (32 N +
-    # 8), or the x trig and the composed product (< 16 K).
-    angles = 16 * k + 32 * n + 8
+    # The chunk's `_naming` inverses of its thetas and xs (16), and
+    # `_angles` with its `_named_trig`, at most: a theta table with its
+    # trig copy (16 K), or the x trig and its table (32 N), or the x trig
+    # and the composed product (< 16 K).
+    angles = 16 * k + 32 * n + 16
     return check_pauli_rows + angles
 
 
@@ -608,13 +627,17 @@ class _Chunk:
     rows' copy of the form, and it is the spare of every CX gather of the
     forward sweep; the rows are the spare of the backward sweep, which runs
     on lam.  A run rewrites every buffer it reads, so one chunk serves any
-    thetas and sums of its rows, pass after pass, and allocates only what
-    `_kernel_bytes` counts."""
+    thetas and sums its rows name, pass after pass, and allocates only
+    what `_kernel_bytes` counts.  How its rows name them is bound with it
+    (`_naming` of each of ``names``, the thetas' and the xs', None when
+    row r names entry r)."""
 
-    def __init__(self, circuit: ReuploadCircuit, rows: slice, total: int, strengths: dict,
-                 form: np.ndarray, buffers: list):
+    def __init__(self, circuit: ReuploadCircuit, rows: slice, strengths: dict,
+                 form: np.ndarray, buffers: list, names: tuple):
         n = circuit.n_qubits
-        self.circuit, self.rows, self.total = circuit, rows, total
+        self.circuit, self.rows = circuit, rows
+        self.naming = tuple((rows, None) if part is None else _naming(part[rows])
+                            for part in names)
         self.strengths, self.form = strengths, form
         self.noisy = noisy = bool(strengths)
         self.scale, d = (1.0, 4) if noisy else (0.5, 2)
@@ -643,14 +666,14 @@ class _Chunk:
                 self.unsweep.append(entry(op))
 
 
-def _prepare(circuit: ReuploadCircuit, plan: list, adjoint: bool):
+def _prepare(circuit: ReuploadCircuit, plan: list, adjoint: bool, names: tuple):
     """The chunks of ``plan`` bound in turn (`_Chunk`), all of them to the
     same memory, one array per buffer the size of the largest chunk's:
     chunks run one after another, and each run rewrites the buffers it
-    reads.  A caller that keeps the chunks (`train._sgd_paths`) binds them
-    once for all its passes; one that runs them once lets each go after
-    its run."""
-    total = plan[-1][0].stop if plan else 0
+    reads.  ``names`` are the (rows,) indices of each row's theta and of
+    its x (see `_angles`), each None when row r names entry r.  A caller
+    that keeps the chunks (`train._sgd_paths`) binds them once for all its
+    passes; one that runs them once lets each go after its run."""
     widest = {}  # rows of the widest chunk of each kind
     for rows, strengths, _ in plan:
         widest[bool(strengths)] = max(widest.get(bool(strengths), 0), rows.stop - rows.start)
@@ -659,7 +682,7 @@ def _prepare(circuit: ReuploadCircuit, plan: list, adjoint: bool):
     for rows, strengths, form in plan:
         shapes = _buffers(circuit, rows.stop - rows.start, bool(strengths), adjoint)
         buffers = [whole[:math.prod(shape)].reshape(shape) for whole, shape in zip(memory, shapes)]
-        yield _Chunk(circuit, rows, total, strengths, form, buffers)
+        yield _Chunk(circuit, rows, strengths, form, buffers, names)
 
 
 def _forward_rows(chunk: _Chunk, thetas: np.ndarray, sums: np.ndarray) -> np.ndarray:
@@ -674,7 +697,7 @@ def _forward_rows(chunk: _Chunk, thetas: np.ndarray, sums: np.ndarray) -> np.nda
     `_observable_form` for Pauli rows, whose density matrices are checked
     here; an adjoint chunk leaves lam in its second state for the backward
     sweep."""
-    _angles(chunk.circuit, thetas, sums, chunk.rows, chunk.total, chunk.scale, chunk.c, chunk.S)
+    _angles(chunk.circuit, thetas, sums, chunk.naming, chunk.scale, chunk.c, chunk.S)
     states = chunk.states
     np.copyto(states, chunk.fresh)
     _run(chunk.sweep)
@@ -728,10 +751,11 @@ def _adjoint_rows(chunk: _Chunk, thetas: np.ndarray, sums: np.ndarray,
 
 
 def _check_rows(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
-                noise_p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                noise_p) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """Validated (A, K) thetas and (B, D) xs, each one row or one per row
-    of the batch, and its (rows,) noise strengths: the rows name their
-    theta and x as in `_angles`, and neither is broadcast."""
+    of the batch, its (rows,) noise strengths and the rows' names of their
+    theta and x (see `_angles`): each row its own, or all the one shared,
+    which is never broadcast."""
     thetas, xs = np.asarray(thetas, dtype=float), np.asarray(xs, dtype=float)
     for name, rows in (("thetas", thetas), ("xs", xs)):
         if rows.ndim not in (1, 2):
@@ -740,7 +764,9 @@ def _check_rows(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
     rows = len(xs) if len(thetas) == 1 else len(thetas)
     if len(xs) not in (1, rows):
         raise ValueError("thetas and xs row counts do not match")
-    return thetas, xs, _check_batch(circuit, thetas, xs, obs, noise_p, rows)
+    names = tuple(None if len(part) == rows else np.broadcast_to(np.intp(0), rows)
+                  for part in (thetas, xs))
+    return thetas, xs, _check_batch(circuit, thetas, xs, obs, noise_p, rows), names
 
 
 def _check_batch(circuit: ReuploadCircuit, thetas: np.ndarray, xs: np.ndarray,
@@ -782,11 +808,11 @@ def _chunk_plan(circuit: ReuploadCircuit, obs: Observable, noise: np.ndarray,
     binds to buffers.
 
     A row is a statevector row at p = 0 and a Pauli row at p > 0.  The rows
-    are cut wherever the kind changes, and each run of one kind into
-    chunks of at least one row and at most ``_CHUNK_BYTES``: the chunk's
-    `_sweep_bytes` and its rows' `_row_bytes`; a statevector chunk has no
-    factors.  A row of more than ``_ROW_BYTES`` raises CapacityError before
-    any state is allocated."""
+    are cut wherever the kind changes, and each run of one kind into the
+    fewest near-equal chunks (their widths differ by at most one row) of
+    at most ``_CHUNK_BYTES``: the chunk's `_sweep_bytes` and its rows'
+    `_row_bytes`; a statevector chunk has no factors.  A row of more than
+    ``_ROW_BYTES`` raises CapacityError before any state is allocated."""
     noisy = noise > 0.0
     # Runs of one kind, cut where a row's kind differs from the row before.
     bounds = [0, *(np.flatnonzero(noisy[1:] != noisy[:-1]) + 1).tolist(), len(noise)]
@@ -799,20 +825,24 @@ def _chunk_plan(circuit: ReuploadCircuit, obs: Observable, noise: np.ndarray,
                                 f"{row_bytes} bytes, more than the {_ROW_BYTES} a row may take")
         if kind not in forms:
             forms[kind] = _observable_form(circuit, obs, kind)
-        step = max(1, (_CHUNK_BYTES - _sweep_bytes(circuit, kind, adjoint)) // row_bytes)
-        for i in range(start, stop, step):
-            rows = slice(i, min(i + step, stop))
+        widest = max(1, (_CHUNK_BYTES - _sweep_bytes(circuit, kind, adjoint)) // row_bytes)
+        count, width = -(-(stop - start) // widest), stop - start
+        for i in range(count):  # the wider chunks first
+            rows = slice(start - (-width * i // count), start - (-width * (i + 1) // count))
             plan.append((rows, _strengths(circuit, noise[rows]) if kind else {}, forms[kind]))
     return plan
 
 
 def _outputs(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray, obs: Observable,
-             noise: np.ndarray) -> np.ndarray:
+             noise: np.ndarray, names: tuple) -> np.ndarray:
     """The (rows,) outputs of checked rows at checked (rows,) strengths
-    ``noise``, which name (A, K) ``thetas`` and (B, N) `_fold` ``sums`` as
-    in `_angles`: each chunk of the forward plan bound, run once and let go."""
+    ``noise``, which name (A, K) ``thetas`` and (B, N) `_fold` ``sums`` by
+    their ``names`` (see `_prepare`): one forward pass, each chunk of its
+    plan bound, run once and let go.  `forward_many`, `_forward_grid` and
+    the evaluations of `train._train_runs` only name rows for it."""
     values = np.empty(len(noise))
-    for chunk in _prepare(circuit, _chunk_plan(circuit, obs, noise, adjoint=False), False):
+    plan = _chunk_plan(circuit, obs, noise, adjoint=False)
+    for chunk in _prepare(circuit, plan, False, names):
         values[chunk.rows] = _forward_rows(chunk, thetas, sums)
         del chunk  # let it go before the next is bound
     return values
@@ -831,8 +861,8 @@ def forward_many(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
     positivity; a row with p = 0 is a statevector.  Rows of any strengths
     may share a call, in any order.
     """
-    thetas, xs, noise = _check_rows(circuit, thetas, xs, obs, noise_p)
-    return _outputs(circuit, thetas, _fold(circuit, xs), obs, noise)
+    thetas, xs, noise, names = _check_rows(circuit, thetas, xs, obs, noise_p)
+    return _outputs(circuit, thetas, _fold(circuit, xs), obs, noise, names)
 
 
 def _forward_grid(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
@@ -840,14 +870,16 @@ def _forward_grid(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
     """`forward_many` of every pair of (A, K) ``thetas`` and (B, D) ``xs``,
     theta-major, at ``noise_p``, a float or one strength per theta: the (A,
     B) outputs, bit for bit those of the thetas repeated and the xs tiled.
-    The rows name their theta and x (see `_angles`), so the trig is paid
+    Row a B + b names theta a and x b (see `_angles`), so the trig is paid
     once per theta and once per x, not per row."""
     thetas, xs = np.asarray(thetas, dtype=float), np.asarray(xs, dtype=float)
+    a, b = len(thetas), len(xs)
     noise = np.asarray(noise_p, dtype=float)
     if noise.ndim:
-        noise = noise.repeat(len(xs))
-    noise = _check_batch(circuit, thetas, xs, obs, noise, len(thetas) * len(xs))
-    return _outputs(circuit, thetas, _fold(circuit, xs), obs, noise).reshape(len(thetas), len(xs))
+        noise = noise.repeat(b)
+    noise = _check_batch(circuit, thetas, xs, obs, noise, a * b)
+    names = np.arange(a).repeat(b), np.tile(np.arange(b), a)
+    return _outputs(circuit, thetas, _fold(circuit, xs), obs, noise, names).reshape(a, b)
 
 
 def _planned_grads(circuit: ReuploadCircuit, thetas: np.ndarray, sums: np.ndarray, chunks,
@@ -875,8 +907,8 @@ def _output_grads(circuit: ReuploadCircuit, thetas, xs, obs: Observable,
     oracle.  This is the checked entry point of `_planned_grads`, whose
     chunks it binds, runs once and lets go.
     """
-    thetas, xs, noise = _check_rows(circuit, thetas, xs, obs, noise_p)
-    chunks = _prepare(circuit, _chunk_plan(circuit, obs, noise, adjoint=True), True)
+    thetas, xs, noise, names = _check_rows(circuit, thetas, xs, obs, noise_p)
+    chunks = _prepare(circuit, _chunk_plan(circuit, obs, noise, adjoint=True), True, names)
     return _planned_grads(circuit, thetas, _fold(circuit, xs), chunks, len(noise))
 
 

@@ -242,7 +242,10 @@ def load_idx_pair(images_path: str, labels_path: str, classes: tuple[int, int]) 
     kept_labels = labels[keep]
     # Integer block sums (49 * 255 fits in uint16) are exact, so the means
     # are the bits of a float mean, without a float copy of every image.
-    sums = images[keep].reshape(-1, 4, 7, 4, 7).sum(axis=4, dtype=np.uint16).sum(axis=2)
+    # Each band of 7 rows is summed first, over whole contiguous rows, then
+    # each block of 7 columns of the band sums.
+    bands = images[keep].reshape(-1, 4, 7, 28).sum(axis=2, dtype=np.uint16)
+    sums = bands.reshape(-1, 4, 4, 7).sum(axis=3, dtype=np.uint16)
     features = (sums / 49).reshape(-1, 16) / 255.0 * TWO_PI
     signed = np.where(kept_labels == a, 1, -1).astype(np.int64)
     return Dataset(

@@ -23,10 +23,11 @@ so a run's bits do not depend on its batch.  The loop pays once for what
 does not change from step to step: it draws every run's initial
 parameters at once and the indices of a block of steps at once, folds
 the runs' features into per-qubit sums once, and binds the engine's
-buffers and compiled sweeps once.  Its evaluations pay per distinct
-(theta, p, x) row: the runs that stand at one theta under one noise
-strength, as every run of a seed does at iteration 0, are scored in one
-engine call over the distinct rows of their sets.
+buffers and compiled sweeps once.  Each evaluation point is one forward
+pass of the engine over every run, which pays per distinct (theta, p, x)
+row: the runs that stand at one theta under one noise strength, as every
+run of a seed does at iteration 0, add the distinct rows of their sets,
+and each row names its group's theta by index.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .ansatz import (
     _chunk_plan,
     _fold,
     _output_grads,
+    _outputs,
     _planned_grads,
     _prepare,
     forward_many,
@@ -307,7 +309,9 @@ def _sgd_paths(runs, circuit: ReuploadCircuit, obs: Observable):
     thetas = _init_thetas(circuit, [config.seed for _, config in runs])
     noise = _check_batch(circuit, thetas, features, obs, [config.noise_p for _, config in runs],
                          len(runs))
-    chunks = list(_prepare(circuit, _chunk_plan(circuit, obs, noise, adjoint=True), True))
+    # Run r's row names theta r and the step's sample r.
+    chunks = list(_prepare(circuit, _chunk_plan(circuit, obs, noise, adjoint=True), True,
+                           (None, None)))
     sums = _fold(circuit, features)
     yield None, thetas
     for t in range(iterations):
@@ -324,23 +328,13 @@ def _sgd_paths(runs, circuit: ReuploadCircuit, obs: Observable):
         yield drawn[:, step], thetas
 
 
-def _distinct_outputs(circuit: ReuploadCircuit, theta, blocks, obs: Observable,
-                      p) -> list[np.ndarray]:
-    """`forward_many` of one ``theta`` at strength ``p`` on each of the (rows,
-    D) feature ``blocks``, from one call over their distinct rows: each
-    block's outputs, in its own row order.
-
-    Rows are the same when their bytes are (`np.unique` of the rows viewed
-    as ``np.void``), and a row's bits do not depend on its batch, so every
-    block gets the bits of its own call.  The blocks' concatenation is let
-    go before the engine binds its buffers."""
-    xs = np.concatenate(blocks, dtype=float)
-    distinct, inverse = np.unique(xs.view(np.dtype((np.void, xs.itemsize * xs.shape[1]))).ravel(),
-                                  return_inverse=True)
-    del xs
-    outputs = forward_many(circuit, theta, distinct.view(float).reshape(len(distinct), -1),
-                           obs, p)[inverse]
-    return np.split(outputs, np.cumsum([len(block) for block in blocks[:-1]]))
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a C-contiguous (rows, N) float array, and each
+    row's place among them: rows are the same when their bytes are
+    (`np.unique` of the rows viewed as ``np.void``)."""
+    distinct, place = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+                                .ravel(), return_inverse=True)
+    return distinct.view(float).reshape(len(distinct), -1), place
 
 
 def _train_runs(runs, test_sets, circuit: ReuploadCircuit, obs: Observable,
@@ -350,14 +344,19 @@ def _train_runs(runs, test_sets, circuit: ReuploadCircuit, obs: Observable,
     (None for no test set) at its config's noise_p.  Returns one TrainRun
     per run, in order.
 
-    At each evaluation the runs are grouped by their theta's bytes and
-    their noise_p.  A run alone in its group has its train and test rows
-    scored in one `forward_many` call; a group of several runs, such as a
-    sweep's values under one seed at iteration 0, whose sets are drawn
-    from one permutation, is scored in one call over the distinct rows of
-    all its members' sets (`_distinct_outputs`).  Each run's outputs are
-    then split by set: a row's bits do not depend on its batch, so the
-    curves are those of `risk` and `accuracy` on each set."""
+    Every run's scored rows, its train rows then its test rows, are
+    checked and folded (`ansatz._fold`) once.  Each evaluation point is
+    then one forward pass of the engine (`ansatz._outputs`) over every
+    run.  The runs are grouped by their theta's bytes and their noise_p,
+    and each group adds rows that name its theta: a run alone in its group
+    its own rows, a group of several runs, such as a sweep's values under
+    one seed at iteration 0, whose sets are drawn from one permutation,
+    the distinct rows of all its members' sets (`_distinct_rows` of their
+    fold sums, which are all the engine reads of a row).  The groups go in
+    order of row kind, statevector (p = 0) first, so a pass is cut once at
+    most where the kind changes.  The outputs are split back by group, run
+    and set: a row's bits do not depend on its batch, so the curves are
+    those of `risk` and `accuracy` on each set."""
     if any(len(dataset) < 1 for dataset, _ in runs):
         raise ValueError("training needs at least one sample")
     t_total = _iterations(runs)
@@ -372,30 +371,50 @@ def _train_runs(runs, test_sets, circuit: ReuploadCircuit, obs: Observable,
     curves: list[list] = [[] for _ in runs]
     scored = [[data for data in (dataset, test_set) if data is not None]
               for (dataset, _), test_set in zip(runs, test_sets)]
-    features = [np.concatenate([data.features for data in sets]) for sets in scored]
+    sums = []
+    for sets, (_, config) in zip(scored, runs):
+        xs = np.concatenate([data.features for data in sets])
+        _check_batch(circuit, np.empty((0, circuit.n_params)), xs, obs, config.noise_p, len(xs))
+        sums.append(_fold(circuit, xs))
 
-    def score(theta, p, members) -> None:
-        if len(members) == 1:
-            parts = [forward_many(circuit, theta, features[members[0]], obs, p)]
-        else:
-            parts = _distinct_outputs(circuit, theta, [features[r] for r in members], obs, p)
-        for r, outputs in zip(members, parts):
-            sets = scored[r]
-            m = len(sets[0])
-            curves[r].append([v for data, part in zip(sets, (outputs[:m], outputs[m:]))
-                              for v in (_mean_loss(part, data.labels),
-                                        _sign_accuracy(part, data.labels))])
+    def evaluate(thetas: np.ndarray) -> None:
+        groups: dict = {}
+        for r, (theta, (_, config)) in enumerate(zip(thetas, runs)):
+            groups.setdefault((theta.tobytes(), config.noise_p), []).append(r)
+        groups = sorted(groups.items(), key=lambda group: group[0][1] > 0.0)
+        blocks, places = [], []
+        for _, members in groups:
+            if len(members) == 1:
+                blocks.append(sums[members[0]])
+                places.append(None)
+            else:
+                block, place = _distinct_rows(np.concatenate([sums[r] for r in members]))
+                blocks.append(block)
+                places.append(place)
+        table = thetas[[members[0] for _, members in groups]]
+        if not np.isfinite(table).all():
+            raise ValueError("thetas contain non-finite entries")
+        sizes = [len(block) for block in blocks]
+        noise = np.repeat([p for (_, p), _ in groups], sizes)
+        names = np.arange(len(groups)).repeat(sizes), None
+        outputs = _outputs(circuit, table, np.concatenate(blocks), obs, noise, names)
+        for (_, members), part, place in zip(groups, np.split(outputs, np.cumsum(sizes)[:-1]),
+                                             places):
+            if place is not None:
+                part = part[place]
+            for r, own in zip(members, np.split(part, np.cumsum([len(sums[r])
+                                                                 for r in members[:-1]]))):
+                sets, m = scored[r], len(scored[r][0])
+                curves[r].append([v for data, rows in zip(sets, (own[:m], own[m:]))
+                                  for v in (_mean_loss(rows, data.labels),
+                                            _sign_accuracy(rows, data.labels))])
 
     for t, (idx, thetas) in enumerate(_sgd_paths(runs, circuit, obs)):
         if t > 0:
             indices[:, t - 1] = idx
         if t % eval_interval == 0 or t == t_total:
             eval_points.append(t)
-            groups: dict = {}
-            for r, (theta, (_, config)) in enumerate(zip(thetas, runs)):
-                groups.setdefault((theta.tobytes(), config.noise_p), []).append(r)
-            for (_, p), members in groups.items():
-                score(thetas[members[0]], p, members)
+            evaluate(thetas)
 
     return [TrainRun(
         final_theta=thetas[r], indices=indices[r],

@@ -231,7 +231,7 @@ def adjoint_rows_per_ry(chunk, thetas, sums, grads):
     n, rows = circuit.n_qubits, chunk.rows.stop - chunk.rows.start
     d = 4 if noisy else 2
     c, S = np.empty((circuit.n_params, rows)), np.empty((2, circuit.n_params, 1, rows))
-    ansatz._angles(circuit, thetas, sums, chunk.rows, chunk.total, chunk.scale, c, S)
+    ansatz._angles(circuit, thetas, sums, chunk.naming, chunk.scale, c, S)
     states = ansatz._fresh_rows(circuit, rows, noisy)
     kept = []
     for op in ansatz._schedule(circuit, noisy):

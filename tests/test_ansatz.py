@@ -413,8 +413,8 @@ def _check_kernels_on_column_views(rng, n):
 
 # Runs of 7, 4, 14 and 1 rows by kind: at 2q L2 D3 R1 (K = 6), a budget
 # of three Pauli rows with their angles and their chunk's compiled sweeps
-# cuts the run of four; statevector runs are cut under a budget of three
-# statevector rows (the p = 0 case).
+# cuts the run of four into two near-equal chunks; statevector runs are
+# cut under a budget of three statevector rows (the p = 0 case).
 MIXED = np.array([0.0] * 7 + [0.1, 0.2, 0.1, 0.1] + [0.0] * 14 + [0.1])
 
 
@@ -485,7 +485,7 @@ def test_forward_many_chunks_rows_bitwise(monkeypatch):
     changes."""
     rng = np.random.default_rng(27)
     c = build_circuit(2, 2, 3, 1)
-    _check_chunks(c, _chunk_cases(rng, c, [7, 3, 1, 14, 1]), forward_many, "_forward_rows",
+    _check_chunks(c, _chunk_cases(rng, c, [7, 2, 2, 14, 1]), forward_many, "_forward_rows",
                   False, monkeypatch)
 
 
@@ -495,7 +495,7 @@ def test_output_grads_chunks_rows_bitwise(monkeypatch):
     changes."""
     rng = np.random.default_rng(28)
     c = build_circuit(2, 2, 3, 1)
-    _check_chunks(c, _chunk_cases(rng, c, [7, 3, 1, 14, 1]), ansatz._output_grads,
+    _check_chunks(c, _chunk_cases(rng, c, [7, 2, 2, 14, 1]), ansatz._output_grads,
                   "_adjoint_rows", True, monkeypatch)
 
 
@@ -587,7 +587,7 @@ def test_adjoint_leaves_the_plans_observable_form_unwritten():
         noise = np.array(p)
         plan = ansatz._chunk_plan(c, obs, noise, adjoint=True)
         forms = [form.copy() for _, _, form in plan]
-        chunks = list(ansatz._prepare(c, plan, True))
+        chunks = list(ansatz._prepare(c, plan, True, (None, None)))
         thetas = rng.uniform(0, 2 * np.pi, (len(p), c.n_params))
         sums = ansatz._fold(c, rng.uniform(0, 2 * np.pi, (len(p), 3)))
         first = ansatz._planned_grads(c, thetas, sums, chunks, len(p))
@@ -756,7 +756,7 @@ def test_a_bound_adjoint_pass_holds_no_more_than_its_kernel_bytes(shape, p):
     c, rows = build_circuit(n, layers, d, r), 300
     noise = np.full(rows, p)
     plan = ansatz._chunk_plan(c, z_observable(n), noise, adjoint=True)
-    chunks = list(ansatz._prepare(c, plan, True))
+    chunks = list(ansatz._prepare(c, plan, True, (None, None)))
     thetas = rng.uniform(0, 2 * np.pi, (rows, c.n_params))
     sums = ansatz._fold(c, rng.uniform(0, 2 * np.pi, (rows, d)))
     ansatz._planned_grads(c, thetas, sums, chunks, rows)
@@ -820,8 +820,7 @@ def test_composed_rotations_are_within_four_ulp_and_beat_the_rounded_sum():
     statevector half angles and Pauli full angles, in every way rows name
     their theta and x: a theta per row, one theta for all rows, and every
     theta against every x, over many cycles of the xs and across the end
-    of one.  The unshifted
-    column is cos and sin of its theta exactly."""
+    of one.  The unshifted column is cos and sin of its theta exactly."""
     rng = np.random.default_rng(65)
     c = build_circuit(1, 1, 1, 1)  # column 1 is shifted by the one x
     rows = 20000
@@ -832,17 +831,19 @@ def test_composed_rotations_are_within_four_ulp_and_beat_the_rounded_sum():
         shared = thetas[:1]
         grid_thetas, grid_xs = thetas[:rows // 100], xs[:100]
         grid_rows = np.repeat(grid_thetas, 100, axis=0), np.tile(grid_xs, (rows // 100, 1))
-        forms = [  # (thetas, sums, the slice of rows, total, each row's theta and x)
-            (thetas, xs, slice(0, rows), rows, thetas, xs),
-            (shared, xs, slice(0, rows), rows, np.repeat(shared, rows, axis=0), xs),
+        own, grid_names = np.arange(rows), (np.arange(rows) // 100, np.arange(rows) % 100)
+        forms = [  # (thetas, sums, both names, the slice of rows, each row's theta and x)
+            (thetas, xs, (own, own), slice(0, rows), thetas, xs),
+            (shared, xs, (0 * own, own), slice(0, rows), np.repeat(shared, rows, axis=0), xs),
         ]
         # Many cycles of the 100 xs, and 20 rows across the end of one.
         for part in (slice(50, rows - 30), slice(90, 110)):
-            forms.append((grid_thetas, grid_xs, part, rows, *(r[part] for r in grid_rows)))
-        for named, sums, part, total, row_thetas, row_xs in forms:
+            forms.append((grid_thetas, grid_xs, grid_names, part, *(r[part] for r in grid_rows)))
+        for named, sums, names, part, row_thetas, row_xs in forms:
             width = part.stop - part.start
             cos, S = np.empty((2, width)), np.empty((2, 2, 1, width))
-            ansatz._angles(c, named, sums, part, total, scale, cos, S)
+            naming = tuple(ansatz._naming(rows_names[part]) for rows_names in names)
+            ansatz._angles(c, named, sums, naming, scale, cos, S)
             np.testing.assert_array_equal(cos[0], np.cos(scale * row_thetas[:, 0]))
             np.testing.assert_array_equal(S[1, 0, 0], np.sin(scale * row_thetas[:, 0]))
             np.testing.assert_array_equal(S[0], -S[1])
@@ -864,9 +865,12 @@ def test_a_row_has_the_same_bits_however_it_names_its_theta_and_x(monkeypatch, n
     form of row: a theta per row (the grid's rows shuffled), one theta
     shared by all rows, that theta repeated per row, and every theta
     against every probe x as a grid (`_forward_grid`, and the adjoint
-    `_planned_grads` on the same naming); noiseless, at one p, and at
-    strengths mixed by theta, whole and under a budget that cuts chunks
-    inside and across cycles of the probes."""
+    `_planned_grads` on the same naming), and explicit names of groups of
+    unequal sizes, in order or shuffled, against probes picked at random,
+    as an evaluation pass names them (`_outputs`, and the adjoint pass on
+    the same names); noiseless, at one p, and at strengths mixed by theta,
+    whole and under a budget that cuts chunks inside and across cycles of
+    the probes and groups."""
     rng = np.random.default_rng(66)
     c = build_circuit(2, 2, 3, 2)
     a = rng.normal(size=(4, 4))
@@ -876,6 +880,11 @@ def test_a_row_has_the_same_bits_however_it_names_its_theta_and_x(monkeypatch, n
     ps = np.array([0.0, 0.1, 0.0, 0.05, 0.1]) if noise == "mixed" else np.full(5, noise)
     rows_p = np.repeat(ps, len(probes))
     repeated, tiled = np.repeat(thetas, len(probes), axis=0), np.tile(probes, (len(thetas), 1))
+    grid_names = (np.arange(len(thetas)).repeat(len(probes)),
+                  np.tile(np.arange(len(probes)), len(thetas)))
+    groups = np.arange(len(thetas)).repeat([3, 1, 6, 2, 4])
+    picks = rng.integers(0, len(probes), len(groups))
+    shuffle = rng.permutation(len(groups))
     # Chunks of about three rows of one pass and kind, so of one to three
     # of the others: inside and across cycles of the four probes.
     budgets = [_three_rows(c, noisy, adjoint) for noisy, adjoint in ((False, False), (True, True))]
@@ -888,9 +897,19 @@ def test_a_row_has_the_same_bits_however_it_names_its_theta_and_x(monkeypatch, n
         np.testing.assert_array_equal(grid.ravel(), values)
         plan = ansatz._chunk_plan(c, obs, rows_p, adjoint=True)
         named = ansatz._planned_grads(c, thetas, ansatz._fold(c, probes),
-                                      ansatz._prepare(c, plan, True), len(rows_p))
+                                      ansatz._prepare(c, plan, True, grid_names), len(rows_p))
         np.testing.assert_array_equal(named[0], values)
         np.testing.assert_array_equal(named[1], grads)
+        for names in ((groups, picks), (groups[shuffle], picks[shuffle])):
+            want = ansatz._output_grads(c, thetas[names[0]], probes[names[1]], obs, ps[names[0]])
+            np.testing.assert_array_equal(ansatz._outputs(c, thetas, ansatz._fold(c, probes), obs,
+                                                          ps[names[0]], names), want[0])
+            plan = ansatz._chunk_plan(c, obs, ps[names[0]], adjoint=True)
+            named = ansatz._planned_grads(c, thetas, ansatz._fold(c, probes),
+                                          ansatz._prepare(c, plan, True, names), len(groups))
+            np.testing.assert_array_equal(named[0], want[0])
+            np.testing.assert_array_equal(named[1], want[1])
+            np.testing.assert_array_equal(want[0], values[names[0] * len(probes) + names[1]])
         order = rng.permutation(len(rows_p))
         shuffled = ansatz._output_grads(c, repeated[order], tiled[order], obs, rows_p[order])
         np.testing.assert_array_equal(shuffled[0], values[order])
@@ -910,7 +929,8 @@ def test_bound_chunks_reused_step_after_step_give_the_bytes_of_fresh_calls(monke
     them, give at every step the bytes of a fresh `_output_grads` call on
     the step's rows: statevector and Pauli rows across a chunk boundary,
     with the rows naming a theta each, one theta for all, or two thetas
-    against four xs as a grid, in turn (against the fresh call's thetas
+    against four xs as a grid, each naming bound once with its chunks and
+    run for three steps of new values (against the fresh call's thetas
     repeated and xs tiled)."""
     rng = np.random.default_rng(67)
     c = build_circuit(3, 2, 5, 2)
@@ -919,16 +939,18 @@ def test_bound_chunks_reused_step_after_step_give_the_bytes_of_fresh_calls(monke
     monkeypatch.setattr(ansatz, "_CHUNK_BYTES", 80_000)
     plan = ansatz._chunk_plan(c, obs, ps, adjoint=True)
     assert len(plan) > 3  # cut inside runs of one kind, not only between them
-    chunks = list(ansatz._prepare(c, plan, True))
-    for t in range(6):
-        named, distinct = [(len(ps), len(ps)), (1, len(ps)), (2, 4)][t % 3]
-        theta = rng.uniform(0, 2 * np.pi, (named, c.n_params))
-        xs = rng.uniform(0, 2 * np.pi, (distinct, 5))
-        got = ansatz._planned_grads(c, theta, ansatz._fold(c, xs), chunks, len(ps))
-        thetas = np.repeat(theta, len(ps) // named, axis=0)
-        want = ansatz._output_grads(c, thetas, np.tile(xs, (len(ps) // distinct, 1)), obs, ps)
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes(), t
+    rows = np.arange(len(ps))
+    for named, distinct, names in ((len(ps), len(ps), (None, None)), (1, len(ps), (0 * rows, None)),
+                                   (2, 4, (rows // 4, rows % 4))):
+        chunks = list(ansatz._prepare(c, plan, True, names))
+        for t in range(3):
+            theta = rng.uniform(0, 2 * np.pi, (named, c.n_params))
+            xs = rng.uniform(0, 2 * np.pi, (distinct, 5))
+            got = ansatz._planned_grads(c, theta, ansatz._fold(c, xs), chunks, len(ps))
+            thetas = np.repeat(theta, len(ps) // named, axis=0)
+            want = ansatz._output_grads(c, thetas, np.tile(xs, (len(ps) // distinct, 1)), obs, ps)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), (named, t)
 
 
 def test_a_shared_theta_is_checked_before_it_is_broadcast():
@@ -942,7 +964,7 @@ def test_a_shared_theta_is_checked_before_it_is_broadcast():
     obs = z_observable(4)
     theta = rng.uniform(0, 2 * np.pi, c.n_params)
     xs = rng.uniform(0, 2 * np.pi, (20000, 16))
-    (thetas, _, noise), peak = _traced(ansatz._check_rows, c, theta, xs, obs, 0.0)
+    (thetas, _, noise, _), peak = _traced(ansatz._check_rows, c, theta, xs, obs, 0.0)
     assert peak < 1 << 20
     assert thetas.shape == (1, c.n_params) and noise.shape == (20000,)
     theta[7] = np.inf

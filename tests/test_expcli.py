@@ -3,11 +3,15 @@
 import json
 import os
 import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reupqnn
 from reupqnn import ansatz
 from reupqnn.ansatz import build_circuit, forward_many
 from reupqnn.comb import build_reuploading_comb, choi_of_unitary
@@ -704,6 +708,23 @@ def test_cli_reruns_are_byte_identical(tmp_path):
     assert main(["run", "--config", cfg_path, "--out", str(out1), "--threads", "2"]) == 0
     assert main(["run", "--config", cfg_path, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_python_dash_m_runs_the_cli_like_main(tmp_path):
+    """`python -m reupqnn` in a fresh process: ``--help`` exits 0, and
+    ``run`` on the toy config exits 0 and writes the CSV bytes of
+    in-process `main`."""
+    cfg_path = write_config(tmp_path, BASE_CONFIG)
+    out_cli, out_main = tmp_path / "cli.csv", tmp_path / "main.csv"
+    src = str(Path(reupqnn.__file__).parents[1])
+    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    for args in (["--help"], ["run", "--config", cfg_path, "--out", str(out_cli)]):
+        done = subprocess.run([sys.executable, "-m", "reupqnn", *args], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+    assert main(["run", "--config", cfg_path, "--out", str(out_main)]) == 0
+    assert out_cli.read_bytes() == out_main.read_bytes()
 
 
 def test_cli_stability_subcommand(tmp_path, capsys):

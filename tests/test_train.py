@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reupqnn import ansatz
 from reupqnn import train as train_module
 from reupqnn.ansatz import build_circuit, forward, forward_many
 from reupqnn.data import Dataset, Sample, subsample_split, synthetic_toy
@@ -461,13 +462,14 @@ def test_train_runs_score_runs_at_one_theta_over_distinct_rows_like_risk_and_acc
 
 
 @pytest.mark.parametrize("sizes, etas, scored", [
-    ((6, 8, 10), (0.2, 0.2, 0.2), [14, 10, 12, 14, 10, 12, 14]),
-    ((8, 8, 8), (0.1, 0.2, 0.3), [12, 12, 12, 12, 12, 12, 12]),
+    ((6, 8, 10), (0.2, 0.2, 0.2), [14, 36, 36]),
+    ((8, 8, 8), (0.1, 0.2, 0.3), [12, 36, 36]),
 ], ids=["m_train", "learning_rate"])
 def test_train_runs_score_each_distinct_row_once_per_theta(monkeypatch, sizes, etas, scored):
-    """Three sweep values under one seed stand at one theta_0: at t = 0 one
-    call scores the distinct union of their train and test rows; once
-    their thetas part, each run's own rows are scored, one call a run."""
+    """Every evaluation point is one engine pass.  Three sweep values
+    under one seed stand at one theta_0: at t = 0 the pass scores the
+    distinct union of their train and test rows; once their thetas part,
+    it scores each run's own rows."""
     rng = np.random.default_rng(93)
     c = build_circuit(2, 1, 3, 1)
     obs = z_observable(2)
@@ -476,15 +478,87 @@ def test_train_runs_score_each_distinct_row_once_per_theta(monkeypatch, sizes, e
     runs = [(train_set, TrainConfig(eta, 4, seed=9)) for (train_set, _), eta in zip(splits, etas)]
     rows = []
 
-    def counted(circuit, theta, xs, obs, noise_p=0.0):
-        rows.append(len(xs))
-        return forward_many(circuit, theta, xs, obs, noise_p)
+    def counted(circuit, thetas, sums, obs, noise, names):
+        rows.append(len(noise))
+        return ansatz._outputs(circuit, thetas, sums, obs, noise, names)
 
-    monkeypatch.setattr(train_module, "forward_many", counted)
+    monkeypatch.setattr(train_module, "_outputs", counted)
     _train_runs(runs, [test_set for _, test_set in splits], c, obs, eval_interval=2)
     paths = [thetas for _, thetas in _sgd_paths(runs, c, obs)]
     assert [len({theta.tobytes() for theta in paths[t]}) for t in (0, 2, 4)] == [1, 3, 3]
     assert rows == scored
+
+
+def test_an_evaluation_pass_cut_in_chunks_keeps_the_bits_of_risk_and_accuracy(monkeypatch):
+    """One evaluation pass over groups of unequal sizes, statevector and
+    Pauli, merged and alone, cut into chunks of about three rows (so
+    chunks start and end inside groups): every curve entry is still the
+    bits of `risk` and `accuracy` on that set alone."""
+    rng = np.random.default_rng(94)
+    c = build_circuit(2, 1, 3, 1)
+    obs = z_observable(2)
+    pool = tiny_dataset(rng, 24, 3)
+    runs, test_sets = [], []
+    for m, p in ((4, 0.1), (7, 0.1), (2, 0.0), (9, 0.0), (5, 0.05)):
+        train_set, test_set = subsample_split(pool, m, 3 + m % 4, (4, 1))
+        runs.append((train_set, TrainConfig(0.2, 4, seed=1 + (p == 0.05), noise_p=p)))
+        test_sets.append(test_set if m != 2 else None)
+    budget = 3 * ansatz._row_bytes(c, True, False) + ansatz._sweep_bytes(c, True, False)
+    monkeypatch.setattr(ansatz, "_CHUNK_BYTES", budget)
+    plans = []
+    plan_rows = ansatz._chunk_plan
+
+    def planned(circuit, obs, noise, adjoint):
+        plan = plan_rows(circuit, obs, noise, adjoint)
+        if not adjoint:
+            plans.append([rows.stop - rows.start for rows, _, _ in plan])
+        return plan
+
+    monkeypatch.setattr(ansatz, "_chunk_plan", planned)
+    trained = _train_runs(runs, test_sets, c, obs, eval_interval=2)
+    monkeypatch.undo()
+    assert len(plans) == 3 and all(len(plan) > 5 for plan in plans)
+    paths = [thetas for _, thetas in _sgd_paths(runs, c, obs)]
+    for r, (run, (train_set, config), test_set) in enumerate(zip(trained, runs, test_sets)):
+        for i, t in enumerate(run.eval_points):
+            theta, p = paths[t][r], config.noise_p
+            assert run.train_risks[i] == risk(c, theta, train_set, obs, p)
+            assert run.train_accs[i] == accuracy(c, theta, train_set, obs, p)
+            if test_set is None:
+                assert run.test_risks is None and run.test_accs is None
+            else:
+                assert run.test_risks[i] == risk(c, theta, test_set, obs, p)
+                assert run.test_accs[i] == accuracy(c, theta, test_set, obs, p)
+
+
+def test_a_noise_sweep_through_zero_cuts_each_evaluation_pass_once(monkeypatch):
+    """The groups of an evaluation pass go statevector first: a noise_p
+    sweep of 0.1, 0.0 and 0.2 under two seeds plans at most two chunks
+    per evaluation point at the default budget (in run order, its kinds
+    alternate Pauli, statevector, Pauli: three chunks at least)."""
+    rng = np.random.default_rng(95)
+    c = build_circuit(2, 1, 3, 1)
+    obs = z_observable(2)
+    pool = tiny_dataset(rng, 20, 3)
+    train_set, test_set = subsample_split(pool, 6, 4, (2, 5))
+    runs = [(train_set, TrainConfig(0.2, 4, seed, p)) for p in (0.1, 0.0, 0.2) for seed in (3, 4)]
+    plans = []
+    plan_rows = ansatz._chunk_plan
+
+    def planned(circuit, obs, noise, adjoint):
+        plan = plan_rows(circuit, obs, noise, adjoint)
+        if not adjoint:
+            plans.append([bool(strengths) for _, strengths, _ in plan])
+        return plan
+
+    monkeypatch.setattr(ansatz, "_chunk_plan", planned)
+    trained = _train_runs(runs, [test_set] * len(runs), c, obs, eval_interval=2)
+    monkeypatch.undo()
+    assert plans == [[False, True]] * 3
+    paths = [thetas for _, thetas in _sgd_paths(runs, c, obs)]
+    for r, (run, (_, config)) in enumerate(zip(trained, runs)):
+        for i, t in enumerate(run.eval_points):
+            assert run.test_risks[i] == risk(c, paths[t][r], test_set, obs, config.noise_p)
 
 
 def test_train_config_validation():
