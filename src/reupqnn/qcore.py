@@ -15,7 +15,8 @@ channels) is built on the small set of utilities in this module:
   factorization of a stack's Hermitian part shifted by the floor, shared
   by the density check and :func:`reupqnn.comb.validate_comb`, in one
   full-size copy that a matrix larger than ``_PSD_BLOCK`` is factored in
-  place by blocks.
+  place by blocks, each block row of the factor solved in place by
+  blocked forward substitution (no LU, no inverse).
 
 Gates, observables and states here are numpy ``complex128`` (the batched
 engine in :mod:`reupqnn.ansatz` keeps its rows in ``float64``, and
@@ -75,6 +76,9 @@ _STATE_NORM_ATOL = 1e-12
 # The positivity test's tile and block size: a matrix up to it is factored
 # by one Cholesky call, a larger one by blocks of it (`_psd_violations`).
 _PSD_BLOCK = 256
+# The largest triangle `_forward_substitute` solves row by row, not by
+# halving it: on smaller ones a product is too small to pay for its call.
+_SUBSTITUTION_LEAF = 32
 
 
 def rotation_gate(axis: str, angle: float) -> np.ndarray:
@@ -259,11 +263,13 @@ def _psd_violations(mats: np.ndarray, tol: float) -> tuple[str, ...]:
 
     Memory: for d > ``_PSD_BLOCK``, one full-size array besides ``mats``,
     the upper block triangle of H + tol*I, built in ``_PSD_BLOCK`` tiles
-    and factored in place by blocks (`_factor_by_blocks`); besides it, a
-    tile's deviation, a block row of the factor and one trailing product,
-    and numpy's internal copies of a block and a block row.  A stack of d
-    <= ``_PSD_BLOCK`` is one tile and one Cholesky call on the whole of
-    it, whose deviation, then factor, is a second full-size array.
+    and factored in place by blocks (`_factor_by_blocks`), each block row
+    of the factor solved in H's own.  Besides it: a tile's deviation, a
+    diagonal block's factor and numpy's internal copy of the block, the
+    substitution's products, the largest half a block by a block row, and
+    one trailing product, at most a block row.  A stack of d <=
+    ``_PSD_BLOCK`` is one tile and one Cholesky call on the whole of it,
+    whose deviation, then factor, is a second full-size array.
     """
     if np.iscomplexobj(mats) and not mats.imag.any():
         mats = mats.real
@@ -320,13 +326,19 @@ def _factor_by_blocks(herm: np.ndarray) -> None:
     its conjugate, with the same spectrum), whose Fortran layout is what
     LAPACK reads, so numpy makes no transposing copy.  Its lower factor L
     is R_kk^T, and the block row of R right of it solves R_kk^dagger X =
-    H_kt with R_kk^dagger = conj(L), which is backward stable where an
-    explicit inverse's error grows with its condition number."""
+    H_kt with R_kk^dagger = conj(L).  That block row of H is overwritten by
+    X through forward substitution (`_forward_substitute`), with no LU and
+    no inverse: substitution is backward stable, its residual of order
+    b*u*||L||*||X|| whatever L's condition, and so is its blocked form,
+    whose off-diagonal updates are plain products (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 8); an explicit inverse's error
+    grows with the condition of L instead."""
     d = herm.shape[-1]
     for k in range(0, d - _PSD_BLOCK, _PSD_BLOCK):
         head, tail = slice(k, k + _PSD_BLOCK), slice(k + _PSD_BLOCK, None)
         factor = np.linalg.cholesky(herm[..., head, head].swapaxes(-1, -2))
-        panel = np.linalg.solve(factor.conj(), herm[..., head, tail])
+        panel = herm[..., head, tail]
+        _forward_substitute(np.conjugate(factor, out=factor), panel)
         del factor
         # H_ij -= R_ki^dagger R_kj on the trailing upper block triangle, one
         # block row at a time, so no product is larger than the block row.
@@ -336,6 +348,35 @@ def _factor_by_blocks(herm: np.ndarray) -> None:
             herm[..., rows, rows.start:] -= left @ panel[..., i:]
     last = slice(d - 1 - (d - 1) % _PSD_BLOCK, None)
     np.linalg.cholesky(herm[..., last, last].swapaxes(-1, -2))
+
+
+def _forward_substitute(lower: np.ndarray, rhs: np.ndarray) -> None:
+    """Overwrite the (..., b, w) ``rhs`` with X solving ``lower`` X = rhs,
+    ``lower`` a (..., b, b) lower triangular stack with a real positive
+    diagonal, as a Cholesky factor or its conjugate has (its upper
+    triangle and the diagonal's imaginary part are not read).
+
+    The triangle is halved recursively: the top half is solved, the bottom
+    half's right-hand side takes one product with it, and the bottom half
+    is solved.  A triangle of at most ``_SUBSTITUTION_LEAF`` rows is solved
+    row by row, each row's product with the rows above it then a divide by
+    its diagonal.  The largest temporary is the first product, half of b
+    rows by w."""
+    b = lower.shape[-1]
+    if b <= _SUBSTITUTION_LEAF:
+        # Each part of a complex entry is divided by the real diagonal and
+        # so rounded once, where complex division rounds twice.
+        parts = (rhs.real, rhs.imag) if np.iscomplexobj(rhs) else (rhs,)
+        for i in range(b):
+            if i:
+                rhs[..., i:i + 1, :] -= lower[..., i:i + 1, :i] @ rhs[..., :i, :]
+            for part in parts:
+                part[..., i:i + 1, :] /= lower[..., i:i + 1, i:i + 1].real
+        return
+    half = b // 2
+    _forward_substitute(lower[..., :half, :half], rhs[..., :half, :])
+    rhs[..., half:, :] -= lower[..., half:, :half] @ rhs[..., :half, :]
+    _forward_substitute(lower[..., half:, half:], rhs[..., half:, :])
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from reupqnn.qcore import (
     QuantumState,
     _PSD_BLOCK,
     _check_density_rows,
+    _forward_substitute,
     _psd_violations,
     embed_gate,
     kron,
@@ -341,13 +342,16 @@ def _boundary_stack(rng, rows, d, lam_min, complex_entries):
 @pytest.mark.parametrize("complex_entries", [False, True])
 def test_blocked_positivity_agrees_with_one_cholesky_at_both_floors(complex_entries):
     """Below, at and above one ``_PSD_BLOCK`` (a d that is no multiple of
-    it, a multiple, and a stack of two such matrices), H with lambda_min =
+    it, a multiple, a stack of two such matrices, and three panels whose
+    trailing updates read substituted block rows), H with lambda_min =
     -floor * (1 +- 1e-6) at both floors gets the verdict of one Cholesky
     call on the whole matrix, and of its construction: the blocks factor
     the same H, rounded differently by about 1e-16*||H||."""
     rng = np.random.default_rng(76)
     block = _PSD_BLOCK
-    for rows, d in ((1, block // 2), (1, block), (1, block + 44), (1, 2 * block), (2, block + 44)):
+    cases = ((1, block // 2), (1, block), (1, block + 44), (1, 2 * block), (2, block + 44),
+             (1, 3 * block + 44))
+    for rows, d in cases:
         for floor in (1e-8, 1e-10):
             for factor in (1 + 1e-6, 1 - 1e-6):
                 h = _boundary_stack(rng, rows, d, -floor * factor, complex_entries)
@@ -378,9 +382,11 @@ def test_a_non_finite_entry_above_the_diagonal_fails_hermiticity(bad):
 
 def test_blocked_positivity_holds_one_full_size_array():
     """On a 1024 x 1024 real positive definite matrix (8 MiB) the test
-    peaks at one full-size array, its block triangle of H, plus two block
-    rows of the factor; one np.linalg.cholesky call and its new factor
-    would take 8 MiB more.  The verdict is the unblocked one."""
+    peaks at one full-size array, its block triangle of H, plus one block
+    row: the factor's block row is solved in place in H's, so the largest
+    temporaries are a trailing product and a diagonal block's Cholesky
+    buffers.  One np.linalg.cholesky call and its new factor would take 8
+    MiB more.  The verdict is the unblocked one."""
     rng = np.random.default_rng(78)
     a = rng.normal(size=(1024, 1024))
     h = a @ a.T / 1024
@@ -391,7 +397,63 @@ def test_blocked_positivity_holds_one_full_size_array():
     finally:
         tracemalloc.stop()
     assert violations == ()
-    assert peak <= h.nbytes + 2 * _PSD_BLOCK * 1024 * h.itemsize, peak
+    assert peak <= h.nbytes + _PSD_BLOCK * 1024 * h.itemsize, peak
+
+
+def _cholesky_factors(rng, rows, b, lam_min, complex_entries):
+    """(rows, b, b) lower Cholesky factors of Hermitian matrices whose
+    spectra run geometrically from 1 down to lam_min."""
+    out = []
+    for _ in range(rows):
+        a = rng.normal(size=(b, b))
+        if complex_entries:
+            a = a + 1j * rng.normal(size=(b, b))
+        q, _ = np.linalg.qr(a)
+        h = (q * np.geomspace(1.0, lam_min, b)) @ q.conj().T
+        out.append(np.linalg.cholesky(0.5 * (h + h.conj().T)))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_forward_substitution_is_backward_stable(complex_entries):
+    """The blocked factor's triangular solve, on sizes either side of its
+    row-by-row leaf and of ``_PSD_BLOCK``, for one column and a block row,
+    one matrix and a stack, leaves ||L X - B||_F <= b*u*||L||_F*||X||_F
+    (u = 2^-53) however ill-conditioned L, a Cholesky factor of spectrum 1
+    down to 1 or to 1e-8."""
+    rng = np.random.default_rng(80)
+    u = 2.0 ** -53
+    for b in (1, 15, 16, 17, 100, 256):
+        for lam_min in (1.0, 1e-8):
+            for width in (1, 768):
+                for rows in (None, 3):
+                    lower = _cholesky_factors(rng, rows or 1, b, lam_min, complex_entries)
+                    rhs = rng.normal(size=(len(lower), b, width))
+                    if complex_entries:
+                        rhs = rhs + 1j * rng.normal(size=rhs.shape)
+                    if rows is None:
+                        lower, rhs = lower[0], rhs[0]
+                    x = rhs.copy()
+                    _forward_substitute(lower, x)
+                    residual = np.linalg.norm(lower @ x - rhs, axis=(-2, -1))
+                    scale = np.linalg.norm(lower, axis=(-2, -1)) * np.linalg.norm(x, axis=(-2, -1))
+                    assert np.all(residual <= b * u * scale), (b, lam_min, width, rows)
+
+
+def test_blocked_positivity_makes_no_lu_and_no_inverse(monkeypatch):
+    """The blocked factor solves its block rows by substitution: with
+    np.linalg.solve and np.linalg.inv raising, a 1024 real and a (2, 300,
+    300) complex positive definite stack still pass."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the positivity test called an LU solve or an inverse")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    rng = np.random.default_rng(81)
+    a = rng.normal(size=(1024, 1024))
+    assert _psd_violations(a @ a.T / 1024, 1e-8) == ()
+    c = rng.normal(size=(2, 300, 300)) + 1j * rng.normal(size=(2, 300, 300))
+    assert _psd_violations(c @ c.conj().swapaxes(-1, -2) / 300, 1e-10) == ()
 
 
 # --- apply_gate (the tests' gate-by-gate reference simulator) ----------------
